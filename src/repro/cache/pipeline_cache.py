@@ -389,11 +389,11 @@ class RunCacheSession:
             self.disabled = self.disabled or wc.n_docs != self.fp.n_docs
             return compute_all()
 
-        # Serial prefix, exactly as transform_wordcount's: vocabulary,
-        # idf, and the term-id index from the (possibly served) df table.
+        # Serial prefix, exactly as transform_wordcount's: vocabulary
+        # and idf from the (possibly served) df table.
         from repro.exec.task import TaskCost
 
-        vocabulary, idf, _index = tfidf_op.build_vocabulary(wc, TaskCost())
+        vocabulary, idf = tfidf_op.build_vocabulary(wc, TaskCost())
         vocab_fp = cache_keys.vocab_fingerprint(vocabulary, idf)
         shard_keys = [
             cache_keys.shard_key("tr", self._tr_cfg, digest, extra=vocab_fp)

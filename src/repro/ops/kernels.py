@@ -20,6 +20,9 @@ backends and against the inline reference path.
 
 from __future__ import annotations
 
+import threading
+from collections import Counter
+
 import numpy as np
 
 from repro.errors import OperatorError
@@ -70,16 +73,13 @@ def count_chunk(
     (tokenizer,) = _STATE["wordcount"]
     doc_entries: list[list[tuple[str, int]]] = []
     token_counts: list[int] = []
-    df: dict[str, int] = {}
+    df: Counter[str] = Counter()
     for text in texts:
         tokens = tokenizer.tokenize(text).tokens
-        tf: dict[str, int] = {}
-        for token in tokens:
-            tf[token] = tf.get(token, 0) + 1
+        tf = Counter(tokens)
         doc_entries.append(sorted(tf.items()))
         token_counts.append(len(tokens))
-        for term in tf:
-            df[term] = df.get(term, 0) + 1
+        df.update(tf.keys())
     return doc_entries, token_counts, sorted(df.items())
 
 
@@ -271,12 +271,13 @@ def init_kmeans_worker_shm(matrix_descriptor, channel_descriptor, bounds) -> Non
 
 def assign_chunk(
     task: tuple[int, int, np.ndarray, np.ndarray]
-) -> tuple[list[int], np.ndarray, np.ndarray, float]:
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, float]:
     """Assign documents ``[start, stop)`` to their nearest centroid.
 
     ``task`` carries the block bounds plus the iteration's centroids and
     centroid squared norms (the only per-iteration data). Returns the
-    block's assignments, its partial centroid accumulator, per-cluster
+    block's assignments, its compact partial centroids (touched cell ids
+    + their values, see :func:`_assign_block`), per-cluster
     counts and inertia contribution. Blocks are worker-independent, and
     the caller merges partials in fixed block order, so the floating-point
     result does not depend on the backend or worker count.
@@ -307,7 +308,7 @@ def init_kmeans_worker_tiled(manifest, memory_budget) -> None:
 
 def assign_chunk_tiled(
     task: tuple[int, int, np.ndarray, np.ndarray]
-) -> tuple[list[int], np.ndarray, np.ndarray, float]:
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, float]:
     """Tile-streaming :func:`assign_chunk`: fetch the block, then assign.
 
     The block's per-document index/value views and precomputed squared
@@ -326,7 +327,7 @@ def assign_chunk_tiled(
 
 def assign_block_span(
     task: tuple[int, int, int]
-) -> list[tuple[list[int], np.ndarray, np.ndarray, float]]:
+) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray, float]]:
     """Assign a span of blocks against broadcast centroids (shm path).
 
     ``task`` is a constant-size token ``(first_block, last_block,
@@ -349,6 +350,35 @@ def assign_block_span(
     ]
 
 
+#: Per-thread recycled K×V partial-centroid accumulator, flat (paper
+#: §3.1: "allocated once and reused every iteration"). Thread-local, so
+#: every worker — a pool process, a ``ThreadBackend`` thread, the caller
+#: of a sequential backend — owns exactly one, across blocks, iterations
+#: and fits. It is all-zero whenever no block is running on the thread.
+_SCRATCH = threading.local()
+
+
+def _accumulator(size: int) -> np.ndarray:
+    """The calling thread's accumulator; re-allocated only on a new K·V."""
+    buffer = getattr(_SCRATCH, "accumulator", None)
+    if buffer is None or buffer.size != size:
+        buffer = _SCRATCH.accumulator = np.zeros(size, dtype=np.float64)
+    return buffer
+
+
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of ``ids``: one sort, one neighbour compare.
+
+    Not ``np.unique``: on numpy 2.4 that takes 1.4 ms for a block's ~11 k
+    ids where this takes 0.08 ms, and it runs once per block.
+    """
+    ids = np.sort(ids)
+    keep = np.empty(len(ids), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
 def _assign_block(
     start: int,
     stop: int,
@@ -357,23 +387,48 @@ def _assign_block(
     indices,
     values,
     sq_norms,
-) -> tuple[list[int], np.ndarray, np.ndarray, float]:
-    K = centroids.shape[0]
-    partial = np.zeros_like(centroids)
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, float]:
+    """Assign one block; return its partial centroids in compact form.
+
+    The block accumulates into the thread's recycled K×V buffer with the
+    per-cell order a fresh dense buffer would see, then ships only what
+    it touched: ``cells`` (sorted flat ids ``cluster · V + column`` of the
+    cells some document of the block was added to — at most the block's
+    nnz) and the buffer's values there. Scatter-adding those
+    (``merged.reshape(-1)[cells] += partial``) is bit-identical to adding
+    the dense buffer, whose every other cell is ``+0.0``. The buffer is
+    zeroed again at ``cells`` on the way out, and wholesale if a document
+    raises mid-block.
+    """
+    K, V = centroids.shape
+    accumulator = _accumulator(K * V)
     counts = np.zeros(K, dtype=np.int64)
     assignments: list[int] = []
+    touched: list[np.ndarray] = []
     inertia = 0.0
-    for doc in range(start, stop):
-        idx = indices[doc]
-        val = values[doc]
-        if len(idx):
-            dots = centroids[:, idx] @ val
-        else:
-            dots = np.zeros(K)
-        distances = sq_norms[doc] - 2.0 * dots + centroid_sq_norms
-        best = int(np.argmin(distances))
-        assignments.append(best)
-        inertia += float(max(0.0, distances[best]))
-        partial[best, idx] += val
-        counts[best] += 1
-    return assignments, partial, counts, inertia
+    try:
+        for doc in range(start, stop):
+            idx = indices[doc]
+            val = values[doc]
+            if len(idx):
+                dots = centroids[:, idx] @ val
+            else:
+                dots = np.zeros(K)
+            distances = sq_norms[doc] - 2.0 * dots + centroid_sq_norms
+            best = int(np.argmin(distances))
+            assignments.append(best)
+            inertia += float(max(0.0, distances[best]))
+            doc_cells = idx + best * V
+            accumulator[doc_cells] += val
+            touched.append(doc_cells)
+            counts[best] += 1
+        cells = (
+            _sorted_unique(np.concatenate(touched))
+            if touched else np.empty(0, dtype=np.intp)
+        )
+        partial = accumulator[cells]
+    except BaseException:
+        accumulator.fill(0.0)
+        raise
+    accumulator[cells] = 0.0
+    return assignments, cells, partial, counts, inertia

@@ -728,19 +728,24 @@ class KMeansOperator:
         converged = False
         n_iters = 0
         inertia_history: list[float] = []
+        # Recycled merge buffer, with a flat view for the scatter-add.
+        merged = np.zeros(centroids.shape, dtype=np.float64)
+        merged_flat = merged.reshape(-1)
         for _ in range(self.max_iters):
             n_iters += 1
             block_results = run_iteration(centroids, centroid_sq_norms)
 
             # Merge in fixed block order (deterministic float grouping).
-            merged = np.zeros_like(centroids)
+            merged.fill(0.0)
             merged_counts = np.zeros(K, dtype=np.int64)
             inertia = 0.0
-            for (start, _), (block_assign, partial, counts, block_inertia) in zip(
-                bounds, block_results
-            ):
+            for (start, _), (
+                block_assign, cells, partial, counts, block_inertia
+            ) in zip(bounds, block_results):
                 assignments[start : start + len(block_assign)] = block_assign
-                merged += partial
+                # Scatter-add the block's compact partial: only the cells
+                # it touched travelled, the rest of its K×V were +0.0.
+                merged_flat[cells] += partial
                 merged_counts += counts
                 inertia += block_inertia
             inertia_history.append(inertia)

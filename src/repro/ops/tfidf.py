@@ -145,12 +145,13 @@ class TfIdfOperator:
 
     def build_vocabulary(
         self, wc: WordCountResult, cost: TaskCost
-    ) -> tuple[list[str], list[float], Dictionary]:
-        """Sorted vocabulary, idf table and a term → id dictionary.
+    ) -> tuple[list[str], list[float]]:
+        """Sorted vocabulary and idf table from the df dictionary.
 
         The serial prefix of the transform phase: iterating the df
         dictionary (sorted for free on the tree, explicitly sorted on the
-        hash map) and building the term-id index.
+        hash map). Paths that look terms up parent-side follow it with
+        :meth:`build_index`; backend workers build their own.
         """
         df_profile = profile_for_kind(wc.df.kind)
         df_before = wc.df.stats.copy()
@@ -172,13 +173,16 @@ class TfIdfOperator:
         vocabulary = [term for term, _ in entries]
         idf = [math.log(n_docs / count) if count else 0.0 for _, count in entries]
         cost.cpu_s += len(entries) * self.costs.tfidf_score_ns * 1e-9
+        return vocabulary, idf
 
+    def build_index(self, vocabulary: list[str], cost: TaskCost) -> Dictionary:
+        """The instrumented term → id dictionary of the inline paths."""
         index = make_dict(self.transform_dict_kind, reserve=max(self.reserve, 1))
         for term_id, term in enumerate(vocabulary):
             index.put(term, term_id)
         cost.cpu_s += self._transform_profile.cpu_seconds(index.stats)
         cost.mem_bytes += self._transform_profile.memory_traffic(index.stats)
-        return vocabulary, idf, index
+        return index
 
     def transform_document(
         self,
@@ -250,7 +254,8 @@ class TfIdfOperator:
 
         # Serial prefix of the transform: vocabulary, idf, term-id index.
         index_cost = TaskCost()
-        vocabulary, idf, index = self.build_vocabulary(wc, index_cost)
+        vocabulary, idf = self.build_vocabulary(wc, index_cost)
+        index = self.build_index(vocabulary, index_cost)
         timeline.add(
             scheduler.serial_phase(
                 index_cost.scaled(self.scale.vocab_factor), name=PHASE_TRANSFORM
@@ -363,14 +368,17 @@ class TfIdfOperator:
     ) -> TfIdfResult:
         """Phase 2a over an existing word-count result (no simulation).
 
-        The vocabulary/idf/index build stays serial (it is the phase's
-        serial prefix in the paper too); the per-document transform runs
-        on the backend in chunks, shipping the vocabulary to each worker
-        once via the backend's initializer rather than per task.
+        The vocabulary/idf build stays serial (it is the phase's serial
+        prefix in the paper too); the per-document transform runs on the
+        backend in chunks, shipping the vocabulary to each worker once
+        via the backend's initializer rather than per task — each worker
+        builds its own term → id index there, so the parent builds one
+        only on the inline path.
         """
         scratch = TaskCost()
-        vocabulary, idf, index = self.build_vocabulary(wc, scratch)
+        vocabulary, idf = self.build_vocabulary(wc, scratch)
         if backend is None:
+            index = self.build_index(vocabulary, scratch)
             rows = [
                 self.transform_document(tf, index, idf, scratch)
                 for tf in wc.doc_tfs
@@ -460,13 +468,15 @@ class TfIdfOperator:
         # not append onto a half-written tile set.
         store.reset()
         scratch = TaskCost()
-        vocabulary, idf, index = self.build_vocabulary(wc, scratch)
+        vocabulary, idf = self.build_vocabulary(wc, scratch)
         n_cols = len(vocabulary)
         n_docs = len(wc.doc_tfs)
         if tile_docs is None or tile_docs < 1:
             tile_docs = max(1, min(n_docs, 4096))
         shared = None
-        if backend is not None:
+        if backend is None:
+            index = self.build_index(vocabulary, scratch)
+        else:
             backend.begin_phase(PHASE_TRANSFORM)
             if backend.uses_shm:
                 shared = self._share_vocabulary(backend, vocabulary, idf)
@@ -577,8 +587,7 @@ class TfIdfOperator:
         """Flush worker-resident chunks through the transform (phase 2a)."""
         backend = fused.backend
         wc = fused.wc
-        scratch = TaskCost()
-        vocabulary, idf, index = self.build_vocabulary(wc, scratch)
+        vocabulary, idf = self.build_vocabulary(wc, TaskCost())
         backend.begin_phase(PHASE_TRANSFORM)
         shared = None
         if backend.configure_recycles_workers:

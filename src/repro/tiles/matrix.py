@@ -79,32 +79,30 @@ class TiledCsrMatrix:
 
     def row(self, i: int) -> SparseVector:
         index = self._reader.tile_index_for_row(i)
-        meta = self.manifest.tiles[index]
-        view = self._reader.tile(index)
-        local = i - meta.row_start
-        lo = int(view.indptr[local])
-        hi = int(view.indptr[local + 1])
+        indptr, indices, data, _ = self._reader.arrays(index)
+        local = i - self.manifest.tiles[index].row_start
+        lo = int(indptr[local])
+        hi = int(indptr[local + 1])
         vector = SparseVector.__new__(SparseVector)
-        vector.indices = view.indices[lo:hi]
-        vector.values = view.data[lo:hi]
+        vector.indices = indices[lo:hi]
+        vector.values = data[lo:hi]
         return vector
 
     def row_nnz(self, i: int) -> int:
         index = self._reader.tile_index_for_row(i)
-        meta = self.manifest.tiles[index]
-        view = self._reader.tile(index)
-        local = i - meta.row_start
-        return int(view.indptr[local + 1]) - int(view.indptr[local])
+        indptr = self._reader.arrays(index)[0]
+        local = i - self.manifest.tiles[index].row_start
+        return int(indptr[local + 1]) - int(indptr[local])
 
     def iter_rows(self):
         for index, meta in enumerate(self.manifest.tiles):
-            view = self._reader.tile(index)
+            indptr, indices, data, _ = self._reader.arrays(index)
             for local in range(meta.n_rows):
-                lo = int(view.indptr[local])
-                hi = int(view.indptr[local + 1])
+                lo = int(indptr[local])
+                hi = int(indptr[local + 1])
                 vector = SparseVector.__new__(SparseVector)
-                vector.indices = view.indices[lo:hi]
-                vector.values = view.data[lo:hi]
+                vector.indices = indices[lo:hi]
+                vector.values = data[lo:hi]
                 yield vector
 
     def as_arrays(self):
@@ -115,13 +113,13 @@ class TiledCsrMatrix:
         data = np.empty(self.nnz, dtype=np.float64)
         cursor = 0
         for index, meta in enumerate(self.manifest.tiles):
-            view = self._reader.tile(index)
+            tile_indptr, tile_indices, tile_data, _ = self._reader.arrays(index)
             tile_nnz = meta.nnz
-            indices[cursor:cursor + tile_nnz] = view.indices
-            data[cursor:cursor + tile_nnz] = view.data
+            indices[cursor:cursor + tile_nnz] = tile_indices
+            data[cursor:cursor + tile_nnz] = tile_data
             base = meta.row_start
             indptr[base + 1: base + meta.n_rows + 1] = (
-                np.asarray(view.indptr[1:], dtype=np.int64) + cursor
+                np.asarray(tile_indptr[1:], dtype=np.int64) + cursor
             )
             cursor += tile_nnz
         return indptr, indices, data
@@ -135,9 +133,8 @@ class TiledCsrMatrix:
 
     def sq_norm(self, i: int) -> float:
         index = self._reader.tile_index_for_row(i)
-        meta = self.manifest.tiles[index]
-        view = self._reader.tile(index)
-        return float(view.sq_norms[i - meta.row_start])
+        sq_norms = self._reader.arrays(index)[3]
+        return float(sq_norms[i - self.manifest.tiles[index].row_start])
 
     def block_arrays(self, start: int, stop: int):
         """Per-row (indices, values) views plus sq_norms for ``[start, stop)``.
@@ -153,15 +150,17 @@ class TiledCsrMatrix:
         while row < stop:
             index = self._reader.tile_index_for_row(row)
             meta = self.manifest.tiles[index]
-            view = self._reader.tile(index)
+            # One atomic pin + reference grab: worker threads share the
+            # reader, and another thread's open may evict this tile.
+            indptr, indices, data, sq_norms = self._reader.arrays(index)
             local_stop = min(stop, meta.row_start + meta.n_rows)
             for doc in range(row, local_stop):
                 local = doc - meta.row_start
-                lo = int(view.indptr[local])
-                hi = int(view.indptr[local + 1])
-                doc_indices.append(view.indices[lo:hi])
-                doc_values.append(view.data[lo:hi])
-                norms[doc - start] = view.sq_norms[local]
+                lo = int(indptr[local])
+                hi = int(indptr[local + 1])
+                doc_indices.append(indices[lo:hi])
+                doc_values.append(data[lo:hi])
+                norms[doc - start] = sq_norms[local]
             row = local_stop
         return doc_indices, doc_values, norms
 

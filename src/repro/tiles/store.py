@@ -31,6 +31,7 @@ import itertools
 import os
 import shutil
 import tempfile
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -119,7 +120,7 @@ class TileReader:
     ``memory_budget`` bounds the *pinned* (currently mapped) tile bytes;
     ``None`` means map-and-keep everything. Safe to build in any process
     that can see the spill directory — closing a reader only unmaps, it
-    never deletes files.
+    never deletes files. Threads may share one reader.
     """
 
     def __init__(
@@ -135,6 +136,9 @@ class TileReader:
         self._stats = stats
         self._row_starts = manifest.row_starts()
         self._open: dict[int, tile_format.TileView] = {}
+        #: Serialises open / evict / LRU-touch: one reader serves every
+        #: worker thread of a ``ThreadBackend``.
+        self._lock = threading.Lock()
         self.pinned_bytes = 0
         self.peak_pinned_bytes = 0
         self.evictions = 0
@@ -142,7 +146,27 @@ class TileReader:
         self.read_bytes = 0
 
     def tile(self, index: int) -> tile_format.TileView:
-        """The mapped view of tile ``index``, opening (and evicting) as needed."""
+        """The mapped view of tile ``index``, opening (and evicting) as needed.
+
+        The view's array attributes go ``None`` when another thread's
+        open evicts it; threads sharing a reader use :meth:`arrays`.
+        """
+        with self._lock:
+            return self._pin(index)
+
+    def arrays(self, index: int):
+        """``(indptr, indices, data, sq_norms)`` of tile ``index``.
+
+        The references are taken under the same lock as the pin, so a
+        concurrent eviction cannot null them in between; a holder keeps
+        the evicted mapping alive until it drops them (see
+        :meth:`~repro.tiles.format.TileView.close`).
+        """
+        with self._lock:
+            view = self._pin(index)
+            return view.indptr, view.indices, view.data, view.sq_norms
+
+    def _pin(self, index: int) -> tile_format.TileView:
         view = self._open.get(index)
         if view is not None:
             # Refresh LRU position (dict preserves insertion order).
@@ -207,10 +231,11 @@ class TileReader:
         }
 
     def close(self) -> None:
-        views, self._open = self._open, {}
-        for view in views.values():
-            view.close()
-        self.pinned_bytes = 0
+        with self._lock:
+            views, self._open = self._open, {}
+            for view in views.values():
+                view.close()
+            self.pinned_bytes = 0
 
 
 class TileStore:

@@ -5,9 +5,11 @@ Every segment the shm plane creates is named ``repro_shm_*`` (see
 ``/dev/shm`` a leak is directly observable as a leftover file. The
 autouse fixture below snapshots the directory around every test and
 fails any test that leaves a segment behind — close, double-close and
-worker-crash paths all have to clean up to stay green. (On hosts
-without ``/dev/shm`` the check degrades to a no-op; the promoted
-resource_tracker warnings in ``pyproject.toml`` still cover leaks.)
+worker-crash paths all have to clean up to stay green; segments of a
+live process outside the test run are not the test's and are ignored.
+(On hosts without ``/dev/shm`` the check degrades to a no-op; the
+promoted resource_tracker warnings in ``pyproject.toml`` still cover
+leaks.)
 
 The tile plane gets the same treatment: every spill directory is named
 ``$TMPDIR/repro_tiles_*`` (:data:`repro.tiles.SPILL_PREFIX`), so a
@@ -37,6 +39,31 @@ def _segments() -> set[str]:
     return {name for name in names if name.startswith(SEGMENT_PREFIX)}
 
 
+def _foreign_segment(name: str) -> bool:
+    """Whether a live process outside this test run created ``name``.
+
+    Segments are named ``repro_shm_<creating pid>_<n>``. One whose
+    creator is alive and is neither this process nor a descendant
+    belongs to something running beside pytest (a perfbench run, another
+    test session) and is not this test's leak; a dead creator's segment
+    is reported, whoever it was.
+    """
+    try:
+        pid = int(name[len(SEGMENT_PREFIX) + 1:].split("_")[0])
+    except ValueError:
+        return False
+    while pid != os.getpid():
+        if pid <= 1:
+            return True
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                # "pid (comm) state ppid ..." — comm may contain spaces.
+                pid = int(handle.read().rpartition(")")[2].split()[1])
+        except (OSError, ValueError, IndexError):
+            return False
+    return False
+
+
 def _spill_dirs() -> set[str]:
     root = tempfile.gettempdir()
     try:
@@ -53,7 +80,9 @@ def no_shm_segment_leaks():
         return
     before = _segments()
     yield
-    leaked = _segments() - before
+    leaked = {
+        name for name in _segments() - before if not _foreign_segment(name)
+    }
     assert not leaked, (
         f"test leaked shared-memory segment(s): {sorted(leaked)} — every "
         f"ShmArrays/ShmBroadcast must be unlinked via close()"

@@ -10,6 +10,8 @@ directories on any exit path — the repo-wide conftest guard watches
 from __future__ import annotations
 
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -208,6 +210,53 @@ class TestReaderBudget:
             with pytest.raises(TileError, match="does not match manifest"):
                 reader.tile(1)
         finally:
+            store.close()
+
+
+class TestSharedReader:
+    def test_threads_share_one_reader_under_eviction(self):
+        # ThreadBackend workers all read through the one reader that
+        # init_kmeans_worker_tiled installs. With room for fewer than two
+        # tiles every open evicts, so without the reader's lock one
+        # thread's eviction nulls the arrays another is slicing
+        # (TypeError: 'NoneType' object is not subscriptable).
+        from repro.tiles import TiledCsrMatrix
+
+        tiles, rows_per_tile = 6, 4
+        n_rows = tiles * rows_per_tile
+        store = TileStore()
+        interval = sys.getswitchinterval()
+        try:
+            manifest = _fill(store, tiles=tiles, rows_per_tile=rows_per_tile)
+            expected = [
+                _tile_arrays(rows_per_tile, seed=at) for at in range(tiles)
+            ]
+            budget = int(manifest.tiles[0].nbytes * 1.5)
+            matrix = TiledCsrMatrix.from_manifest(manifest, memory_budget=budget)
+            sys.setswitchinterval(1e-6)
+
+            def sweep(worker):
+                rng = np.random.default_rng(worker)
+                for _ in range(1000):
+                    start = int(rng.integers(0, n_rows - 1))
+                    stop = int(rng.integers(start + 1, min(n_rows, start + 9) + 1))
+                    _, values, norms = matrix.block_arrays(start, stop)
+                    for row, val, norm in zip(range(start, stop), values, norms):
+                        indptr, _, data, sq_norms = expected[row // rows_per_tile]
+                        local = row % rows_per_tile
+                        want = data[indptr[local]:indptr[local + 1]]
+                        assert val.tobytes() == want.tobytes()
+                        assert norm == sq_norms[local]
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for future in [pool.submit(sweep, w) for w in range(4)]:
+                    future.result(timeout=120)
+            stats = matrix.spill_stats()
+            assert stats["evictions"] > 0
+            assert stats["peak_pinned_bytes"] <= budget
+            matrix.close()
+        finally:
+            sys.setswitchinterval(interval)
             store.close()
 
 
