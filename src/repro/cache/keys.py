@@ -127,6 +127,7 @@ _VERSIONED_MODULES = (
     "repro.text.tokenizer",
     "repro.sparse.vector",
     "repro.sparse.matrix",
+    "repro.sparse.blocks",
     "repro.dicts.snapshot",
     "repro.tiles.format",
     "repro.tiles.matrix",

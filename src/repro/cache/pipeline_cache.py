@@ -23,7 +23,10 @@ materialized corpus. The session fronts the three real phases:
   fingerprinted corpus, so the session disables itself for stores. A
   corrupt entry is deleted and treated as a miss by the store layer.
 
-Served word-count dictionaries are
+Payloads are the phases' own columnar forms — a
+:class:`~repro.sparse.blocks.TermBlock` for the word count, a CSR array
+triple for the transform — so a hit unpickles a handful of arrays and
+does no per-document work. Served word-count dictionaries are
 :class:`~repro.dicts.snapshot.SnapshotDict` views (as on any backend
 path); downstream output is bit-identical regardless.
 """
@@ -37,12 +40,11 @@ import numpy as np
 
 from repro.cache import keys as cache_keys
 from repro.cache.store import CacheStore
-from repro.dicts.snapshot import SnapshotDict
 from repro.ops.kmeans import PHASE_KMEANS, KMeansResult
 from repro.ops.tfidf import PHASE_TRANSFORM, TfIdfResult
 from repro.ops.wordcount import PHASE_INPUT_WC, WordCountResult
+from repro.sparse.blocks import TermBlock, concat_csr
 from repro.sparse.matrix import CsrMatrix
-from repro.sparse.vector import SparseVector
 
 __all__ = ["PipelineCache", "RunCacheSession", "PhaseCacheStats"]
 
@@ -226,8 +228,8 @@ class RunCacheSession:
 
         # Incremental path: recompute only the changed/added shards (one
         # backend invocation over their concatenated documents), then
-        # compose per-shard entries in document order. The df merge is
-        # plain integer adds over per-shard tables — order-independent.
+        # concatenate the per-shard blocks in document order — the same
+        # df merge a backend run applies to its chunks.
         missing = [
             at for at, payload in enumerate(shard_payloads) if payload is None
         ]
@@ -249,27 +251,18 @@ class RunCacheSession:
                 self.disabled = True
                 return compute_all()
             per_doc_s = compute_s / max(1, len(sub_docs))
+            sub_block = sub_wc.term_block()
             cursor = 0
             for at in missing:
                 start, stop = self.fp.shards[at]
                 count = stop - start
-                entries = [
-                    list(tf.items())
-                    for tf in sub_wc.doc_tfs[cursor:cursor + count]
-                ]
-                tokens = sub_wc.doc_token_counts[cursor:cursor + count]
                 computed[at] = {
-                    "entries": entries,
-                    "tokens": list(tokens),
-                    "df": _shard_df(entries),
+                    "block": sub_block[cursor:cursor + count],
                     "seconds": per_doc_s * count,
                 }
                 cursor += count
 
         t2 = time.perf_counter()
-        doc_tfs: list = []
-        doc_tokens: list[int] = []
-        df_total: dict[str, int] = {}
         paths: list[str] = []
         input_bytes = 0
         for at, item in enumerate(self.docs):
@@ -279,22 +272,12 @@ class RunCacheSession:
             else:
                 paths.append(item.name)
                 input_bytes += len(item.text)
-        for at in range(len(shard_payloads)):
-            payload = shard_payloads[at] or computed[at]
-            for entries in payload["entries"]:
-                doc_tfs.append(SnapshotDict(entries, kind=step.dict_kind))
-            doc_tokens.extend(payload["tokens"])
-            for term, count in payload["df"]:
-                df_total[term] = df_total.get(term, 0) + count
-        result = WordCountResult(
-            paths=paths,
-            doc_tfs=doc_tfs,
-            doc_token_counts=doc_tokens,
-            df=SnapshotDict(sorted(df_total.items()), kind=step.dict_kind),
-            dict_kind=step.dict_kind,
-            input_bytes=input_bytes,
-            total_tokens=sum(doc_tokens),
-            scale=step.scale,
+        result = WordCountResult.from_block(
+            TermBlock.concat(
+                (shard_payloads[at] or computed[at])["block"]
+                for at in range(len(shard_payloads))
+            ),
+            paths, step.dict_kind, input_bytes, step.scale,
         )
         stats.serve_s += lookup_s + (time.perf_counter() - t2)
         stats.seconds_saved += hit_seconds
@@ -312,18 +295,9 @@ class RunCacheSession:
         return result
 
     def _serve_wordcount(self, payload, dict_kind, scale) -> WordCountResult:
-        return WordCountResult(
-            paths=list(payload["paths"]),
-            doc_tfs=[
-                SnapshotDict(entries, kind=dict_kind)
-                for entries in payload["entries"]
-            ],
-            doc_token_counts=list(payload["tokens"]),
-            df=SnapshotDict(payload["df"], kind=dict_kind),
-            dict_kind=dict_kind,
-            input_bytes=payload["input_bytes"],
-            total_tokens=payload["total_tokens"],
-            scale=scale,
+        return WordCountResult.from_block(
+            payload["block"], list(payload["paths"]), dict_kind,
+            payload["input_bytes"], scale,
         )
 
     def _store_wordcount(self, result, compute_s, shard_keys, stats) -> None:
@@ -336,16 +310,12 @@ class RunCacheSession:
         )
         stats.stored += 1
         per_doc_s = compute_s / max(1, self.fp.n_docs)
+        block = result.term_block()
         for at, (start, stop) in enumerate(self.fp.shards):
-            entries = [
-                list(tf.items()) for tf in result.doc_tfs[start:stop]
-            ]
             self.store.put(
                 shard_keys[at],
                 {
-                    "entries": entries,
-                    "tokens": list(result.doc_token_counts[start:stop]),
-                    "df": _shard_df(entries),
+                    "block": block[start:stop],
                     "seconds": per_doc_s * (stop - start),
                 },
                 seconds=per_doc_s * (stop - start),
@@ -357,10 +327,9 @@ class RunCacheSession:
     def transform(self, tfidf_op, wc, compute_all, compute_rows) -> TfIdfResult:
         """Serve, incrementally compose, or fully compute the transform.
 
-        ``compute_all()`` is the uncached phase; ``compute_rows(vocabulary,
-        idf, chunks)`` transforms pre-extracted entry-list chunks (one per
-        missing shard) on the run's backend and returns one row list per
-        chunk. Shard entries are keyed on the global vocabulary+idf
+        ``compute_all()`` is the uncached phase; ``compute_rows(chunks)``
+        transforms bound row ranges of the corpus block (one per missing
+        shard) on the run's backend and returns one CSR block per chunk. Shard entries are keyed on the global vocabulary+idf
         fingerprint: a corpus change that shifts either invalidates every
         transform shard, which is what keeps composition bit-identical.
         """
@@ -428,41 +397,34 @@ class RunCacheSession:
         compute_s = 0.0
         computed: dict[int, dict] = {}
         if missing:
+            bound = tfidf_op.bind(wc, vocabulary, idf)
             chunks = [
-                [
-                    list(tf.items())
-                    for tf in wc.doc_tfs[
-                        self.fp.shards[at][0]:self.fp.shards[at][1]
-                    ]
-                ]
+                bound[self.fp.shards[at][0]:self.fp.shards[at][1]]
                 for at in missing
             ]
             t1 = time.perf_counter()
-            chunk_rows = compute_rows(vocabulary, idf, chunks)
+            chunk_rows = compute_rows(chunks)
             compute_s = time.perf_counter() - t1
-            if sum(len(rows) for rows in chunk_rows) != sum(
-                len(chunk) for chunk in chunks
-            ):
+            n_sub = sum(len(chunk) for chunk in chunks)
+            if sum(len(rows[0]) - 1 for rows in chunk_rows) != n_sub:
                 self.disabled = True
                 return compute_all()
-            n_sub = sum(len(chunk) for chunk in chunks)
             per_doc_s = compute_s / max(1, n_sub)
             for at, rows in zip(missing, chunk_rows):
                 computed[at] = {
-                    "rows": [
-                        (list(row.indices), list(row.values)) for row in rows
-                    ],
-                    "seconds": per_doc_s * len(rows),
+                    "rows": rows,
+                    "seconds": per_doc_s * (len(rows[0]) - 1),
                 }
 
         t2 = time.perf_counter()
-        rows: list[SparseVector] = []
-        for at in range(len(shard_payloads)):
-            payload = shard_payloads[at] or computed[at]
-            for indices, values in payload["rows"]:
-                rows.append(SparseVector(indices, values))
         result = TfIdfResult(
-            matrix=CsrMatrix.from_rows(rows, n_cols=len(vocabulary)),
+            matrix=CsrMatrix.from_arrays(
+                *concat_csr(
+                    (shard_payloads[at] or computed[at])["rows"]
+                    for at in range(len(shard_payloads))
+                ),
+                n_cols=len(vocabulary),
+            ),
             vocabulary=vocabulary,
             idf=idf,
             wordcount=wc,
@@ -481,16 +443,13 @@ class RunCacheSession:
         return result
 
     def _serve_transform(self, payload, wc) -> TfIdfResult:
-        matrix = CsrMatrix(
-            list(payload["indptr"]),
-            list(payload["indices"]),
-            list(payload["data"]),
-            payload["n_cols"],
-        )
         return TfIdfResult(
-            matrix=matrix,
-            vocabulary=list(payload["vocabulary"]),
-            idf=list(payload["idf"]),
+            matrix=CsrMatrix.from_arrays(
+                payload["indptr"], payload["indices"], payload["data"],
+                payload["n_cols"],
+            ),
+            vocabulary=payload["vocabulary"],
+            idf=payload["idf"],
             wordcount=wc,
         )
 
@@ -503,15 +462,17 @@ class RunCacheSession:
         )
         stats.stored += 1
         per_doc_s = compute_s / max(1, self.fp.n_docs)
-        rows = list(result.matrix.iter_rows())
+        indptr, indices, data = result.matrix.as_arrays()
         for at, (start, stop) in enumerate(self.fp.shards):
+            lo, hi = int(indptr[start]), int(indptr[stop])
             self.store.put(
                 shard_keys[at],
                 {
-                    "rows": [
-                        (list(row.indices), list(row.values))
-                        for row in rows[start:stop]
-                    ],
+                    "rows": (
+                        indptr[start:stop + 1] - lo,
+                        indices[lo:hi].astype(np.int32),
+                        data[lo:hi],
+                    ),
                     "seconds": per_doc_s * (stop - start),
                 },
                 seconds=per_doc_s * (stop - start),
@@ -721,33 +682,22 @@ class RunCacheSession:
         self.store.flush()
 
 
-def _shard_df(entries_per_doc) -> list[tuple[str, int]]:
-    """Per-shard document-frequency table from per-document entries."""
-    df: dict[str, int] = {}
-    for entries in entries_per_doc:
-        for term, _count in entries:
-            df[term] = df.get(term, 0) + 1
-    return sorted(df.items())
-
-
 def _wordcount_payload(result: WordCountResult) -> dict:
     return {
         "paths": list(result.paths),
-        "entries": [list(tf.items()) for tf in result.doc_tfs],
-        "tokens": list(result.doc_token_counts),
-        "df": list(result.df.items_sorted()),
+        "block": result.term_block(),
         "input_bytes": result.input_bytes,
-        "total_tokens": result.total_tokens,
     }
 
 
 def _transform_payload(result: TfIdfResult) -> dict:
-    matrix = result.matrix
+    indptr, indices, data = result.matrix.as_arrays()
     return {
-        "indptr": list(matrix.indptr),
-        "indices": list(matrix.indices),
-        "data": list(matrix.data),
-        "n_cols": matrix.n_cols,
+        "indptr": indptr,
+        # Column ids fit 32 bits; the matrix widens them on ``as_arrays``.
+        "indices": indices.astype(np.int32),
+        "data": data,
+        "n_cols": result.matrix.n_cols,
         "vocabulary": list(result.vocabulary),
         "idf": list(result.idf),
     }

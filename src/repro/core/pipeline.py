@@ -380,11 +380,9 @@ def run_pipeline(
                     PHASE_TRANSFORM,
                     lambda be: tfidf.transform_wordcount(wc, backend=be),
                 ),
-                compute_rows=lambda vocabulary, idf, chunks: run_phase(
+                compute_rows=lambda chunks: run_phase(
                     PHASE_TRANSFORM,
-                    lambda be: _transform_chunks(
-                        be, tfidf, vocabulary, idf, chunks
-                    ),
+                    lambda be: _transform_chunks(be, chunks),
                 ),
             )
         else:
@@ -501,16 +499,12 @@ def _tile_docs(wc, memory_budget: int) -> int:
     return max(1, min(n, docs))
 
 
-def _transform_chunks(backend, tfidf, vocabulary, idf, chunks):
-    """Transform pre-extracted entry-list chunks (the cache's changed
-    shards) on ``backend``, bit-identically to the full transform."""
+def _transform_chunks(backend, chunks):
+    """Transform bound row ranges (the cache's changed shards) on
+    ``backend``, bit-identically to the full transform."""
     if backend is None:
-        kernels.init_transform_worker(vocabulary, idf, tfidf.min_df)
         return [kernels.transform_chunk(chunk) for chunk in chunks]
     backend.begin_phase(PHASE_TRANSFORM)
-    backend.configure(
-        kernels.init_transform_worker, (vocabulary, idf, tfidf.min_df)
-    )
     return backend.map(kernels.transform_chunk, chunks, grain=1)
 
 
@@ -681,7 +675,7 @@ def _run_planned(
                 PHASE_INPUT_WC,
                 backend_for(wc_plan),
                 lambda be: tfidf.wordcount.run_fused(
-                    docs, be, min_df=tfidf.min_df, grain=wc_plan.grain
+                    docs, be, grain=wc_plan.grain
                 ),
             )
             t1 = time.perf_counter()
@@ -763,14 +757,10 @@ def _run_planned(
                         tfidf,
                         wc,
                         compute_all=compute_tr,
-                        compute_rows=lambda vocabulary, idf, chunks: (
-                            run_phase(
-                                PHASE_TRANSFORM,
-                                backend_for(tr_plan),
-                                lambda be: _transform_chunks(
-                                    be, tfidf, vocabulary, idf, chunks
-                                ),
-                            )
+                        compute_rows=lambda chunks: run_phase(
+                            PHASE_TRANSFORM,
+                            backend_for(tr_plan),
+                            lambda be: _transform_chunks(be, chunks),
                         ),
                     )
                 else:

@@ -39,6 +39,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
+from repro.sparse.blocks import TermBlock
 
 __all__ = [
     "RetryPolicy",
@@ -292,8 +293,13 @@ def run_attempts(
             attempt += 1
 
 
+#: Map-item types that are runs of documents: ``len()`` counts them and
+#: a slice is again a valid item, so bisection may cut inside one.
+_DOCUMENT_RUNS = (list, tuple, TermBlock)
+
+
 def _splittable(item) -> bool:
-    return isinstance(item, (list, tuple)) and len(item) > 1
+    return isinstance(item, _DOCUMENT_RUNS) and len(item) > 1
 
 
 def bisect_chunk(
@@ -312,8 +318,9 @@ def bisect_chunk(
     executes a sub-chunk (applying the caller's own retry policy) and
     returns its per-item results; raising means the sub-chunk is still
     poisoned. Failures bisect: multi-item chunks split between items;
-    with ``bisect_items`` single items that are themselves sequences (the
-    chunked text kernels' doc lists) split *inside* the item, so a single
+    with ``bisect_items`` single items that are themselves runs of
+    documents (the chunk kernels' text lists and term blocks) split
+    *inside* the item, so a single
     poisoned document is isolated even when the backend was handed
     pre-chunked items. A failing leaf is handed to
     ``quarantine(item_index, sub_start, n_units, exc)`` and contributes
@@ -357,7 +364,7 @@ def bisect_chunk(
             bisect_items=bisect_items,
         )
         return left + right
-    if bisect_items and isinstance(chunk[0], (list, tuple)):
+    if bisect_items and isinstance(chunk[0], _DOCUMENT_RUNS):
         n_units = len(chunk[0])
     else:
         n_units = 1

@@ -2,11 +2,12 @@
 
 Every function here is module-level so a :class:`~repro.exec.process.ProcessBackend`
 can ship it to worker processes by reference. Phase-constant state
-(tokenizer, vocabulary, prepared matrix) is installed once per worker by
-the ``init_*`` functions — dispatched through
+(tokenizer, prepared matrix) is installed once per worker by the
+``init_*`` functions — dispatched through
 :meth:`~repro.exec.inline.ExecutionBackend.configure` — and read back from
 a module-level slot by the chunk kernels, so each submitted task carries
-only its chunk of data. In-process backends (sequential, threads) run the
+only its chunk of data. The transform holds no worker state at all: its
+task *is* its input. In-process backends (sequential, threads) run the
 same initializers and kernels against the parent's copy of the slot, which
 keeps a single code path across all backends.
 
@@ -25,15 +26,13 @@ from collections import Counter
 
 import numpy as np
 
-from repro.errors import OperatorError
-from repro.sparse.vector import SparseVector
+from repro.sparse.blocks import TermBlock, sorted_unique
+from repro.sparse.matrix import csr_row_views
 from repro.text.tokenizer import Tokenizer
 
 __all__ = [
     "init_wordcount_worker",
     "count_chunk",
-    "init_transform_worker",
-    "init_transform_worker_shm",
     "transform_chunk",
     "init_fused_worker",
     "count_chunk_resident",
@@ -61,85 +60,59 @@ def init_wordcount_worker(tokenizer: Tokenizer) -> None:
     _STATE["wordcount"] = (tokenizer,)
 
 
-def count_chunk(
-    texts: list[str],
-) -> tuple[list[list[tuple[str, int]]], list[int], list[tuple[str, int]]]:
-    """Count one chunk of documents.
+def count_chunk(texts: list[str]) -> TermBlock:
+    """Count one chunk of documents into one columnar block.
 
-    Returns per-document sorted term-frequency entries, per-document token
-    counts, and the chunk's partial document-frequency table (sorted
-    entries) — one pickle for the whole chunk on the way back.
+    One :class:`~collections.Counter` per document, then a single pass
+    packs them: the chunk's sorted distinct terms, and per document the
+    term ids (sorted) with their counts — one pickle of five flat
+    objects for the whole chunk on the way back. The chunk's partial
+    document-frequency table is the block's ``df_counts``.
     """
     (tokenizer,) = _STATE["wordcount"]
-    doc_entries: list[list[tuple[str, int]]] = []
+    tfs: list[Counter[str]] = []
     token_counts: list[int] = []
-    df: Counter[str] = Counter()
     for text in texts:
         tokens = tokenizer.tokenize(text).tokens
-        tf = Counter(tokens)
-        doc_entries.append(sorted(tf.items()))
+        tfs.append(Counter(tokens))
         token_counts.append(len(tokens))
-        df.update(tf.keys())
-    return doc_entries, token_counts, sorted(df.items())
+    return TermBlock.from_counts(tfs, token_counts)
 
 
 # -- TF/IDF transform (phase 2a) ------------------------------------------------------
 
 
-def init_transform_worker(
-    vocabulary: list[str], idf: list[float], min_df: int
-) -> None:
-    """Build the term → id index once per worker from the vocabulary."""
-    index = {term: term_id for term_id, term in enumerate(vocabulary)}
-    _STATE["transform"] = (index, idf, min_df)
-
-
-def init_transform_worker_shm(descriptor, min_df: int) -> None:
-    """Rebuild the vocabulary/idf snapshot from a shared segment.
-
-    ``descriptor`` resolves (zero-copy) to the vocabulary packed as one
-    UTF-8 blob with cumulative end offsets plus the idf table; the strings
-    and Python floats are reconstructed locally — identical values to the
-    pickled initargs they replace — and handed to
-    :func:`init_transform_worker`, so :func:`transform_chunk` is untouched.
-    """
-    arrays = descriptor.resolve()
-    raw = arrays["vocab_blob"].tobytes()
-    vocabulary: list[str] = []
-    start = 0
-    for end in arrays["vocab_ends"]:
-        end = int(end)
-        vocabulary.append(raw[start:end].decode("utf-8"))
-        start = end
-    init_transform_worker(vocabulary, arrays["idf"].tolist(), min_df)
-
-
 def transform_chunk(
-    chunk: list[list[tuple[str, int]]]
-) -> list[SparseVector]:
-    """Normalized TF/IDF vectors for one chunk of TF entry lists.
+    block: TermBlock,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalized TF/IDF rows of a bound block, as one CSR block.
 
+    A pure function of its argument (``block.gmap``: term → vocabulary
+    id, ``-1`` = pruned below ``min_df``; ``block.weights``: term → idf).
     Mirrors :meth:`repro.ops.tfidf.TfIdfOperator.transform_document`
-    term-for-term: same ``count * idf`` products, same sort, same
-    normalization — the output is bit-identical to the inline path.
+    double for double: ``count * idf`` products, rows sorted by
+    vocabulary id (block rows are sorted by term, and so is the
+    vocabulary), and a squared norm summed left to right per row — a
+    Python ``sum`` over a list slice, because numpy's pairwise reductions
+    round differently. The result is bit-identical to the inline path.
     """
-    index, idf, min_df = _STATE["transform"]
-    vectors: list[SparseVector] = []
-    for entries in chunk:
-        pairs: list[tuple[int, float]] = []
-        for term, count in entries:
-            term_id = index.get(term)
-            if term_id is None:
-                if min_df > 1:
-                    continue  # pruned below the document-frequency cutoff
-                raise OperatorError(f"term {term!r} missing from vocabulary index")
-            pairs.append((term_id, count * idf[term_id]))
-        pairs.sort()
-        vector = SparseVector(
-            [term_id for term_id, _ in pairs], [score for _, score in pairs]
-        )
-        vectors.append(vector.normalized())
-    return vectors
+    ids = block.ids
+    indices = block.gmap[ids]
+    data = block.counts * block.weights[ids]
+    indptr = block.indptr
+    kept = indices >= 0
+    if not kept.all():
+        survivors = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(kept, out=survivors[1:])
+        indptr, indices, data = survivors[indptr], indices[kept], data[kept]
+    bounds = indptr.tolist()
+    squares = (data * data).tolist()
+    norms = np.array(
+        [sum(squares[a:b]) ** 0.5 for a, b in zip(bounds[:-1], bounds[1:])]
+    )
+    norms[norms == 0.0] = 1.0  # the zero vector normalises to itself
+    data *= np.repeat(1.0 / norms, np.diff(indptr))
+    return indptr, indices, data
 
 
 # -- fused wc→transform (worker-resident intermediates) -------------------------------
@@ -147,62 +120,43 @@ def transform_chunk(
 #: Per-worker store of counted-but-not-yet-transformed chunks, keyed by
 #: chunk id. Filled by :func:`count_chunk_resident` during the fused
 #: word-count phase and drained by :func:`transform_flush` — the per-doc
-#: term-frequency entries never cross the IPC boundary.
-_RESIDENT: dict[int, list[list[tuple[str, int]]]] = {}
-
-#: Decoded vocabulary state per shared segment, so a worker that flushes
-#: many chunks decodes the vocab blob exactly once.
-_FUSED_VOCAB: dict[str, tuple] = {}
+#: term frequencies never cross the IPC boundary.
+_RESIDENT: dict[int, TermBlock] = {}
 
 
-def init_fused_worker(tokenizer: Tokenizer, min_df: int) -> None:
-    """Install tokenizer + min_df and reset the resident store (per run)."""
-    _STATE["fused"] = (tokenizer, min_df)
-    _STATE["wordcount"] = (tokenizer,)
+def init_fused_worker(tokenizer: Tokenizer) -> None:
+    """Install the tokenizer and reset the resident store (per run)."""
+    init_wordcount_worker(tokenizer)
     _RESIDENT.clear()
-    _FUSED_VOCAB.clear()
 
 
 def count_chunk_resident(
     task: tuple[int, list[str]]
-) -> tuple[int, list[int], list[tuple[str, int]]]:
-    """Count one chunk, keeping the per-doc TF entries worker-resident.
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Count one chunk, keeping its rows worker-resident.
 
-    Identical counting arithmetic to :func:`count_chunk`, but the
-    corpus-sized ``doc_entries`` stay in :data:`_RESIDENT` under the chunk
-    id instead of being pickled back: only the (much smaller) token counts
-    and partial document-frequency table return to the parent, which is
-    all it needs to build the vocabulary.
+    Identical counting to :func:`count_chunk`, but the block stays in
+    :data:`_RESIDENT` under the chunk id instead of being pickled back:
+    only its terms, their document frequencies and the token counts
+    return to the parent, which is all it needs to build the vocabulary.
     """
     chunk_id, texts = task
-    doc_entries, token_counts, df_entries = count_chunk(texts)
-    _RESIDENT[chunk_id] = doc_entries
-    return chunk_id, token_counts, df_entries
+    block = _RESIDENT[chunk_id] = count_chunk(texts)
+    return block.terms, block.df_counts, block.token_counts
 
 
-def _install_fused_vocab(descriptor) -> None:
-    """Point ``_STATE['transform']`` at the vocabulary for this flush.
-
-    ``descriptor`` is ``None`` on in-process backends (the parent already
-    configured the transform state directly); on the process backend it is
-    the tiny shm descriptor riding inside each flush task — shipping it
-    per task instead of via ``configure`` is what keeps the worker pool
-    (and with it the resident store) alive between the two fused phases.
-    """
-    if descriptor is None:
-        if "transform" not in _STATE:
-            raise OperatorError("fused flush before transform state installed")
-        return
-    cached = _FUSED_VOCAB.get(descriptor.segment)
-    if cached is None:
-        _, min_df = _STATE["fused"]
-        init_transform_worker_shm(descriptor, min_df)
-        _FUSED_VOCAB[descriptor.segment] = _STATE["transform"]
-    else:
-        _STATE["transform"] = cached
+def _term_columns(columns) -> tuple[np.ndarray, np.ndarray]:
+    """A flush task's ``(gmap, weights)``: the arrays themselves, or
+    ``(descriptor, start, stop)`` into the segment a backend with a
+    shared-memory plane placed every chunk's columns in."""
+    if len(columns) == 2:
+        return columns
+    descriptor, start, stop = columns
+    arrays = descriptor.resolve()
+    return arrays["gmap"][start:stop], arrays["weights"][start:stop]
 
 
-def transform_flush(task: tuple[int, object]) -> list[SparseVector] | None:
+def transform_flush(task: tuple[int, tuple]):
     """Transform a chunk counted earlier by this worker, if resident.
 
     Returns ``None`` when the chunk is not resident here (a different
@@ -211,22 +165,17 @@ def transform_flush(task: tuple[int, object]) -> list[SparseVector] | None:
     :func:`count_transform_chunk` from its retained chunk texts. At one
     worker, and on in-process backends, every chunk hits.
     """
-    chunk_id, descriptor = task
-    entries = _RESIDENT.pop(chunk_id, None)
-    if entries is None:
+    chunk_id, columns = task
+    block = _RESIDENT.pop(chunk_id, None)
+    if block is None:
         return None
-    _install_fused_vocab(descriptor)
-    return transform_chunk(entries)
+    return transform_chunk(block.bound(*_term_columns(columns)))
 
 
-def count_transform_chunk(
-    task: tuple[list[str], object]
-) -> list[SparseVector]:
+def count_transform_chunk(task: tuple[list[str], tuple]):
     """Residency-miss fallback: re-count then transform in one task."""
-    texts, descriptor = task
-    doc_entries, _token_counts, _df = count_chunk(texts)
-    _install_fused_vocab(descriptor)
-    return transform_chunk(doc_entries)
+    texts, columns = task
+    return transform_chunk(count_chunk(texts).bound(*_term_columns(columns)))
 
 
 # -- K-means assignment ----------------------------------------------------------------
@@ -249,22 +198,10 @@ def init_kmeans_worker_shm(matrix_descriptor, channel_descriptor, bounds) -> Non
     ``channel_descriptor``/``bounds`` equip :func:`assign_block_span` to
     read each iteration's broadcast centroids and walk its blocks.
     """
-    from repro.sparse.matrix import CsrMatrix
-
     arrays = matrix_descriptor.resolve()
-    matrix = CsrMatrix.from_arrays(
-        arrays["indptr"],
-        arrays["indices"],
-        arrays["values"],
-        n_cols=0,  # column count is irrelevant to the assignment kernel
+    doc_indices, doc_values = csr_row_views(
+        arrays["indptr"], arrays["indices"], arrays["values"]
     )
-    indptr = matrix.indptr
-    doc_indices: list[np.ndarray] = []
-    doc_values: list[np.ndarray] = []
-    for doc in range(matrix.n_rows):
-        start, end = int(indptr[doc]), int(indptr[doc + 1])
-        doc_indices.append(matrix.indices[start:end])
-        doc_values.append(matrix.data[start:end])
     _STATE["kmeans"] = (doc_indices, doc_values, arrays["sq_norms"])
     _STATE["kmeans_shm"] = (channel_descriptor, tuple(bounds))
 
@@ -366,19 +303,6 @@ def _accumulator(size: int) -> np.ndarray:
     return buffer
 
 
-def _sorted_unique(ids: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of ``ids``: one sort, one neighbour compare.
-
-    Not ``np.unique``: on numpy 2.4 that takes 1.4 ms for a block's ~11 k
-    ids where this takes 0.08 ms, and it runs once per block.
-    """
-    ids = np.sort(ids)
-    keep = np.empty(len(ids), dtype=bool)
-    keep[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-    return ids[keep]
-
-
 def _assign_block(
     start: int,
     stop: int,
@@ -423,7 +347,7 @@ def _assign_block(
             touched.append(doc_cells)
             counts[best] += 1
         cells = (
-            _sorted_unique(np.concatenate(touched))
+            sorted_unique(np.concatenate(touched))
             if touched else np.empty(0, dtype=np.intp)
         )
         partial = accumulator[cells]

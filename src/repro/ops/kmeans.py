@@ -51,7 +51,7 @@ from repro.exec.metrics import Timeline
 from repro.exec.scheduler import SimScheduler
 from repro.exec.task import TaskCost
 from repro.ops import kernels
-from repro.sparse.matrix import CsrMatrix
+from repro.sparse.matrix import CsrMatrix, csr_row_views
 
 __all__ = ["KMeansResult", "KMeansOperator", "PHASE_KMEANS", "KMEANS_GRAIN_DOCS"]
 
@@ -115,18 +115,13 @@ class KMeansResult:
 class _Prepared:
     """Per-document numpy views precomputed once (recycled across iters)."""
 
-    __slots__ = ("indices", "values", "sq_norms", "n_docs")
+    __slots__ = ("arrays", "indices", "values", "sq_norms", "n_docs")
 
     def __init__(self, matrix: CsrMatrix) -> None:
-        self.indices: list[np.ndarray] = []
-        self.values: list[np.ndarray] = []
-        self.sq_norms: list[float] = []
-        for row in matrix.iter_rows():
-            idx = np.asarray(row.indices, dtype=np.intp)
-            val = np.asarray(row.values, dtype=np.float64)
-            self.indices.append(idx)
-            self.values.append(val)
-            self.sq_norms.append(float(val @ val))
+        #: The flat CSR triple the views slice (what the shm plane places).
+        self.arrays = matrix.as_arrays()
+        self.indices, self.values = csr_row_views(*self.arrays)
+        self.sq_norms: list[float] = [float(val @ val) for val in self.values]
         self.n_docs = matrix.n_rows
 
 
@@ -666,7 +661,7 @@ class KMeansOperator:
         tokens, so per-iteration pickled bytes are independent of both
         the block count and the K×V centroid size.
         """
-        indptr, flat_indices, flat_values = matrix.as_arrays()
+        indptr, flat_indices, flat_values = prepared.arrays
         shared = backend.share_arrays(
             "kmeans-matrix",
             {

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from repro.core.cost_model import (
 from repro.dicts.api import Dictionary
 from repro.dicts.cost import profile_for_kind
 from repro.dicts.factory import make_dict
-from repro.errors import ConfigurationError, OperatorError
+from repro.errors import OperatorError
 from repro.exec.inline import ExecutionBackend
 from repro.exec.metrics import Timeline
 from repro.exec.parallel import auto_grain
@@ -43,7 +44,8 @@ from repro.io.arff import arff_lines
 from repro.io.corpus_io import corpus_paths
 from repro.io.storage import Storage
 from repro.ops.wordcount import FusedWordCount, WordCountResult, WordCountStep
-from repro.sparse.matrix import CsrMatrix
+from repro.sparse.blocks import TermBlock, concat_csr
+from repro.sparse.matrix import CsrMatrix, csr_row_views
 from repro.sparse.vector import SparseVector
 from repro.text.corpus import Corpus
 from repro.text.tokenizer import Tokenizer
@@ -338,26 +340,31 @@ class TfIdfOperator:
         wc = self.wordcount.run(corpus, backend=backend)
         return self.transform_wordcount(wc, backend=backend)
 
-    @staticmethod
-    def _share_vocabulary(backend: ExecutionBackend, vocabulary, idf):
-        """Snapshot the vocabulary + idf into one shared segment.
+    def _vocabulary_columns(
+        self, terms: list[str], index: dict[str, int], idf: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(gmap, weights)`` for a sorted term list: each term's
+        vocabulary id (``-1`` = pruned by ``min_df``) and idf weight."""
+        gmap = np.fromiter(
+            map(index.get, terms, repeat(-1)), dtype=np.int32, count=len(terms)
+        )
+        pruned = gmap < 0
+        if self.min_df == 1 and pruned.any():
+            term = terms[int(np.flatnonzero(pruned)[0])]
+            raise OperatorError(f"term {term!r} missing from vocabulary index")
+        weights = np.zeros(len(terms), dtype=np.float64)
+        weights[~pruned] = idf[gmap[~pruned]]
+        return gmap, weights
 
-        Strings packed as a UTF-8 blob with cumulative end offsets.
-        Workers attach zero-copy instead of receiving the whole table
-        pickled into their initargs (or, on the fused path, per task).
-        """
-        encoded = [term.encode("utf-8") for term in vocabulary]
-        return backend.share_arrays(
-            "transform",
-            {
-                "vocab_blob": np.frombuffer(
-                    b"".join(encoded) or b"\0", dtype=np.uint8
-                ),
-                "vocab_ends": np.cumsum(
-                    [len(raw) for raw in encoded], dtype=np.int64
-                ),
-                "idf": np.asarray(idf, dtype=np.float64),
-            },
+    def bind(
+        self, wc: WordCountResult, vocabulary: list[str], idf: list[float]
+    ) -> TermBlock:
+        """The corpus block bound to a vocabulary: what the transform
+        kernel consumes, a row range (``bound[a:b]``) at a time."""
+        block = wc.term_block()
+        index = {term: term_id for term_id, term in enumerate(vocabulary)}
+        return block.bound(
+            *self._vocabulary_columns(block.terms, index, np.asarray(idf))
         )
 
     def transform_wordcount(
@@ -369,57 +376,37 @@ class TfIdfOperator:
         """Phase 2a over an existing word-count result (no simulation).
 
         The vocabulary/idf build stays serial (it is the phase's serial
-        prefix in the paper too); the per-document transform runs on the
-        backend in chunks, shipping the vocabulary to each worker once
-        via the backend's initializer rather than per task — each worker
-        builds its own term → id index there, so the parent builds one
-        only on the inline path.
+        prefix in the paper too), and so does mapping the corpus block's
+        terms onto it; the per-document scoring runs on the backend in
+        chunks, each task a self-contained row range of the bound block
+        — workers hold no transform state, and no term string is shipped.
         """
         scratch = TaskCost()
         vocabulary, idf = self.build_vocabulary(wc, scratch)
         if backend is None:
             index = self.build_index(vocabulary, scratch)
-            rows = [
-                self.transform_document(tf, index, idf, scratch)
-                for tf in wc.doc_tfs
-            ]
+            matrix = CsrMatrix.from_rows(
+                (
+                    self.transform_document(tf, index, idf, scratch)
+                    for tf in wc.doc_tfs
+                ),
+                n_cols=len(vocabulary),
+            )
         else:
             backend.begin_phase(PHASE_TRANSFORM)
-            shared = None
-            if backend.uses_shm:
-                shared = self._share_vocabulary(backend, vocabulary, idf)
-                backend.configure(
-                    kernels.init_transform_worker_shm,
-                    (shared.descriptor(), self.min_df),
-                )
-            else:
-                backend.configure(
-                    kernels.init_transform_worker, (vocabulary, idf, self.min_df)
-                )
-            entry_lists = [list(tf.items()) for tf in wc.doc_tfs]
+            bound = self.bind(wc, vocabulary, idf)
             if grain is None:
-                grain = auto_grain(len(entry_lists), backend.workers)
-            chunks = [
-                entry_lists[at : at + grain]
-                for at in range(0, len(entry_lists), grain)
-            ]
+                grain = auto_grain(len(bound), backend.workers)
             quarantined_before = len(backend.quarantine.items)
-            try:
-                # ``bisect_items`` lets quarantine mode isolate a single
-                # poisoned document inside a chunk of entry lists.
-                rows = [
-                    row
-                    for chunk_rows in backend.map(
-                        kernels.transform_chunk, chunks, grain=1,
-                        bisect_items=True,
-                    )
-                    for row in chunk_rows
-                ]
-            finally:
-                if shared is not None:
-                    shared.close()
-            # Quarantine coordinates → document indices: map item i is
-            # ``chunks[i]``, which starts at document ``i * grain``.
+            # ``bisect_items`` lets quarantine mode isolate a single
+            # poisoned document inside a chunk.
+            parts = backend.map(
+                kernels.transform_chunk,
+                [bound[at:at + grain] for at in range(0, len(bound), grain)],
+                grain=1, bisect_items=True,
+            )
+            # Quarantine coordinates → document indices: map item i
+            # starts at document ``i * grain``.
             new_items = backend.quarantine.items[quarantined_before:]
             if new_items:
                 backend.quarantine.note_docs(
@@ -430,11 +417,11 @@ class TfIdfOperator:
                         item.item_index * grain + item.sub_start + item.n_units,
                     )
                 )
+            matrix = CsrMatrix.from_arrays(
+                *concat_csr(parts), n_cols=len(vocabulary)
+            )
         return TfIdfResult(
-            matrix=CsrMatrix.from_rows(rows, n_cols=len(vocabulary)),
-            vocabulary=vocabulary,
-            idf=idf,
-            wordcount=wc,
+            matrix=matrix, vocabulary=vocabulary, idf=idf, wordcount=wc
         )
 
     def transform_wordcount_tiled(
@@ -473,53 +460,32 @@ class TfIdfOperator:
         n_docs = len(wc.doc_tfs)
         if tile_docs is None or tile_docs < 1:
             tile_docs = max(1, min(n_docs, 4096))
-        shared = None
         if backend is None:
             index = self.build_index(vocabulary, scratch)
         else:
             backend.begin_phase(PHASE_TRANSFORM)
-            if backend.uses_shm:
-                shared = self._share_vocabulary(backend, vocabulary, idf)
-                backend.configure(
-                    kernels.init_transform_worker_shm,
-                    (shared.descriptor(), self.min_df),
-                )
+            bound = self.bind(wc, vocabulary, idf)
+        for tile_start in range(0, n_docs, tile_docs):
+            tile_stop = min(n_docs, tile_start + tile_docs)
+            if backend is None:
+                tile = CsrMatrix.from_rows(
+                    self.transform_document(tf, index, idf, scratch)
+                    for tf in wc.doc_tfs[tile_start:tile_stop]
+                ).as_arrays()
             else:
-                backend.configure(
-                    kernels.init_transform_worker, (vocabulary, idf, self.min_df)
+                sub_grain = grain or auto_grain(
+                    tile_stop - tile_start, backend.workers
                 )
-        try:
-            for tile_start in range(0, n_docs, tile_docs):
-                tile_stop = min(n_docs, tile_start + tile_docs)
-                if backend is None:
-                    rows = [
-                        self.transform_document(tf, index, idf, scratch)
-                        for tf in wc.doc_tfs[tile_start:tile_stop]
-                    ]
-                else:
-                    entry_lists = [
-                        list(tf.items())
-                        for tf in wc.doc_tfs[tile_start:tile_stop]
-                    ]
-                    sub_grain = grain or auto_grain(
-                        len(entry_lists), backend.workers
-                    )
-                    chunks = [
-                        entry_lists[at : at + sub_grain]
-                        for at in range(0, len(entry_lists), sub_grain)
-                    ]
-                    rows = [
-                        row
-                        for chunk_rows in backend.map(
-                            kernels.transform_chunk, chunks, grain=1
-                        )
-                        for row in chunk_rows
-                    ]
-                self._append_tile(store, tile_start, n_cols, rows)
-                del rows
-        finally:
-            if shared is not None:
-                shared.close()
+                tile = concat_csr(backend.map(
+                    kernels.transform_chunk,
+                    [
+                        bound[at:min(at + sub_grain, tile_stop)]
+                        for at in range(tile_start, tile_stop, sub_grain)
+                    ],
+                    grain=1,
+                ))
+            self._append_tile(store, tile_start, n_cols, tile)
+            del tile
         manifest = store.seal(n_cols)
         return TfIdfResult(
             matrix=TiledCsrMatrix(manifest, store=store),
@@ -529,30 +495,17 @@ class TfIdfOperator:
         )
 
     @staticmethod
-    def _append_tile(store, row_start: int, n_cols: int, rows) -> None:
-        """Pack one row range into tile arrays and append it to the store.
+    def _append_tile(store, row_start: int, n_cols: int, tile) -> None:
+        """Append one CSR block ``(indptr, indices, data)`` as a tile.
 
-        ``sq_norms`` uses the same ``float64`` cast and dot product the
-        k-means operator's in-memory ``_Prepared`` applies, so the stored
-        norms are the exact doubles the untiled fit would compute.
+        ``sq_norms`` is the per-row ``float64`` dot product the k-means
+        operator's in-memory ``_Prepared`` applies, so the stored norms
+        are the exact doubles the untiled fit would compute.
         """
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        index_parts: list[np.ndarray] = []
-        value_parts: list[np.ndarray] = []
-        sq_norms = np.empty(len(rows), dtype=np.float64)
-        for at, row in enumerate(rows):
-            values = np.asarray(row.values, dtype=np.float64)
-            index_parts.append(np.asarray(row.indices, dtype=np.int64))
-            value_parts.append(values)
-            sq_norms[at] = float(values @ values)
-            indptr[at + 1] = indptr[at] + len(values)
-        indices = (
-            np.concatenate(index_parts)
-            if index_parts else np.empty(0, dtype=np.int64)
-        )
-        data = (
-            np.concatenate(value_parts)
-            if value_parts else np.empty(0, dtype=np.float64)
+        indptr, indices, data = tile
+        sq_norms = np.array(
+            [float(val @ val) for val in csr_row_views(indptr, indices, data)[1]],
+            dtype=np.float64,
         )
         store.append(row_start, n_cols, indptr, indices, data, sq_norms)
 
@@ -570,55 +523,54 @@ class TfIdfOperator:
         Output is bit-identical to :meth:`fit_transform` on the same
         backend — same counting, same vocabulary (built from the merged
         document-frequency table, which travels normally), same transform
-        arithmetic, same row order — but the per-document TF entries never
+        arithmetic, same row order — but the per-document counts never
         cross the IPC boundary: each worker transforms the chunks it
         counted. On the process backend this eliminates the transform
-        phase's corpus-sized task pickles (visible in ``IpcStats``);
-        requires the shm plane there, because the vocabulary must reach
-        workers without a ``configure`` call (which would recycle the pool
-        and with it the resident state).
+        phase's corpus-sized task pickles (visible in ``IpcStats``): a
+        flush task carries only its chunk's two per-term columns, and
+        with the shared-memory plane up not even those.
         """
-        fused = self.wordcount.run_fused(
-            corpus, backend, min_df=self.min_df, grain=grain
-        )
+        fused = self.wordcount.run_fused(corpus, backend, grain=grain)
         return self.transform_resident(fused)
 
     def transform_resident(self, fused: FusedWordCount) -> TfIdfResult:
-        """Flush worker-resident chunks through the transform (phase 2a)."""
+        """Flush worker-resident chunks through the transform (phase 2a).
+
+        No ``configure`` happens here (the process backend would recycle
+        its pool and lose the resident chunks): everything a worker needs
+        rides in its flush task.
+        """
         backend = fused.backend
         wc = fused.wc
         vocabulary, idf = self.build_vocabulary(wc, TaskCost())
         backend.begin_phase(PHASE_TRANSFORM)
+        index = {term: term_id for term_id, term in enumerate(vocabulary)}
+        idf_array = np.asarray(idf)
+        columns = [
+            self._vocabulary_columns(terms, index, idf_array)
+            for terms in fused.chunk_terms
+        ]
         shared = None
-        if backend.configure_recycles_workers:
-            # The vocabulary may not travel via ``configure`` here — the
-            # process backend recycles its pool on reconfiguration, which
-            # would destroy the resident chunks. Instead it goes into a
-            # shared segment whose tiny descriptor rides inside each
-            # flush task.
-            if not backend.uses_shm:
-                raise ConfigurationError(
-                    "fused wc→transform on the process backend requires "
-                    "the shared-memory plane (shm=True): the vocabulary "
-                    "cannot travel via configure without recycling the "
-                    "pool and losing the worker-resident chunks"
-                )
-            shared = self._share_vocabulary(backend, vocabulary, idf)
-            descriptor = shared.descriptor()
-        else:
-            # In-process backends share the parent's address space:
-            # configure installs the transform state without touching any
-            # pool, and the flush tasks carry no descriptor at all.
-            backend.configure(
-                kernels.init_transform_worker, (vocabulary, idf, self.min_df)
+        if backend.uses_shm and columns:
+            # One segment for every chunk's columns; a task then carries
+            # a constant-size reference instead of the arrays.
+            ends = np.cumsum([len(terms) for terms in fused.chunk_terms])
+            shared = backend.share_arrays(
+                "transform",
+                {
+                    "gmap": np.concatenate([gmap for gmap, _ in columns]),
+                    "weights": np.concatenate([w for _, w in columns]),
+                },
             )
-            descriptor = None
-        try:
-            tasks = [
-                (chunk_id, descriptor)
-                for chunk_id in range(len(fused.chunk_texts))
+            descriptor = shared.descriptor()
+            columns = [
+                (descriptor, int(end) - len(terms), int(end))
+                for terms, end in zip(fused.chunk_terms, ends)
             ]
-            flushed = backend.map(kernels.transform_flush, tasks, grain=1)
+        try:
+            flushed = backend.map(
+                kernels.transform_flush, list(enumerate(columns)), grain=1
+            )
             # Residency misses (flush landed on a worker that did not
             # count the chunk — impossible at workers=1 and in-process,
             # possible above that) fall back to a fresh count+transform
@@ -632,7 +584,7 @@ class TfIdfOperator:
                 redone = backend.map(
                     kernels.count_transform_chunk,
                     [
-                        (fused.chunk_texts[chunk_id], descriptor)
+                        (fused.chunk_texts[chunk_id], columns[chunk_id])
                         for chunk_id in misses
                     ],
                     grain=1,
@@ -642,9 +594,10 @@ class TfIdfOperator:
         finally:
             if shared is not None:
                 shared.close()
-        rows = [row for chunk_rows in flushed for row in chunk_rows]
         return TfIdfResult(
-            matrix=CsrMatrix.from_rows(rows, n_cols=len(vocabulary)),
+            matrix=CsrMatrix.from_arrays(
+                *concat_csr(flushed), n_cols=len(vocabulary)
+            ),
             vocabulary=vocabulary,
             idf=idf,
             wordcount=wc,

@@ -14,7 +14,8 @@ simulated time through the dictionary cost profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.core.cost_model import DEFAULT_COSTS, UNIT_SCALE, CostConstants, WorkloadScale
@@ -29,6 +30,7 @@ from repro.exec.scheduler import PhaseTiming, SimScheduler
 from repro.exec.task import TaskCost
 from repro.io.storage import Storage
 from repro.ops import kernels
+from repro.sparse.blocks import TermBlock
 from repro.text.tokenizer import Tokenizer
 
 __all__ = ["WordCountResult", "WordCountStep", "FusedWordCount", "PHASE_INPUT_WC"]
@@ -55,6 +57,28 @@ def _iter_named(source) -> Iterator[tuple[str | None, str]]:
             yield item.name, item.text
 
 
+class _BlockDocTfs(Sequence):
+    """``doc_tfs`` of a backend result: a view that materialises one
+    :class:`SnapshotDict` per access from the columnar block. For tests
+    and the inline reference path — nothing timed reads it."""
+
+    def __init__(self, block: TermBlock, kind: str) -> None:
+        self._block = block
+        self._kind = kind
+
+    def __len__(self) -> int:
+        return len(self._block)
+
+    def __getitem__(self, at):
+        if isinstance(at, slice):
+            return [self[i] for i in range(*at.indices(len(self)))]
+        if at < 0:
+            at += len(self)
+        if not 0 <= at < len(self):
+            raise IndexError(at)
+        return SnapshotDict(self._block.row_items(at), kind=self._kind)
+
+
 @dataclass
 class WordCountResult:
     """Output of the word-count step.
@@ -62,11 +86,13 @@ class WordCountResult:
     ``doc_tfs`` is aligned with the input path order; keeping the
     per-document dictionaries alive until the transform step is what makes
     the fused workflow memory-hungry under ``unordered_map`` (Figure 4's
-    12.8 GB) and compact under ``map`` (420 MB).
+    12.8 GB) and compact under ``map`` (420 MB). The inline path fills it
+    with instrumented dictionaries; a backend run holds the same counts
+    as one columnar ``block`` and ``doc_tfs`` is a view over it.
     """
 
     paths: list[str]
-    doc_tfs: list[Dictionary]
+    doc_tfs: Sequence[Dictionary]
     doc_token_counts: list[int]
     df: Dictionary
     dict_kind: str
@@ -75,8 +101,46 @@ class WordCountResult:
     #: Extrapolation factors the producing step was configured with.
     scale: WorkloadScale = UNIT_SCALE
     #: Set by the fused path, where ``doc_tfs`` stays empty because the
-    #: per-document dictionaries never left the workers.
+    #: per-document counts never left the workers.
     counted_docs: int | None = None
+    #: The counts in columnar form (see :meth:`term_block`).
+    block: TermBlock | None = None
+
+    @classmethod
+    def from_block(
+        cls,
+        block: TermBlock,
+        paths: list[str],
+        dict_kind: str,
+        input_bytes: int,
+        scale: WorkloadScale,
+    ) -> "WordCountResult":
+        """The result a backend run (or the cache) builds from the
+        corpus block: ``df`` and ``doc_tfs`` are views over it."""
+        doc_tokens = block.token_counts.tolist()
+        return cls(
+            paths=paths,
+            doc_tfs=_BlockDocTfs(block, dict_kind),
+            doc_token_counts=doc_tokens,
+            df=SnapshotDict(
+                zip(block.terms, block.df_counts.tolist()), kind=dict_kind
+            ),
+            dict_kind=dict_kind,
+            input_bytes=input_bytes,
+            total_tokens=sum(doc_tokens),
+            scale=scale,
+            block=block,
+        )
+
+    def term_block(self) -> TermBlock:
+        """The per-document counts as one block; an inline result packs
+        its dictionaries on first use."""
+        if self.block is None:
+            self.block = TermBlock.from_counts(
+                [dict(tf.items()) for tf in self.doc_tfs],
+                self.doc_token_counts,
+            )
+        return self.block
 
     @property
     def n_docs(self) -> int:
@@ -103,19 +167,22 @@ class WordCountResult:
 
 @dataclass
 class FusedWordCount:
-    """Word-count output whose per-document TF entries stayed worker-resident.
+    """Word-count output whose per-document counts stayed worker-resident.
 
     Produced by :meth:`WordCountStep.run_fused`: ``wc.doc_tfs`` is empty
     (``wc.counted_docs`` carries the document count instead) because each
-    worker kept its chunks' entries in :data:`repro.ops.kernels._RESIDENT`,
-    waiting for the transform flush. ``chunk_texts`` retains the raw chunk
-    texts parent-side so a residency miss (the flush task landing on a
-    different pool worker) can fall back to a re-count; ``backend`` is the
-    backend that holds the resident state — the flush *must* reuse it,
-    without any intervening ``configure`` that would recycle the pool.
+    worker kept its chunks' blocks in :data:`repro.ops.kernels._RESIDENT`,
+    waiting for the transform flush. ``chunk_terms`` are the chunks' term
+    lists (what the flush maps to vocabulary ids); ``chunk_texts`` retains
+    the raw chunk texts parent-side so a residency miss (the flush task
+    landing on a different pool worker) can fall back to a re-count;
+    ``backend`` is the backend that holds the resident state — the flush
+    *must* reuse it, without any intervening ``configure`` that would
+    recycle the pool.
     """
 
     wc: WordCountResult
+    chunk_terms: list[list[str]]
     chunk_texts: list[list[str]]
     backend: ExecutionBackend
 
@@ -323,9 +390,9 @@ class WordCountStep:
         """Chunked word count on a real backend (phase-1 parallel loop).
 
         Each chunk is one task: the worker tokenizes and counts its
-        documents and pre-aggregates a partial document-frequency table,
-        so the parent only merges one small table per chunk (plain integer
-        adds — order-independent) instead of re-counting per document.
+        documents into one columnar block, so the parent only merges one
+        term list per chunk (:meth:`TermBlock.concat`) instead of
+        re-counting per document.
         Chunks are submitted as the source yields (``map_stream``), so a
         prefetching reader keeps the pool busy while later files are
         still in flight.
@@ -381,25 +448,11 @@ class WordCountStep:
             dropped_set = set(dropped)
             paths = [p for i, p in enumerate(paths) if i not in dropped_set]
 
-        doc_tfs: list[Dictionary] = []
-        doc_tokens: list[int] = []
-        df_total: dict[str, int] = {}
-        for doc_entries, token_counts, df_entries in parts:
-            for entries in doc_entries:
-                doc_tfs.append(SnapshotDict(entries, kind=self.dict_kind))
-            doc_tokens.extend(token_counts)
-            for term, count in df_entries:
-                df_total[term] = df_total.get(term, 0) + count
-        df = SnapshotDict(sorted(df_total.items()), kind=self.dict_kind)
-        return WordCountResult(
-            paths=paths,
-            doc_tfs=doc_tfs,
-            doc_token_counts=doc_tokens,
-            df=df,
-            dict_kind=self.dict_kind,
-            input_bytes=input_bytes,
-            total_tokens=sum(doc_tokens),
-            scale=self.scale,
+        # The df merge: one corpus block over the union of the chunks'
+        # terms (quarantine bisection may have split a chunk into several).
+        return WordCountResult.from_block(
+            TermBlock.concat(parts), paths, self.dict_kind, input_bytes,
+            self.scale,
         )
 
     def run_fused(
@@ -407,16 +460,15 @@ class WordCountStep:
         texts,
         backend: ExecutionBackend,
         *,
-        min_df: int = 1,
         grain: int | None = None,
     ) -> FusedWordCount:
-        """Count chunks, leaving per-document TF entries worker-resident.
+        """Count chunks, leaving per-document counts worker-resident.
 
         First half of the fused wc→transform pipeline (paper optimization
         #3 on the real path): counting arithmetic is identical to
-        :meth:`run`, but each task returns only its token counts and
-        partial document-frequency table — the corpus-sized per-document
-        entries stay in the worker that counted them, keyed by chunk id,
+        :meth:`run`, but each task returns only its terms, their partial
+        document frequencies and its token counts — the corpus-sized
+        rows stay in the worker that counted them, keyed by chunk id,
         until :meth:`repro.ops.tfidf.TfIdfOperator.transform_resident`
         flushes them. Incompatible with retry/quarantine policies (a
         retried task would double-install resident state on a different
@@ -428,7 +480,7 @@ class WordCountStep:
                 "policies; run unfused or drop the resilience policy"
             )
         backend.begin_phase(PHASE_INPUT_WC)
-        backend.configure(kernels.init_fused_worker, (self.tokenizer, min_df))
+        backend.configure(kernels.init_fused_worker, (self.tokenizer,))
         if grain is None:
             try:
                 n_hint = len(texts)
@@ -460,11 +512,13 @@ class WordCountStep:
             kernels.count_chunk_resident, chunked(), grain=1
         )
 
+        chunk_terms: list[list[str]] = []
         doc_tokens: list[int] = []
         df_total: dict[str, int] = {}
-        for _chunk_id, token_counts, df_entries in parts:
-            doc_tokens.extend(token_counts)
-            for term, count in df_entries:
+        for terms, df_counts, token_counts in parts:
+            chunk_terms.append(terms)
+            doc_tokens.extend(token_counts.tolist())
+            for term, count in zip(terms, df_counts.tolist()):
                 df_total[term] = df_total.get(term, 0) + count
         df = SnapshotDict(sorted(df_total.items()), kind=self.dict_kind)
         wc = WordCountResult(
@@ -478,4 +532,7 @@ class WordCountStep:
             scale=self.scale,
             counted_docs=len(paths),
         )
-        return FusedWordCount(wc=wc, chunk_texts=chunk_texts, backend=backend)
+        return FusedWordCount(
+            wc=wc, chunk_terms=chunk_terms, chunk_texts=chunk_texts,
+            backend=backend,
+        )

@@ -26,7 +26,6 @@ makes CI planning deterministic across hosts.
 from __future__ import annotations
 
 import json
-import math
 import os
 import pickle
 import time
@@ -190,8 +189,12 @@ class CalibrationStore:
         one-worker process pool to time its spawn (skipped by default —
         it costs what it measures).
         """
+        from repro.core.cost_model import UNIT_SCALE
+        from repro.exec.task import TaskCost
         from repro.ops import kernels
-        from repro.sparse.matrix import CsrMatrix
+        from repro.ops.tfidf import TfIdfOperator
+        from repro.ops.wordcount import WordCountResult
+        from repro.sparse.matrix import CsrMatrix, csr_row_views
         from repro.text.tokenizer import Tokenizer
 
         texts = [
@@ -212,54 +215,46 @@ class CalibrationStore:
         # kernel a backend task runs.
         kernels.init_wordcount_worker(tokenizer)
         t0 = time.perf_counter()
-        wc_out = kernels.count_chunk(sample)
+        block = kernels.count_chunk(sample)
         wc_s = time.perf_counter() - t0
-        doc_entries, _token_counts, df_entries = wc_out
         wc_task_bytes = len(pickle.dumps(sample)) / k
         store.phases["input+wc"] = PhaseConstants(
             compute_ns_per_doc=wc_s / k * 1e9,
             task_bytes_per_doc=wc_task_bytes,
-            result_bytes_per_doc=len(pickle.dumps(wc_out)) / k,
+            result_bytes_per_doc=len(pickle.dumps(block)) / k,
             # Raw texts ship as task pickles whether or not the shm plane
             # is up — shm carries no word-count state.
             shm_task_bytes_per_doc=wc_task_bytes,
-            merge_ops_per_doc=sum(len(e) for e in doc_entries) / k,
+            merge_ops_per_doc=len(block.ids) / k,
         )
 
-        # Vocabulary from the sample's df table (same arithmetic as
-        # TfIdfOperator.build_vocabulary, scoped to the probe).
-        entries = [e for e in df_entries if e[1] >= min_df]
-        vocabulary = [term for term, _ in entries]
-        idf = [math.log(k / count) if count else 0.0 for _, count in entries]
-
-        # Phase 2a: transform.
-        kernels.init_transform_worker(vocabulary, idf, min_df)
+        # Phase 2a: transform — vocabulary and bound block through the
+        # operator's own serial prefix, scoped to the probe.
+        operator = TfIdfOperator(tokenizer=tokenizer, min_df=min_df)
+        wc = WordCountResult.from_block(block, [], "map", 0, UNIT_SCALE)
+        vocabulary, idf = operator.build_vocabulary(wc, TaskCost())
+        bound = operator.bind(wc, vocabulary, idf)
         t0 = time.perf_counter()
-        vectors = kernels.transform_chunk(doc_entries)
+        rows = kernels.transform_chunk(bound)
         tr_s = time.perf_counter() - t0
-        tr_task_bytes = len(pickle.dumps(doc_entries)) / k
+        tr_task_bytes = len(pickle.dumps(bound)) / k
         store.phases["transform"] = PhaseConstants(
             compute_ns_per_doc=tr_s / k * 1e9,
             task_bytes_per_doc=tr_task_bytes,
-            result_bytes_per_doc=len(pickle.dumps(vectors)) / k,
-            # Unfused, the per-document TF entries ride the task pickles
-            # even with shm up (the plane only broadcasts vocabulary/idf);
-            # only *fusion* eliminates them.
+            result_bytes_per_doc=len(pickle.dumps(rows)) / k,
+            # Unfused, the per-document counts ride the task pickles even
+            # with shm up; only *fusion* eliminates them.
             shm_task_bytes_per_doc=tr_task_bytes,
         )
 
         # Phase 3: one k-means assignment pass over the sample.
-        matrix = CsrMatrix.from_rows(vectors, n_cols=len(vocabulary))
-        indptr, indices, data = matrix.as_arrays()
-        doc_idx = []
-        doc_val = []
-        for doc in range(matrix.n_rows):
-            lo, hi = int(indptr[doc]), int(indptr[doc + 1])
-            doc_idx.append(indices[lo:hi])
-            doc_val.append(data[lo:hi])
+        indptr, indices, data = CsrMatrix.from_arrays(
+            *rows, n_cols=len(vocabulary)
+        ).as_arrays()
+        doc_idx, doc_val = csr_row_views(indptr, indices, data)
         sq_norms = np.array([float(v @ v) for v in doc_val])
         n_clusters = min(8, k)
-        centroids = np.zeros((n_clusters, matrix.n_cols), dtype=np.float64)
+        centroids = np.zeros((n_clusters, len(vocabulary)), dtype=np.float64)
         for cluster in range(n_clusters):
             centroids[cluster, doc_idx[cluster]] = doc_val[cluster]
         centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
@@ -277,7 +272,7 @@ class CalibrationStore:
         )
 
         # Pickle throughput, measured on the probe's own biggest payload.
-        blob_source = doc_entries
+        blob_source = block
         blob = pickle.dumps(blob_source)
         reps = 3
         t0 = time.perf_counter()
@@ -295,8 +290,8 @@ class CalibrationStore:
 
         # Dictionary increments per kind: the term that separates dict
         # candidates. A flat token sample keeps this under a millisecond.
-        tokens = [term for entries_ in doc_entries for term, _ in entries_]
-        tokens = tokens[:4096] or ["x"]
+        terms = block.terms
+        tokens = [terms[at] for at in block.ids[:4096].tolist()] or ["x"]
         for kind in PLANNER_KINDS:
             d = make_dict(kind)
             t0 = time.perf_counter()
@@ -308,7 +303,7 @@ class CalibrationStore:
 
         store.shm_setup_s = _probe_shm_setup()
         store.tile_io_ns_per_byte = _probe_tile_io(
-            indptr, indices, data, sq_norms, matrix.n_cols
+            indptr, indices, data, sq_norms, len(vocabulary)
         )
         if measure_pool:
             store.pool_spawn_s_per_worker = _probe_pool_spawn()

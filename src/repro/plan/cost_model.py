@@ -199,8 +199,8 @@ class RealCostModel:
             p = max(1, min(plan.workers, self.cpu_count))
             task_bpd = constants.task_bytes_per_doc
             if plan.fused_with_previous and workload.phase == "transform":
-                # Fusion: per-doc entries stay worker-resident; each task
-                # ships only a constant-size descriptor token.
+                # Fusion: per-doc counts stay worker-resident; each task
+                # ships only a constant-size reference to its term columns.
                 task_bytes = n_tasks * _FUSED_TASK_BYTES * passes
             elif plan.shm and constants.shm_task_bytes_per_doc < task_bpd:
                 task_bytes = n * passes * constants.shm_task_bytes_per_doc

@@ -215,9 +215,11 @@ class AdaptivePlanner:
 
     @staticmethod
     def _supports_fusion(backend: str, shm: bool) -> bool:
-        # In-process backends share an address space (trivially resident);
-        # the process backend needs the shm plane to ship the vocabulary
-        # without a pool-recycling configure.
+        # The cost model prices a fused flush task as a constant-size
+        # token. That holds in-process (nothing is pickled) and on the
+        # process backend with the shm plane carrying the per-chunk term
+        # columns; without it the columns ride in the tasks — supported
+        # by the operator, but not what the model would be pricing.
         return backend != "processes" or shm
 
     # -- planning --------------------------------------------------------------------

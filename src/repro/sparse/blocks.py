@@ -1,0 +1,223 @@
+"""Columnar term-count blocks: the word count's intermediate form.
+
+A :class:`TermBlock` holds the term frequencies of a run of documents as
+four flat arrays plus one sorted list of the run's distinct terms — the
+CSR layout of :class:`~repro.sparse.matrix.CsrMatrix` with term ids local
+to the block. A chunk kernel produces one per chunk, the parent merges
+them into one block for the corpus (:meth:`TermBlock.concat`), and the
+transform reads row ranges of it (``block[a:b]``) with the term strings
+replaced by two per-term columns: the vocabulary id and the idf weight.
+Term strings therefore cross the IPC boundary once, in the word-count
+results, and nothing downstream handles a per-document Python object.
+"""
+
+from __future__ import annotations
+
+from itertools import chain, count
+
+import numpy as np
+
+__all__ = ["TermBlock", "concat_csr", "sorted_unique"]
+
+
+def sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of ``ids``: one sort, one neighbour compare
+    (``np.unique`` is an order of magnitude slower on numpy 2.x)."""
+    ids = np.sort(ids)
+    keep = np.empty(len(ids), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
+
+
+class TermBlock:
+    """Term frequencies of ``len(block)`` documents, column by column.
+
+    ``terms`` are the block's distinct terms, sorted; row ``i`` owns
+    ``ids[indptr[i]:indptr[i+1]]`` (positions in ``terms``, strictly
+    increasing — so a row is sorted by term) and the matching ``counts``,
+    both in the narrowest unsigned dtype that holds them (they are most
+    of what a block pickles). ``token_counts[i]`` is the document's
+    token total. ``gmap`` and
+    ``weights`` are ``None`` until :meth:`bound` attaches them, which
+    also drops ``terms``.
+    """
+
+    __slots__ = (
+        "terms", "indptr", "ids", "counts", "token_counts", "gmap", "weights"
+    )
+
+    def __init__(self, terms, indptr, ids, counts, token_counts,
+                 gmap=None, weights=None) -> None:
+        self.terms = terms
+        self.indptr = indptr
+        self.ids = ids
+        self.counts = counts
+        self.token_counts = token_counts
+        self.gmap = gmap
+        self.weights = weights
+
+    @classmethod
+    def from_counts(cls, tfs, token_counts) -> "TermBlock":
+        """Pack per-document ``term -> count`` mappings (any key order)."""
+        lengths = np.fromiter(map(len, tfs), dtype=np.int64, count=len(tfs))
+        indptr = np.zeros(len(tfs) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        nnz = int(indptr[-1])
+        terms, (ids,) = _rank_terms([chain.from_iterable(tfs)], [nnz])
+        counts = np.fromiter(
+            chain.from_iterable(tf.values() for tf in tfs),
+            dtype=np.int32, count=nnz,
+        )
+        # Sort every row by term id at once: the key orders by document
+        # first, so rows stay where ``indptr`` says they are (keys are
+        # distinct, so any sort algorithm yields this one permutation).
+        order = np.argsort(
+            np.repeat(np.arange(len(tfs)), lengths) * max(1, len(terms)) + ids
+        )
+        return cls(
+            terms, indptr, _narrow(ids[order], len(terms)),
+            _narrow(counts[order], int(counts.max(initial=0))),
+            np.asarray(token_counts, dtype=np.int64),
+        )
+
+    @classmethod
+    def concat(cls, blocks) -> "TermBlock":
+        """The blocks' documents in order, over the union of their terms.
+
+        This is the document-frequency merge: one dictionary probe per
+        (block, term), then array lookups — ids are rebased onto the
+        sorted union, which keeps every row sorted by term.
+        """
+        blocks = list(blocks)
+        terms, rebase = _rank_terms(
+            [block.terms for block in blocks],
+            [len(block.terms) for block in blocks],
+        )
+        return cls(
+            terms,
+            _stack_indptr([block.indptr for block in blocks]),
+            _narrow(
+                _concat(
+                    [lookup[block.ids] for lookup, block in zip(rebase, blocks)]
+                ),
+                len(terms),
+            ),
+            _concat([block.counts for block in blocks]),
+            _concat([block.token_counts for block in blocks]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, rows: slice) -> "TermBlock":
+        """Documents ``rows`` as a self-contained block.
+
+        The slice is compacted: only the terms (and per-term columns) its
+        rows use survive, with ids renumbered — so a piece pickles no
+        more than it needs and its ``df_counts`` is a recount.
+        """
+        start, stop, _ = rows.indices(len(self))
+        stop = max(start, stop)
+        lo, hi = int(self.indptr[start]), int(self.indptr[stop])
+        ids = self.ids[lo:hi]
+        used = sorted_unique(ids)
+        # Scatter the new numbering into an uninitialised table: only
+        # the cells at ``used`` are ever written or read.
+        renumber = np.empty(self.n_terms, dtype=np.int32)
+        renumber[used] = np.arange(len(used), dtype=np.int32)
+        return TermBlock(
+            None if self.terms is None
+            else [self.terms[at] for at in used.tolist()],
+            self.indptr[start:stop + 1] - lo,
+            _narrow(renumber[ids], len(used)),
+            self.counts[lo:hi],
+            self.token_counts[start:stop],
+            None if self.gmap is None else self.gmap[used],
+            None if self.weights is None else self.weights[used],
+        )
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.gmap if self.terms is None else self.terms)
+
+    @property
+    def df_counts(self) -> np.ndarray:
+        """Documents of the block each term occurs in (a term occurs at
+        most once per row, so this is a plain histogram of ``ids``)."""
+        return np.bincount(self.ids, minlength=self.n_terms)
+
+    def bound(self, gmap: np.ndarray, weights: np.ndarray) -> "TermBlock":
+        """This block with its term strings replaced by the two per-term
+        columns the transform kernel reads (vocabulary id, ``-1`` =
+        pruned; idf weight)."""
+        return TermBlock(
+            None, self.indptr, self.ids, self.counts, self.token_counts,
+            gmap, weights,
+        )
+
+    def row_items(self, row: int) -> list[tuple[str, int]]:
+        """Document ``row`` as sorted ``(term, count)`` entries."""
+        lo, hi = int(self.indptr[row]), int(self.indptr[row + 1])
+        terms = self.terms
+        return list(zip(
+            [terms[at] for at in self.ids[lo:hi].tolist()],
+            self.counts[lo:hi].tolist(),
+        ))
+
+
+def _rank_terms(runs, lengths) -> tuple[list[str], list[np.ndarray]]:
+    """Sorted distinct terms of several runs of terms, and per run each
+    occurrence's position in that sorted list.
+
+    One dictionary probe per occurrence, at C speed: ``setdefault`` hands
+    every new term the next value of a shared counter (unique, if not
+    dense), and one array lookup turns those into sorted ranks.
+    """
+    first_seen: dict[str, int] = {}
+    counter = count()
+    raw = [
+        np.fromiter(
+            map(first_seen.setdefault, run, counter), dtype=np.int64, count=n
+        )
+        for run, n in zip(runs, lengths)
+    ]
+    terms = sorted(first_seen)
+    rank = np.empty(next(counter), dtype=np.int32)
+    rank[np.fromiter(
+        map(first_seen.__getitem__, terms), dtype=np.int64, count=len(terms)
+    )] = np.arange(len(terms), dtype=np.int32)
+    return terms, [rank[ids] for ids in raw]
+
+
+def _stack_indptr(indptrs) -> np.ndarray:
+    """Row offsets of several CSR pieces laid end to end."""
+    bases = np.cumsum([0] + [int(indptr[-1]) for indptr in indptrs])
+    return np.concatenate(
+        [np.zeros(1, dtype=np.int64)]
+        + [indptr[1:] + base for indptr, base in zip(indptrs, bases)]
+    )
+
+
+def _narrow(values: np.ndarray, bound: int) -> np.ndarray:
+    """``values`` (all in ``[0, bound]``) in the smallest unsigned dtype."""
+    return values.astype(np.min_scalar_type(bound))
+
+
+def _concat(parts, dtype=np.uint8) -> np.ndarray:
+    """``np.concatenate`` that promotes mixed widths and accepts no
+    parts (``dtype`` is that empty result's, and a floor otherwise)."""
+    if not parts:
+        return np.empty(0, dtype=dtype)
+    return np.concatenate(parts, dtype=np.result_type(dtype, *parts))
+
+
+def concat_csr(blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack CSR blocks ``(indptr, indices, data)`` row-wise into one
+    triple with the fixed dtypes of ``CsrMatrix.as_arrays``."""
+    blocks = list(blocks)
+    return (
+        _stack_indptr([indptr for indptr, _, _ in blocks]),
+        _concat([indices for _, indices, _ in blocks], np.intp),
+        _concat([data for _, _, data in blocks], np.float64),
+    )

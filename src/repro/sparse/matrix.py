@@ -15,16 +15,30 @@ import numpy as np
 from repro.errors import OperatorError
 from repro.sparse.vector import SparseVector
 
-__all__ = ["CsrMatrix"]
+__all__ = ["CsrMatrix", "csr_row_views"]
+
+
+def csr_row_views(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-row ``(indices, data)`` views over a flat CSR triple.
+
+    Zero-copy slices in row order — the shape the k-means assignment
+    kernel indexes by document, whether the triple is the parent's
+    matrix, an attached shared segment, or one tile's worth of rows.
+    """
+    bounds = indptr.tolist()
+    pairs = list(zip(bounds[:-1], bounds[1:]))
+    return [indices[a:b] for a, b in pairs], [data[a:b] for a, b in pairs]
 
 
 class CsrMatrix:
     """Row-major sparse matrix: ``indptr``, ``indices``, ``data``.
 
-    The three backing arrays may be plain Python lists (the default the
-    operators build) or numpy arrays — including zero-copy views over a
-    shared-memory buffer (:meth:`from_arrays`). ``row()`` slices whichever
-    backing is present, so both representations serve the same API.
+    The three backing arrays may be plain Python lists (what
+    :meth:`from_rows` builds) or numpy arrays (:meth:`from_arrays`, what
+    the backend transform and the cache hand over). ``row()`` yields
+    list-valued vectors from either; hot paths read :meth:`as_arrays`.
     """
 
     def __init__(
@@ -38,7 +52,7 @@ class CsrMatrix:
             raise OperatorError("indptr must start with 0")
         if indptr[-1] != len(indices) or len(indices) != len(data):
             raise OperatorError("indptr/indices/data lengths are inconsistent")
-        if any(b < a for a, b in zip(indptr, indptr[1:])):
+        if (np.diff(np.asarray(indptr)) < 0).any():
             raise OperatorError("indptr must be non-decreasing")
         self.indptr = indptr
         self.indices = indices
@@ -78,11 +92,27 @@ class CsrMatrix:
     ) -> "CsrMatrix":
         """Wrap existing flat arrays without copying them.
 
-        The arrays are stored as-is — typically views over a
-        shared-memory segment a worker attached to, which is what lets a
-        process-backend worker see the whole matrix at zero IPC cost.
+        Validated in full, vectorised: beyond the shape checks of the
+        constructor, every column id must lie in ``[0, n_cols)`` and be
+        strictly increasing within its row — a transform handed a wrong
+        term-id map fails here instead of corrupting centroids later.
         """
-        return cls(indptr, indices, data, n_cols)
+        matrix = cls(indptr, indices, data, n_cols)
+        indices = np.asarray(indices)
+        if len(indices):
+            if indices.min() < 0 or indices.max() >= n_cols:
+                raise OperatorError(
+                    f"column ids must lie in [0, {n_cols}), got "
+                    f"[{indices.min()}, {indices.max()}]"
+                )
+            rising = indices[1:] > indices[:-1]
+            starts = np.asarray(indptr)[1:-1]
+            rising[starts[(starts > 0) & (starts < len(indices))] - 1] = True
+            if not rising.all():
+                raise OperatorError(
+                    "column ids must be strictly increasing within each row"
+                )
+        return matrix
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The CSR triple as flat numpy arrays ``(indptr, indices, data)``.
@@ -111,20 +141,28 @@ class CsrMatrix:
         """Materialise row ``i`` as a :class:`SparseVector`."""
         if not 0 <= i < self.n_rows:
             raise OperatorError(f"row {i} out of range [0, {self.n_rows})")
-        start, end = self.indptr[i], self.indptr[i + 1]
+        return self._row(int(self.indptr[i]), int(self.indptr[i + 1]))
+
+    def _row(self, start: int, end: int) -> SparseVector:
+        indices, values = self.indices[start:end], self.data[start:end]
         vector = SparseVector.__new__(SparseVector)
-        vector.indices = self.indices[start:end]
-        vector.values = self.data[start:end]
+        if isinstance(indices, np.ndarray):
+            indices, values = indices.tolist(), values.tolist()
+        vector.indices = indices
+        vector.values = values
         return vector
 
     def row_nnz(self, i: int) -> int:
         """Number of stored entries in row ``i`` without materialising it."""
-        return self.indptr[i + 1] - self.indptr[i]
+        return int(self.indptr[i + 1] - self.indptr[i])
 
     def iter_rows(self) -> Iterator[SparseVector]:
         """Yield every row as a :class:`SparseVector`, in order."""
-        for i in range(self.n_rows):
-            yield self.row(i)
+        bounds = self.indptr
+        if isinstance(bounds, np.ndarray):
+            bounds = bounds.tolist()  # plain ints slice arrays much faster
+        for start, end in zip(bounds[:-1], bounds[1:]):
+            yield self._row(start, end)
 
     def resident_bytes(self) -> int:
         """Modelled footprint: 8-byte values, 4-byte indices and offsets."""

@@ -1,0 +1,403 @@
+"""Columnar word-count → transform: blocks instead of per-document lists.
+
+A backend run counts each chunk into one :class:`TermBlock`, merges the
+chunks into one block for the corpus, and scores row ranges of it with a
+vectorised kernel. These tests pin that path to the inline
+``count_document``/``transform_document`` reference byte for byte, check
+the block algebra the cache, the tile plane and quarantine bisection
+lean on, and hold the outputs of every execution mode to digests
+recorded from the commit before the change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bench.oocore_child import output_digest
+from repro.core.pipeline import run_pipeline
+from repro.errors import OperatorError
+from repro.exec.process import make_backend
+from repro.exec.resilience import bisect_chunk
+from repro.exec.shm import shm_available
+from repro.ops import kernels
+from repro.ops.kmeans import KMeansOperator
+from repro.ops.tfidf import TfIdfOperator
+from repro.plan import PhasePlan, RealPlan
+from repro.sparse.blocks import TermBlock
+from repro.text.synth import MIX_PROFILE, NSF_ABSTRACTS_PROFILE, generate_corpus
+from repro.text.tokenizer import TokenizedDocument, Tokenizer
+
+
+class _SplitTokenizer(Tokenizer):
+    """Whitespace split without folding, so non-ASCII terms survive; the
+    length bounds still apply."""
+
+    def tokenize(self, text: str) -> TokenizedDocument:
+        return TokenizedDocument(
+            tokens=[
+                token for token in text.split()
+                if self.min_length <= len(token) <= self.max_length
+            ],
+            bytes_processed=len(text),
+        )
+
+
+#: A small vocabulary so documents share terms (min_df has something to
+#: prune and something to keep): ASCII, non-ASCII, one over ``max_length``.
+WORDS = ["a", "b", "cat", "dog", "zz", "élan", "naïve", "日本", "ß", "x" * 70]
+
+documents = st.lists(
+    st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join),
+    max_size=14,
+)
+
+
+def _rows(result):
+    return [(row.indices, row.values) for row in result.matrix.iter_rows()]
+
+
+class TestByteEqualityWithInline:
+    @settings(max_examples=60, deadline=None)
+    @given(texts=documents, grain=st.integers(1, 6))
+    def test_count_matches_count_document(self, texts, grain):
+        step = TfIdfOperator(tokenizer=_SplitTokenizer()).wordcount
+        inline = step.run(texts)
+        backend = make_backend("sequential", 1)
+        ours = step.run(texts, backend=backend, grain=grain)
+        assert [tf.to_dict() for tf in ours.doc_tfs] == [
+            tf.to_dict() for tf in inline.doc_tfs
+        ]
+        assert ours.df.to_dict() == inline.df.to_dict()
+        assert ours.doc_token_counts == inline.doc_token_counts
+        assert ours.total_tokens == inline.total_tokens
+        block = ours.block
+        assert block.terms == sorted(inline.df.to_dict())
+        for row in range(len(block)):
+            ids = block.ids[block.indptr[row]:block.indptr[row + 1]]
+            assert (np.diff(ids.astype(np.int64)) > 0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=documents,
+        wc_grain=st.integers(1, 6),
+        tr_grain=st.integers(1, 6),
+        min_df=st.integers(1, 3),
+    )
+    def test_transform_matches_transform_document(
+        self, texts, wc_grain, tr_grain, min_df
+    ):
+        # Covers empty documents, chunks of only-empty documents,
+        # single-term rows, rows pruned to empty by min_df, non-ASCII
+        # terms and tokens over max_length — whatever Hypothesis draws.
+        operator = TfIdfOperator(tokenizer=_SplitTokenizer(), min_df=min_df)
+        inline = operator.fit_transform(texts)
+        backend = make_backend("sequential", 1)
+        wc = operator.wordcount.run(texts, backend=backend, grain=wc_grain)
+        ours = operator.transform_wordcount(wc, backend=backend, grain=tr_grain)
+        assert ours.vocabulary == inline.vocabulary
+        assert ours.idf == inline.idf
+        assert _rows(ours) == _rows(inline)
+
+    def test_no_documents_at_all(self):
+        kernels.init_wordcount_worker(Tokenizer())
+        block = kernels.count_chunk([])
+        assert (len(block), block.terms, len(block.ids)) == (0, [], 0)
+        empty = np.empty(0)
+        indptr, indices, data = kernels.transform_chunk(
+            block.bound(empty.astype(np.int32), empty)
+        )
+        assert indptr.tolist() == [0] and len(indices) == len(data) == 0
+
+    def test_zero_norm_rows_are_left_alone(self):
+        # A term in every document has idf 0: its rows score all-zero
+        # and must come back as they are, not as NaN.
+        operator = TfIdfOperator()
+        backend = make_backend("sequential", 1)
+        ours = operator.fit_transform(["same same", "same"], backend=backend)
+        assert _rows(ours) == _rows(operator.fit_transform(["same same", "same"]))
+        assert _rows(ours) == [([0], [0.0]), ([0], [0.0])]
+
+    def test_term_missing_from_vocabulary_is_named(self):
+        operator = TfIdfOperator()
+        backend = make_backend("sequential", 1)
+        wc = operator.wordcount.run(["cat dog", "dog emu"], backend=backend)
+        wc.df.remove("emu")
+        with pytest.raises(OperatorError, match="'emu' missing from vocabulary"):
+            operator.transform_wordcount(wc, backend=backend)
+
+    def test_doc_tfs_is_a_sequence_view(self):
+        step = TfIdfOperator().wordcount
+        wc = step.run(["b a a", "", "c"], backend=make_backend("sequential", 1))
+        assert len(wc.doc_tfs) == 3
+        assert wc.doc_tfs[0].to_dict() == {"a": 2, "b": 1}
+        assert wc.doc_tfs[-1].to_dict() == {"c": 1}
+        assert [tf.to_dict() for tf in wc.doc_tfs[1:]] == [{}, {"c": 1}]
+        assert [len(tf) for tf in wc.doc_tfs] == [2, 0, 1]
+        with pytest.raises(IndexError):
+            wc.doc_tfs[3]
+
+
+# -- block algebra -------------------------------------------------------------------
+
+term_counts = st.lists(
+    st.dictionaries(st.sampled_from(WORDS), st.integers(1, 300), max_size=6),
+    max_size=10,
+)
+
+
+def _same_block(a: TermBlock, b: TermBlock) -> bool:
+    return (
+        a.terms == b.terms
+        and a.indptr.tolist() == b.indptr.tolist()
+        and a.ids.tolist() == b.ids.tolist()
+        and a.counts.tolist() == b.counts.tolist()
+        and a.token_counts.tolist() == b.token_counts.tolist()
+    )
+
+
+class TestSliceConcatLaws:
+    @settings(max_examples=80, deadline=None)
+    @given(tfs=term_counts, data=st.data())
+    def test_concat_of_a_split_is_the_block(self, tfs, data):
+        block = TermBlock.from_counts(tfs, [sum(tf.values()) for tf in tfs])
+        k = data.draw(st.integers(0, len(tfs)))
+        assert _same_block(TermBlock.concat([block[:k], block[k:]]), block)
+        assert _same_block(TermBlock.concat([block]), block)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tfs=term_counts, data=st.data())
+    def test_slice_is_a_recount(self, tfs, data):
+        block = TermBlock.from_counts(tfs, [0] * len(tfs))
+        a = data.draw(st.integers(0, len(tfs)))
+        b = data.draw(st.integers(a, len(tfs)))
+        piece = block[a:b]
+        assert _same_block(piece, TermBlock.from_counts(tfs[a:b], [0] * (b - a)))
+        recount: dict[str, int] = {}
+        for tf in tfs[a:b]:
+            for term in tf:
+                recount[term] = recount.get(term, 0) + 1
+        assert dict(zip(piece.terms, piece.df_counts.tolist())) == recount
+        assert [dict(piece.row_items(i)) for i in range(len(piece))] == tfs[a:b]
+
+    @settings(max_examples=60, deadline=None)
+    @given(tfs=term_counts, data=st.data())
+    def test_bound_columns_follow_a_slice(self, tfs, data):
+        block = TermBlock.from_counts(tfs, [0] * len(tfs))
+        n_terms = len(block.terms)
+        pruned = data.draw(st.sets(st.integers(0, max(0, n_terms - 1))))
+        keep = np.array([at not in pruned for at in range(n_terms)], dtype=bool)
+        gmap = np.where(keep, np.cumsum(keep) - 1, -1).astype(np.int32)
+        weights = np.where(keep, 0.25 + np.arange(n_terms), 0.0)
+        bound = block.bound(gmap, weights)
+        a = data.draw(st.integers(0, len(tfs)))
+        b = data.draw(st.integers(a, len(tfs)))
+        indptr, indices, values = kernels.transform_chunk(bound)
+        p_indptr, p_indices, p_values = kernels.transform_chunk(bound[a:b])
+        lo, hi = indptr[a], indptr[b]
+        assert p_indptr.tolist() == (indptr[a:b + 1] - lo).tolist()
+        assert p_indices.tolist() == indices[lo:hi].tolist()
+        assert p_values.tolist() == values[lo:hi].tolist()
+
+    def test_narrow_dtypes_widen_when_needed(self):
+        wide = {f"t{at:05d}": 1 for at in range(300)}
+        block = TermBlock.from_counts([wide, {"t00000": 70000}], [300, 70000])
+        assert block.ids.dtype == np.uint16 and block.counts.dtype == np.uint32
+        small = block[:1]
+        assert small.counts.dtype == np.uint32  # counts keep their width
+        assert TermBlock.concat([small, block[1:]]).counts.tolist() == (
+            block.counts.tolist()
+        )
+
+    def test_bisection_cuts_inside_a_block(self):
+        # What quarantine mode does with a poisoned transform task: the
+        # block is split by document until the bad one stands alone.
+        tfs = [{"a": 1}, {"b": 2}, {"poison": 1}, {"a": 3}, {"c": 1}]
+        block = TermBlock.from_counts(tfs, [0] * len(tfs))
+
+        def run_chunk(chunk):
+            for item in chunk:
+                if "poison" in item.terms:
+                    raise ValueError("poisoned")
+            return [dict(item.row_items(i)) for item in chunk
+                    for i in range(len(item))]
+
+        quarantined = []
+        survivors = bisect_chunk(
+            [block], run_chunk,
+            lambda index, start, units, exc: quarantined.append(
+                (index, start, units)
+            ),
+            item_index=7, bisect_items=True,
+        )
+        assert quarantined == [(7, 2, 1)]
+        assert survivors == [{"a": 1}, {"b": 2}, {"a": 3}, {"c": 1}]
+
+
+# -- whole pipeline: fused without shm, IPC bill, parent digests ----------------------
+
+
+def _operators():
+    return TfIdfOperator(), KMeansOperator(max_iters=5)
+
+
+def _fixed(corpus, name, workers, shm=None, **options):
+    backend = make_backend(name, workers, shm=shm) if name else None
+    tfidf, kmeans = _operators()
+    try:
+        return run_pipeline(
+            corpus, backend=backend, tfidf=tfidf, kmeans=kmeans, **options
+        )
+    finally:
+        if backend is not None:
+            backend.close()
+
+
+def _fused(corpus, backend_name, workers, shm):
+    plan = RealPlan(
+        phases={
+            "input+wc": PhasePlan("input+wc", backend_name, workers, shm),
+            "transform": PhasePlan(
+                "transform", backend_name, workers, shm,
+                fused_with_previous=True,
+            ),
+            "kmeans": PhasePlan("kmeans", backend_name, workers, shm),
+        },
+        calibration="test",
+        n_docs=len(corpus),
+    )
+    tfidf, kmeans = _operators()
+    return run_pipeline(corpus, plan=plan, tfidf=tfidf, kmeans=kmeans)
+
+
+def _digest(result) -> str:
+    """Rows, assignments and centroid bytes, plus vocabulary and idf."""
+    h = hashlib.sha256(output_digest(result).encode())
+    h.update("\0".join(result.tfidf.vocabulary).encode())
+    h.update(struct.pack(f"<{len(result.tfidf.idf)}d", *result.tfidf.idf))
+    close = getattr(result.tfidf.matrix, "close", None)
+    if close is not None:
+        close()
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def mix():
+    return generate_corpus(MIX_PROFILE, scale=0.01, seed=7)
+
+
+@pytest.fixture(scope="module")
+def nsf():
+    return generate_corpus(NSF_ABSTRACTS_PROFILE, scale=0.005, seed=7)
+
+
+#: Recorded at the parent commit (0aaf07e) by running exactly the
+#: configurations of ``TestParentDigests`` there: every backend mode
+#: hashed to the first value, the inline path (whose k-means groups its
+#: accumulation differently) to the second.
+PARENT_DIGESTS = {
+    "mix": (
+        "f771de021176d7d4b7719b5e8b91aa8704f8bd1f5731757d2f71ea5ad8109a37",
+        "f8834d28f3ba7f4a19c1b96f011311f669ca6d531437d2a9b579759dbb1d635b",
+    ),
+    "nsf": (
+        "623cb805e0561acf09e3723d9d9815982b46a3a7c4df5e131c0392eb3da81e0a",
+        "b949cd1485cf755f9b7b5168cd4a1afcffe8ff7becf422bdd63d8529619132bb",
+    ),
+}
+
+#: Transform-phase / word-count-phase IPC of ``processes-2`` on Mix@0.01
+#: at the parent commit, bytes: ``task_pickle_bytes``, ``result_pickle_bytes``.
+PARENT_TRANSFORM_IPC = (973_558, 1_005_207)
+PARENT_WORDCOUNT_IPC = (673_432, 1_415_005)
+
+
+class TestParentDigests:
+    @pytest.mark.parametrize("name", ["mix", "nsf"])
+    def test_every_mode_reproduces_the_parent_bytes(
+        self, name, mix, nsf, tmp_path
+    ):
+        corpus = {"mix": mix, "nsf": nsf}[name]
+        backend_digest, inline_digest = PARENT_DIGESTS[name]
+        assert _digest(_fixed(corpus, None, 1)) == inline_digest
+        modes = {
+            "sequential": lambda: _fixed(corpus, "sequential", 1),
+            "threads": lambda: _fixed(corpus, "threads", 2),
+            "processes pickled": lambda: _fixed(corpus, "processes", 2, shm=False),
+            "fused threads": lambda: _fused(corpus, "threads", 2, False),
+            "fused processes pickled": lambda: _fused(
+                corpus, "processes", 2, False
+            ),
+            "tiled": lambda: _fixed(
+                corpus, "sequential", 1, memory_budget=64 * 1024
+            ),
+        }
+        if shm_available():
+            modes["processes shm"] = lambda: _fixed(
+                corpus, "processes", 2, shm=True
+            )
+            modes["fused processes shm"] = lambda: _fused(
+                corpus, "processes", 1, True
+            )
+        for mode, run in modes.items():
+            assert _digest(run()) == backend_digest, mode
+        cache = str(tmp_path / "cache")
+        _fixed(corpus, "sequential", 1, cache=cache)
+        warm = _fixed(corpus, "sequential", 1, cache=cache)
+        assert warm.cache["hits"] == 3 and warm.cache["misses"] == 0
+        assert _digest(warm) == backend_digest, "cached warm"
+
+
+class TestFusedWithoutShm:
+    """The flush used to need the shm plane (the vocabulary could not
+    travel by ``configure``); now each task carries its chunk's columns."""
+
+    def test_processes_2_matches_unfused(self, mix):
+        # Two workers: some flushes land on the worker that did not count
+        # the chunk and fall back to a re-count from the retained texts.
+        fused = _fused(mix, "processes", 2, False)
+        assert fused.plan.fused
+        assert fused.ipc["total"]["segments"] == 0
+        assert _digest(fused) == _digest(_fixed(mix, "processes", 2, shm=False))
+
+    def test_one_worker_ships_only_term_columns(self, mix):
+        # One worker: every chunk is resident, so the transform's task
+        # pickles are the per-chunk (gmap, weights) and nothing else.
+        fused = _fused(mix, "processes", 1, False)
+        unfused = _fixed(mix, "processes", 1, shm=False)
+        fused_bytes = fused.ipc["phases"]["transform"]["task_pickle_bytes"]
+        unfused_bytes = unfused.ipc["phases"]["transform"]["task_pickle_bytes"]
+        assert fused_bytes < unfused_bytes
+        assert _digest(fused) == _digest(unfused)
+
+
+class TestIpcBill:
+    def test_processes_2_bytes_against_the_parent_commit(self, mix):
+        """Measured on this change: word count 673,432 + 636,403 (result
+        pickles 45 % of the parent's), transform 861,190 + 1,007,709
+        (94 % of the parent's 1,978,765). The issue asked for the
+        transform total under 50 %; a float64 score and an int32 column
+        id per non-zero are 12 bytes either way, so the result side
+        cannot shrink and the target is not met — see CHANGES.md."""
+        result = _fixed(mix, "processes", 2, shm=False)
+        phases = result.ipc["phases"]
+        transform = (
+            phases["transform"]["task_pickle_bytes"]
+            + phases["transform"]["result_pickle_bytes"]
+        )
+        wordcount = (
+            phases["input+wc"]["task_pickle_bytes"]
+            + phases["input+wc"]["result_pickle_bytes"]
+        )
+        assert transform < sum(PARENT_TRANSFORM_IPC)
+        assert phases["input+wc"]["result_pickle_bytes"] < (
+            PARENT_WORDCOUNT_IPC[1] // 2
+        )
+        assert transform + wordcount < 0.8 * (
+            sum(PARENT_TRANSFORM_IPC) + sum(PARENT_WORDCOUNT_IPC)
+        )

@@ -80,6 +80,59 @@ class TestDtypes:
             assert list(a.values) == list(b.values)
 
 
+class TestArrayValidation:
+    """``from_arrays`` checks what ``from_rows`` gets from ``SparseVector``:
+    a transform handed a wrong term-id map must fail here, loudly."""
+
+    def _arrays(self, indptr, indices):
+        return (
+            np.array(indptr, dtype=np.int64),
+            np.array(indices, dtype=np.int32),
+            np.ones(len(indices)),
+        )
+
+    def test_column_out_of_range_is_rejected(self):
+        with pytest.raises(OperatorError, match=r"\[0, 3\)"):
+            CsrMatrix.from_arrays(*self._arrays([0, 2], [1, 3]), n_cols=3)
+        with pytest.raises(OperatorError, match=r"\[0, 3\)"):
+            CsrMatrix.from_arrays(*self._arrays([0, 2], [-1, 2]), n_cols=3)
+
+    def test_unsorted_or_repeated_column_in_a_row_is_rejected(self):
+        for indices in ([2, 1, 0], [0, 1, 1]):
+            with pytest.raises(OperatorError, match="strictly increasing"):
+                CsrMatrix.from_arrays(*self._arrays([0, 1, 3], indices), n_cols=3)
+
+    def test_order_is_per_row_and_empty_rows_are_fine(self):
+        # Each row restarts the order; empty rows (first, middle, last)
+        # contribute no comparison at all.
+        matrix = CsrMatrix.from_arrays(
+            *self._arrays([0, 0, 2, 2, 2, 4, 4], [1, 2, 0, 1]), n_cols=3
+        )
+        assert [row.indices for row in matrix.iter_rows()] == [
+            [], [1, 2], [], [], [0, 1], [],
+        ]
+
+    def test_decreasing_indptr_is_rejected(self):
+        with pytest.raises(OperatorError, match="non-decreasing"):
+            CsrMatrix.from_arrays(*self._arrays([0, 2, 1, 2], [0, 1]), n_cols=2)
+
+    def test_a_wrong_gmap_fails_the_transform(self):
+        from repro.ops import kernels
+        from repro.sparse.blocks import TermBlock, concat_csr
+
+        block = TermBlock.from_counts([{"a": 1, "b": 2, "c": 1}], [4])
+        swapped = block.bound(np.array([1, 0, 2], dtype=np.int32), np.ones(3))
+        rows = kernels.transform_chunk(swapped)
+        with pytest.raises(OperatorError, match="strictly increasing"):
+            CsrMatrix.from_arrays(*concat_csr([rows]), n_cols=3)
+
+    def test_array_backed_rows_are_list_valued(self):
+        matrix = CsrMatrix.from_arrays(*self._arrays([0, 2], [0, 2]), n_cols=3)
+        row = matrix.row(0)
+        assert row.indices == [0, 2] and row.values == [1.0, 1.0]
+        assert type(row.indices) is list and type(matrix.row_nnz(0)) is int
+
+
 class TestTiledRoundTrip:
     def _spill(self, matrix: CsrMatrix, store: TileStore, rows_per_tile=2):
         indptr, indices, data = matrix.as_arrays()
