@@ -8,6 +8,13 @@ pilots every candidate configuration on a sample of the input and ranks
 them for the full data set — including mixed per-phase dictionary
 assignments — optionally under a memory budget.
 
+That planner lives in virtual time. The tour ends on its real-execution
+twin (``repro.plan``): ``run_pipeline(plan="auto")`` probes the corpus,
+prices every backend × workers × shm × dictionary candidate from
+measured constants and runs the argmin — on the same one driver that
+runs a fixed backend, so every other option (here ``degrade=True``)
+applies to a planned run as well.
+
 Run with::
 
     python examples/planner_tour.py
@@ -21,6 +28,8 @@ from repro import (
     paper_node,
     store_corpus,
 )
+from repro.core.pipeline import run_pipeline
+from repro.ops import KMeansOperator
 
 
 def main() -> None:
@@ -65,6 +74,15 @@ def main() -> None:
         mixed_dicts=True,
     ).plan(storage, "input/", pilot_docs=64, max_iters=5)
     print(f"\non a 2-core node the winner becomes: {small.best.config.describe()}")
+
+    # The real path, on this host: measured constants instead of a
+    # simulated machine, wall-clock seconds instead of virtual ones.
+    real = run_pipeline(
+        corpus, plan="auto", kmeans=KMeansOperator(max_iters=5), degrade=True
+    )
+    print(f"\non this host the measured-cost planner runs: {real.plan.describe()}")
+    print(f"  planned in {real.plan_seconds:.3f}s, predicted "
+          f"{real.plan.predicted_total_s:.3f}s, measured {real.total_s:.3f}s")
 
 
 if __name__ == "__main__":

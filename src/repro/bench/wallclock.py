@@ -25,10 +25,8 @@ seconds on the host. It has two modes:
   quarantine runs must differ by exactly the quarantined documents.
 * :func:`bench_plan` — runs the pipeline under the measured-cost
   adaptive planner (``plan="auto"``) against hard-coded fixed
-  configurations, and the fused wc→transform path against the unfused
-  one; the planned total must land within :data:`PLAN_TOLERANCE` of the
-  best fixed total, and fusion must eliminate transform task-pickle
-  bytes.
+  configurations; the planned total must land within
+  :data:`PLAN_TOLERANCE` of the best fixed total.
 * :func:`bench_cache` — cold → warm → incremental triple through the
   phase-level result cache: the warm run must serve all three phases
   from disk bit-identically (zero operator recompute), and the
@@ -80,7 +78,7 @@ from repro.io.storage import FsStorage
 from repro.ops.kmeans import KMeansOperator
 from repro.ops.tfidf import PHASE_TRANSFORM, TfIdfOperator
 from repro.ops.wordcount import PHASE_INPUT_WC
-from repro.plan import CalibrationStore, PhasePlan, RealPlan
+from repro.plan import CalibrationStore
 from repro.text.corpus import Document
 from repro.text.synth import MIX_PROFILE, NSF_ABSTRACTS_PROFILE, generate_corpus
 
@@ -681,9 +679,9 @@ def bench_plan(
     process_workers: int | None = None,
     tolerance: float = PLAN_TOLERANCE,
 ) -> dict:
-    """Planned execution vs fixed configurations, plus the fusion bill.
+    """Planned execution vs fixed configurations.
 
-    Three comparisons in one record:
+    Two comparisons in one record:
 
     * **planned vs fixed** — the fused pipeline runs on two hard-coded
       configurations (sequential, and the process backend at
@@ -697,10 +695,6 @@ def bench_plan(
       not. Planning time is recorded separately and amortizes across
       runs with a persisted calibration store; all totals land in the
       record.
-    * **fused vs unfused IPC** — where shm is available, the fused
-      wc→transform path runs against the unfused one on an identical
-      ``processes-1+shm`` configuration; the fused transform must ship
-      measurably fewer task-pickle bytes (worker-resident intermediates).
     * **equivalence** — every run's output must be bit-identical to the
       sequential reference (minus nothing; no quarantine here).
 
@@ -714,10 +708,7 @@ def bench_plan(
     # single sample of each is far too noisy to gate CI on.
     repeats = max(3, repeats)
     corpus = generate_corpus(_PROFILES[profile], scale=scale, seed=seed)
-    if isinstance(calibration, CalibrationStore):
-        store = calibration
-    else:
-        store = CalibrationStore.load_or_probe(calibration, corpus)
+    store = CalibrationStore.ensure(calibration, corpus)
 
     # Pinned operators across every run: the comparison is about
     # execution configuration, not dictionary choice.
@@ -808,70 +799,6 @@ def bench_plan(
         "within_tolerance": within,
     }
 
-    fusion = None
-    if shm_available():
-        unfused_total, unfused, _ = _best_of(
-            repeats, fixed_run("processes", 1, True), "processes-1+shm (unfused)"
-        )
-        unfused_bytes = unfused.ipc["phases"][PHASE_TRANSFORM][
-            "task_pickle_bytes"
-        ]
-
-        fused_plan = RealPlan(
-            phases={
-                PHASE_INPUT_WC: PhasePlan(PHASE_INPUT_WC, "processes", 1, True),
-                PHASE_TRANSFORM: PhasePlan(
-                    PHASE_TRANSFORM, "processes", 1, True,
-                    fused_with_previous=True,
-                ),
-                "kmeans": PhasePlan("kmeans", "processes", 1, True),
-            },
-            calibration=store.describe(),
-            n_docs=len(corpus),
-        )
-
-        def fused_once() -> RealRunResult:
-            tfidf, kmeans = operators()
-            return run_pipeline(
-                corpus, plan=fused_plan, tfidf=tfidf, kmeans=kmeans
-            )
-
-        fused_total, fused, _ = _best_of(
-            repeats, fused_once, "processes-1+shm (fused)"
-        )
-        fused_bytes = fused.ipc["phases"][PHASE_TRANSFORM]["task_pickle_bytes"]
-        fused_identical = _matrices_equal(fused, reference)
-        unfused_identical = _matrices_equal(unfused, reference)
-        fusion = {
-            "config": "processes-1+shm",
-            "unfused_transform_task_bytes": unfused_bytes,
-            "fused_transform_task_bytes": fused_bytes,
-            "eliminated_bytes": unfused_bytes - fused_bytes,
-            "unfused_total_s": unfused_total,
-            "fused_total_s": fused_total,
-            "ok": fused_bytes < unfused_bytes,
-        }
-        runs.append(
-            {
-                "config": "processes-1+shm (unfused)",
-                "planned": False,
-                "total_s": unfused_total,
-                "output_identical": unfused_identical,
-                "ok": unfused_identical,
-                **_run_fields(unfused),
-            }
-        )
-        runs.append(
-            {
-                "config": "processes-1+shm (fused)",
-                "planned": True,
-                "total_s": fused_total,
-                "output_identical": fused_identical,
-                "ok": fused_identical and fused_bytes < unfused_bytes,
-                **_run_fields(fused),
-            }
-        )
-
     return _envelope(
         "plan", profile, scale, len(corpus), repeats, kmeans_iters,
         config={
@@ -882,7 +809,10 @@ def bench_plan(
         },
         runs=runs,
         planned_vs_fixed=planned_vs_fixed,
-        fusion=fusion,
+        # An explicit null, so that frozen records (which carry a
+        # fused-vs-unfused section here) and new ones share one schema;
+        # tools/validate_bench.py accepts it.
+        fusion=None,
     )
 
 

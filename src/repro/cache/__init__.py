@@ -20,6 +20,7 @@ from repro.cache.keys import (
     code_version,
 )
 from repro.cache.pipeline_cache import (
+    NullCacheSession,
     PhaseCacheStats,
     PipelineCache,
     RunCacheSession,
@@ -34,5 +35,6 @@ __all__ = [
     "CacheStore",
     "PipelineCache",
     "RunCacheSession",
+    "NullCacheSession",
     "PhaseCacheStats",
 ]

@@ -46,7 +46,12 @@ from repro.ops.wordcount import PHASE_INPUT_WC, WordCountResult
 from repro.sparse.blocks import TermBlock, concat_csr
 from repro.sparse.matrix import CsrMatrix
 
-__all__ = ["PipelineCache", "RunCacheSession", "PhaseCacheStats"]
+__all__ = [
+    "PipelineCache",
+    "RunCacheSession",
+    "NullCacheSession",
+    "PhaseCacheStats",
+]
 
 
 @dataclass
@@ -119,6 +124,35 @@ class PipelineCache:
 
     def flush(self) -> None:
         self.store.flush()
+
+
+class NullCacheSession:
+    """The session of a run without a cache: every phase just computes.
+
+    Same surface as :class:`RunCacheSession`, so the pipeline driver has
+    one code path whether or not a cache was given.
+    """
+
+    def cached_phases(self, prefer_tiled: bool = False) -> frozenset[str]:
+        return frozenset()
+
+    def wordcount(self, step, compute_all, compute_subset):
+        return compute_all()
+
+    def transform(self, tfidf_op, wc, compute_all, compute_rows):
+        return compute_all()
+
+    def transform_tiled(self, tfidf_op, wc, store, compute_all):
+        return compute_all()
+
+    def kmeans_fit(self, compute):
+        return compute()
+
+    def snapshot(self) -> None:
+        return None
+
+    def finish(self) -> None:
+        pass
 
 
 class RunCacheSession:
@@ -347,15 +381,10 @@ class RunCacheSession:
             return result
         stats.misses += 1
 
-        aligned = (
-            not self.disabled
-            and wc.n_docs == self.fp.n_docs
-            and len(wc.doc_tfs) == self.fp.n_docs
-        )
-        if not aligned:
-            # Fused/quarantined word counts have no parent-side entries
-            # to shard over; run the plain path and store nothing.
-            self.disabled = self.disabled or wc.n_docs != self.fp.n_docs
+        if self.disabled or wc.n_docs != self.fp.n_docs:
+            # A quarantined word count no longer lines up with the
+            # fingerprinted shards; run the plain path and store nothing.
+            self.disabled = True
             return compute_all()
 
         # Serial prefix, exactly as transform_wordcount's: vocabulary

@@ -28,8 +28,9 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 
-from repro.core.pipeline import run_pipeline
+from repro.core.pipeline import check_pipeline_rules, run_pipeline
 from repro.errors import ConfigurationError
 from repro.core.planner import WorkflowPlanner
 from repro.core.workflow import build_tfidf_kmeans_workflow
@@ -234,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument(
         "--plan", choices=["fixed", "auto"], default="fixed",
         help="fixed = run every phase on the --backend given; auto = let "
-        "the measured-cost planner pick each phase's backend, grain, "
-        "dictionary, and wc->transform fusion (see docs/planner.md)",
+        "the measured-cost planner pick each phase's backend, grain "
+        "and dictionary (see docs/planner.md)",
     )
     pipe.add_argument(
         "--calibration", default=None, metavar="PATH",
@@ -543,36 +544,25 @@ def _cmd_workflow(args) -> int:
 
 
 def _validate_pipeline_flags(args) -> None:
-    """Fail fast on flag combinations that would only error mid-run.
-
-    ``--plan auto`` may pick the fused wc→transform path, whose
-    worker-resident intermediates cannot be replayed by a retry,
-    quarantined around, or rebuilt by a backend downgrade — so every
-    resilience knob conflicts with it. Catching this at argument
-    validation names the offending flags instead of failing deep inside
-    the run once the planner has committed to fusion.
-    """
-    if args.plan != "auto":
-        return
-    conflicting = []
-    if getattr(args, "retries", 0):
-        conflicting.append("--retries")
-    if getattr(args, "task_timeout", None) is not None:
-        conflicting.append("--task-timeout")
-    if getattr(args, "phase_timeout", None) is not None:
-        conflicting.append("--phase-timeout")
-    if getattr(args, "on_poison", "raise") != "raise":
-        conflicting.append("--on-poison")
-    if getattr(args, "degrade", False):
-        conflicting.append("--degrade")
-    if conflicting:
-        raise ConfigurationError(
-            f"--plan auto cannot be combined with "
-            f"{', '.join(conflicting)}: the planner may pick the fused "
-            f"wc->transform path, whose worker-resident state cannot be "
-            f"replayed, quarantined, or degraded; use --plan fixed for "
-            f"resilient runs"
-        )
+    """Fail fast — before the input is opened — on the flag combinations
+    ``run_pipeline`` rejects (``repro.core.pipeline.PIPELINE_RULES``),
+    naming every offending flag."""
+    policy = []
+    if args.retries:
+        policy.append("--retries")
+    if args.task_timeout is not None:
+        policy.append("--task-timeout")
+    if args.phase_timeout is not None:
+        policy.append("--phase-timeout")
+    if args.on_poison != "raise":
+        policy.append("--on-poison")
+    auto_plan = args.plan == "auto"
+    check_pipeline_rules(
+        backend=not auto_plan,
+        plan=auto_plan,
+        trace=args.trace is not None,
+        policy=tuple(policy),
+    )
 
 
 def _cli_cache(args):
@@ -626,31 +616,22 @@ def _cmd_pipeline(args) -> int:
         raise ConfigurationError(
             f"--memory-budget-mb must be > 0, got {args.memory_budget_mb}"
         )
-    if auto_plan:
+    # --plan auto builds its own backends; --plan fixed runs on the one
+    # the backend flags describe.
+    with nullcontext() if auto_plan else _make_cli_backend(args) as backend:
         result = run_pipeline(
             stream,
-            plan="auto",
+            backend=backend,
+            plan="auto" if auto_plan else None,
             calibration=args.calibration,
             tfidf=tfidf,
             kmeans=kmeans,
             trace=args.trace is not None,
+            degrade=args.degrade,
             cache=cache,
             memory_budget=memory_budget,
             ledger=args.ledger,
         )
-    else:
-        with _make_cli_backend(args) as backend:
-            result = run_pipeline(
-                stream,
-                backend=backend,
-                tfidf=tfidf,
-                kmeans=kmeans,
-                trace=args.trace is not None,
-                degrade=args.degrade,
-                cache=cache,
-                memory_budget=memory_budget,
-                ledger=args.ledger,
-            )
 
     if args.arff is not None:
         document = write_sparse_arff(

@@ -8,12 +8,14 @@ memory, no ARFF round trip — on an actual
 host's wall clock. It is the engine behind ``python -m repro pipeline``
 and the wall-clock benchmark (:mod:`repro.bench.wallclock`).
 
-With ``trace=True`` the backend's :class:`~repro.exec.spans.SpanRecorder`
-is armed for the run and the result carries a
-:class:`~repro.exec.spans.RunTrace`: one span per executed task, on every
-worker, from which per-phase utilization, queue wait, and straggler ratio
-are derived. Tracing never changes the computation — outputs are
-bit-identical with tracing on or off.
+There is one driver, :func:`run_pipeline`, and every run is a plan: a
+fixed backend (or none — the inline reference path) is the trivial plan
+with all three phases on it, ``plan="auto"`` asks the
+:class:`~repro.plan.AdaptivePlanner`, a :class:`~repro.plan.RealPlan` is
+executed verbatim. Tracing, caching, tiling, the ledger and graceful
+degradation wrap the same three phases on every route and never change
+the output bits; the only option combinations rejected up front are the
+rows of :data:`PIPELINE_RULES`.
 """
 
 from __future__ import annotations
@@ -23,23 +25,62 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.cache import PipelineCache
-from repro.cache.pipeline_cache import RunCacheSession
+from repro.cache import NullCacheSession, PipelineCache
 from repro.errors import ConfigurationError
 from repro.exec.inline import ExecutionBackend, SequentialBackend, ThreadBackend
 from repro.exec.process import ProcessBackend, make_backend
 from repro.exec.resilience import DowngradeEvent, QuarantineReport
-from repro.exec.spans import RunTrace, SpanRecorder
+from repro.exec.spans import RunTrace
 from repro.io.parallel_read import DocumentStream
 from repro.obs.ledger import RunLedger, WallAnchor
-from repro.ops import kernels
 from repro.ops.kmeans import PHASE_KMEANS, KMeansOperator, KMeansResult
 from repro.ops.tfidf import PHASE_TRANSFORM, TfIdfOperator, TfIdfResult
 from repro.ops.wordcount import PHASE_INPUT_WC
-from repro.plan import AdaptivePlanner, CalibrationStore, RealPlan
+from repro.plan import AdaptivePlanner, CalibrationStore, PhasePlan, RealPlan
 from repro.text.corpus import Corpus
+from repro.tiles.store import TileStore
 
-__all__ = ["RealRunResult", "run_pipeline", "PHASE_READ"]
+__all__ = [
+    "RealRunResult", "run_pipeline", "PHASE_READ",
+    "PIPELINE_RULES", "check_pipeline_rules",
+]
+
+#: Phase and plan time is read through this one clock (tests substitute
+#: a deterministic one).
+_clock = time.perf_counter
+
+#: Every option combination the real pipeline rejects up front, as
+#: ``(violated(backend, plan, trace, policy), message)`` rows over the
+#: arguments of :func:`check_pipeline_rules`. Anything else works.
+PIPELINE_RULES = (
+    (
+        lambda backend, plan, trace, policy: backend and plan,
+        "pass either backend= or plan=, not both",
+    ),
+    (
+        lambda backend, plan, trace, policy: trace and not (backend or plan),
+        "tracing requires an execution backend",
+    ),
+    (
+        lambda backend, plan, trace, policy: plan and policy,
+        "--plan auto cannot be combined with {policy}: planner-built "
+        "backends carry no ResilienceConfig, and threading one through "
+        "would add a run_pipeline parameter; use --plan fixed for "
+        "resilient runs",
+    ),
+)
+
+
+def check_pipeline_rules(
+    *, backend: bool, plan: bool, trace: bool, policy: tuple[str, ...] = ()
+) -> None:
+    """Raise the first violated row of :data:`PIPELINE_RULES`:
+    ``backend``/``plan`` say whether the run names one, ``policy`` lists
+    the retry/timeout/poison options in force by CLI spelling. Shared by
+    :func:`run_pipeline` and the CLI's flag validation."""
+    for violated, message in PIPELINE_RULES:
+        if violated(backend, plan, trace, policy):
+            raise ConfigurationError(message.format(policy=", ".join(policy)))
 
 
 def _downgraded(backend: ExecutionBackend) -> ExecutionBackend | None:
@@ -52,10 +93,11 @@ def _downgraded(backend: ExecutionBackend) -> ExecutionBackend | None:
 
 
 def _transplant(old: ExecutionBackend, new: ExecutionBackend) -> None:
-    """Carry one run's accounting state onto a downgraded backend.
+    """Carry one run's accounting state onto another backend of the run
+    (a downgraded one, or the next phase's under a mixed-tier plan).
 
     IPC counters, span recorder, quarantine report, and task-id counters
-    move over so the run's bill stays continuous across the downgrade.
+    move over so the run has one continuous bill whichever backend runs.
     The fault plan deliberately does *not* move: its directives targeted
     the dead backend's workers (an ``exit`` fault re-fired in-process
     would kill the parent), and the point of degrading is to finish.
@@ -75,6 +117,12 @@ def _transplant(old: ExecutionBackend, new: ExecutionBackend) -> None:
 #: reported for streamed input (a :class:`DocumentStream`); a materialized
 #: corpus has no read phase.
 PHASE_READ = "read"
+
+_PHASES = (PHASE_INPUT_WC, PHASE_TRANSFORM, PHASE_KMEANS)
+
+#: Backend "tier" of the trivial plan's phases: whatever the caller
+#: passed as ``backend=`` (``None`` = the inline reference path).
+_CALLER = "caller"
 
 
 @dataclass
@@ -200,20 +248,23 @@ def run_pipeline(
     breaker) by rebuilding the failed phase one backend tier down —
     processes → threads → sequential — with the run's accounting
     transplanted; each step is recorded as a
-    :class:`~repro.exec.resilience.DowngradeEvent` on the result. Phase 1
-    over *streamed* input cannot be replayed (the stream is partially
-    consumed), so there the error still propagates.
+    :class:`~repro.exec.resilience.DowngradeEvent` on the result, and
+    every later phase planned on the same backend stays on the lower
+    tier. Phase 1 over *streamed* input cannot be replayed (the stream
+    is partially consumed), so there the error still propagates.
 
     ``plan`` switches to adaptive execution and is mutually exclusive
-    with ``backend``: pass ``"auto"`` to let an
+    with ``backend``: ``"auto"`` lets an
     :class:`~repro.plan.AdaptivePlanner` pick each phase's configuration
-    from measured cost constants (``calibration`` is then a
+    from measured cost constants (``calibration``: a
     :class:`~repro.plan.CalibrationStore`, a path to one, or ``None`` to
-    probe the corpus), or pass a prebuilt :class:`~repro.plan.RealPlan`
-    to execute it verbatim. Different phases may run on different
-    backends; one IPC/span/quarantine bill spans them all, and the
-    executed plan is recorded on the result. Planned outputs are
-    bit-identical to every fixed-configuration run.
+    probe the corpus) and drains a stream up front (the planner needs
+    the document count); a prebuilt :class:`~repro.plan.RealPlan` is
+    executed verbatim and keeps the read overlap. Phases may run on
+    different backends — built once per tier × workers × shm, closed
+    here — under one IPC/span/quarantine bill; the executed plan is
+    recorded on the result, and planned outputs are bit-identical to
+    every fixed-configuration run.
 
     ``cache`` (a :class:`~repro.cache.PipelineCache` or a store
     directory) memoizes each phase's result on disk, keyed on corpus
@@ -246,599 +297,261 @@ def run_pipeline(
     does. Pass ``observe=False`` for runs that must not move the
     constants (A/B comparisons against a frozen store).
     """
-    if plan is not None:
-        if backend is not None:
-            raise ConfigurationError(
-                "pass either backend= or plan=, not both"
-            )
-        return _run_planned(
-            corpus, plan, tfidf=tfidf, kmeans=kmeans,
-            trace=trace, degrade=degrade, calibration=calibration,
-            cache=cache, memory_budget=memory_budget, ledger=ledger,
-            observe=observe,
+    check_pipeline_rules(
+        backend=backend is not None, plan=plan is not None, trace=trace
+    )
+    if not (plan is None or plan == "auto" or isinstance(plan, RealPlan)):
+        raise ConfigurationError(
+            f'plan must be "auto" or a RealPlan, got {plan!r}'
         )
-    if trace and backend is None:
-        raise ConfigurationError("tracing requires an execution backend")
-    tfidf = tfidf or TfIdfOperator()
+    planned = plan is not None
+    kind = "planned" if planned else "pipeline"
     kmeans = kmeans or KMeansOperator()
-    seconds: dict[str, float] = {}
     run_ledger = RunLedger.ensure(ledger)
     anchor = WallAnchor.capture() if run_ledger is not None else None
-    # The step a raising run bills its failure record to — run_phase
-    # keeps it current, so mid-flight errors land on the right step.
-    current_step = {"name": PHASE_INPUT_WC}
-    streamed = isinstance(corpus, DocumentStream)
+    seconds: dict[str, float] = {}
     downgrades: list[DowngradeEvent] = []
-    created: list[ExecutionBackend] = []
-    if backend is not None:
-        backend.ipc.reset()  # this run's bill only
-        backend.quarantine.clear()
-        if trace:
-            backend.spans.begin_run()
-            if streamed:
-                corpus.spans = backend.spans
+    plan_t0 = _clock()
+
+    # One bill (IPC counters, spans, quarantine) for the whole run. The
+    # caller's backend carries it; without one a placeholder does, and
+    # every backend built below adopts the bill from it.
+    bill = backend if backend is not None else ExecutionBackend()
+    bill.ipc.reset()  # this run's bill only
+    bill.quarantine.clear()
+    streamed = isinstance(corpus, DocumentStream)
+    if trace:
+        bill.spans.begin_run()
+        if streamed:
+            corpus.spans = bill.spans
 
     source = corpus
-    session: RunCacheSession | None = None
     pipeline_cache = PipelineCache.ensure(cache)
+    if streamed and (pipeline_cache is not None or plan == "auto"):
+        # The one place a stream is drained up front: content must be
+        # hashed before the cache can serve it, and the planner needs
+        # the document count (and a probe sample). The reads still
+        # overlap each other, and the blocked time is the read phase.
+        # Every other run overlaps its reads with phase 1.
+        source = list(corpus)
+        seconds[PHASE_READ] = corpus.wait_seconds
+        corpus.close()
+        streamed = False
+    session = NullCacheSession()
     if pipeline_cache is not None:
-        if streamed:
-            # Content must be hashed before it can be served: drain the
-            # stream (reads still overlap via its prefetch pool, and
-            # traced reader spans were armed above) and bill the blocked
-            # time as the read phase, exactly as the planned path does.
-            source = list(corpus)
-            seconds[PHASE_READ] = corpus.wait_seconds
-            corpus.close()
-            streamed = False
-        session = pipeline_cache.begin_run(source, tfidf, kmeans)
+        session = pipeline_cache.begin_run(
+            source, tfidf or TfIdfOperator(), kmeans
+        ) or session
+
+    store: CalibrationStore | None = None
+    if plan == "auto":
+        store = CalibrationStore.ensure(calibration, source)
+        plan = AdaptivePlanner(store).plan(
+            n_docs=len(source),
+            kmeans_iters=kmeans.max_iters,
+            # Phases already cached are pinned to near-zero "cached"
+            # plans so the planner routes around skippable work; the
+            # transform entry checked is the one a budgeted plan serves.
+            cached_phases=session.cached_phases(
+                prefer_tiled=store.must_tile(len(source), memory_budget)
+            ),
+            memory_budget=memory_budget,
+        )
+    if planned:
+        steps, budget = plan.phases, plan.memory_budget
+        for phase in _PHASES:
+            if phase not in steps:
+                raise ConfigurationError(f"plan has no entry for phase {phase!r}")
+        # Input blocking is the read phase; only the probing/enumeration
+        # remainder is billed to planning.
+        plan_seconds = max(
+            0.0, _clock() - plan_t0 - seconds.get(PHASE_READ, 0.0)
+        )
+    else:
+        # The trivial plan: every phase on the caller's backend (None =
+        # the inline reference path), grain auto, tiled iff budgeted.
+        steps = {
+            phase: PhasePlan(phase, _CALLER, tiled=memory_budget is not None)
+            for phase in _PHASES
+        }
+        budget, plan_seconds = None, 0.0
+    if budget is None:
+        budget = memory_budget
+    # The dictionary implementation is a planner knob only when the
+    # caller didn't pin the operators themselves.
+    tfidf = tfidf or TfIdfOperator(
+        wc_dict_kind=steps[PHASE_INPUT_WC].dict_kind,
+        transform_dict_kind=steps[PHASE_TRANSFORM].dict_kind,
+    )
+
+    #: (tier, workers, shm) → its live backend. The caller's is borrowed;
+    #: every other entry, and every downgraded backend, is built here,
+    #: listed in ``owned`` and closed here.
+    pool: dict[tuple, ExecutionBackend | None] = {(_CALLER, 1, False): backend}
+    owned: list[ExecutionBackend] = []
+
+    def backend_name() -> str:
+        return "planned" if planned else getattr(
+            pool[_CALLER, 1, False], "name", "inline"
+        )
+
+    # The step a raising run bills its failure record to.
+    current_step = PHASE_INPUT_WC
 
     def run_phase(phase: str, thunk, *, replayable: bool = True):
-        """One phase attempt, degrading through the tiers if allowed."""
-        nonlocal backend
-        current_step["name"] = phase
+        """One phase attempt on its planned backend (built on first
+        use), degrading through the tiers if allowed."""
+        nonlocal current_step
+        current_step = phase
+        step = steps[phase]
+        slot = (step.backend, step.workers, step.shm)
+        if slot not in pool:
+            pool[slot] = make_backend(
+                step.backend, step.workers,
+                shm=step.shm if step.backend == "processes" else None,
+            )
+            _transplant(bill, pool[slot])  # one bill, whichever executes
+            owned.append(pool[slot])
+        # How the plan wants the phase run: its backend, and its grain
+        # when the plan fixes one (else the operator's own auto grain).
+        how = {} if step.grain is None else {"grain": step.grain}
         while True:
+            live = pool[slot]
             try:
-                return thunk(backend)
+                return thunk(backend=live, **how)
             except BrokenProcessPool as exc:
-                if backend is None or not degrade or not replayable:
-                    raise
-                lower = _downgraded(backend)
+                lower = _downgraded(live) if degrade and replayable else None
                 if lower is None:
                     raise
-                _transplant(backend, lower)
-                created.append(lower)
-                downgrades.append(
-                    DowngradeEvent(
-                        phase=phase,
-                        from_backend=backend.name,
-                        to_backend=lower.name,
-                        reason=str(exc),
-                    )
-                )
-                backend = lower
+                _transplant(live, lower)
+                owned.append(lower)
+                downgrades.append(DowngradeEvent(
+                    phase=phase, from_backend=live.name,
+                    to_backend=lower.name, reason=str(exc),
+                ))
+                # Sticky: whatever else is planned on this slot follows.
+                pool[slot] = lower
 
     try:
-        t0 = time.perf_counter()
-        if session is not None:
-            wc = session.wordcount(
-                tfidf.wordcount,
-                compute_all=lambda: run_phase(
-                    PHASE_INPUT_WC,
-                    lambda be: tfidf.wordcount.run(source, backend=be),
-                ),
-                compute_subset=lambda sub: run_phase(
-                    PHASE_INPUT_WC,
-                    lambda be: tfidf.wordcount.run(sub, backend=be),
-                ),
-            )
-        else:
-            wc = run_phase(
+        t0 = _clock()
+
+        def count(texts):
+            return run_phase(
                 PHASE_INPUT_WC,
-                lambda be: tfidf.wordcount.run(source, backend=be),
+                lambda **how: tfidf.wordcount.run(texts, **how),
                 replayable=not streamed,
             )
-        t1 = time.perf_counter()
+
+        wc = session.wordcount(
+            tfidf.wordcount,
+            compute_all=lambda: count(source),
+            compute_subset=count,
+        )
+        t1 = _clock()
         if streamed:
-            read_s = corpus.wait_seconds
-            seconds[PHASE_READ] = read_s
-            seconds[PHASE_INPUT_WC] = max(0.0, (t1 - t0) - read_s)
+            seconds[PHASE_READ] = corpus.wait_seconds
+            seconds[PHASE_INPUT_WC] = max(
+                0.0, (t1 - t0) - corpus.wait_seconds
+            )
         else:
             seconds[PHASE_INPUT_WC] = t1 - t0
 
-        if memory_budget is not None:
+        if steps[PHASE_TRANSFORM].tiled:
             # Tiled data plane: the transform spills row-range tiles as
             # it goes, k-means streams them back. The result's matrix
             # owns the spill store; tiles live until it is closed.
-            from repro.tiles.store import TileStore
-
-            tile_store = TileStore(
-                memory_budget=memory_budget,
-                stats=backend.ipc if backend is not None else None,
-            )
-            tile_docs = _tile_docs(wc, memory_budget)
-
-            def compute_tiled():
-                return run_phase(
-                    PHASE_TRANSFORM,
-                    lambda be: tfidf.transform_wordcount_tiled(
-                        wc, tile_store, backend=be, tile_docs=tile_docs
-                    ),
-                )
-
-            if session is not None:
-                scores = session.transform_tiled(
-                    tfidf, wc, tile_store, compute_all=compute_tiled
-                )
-            else:
-                scores = compute_tiled()
-        elif session is not None:
-            scores = session.transform(
-                tfidf,
-                wc,
+            tile_store = TileStore(memory_budget=budget, stats=bill.ipc)
+            scores = session.transform_tiled(
+                tfidf, wc, tile_store,
                 compute_all=lambda: run_phase(
                     PHASE_TRANSFORM,
-                    lambda be: tfidf.transform_wordcount(wc, backend=be),
+                    lambda **how: tfidf.transform_wordcount_tiled(
+                        wc, tile_store, **how
+                    ),
+                ),
+            )
+        else:
+            scores = session.transform(
+                tfidf, wc,
+                compute_all=lambda: run_phase(
+                    PHASE_TRANSFORM,
+                    lambda **how: tfidf.transform_wordcount(wc, **how),
                 ),
                 compute_rows=lambda chunks: run_phase(
                     PHASE_TRANSFORM,
-                    lambda be: _transform_chunks(be, chunks),
+                    lambda backend, **_: tfidf.transform_chunks(chunks, backend),
                 ),
             )
-        else:
-            scores = run_phase(
-                PHASE_TRANSFORM,
-                lambda be: tfidf.transform_wordcount(wc, backend=be),
-            )
-        t2 = time.perf_counter()
+        t2 = _clock()
         seconds[PHASE_TRANSFORM] = t2 - t1
 
-        if session is not None:
-            clusters = session.kmeans_fit(
-                lambda: run_phase(
-                    PHASE_KMEANS,
-                    lambda be: kmeans.fit(scores.matrix, backend=be),
-                )
+        clusters = session.kmeans_fit(
+            lambda: run_phase(
+                PHASE_KMEANS,
+                lambda backend, **_: kmeans.fit(scores.matrix, backend=backend),
             )
-        else:
-            clusters = run_phase(
-                PHASE_KMEANS, lambda be: kmeans.fit(scores.matrix, backend=be)
-            )
-        t3 = time.perf_counter()
-        seconds[PHASE_KMEANS] = t3 - t2
+        )
+        seconds[PHASE_KMEANS] = _clock() - t2
     finally:
         # A phase that raised mid-run must not leak the stream's reader
         # threads: closing is idempotent and a no-op after clean exhaustion.
         if streamed:
             corpus.close()
         if trace:
-            backend.spans.end_run()
-        for lower in created:
-            lower.close()
-        if session is not None:
-            session.finish()
+            bill.spans.end_run()
+        for built in owned:
+            built.close()
+        session.finish()
         if run_ledger is not None and sys.exc_info()[1] is not None:
             run_ledger.record_failed_run(
                 anchor=anchor,
                 phase_seconds=seconds,
-                failed_step=current_step["name"],
+                failed_step=current_step,
                 error=sys.exc_info()[1],
-                backend=backend.name if backend is not None else "inline",
+                backend=backend_name(),
+                kind=kind,
                 n_docs=len(source) if hasattr(source, "__len__") else 0,
             )
 
-    run_trace: RunTrace | None = None
-    if trace:
-        run_trace = RunTrace.from_recorder(
-            backend.spans,
-            phase_wall_s=dict(seconds),
-            backend_name=backend.name,
-            workers=backend.workers,
-        )
-
-    quarantine = None
-    if backend is not None and backend.quarantine:
-        quarantine = backend.quarantine
-
-    result = RealRunResult(
-        tfidf=scores,
-        kmeans=clusters,
-        phase_seconds=seconds,
-        backend_name=backend.name if backend is not None else "inline",
-        ipc=backend.ipc.snapshot() if backend is not None else None,
-        trace=run_trace,
-        quarantine=quarantine,
-        downgrades=downgrades,
-        cache=session.snapshot() if session is not None else None,
-        tiles=_spill_snapshot(scores),
-    )
-    if run_ledger is not None:
-        result.ledger = run_ledger.record_run(
-            result,
-            anchor=anchor,
-            config={
-                "trace": trace,
-                "degrade": degrade,
-                "cached": session is not None,
-                "memory_budget": memory_budget,
-            },
-        )
-    return result
-
-
-def _spill_snapshot(scores: TfIdfResult) -> dict | None:
-    """The matrix's spill accounting, when it went through the tile plane."""
+    run_trace = RunTrace.from_recorder(
+        bill.spans,
+        phase_wall_s=dict(seconds),
+        backend_name=backend_name(),
+        workers=max(be.workers for be in (bill, *owned)),
+    ) if trace else None
     spill_stats = getattr(scores.matrix, "spill_stats", None)
-    return spill_stats() if spill_stats is not None else None
-
-
-def _must_tile(
-    store: CalibrationStore, n_docs: int, memory_budget: int | None
-) -> bool:
-    """The planner's tiling test, shared so cache routing agrees with it."""
-    if memory_budget is None:
-        return False
-    constants = store.phases.get("transform")
-    if constants is None:
-        return False
-    return int(n_docs * constants.result_bytes_per_doc) > memory_budget
-
-
-def _tile_docs(wc, memory_budget: int) -> int:
-    """Rows per tile under ``memory_budget``, from phase-1 statistics.
-
-    Deliberately an *overestimate* of per-document bytes (every token
-    priced as a distinct nonzero), so a tile plus its working copies
-    land well inside the budget — the target is a quarter of it.
-    """
-    n = wc.n_docs
-    if n <= 0:
-        return 1
-    per_doc = 24.0 * (wc.total_tokens / n) + 40.0
-    docs = int((memory_budget / 4) // per_doc)
-    return max(1, min(n, docs))
-
-
-def _transform_chunks(backend, chunks):
-    """Transform bound row ranges (the cache's changed shards) on
-    ``backend``, bit-identically to the full transform."""
-    if backend is None:
-        return [kernels.transform_chunk(chunk) for chunk in chunks]
-    backend.begin_phase(PHASE_TRANSFORM)
-    return backend.map(kernels.transform_chunk, chunks, grain=1)
-
-
-def _run_planned(
-    corpus: Corpus | DocumentStream,
-    plan: RealPlan | str,
-    *,
-    tfidf: TfIdfOperator | None,
-    kmeans: KMeansOperator | None,
-    trace: bool,
-    degrade: bool,
-    calibration: CalibrationStore | str | None,
-    cache: PipelineCache | str | None = None,
-    memory_budget: int | None = None,
-    ledger: RunLedger | str | None = None,
-    observe: bool = True,
-) -> RealRunResult:
-    """Execute a :class:`RealPlan`, phase by phase, on its chosen backends."""
-    kmeans = kmeans or KMeansOperator()
-    run_ledger = RunLedger.ensure(ledger)
-    anchor = WallAnchor.capture() if run_ledger is not None else None
-    current_step = {"name": PHASE_INPUT_WC}
-    plan_t0 = time.perf_counter()
-    read_spans: SpanRecorder | None = None
-    read_s: float | None = None
-    if isinstance(corpus, DocumentStream):
-        # The probe and the planner need the document count up front, and
-        # a plan may split phase 1 from the read anyway — materialize.
-        # Read overlap stays a fixed-backend feature. The reader spans are
-        # captured on a standalone recorder (no backend exists yet) that
-        # the primary backend adopts below, so traced planned runs keep
-        # their ``read`` phase.
-        if trace:
-            read_spans = SpanRecorder()
-            read_spans.begin_run()
-            corpus.spans = read_spans
-        docs: Corpus | list = list(corpus)
-        read_s = corpus.wait_seconds
-        corpus.close()
-    else:
-        docs = corpus
-
-    session: RunCacheSession | None = None
-    pipeline_cache = PipelineCache.ensure(cache)
-    if pipeline_cache is not None:
-        session = pipeline_cache.begin_run(
-            docs, tfidf or TfIdfOperator(), kmeans
-        )
-
-    observe_store: CalibrationStore | None = None
-    if plan == "auto":
-        if isinstance(calibration, CalibrationStore):
-            store = calibration
-        else:
-            store = CalibrationStore.load_or_probe(calibration, docs)
-        observe_store = store
-        plan = AdaptivePlanner(store).plan(
-            n_docs=len(docs),
-            kmeans_iters=kmeans.max_iters,
-            # Phases already cached are pinned to near-zero "cached"
-            # plans so the planner routes around skippable work; fusion
-            # is suppressed for cache-enabled runs because fused
-            # intermediates never materialize parent-side (nothing could
-            # be stored, and the cache wins on repeat traffic anyway).
-            cached_phases=(
-                session.cached_phases(
-                    # Mirror the planner's own must-tile test, so the
-                    # cache entry checked is the one a budgeted plan
-                    # would actually serve.
-                    prefer_tiled=_must_tile(store, len(docs), memory_budget)
-                )
-                if session is not None
-                else frozenset()
-            ),
-            allow_fusion=session is None,
-            memory_budget=memory_budget,
-        )
-    elif not isinstance(plan, RealPlan):
-        raise ConfigurationError(
-            f'plan must be "auto" or a RealPlan, got {plan!r}'
-        )
-    for phase in (PHASE_INPUT_WC, PHASE_TRANSFORM, PHASE_KMEANS):
-        if phase not in plan.phases:
-            raise ConfigurationError(f"plan has no entry for phase {phase!r}")
-    wc_plan = plan.phases[PHASE_INPUT_WC]
-    tr_plan = plan.phases[PHASE_TRANSFORM]
-    km_plan = plan.phases[PHASE_KMEANS]
-    if tfidf is None:
-        # The dictionary implementation is a planner knob only when the
-        # caller didn't pin the operators themselves.
-        tfidf = TfIdfOperator(
-            wc_dict_kind=wc_plan.dict_kind,
-            transform_dict_kind=tr_plan.dict_kind,
-        )
-    # Input blocking is a read phase, exactly as on the fixed path; only
-    # the probing/enumeration remainder is billed to planning.
-    plan_seconds = time.perf_counter() - plan_t0
-    if read_s is not None:
-        plan_seconds = max(0.0, plan_seconds - read_s)
-
-    # One backend instance per distinct (tier, workers, shm) — a fused
-    # transform *must* land on the word count's live pool, and equal
-    # configurations shouldn't pay two spawns.
-    cache: dict[tuple[str, int, bool], ExecutionBackend] = {}
-    created: list[ExecutionBackend] = []
-
-    def backend_for(phase_plan) -> ExecutionBackend:
-        key = (phase_plan.backend, phase_plan.workers, phase_plan.shm)
-        be = cache.get(key)
-        if be is None:
-            be = make_backend(
-                phase_plan.backend,
-                phase_plan.workers,
-                shm=phase_plan.shm if phase_plan.backend == "processes" else None,
-            )
-            if created:
-                # One bill for the whole run, whichever backend executes.
-                _transplant(created[0], be)
-            created.append(be)
-            cache[key] = be
-        return be
-
-    primary = backend_for(wc_plan)
-    if trace:
-        if read_spans is not None:
-            # Adopt the recorder that already holds the reader spans;
-            # later backends share it via _transplant from ``created[0]``.
-            primary.spans = read_spans
-        else:
-            primary.spans.begin_run()
-    seconds: dict[str, float] = {}
-    if read_s is not None:
-        seconds[PHASE_READ] = read_s
-    downgrades: list[DowngradeEvent] = []
-
-    def run_phase(phase: str, be: ExecutionBackend, thunk, *, replayable=True):
-        """One phase attempt on ``be``, degrading through tiers if allowed."""
-        current_step["name"] = phase
-        while True:
-            try:
-                return thunk(be)
-            except BrokenProcessPool as exc:
-                if not degrade or not replayable:
-                    raise
-                lower = _downgraded(be)
-                if lower is None:
-                    raise
-                _transplant(be, lower)
-                created.append(lower)
-                downgrades.append(
-                    DowngradeEvent(
-                        phase=phase,
-                        from_backend=be.name,
-                        to_backend=lower.name,
-                        reason=str(exc),
-                    )
-                )
-                be = lower
-
-    try:
-        t0 = time.perf_counter()
-        if plan.fused:
-            # Fused intermediates stay worker-resident — there is nothing
-            # parent-side to serve or store for wc/transform, so a cache
-            # session (possible only with a verbatim fused RealPlan) only
-            # fronts the k-means phase here.
-            fused = run_phase(
-                PHASE_INPUT_WC,
-                backend_for(wc_plan),
-                lambda be: tfidf.wordcount.run_fused(
-                    docs, be, grain=wc_plan.grain
-                ),
-            )
-            t1 = time.perf_counter()
-            seconds[PHASE_INPUT_WC] = t1 - t0
-            # The flush rides the word count's live workers; a downgrade
-            # would discard their resident state, so no replay here.
-            scores = run_phase(
-                PHASE_TRANSFORM,
-                fused.backend,
-                lambda be: tfidf.transform_resident(fused),
-                replayable=False,
-            )
-        else:
-            def compute_wc(texts):
-                return run_phase(
-                    PHASE_INPUT_WC,
-                    backend_for(wc_plan),
-                    lambda be: tfidf.wordcount.run(
-                        texts, backend=be, grain=wc_plan.grain
-                    ),
-                )
-
-            if session is not None:
-                wc = session.wordcount(
-                    tfidf.wordcount,
-                    compute_all=lambda: compute_wc(docs),
-                    compute_subset=compute_wc,
-                )
-            else:
-                wc = compute_wc(docs)
-            t1 = time.perf_counter()
-            seconds[PHASE_INPUT_WC] = t1 - t0
-
-            if tr_plan.tiled:
-                from repro.tiles.store import TileStore
-
-                run_budget = (
-                    plan.memory_budget
-                    if plan.memory_budget is not None
-                    else memory_budget
-                )
-                tile_store = TileStore(
-                    memory_budget=run_budget, stats=primary.ipc
-                )
-
-                def compute_tr_tiled():
-                    tile_docs = (
-                        _tile_docs(wc, run_budget)
-                        if run_budget is not None
-                        else None
-                    )
-                    return run_phase(
-                        PHASE_TRANSFORM,
-                        backend_for(tr_plan),
-                        lambda be: tfidf.transform_wordcount_tiled(
-                            wc, tile_store, backend=be,
-                            grain=tr_plan.grain, tile_docs=tile_docs,
-                        ),
-                    )
-
-                if session is not None:
-                    scores = session.transform_tiled(
-                        tfidf, wc, tile_store, compute_all=compute_tr_tiled
-                    )
-                else:
-                    scores = compute_tr_tiled()
-            else:
-                def compute_tr():
-                    return run_phase(
-                        PHASE_TRANSFORM,
-                        backend_for(tr_plan),
-                        lambda be: tfidf.transform_wordcount(
-                            wc, backend=be, grain=tr_plan.grain
-                        ),
-                    )
-
-                if session is not None:
-                    scores = session.transform(
-                        tfidf,
-                        wc,
-                        compute_all=compute_tr,
-                        compute_rows=lambda chunks: run_phase(
-                            PHASE_TRANSFORM,
-                            backend_for(tr_plan),
-                            lambda be: _transform_chunks(be, chunks),
-                        ),
-                    )
-                else:
-                    scores = compute_tr()
-        t2 = time.perf_counter()
-        seconds[PHASE_TRANSFORM] = t2 - t1
-
-        def compute_km():
-            return run_phase(
-                PHASE_KMEANS,
-                backend_for(km_plan),
-                lambda be: kmeans.fit(scores.matrix, backend=be),
-            )
-
-        if session is not None:
-            clusters = session.kmeans_fit(compute_km)
-        else:
-            clusters = compute_km()
-        t3 = time.perf_counter()
-        seconds[PHASE_KMEANS] = t3 - t2
-    finally:
-        if trace:
-            primary.spans.end_run()
-        for be in created:
-            be.close()
-        if session is not None:
-            session.finish()
-        if run_ledger is not None and sys.exc_info()[1] is not None:
-            run_ledger.record_failed_run(
-                anchor=anchor,
-                phase_seconds=seconds,
-                failed_step=current_step["name"],
-                error=sys.exc_info()[1],
-                backend="planned",
-                kind="planned",
-                n_docs=len(docs),
-            )
-
-    run_trace: RunTrace | None = None
-    if trace:
-        run_trace = RunTrace.from_recorder(
-            primary.spans,
-            phase_wall_s=dict(seconds),
-            backend_name="planned",
-            workers=max(be.workers for be in created),
-        )
-
     result = RealRunResult(
         tfidf=scores,
         kmeans=clusters,
         phase_seconds=seconds,
-        backend_name="planned",
-        ipc=primary.ipc.snapshot(),
+        backend_name=backend_name(),
+        ipc=bill.ipc.snapshot() if planned or backend is not None else None,
         trace=run_trace,
-        quarantine=primary.quarantine if primary.quarantine else None,
+        quarantine=bill.quarantine or None,
         downgrades=downgrades,
         plan=plan,
         plan_seconds=plan_seconds,
-        cache=session.snapshot() if session is not None else None,
-        tiles=_spill_snapshot(scores),
+        cache=session.snapshot(),
+        # Set when the matrix went through the tile plane.
+        tiles=spill_stats() if spill_stats is not None else None,
     )
     if run_ledger is not None:
         result.ledger = run_ledger.record_run(
             result,
             anchor=anchor,
-            kind="planned",
+            kind=kind,
             config={
                 "trace": trace,
                 "degrade": degrade,
-                "cached": session is not None,
+                "cached": result.cache is not None,
                 "memory_budget": memory_budget,
             },
         )
-    if observe_store is not None and observe:
+    if store is not None and observe:
         # Keep learning from whatever executed: cached phases ran no
         # tasks (no spans, no IPC bytes), so their constants are left
         # untouched; executed phases sharpen the model for the next plan.
-        observe_store.observe_run(result, n_docs=len(docs))
+        store.observe_run(result, n_docs=len(source))
         if isinstance(calibration, str):
-            observe_store.save(calibration)
+            store.save(calibration)
     return result

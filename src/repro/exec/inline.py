@@ -119,12 +119,6 @@ class ExecutionBackend:
     #: in-process backends share an address space, so for them the
     #: zero-copy path is the plain by-reference path they already use.
     uses_shm = False
-    #: True when :meth:`configure` may replace the worker pool (and with
-    #: it any worker-resident kernel state). In-process backends run
-    #: initializers against the parent's address space, so state survives
-    #: reconfiguration; the process backend recycles its pool instead —
-    #: the fused wc→transform path branches on this.
-    configure_recycles_workers = False
 
     def __init__(self, resilience: ResilienceConfig | None = None) -> None:
         #: Per-phase IPC accounting (see :class:`repro.exec.shm.IpcStats`).

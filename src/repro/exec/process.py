@@ -188,10 +188,6 @@ class _ChunkTask:
 class ProcessBackend(ExecutionBackend):
     """Runs operator loops on a pool of worker processes."""
 
-    #: ``configure`` with new state replaces the pool, destroying any
-    #: worker-resident kernel state (see the fused wc→transform path).
-    configure_recycles_workers = True
-
     def __init__(
         self,
         workers: int,

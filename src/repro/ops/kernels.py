@@ -34,10 +34,6 @@ __all__ = [
     "init_wordcount_worker",
     "count_chunk",
     "transform_chunk",
-    "init_fused_worker",
-    "count_chunk_resident",
-    "transform_flush",
-    "count_transform_chunk",
     "init_kmeans_worker",
     "init_kmeans_worker_shm",
     "init_kmeans_worker_tiled",
@@ -113,69 +109,6 @@ def transform_chunk(
     norms[norms == 0.0] = 1.0  # the zero vector normalises to itself
     data *= np.repeat(1.0 / norms, np.diff(indptr))
     return indptr, indices, data
-
-
-# -- fused wc→transform (worker-resident intermediates) -------------------------------
-
-#: Per-worker store of counted-but-not-yet-transformed chunks, keyed by
-#: chunk id. Filled by :func:`count_chunk_resident` during the fused
-#: word-count phase and drained by :func:`transform_flush` — the per-doc
-#: term frequencies never cross the IPC boundary.
-_RESIDENT: dict[int, TermBlock] = {}
-
-
-def init_fused_worker(tokenizer: Tokenizer) -> None:
-    """Install the tokenizer and reset the resident store (per run)."""
-    init_wordcount_worker(tokenizer)
-    _RESIDENT.clear()
-
-
-def count_chunk_resident(
-    task: tuple[int, list[str]]
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Count one chunk, keeping its rows worker-resident.
-
-    Identical counting to :func:`count_chunk`, but the block stays in
-    :data:`_RESIDENT` under the chunk id instead of being pickled back:
-    only its terms, their document frequencies and the token counts
-    return to the parent, which is all it needs to build the vocabulary.
-    """
-    chunk_id, texts = task
-    block = _RESIDENT[chunk_id] = count_chunk(texts)
-    return block.terms, block.df_counts, block.token_counts
-
-
-def _term_columns(columns) -> tuple[np.ndarray, np.ndarray]:
-    """A flush task's ``(gmap, weights)``: the arrays themselves, or
-    ``(descriptor, start, stop)`` into the segment a backend with a
-    shared-memory plane placed every chunk's columns in."""
-    if len(columns) == 2:
-        return columns
-    descriptor, start, stop = columns
-    arrays = descriptor.resolve()
-    return arrays["gmap"][start:stop], arrays["weights"][start:stop]
-
-
-def transform_flush(task: tuple[int, tuple]):
-    """Transform a chunk counted earlier by this worker, if resident.
-
-    Returns ``None`` when the chunk is not resident here (a different
-    pool worker counted it — possible at ``workers > 1`` because the
-    executor has no task affinity); the parent then falls back to
-    :func:`count_transform_chunk` from its retained chunk texts. At one
-    worker, and on in-process backends, every chunk hits.
-    """
-    chunk_id, columns = task
-    block = _RESIDENT.pop(chunk_id, None)
-    if block is None:
-        return None
-    return transform_chunk(block.bound(*_term_columns(columns)))
-
-
-def count_transform_chunk(task: tuple[list[str], tuple]):
-    """Residency-miss fallback: re-count then transform in one task."""
-    texts, columns = task
-    return transform_chunk(count_chunk(texts).bound(*_term_columns(columns)))
 
 
 # -- K-means assignment ----------------------------------------------------------------

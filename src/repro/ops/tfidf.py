@@ -43,7 +43,7 @@ from repro.ops import kernels
 from repro.io.arff import arff_lines
 from repro.io.corpus_io import corpus_paths
 from repro.io.storage import Storage
-from repro.ops.wordcount import FusedWordCount, WordCountResult, WordCountStep
+from repro.ops.wordcount import WordCountResult, WordCountStep
 from repro.sparse.blocks import TermBlock, concat_csr
 from repro.sparse.matrix import CsrMatrix, csr_row_views
 from repro.sparse.vector import SparseVector
@@ -340,11 +340,18 @@ class TfIdfOperator:
         wc = self.wordcount.run(corpus, backend=backend)
         return self.transform_wordcount(wc, backend=backend)
 
-    def _vocabulary_columns(
-        self, terms: list[str], index: dict[str, int], idf: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(gmap, weights)`` for a sorted term list: each term's
-        vocabulary id (``-1`` = pruned by ``min_df``) and idf weight."""
+    def bind(
+        self, wc: WordCountResult, vocabulary: list[str], idf: list[float]
+    ) -> TermBlock:
+        """The corpus block bound to a vocabulary: what the transform
+        kernel consumes, a row range (``bound[a:b]``) at a time.
+
+        Binding maps each of the block's (sorted) terms to its vocabulary
+        id (``-1`` = pruned by ``min_df``) and its idf weight.
+        """
+        block = wc.term_block()
+        terms = block.terms
+        index = {term: term_id for term_id, term in enumerate(vocabulary)}
         gmap = np.fromiter(
             map(index.get, terms, repeat(-1)), dtype=np.int32, count=len(terms)
         )
@@ -353,19 +360,8 @@ class TfIdfOperator:
             term = terms[int(np.flatnonzero(pruned)[0])]
             raise OperatorError(f"term {term!r} missing from vocabulary index")
         weights = np.zeros(len(terms), dtype=np.float64)
-        weights[~pruned] = idf[gmap[~pruned]]
-        return gmap, weights
-
-    def bind(
-        self, wc: WordCountResult, vocabulary: list[str], idf: list[float]
-    ) -> TermBlock:
-        """The corpus block bound to a vocabulary: what the transform
-        kernel consumes, a row range (``bound[a:b]``) at a time."""
-        block = wc.term_block()
-        index = {term: term_id for term_id, term in enumerate(vocabulary)}
-        return block.bound(
-            *self._vocabulary_columns(block.terms, index, np.asarray(idf))
-        )
+        weights[~pruned] = np.asarray(idf)[gmap[~pruned]]
+        return block.bound(gmap, weights)
 
     def transform_wordcount(
         self,
@@ -424,6 +420,17 @@ class TfIdfOperator:
             matrix=matrix, vocabulary=vocabulary, idf=idf, wordcount=wc
         )
 
+    def transform_chunks(
+        self, chunks: list[TermBlock], backend: ExecutionBackend | None = None
+    ) -> list:
+        """Transform bound row ranges (``bind(...)[a:b]`` — the cache's
+        changed shards) into one CSR block each, bit-identically to the
+        full transform."""
+        if backend is None:
+            return [kernels.transform_chunk(chunk) for chunk in chunks]
+        backend.begin_phase(PHASE_TRANSFORM)
+        return backend.map(kernels.transform_chunk, chunks, grain=1)
+
     def transform_wordcount_tiled(
         self,
         wc: WordCountResult,
@@ -444,6 +451,7 @@ class TfIdfOperator:
         to the monolithic path on the same backend; only the container
         differs. The returned result's ``matrix`` is a
         :class:`~repro.tiles.matrix.TiledCsrMatrix` view owning the store.
+        ``tile_docs`` defaults to what fits the store's memory budget.
 
         Unlike the monolithic path this one does not translate quarantine
         coordinates: a poisoned document fails the phase (documented in
@@ -459,7 +467,7 @@ class TfIdfOperator:
         n_cols = len(vocabulary)
         n_docs = len(wc.doc_tfs)
         if tile_docs is None or tile_docs < 1:
-            tile_docs = max(1, min(n_docs, 4096))
+            tile_docs = _rows_per_tile(wc, store.memory_budget)
         if backend is None:
             index = self.build_index(vocabulary, scratch)
         else:
@@ -509,96 +517,19 @@ class TfIdfOperator:
         )
         store.append(row_start, n_cols, indptr, indices, data, sq_norms)
 
-    # -- fused execution (worker-resident intermediates) ------------------------------
 
-    def fit_transform_fused(
-        self,
-        corpus,
-        backend: ExecutionBackend,
-        *,
-        grain: int | None = None,
-    ) -> TfIdfResult:
-        """Fused wc→transform on one backend (paper optimization #3, real path).
+def _rows_per_tile(wc: WordCountResult, memory_budget: int | None) -> int:
+    """Rows per tile under ``memory_budget``, from phase-1 statistics.
 
-        Output is bit-identical to :meth:`fit_transform` on the same
-        backend — same counting, same vocabulary (built from the merged
-        document-frequency table, which travels normally), same transform
-        arithmetic, same row order — but the per-document counts never
-        cross the IPC boundary: each worker transforms the chunks it
-        counted. On the process backend this eliminates the transform
-        phase's corpus-sized task pickles (visible in ``IpcStats``): a
-        flush task carries only its chunk's two per-term columns, and
-        with the shared-memory plane up not even those.
-        """
-        fused = self.wordcount.run_fused(corpus, backend, grain=grain)
-        return self.transform_resident(fused)
-
-    def transform_resident(self, fused: FusedWordCount) -> TfIdfResult:
-        """Flush worker-resident chunks through the transform (phase 2a).
-
-        No ``configure`` happens here (the process backend would recycle
-        its pool and lose the resident chunks): everything a worker needs
-        rides in its flush task.
-        """
-        backend = fused.backend
-        wc = fused.wc
-        vocabulary, idf = self.build_vocabulary(wc, TaskCost())
-        backend.begin_phase(PHASE_TRANSFORM)
-        index = {term: term_id for term_id, term in enumerate(vocabulary)}
-        idf_array = np.asarray(idf)
-        columns = [
-            self._vocabulary_columns(terms, index, idf_array)
-            for terms in fused.chunk_terms
-        ]
-        shared = None
-        if backend.uses_shm and columns:
-            # One segment for every chunk's columns; a task then carries
-            # a constant-size reference instead of the arrays.
-            ends = np.cumsum([len(terms) for terms in fused.chunk_terms])
-            shared = backend.share_arrays(
-                "transform",
-                {
-                    "gmap": np.concatenate([gmap for gmap, _ in columns]),
-                    "weights": np.concatenate([w for _, w in columns]),
-                },
-            )
-            descriptor = shared.descriptor()
-            columns = [
-                (descriptor, int(end) - len(terms), int(end))
-                for terms, end in zip(fused.chunk_terms, ends)
-            ]
-        try:
-            flushed = backend.map(
-                kernels.transform_flush, list(enumerate(columns)), grain=1
-            )
-            # Residency misses (flush landed on a worker that did not
-            # count the chunk — impossible at workers=1 and in-process,
-            # possible above that) fall back to a fresh count+transform
-            # from the parent-retained chunk texts.
-            misses = [
-                chunk_id
-                for chunk_id, out in enumerate(flushed)
-                if out is None
-            ]
-            if misses:
-                redone = backend.map(
-                    kernels.count_transform_chunk,
-                    [
-                        (fused.chunk_texts[chunk_id], columns[chunk_id])
-                        for chunk_id in misses
-                    ],
-                    grain=1,
-                )
-                for chunk_id, out in zip(misses, redone):
-                    flushed[chunk_id] = out
-        finally:
-            if shared is not None:
-                shared.close()
-        return TfIdfResult(
-            matrix=CsrMatrix.from_arrays(
-                *concat_csr(flushed), n_cols=len(vocabulary)
-            ),
-            vocabulary=vocabulary,
-            idf=idf,
-            wordcount=wc,
-        )
+    Deliberately an *overestimate* of per-document bytes (every token
+    priced as a distinct nonzero), so a tile plus its working copies
+    land well inside the budget — the target is a quarter of it.
+    """
+    n = wc.n_docs
+    if memory_budget is None:
+        return max(1, min(n, 4096))
+    if n <= 0:
+        return 1
+    per_doc = 24.0 * (wc.total_tokens / n) + 40.0
+    docs = int((memory_budget / 4) // per_doc)
+    return max(1, min(n, docs))

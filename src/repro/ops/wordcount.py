@@ -23,7 +23,6 @@ from repro.dicts.api import Dictionary
 from repro.dicts.cost import DictCostProfile, profile_for_kind
 from repro.dicts.factory import make_dict
 from repro.dicts.snapshot import SnapshotDict
-from repro.errors import ConfigurationError
 from repro.exec.inline import ExecutionBackend
 from repro.exec.parallel import auto_grain
 from repro.exec.scheduler import PhaseTiming, SimScheduler
@@ -33,7 +32,7 @@ from repro.ops import kernels
 from repro.sparse.blocks import TermBlock
 from repro.text.tokenizer import Tokenizer
 
-__all__ = ["WordCountResult", "WordCountStep", "FusedWordCount", "PHASE_INPUT_WC"]
+__all__ = ["WordCountResult", "WordCountStep", "PHASE_INPUT_WC"]
 
 #: Phase label used in Figure 3/4 breakdowns.
 PHASE_INPUT_WC = "input+wc"
@@ -100,9 +99,6 @@ class WordCountResult:
     total_tokens: int = 0
     #: Extrapolation factors the producing step was configured with.
     scale: WorkloadScale = UNIT_SCALE
-    #: Set by the fused path, where ``doc_tfs`` stays empty because the
-    #: per-document counts never left the workers.
-    counted_docs: int | None = None
     #: The counts in columnar form (see :meth:`term_block`).
     block: TermBlock | None = None
 
@@ -144,8 +140,6 @@ class WordCountResult:
 
     @property
     def n_docs(self) -> int:
-        if self.counted_docs is not None:
-            return self.counted_docs
         return len(self.doc_tfs)
 
     @property
@@ -163,28 +157,6 @@ class WordCountResult:
             self.df.resident_bytes() * self.scale.vocab_factor
             + per_doc * self.scale.doc_factor
         )
-
-
-@dataclass
-class FusedWordCount:
-    """Word-count output whose per-document counts stayed worker-resident.
-
-    Produced by :meth:`WordCountStep.run_fused`: ``wc.doc_tfs`` is empty
-    (``wc.counted_docs`` carries the document count instead) because each
-    worker kept its chunks' blocks in :data:`repro.ops.kernels._RESIDENT`,
-    waiting for the transform flush. ``chunk_terms`` are the chunks' term
-    lists (what the flush maps to vocabulary ids); ``chunk_texts`` retains
-    the raw chunk texts parent-side so a residency miss (the flush task
-    landing on a different pool worker) can fall back to a re-count;
-    ``backend`` is the backend that holds the resident state — the flush
-    *must* reuse it, without any intervening ``configure`` that would
-    recycle the pool.
-    """
-
-    wc: WordCountResult
-    chunk_terms: list[list[str]]
-    chunk_texts: list[list[str]]
-    backend: ExecutionBackend
 
 
 class WordCountStep:
@@ -453,86 +425,4 @@ class WordCountStep:
         return WordCountResult.from_block(
             TermBlock.concat(parts), paths, self.dict_kind, input_bytes,
             self.scale,
-        )
-
-    def run_fused(
-        self,
-        texts,
-        backend: ExecutionBackend,
-        *,
-        grain: int | None = None,
-    ) -> FusedWordCount:
-        """Count chunks, leaving per-document counts worker-resident.
-
-        First half of the fused wc→transform pipeline (paper optimization
-        #3 on the real path): counting arithmetic is identical to
-        :meth:`run`, but each task returns only its terms, their partial
-        document frequencies and its token counts — the corpus-sized
-        rows stay in the worker that counted them, keyed by chunk id,
-        until :meth:`repro.ops.tfidf.TfIdfOperator.transform_resident`
-        flushes them. Incompatible with retry/quarantine policies (a
-        retried task would double-install resident state on a different
-        worker), so resilient backends are rejected.
-        """
-        if getattr(backend, "_resilient", False):
-            raise ConfigurationError(
-                "fused wc→transform is incompatible with retry/quarantine "
-                "policies; run unfused or drop the resilience policy"
-            )
-        backend.begin_phase(PHASE_INPUT_WC)
-        backend.configure(kernels.init_fused_worker, (self.tokenizer,))
-        if grain is None:
-            try:
-                n_hint = len(texts)
-            except TypeError:
-                n_hint = None
-            grain = (
-                auto_grain(n_hint, backend.workers) if n_hint else _STREAM_GRAIN
-            )
-        paths: list[str] = []
-        input_bytes = 0
-        chunk_texts: list[list[str]] = []
-
-        def chunked():
-            nonlocal input_bytes
-            chunk: list[str] = []
-            for name, text in _iter_named(texts):
-                paths.append(name if name is not None else f"mem-{len(paths)}")
-                input_bytes += len(text)
-                chunk.append(text)
-                if len(chunk) >= grain:
-                    chunk_texts.append(chunk)
-                    yield (len(chunk_texts) - 1, chunk)
-                    chunk = []
-            if chunk:
-                chunk_texts.append(chunk)
-                yield (len(chunk_texts) - 1, chunk)
-
-        parts = backend.map_stream(
-            kernels.count_chunk_resident, chunked(), grain=1
-        )
-
-        chunk_terms: list[list[str]] = []
-        doc_tokens: list[int] = []
-        df_total: dict[str, int] = {}
-        for terms, df_counts, token_counts in parts:
-            chunk_terms.append(terms)
-            doc_tokens.extend(token_counts.tolist())
-            for term, count in zip(terms, df_counts.tolist()):
-                df_total[term] = df_total.get(term, 0) + count
-        df = SnapshotDict(sorted(df_total.items()), kind=self.dict_kind)
-        wc = WordCountResult(
-            paths=paths,
-            doc_tfs=[],
-            doc_token_counts=doc_tokens,
-            df=df,
-            dict_kind=self.dict_kind,
-            input_bytes=input_bytes,
-            total_tokens=sum(doc_tokens),
-            scale=self.scale,
-            counted_docs=len(paths),
-        )
-        return FusedWordCount(
-            wc=wc, chunk_terms=chunk_terms, chunk_texts=chunk_texts,
-            backend=backend,
         )

@@ -9,8 +9,8 @@ The measure → calibrate → plan loop (ROADMAP item 2):
    constants from those measurements, or from a cheap sampled sequential
    probe when no history exists; stores persist as JSON.
 3. **Plan** — :class:`RealCostModel` prices every candidate
-   :class:`PhasePlan` (backend × workers × shm × grain × dict kind ×
-   fusion) and :class:`AdaptivePlanner` picks the per-phase argmin,
+   :class:`PhasePlan` (backend × workers × shm × grain × dict kind)
+   and :class:`AdaptivePlanner` picks the per-phase argmin,
    returning a :class:`RealPlan` whose ``explain()`` narrates the
    rejected candidates.
 

@@ -71,8 +71,8 @@ class PhaseConstants:
     #: Bytes of result pickle returned per document.
     result_bytes_per_doc: float = 0.0
     #: Task bytes per document when the phase's bulk state travels via
-    #: the shm plane instead of the task pickle (kmeans block tokens,
-    #: fused-transform descriptors). 0 = effectively free.
+    #: the shm plane instead of the task pickle (kmeans block tokens).
+    #: 0 = effectively free.
     shm_task_bytes_per_doc: float = 0.0
     #: Parent-side dictionary merge ops per document (wc: df increments).
     merge_ops_per_doc: float = 0.0
@@ -108,6 +108,25 @@ class CalibrationStore:
     samples: int = 0
     host: dict = field(default_factory=dict)
     version: int = 1
+
+    # -- the tiling test -----------------------------------------------------------
+
+    def matrix_bytes(self, n_docs: int) -> int:
+        """Estimated resident bytes of the score matrix for ``n_docs``
+        (0 when no transform constants have been fitted yet)."""
+        constants = self.phases.get("transform")
+        if constants is None:
+            return 0
+        return int(n_docs * constants.result_bytes_per_doc)
+
+    def must_tile(self, n_docs: int, memory_budget: int | None) -> bool:
+        """Whether a run over ``n_docs`` has to go through the tiled data
+        plane: a budget is set and the estimated matrix exceeds it. The
+        one definition the planner and the driver's cache routing share."""
+        return (
+            memory_budget is not None
+            and self.matrix_bytes(n_docs) > memory_budget
+        )
 
     # -- persistence -------------------------------------------------------------
 
@@ -157,6 +176,14 @@ class CalibrationStore:
                 f"(truncated or corrupt — delete it to re-probe): {exc}"
             ) from exc
         return cls.from_dict(payload)
+
+    @classmethod
+    def ensure(cls, value, corpus) -> "CalibrationStore":
+        """Coerce a store / path / ``None`` into a store: a store is used
+        as is, anything else goes through :meth:`load_or_probe`."""
+        if isinstance(value, cls):
+            return value
+        return cls.load_or_probe(value, corpus)
 
     @classmethod
     def load_or_probe(cls, path: str | None, corpus) -> "CalibrationStore":
@@ -242,8 +269,8 @@ class CalibrationStore:
             compute_ns_per_doc=tr_s / k * 1e9,
             task_bytes_per_doc=tr_task_bytes,
             result_bytes_per_doc=len(pickle.dumps(rows)) / k,
-            # Unfused, the per-document counts ride the task pickles even
-            # with shm up; only *fusion* eliminates them.
+            # The per-document counts ride the task pickles even with
+            # shm up.
             shm_task_bytes_per_doc=tr_task_bytes,
         )
 

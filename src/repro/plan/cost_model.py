@@ -2,8 +2,8 @@
 
 Where :mod:`repro.core.cost_model` prices *virtual* machines, this model
 prices the host it runs on: a :class:`PhasePlan` names one candidate
-configuration (backend tier × workers × shm × grain × dictionary kind ×
-fused-or-not) and :meth:`RealCostModel.predict` multiplies it against a
+configuration (backend tier × workers × shm × grain × dictionary kind)
+and :meth:`RealCostModel.predict` multiplies it against a
 :class:`~repro.plan.calibration.CalibrationStore`'s measured constants:
 
 ``predicted = compute / effective_parallelism + pickle(task + result
@@ -12,10 +12,9 @@ dictionary merge + last-chunk imbalance``
 
 The terms mirror how the backends actually spend time — threads get no
 compute division (CPython's GIL serializes the CPU-bound kernels),
-process pools pay one spawn per ``configure`` generation, fusion zeroes
-the transform's corpus-sized task pickles but keeps its result pickles —
-so on a 1-CPU host the model *discovers* that sequential wins at small
-scale, rather than being told.
+process pools pay one spawn per ``configure`` generation — so on a 1-CPU
+host the model *discovers* that sequential wins at small scale, rather
+than being told.
 """
 
 from __future__ import annotations
@@ -31,11 +30,6 @@ from repro.plan.calibration import CalibrationStore
 
 __all__ = ["PhasePlan", "PhaseWorkload", "PhaseEstimate", "RealCostModel"]
 
-#: Pickled size of a flush-task descriptor tuple on the fused path
-#: (chunk id + ShmArraysDescriptor) — constant, a few hundred bytes.
-_FUSED_TASK_BYTES = 400
-
-
 @dataclass(frozen=True)
 class PhasePlan:
     """One candidate configuration for one phase."""
@@ -47,9 +41,6 @@ class PhasePlan:
     #: Items per task; ``None`` = the backend's Cilk-style auto grain.
     grain: int | None = None
     dict_kind: str = DEFAULT_KIND
-    #: True on a transform plan fused into the preceding word count:
-    #: same backend instance, worker-resident intermediates, no respawn.
-    fused_with_previous: bool = False
     #: True when the phase's full result sits in the run's result cache:
     #: the phase serves from disk instead of computing, and the cost
     #: model prices it at deserialization speed.
@@ -76,10 +67,7 @@ class PhasePlan:
             # grain and dictionary kind are not knobs here.
             return backend
         grain = "auto" if self.grain is None else str(self.grain)
-        label = f"{backend} grain={grain} dict={self.dict_kind}"
-        if self.fused_with_previous:
-            label += " (fused)"
-        return label
+        return f"{backend} grain={grain} dict={self.dict_kind}"
 
 
 @dataclass(frozen=True)
@@ -198,11 +186,7 @@ class RealCostModel:
         elif plan.backend == "processes":
             p = max(1, min(plan.workers, self.cpu_count))
             task_bpd = constants.task_bytes_per_doc
-            if plan.fused_with_previous and workload.phase == "transform":
-                # Fusion: per-doc counts stay worker-resident; each task
-                # ships only a constant-size reference to its term columns.
-                task_bytes = n_tasks * _FUSED_TASK_BYTES * passes
-            elif plan.shm and constants.shm_task_bytes_per_doc < task_bpd:
+            if plan.shm and constants.shm_task_bytes_per_doc < task_bpd:
                 task_bytes = n * passes * constants.shm_task_bytes_per_doc
             else:
                 task_bytes = n * passes * task_bpd
@@ -212,14 +196,9 @@ class RealCostModel:
                 * (c.pickle_ns_per_byte + c.unpickle_ns_per_byte)
                 * 1e-9
             )
-            # One pool generation per configure: every unfused phase
-            # reconfigures its initializer, so every unfused phase pays a
-            # spawn. A fused transform inherits the word count's pool.
-            spawn_s = (
-                0.0
-                if plan.fused_with_previous
-                else c.pool_spawn_s_per_worker * plan.workers
-            )
+            # One pool generation per configure: every phase
+            # reconfigures its initializer, so every phase pays a spawn.
+            spawn_s = c.pool_spawn_s_per_worker * plan.workers
             shm_s = c.shm_setup_s * (1 if plan.shm else 0)
             # Last-chunk imbalance: the final grain-sized task has no
             # peers to overlap with; bounded by one task's compute.

@@ -2,14 +2,13 @@
 
 The :class:`AdaptivePlanner` enumerates candidate
 :class:`~repro.plan.cost_model.PhasePlan` configurations — backend tier ×
-worker count × shm on/off × chunk grain × dictionary implementation, plus
-the fused wc→transform variant — prices each with the
-:class:`~repro.plan.cost_model.RealCostModel`, and picks the argmin:
+worker count × shm on/off × chunk grain × dictionary implementation —
+prices each with the :class:`~repro.plan.cost_model.RealCostModel`, and
+picks the argmin:
 
-* ``input+wc`` and ``transform`` are planned **jointly**, because fusion
-  couples them (a fused transform must run on the word count's backend
-  and pool generation) and because fusion changes *both* phases' IPC
-  bills;
+* ``input+wc`` and ``transform`` are planned **jointly**, because the
+  dictionary implementations of the two phases are chosen as a pair
+  (uniform or mixed, the paper's fourth optimization);
 * ``kmeans`` is planned independently — its blocking and merge order are
   part of the output contract, so only backend/workers/shm vary.
 
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.dicts.factory import PLANNER_KINDS, dict_candidate_pairs
+from repro.dicts.factory import DEFAULT_KIND, PLANNER_KINDS, dict_candidate_pairs
 from repro.errors import PlannerError
 from repro.exec.shm import shm_available
 from repro.plan.calibration import CalibrationStore
@@ -45,18 +44,12 @@ class PairEstimate:
 
     wc: PhaseEstimate
     transform: PhaseEstimate
-    fused: bool
 
     @property
     def predicted_s(self) -> float:
         return self.wc.predicted_s + self.transform.predicted_s
 
     def describe(self) -> str:
-        if self.fused:
-            return (
-                f"fused {self.wc.plan.describe()} → "
-                f"dict={self.transform.plan.dict_kind}"
-            )
         return f"{self.wc.plan.describe()} → {self.transform.plan.describe()}"
 
 
@@ -76,11 +69,6 @@ class RealPlan:
     memory_budget: int | None = None
     #: The matrix-size estimate the tiling decision was made against.
     matrix_bytes: int = 0
-
-    @property
-    def fused(self) -> bool:
-        transform = self.phases.get("transform")
-        return bool(transform and transform.fused_with_previous)
 
     @property
     def tiled(self) -> bool:
@@ -108,7 +96,6 @@ class RealPlan:
             "phases": {
                 phase: plan.describe() for phase, plan in self.phases.items()
             },
-            "fused": self.fused,
             "tiled": self.tiled,
             "memory_budget": self.memory_budget,
             "matrix_bytes": self.matrix_bytes,
@@ -213,15 +200,6 @@ class AdaptivePlanner:
                 configs.append(("processes", workers, True))
         return configs
 
-    @staticmethod
-    def _supports_fusion(backend: str, shm: bool) -> bool:
-        # The cost model prices a fused flush task as a constant-size
-        # token. That holds in-process (nothing is pickled) and on the
-        # process backend with the shm plane carrying the per-chunk term
-        # columns; without it the columns ride in the tasks — supported
-        # by the operator, but not what the model would be pricing.
-        return backend != "processes" or shm
-
     # -- planning --------------------------------------------------------------------
 
     def plan(
@@ -230,7 +208,6 @@ class AdaptivePlanner:
         input_bytes: int = 0,
         kmeans_iters: int = 10,
         cached_phases: frozenset[str] = frozenset(),
-        allow_fusion: bool = True,
         memory_budget: int | None = None,
     ) -> RealPlan:
         """Pick the per-phase argmin for a corpus of ``n_docs``.
@@ -239,25 +216,18 @@ class AdaptivePlanner:
         the run's result cache: those are pinned to a ``cached``
         :class:`PhasePlan` (priced at deserialization speed) instead of
         being enumerated — the planner routes around work it can skip.
-        ``allow_fusion=False`` drops the fused wc→transform candidates;
-        a cache-enabled run sets it because fused intermediates never
-        materialize parent-side, which would leave nothing to store.
 
         ``memory_budget`` (bytes) bounds the resident score matrix. When
         the estimated matrix exceeds it, only tiled candidates are
-        enumerated for the transform and k-means — fusion is also off,
-        because fused rows materialize parent-side before any tile could
-        absorb them. When the matrix fits, tiled *and* untiled variants
-        compete and the tile-I/O cost term makes the resident matrix
-        win: the plan only tiles when the budget demands it.
+        enumerated for the transform and k-means. When the matrix fits,
+        tiled *and* untiled variants compete and the tile-I/O cost term
+        makes the resident matrix win: the plan only tiles when the
+        budget demands it.
         """
         if n_docs <= 0:
             raise PlannerError("cannot plan for an empty corpus")
-        matrix_bytes = 0
-        tr_constants = self.calibration.phases.get("transform")
-        if tr_constants is not None:
-            matrix_bytes = int(n_docs * tr_constants.result_bytes_per_doc)
-        must_tile = memory_budget is not None and matrix_bytes > memory_budget
+        matrix_bytes = self.calibration.matrix_bytes(n_docs)
+        must_tile = self.calibration.must_tile(n_docs, memory_budget)
         if memory_budget is None:
             tiled_options: tuple[bool, ...] = (False,)
         elif must_tile:
@@ -270,111 +240,57 @@ class AdaptivePlanner:
             "kmeans", n_docs, iterations=kmeans_iters,
             matrix_bytes=matrix_bytes,
         )
-        wc_cached = "input+wc" in cached_phases
-        tr_cached = "transform" in cached_phases
-
         configs = self._configs()
-        pairs: list[PairEstimate] = []
-        cached_wc_est = self.model.predict(
-            wl_wc, PhasePlan("input+wc", "sequential", 1, cached=True)
-        )
-        cached_tr_est = self.model.predict(
-            wl_tr,
-            PhasePlan(
-                "transform", "sequential", 1, cached=True, tiled=must_tile
-            ),
-        )
-        if wc_cached and tr_cached:
-            pairs.append(
-                PairEstimate(wc=cached_wc_est, transform=cached_tr_est,
-                             fused=False)
-            )
-        elif wc_cached:
-            # Served word counts have no live pool to fuse into: the
-            # transform is enumerated unfused.
-            for tr_kind in self.dict_kinds:
-                for backend2, workers2, shm2 in configs:
-                    for grain2 in self.grain_options:
-                        for tiled2 in tiled_options:
-                            tr_plan = PhasePlan(
-                                "transform", backend2, workers2, shm2,
-                                grain=grain2, dict_kind=tr_kind,
-                                tiled=tiled2,
-                            )
-                            pairs.append(
-                                PairEstimate(
-                                    wc=cached_wc_est,
-                                    transform=self.model.predict(
-                                        wl_tr, tr_plan
-                                    ),
-                                    fused=False,
-                                )
-                            )
-        elif tr_cached:
-            for wc_kind in self.dict_kinds:
-                for backend1, workers1, shm1 in configs:
-                    for grain1 in self.grain_options:
-                        wc_plan = PhasePlan(
-                            "input+wc", backend1, workers1, shm1,
-                            grain=grain1, dict_kind=wc_kind,
-                        )
-                        pairs.append(
-                            PairEstimate(
-                                wc=self.model.predict(wl_wc, wc_plan),
-                                transform=cached_tr_est,
-                                fused=False,
-                            )
-                        )
-        else:
-            for wc_kind, tr_kind in dict_candidate_pairs(
+
+        def estimates(
+            workload: PhaseWorkload, kind: str, tilings=(False,)
+        ) -> list[PhaseEstimate]:
+            """One phase's candidates under dictionary ``kind``: every
+            live configuration, or the single pinned plan when cached."""
+            phase = workload.phase
+            if phase in cached_phases:
+                # Served tiled only when nothing else is allowed.
+                plans = [PhasePlan(
+                    phase, "sequential", 1, cached=True, tiled=all(tilings)
+                )]
+            else:
+                plans = [
+                    PhasePlan(
+                        phase, backend, workers, shm,
+                        grain=grain, dict_kind=kind, tiled=tiled,
+                    )
+                    for backend, workers, shm in configs
+                    for grain in self.grain_options
+                    for tiled in tilings
+                ]
+            return [self.model.predict(workload, plan) for plan in plans]
+
+        # A cached phase has no dictionary to choose: with one side
+        # pinned only the live side's kind varies, with both there is
+        # nothing left to enumerate.
+        pinned = cached_phases & {"input+wc", "transform"}
+        if not pinned:
+            kind_pairs = dict_candidate_pairs(
                 self.dict_kinds, mixed=self.mixed_dicts
-            ):
-                for backend1, workers1, shm1 in configs:
-                    for grain1 in self.grain_options:
-                        wc_plan = PhasePlan(
-                            "input+wc", backend1, workers1, shm1,
-                            grain=grain1, dict_kind=wc_kind,
-                        )
-                        wc_est = self.model.predict(wl_wc, wc_plan)
-                        # Unfused: transform free to pick any configuration
-                        # (run_pipeline rebinds backends between phases).
-                        for backend2, workers2, shm2 in configs:
-                            for grain2 in self.grain_options:
-                                for tiled2 in tiled_options:
-                                    tr_plan = PhasePlan(
-                                        "transform", backend2, workers2,
-                                        shm2, grain=grain2,
-                                        dict_kind=tr_kind, tiled=tiled2,
-                                    )
-                                    pairs.append(
-                                        PairEstimate(
-                                            wc=wc_est,
-                                            transform=self.model.predict(
-                                                wl_tr, tr_plan
-                                            ),
-                                            fused=False,
-                                        )
-                                    )
-                        # Fused: transform bound to the word count's
-                        # config. Never tiled — fused rows materialize
-                        # parent-side before a tile could absorb them.
-                        if allow_fusion and not must_tile and (
-                            self._supports_fusion(backend1, shm1)
-                        ):
-                            fused_plan = PhasePlan(
-                                "transform", backend1, workers1, shm1,
-                                grain=grain1, dict_kind=tr_kind,
-                                fused_with_previous=True,
-                            )
-                            pairs.append(
-                                PairEstimate(
-                                    wc=wc_est,
-                                    transform=self.model.predict(
-                                        wl_tr, fused_plan
-                                    ),
-                                    fused=True,
-                                )
-                            )
+            )
+        elif len(pinned) == 1:
+            kind_pairs = [(kind, kind) for kind in self.dict_kinds]
+        else:
+            kind_pairs = [(DEFAULT_KIND, DEFAULT_KIND)]
+        # Each phase is priced once per kind; the transform is free to
+        # pick any configuration per word-count candidate (run_pipeline
+        # rebinds backends between phases).
+        counts = {kind: estimates(wl_wc, kind) for kind, _ in kind_pairs}
+        transforms = {
+            kind: estimates(wl_tr, kind, tiled_options)
+            for _, kind in kind_pairs
+        }
+        pairs = [
+            PairEstimate(wc=wc_est, transform=tr_est)
+            for wc_kind, tr_kind in kind_pairs
+            for wc_est in counts[wc_kind]
+            for tr_est in transforms[tr_kind]
+        ]
         pairs.sort(key=lambda pair: pair.predicted_s)
 
         # K-means streams whatever matrix the transform produced, so its

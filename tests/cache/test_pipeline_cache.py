@@ -256,20 +256,3 @@ class TestPlannedCache:
         for phase in ("input+wc", "transform", "kmeans"):
             assert warm.plan.phases[phase].cached
             assert warm.plan.phases[phase].describe() == "cached"
-
-    def test_cache_enabled_auto_plan_never_fuses(self, corpus, tmp_path):
-        # Fused intermediates never materialize parent-side, so there
-        # would be nothing to store: fusion is suppressed under caching.
-        calibration = CalibrationStore.load_or_probe(None, corpus)
-        cache = PipelineCache(str(tmp_path / "cache"))
-        result = run_pipeline(
-            corpus,
-            plan="auto",
-            calibration=calibration,
-            tfidf=TfIdfOperator(),
-            kmeans=KMeansOperator(max_iters=3),
-            cache=cache,
-        )
-        assert not result.plan.fused
-        # Planned phases run on armed backends; compare against one.
-        _assert_identical(result, _run(corpus, backend_spec=("sequential", 1, None)))

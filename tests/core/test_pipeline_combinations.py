@@ -1,0 +1,246 @@
+"""One driver, every route, every option pair: the digest or a table row.
+
+``run_pipeline`` executes every run as a plan — the caller's backend (or
+none) is the trivial one — and wraps the same three phases with
+streaming input, caching, tiling, tracing, degradation and the ledger.
+This suite crosses every route with every subset of at most two of those
+options on Mix@0.01 and accepts exactly two outcomes: the recorded
+output digest, or a :class:`ConfigurationError` whose text is a row of
+``PIPELINE_RULES``. Nothing else — no option silently disables another.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+import threading
+import time
+
+import pytest
+
+from repro.cli import main
+from repro.core.pipeline import (
+    PHASE_READ,
+    PIPELINE_RULES,
+    check_pipeline_rules,
+    run_pipeline,
+)
+from repro.errors import ConfigurationError
+from repro.exec.faultinject import FaultPlan, FaultSpec
+from repro.exec.process import ProcessBackend, make_backend
+from repro.exec.resilience import ResilienceConfig
+from repro.io import FsStorage, corpus_stream, store_corpus
+from repro.plan import CalibrationStore, PhasePlan, RealPlan
+from repro.text.synth import MIX_PROFILE, generate_corpus
+
+from tests.ops.test_columnar_blocks import (
+    CI_CALIBRATION,
+    PARENT_DIGESTS,
+    _digest,
+    _mixed_tier_plan,
+    _operators,
+)
+
+ROUTES = ("inline", "sequential", "processes-2", "auto", "mixed-tier")
+OPTIONS = ("stream", "cache", "budget", "trace", "degrade", "ledger")
+SUBSETS = [
+    subset
+    for size in range(3)
+    for subset in itertools.combinations(OPTIONS, size)
+]
+#: Far below the Mix@0.01 matrix footprint: the budget really tiles.
+BUDGET = 64 * 1024
+BACKEND_DIGEST, INLINE_DIGEST = PARENT_DIGESTS["mix"]
+RULE_MESSAGES = [message for _violated, message in PIPELINE_RULES]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return generate_corpus(MIX_PROFILE, scale=0.01, seed=7)
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(corpus, tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("mix"))
+    store_corpus(FsStorage(root), corpus)
+    return root
+
+
+def _run(route, subset, corpus, corpus_dir, tmp_path):
+    """One run of ``route`` with the options in ``subset`` switched on."""
+    budget = BUDGET if "budget" in subset else None
+    options = {
+        "memory_budget": budget,
+        "trace": "trace" in subset,
+        "degrade": "degrade" in subset,
+    }
+    if "cache" in subset:
+        options["cache"] = str(tmp_path / "cache")
+    if "ledger" in subset:
+        options["ledger"] = str(tmp_path / "ledger")
+    if route == "auto":
+        options.update(
+            plan="auto", observe=False,
+            calibration=CalibrationStore.load(CI_CALIBRATION),
+        )
+    elif route == "mixed-tier":
+        options["plan"] = _mixed_tier_plan(len(corpus), budget)
+    backend = None
+    if route == "sequential":
+        backend = make_backend("sequential")
+    elif route == "processes-2":
+        backend = make_backend("processes", 2)
+    source = corpus
+    if "stream" in subset:
+        source = corpus_stream(FsStorage(corpus_dir), workers=2)
+    tfidf, kmeans = _operators()
+    try:
+        return run_pipeline(
+            source, backend=backend, tfidf=tfidf, kmeans=kmeans, **options
+        )
+    finally:
+        if backend is not None:
+            backend.close()
+
+
+@pytest.mark.parametrize("subset", SUBSETS, ids=lambda s: "+".join(s) or "plain")
+@pytest.mark.parametrize("route", ROUTES)
+def test_digest_or_a_rule_table_row(route, subset, corpus, corpus_dir, tmp_path):
+    expected = INLINE_DIGEST if route == "inline" else BACKEND_DIGEST
+    # A cached combination runs cold, then warm: both must be right.
+    for attempt in range(2 if "cache" in subset else 1):
+        try:
+            result = _run(route, subset, corpus, corpus_dir, tmp_path)
+        except ConfigurationError as exc:
+            assert str(exc) in RULE_MESSAGES
+            # The one conflict reachable here: nothing to trace inline.
+            assert route == "inline" and "trace" in subset
+            return
+        assert not (route == "inline" and "trace" in subset)
+        planned = route in ("auto", "mixed-tier")
+        assert (result.plan is not None) == planned
+        assert result.backend_name == ("planned" if planned else route)
+        assert (PHASE_READ in result.phase_seconds) == ("stream" in subset)
+        assert (result.trace is not None) == ("trace" in subset)
+        assert (result.ledger is not None) == ("ledger" in subset)
+        assert result.downgrades == []
+        if "budget" in subset:
+            assert result.tiles["peak_pinned_bytes"] <= BUDGET
+        else:
+            assert result.tiles is None
+        if "cache" in subset:
+            hits = 3 if attempt else 0
+            assert (result.cache["hits"], result.cache["misses"]) == (
+                hits, 3 - hits
+            )
+        else:
+            assert result.cache is None
+        assert _digest(result) == expected  # also releases a tiled matrix
+
+
+class TestRuleTable:
+    """Each row fires, with the table's own text."""
+
+    def test_backend_with_plan(self, corpus):
+        backend = make_backend("sequential")
+        with pytest.raises(ConfigurationError) as caught:
+            run_pipeline(corpus, backend=backend, plan="auto")
+        assert str(caught.value) == RULE_MESSAGES[0]
+
+    def test_trace_on_the_inline_path(self, corpus):
+        with pytest.raises(ConfigurationError) as caught:
+            run_pipeline(corpus, trace=True)
+        assert str(caught.value) == RULE_MESSAGES[1]
+
+    def test_policy_flags_under_a_plan(self, corpus_dir, capsys):
+        flags = ("--retries", "--on-poison")
+        with pytest.raises(ConfigurationError) as caught:
+            check_pipeline_rules(
+                backend=False, plan=True, trace=False, policy=flags
+            )
+        text = RULE_MESSAGES[2].format(policy=", ".join(flags))
+        assert str(caught.value) == text
+        # The CLI is the caller that can violate it, and says the same.
+        assert main(["pipeline", "--input", corpus_dir, "--plan", "auto",
+                     "--retries", "1", "--on-poison", "quarantine"]) == 2
+        assert text in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", ["README.md", "docs/resilience.md"])
+    def test_docs_quote_the_table_verbatim(self, doc):
+        root = os.path.join(os.path.dirname(__file__), "..", "..")
+        with open(os.path.join(root, doc), encoding="utf-8") as handle:
+            text = handle.read()
+        for message in RULE_MESSAGES:
+            assert f"`{message}`" in text
+
+    def test_legal_combinations_pass(self):
+        check_pipeline_rules(backend=True, plan=False, trace=True,
+                             policy=("--retries",))
+        check_pipeline_rules(backend=False, plan=True, trace=True)
+        check_pipeline_rules(backend=False, plan=False, trace=False)
+
+
+def test_verbatim_plan_over_a_stream_overlaps_reads_and_leaks_nothing(
+    corpus, corpus_dir
+):
+    before = set(threading.enumerate())
+    stream = corpus_stream(FsStorage(corpus_dir), workers=2)
+    tfidf, kmeans = _operators()
+    result = run_pipeline(
+        stream, plan=_mixed_tier_plan(len(corpus), None),
+        tfidf=tfidf, kmeans=kmeans, trace=True,
+    )
+    # Not drained up front: the read phase is the time phase 1 spent
+    # blocked, billed beside input+wc, and the reader spans are traced.
+    assert list(result.phase_seconds)[:2] == [PHASE_READ, "input+wc"]
+    assert PHASE_READ in result.trace.phases
+    assert stream.n_read == len(corpus)
+    assert _digest(result) == BACKEND_DIGEST
+    deadline = time.monotonic() + 5.0
+    while set(threading.enumerate()) - before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert set(threading.enumerate()) - before == set()
+
+
+def test_downgrade_is_sticky_on_a_planned_run(corpus, tmp_path, monkeypatch):
+    """Every phase planned on processes-2, and every process pool armed
+    to die on its first task of any phase: the run must fall to
+    threads-2 once, in phase 1, and stay there."""
+    specs = [
+        FaultSpec(phase, 0, "exit")
+        for phase in ("input+wc", "transform", "kmeans")
+    ]
+
+    def armed(name, workers=1, shm=None):
+        # No pool restarts: the first crash survives the backend's own
+        # breaker and reaches the driver's degrade loop.
+        backend = make_backend(
+            name, workers, shm=shm,
+            resilience=ResilienceConfig(max_pool_restarts=0),
+        )
+        if isinstance(backend, ProcessBackend):
+            backend.fault_plan = FaultPlan(specs, str(tmp_path))
+        return backend
+
+    monkeypatch.setattr("repro.core.pipeline.make_backend", armed)
+    plan = RealPlan(
+        phases={
+            phase: PhasePlan(phase, "processes", 2, False)
+            for phase in ("input+wc", "transform", "kmeans")
+        },
+        calibration="test",
+        n_docs=len(corpus),
+    )
+    tfidf, kmeans = _operators()
+    result = run_pipeline(
+        corpus, plan=plan, tfidf=tfidf, kmeans=kmeans, degrade=True
+    )
+    assert [
+        (event.phase, event.from_backend, event.to_backend)
+        for event in result.downgrades
+    ] == [("input+wc", "processes-2", "threads-2")]
+    for phase in ("transform", "kmeans"):
+        # Threads share the parent's memory: nothing was pickled.
+        moved = result.ipc["phases"].get(phase, {})
+        assert moved.get("task_pickle_bytes", 0) == 0
+    assert _digest(result) == BACKEND_DIGEST

@@ -241,7 +241,7 @@ class TestBackendPlane:
             handle = backend.share_arrays("t", {"a": np.ones(4)})
             name = handle.descriptor().segment
             backend.configure(kernels.init_wordcount_worker, (None,))
-            backend.configure(kernels.init_fused_worker, (None,))
+            backend.configure(kernels.init_wordcount_worker, ("again",))
             assert name in _live_segments()  # pool recycling must not unlink
         finally:
             backend.close()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.pipeline import PHASE_KMEANS, run_pipeline
@@ -122,10 +124,33 @@ class TestRegressions:
         ]
         assert analytics.detect_regressions(records) == []
 
-    def test_fault_injected_slow_step_flagged_exactly(self, tmp_path, corpus):
+    def test_fault_injected_slow_step_flagged_exactly(
+        self, tmp_path, corpus, monkeypatch
+    ):
         """End to end: 3 clean ledgered runs, then one with an injected
-        hang in kmeans — ``regressions`` must flag kmeans and only kmeans."""
+        hang in kmeans — ``regressions`` must flag kmeans and only kmeans.
+
+        The driver reads phase time through one module-level clock; a
+        deterministic one stands in for it (every reading 0.10 s after
+        the last, an injected hang adding what it would have slept), so
+        the verdict cannot depend on how loaded the host is.
+        """
         led = str(tmp_path / "led")
+        now = [0.0]
+
+        def clock():
+            now[0] += 0.10
+            return now[0]
+
+        def hang(seconds):
+            now[0] += seconds
+
+        monkeypatch.setattr("repro.core.pipeline._clock", clock)
+        # Only the fault injector's view of ``time``: nothing else sleeps
+        # on the fake clock.
+        monkeypatch.setattr(
+            "repro.exec.faultinject.time", SimpleNamespace(sleep=hang)
+        )
 
         def run(fault_plan=None):
             backend = SequentialBackend()
@@ -146,9 +171,16 @@ class TestRegressions:
 
         records, problems = read_ledger(led)
         assert problems == []
+        durations = {}
+        for record in records:
+            durations.setdefault(record["step"], []).append(record["duration_s"])
+        for step, seen in durations.items():
+            slow = 0.60 if step == PHASE_KMEANS else 0.10
+            assert seen == pytest.approx([0.10, 0.10, 0.10, slow]), step
         flagged = analytics.detect_regressions(records)
         assert [f["step"] for f in flagged] == [PHASE_KMEANS]
-        assert flagged[0]["latest_s"] > flagged[0]["threshold_s"]
+        assert flagged[0]["latest_s"] == pytest.approx(0.60)
+        assert flagged[0]["baseline_p50_s"] == pytest.approx(0.10)
 
 
 class TestExports:

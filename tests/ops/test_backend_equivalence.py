@@ -224,9 +224,9 @@ class TestShmEquivalence:
 class TestPlannedEquivalence:
     """``plan="auto"`` changes scheduling only, never output bits.
 
-    The adaptive planner may split phases across backends and fuse
-    wc→transform; every planned run must still be bit-identical to every
-    fixed-configuration run — including k-means centroids, compared raw.
+    The adaptive planner may split phases across backends; every
+    planned run must still be bit-identical to every fixed-configuration
+    run — including k-means centroids, compared raw.
     """
 
     @pytest.fixture(scope="class")
@@ -284,41 +284,6 @@ class TestPlannedEquivalence:
                 f"planned output diverged from {backend_name}-{workers}"
                 f"{'+shm' if shm else ''}"
             )
-
-    @pytest.mark.skipif(not shm_available(), reason="no POSIX shm")
-    def test_fused_plan_identical_and_cuts_transform_ipc(
-        self, corpus, calibration
-    ):
-        from repro.plan import PhasePlan, RealPlan
-
-        fused_plan = RealPlan(
-            phases={
-                "input+wc": PhasePlan("input+wc", "processes", 1, True),
-                "transform": PhasePlan(
-                    "transform", "processes", 1, True,
-                    fused_with_previous=True,
-                ),
-                "kmeans": PhasePlan("kmeans", "processes", 1, True),
-            },
-            calibration=calibration.describe(),
-            n_docs=len(corpus),
-        )
-        fused = run_pipeline(
-            corpus,
-            plan=fused_plan,
-            tfidf=TfIdfOperator(),
-            kmeans=KMeansOperator(max_iters=3),
-        )
-        unfused = self._fixed(corpus, "processes", 1, shm=True)
-        assert self._fingerprint(fused) == self._fingerprint(unfused)
-
-        # Worker-resident fusion must show up in the transport bill: the
-        # fused transform re-ships no per-doc counts, so its task pickles
-        # collapse to per-task envelopes.
-        fused_bytes = fused.ipc["phases"]["transform"]["task_pickle_bytes"]
-        unfused_bytes = unfused.ipc["phases"]["transform"]["task_pickle_bytes"]
-        assert fused_bytes < unfused_bytes / 10
-        assert fused.plan.fused
 
 
 class TestTiledEquivalence:

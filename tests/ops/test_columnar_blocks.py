@@ -12,6 +12,7 @@ recorded from the commit before the change.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -28,10 +29,17 @@ from repro.exec.shm import shm_available
 from repro.ops import kernels
 from repro.ops.kmeans import KMeansOperator
 from repro.ops.tfidf import TfIdfOperator
-from repro.plan import PhasePlan, RealPlan
+from repro.plan import CalibrationStore, PhasePlan, RealPlan
 from repro.sparse.blocks import TermBlock
 from repro.text.synth import MIX_PROFILE, NSF_ABSTRACTS_PROFILE, generate_corpus
 from repro.text.tokenizer import TokenizedDocument, Tokenizer
+
+
+#: The committed CI calibration store, so planned runs here are
+#: deterministic (no probe).
+CI_CALIBRATION = os.path.join(
+    os.path.dirname(__file__), "..", "..", "benchmarks", "calibration_ci.json"
+)
 
 
 class _SplitTokenizer(Tokenizer):
@@ -239,7 +247,7 @@ class TestSliceConcatLaws:
         assert survivors == [{"a": 1}, {"b": 2}, {"a": 3}, {"c": 1}]
 
 
-# -- whole pipeline: fused without shm, IPC bill, parent digests ----------------------
+# -- whole pipeline: IPC bill, parent digests -----------------------------------------
 
 
 def _operators():
@@ -258,21 +266,37 @@ def _fixed(corpus, name, workers, shm=None, **options):
             backend.close()
 
 
-def _fused(corpus, backend_name, workers, shm):
-    plan = RealPlan(
+def _mixed_tier_plan(n_docs: int, memory_budget: int | None = None) -> RealPlan:
+    """A verbatim plan that changes backend at every phase boundary: wc
+    on processes-2 → transform on threads-2 → kmeans sequential. Tiled
+    when given a budget (a verbatim plan is executed as written, so the
+    budget has to be written into it)."""
+    tiled = memory_budget is not None
+    return RealPlan(
         phases={
-            "input+wc": PhasePlan("input+wc", backend_name, workers, shm),
-            "transform": PhasePlan(
-                "transform", backend_name, workers, shm,
-                fused_with_previous=True,
-            ),
-            "kmeans": PhasePlan("kmeans", backend_name, workers, shm),
+            "input+wc": PhasePlan("input+wc", "processes", 2, False),
+            "transform": PhasePlan("transform", "threads", 2, tiled=tiled),
+            "kmeans": PhasePlan("kmeans", "sequential", tiled=tiled),
         },
         calibration="test",
-        n_docs=len(corpus),
+        n_docs=n_docs,
+        memory_budget=memory_budget,
     )
+
+
+def _mixed_tier(corpus):
     tfidf, kmeans = _operators()
-    return run_pipeline(corpus, plan=plan, tfidf=tfidf, kmeans=kmeans)
+    return run_pipeline(
+        corpus, plan=_mixed_tier_plan(len(corpus)), tfidf=tfidf, kmeans=kmeans
+    )
+
+
+def _auto_cached(corpus, cache):
+    tfidf, kmeans = _operators()
+    return run_pipeline(
+        corpus, plan="auto", calibration=CalibrationStore.load(CI_CALIBRATION),
+        tfidf=tfidf, kmeans=kmeans, cache=cache, observe=False,
+    )
 
 
 def _digest(result) -> str:
@@ -329,10 +353,7 @@ class TestParentDigests:
             "sequential": lambda: _fixed(corpus, "sequential", 1),
             "threads": lambda: _fixed(corpus, "threads", 2),
             "processes pickled": lambda: _fixed(corpus, "processes", 2, shm=False),
-            "fused threads": lambda: _fused(corpus, "threads", 2, False),
-            "fused processes pickled": lambda: _fused(
-                corpus, "processes", 2, False
-            ),
+            "mixed-tier plan": lambda: _mixed_tier(corpus),
             "tiled": lambda: _fixed(
                 corpus, "sequential", 1, memory_budget=64 * 1024
             ),
@@ -341,9 +362,6 @@ class TestParentDigests:
             modes["processes shm"] = lambda: _fixed(
                 corpus, "processes", 2, shm=True
             )
-            modes["fused processes shm"] = lambda: _fused(
-                corpus, "processes", 1, True
-            )
         for mode, run in modes.items():
             assert _digest(run()) == backend_digest, mode
         cache = str(tmp_path / "cache")
@@ -351,29 +369,11 @@ class TestParentDigests:
         warm = _fixed(corpus, "sequential", 1, cache=cache)
         assert warm.cache["hits"] == 3 and warm.cache["misses"] == 0
         assert _digest(warm) == backend_digest, "cached warm"
-
-
-class TestFusedWithoutShm:
-    """The flush used to need the shm plane (the vocabulary could not
-    travel by ``configure``); now each task carries its chunk's columns."""
-
-    def test_processes_2_matches_unfused(self, mix):
-        # Two workers: some flushes land on the worker that did not count
-        # the chunk and fall back to a re-count from the retained texts.
-        fused = _fused(mix, "processes", 2, False)
-        assert fused.plan.fused
-        assert fused.ipc["total"]["segments"] == 0
-        assert _digest(fused) == _digest(_fixed(mix, "processes", 2, shm=False))
-
-    def test_one_worker_ships_only_term_columns(self, mix):
-        # One worker: every chunk is resident, so the transform's task
-        # pickles are the per-chunk (gmap, weights) and nothing else.
-        fused = _fused(mix, "processes", 1, False)
-        unfused = _fixed(mix, "processes", 1, shm=False)
-        fused_bytes = fused.ipc["phases"]["transform"]["task_pickle_bytes"]
-        unfused_bytes = unfused.ipc["phases"]["transform"]["task_pickle_bytes"]
-        assert fused_bytes < unfused_bytes
-        assert _digest(fused) == _digest(unfused)
+        planned_cache = str(tmp_path / "planned-cache")
+        assert _digest(_auto_cached(corpus, planned_cache)) == backend_digest
+        served = _auto_cached(corpus, planned_cache)
+        assert served.cache["hits"] == 3 and served.cache["misses"] == 0
+        assert _digest(served) == backend_digest, "auto plan, cached warm"
 
 
 class TestIpcBill:

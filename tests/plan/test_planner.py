@@ -1,4 +1,4 @@
-"""Adaptive planner: argmin choices, fusion costing, explain narrative."""
+"""Adaptive planner: argmin choices, explain narrative."""
 
 from __future__ import annotations
 
@@ -93,22 +93,6 @@ class TestCostModel:
         # 1 CPU: no compute division, only overhead on top.
         assert procs.breakdown["compute"] == seq.breakdown["compute"]
 
-    def test_fused_transform_zeroes_corpus_sized_pickles(self):
-        model = RealCostModel(make_store(), cpu_count=4)
-        unfused = model.predict(
-            PhaseWorkload("transform", 10_000),
-            PhasePlan("transform", "processes", 2, True),
-        )
-        fused = model.predict(
-            PhaseWorkload("transform", 10_000),
-            PhasePlan(
-                "transform", "processes", 2, True, fused_with_previous=True
-            ),
-        )
-        assert fused.breakdown["pickle"] < unfused.breakdown["pickle"]
-        assert fused.breakdown["spawn"] == 0.0
-        assert fused.predicted_s < unfused.predicted_s
-
     def test_unknown_phase_raises(self):
         from repro.errors import ConfigurationError
 
@@ -123,7 +107,6 @@ class TestAdaptivePlanner:
         plan = planner.plan(n_docs=1000)
         for phase in PHASES:
             assert plan.phases[phase].backend == "sequential", phase
-        assert not plan.fused
 
     def test_many_cpus_cheap_ipc_discovers_processes(self):
         # Compute-heavy docs, near-free pickling and spawning: the model
@@ -136,35 +119,6 @@ class TestAdaptivePlanner:
         plan = planner.plan(n_docs=5000)
         assert plan.phases["input+wc"].backend == "processes"
         assert plan.phases["kmeans"].backend == "processes"
-
-    def test_fusion_chosen_when_pickles_dominate(self):
-        # Heavy compute pushes the pair onto processes; fat transform
-        # task pickles then make the fused variant the argmin.
-        store = make_store(
-            compute_ns=5_000_000.0, task_bytes=50_000.0, result_bytes=10.0,
-            pickle_ns=1.0, spawn_s=0.001,
-        )
-        planner = AdaptivePlanner(store, cpu_count=8, shm_ok=True)
-        plan = planner.plan(n_docs=5000)
-        assert plan.phases["transform"].backend == "processes"
-        assert plan.fused
-        # Fusion binds the transform to the word count's configuration.
-        assert (
-            plan.phases["transform"].backend,
-            plan.phases["transform"].workers,
-            plan.phases["transform"].shm,
-        ) == (
-            plan.phases["input+wc"].backend,
-            plan.phases["input+wc"].workers,
-            plan.phases["input+wc"].shm,
-        )
-
-    def test_no_shm_excludes_fused_process_candidates(self):
-        planner = AdaptivePlanner(make_store(), cpu_count=4, shm_ok=False)
-        plan = planner.plan(n_docs=1000)
-        for pair in plan.pair_candidates:
-            if pair.fused and pair.transform.plan.backend == "processes":
-                pytest.fail("fused process candidate enumerated without shm")
 
     def test_empty_corpus_raises(self):
         with pytest.raises(PlannerError):
@@ -207,7 +161,6 @@ class TestAdaptivePlanner:
 
         plan = AdaptivePlanner(make_store(), cpu_count=1).plan(n_docs=100)
         payload = json.loads(json.dumps(plan.summary_dict()))
-        assert payload["fused"] == plan.fused
         assert set(payload["phases"]) == set(PHASES)
 
 
@@ -243,7 +196,6 @@ class TestCachedPhases:
             assert plan.phases[phase].cached, phase
         assert len(plan.pair_candidates) == 1
         assert len(plan.kmeans_candidates) == 1
-        assert not plan.fused
 
     def test_partial_cache_still_enumerates_the_live_phase(self):
         planner = AdaptivePlanner(make_store(), cpu_count=4, shm_ok=True)
@@ -252,21 +204,8 @@ class TestCachedPhases:
         )
         assert plan.phases["input+wc"].cached
         assert not plan.phases["transform"].cached
-        # The transform is still chosen from real candidates, unfused
-        # (a served word count has no live pool to fuse into).
+        # The transform is still chosen from real candidates.
         assert len(plan.pair_candidates) > 1
-        assert all(not pair.fused for pair in plan.pair_candidates)
-
-    def test_allow_fusion_false_drops_fused_candidates(self):
-        store = make_store(
-            compute_ns=5_000_000.0, task_bytes=50_000.0, result_bytes=10.0,
-            pickle_ns=1.0, spawn_s=0.001,
-        )
-        planner = AdaptivePlanner(store, cpu_count=8, shm_ok=True)
-        assert planner.plan(n_docs=5000).fused  # sanity: fusion would win
-        plan = planner.plan(n_docs=5000, allow_fusion=False)
-        assert not plan.fused
-        assert all(not pair.fused for pair in plan.pair_candidates)
 
     def test_cached_phases_beat_any_computed_candidate(self):
         planner = AdaptivePlanner(make_store(), cpu_count=1, shm_ok=False)

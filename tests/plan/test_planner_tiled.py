@@ -1,8 +1,7 @@
 """Planner under a memory budget: tile only when the budget demands it.
 
 The rule is asymmetric on purpose. A budget smaller than the predicted
-matrix footprint leaves no choice — every plan must tile (and fusion,
-whose worker-resident intermediates cannot spill, is off the table). A
+matrix footprint leaves no choice — every plan must tile. A
 budget the matrix fits under makes tiling an *option* the cost model
 prices via the ``tile_io`` term — and since spill I/O is pure overhead
 when memory suffices, the argmin must come back untiled.
@@ -41,9 +40,6 @@ class TestPlanDecision:
         assert plan.matrix_bytes == _matrix_bytes(store)
         assert plan.phases["transform"].tiled
         assert plan.phases["kmeans"].tiled
-        # Fusion's worker-resident intermediates cannot spill; a forced
-        # tiled plan must never fuse.
-        assert not plan.fused
 
     def test_ample_budget_stays_untiled(self):
         store = make_store()

@@ -217,18 +217,9 @@ class TestBenchPlan:
         assert pvf["best_fixed_config"] in ("sequential", "processes-1")
         assert pvf["planned_phase_floor_s"] > 0.0
 
-        if shm_available():
-            fusion = record["fusion"]
-            assert fusion["ok"] is True
-            # The fused transform keeps per-doc counts worker-resident:
-            # its task pickles must be a sliver of the unfused bill.
-            assert (
-                fusion["fused_transform_task_bytes"]
-                < fusion["unfused_transform_task_bytes"]
-            )
-            assert fusion["eliminated_bytes"] > 0
-        else:
-            assert record["fusion"] is None
+        # The worker-resident wc→transform path is gone; the section
+        # stays in the schema as an explicit null.
+        assert record["fusion"] is None
 
 
 class TestBenchCache:

@@ -362,8 +362,12 @@ class TestPlannedPipeline:
                      "--on-poison", "quarantine", "--degrade"]) == 2
         err = capsys.readouterr().err
         for flag in ("--retries", "--task-timeout", "--on-poison",
-                     "--degrade", "--plan fixed"):
+                     "--plan fixed"):
             assert flag in err
+        # --degrade is not a conflict: the degrade loop is the driver's.
+        assert "--degrade" not in err
+        # The text is the rule table's, with the real reason.
+        assert "carry no ResilienceConfig" in err
 
     def test_auto_plan_conflict_precedes_input_validation(
         self, tmp_path, capsys
@@ -372,8 +376,19 @@ class TestPlannedPipeline:
         # argument validation runs before the stream is opened.
         missing = str(tmp_path / "nonexistent")
         assert main(["pipeline", "--input", missing,
-                     "--plan", "auto", "--degrade"]) == 2
-        assert "--degrade" in capsys.readouterr().err
+                     "--plan", "auto", "--phase-timeout", "9"]) == 2
+        assert "--phase-timeout" in capsys.readouterr().err
+
+    def test_auto_plan_with_degrade_runs_and_matches_fixed(
+        self, corpus_dir, tmp_path
+    ):
+        fixed = str(tmp_path / "fixed.txt")
+        planned = str(tmp_path / "planned.txt")
+        assert main(["pipeline", "--input", corpus_dir, "--output", fixed,
+                     "--backend", "sequential", "--max-iters", "2"]) == 0
+        assert main(["pipeline", "--input", corpus_dir, "--output", planned,
+                     "--plan", "auto", "--degrade", "--max-iters", "2"]) == 0
+        assert open(planned).read() == open(fixed).read()
 
     def test_plan_fixed_still_accepts_resilience_flags(self, corpus_dir):
         assert main(["pipeline", "--input", corpus_dir, "--retries", "1",

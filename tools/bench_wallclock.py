@@ -20,10 +20,8 @@ trajectory:
   bit-identical; the quarantine run must differ by exactly its
   quarantined rows.
 * ``--mode plan`` runs the pipeline under the measured-cost adaptive
-  planner against hard-coded fixed configurations (and the fused
-  wc→transform path against the unfused one where shm is available);
-  exits nonzero if the planned total is not within 10% of the best fixed
-  total, or if fusion fails to eliminate transform task-pickle bytes.
+  planner against hard-coded fixed configurations; exits nonzero if the
+  planned total is not within 10% of the best fixed total.
 * ``--mode cache`` runs the cold → warm → incremental triple through the
   phase-level result cache; exits nonzero unless the warm run serves all
   three phases bit-identically with zero recompute and the incremental
@@ -360,13 +358,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"chosen plan: "
               + "; ".join(f"{phase}: {desc}" for phase, desc
                           in planned_run["plan"]["phases"].items()))
-        if record["fusion"] is not None:
-            fus = record["fusion"]
-            print(f"fusion on {fus['config']}: transform task bytes "
-                  f"{fus['unfused_transform_task_bytes']:,} unfused -> "
-                  f"{fus['fused_transform_task_bytes']:,} fused "
-                  f"({fus['eliminated_bytes']:,} eliminated, "
-                  f"{'ok' if fus['ok'] else 'NOT ELIMINATED'})")
     elif args.mode == "faults":
         header = (f"{'scenario':>18} {'total_s':>9} {'overhead':>9} "
                   f"{'fired':>6} {'retries':>8} {'restarts':>9} "
