@@ -118,19 +118,26 @@ class CorpusFingerprint:
 # -- code version -----------------------------------------------------------------
 
 #: Modules whose source participates in every key: everything that can
-#: change an output byte of wc / transform / kmeans.
+#: change an output byte of wc / transform / kmeans — the operator
+#: modules and every ``text`` / ``sparse`` / ``tiles`` module they import,
+#: directly or through one another (``tests/cache/test_keys.py`` walks
+#: the imports, so a new helper module cannot be forgotten).
 _VERSIONED_MODULES = (
     "repro.ops.kernels",
     "repro.ops.wordcount",
     "repro.ops.tfidf",
     "repro.ops.kmeans",
     "repro.text.tokenizer",
+    "repro.text.normalize",
+    "repro.text.stopwords",
+    "repro.text.corpus",
     "repro.sparse.vector",
     "repro.sparse.matrix",
     "repro.sparse.blocks",
     "repro.dicts.snapshot",
     "repro.tiles.format",
     "repro.tiles.matrix",
+    "repro.tiles.store",
 )
 
 _code_version_cache: str | None = None

@@ -4,11 +4,11 @@ The real execution backends (:mod:`repro.exec.inline`,
 :mod:`repro.exec.process`) count terms inside worker processes using plain
 builtin dicts — instrumentation would be wasted there, and the
 instrumented structures are expensive to pickle across the IPC boundary.
-The workers ship back columnar blocks (:mod:`repro.sparse.blocks`); the
-parent wraps the merged document-frequency table — and, on demand, a
-document's entries — in :class:`SnapshotDict` so downstream code
-(``build_vocabulary``, ``items_sorted``, ``resident_bytes``, tests)
-sees a normal :class:`~repro.dicts.api.Dictionary`.
+The workers ship back columnar blocks (:mod:`repro.sparse.blocks`); on
+demand the parent wraps a document's entries — or the merged
+document-frequency table — in a :class:`SnapshotDict` so code off the
+timed path (``items_sorted``, ``resident_bytes``, ``top_k_terms``,
+tests) sees a normal :class:`~repro.dicts.api.Dictionary`.
 
 A snapshot reports the *kind* of the structure it stands in for (so cost
 profiles still resolve) but its op stats stay zero: the simulated path is

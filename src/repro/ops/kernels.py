@@ -22,7 +22,7 @@ backends and against the inline reference path.
 from __future__ import annotations
 
 import threading
-from collections import Counter
+from itertools import compress, count
 
 import numpy as np
 
@@ -57,22 +57,36 @@ def init_wordcount_worker(tokenizer: Tokenizer) -> None:
 
 
 def count_chunk(texts: list[str]) -> TermBlock:
-    """Count one chunk of documents into one columnar block.
+    """Count one chunk of documents into one columnar chunk block.
 
-    One :class:`~collections.Counter` per document, then a single pass
-    packs them: the chunk's sorted distinct terms, and per document the
-    term ids (sorted) with their counts — one pickle of five flat
-    objects for the whole chunk on the way back. The chunk's partial
-    document-frequency table is the block's ``df_counts``.
+    No per-document object is built. (1) Every document is split and its
+    words interned into one chunk-wide id stream: ``setdefault`` hands a
+    new word the next ticket of a shared counter, a known word its first
+    one, at C speed — document by document, so the word strings die as
+    they are interned. (2) The tokenizer's filter runs once per *distinct*
+    word; occurrences of a dropped word are marked ``-1`` through the
+    table that also makes the tickets dense. (3, 4) The numeric grouping
+    — one integer sort, one run-length encode — is
+    :meth:`TermBlock.from_tokens`. Terms stay in first-seen order: the
+    parent's :meth:`TermBlock.concat` sorts the union once.
     """
     (tokenizer,) = _STATE["wordcount"]
-    tfs: list[Counter[str]] = []
-    token_counts: list[int] = []
+    split = tokenizer.split
+    tickets: dict[str, int] = {}
+    intern = tickets.setdefault
+    ticket = count()
+    stream: list[int] = []
+    ends: list[int] = []
     for text in texts:
-        tokens = tokenizer.tokenize(text).tokens
-        tfs.append(Counter(tokens))
-        token_counts.append(len(tokens))
-    return TermBlock.from_counts(tfs, token_counts)
+        stream.extend(map(intern, split(text), ticket))
+        ends.append(len(stream))
+    keep = np.fromiter(map(tokenizer.keeps, tickets), dtype=bool, count=len(tickets))
+    dense = np.empty(next(ticket), dtype=np.int64)
+    dense[np.fromiter(tickets.values(), dtype=np.int64, count=len(tickets))] = (
+        np.where(keep, np.cumsum(keep) - 1, -1)
+    )
+    ids = dense[np.fromiter(stream, dtype=np.int64, count=len(stream))]
+    return TermBlock.from_tokens(list(compress(tickets, keep.tolist())), ids, ends)
 
 
 # -- TF/IDF transform (phase 2a) ------------------------------------------------------
@@ -247,45 +261,55 @@ def _assign_block(
 ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, float]:
     """Assign one block; return its partial centroids in compact form.
 
-    The block accumulates into the thread's recycled K×V buffer with the
-    per-cell order a fresh dense buffer would see, then ships only what
-    it touched: ``cells`` (sorted flat ids ``cluster · V + column`` of the
-    cells some document of the block was added to — at most the block's
-    nnz) and the buffer's values there. Scatter-adding those
-    (``merged.reshape(-1)[cells] += partial``) is bit-identical to adding
-    the dense buffer, whose every other cell is ``+0.0``. The buffer is
-    zeroed again at ``cells`` on the way out, and wholesale if a document
-    raises mid-block.
+    Only the dot products run per document; distances, ``argmin``,
+    counts, inertia and the accumulation are computed for the block at
+    once. The block accumulates into the thread's recycled K×V buffer
+    with the per-cell order a fresh dense buffer would see
+    (``np.add.at`` is unbuffered and adds in element order, which is
+    document order), then ships only what it touched: ``cells`` (sorted
+    flat ids ``cluster · V + column`` of the cells some document of the
+    block was added to — at most the block's nnz) and the buffer's values
+    there. Scatter-adding those (``merged.reshape(-1)[cells] += partial``)
+    is bit-identical to adding the dense buffer, whose every other cell
+    is ``+0.0``. The buffer is zeroed again at ``cells`` on the way out,
+    and wholesale if anything raises mid-block.
     """
     K, V = centroids.shape
     accumulator = _accumulator(K * V)
-    counts = np.zeros(K, dtype=np.int64)
-    assignments: list[int] = []
-    touched: list[np.ndarray] = []
-    inertia = 0.0
+    block_indices = indices[start:stop]
+    block_values = values[start:stop]
+    n_docs = stop - start
+    dots = np.zeros((n_docs, K))
     try:
-        for doc in range(start, stop):
-            idx = indices[doc]
-            val = values[doc]
+        for row, (idx, val) in enumerate(zip(block_indices, block_values)):
             if len(idx):
-                dots = centroids[:, idx] @ val
-            else:
-                dots = np.zeros(K)
-            distances = sq_norms[doc] - 2.0 * dots + centroid_sq_norms
-            best = int(np.argmin(distances))
-            assignments.append(best)
-            inertia += float(max(0.0, distances[best]))
-            doc_cells = idx + best * V
-            accumulator[doc_cells] += val
-            touched.append(doc_cells)
-            counts[best] += 1
-        cells = (
-            sorted_unique(np.concatenate(touched))
-            if touched else np.empty(0, dtype=np.intp)
+                # Frozen: the memory layout of the fancy-indexed gather
+                # selects the gemv kernel, so ``centroids.take(idx, 1)``,
+                # a transposed gather or a block-wide gather sliced per
+                # document all differ from this in the last bits.
+                dots[row] = centroids[:, idx] @ val
+        distances = (
+            np.asarray(sq_norms[start:stop], dtype=np.float64)[:, None]
+            - 2.0 * dots + centroid_sq_norms
         )
+        best = np.argmin(distances, axis=1)
+        nearest = distances[np.arange(n_docs), best]
+        # max(0.0, d) per document (NaN -> 0.0, which np.maximum is not),
+        # summed left to right as floats.
+        inertia = 0.0
+        for distance in np.where(nearest > 0.0, nearest, 0.0).tolist():
+            inertia += distance
+        lengths = np.fromiter(map(len, block_indices), dtype=np.int64, count=n_docs)
+        touched = np.concatenate(
+            [np.empty(0, dtype=np.intp), *block_indices]
+        ) + np.repeat(best * V, lengths)
+        np.add.at(
+            accumulator, touched, np.concatenate([np.empty(0), *block_values])
+        )
+        cells = sorted_unique(touched)
         partial = accumulator[cells]
     except BaseException:
         accumulator.fill(0.0)
         raise
     accumulator[cells] = 0.0
-    return assignments, cells, partial, counts, inertia
+    return best.tolist(), cells, partial, np.bincount(best, minlength=K), inertia

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -153,8 +153,20 @@ class TfIdfOperator:
         The serial prefix of the transform phase: iterating the df
         dictionary (sorted for free on the tree, explicitly sorted on the
         hash map). Paths that look terms up parent-side follow it with
-        :meth:`build_index`; backend workers build their own.
+        :meth:`build_index`. A backend result is read off its term block
+        instead — two columns, no dictionary, nothing charged to ``cost``
+        (the simulated path is the authority on cost).
         """
+        if wc.block is not None:
+            counts, kept, vocabulary = self._own_vocabulary(wc.block)
+            n_docs = wc.n_docs
+            # math.log as below (np.log may round differently), once per
+            # possible count — a term is in at most ``n_docs`` documents.
+            by_count = np.array([0.0] + [
+                math.log(n_docs / count)
+                for count in range(1, int(counts.max(initial=0)) + 1)
+            ])
+            return vocabulary, by_count[counts[kept]].tolist()
         df_profile = profile_for_kind(wc.df.kind)
         df_before = wc.df.stats.copy()
         entries = wc.df.items_sorted()
@@ -176,6 +188,16 @@ class TfIdfOperator:
         idf = [math.log(n_docs / count) if count else 0.0 for _, count in entries]
         cost.cpu_s += len(entries) * self.costs.tfidf_score_ns * 1e-9
         return vocabulary, idf
+
+    def _own_vocabulary(
+        self, block: TermBlock
+    ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """The ``min_df`` cut of a term-sorted block: its document counts,
+        the mask of terms that survive, and those terms — the vocabulary
+        (a fresh list of the block's own string objects)."""
+        counts = block.df_counts
+        kept = counts >= self.min_df
+        return counts, kept, list(compress(block.terms, kept.tolist()))
 
     def build_index(self, vocabulary: list[str], cost: TaskCost) -> Dictionary:
         """The instrumented term → id dictionary of the inline paths."""
@@ -347,20 +369,32 @@ class TfIdfOperator:
         kernel consumes, a row range (``bound[a:b]``) at a time.
 
         Binding maps each of the block's (sorted) terms to its vocabulary
-        id (``-1`` = pruned by ``min_df``) and its idf weight.
+        id (``-1`` = pruned by ``min_df``) and its idf weight. Handed the
+        block's own vocabulary — what :meth:`build_vocabulary` made of it,
+        the same string objects, so the comparison is pointer-fast — the
+        ids follow from the ``min_df`` mask; any other vocabulary (the
+        cache composing shards against a corpus-wide one) is looked up
+        term by term.
         """
         block = wc.term_block()
         terms = block.terms
-        index = {term: term_id for term_id, term in enumerate(vocabulary)}
-        gmap = np.fromiter(
-            map(index.get, terms, repeat(-1)), dtype=np.int32, count=len(terms)
-        )
-        pruned = gmap < 0
-        if self.min_df == 1 and pruned.any():
-            term = terms[int(np.flatnonzero(pruned)[0])]
-            raise OperatorError(f"term {term!r} missing from vocabulary index")
+        _, kept, own = self._own_vocabulary(block)
+        if vocabulary == own:
+            gmap = np.where(kept, np.cumsum(kept) - 1, -1).astype(np.int32)
+        else:
+            index = {term: term_id for term_id, term in enumerate(vocabulary)}
+            gmap = np.fromiter(
+                map(index.get, terms, repeat(-1)),
+                dtype=np.int32, count=len(terms),
+            )
+            kept = gmap >= 0
+            if self.min_df == 1 and not kept.all():
+                term = terms[int(np.flatnonzero(~kept)[0])]
+                raise OperatorError(
+                    f"term {term!r} missing from vocabulary index"
+                )
         weights = np.zeros(len(terms), dtype=np.float64)
-        weights[~pruned] = np.asarray(idf)[gmap[~pruned]]
+        weights[kept] = np.asarray(idf)[gmap[kept]]
         return block.bound(gmap, weights)
 
     def transform_wordcount(

@@ -15,7 +15,8 @@ simulated time through the dictionary cost profiles.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from repro.core.cost_model import DEFAULT_COSTS, UNIT_SCALE, CostConstants, WorkloadScale
@@ -78,6 +79,35 @@ class _BlockDocTfs(Sequence):
         return SnapshotDict(self._block.row_items(at), kind=self._kind)
 
 
+class _BlockDf(SnapshotDict):
+    """``df`` of a backend result: the block's terms against their
+    document counts, materialised on first use — nothing timed reads it.
+
+    Read-only: the block is the one source of truth (the transform reads
+    ``block.df_counts``), so an edit here could only be silently ignored.
+    """
+
+    def __init__(self, block: TermBlock, kind: str) -> None:
+        Dictionary.__init__(self)
+        self.kind = kind
+        self._block = block
+
+    @cached_property
+    def _data(self) -> dict[str, int]:
+        return dict(zip(self._block.terms, self._block.df_counts.tolist()))
+
+    def __len__(self) -> int:
+        return self._block.n_terms
+
+    def _read_only(self, *_args, **_kwargs):
+        raise TypeError(
+            "the df table of a backend word count is a read-only view of "
+            "its term block"
+        )
+
+    put = remove = clear = _read_only
+
+
 @dataclass
 class WordCountResult:
     """Output of the word-count step.
@@ -87,7 +117,8 @@ class WordCountResult:
     the fused workflow memory-hungry under ``unordered_map`` (Figure 4's
     12.8 GB) and compact under ``map`` (420 MB). The inline path fills it
     with instrumented dictionaries; a backend run holds the same counts
-    as one columnar ``block`` and ``doc_tfs`` is a view over it.
+    as one columnar ``block``, and ``doc_tfs`` and ``df`` are views over
+    it.
     """
 
     paths: list[str]
@@ -99,8 +130,13 @@ class WordCountResult:
     total_tokens: int = 0
     #: Extrapolation factors the producing step was configured with.
     scale: WorkloadScale = UNIT_SCALE
-    #: The counts in columnar form (see :meth:`term_block`).
+    #: The corpus block of a backend run — the source of truth that
+    #: ``doc_tfs`` and ``df`` view; ``None`` on an inline result, whose
+    #: dictionaries are (see :meth:`term_block`).
     block: TermBlock | None = None
+    _packed: TermBlock | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_block(
@@ -118,9 +154,7 @@ class WordCountResult:
             paths=paths,
             doc_tfs=_BlockDocTfs(block, dict_kind),
             doc_token_counts=doc_tokens,
-            df=SnapshotDict(
-                zip(block.terms, block.df_counts.tolist()), kind=dict_kind
-            ),
+            df=_BlockDf(block, dict_kind),
             dict_kind=dict_kind,
             input_bytes=input_bytes,
             total_tokens=sum(doc_tokens),
@@ -129,14 +163,16 @@ class WordCountResult:
         )
 
     def term_block(self) -> TermBlock:
-        """The per-document counts as one block; an inline result packs
-        its dictionaries on first use."""
-        if self.block is None:
-            self.block = TermBlock.from_counts(
+        """The per-document counts as one term-sorted block; an inline
+        result packs its dictionaries on first use."""
+        if self.block is not None:
+            return self.block
+        if self._packed is None:
+            self._packed = TermBlock.from_counts(
                 [dict(tf.items()) for tf in self.doc_tfs],
                 self.doc_token_counts,
             )
-        return self.block
+        return self._packed
 
     @property
     def n_docs(self) -> int:

@@ -221,6 +221,7 @@ class CalibrationStore:
         from repro.ops import kernels
         from repro.ops.tfidf import TfIdfOperator
         from repro.ops.wordcount import WordCountResult
+        from repro.sparse.blocks import TermBlock
         from repro.sparse.matrix import CsrMatrix, csr_row_views
         from repro.text.tokenizer import Tokenizer
 
@@ -258,7 +259,10 @@ class CalibrationStore:
         # Phase 2a: transform — vocabulary and bound block through the
         # operator's own serial prefix, scoped to the probe.
         operator = TfIdfOperator(tokenizer=tokenizer, min_df=min_df)
-        wc = WordCountResult.from_block(block, [], "map", 0, UNIT_SCALE)
+        # A chunk block becomes a (term-sorted) corpus block in concat.
+        wc = WordCountResult.from_block(
+            TermBlock.concat([block]), [], "map", 0, UNIT_SCALE
+        )
         vocabulary, idf = operator.build_vocabulary(wc, TaskCost())
         bound = operator.bind(wc, vocabulary, idf)
         t0 = time.perf_counter()

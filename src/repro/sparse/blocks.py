@@ -1,12 +1,14 @@
 """Columnar term-count blocks: the word count's intermediate form.
 
 A :class:`TermBlock` holds the term frequencies of a run of documents as
-four flat arrays plus one sorted list of the run's distinct terms — the
-CSR layout of :class:`~repro.sparse.matrix.CsrMatrix` with term ids local
-to the block. A chunk kernel produces one per chunk, the parent merges
-them into one block for the corpus (:meth:`TermBlock.concat`), and the
-transform reads row ranges of it (``block[a:b]``) with the term strings
-replaced by two per-term columns: the vocabulary id and the idf weight.
+four flat arrays plus one list of the run's distinct terms — the CSR
+layout of :class:`~repro.sparse.matrix.CsrMatrix` with term ids local to
+the block. A chunk kernel produces one per chunk
+(:meth:`TermBlock.from_tokens`), the parent merges them into one block
+for the corpus (:meth:`TermBlock.concat`, which is also where the terms
+get sorted), and the transform reads row ranges of it (``block[a:b]``)
+with the term strings replaced by two per-term columns: the vocabulary
+id and the idf weight.
 Term strings therefore cross the IPC boundary once, in the word-count
 results, and nothing downstream handles a per-document Python object.
 """
@@ -24,23 +26,46 @@ def sorted_unique(ids: np.ndarray) -> np.ndarray:
     """Sorted distinct values of ``ids``: one sort, one neighbour compare
     (``np.unique`` is an order of magnitude slower on numpy 2.x)."""
     ids = np.sort(ids)
-    keep = np.empty(len(ids), dtype=bool)
-    keep[:1] = True
-    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
-    return ids[keep]
+    return ids[_run_heads(ids)]
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal neighbours."""
+    heads = np.empty(len(values), dtype=bool)
+    heads[:1] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
+
+
+def _row_order(indptr: np.ndarray, ids: np.ndarray, width: int) -> np.ndarray:
+    """The permutation that sorts every row of a CSR layout by ``ids``
+    (all below ``width``). The key orders by row first, so rows stay
+    where ``indptr`` says they are; (row, id) pairs are distinct, so any
+    sort algorithm yields this one permutation."""
+    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    return np.argsort(rows * max(1, width) + ids)
 
 
 class TermBlock:
     """Term frequencies of ``len(block)`` documents, column by column.
 
-    ``terms`` are the block's distinct terms, sorted; row ``i`` owns
+    ``terms`` are the block's distinct terms; row ``i`` owns
     ``ids[indptr[i]:indptr[i+1]]`` (positions in ``terms``, strictly
-    increasing — so a row is sorted by term) and the matching ``counts``,
-    both in the narrowest unsigned dtype that holds them (they are most
-    of what a block pickles). ``token_counts[i]`` is the document's
-    token total. ``gmap`` and
-    ``weights`` are ``None`` until :meth:`bound` attaches them, which
-    also drops ``terms``.
+    increasing) and the matching ``counts``, both in the narrowest
+    unsigned dtype that holds them (they are most of what a block
+    pickles). ``token_counts[i]`` is the document's token total.
+    ``gmap`` and ``weights`` are ``None`` until :meth:`bound` attaches
+    them, which also drops ``terms``.
+
+    **Term order.** A *chunk* block (:meth:`from_tokens`, what a
+    word-count task returns) lists its terms in first-seen order, so no
+    string is sorted per chunk; its only consumer is :meth:`concat`.
+    Everything :meth:`concat` and :meth:`from_counts` return, everything
+    sliced from that and everything the cache stores is *term-sorted*:
+    ``terms`` ascending, hence every row sorted by term — what
+    ``build_vocabulary``, ``bind`` and the transform kernel rely on. To
+    use a chunk block as a corpus block, pass it through
+    ``TermBlock.concat([block])``.
     """
 
     __slots__ = (
@@ -69,12 +94,7 @@ class TermBlock:
             chain.from_iterable(tf.values() for tf in tfs),
             dtype=np.int32, count=nnz,
         )
-        # Sort every row by term id at once: the key orders by document
-        # first, so rows stay where ``indptr`` says they are (keys are
-        # distinct, so any sort algorithm yields this one permutation).
-        order = np.argsort(
-            np.repeat(np.arange(len(tfs)), lengths) * max(1, len(terms)) + ids
-        )
+        order = _row_order(indptr, ids, len(terms))
         return cls(
             terms, indptr, _narrow(ids[order], len(terms)),
             _narrow(counts[order], int(counts.max(initial=0))),
@@ -82,28 +102,67 @@ class TermBlock:
         )
 
     @classmethod
+    def from_tokens(cls, terms, ids, ends) -> "TermBlock":
+        """Group a chunk's interned token stream into a chunk block.
+
+        ``ids[j]`` is the position in ``terms`` of the chunk's ``j``-th
+        token (negative: a filtered-out token, which counts nowhere),
+        documents laid end to end with document ``i`` stopping at
+        ``ends[i]``. One integer sort of ``document · |terms| + id``
+        brings equal (document, term) pairs together; their run lengths
+        are the counts, and the distinct keys, already in row order, are
+        ``indptr`` and ``ids``. ``terms`` stay in the order given.
+        """
+        n_docs = len(ends)
+        docs = np.repeat(
+            np.arange(n_docs), np.diff(np.asarray(ends, dtype=np.int64), prepend=0)
+        )
+        kept = ids >= 0
+        if not kept.all():
+            ids, docs = ids[kept], docs[kept]
+        width = max(1, len(terms))
+        keys = docs * width + ids
+        keys.sort()
+        starts = np.flatnonzero(_run_heads(keys))
+        counts = np.diff(starts, append=len(keys))
+        keys = keys[starts]
+        rows = keys // width
+        indptr = np.zeros(n_docs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n_docs), out=indptr[1:])
+        return cls(
+            terms, indptr, _narrow(keys - rows * width, len(terms)),
+            _narrow(counts, int(counts.max(initial=0))),
+            np.bincount(docs, minlength=n_docs).astype(np.int64, copy=False),
+        )
+
+    @classmethod
     def concat(cls, blocks) -> "TermBlock":
         """The blocks' documents in order, over the union of their terms.
 
-        This is the document-frequency merge: one dictionary probe per
-        (block, term), then array lookups — ids are rebased onto the
-        sorted union, which keeps every row sorted by term.
+        This is the document-frequency merge, and the one place term
+        strings are sorted: one dictionary probe per (block, term), one
+        sort of the union, then array lookups rebase every id onto it.
+        Rows are re-ordered by their new ids a block at a time — sorted
+        input comes back as it was, a chunk block's first-seen order
+        becomes term order — so the transients stay chunk-sized (one
+        corpus-wide argsort would be the peak memory of a tiled run).
         """
         blocks = list(blocks)
         terms, rebase = _rank_terms(
             [block.terms for block in blocks],
             [len(block.terms) for block in blocks],
         )
+        ids, counts = [], []
+        for lookup, block in zip(rebase, blocks):
+            moved = lookup[block.ids]
+            order = _row_order(block.indptr, moved, len(terms))
+            ids.append(_narrow(moved[order], len(terms)))
+            counts.append(block.counts[order])
         return cls(
             terms,
             _stack_indptr([block.indptr for block in blocks]),
-            _narrow(
-                _concat(
-                    [lookup[block.ids] for lookup, block in zip(rebase, blocks)]
-                ),
-                len(terms),
-            ),
-            _concat([block.counts for block in blocks]),
+            _concat(ids),
+            _concat(counts),
             _concat([block.token_counts for block in blocks]),
         )
 

@@ -24,6 +24,7 @@ and generation order is irrelevant.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 
@@ -86,8 +87,12 @@ _COMMON_WORDS = tuple(
 )
 
 
+@functools.cache
 def synth_word(rank: int) -> str:
     """Deterministic, injective mapping from frequency rank to a word.
+
+    Memoised: a corpus draws one rank per token but only a few distinct
+    ranks per hundred tokens (the uncached function is ``__wrapped__``).
 
     Low ranks map to real common English words (short, like natural
     frequent words); higher ranks map to pronounceable syllabic

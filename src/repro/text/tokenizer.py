@@ -50,16 +50,28 @@ class Tokenizer:
         self.min_length = min_length
         self.max_length = max_length
 
+    def split(self, text: str) -> list[str]:
+        """Fold ``text`` and split it into words, unfiltered."""
+        return fold_text(text).split()
+
+    def keeps(self, term: str) -> bool:
+        """Whether a word survives the length and stop-word filter.
+
+        A pure function of the word, so a caller may ask once per
+        distinct term instead of once per token (the chunk kernel does).
+        """
+        return self.min_length <= len(term) <= self.max_length and not (
+            self.drop_stopwords and is_stopword(term)
+        )
+
     def tokenize(self, text: str) -> TokenizedDocument:
-        """Tokenize ``text``, reporting bytes processed for cost accounting."""
-        folded = fold_text(text)
-        raw = folded.split()
-        tokens = [
-            token
-            for token in raw
-            if self.min_length <= len(token) <= self.max_length
-            and not (self.drop_stopwords and is_stopword(token))
-        ]
+        """Tokenize ``text``, reporting bytes processed for cost accounting.
+
+        Defined by :meth:`split` and :meth:`keeps`, which is what a
+        subclass overrides to customise tokenization.
+        """
+        keeps = self.keeps
+        tokens = [token for token in self.split(text) if keeps(token)]
         return TokenizedDocument(tokens=tokens, bytes_processed=len(text))
 
     def tokens(self, text: str) -> list[str]:

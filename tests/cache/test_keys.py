@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+import importlib.util
+
 import pytest
 
 from repro.cache.keys import (
+    _VERSIONED_MODULES,
     DEFAULT_SHARD_DOCS,
     CorpusFingerprint,
     code_version,
@@ -123,6 +127,23 @@ class TestConfigKeys:
     def test_code_version_stable_within_process(self):
         assert code_version() == code_version()
 
+    def test_every_data_plane_module_the_operators_import_is_versioned(self):
+        # An edit to a helper the kernels lean on (the folding table, the
+        # stop list, a block routine) changes output bytes; if its module
+        # is not in the code version a warm store serves the old ones.
+        reached = _repro_import_closure(
+            f"repro.ops.{name}"
+            for name in ("kernels", "wordcount", "tfidf", "kmeans")
+        )
+        data_plane = {
+            name for name in reached
+            if name.startswith(("repro.text.", "repro.sparse.", "repro.tiles."))
+        }
+        assert {"repro.text.normalize", "repro.text.stopwords"} <= data_plane
+        assert data_plane <= set(_VERSIONED_MODULES), sorted(
+            data_plane - set(_VERSIONED_MODULES)
+        )
+
     def test_phase_and_shard_keys_are_filename_safe(self):
         fp = CorpusFingerprint.from_docs(["a", "b"])
         cfg = wordcount_config(TfIdfOperator())
@@ -147,3 +168,43 @@ class TestConfigKeys:
         assert shard_key("tr", cfg, fp.shard_digests[0], extra="x") != shard_key(
             "tr", cfg, fp.shard_digests[0], extra="y"
         )
+
+
+def _repro_imports(module_name: str) -> set[str]:
+    """Modules of this package that ``module_name``'s source imports by
+    name, at module level or inside a function (packages excluded: a
+    package ``__init__`` only re-exports)."""
+    spec = importlib.util.find_spec(module_name)
+    with open(spec.origin, "r", encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    named: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"{module_name}: relative import"
+            named.add(node.module)
+            # ``from repro.tiles import format`` names a submodule.
+            named.update(f"{node.module}.{alias.name}" for alias in node.names)
+    found: set[str] = set()
+    for name in named:
+        if not name.startswith("repro."):
+            continue
+        try:
+            spec = importlib.util.find_spec(name)
+        except ModuleNotFoundError:  # ``module.attribute``, not a module
+            continue
+        if spec is not None and spec.submodule_search_locations is None:
+            found.add(name)
+    return found
+
+
+def _repro_import_closure(roots) -> set[str]:
+    reached: set[str] = set()
+    frontier = list(roots)
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            frontier.extend(_repro_imports(name))
+    return reached

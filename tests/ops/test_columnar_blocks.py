@@ -26,13 +26,14 @@ from repro.errors import OperatorError
 from repro.exec.process import make_backend
 from repro.exec.resilience import bisect_chunk
 from repro.exec.shm import shm_available
+from repro.exec.task import TaskCost
 from repro.ops import kernels
 from repro.ops.kmeans import KMeansOperator
 from repro.ops.tfidf import TfIdfOperator
 from repro.plan import CalibrationStore, PhasePlan, RealPlan
 from repro.sparse.blocks import TermBlock
 from repro.text.synth import MIX_PROFILE, NSF_ABSTRACTS_PROFILE, generate_corpus
-from repro.text.tokenizer import TokenizedDocument, Tokenizer
+from repro.text.tokenizer import Tokenizer
 
 
 #: The committed CI calibration store, so planned runs here are
@@ -44,25 +45,35 @@ CI_CALIBRATION = os.path.join(
 
 class _SplitTokenizer(Tokenizer):
     """Whitespace split without folding, so non-ASCII terms survive; the
-    length bounds still apply."""
+    filter (``keeps``: length bounds, stop words) still applies."""
 
-    def tokenize(self, text: str) -> TokenizedDocument:
-        return TokenizedDocument(
-            tokens=[
-                token for token in text.split()
-                if self.min_length <= len(token) <= self.max_length
-            ],
-            bytes_processed=len(text),
-        )
+    def split(self, text: str) -> list[str]:
+        return text.split()
 
 
 #: A small vocabulary so documents share terms (min_df has something to
-#: prune and something to keep): ASCII, non-ASCII, one over ``max_length``.
-WORDS = ["a", "b", "cat", "dog", "zz", "élan", "naïve", "日本", "ß", "x" * 70]
+#: prune and something to keep): ASCII, non-ASCII, stop words, one over
+#: the default ``max_length``.
+WORDS = [
+    "a", "b", "the", "of", "cat", "dog", "zz", "élan", "naïve", "日本", "ß",
+    "x" * 70,
+]
 
 documents = st.lists(
     st.lists(st.sampled_from(WORDS), max_size=12).map(" ".join),
     max_size=14,
+)
+
+#: Either tokenizer under every filter setting: the kernel asks
+#: ``keeps`` once per distinct term of a chunk, the inline path once per
+#: token. ``max_length`` below and above the longest word; a
+#: ``min_length`` above it keeps nothing at all.
+tokenizers = st.builds(
+    lambda kind, **options: kind(**options),
+    st.sampled_from([Tokenizer, _SplitTokenizer]),
+    drop_stopwords=st.booleans(),
+    min_length=st.integers(1, 3),
+    max_length=st.sampled_from([2, 5, 64, 80]),
 )
 
 
@@ -71,10 +82,10 @@ def _rows(result):
 
 
 class TestByteEqualityWithInline:
-    @settings(max_examples=60, deadline=None)
-    @given(texts=documents, grain=st.integers(1, 6))
-    def test_count_matches_count_document(self, texts, grain):
-        step = TfIdfOperator(tokenizer=_SplitTokenizer()).wordcount
+    @settings(max_examples=120, deadline=None)
+    @given(texts=documents, grain=st.integers(1, 6), tokenizer=tokenizers)
+    def test_count_matches_count_document(self, texts, grain, tokenizer):
+        step = TfIdfOperator(tokenizer=tokenizer).wordcount
         inline = step.run(texts)
         backend = make_backend("sequential", 1)
         ours = step.run(texts, backend=backend, grain=grain)
@@ -90,20 +101,22 @@ class TestByteEqualityWithInline:
             ids = block.ids[block.indptr[row]:block.indptr[row + 1]]
             assert (np.diff(ids.astype(np.int64)) > 0).all()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         texts=documents,
         wc_grain=st.integers(1, 6),
         tr_grain=st.integers(1, 6),
         min_df=st.integers(1, 3),
+        tokenizer=tokenizers,
     )
     def test_transform_matches_transform_document(
-        self, texts, wc_grain, tr_grain, min_df
+        self, texts, wc_grain, tr_grain, min_df, tokenizer
     ):
         # Covers empty documents, chunks of only-empty documents,
-        # single-term rows, rows pruned to empty by min_df, non-ASCII
-        # terms and tokens over max_length — whatever Hypothesis draws.
-        operator = TfIdfOperator(tokenizer=_SplitTokenizer(), min_df=min_df)
+        # single-term rows, rows pruned to empty by min_df or emptied by
+        # the tokenizer's filter, non-ASCII terms and tokens over
+        # max_length — whatever Hypothesis draws.
+        operator = TfIdfOperator(tokenizer=tokenizer, min_df=min_df)
         inline = operator.fit_transform(texts)
         backend = make_backend("sequential", 1)
         wc = operator.wordcount.run(texts, backend=backend, grain=wc_grain)
@@ -122,6 +135,47 @@ class TestByteEqualityWithInline:
         )
         assert indptr.tolist() == [0] and len(indices) == len(data) == 0
 
+    def test_filter_is_applied_per_term_and_masks_every_occurrence(self):
+        tokenizer = Tokenizer(drop_stopwords=True, min_length=2, max_length=5)
+        kernels.init_wordcount_worker(tokenizer)
+        texts = ["The a of, the!", "cat the Cat elephants zz", "", "x"]
+        block = kernels.count_chunk(texts)
+        # Document 0 loses every token: an empty row, zero tokens counted.
+        assert block.token_counts.tolist() == [0, 3, 0, 0]
+        assert block.indptr.tolist() == [0, 0, 2, 2, 2]
+        assert block.terms == ["cat", "zz"]  # first-seen order, kept only
+        assert (block.ids.tolist(), block.counts.tolist()) == ([0, 1], [2, 1])
+        inline = TfIdfOperator(tokenizer=tokenizer).wordcount.run(texts)
+        assert block.token_counts.tolist() == inline.doc_token_counts
+        # One document, and the same document in a chunk of its own.
+        alone = kernels.count_chunk(texts[1:2])
+        assert _same_block(alone, block[1:2])
+
+    def test_chunk_blocks_list_terms_as_first_seen(self):
+        kernels.init_wordcount_worker(Tokenizer())
+        block = kernels.count_chunk(["pear fig", "apple fig pear pear"])
+        assert block.terms == ["pear", "fig", "apple"]
+        assert [block.row_items(row) for row in range(2)] == [
+            [("pear", 1), ("fig", 1)],
+            [("pear", 2), ("fig", 1), ("apple", 1)],
+        ]
+        merged = TermBlock.concat([block])
+        assert merged.terms == ["apple", "fig", "pear"]
+        assert [merged.row_items(row) for row in range(2)] == [
+            [("fig", 1), ("pear", 1)],
+            [("apple", 1), ("fig", 1), ("pear", 2)],
+        ]
+
+    def test_term_kept_in_one_chunk_and_absent_from_the_next(self):
+        step = TfIdfOperator().wordcount
+        texts = ["zebra cat", "cat", "cat zebra zebra"]
+        wc = step.run(texts, backend=make_backend("sequential", 1), grain=1)
+        assert wc.block.terms == ["cat", "zebra"]
+        assert [tf.to_dict() for tf in wc.doc_tfs] == [
+            {"zebra": 1, "cat": 1}, {"cat": 1}, {"cat": 1, "zebra": 2},
+        ]
+        assert wc.df.to_dict() == {"cat": 3, "zebra": 2}
+
     def test_zero_norm_rows_are_left_alone(self):
         # A term in every document has idf 0: its rows score all-zero
         # and must come back as they are, not as NaN.
@@ -132,12 +186,35 @@ class TestByteEqualityWithInline:
         assert _rows(ours) == [([0], [0.0]), ([0], [0.0])]
 
     def test_term_missing_from_vocabulary_is_named(self):
+        # The block is the one source of truth of a backend result, so a
+        # vocabulary short of a term can only be handed to ``bind`` from
+        # outside (the cache composing shards does) — and is refused.
         operator = TfIdfOperator()
         backend = make_backend("sequential", 1)
         wc = operator.wordcount.run(["cat dog", "dog emu"], backend=backend)
-        wc.df.remove("emu")
+        vocabulary, idf = operator.build_vocabulary(wc, TaskCost())
+        assert vocabulary == ["cat", "dog", "emu"]
         with pytest.raises(OperatorError, match="'emu' missing from vocabulary"):
-            operator.transform_wordcount(wc, backend=backend)
+            operator.bind(wc, vocabulary[:2], idf[:2])
+        pruning = TfIdfOperator(min_df=2)
+        bound = pruning.bind(wc, *pruning.build_vocabulary(wc, TaskCost()))
+        assert bound.gmap.tolist() == [-1, 0, -1]
+
+    def test_df_of_a_backend_result_is_a_read_only_view(self):
+        step = TfIdfOperator().wordcount
+        wc = step.run(["cat dog", "dog emu"], backend=make_backend("sequential", 1))
+        assert wc.vocabulary_size == len(wc.df) == 3
+        assert wc.df.to_dict() == {"cat": 1, "dog": 2, "emu": 1}
+        assert wc.df.get("dog") == 2 and "emu" in wc.df
+        for edit in (
+            lambda: wc.df.remove("emu"),
+            lambda: wc.df.put("emu", 5),
+            lambda: wc.df.increment("emu"),
+            wc.df.clear,
+        ):
+            with pytest.raises(TypeError, match="read-only view"):
+                edit()
+        assert wc.df.to_dict() == {"cat": 1, "dog": 2, "emu": 1}
 
     def test_doc_tfs_is_a_sequence_view(self):
         step = TfIdfOperator().wordcount
@@ -159,6 +236,13 @@ term_counts = st.lists(
 )
 
 
+def _count(tokens) -> dict[str, int]:
+    tf: dict[str, int] = {}
+    for token in tokens:
+        tf[token] = tf.get(token, 0) + 1
+    return tf
+
+
 def _same_block(a: TermBlock, b: TermBlock) -> bool:
     return (
         a.terms == b.terms
@@ -177,6 +261,43 @@ class TestSliceConcatLaws:
         k = data.draw(st.integers(0, len(tfs)))
         assert _same_block(TermBlock.concat([block[:k], block[k:]]), block)
         assert _same_block(TermBlock.concat([block]), block)
+
+    @settings(max_examples=120, deadline=None)
+    @given(texts=documents, tokenizer=tokenizers, data=st.data())
+    def test_concat_laws_hold_for_chunk_blocks(self, texts, tokenizer, data):
+        # Chunk blocks as the kernel emits them (first-seen term order),
+        # alone and mixed with term-sorted ones: however the documents
+        # are cut, concat yields the one term-sorted corpus block.
+        kernels.init_wordcount_worker(tokenizer)
+        tfs = [_count(tokenizer.tokens(text)) for text in texts]
+        whole = TermBlock.from_counts(tfs, [sum(tf.values()) for tf in tfs])
+        i = data.draw(st.integers(0, len(texts)))
+        j = data.draw(st.integers(i, len(texts)))
+        a, b, c = (
+            kernels.count_chunk(part)
+            for part in (texts[:i], texts[i:j], texts[j:])
+        )
+        for block in (a, b, c):
+            assert len(set(block.terms)) == len(block.terms)
+            assert all(map(tokenizer.keeps, block.terms))
+            for row in range(len(block)):
+                ids = block.ids[block.indptr[row]:block.indptr[row + 1]]
+                assert (np.diff(ids.astype(np.int64)) > 0).all()
+        assert _same_block(TermBlock.concat([a, b, c]), whole)
+        assert _same_block(
+            TermBlock.concat([TermBlock.concat([a, b]), c]), whole
+        )
+        assert _same_block(
+            TermBlock.concat([a, TermBlock.concat([b, c])]), whole
+        )
+        assert _same_block(
+            TermBlock.concat([kernels.count_chunk(texts)]), whole
+        )
+        # Many small blocks, as quarantine bisection produces them.
+        assert _same_block(
+            TermBlock.concat(kernels.count_chunk([text]) for text in texts),
+            whole,
+        )
 
     @settings(max_examples=80, deadline=None)
     @given(tfs=term_counts, data=st.data())

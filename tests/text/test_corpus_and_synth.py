@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, OperatorError
+from repro.text import synth
 from repro.text import (
     MIX_PROFILE,
     NSF_ABSTRACTS_PROFILE,
@@ -64,6 +65,17 @@ class TestSynthWord:
     def test_negative_rank_rejected(self):
         with pytest.raises(ConfigurationError):
             synth_word(-1)
+
+    def test_memoised_equals_the_plain_function(self):
+        plain = synth_word.__wrapped__
+        boundary = len(synth._COMMON_WORDS)
+        assert 0 < boundary < 5_000  # the range below crosses it
+        for _cold_then_cached in range(2):
+            assert [synth_word(rank) for rank in range(5_001)] == [
+                plain(rank) for rank in range(5_001)
+            ]
+        assert synth_word(boundary - 1) == synth._COMMON_WORDS[-1]
+        assert synth_word(boundary) not in synth._COMMON_WORDS
 
     def test_words_survive_tokenization(self):
         tokenizer = Tokenizer()
