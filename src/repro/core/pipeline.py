@@ -282,8 +282,7 @@ def run_pipeline(
     bit-identical output (see ``docs/data_plane.md``). On the fixed
     path the budget tiles unconditionally; on the planned path it is
     handed to the planner, which only tiles when the estimated matrix
-    exceeds the budget. The tiled transform is fail-fast (no quarantine
-    bisection), and ``result.tiles`` carries the spill accounting.
+    exceeds the budget. ``result.tiles`` carries the spill accounting.
 
     ``ledger`` (a :class:`~repro.obs.ledger.RunLedger` or a directory
     path) appends one wall-anchored record per executed step to the

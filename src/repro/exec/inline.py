@@ -113,12 +113,6 @@ class ExecutionBackend:
     name = "abstract"
     #: Degree of real parallelism the backend targets (1 for sequential).
     workers = 1
-    #: True when arrays shared via :meth:`share_arrays` live in named
-    #: shared-memory segments that *worker processes* can attach to.
-    #: Operators use this to pick the token/broadcast task shape; the
-    #: in-process backends share an address space, so for them the
-    #: zero-copy path is the plain by-reference path they already use.
-    uses_shm = False
 
     def __init__(self, resilience: ResilienceConfig | None = None) -> None:
         #: Per-phase IPC accounting (see :class:`repro.exec.shm.IpcStats`).

@@ -25,7 +25,9 @@ Design points (see ``docs/backends.md`` for the cost model):
   :meth:`open_broadcast`/:meth:`broadcast` publish per-iteration arrays
   into a double-buffered segment so tasks shrink to integer tokens. The
   backend owns every segment's lifecycle: ``close()`` unlinks them all,
-  including after a worker crash.
+  including after a worker crash. With ``shm`` off the same two calls
+  answer by value — placed arrays ride the initargs, broadcast arrays
+  ride the tasks — so operators have one code path either way.
 * **IPC accounting.** Tasks round-trip through an explicit
   pickle-the-payload trampoline, so ``backend.ipc`` counts the *exact*
   bytes serialized each way, per pipeline phase — on a 1-CPU host the
@@ -63,7 +65,14 @@ from repro.exec.inline import (
 )
 from repro.exec.parallel import auto_grain
 from repro.exec.resilience import ResilienceConfig, bisect_chunk, run_attempts
-from repro.exec.shm import ShmArrays, ShmBroadcast, ShmPlane, shm_available
+from repro.exec.shm import (
+    LocalArrays,
+    ShmArrays,
+    ShmBroadcast,
+    ShmPlane,
+    ValueBroadcast,
+    shm_available,
+)
 from repro.exec.spans import install_worker_epoch, worker_now
 
 __all__ = ["ProcessBackend", "make_backend", "BACKEND_CHOICES", "default_start_method"]
@@ -207,8 +216,7 @@ class ProcessBackend(ExecutionBackend):
             raise ConfigurationError(
                 "shared memory requested but unavailable on this platform"
             )
-        self._shm_enabled = bool(shm)
-        self._plane = ShmPlane(stats=self.ipc) if self._shm_enabled else None
+        self._plane = ShmPlane(stats=self.ipc) if shm else None
         self._pool: ProcessPoolExecutor | None = None
         #: (initializer, initargs) the *current* pool generation was built
         #: with; ``configure`` compares against it to avoid restarts when
@@ -231,23 +239,15 @@ class ProcessBackend(ExecutionBackend):
 
     # -- shared-array plane -------------------------------------------------------
 
-    @property
-    def uses_shm(self) -> bool:  # type: ignore[override]
-        return self._shm_enabled
-
-    def share_arrays(self, tag: str, arrays) -> ShmArrays:
+    def share_arrays(self, tag: str, arrays) -> ShmArrays | LocalArrays:
         if self._plane is None:
-            raise ConfigurationError(
-                "share_arrays on a ProcessBackend with shm disabled: workers "
-                "cannot see parent memory — ship state via configure() instead"
-            )
+            # By value: the descriptor carries the arrays to each worker.
+            return LocalArrays(tag, arrays)
         return self._plane.place(tag, dict(arrays))
 
-    def open_broadcast(self, tag: str, template) -> ShmBroadcast:
+    def open_broadcast(self, tag: str, template) -> ShmBroadcast | ValueBroadcast:
         if self._plane is None:
-            raise ConfigurationError(
-                "open_broadcast on a ProcessBackend with shm disabled"
-            )
+            return ValueBroadcast(tag, stats=self.ipc)
         return self._plane.open_broadcast(tag, template)
 
     # -- pool lifecycle ----------------------------------------------------------

@@ -15,10 +15,15 @@ Three layers:
 
 * **Descriptors** — small, picklable recipes a worker turns back into
   numpy arrays: :class:`ShmArraysDescriptor` (``resolve()``) and
-  :class:`ShmBroadcastDescriptor` (``read(generation)``). Their
-  in-process twins :class:`LocalArrays` / :class:`LocalBroadcast` hold
-  plain references (sequential/thread backends share an address space,
-  so "zero-copy" is trivially a no-op for them).
+  :class:`ShmBroadcastDescriptor` (``read(token)``). Their in-process
+  twins :class:`LocalArrays` / :class:`LocalBroadcast` hold plain
+  references (sequential/thread backends share an address space, so
+  "zero-copy" is trivially a no-op for them). The third transport, for
+  worker processes *without* shared memory, is by value: a pickled
+  :class:`LocalArrays` carries its arrays, and a
+  :class:`ValueBroadcast` token is the payload itself. A
+  :class:`Placement` is the same idea one level up — a whole block
+  source (resident rows, spilled tiles) behind ``resolve()``.
 * **Parent-side handles** — :class:`ShmArrays` / :class:`ShmBroadcast`
   own a segment's lifecycle (create → write → unlink); the
   :class:`ShmPlane` tracks every handle a backend created so
@@ -56,6 +61,8 @@ __all__ = [
     "PhaseIpc",
     "LocalArrays",
     "LocalBroadcast",
+    "ValueBroadcast",
+    "Placement",
     "ShmArrays",
     "ShmArraysDescriptor",
     "ShmBroadcast",
@@ -287,7 +294,10 @@ class LocalArrays:
     The sequential and thread backends' implementation of the shared
     plane: the "descriptor" is the handle itself and ``resolve()`` hands
     back the very arrays that were placed. Nothing is copied, nothing is
-    named, nothing can leak.
+    named, nothing can leak. Pickled into a process pool's initargs it
+    is the *by-value* transport: the descriptor carries the arrays, one
+    copy per worker — what a process backend without shared memory
+    places with.
     """
 
     def __init__(self, tag: str, arrays: dict[str, np.ndarray]) -> None:
@@ -302,6 +312,9 @@ class LocalArrays:
         if self._arrays is None:
             raise ConfigurationError(f"shared arrays {self.tag!r} already closed")
         return self._arrays
+
+    def release(self) -> None:
+        """Nothing was attached, nothing to detach."""
 
     def close(self) -> None:
         self._arrays = None
@@ -348,6 +361,79 @@ class LocalBroadcast:
 
     def close(self) -> None:
         self._arrays = None
+
+
+class ValueBroadcast:
+    """By-value broadcast for worker processes without shared memory.
+
+    ``publish()`` returns the arrays themselves as the token, so they
+    ride inside every task that carries it, and ``read(token)`` hands
+    them back. With a pickled :class:`LocalArrays` for the placed side
+    this is the plane's third transport — what ``--no-shm`` and
+    platforms without POSIX shared memory run on, through the same
+    operator code as the other two.
+    """
+
+    def __init__(self, tag: str, stats: IpcStats | None = None) -> None:
+        self.tag = tag
+        self._stats = stats
+
+    def descriptor(self) -> "ValueBroadcast":
+        return ValueBroadcast(self.tag)  # stateless: workers need no stats
+
+    def publish(self, arrays) -> tuple[np.ndarray, ...]:
+        if self._stats is not None:
+            # No buffer is written: the bytes are billed as task pickles.
+            self._stats.record_broadcast(0)
+        return tuple(arrays)
+
+    def read(self, token) -> tuple[np.ndarray, ...]:
+        return token
+
+    def close(self) -> None:
+        pass
+
+
+class Placement:
+    """A block source made reachable from a backend's workers.
+
+    ``source.place(backend)`` returns one. It is the parent-side handle
+    (``close()`` releases what the placement put on the plane) and, being
+    its own ``descriptor()``, the picklable recipe that rides the worker
+    initializer. ``resolve()`` in the process that placed it hands back
+    the very source that was placed — in-process backends read through
+    the caller's object: no second tile reader, no second list of row
+    views. Any other process (pool workers, forked or spawned) gets
+    ``rebuild(*recipe)``. ``release(source)`` closes a source this
+    descriptor rebuilt and leaves the placed one to its owner.
+    """
+
+    def __init__(self, source, rebuild, recipe: tuple, shared=None) -> None:
+        self._source = source
+        self._owner_pid = os.getpid()
+        self._rebuild = rebuild
+        self._recipe = recipe
+        self._shared = shared
+
+    def descriptor(self) -> "Placement":
+        return self
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_source": None, "_shared": None}
+
+    def resolve(self):
+        if self._source is not None and os.getpid() == self._owner_pid:
+            return self._source
+        return self._rebuild(*self._recipe)
+
+    def release(self, source) -> None:
+        if source is not self._source:
+            source.close()
+
+    def close(self) -> None:
+        shared, self._shared = self._shared, None
+        if shared is not None:
+            shared.close()
 
 
 # -- shared-memory segments --------------------------------------------------------
@@ -400,19 +486,24 @@ def _attach(name: str):
     return segment
 
 
-def _release_segment(shm) -> None:
-    """Unlink + close, tolerating repeats and live exported views."""
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
+def _close_mapping(shm) -> None:
+    """Close this process's mapping, tolerating live exported views."""
     try:
         shm.close()
     except BufferError:
         # A numpy view over the buffer is still alive somewhere; the
-        # mapping is released when it is garbage collected. The *name*
-        # is already unlinked, which is what leak checks observe.
+        # mapping is released when it is garbage collected.
         pass
+
+
+def _release_segment(shm) -> None:
+    """Unlink + close, tolerating repeats and live exported views (the
+    *name* is gone either way, which is what leak checks observe)."""
+    try:
+        shm.unlink()
+    except FileNotFoundError:
+        pass
+    _close_mapping(shm)
 
 
 @dataclass(frozen=True)
@@ -427,6 +518,13 @@ class ShmArraysDescriptor:
         """Attach (cached) and return zero-copy views, keyed like place()."""
         shm = _attach(self.segment)
         return {spec.key: _view(shm.buf, spec) for spec in self.fields}
+
+    def release(self) -> None:
+        """Drop this process's attachment (the name is the parent's to
+        unlink). A view still alive keeps the mapping until it dies."""
+        shm = _ATTACHED.pop(self.segment, None)
+        if shm is not None:
+            _close_mapping(shm)
 
 
 class ShmArrays:

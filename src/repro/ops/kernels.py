@@ -2,14 +2,16 @@
 
 Every function here is module-level so a :class:`~repro.exec.process.ProcessBackend`
 can ship it to worker processes by reference. Phase-constant state
-(tokenizer, prepared matrix) is installed once per worker by the
+(tokenizer, k-means block source) is installed once per worker by the
 ``init_*`` functions — dispatched through
 :meth:`~repro.exec.inline.ExecutionBackend.configure` — and read back from
 a module-level slot by the chunk kernels, so each submitted task carries
 only its chunk of data. The transform holds no worker state at all: its
 task *is* its input. In-process backends (sequential, threads) run the
 same initializers and kernels against the parent's copy of the slot, which
-keeps a single code path across all backends.
+keeps a single code path across all backends — and across the forms the
+k-means rows come in: the worker resolves a *block source* and asks it
+for ``block_arrays(start, stop)``.
 
 The kernels use plain builtin dicts and numpy internally (instrumented
 dictionaries would only be pickling dead weight across the IPC boundary)
@@ -27,7 +29,6 @@ from itertools import compress, count
 import numpy as np
 
 from repro.sparse.blocks import TermBlock, sorted_unique
-from repro.sparse.matrix import csr_row_views
 from repro.text.tokenizer import Tokenizer
 
 __all__ = [
@@ -35,10 +36,7 @@ __all__ = [
     "count_chunk",
     "transform_chunk",
     "init_kmeans_worker",
-    "init_kmeans_worker_shm",
-    "init_kmeans_worker_tiled",
-    "assign_chunk",
-    "assign_chunk_tiled",
+    "release_kmeans_worker",
     "assign_block_span",
 ]
 
@@ -128,110 +126,76 @@ def transform_chunk(
 # -- K-means assignment ----------------------------------------------------------------
 
 
+#: K-means worker state per fit, keyed by the fit's slot (every task
+#: names its slot). A pool worker only ever holds its own fit's; the
+#: in-process backends install into the parent's copy, where several
+#: fits — one per calling thread — may be live at once.
+_KMEANS: dict[int, tuple] = {}
+
+
 def init_kmeans_worker(
-    indices: list[np.ndarray], values: list[np.ndarray], sq_norms: list[float]
+    slot: int, source_descriptor, channel_descriptor, bounds
 ) -> None:
-    """Install the prepared document views once per worker (per fit)."""
-    _STATE["kmeans"] = (indices, values, sq_norms)
+    """Resolve the placed block source once per worker (per fit).
 
-
-def init_kmeans_worker_shm(matrix_descriptor, channel_descriptor, bounds) -> None:
-    """Attach to the shared matrix instead of receiving a pickled copy.
-
-    ``matrix_descriptor`` resolves to the flat CSR triple plus squared
-    norms placed once by the parent; the per-document index/value views
-    are sliced out of the attached buffers — the same values
-    :func:`init_kmeans_worker` would have received, at zero IPC cost.
-    ``channel_descriptor``/``bounds`` equip :func:`assign_block_span` to
-    read each iteration's broadcast centroids and walk its blocks.
+    ``source_descriptor`` is what ``source.place(backend).descriptor()``
+    returned: in the placing process it resolves to the caller's own
+    source (resident rows, or the tiled matrix with its one budgeted
+    reader), in a pool worker to views over a shared segment, a by-value
+    copy, or a read-only mapping of the tile files — the kernel below
+    never learns which. ``channel_descriptor``/``bounds`` equip
+    :func:`assign_block_span` to read each iteration's centroids and
+    walk its blocks. Whatever the slot held before is released first.
     """
-    arrays = matrix_descriptor.resolve()
-    doc_indices, doc_values = csr_row_views(
-        arrays["indptr"], arrays["indices"], arrays["values"]
-    )
-    _STATE["kmeans"] = (doc_indices, doc_values, arrays["sq_norms"])
-    _STATE["kmeans_shm"] = (channel_descriptor, tuple(bounds))
-
-
-def assign_chunk(
-    task: tuple[int, int, np.ndarray, np.ndarray]
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, float]:
-    """Assign documents ``[start, stop)`` to their nearest centroid.
-
-    ``task`` carries the block bounds plus the iteration's centroids and
-    centroid squared norms (the only per-iteration data). Returns the
-    block's assignments, its compact partial centroids (touched cell ids
-    + their values, see :func:`_assign_block`), per-cluster
-    counts and inertia contribution. Blocks are worker-independent, and
-    the caller merges partials in fixed block order, so the floating-point
-    result does not depend on the backend or worker count.
-    """
-    start, stop, centroids, centroid_sq_norms = task
-    indices, values, sq_norms = _STATE["kmeans"]
-    return _assign_block(
-        start, stop, centroids, centroid_sq_norms, indices, values, sq_norms
+    release_kmeans_worker(slot)
+    _KMEANS[slot] = (
+        source_descriptor,
+        source_descriptor.resolve(),
+        channel_descriptor,
+        tuple(bounds),
     )
 
 
-def init_kmeans_worker_tiled(manifest, memory_budget) -> None:
-    """Map the spilled tile manifest instead of receiving matrix bytes.
-
-    The file-backed twin of :func:`init_kmeans_worker_shm`: ``manifest``
-    is a tiny picklable :class:`~repro.tiles.store.TileManifest`, and the
-    worker mmaps the parent's tile files directly — zero matrix IPC, with
-    the worker's own mapped bytes bounded by ``memory_budget`` through
-    the reader's LRU. In-process backends run this too (a second reader
-    over the same files; the page cache deduplicates), keeping one code
-    path across all backends.
-    """
-    from repro.tiles.matrix import TiledCsrMatrix
-
-    matrix = TiledCsrMatrix.from_manifest(manifest, memory_budget=memory_budget)
-    _STATE["kmeans_tiled"] = (matrix,)
-
-
-def assign_chunk_tiled(
-    task: tuple[int, int, np.ndarray, np.ndarray]
-) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, float]:
-    """Tile-streaming :func:`assign_chunk`: fetch the block, then assign.
-
-    The block's per-document index/value views and precomputed squared
-    norms come straight out of the mapped tiles (local indexing), and the
-    arithmetic is :func:`_assign_block` verbatim — same doubles in the
-    same order as the in-memory path, so the per-block results (and the
-    caller's fixed-order merge) are bit-identical.
-    """
-    start, stop, centroids, centroid_sq_norms = task
-    (matrix,) = _STATE["kmeans_tiled"]
-    indices, values, sq_norms = matrix.block_arrays(start, stop)
-    return _assign_block(
-        0, stop - start, centroids, centroid_sq_norms, indices, values, sq_norms
-    )
+def release_kmeans_worker(slot: int) -> None:
+    """Drop a slot's state, closing the source if this worker rebuilt it
+    (tile readers unmap, shm attachments detach); a source the caller
+    placed in this very process stays the caller's."""
+    state = _KMEANS.pop(slot, None)
+    if state is not None:
+        source_descriptor, source = state[:2]
+        source_descriptor.release(source)
 
 
 def assign_block_span(
-    task: tuple[int, int, int]
+    task: tuple[int, int, int, object]
 ) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray, float]]:
-    """Assign a span of blocks against broadcast centroids (shm path).
+    """Assign a span of blocks against the iteration's centroids.
 
-    ``task`` is a constant-size token ``(first_block, last_block,
-    generation)``: the centroids travel through the broadcast channel,
-    not the task pickle, so per-iteration task bytes are independent of
-    the block count. The span returns one result *per block* — blocks
-    are never merged worker-side, which keeps the parent's fixed
-    block-order merge (and therefore the floating-point grouping)
-    identical to the non-shm path.
+    ``task`` is ``(slot, first_block, last_block, token)``: the centroids
+    come out of the broadcast channel (``token`` is a generation number
+    on the in-process and shared-memory planes, the arrays themselves on
+    the by-value one), and each block's per-document index/value views
+    and squared norms out of the worker's block source. The span returns
+    one result *per block* — its assignments, its compact partial
+    centroids (touched cell ids + their values, see
+    :func:`_assign_block`), per-cluster counts and inertia contribution.
+    Blocks are never merged worker-side and the caller merges them in
+    fixed block order, so the floating-point result does not depend on
+    the backend, the worker count, or where the rows live.
     """
-    first, last, generation = task
-    indices, values, sq_norms = _STATE["kmeans"]
-    channel, bounds = _STATE["kmeans_shm"]
-    centroids, centroid_sq_norms = channel.read(generation)
-    return [
-        _assign_block(
-            start, stop, centroids, centroid_sq_norms, indices, values, sq_norms
+    slot, first, last, token = task
+    _, source, channel, bounds = _KMEANS[slot]
+    centroids, centroid_sq_norms = channel.read(token)
+    results = []
+    for start, stop in bounds[first:last]:
+        indices, values, sq_norms = source.block_arrays(start, stop)
+        results.append(
+            _assign_block(
+                0, stop - start, centroids, centroid_sq_norms,
+                indices, values, sq_norms,
+            )
         )
-        for start, stop in bounds[first:last]
-    ]
+    return results
 
 
 #: Per-thread recycled K×V partial-centroid accumulator, flat (paper

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from repro.exec.metrics import Timeline
 from repro.exec.scheduler import SimScheduler
 from repro.exec.task import TaskCost
 from repro.ops import kernels
-from repro.sparse.matrix import CsrMatrix, csr_row_views
+from repro.sparse.matrix import CsrMatrix
 
 __all__ = ["KMeansResult", "KMeansOperator", "PHASE_KMEANS", "KMEANS_GRAIN_DOCS"]
 
@@ -61,12 +62,18 @@ PHASE_KMEANS = "kmeans"
 KMEANS_GRAIN_DOCS = 8192
 
 
+#: Worker-state slot of each real fit (see ``kernels._KMEANS``). Starting
+#: past 16 bits makes every slot pickle to the same five bytes, so span
+#: tasks stay constant-size tokens from one fit to the next.
+_SLOTS = count(1 << 16)
+
+
 def _block_spans(n_blocks: int, workers: int) -> list[tuple[int, int]]:
     """Group block indices into ≤ ``8·workers`` contiguous spans.
 
-    On the shm path each task covers a *span* of blocks, so the number of
-    tasks per iteration — and with constant-size tokens, the pickled bytes
-    per iteration — depends only on the worker count, never on how many
+    Each task covers a *span* of blocks, so the number of tasks per
+    iteration — and with constant-size tokens, the pickled bytes per
+    iteration — depends only on the worker count, never on how many
     blocks the document count produced. ~8 spans per worker keeps load
     balancing on par with one-task-per-block scheduling.
     """
@@ -112,17 +119,9 @@ class KMeansResult:
         return sizes
 
 
-class _Prepared:
-    """Per-document numpy views precomputed once (recycled across iters)."""
-
-    __slots__ = ("arrays", "indices", "values", "sq_norms", "n_docs")
-
-    def __init__(self, matrix: CsrMatrix) -> None:
-        #: The flat CSR triple the views slice (what the shm plane places).
-        self.arrays = matrix.as_arrays()
-        self.indices, self.values = csr_row_views(*self.arrays)
-        self.sq_norms: list[float] = [float(val @ val) for val in self.values]
-        self.n_docs = matrix.n_rows
+#: Rows fetched from a block source at a time by the serial passes (the
+#: reference loop, k-means++ seeding): bounds what a tiled source pins.
+_STREAM_ROWS = 1024
 
 
 class KMeansOperator:
@@ -158,50 +157,55 @@ class KMeansOperator:
 
     # -- pieces -------------------------------------------------------------------
 
-    def _init_centroids(self, matrix: CsrMatrix, prepared: _Prepared) -> np.ndarray:
+    def _init_centroids(self, source) -> np.ndarray:
         """Deterministic seeding, either evenly spread or k-means++.
 
         ``spread`` mirrors the paper-era practice of seeding from K
         documents spread through the input; ``kmeans++`` picks each next
         seed with probability proportional to its squared distance from
-        the chosen ones, which is far more robust on clumpy data.
+        the chosen ones, which is far more robust on clumpy data. Reads
+        through the block source: ``spread`` touches exactly K rows.
         """
         K = self.n_clusters
-        if matrix.n_rows < K:
-            raise OperatorError(
-                f"need at least {K} documents, got {matrix.n_rows}"
-            )
+        n_docs = source.n_rows
+        if n_docs < K:
+            raise OperatorError(f"need at least {K} documents, got {n_docs}")
         if self.init == "spread":
             seeds = []
-            stride = matrix.n_rows // K
+            stride = n_docs // K
             offset = self.seed % max(1, stride)
             for k in range(K):
-                seeds.append(min(matrix.n_rows - 1, offset + k * stride))
+                seeds.append(min(n_docs - 1, offset + k * stride))
         else:
-            seeds = self._kmeanspp_seeds(matrix, prepared)
-        centroids = np.zeros((K, matrix.n_cols), dtype=np.float64)
+            seeds = self._kmeanspp_seeds(source)
+        centroids = np.zeros((K, source.n_cols), dtype=np.float64)
         for k, doc in enumerate(seeds):
-            centroids[k, prepared.indices[doc]] = prepared.values[doc]
+            (idx,), (val,), _ = source.block_arrays(doc, doc + 1)
+            centroids[k, idx] = val
         return centroids
 
-    def _kmeanspp_seeds(self, matrix: CsrMatrix, prepared: _Prepared) -> list[int]:
-        """Deterministic k-means++ seeding (Arthur & Vassilvitskii 2007)."""
+    def _kmeanspp_seeds(self, source) -> list[int]:
+        """Deterministic k-means++ seeding (Arthur & Vassilvitskii 2007),
+        its K distance passes streamed ``_STREAM_ROWS`` rows at a time."""
         rng = random.Random(self.seed)
-        n_docs = matrix.n_rows
+        n_docs = source.n_rows
         seeds = [rng.randrange(n_docs)]
         # Squared distance of every document to its nearest chosen seed.
         nearest = np.full(n_docs, np.inf)
         for _ in range(1, self.n_clusters):
             last = seeds[-1]
-            last_dense = np.zeros(matrix.n_cols)
-            last_dense[prepared.indices[last]] = prepared.values[last]
-            last_sq = prepared.sq_norms[last]
-            for doc in range(n_docs):
-                idx, val = prepared.indices[doc], prepared.values[doc]
-                dot = float(last_dense[idx] @ val) if len(idx) else 0.0
-                dist = max(0.0, prepared.sq_norms[doc] - 2.0 * dot + last_sq)
-                if dist < nearest[doc]:
-                    nearest[doc] = dist
+            (idx,), (val,), (last_sq,) = source.block_arrays(last, last + 1)
+            last_dense = np.zeros(source.n_cols)
+            last_dense[idx] = val
+            for start in range(0, n_docs, _STREAM_ROWS):
+                stop = min(n_docs, start + _STREAM_ROWS)
+                doc_idx, doc_val, sq_norms = source.block_arrays(start, stop)
+                for local in range(stop - start):
+                    idx, val = doc_idx[local], doc_val[local]
+                    dot = float(last_dense[idx] @ val) if len(idx) else 0.0
+                    dist = max(0.0, sq_norms[local] - 2.0 * dot + last_sq)
+                    if dist < nearest[start + local]:
+                        nearest[start + local] = dist
             total = float(nearest.sum())
             if total <= 0.0:
                 seeds.append(rng.randrange(n_docs))
@@ -219,8 +223,9 @@ class KMeansOperator:
 
     def _assign_block(
         self,
-        prepared: _Prepared,
-        doc_ids: range | list[int],
+        source,
+        start: int,
+        stop: int,
         centroids: np.ndarray,
         centroid_sq_norms: np.ndarray,
         partial: np.ndarray,
@@ -228,28 +233,33 @@ class KMeansOperator:
         assignments: list[int],
         cost: TaskCost,
     ) -> float:
-        """Assign a block of documents; accumulate into worker partials.
+        """Assign documents ``[start, stop)``; accumulate into worker
+        partials, a document at a time.
 
         Returns the block's contribution to inertia and meters the block's
-        virtual cost: ``nnz·K`` gather-FMA pairs plus the accumulate.
+        virtual cost: ``nnz·K`` gather-FMA pairs plus the accumulate. The
+        rows are fetched ``_STREAM_ROWS`` at a time; a running buffer and
+        a running sum do not care how the documents arrive.
         """
         K = self.n_clusters
         inertia = 0.0
         nnz_total = 0
-        for doc in doc_ids:
-            idx = prepared.indices[doc]
-            val = prepared.values[doc]
-            nnz_total += len(idx)
-            if len(idx):
-                dots = centroids[:, idx] @ val
-            else:
-                dots = np.zeros(K)
-            distances = prepared.sq_norms[doc] - 2.0 * dots + centroid_sq_norms
-            best = int(np.argmin(distances))
-            assignments[doc] = best
-            inertia += float(max(0.0, distances[best]))
-            partial[best, idx] += val
-            counts[best] += 1
+        for at in range(start, stop, _STREAM_ROWS):
+            doc_idx, doc_val, sq_norms = source.block_arrays(
+                at, min(stop, at + _STREAM_ROWS)
+            )
+            for local, (idx, val) in enumerate(zip(doc_idx, doc_val)):
+                nnz_total += len(idx)
+                if len(idx):
+                    dots = centroids[:, idx] @ val
+                else:
+                    dots = np.zeros(K)
+                distances = sq_norms[local] - 2.0 * dots + centroid_sq_norms
+                best = int(np.argmin(distances))
+                assignments[at + local] = best
+                inertia += float(max(0.0, distances[best]))
+                partial[best, idx] += val
+                counts[best] += 1
         cost.cpu_s += nnz_total * K * self.costs.kmeans_flop_ns * 1e-9
         cost.mem_bytes += nnz_total * K * self.costs.kmeans_flop_bytes
         cost.cpu_s += nnz_total * self.costs.centroid_accumulate_ns * 1e-9
@@ -265,19 +275,25 @@ class KMeansOperator:
         workers: int | None = None,
         phase_name: str = PHASE_KMEANS,
     ) -> KMeansResult:
-        """Cluster ``matrix`` rows, accounting virtual time per iteration."""
+        """Cluster ``matrix`` rows, accounting virtual time per iteration.
+
+        The simulator behind Figure 1, and — at one core — the reference
+        every real fit is held to. It reads rows through the matrix's
+        block source, so a resident and a tiled matrix run this one loop.
+        """
         machine: MachineSpec = scheduler.machine
         T = machine.effective_workers(workers)
         K = self.n_clusters
         V = matrix.n_cols
         timeline = Timeline()
 
-        prepared = _Prepared(matrix)
-        centroids = self._init_centroids(matrix, prepared)
+        source = matrix.block_source()
+        n_docs = source.n_rows
+        centroids = self._init_centroids(source)
         centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
         if self.init == "kmeans++":
             # Seeding makes K serial passes over all documents.
-            total_nnz = sum(len(idx) for idx in prepared.indices)
+            total_nnz = matrix.nnz
             timeline.add(
                 scheduler.serial_phase(
                     TaskCost(
@@ -293,15 +309,15 @@ class KMeansOperator:
         # chunked proportionally (same chunk count as the full corpus).
         actual_grain = max(1, round(self.grain_docs / self.scale.doc_factor))
         blocks = [
-            list(range(start, min(start + actual_grain, prepared.n_docs)))
-            for start in range(0, prepared.n_docs, actual_grain)
+            (start, min(start + actual_grain, n_docs))
+            for start in range(0, n_docs, actual_grain)
         ]
         n_views = min(T, len(blocks))
 
         # Recycled buffers: one partial per active reducer view.
         partials = [np.zeros((K, V), dtype=np.float64) for _ in range(n_views)]
         counts = [np.zeros(K, dtype=np.int64) for _ in range(n_views)]
-        assignments = [-1] * prepared.n_docs
+        assignments = [-1] * n_docs
         previous = list(assignments)
 
         inertia = 0.0
@@ -318,10 +334,11 @@ class KMeansOperator:
             # accumulating into the owning view's partial buffer.
             assign_costs = [TaskCost() for _ in range(len(blocks))]
             inertia = 0.0
-            for chunk_id, block in enumerate(blocks):
+            for chunk_id, (start, stop) in enumerate(blocks):
                 inertia += self._assign_block(
-                    prepared,
-                    block,
+                    source,
+                    start,
+                    stop,
                     centroids,
                     centroid_sq_norms,
                     partials[chunk_id % n_views],
@@ -394,312 +411,75 @@ class KMeansOperator:
     def fit(
         self, matrix: CsrMatrix, backend: ExecutionBackend | None = None
     ) -> KMeansResult:
-        """Cluster without caring about timings (single simulated core).
+        """Cluster without caring about timings.
 
-        With a ``backend``, Lloyd's iterations run for real on it (wall
-        clock, no virtual-time accounting): the assignment loop is split
-        into fixed blocks whose partial centroid accumulators are merged
-        in block order, so assignments and centroids are bit-identical
-        across backends and worker counts.
-
-        A :class:`~repro.tiles.matrix.TiledCsrMatrix` dispatches to the
-        streaming path automatically — the matrix form, not the plan,
-        decides how the data is read.
+        Without a ``backend`` this is :meth:`run_simulated` on a single
+        simulated core — the inline reference. With one, Lloyd's
+        iterations run for real on it (wall clock, no virtual-time
+        accounting): seed, place, iterate. The matrix's block source is
+        *placed* once for the backend's workers — a resident matrix puts
+        its CSR triple and norms on the array plane (a shared segment, a
+        by-value copy, or the parent's own arrays in-process), a
+        :class:`~repro.tiles.matrix.TiledCsrMatrix` hands over its
+        manifest — and each iteration's centroids are *broadcast* once, so
+        tasks are ``(slot, first_block, last_block, token)`` spans. The block
+        bounds depend only on the document count and the per-block
+        partials are merged in block order, so assignments and centroids
+        are bit-identical across backends, worker counts, transports and
+        matrix forms.
         """
-        from repro.tiles.matrix import TiledCsrMatrix
+        if backend is None:
+            scheduler = SimScheduler(MachineSpec(cores=1, name="functional"))
+            return self.run_simulated(scheduler, matrix, workers=1)
 
-        if isinstance(matrix, TiledCsrMatrix):
-            return self._fit_tiled(matrix, backend)
-        if backend is not None:
-            return self._fit_backend(matrix, backend)
-        scheduler = SimScheduler(MachineSpec(cores=1, name="functional"))
-        return self.run_simulated(scheduler, matrix, workers=1)
-
-    def _fit_backend(
-        self, matrix: CsrMatrix, backend: ExecutionBackend
-    ) -> KMeansResult:
         backend.begin_phase(PHASE_KMEANS)
-        prepared = _Prepared(matrix)
-        centroids = self._init_centroids(matrix, prepared)
+        source = matrix.block_source()
+        centroids = self._init_centroids(source)
         centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
 
         # Block bounds depend only on the document count (not on the
         # backend's worker count): floating-point accumulation order is
         # fixed, which is what makes the output backend-invariant. At
-        # most 64 blocks keeps the per-task centroid shipping bounded.
-        n_docs = prepared.n_docs
+        # most 64 blocks keeps the per-iteration result count bounded.
+        n_docs = source.n_rows
         grain = max(32, -(-n_docs // 64))
         bounds = [
             (start, min(start + grain, n_docs))
             for start in range(0, n_docs, grain)
         ]
+        spans = _block_spans(len(bounds), backend.workers)
 
-        if backend.uses_shm:
-            return self._fit_shm(
-                matrix, backend, prepared, centroids, centroid_sq_norms, bounds
-            )
-
-        backend.configure(
-            kernels.init_kmeans_worker,
-            (prepared.indices, prepared.values, prepared.sq_norms),
-        )
-
-        def run_iteration(centroids, centroid_sq_norms):
-            # The dense K×V centroid array rides inside every block task —
-            # the per-iteration IPC the shm path eliminates.
-            tasks = [
-                (start, stop, centroids, centroid_sq_norms)
-                for start, stop in bounds
-            ]
-            return backend.map(kernels.assign_chunk, tasks, grain=1)
-
-        return self._lloyd(bounds, centroids, centroid_sq_norms, run_iteration)
-
-    def _fit_tiled(
-        self, matrix, backend: ExecutionBackend | None
-    ) -> KMeansResult:
-        """Lloyd's streaming spilled tiles: peak memory O(tile + centroids).
-
-        Nothing about the arithmetic changes — the block bounds formula,
-        the per-block assignment kernel, and the fixed block-order merge
-        are exactly the in-memory path's; only the block *fetch* differs
-        (mapped tile views instead of a resident ``_Prepared``, with the
-        squared norms read from the tiles where they were precomputed at
-        write time). Workers receive the picklable tile manifest instead
-        of matrix bytes, so there is no per-fit matrix IPC at all, and
-        the shm plane is unnecessary — the tile files *are* the shared
-        plane, whatever the backend.
-        """
-        if backend is None:
-            return self._fit_tiled_inline(matrix)
-
-        centroids = self._init_centroids_tiled(matrix)
-        centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
-
-        # Same bounds as _fit_backend: they depend only on the document
-        # count, which is what keeps tiled output bit-identical.
-        n_docs = matrix.n_rows
-        grain = max(32, -(-n_docs // 64))
-        bounds = [
-            (start, min(start + grain, n_docs))
-            for start in range(0, n_docs, grain)
-        ]
-
-        backend.begin_phase(PHASE_KMEANS)
-        backend.configure(
-            kernels.init_kmeans_worker_tiled,
-            (matrix.manifest, matrix.memory_budget),
-        )
-
-        def run_iteration(centroids, centroid_sq_norms):
-            tasks = [
-                (start, stop, centroids, centroid_sq_norms)
-                for start, stop in bounds
-            ]
-            return backend.map(kernels.assign_chunk_tiled, tasks, grain=1)
-
-        return self._lloyd(bounds, centroids, centroid_sq_norms, run_iteration)
-
-    def _fit_tiled_inline(self, matrix) -> KMeansResult:
-        """Streaming Lloyd's replicating the inline untiled arithmetic.
-
-        The inline (no-backend) untiled fit runs through the simulated
-        scheduler at one core: one reducer view, so a *single* partial
-        buffer accumulated document-by-document across blocks of
-        ``grain_docs`` documents, with inertia summed per block. This
-        loop replicates that accumulation order exactly — a running
-        buffer/scalar is invariant to how the documents are fetched — so
-        streaming small tile chunks still produces output bit-identical
-        to the in-memory inline path.
-        """
-        K = self.n_clusters
-        n_docs = matrix.n_rows
-        centroids = self._init_centroids_tiled(matrix)
-        centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
-        actual_grain = max(1, round(self.grain_docs / self.scale.doc_factor))
-        blocks = [
-            (start, min(start + actual_grain, n_docs))
-            for start in range(0, n_docs, actual_grain)
-        ]
-        stream = 1024
-
-        partial = np.zeros_like(centroids)
-        counts = np.zeros(K, dtype=np.int64)
-        assignments = [-1] * n_docs
-        previous = list(assignments)
-        inertia = 0.0
-        converged = False
-        n_iters = 0
-        inertia_history: list[float] = []
-        for _ in range(self.max_iters):
-            n_iters += 1
-            partial.fill(0.0)
-            counts.fill(0)
-            inertia = 0.0
-            for block_start, block_stop in blocks:
-                block_inertia = 0.0
-                for start in range(block_start, block_stop, stream):
-                    stop = min(block_stop, start + stream)
-                    doc_idx, doc_val, sq_norms = matrix.block_arrays(start, stop)
-                    for local in range(stop - start):
-                        idx = doc_idx[local]
-                        val = doc_val[local]
-                        if len(idx):
-                            dots = centroids[:, idx] @ val
-                        else:
-                            dots = np.zeros(K)
-                        distances = (
-                            sq_norms[local] - 2.0 * dots + centroid_sq_norms
-                        )
-                        best = int(np.argmin(distances))
-                        assignments[start + local] = best
-                        block_inertia += float(max(0.0, distances[best]))
-                        partial[best, idx] += val
-                        counts[best] += 1
-                inertia += block_inertia
-            inertia_history.append(inertia)
-
-            for k in range(K):
-                if counts[k] > 0:
-                    centroids[k] = partial[k] / counts[k]
-                # Empty cluster: previous centroid is kept (recycled buffer).
-            centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
-
-            if assignments == previous:
-                converged = True
-                break
-            previous = list(assignments)
-
-        return KMeansResult(
-            assignments=assignments,
-            centroids=centroids,
-            n_iters=n_iters,
-            inertia=inertia,
-            converged=converged,
-            inertia_history=inertia_history,
-        )
-
-    def _init_centroids_tiled(self, matrix) -> np.ndarray:
-        """:meth:`_init_centroids` reading seed rows from tiles.
-
-        ``spread`` needs exactly K rows; ``kmeans++`` streams its K
-        distance passes block-at-a-time. Seed selection and centroid
-        values replicate the in-memory arithmetic double-for-double.
-        """
-        K = self.n_clusters
-        if matrix.n_rows < K:
-            raise OperatorError(
-                f"need at least {K} documents, got {matrix.n_rows}"
-            )
-        if self.init == "spread":
-            seeds = []
-            stride = matrix.n_rows // K
-            offset = self.seed % max(1, stride)
-            for k in range(K):
-                seeds.append(min(matrix.n_rows - 1, offset + k * stride))
-        else:
-            seeds = self._kmeanspp_seeds_tiled(matrix)
-        centroids = np.zeros((K, matrix.n_cols), dtype=np.float64)
-        for k, doc in enumerate(seeds):
-            row = matrix.row(doc)
-            centroids[k, np.asarray(row.indices, dtype=np.intp)] = row.values
-        return centroids
-
-    def _kmeanspp_seeds_tiled(self, matrix) -> list[int]:
-        """:meth:`_kmeanspp_seeds` with block-streamed distance passes."""
-        rng = random.Random(self.seed)
-        n_docs = matrix.n_rows
-        seeds = [rng.randrange(n_docs)]
-        nearest = np.full(n_docs, np.inf)
-        block = 1024
-        for _ in range(1, self.n_clusters):
-            last = seeds[-1]
-            row = matrix.row(last)
-            last_dense = np.zeros(matrix.n_cols)
-            last_dense[np.asarray(row.indices, dtype=np.intp)] = row.values
-            last_sq = matrix.sq_norm(last)
-            for start in range(0, n_docs, block):
-                stop = min(n_docs, start + block)
-                doc_idx, doc_val, sq_norms = matrix.block_arrays(start, stop)
-                for local in range(stop - start):
-                    idx, val = doc_idx[local], doc_val[local]
-                    dot = float(last_dense[idx] @ val) if len(idx) else 0.0
-                    dist = max(0.0, sq_norms[local] - 2.0 * dot + last_sq)
-                    doc = start + local
-                    if dist < nearest[doc]:
-                        nearest[doc] = dist
-            total = float(nearest.sum())
-            if total <= 0.0:
-                seeds.append(rng.randrange(n_docs))
-                continue
-            target = rng.random() * total
-            cumulative = 0.0
-            chosen = n_docs - 1
-            for doc in range(n_docs):
-                cumulative += float(nearest[doc])
-                if cumulative >= target:
-                    chosen = doc
-                    break
-            seeds.append(chosen)
-        return seeds
-
-    def _fit_shm(
-        self,
-        matrix: CsrMatrix,
-        backend: ExecutionBackend,
-        prepared: _Prepared,
-        centroids: np.ndarray,
-        centroid_sq_norms: np.ndarray,
-        bounds: list[tuple[int, int]],
-    ) -> KMeansResult:
-        """Lloyd's on the shared-memory data plane.
-
-        The prepared matrix is *placed* once (workers attach zero-copy in
-        the initializer instead of receiving a pickled copy), and each
-        iteration's centroids are *broadcast* once into a double-buffered
-        segment — block tasks shrink to ``(first, last, generation)``
-        tokens, so per-iteration pickled bytes are independent of both
-        the block count and the K×V centroid size.
-        """
-        indptr, flat_indices, flat_values = prepared.arrays
-        shared = backend.share_arrays(
-            "kmeans-matrix",
-            {
-                "indptr": indptr,
-                "indices": flat_indices,
-                "values": flat_values,
-                "sq_norms": np.asarray(prepared.sq_norms, dtype=np.float64),
-            },
-        )
+        slot = next(_SLOTS)
+        placed = source.place(backend)
         channel = backend.open_broadcast(
             "kmeans-centroids", (centroids, centroid_sq_norms)
         )
-        spans = _block_spans(len(bounds), backend.workers)
         try:
             backend.configure(
-                kernels.init_kmeans_worker_shm,
-                (shared.descriptor(), channel.descriptor(), tuple(bounds)),
+                kernels.init_kmeans_worker,
+                (slot, placed.descriptor(), channel.descriptor(), tuple(bounds)),
             )
 
             def run_iteration(centroids, centroid_sq_norms):
-                generation = backend.broadcast(
-                    channel, (centroids, centroid_sq_norms)
-                )
-                tasks = [(first, last, generation) for first, last in spans]
+                token = backend.broadcast(channel, (centroids, centroid_sq_norms))
                 span_results = backend.map(
-                    kernels.assign_block_span, tasks, grain=1
+                    kernels.assign_block_span,
+                    [(slot, first, last, token) for first, last in spans],
+                    grain=1,
                 )
-                # Flatten spans back to per-block results: the merge below
-                # must see the exact block sequence of the non-shm path.
+                # Flatten spans back to per-block results: the merge
+                # sees the block sequence, whatever the span grouping.
                 return [block for span in span_results for block in span]
 
             return self._lloyd(bounds, centroids, centroid_sq_norms, run_iteration)
         finally:
-            # The segments outlive the pool generation (configure recycles
-            # pools without touching them) but not the fit; the backend's
-            # close() would also unlink them as a crash-path backstop.
+            # In-process backends installed the worker state right here;
+            # pool workers drop theirs with the pool generation. What was
+            # placed outlives pool recycling but not the fit (the
+            # backend's close() is the crash-path backstop).
+            kernels.release_kmeans_worker(slot)
             channel.close()
-            shared.close()
+            placed.close()
 
     def _lloyd(
         self,
@@ -708,12 +488,11 @@ class KMeansOperator:
         centroid_sq_norms: np.ndarray,
         run_iteration,
     ) -> KMeansResult:
-        """The iteration loop shared by the shm and pickled-task paths.
+        """The iteration loop of every real fit.
 
         ``run_iteration(centroids, centroid_sq_norms)`` returns one
-        result per block, in block order; everything else — the fixed
-        block-order merge, finalize, convergence — is identical, which
-        is what makes the two paths bit-identical.
+        result per block, in block order; the fixed block-order merge,
+        finalize and convergence test live here and nowhere else.
         """
         K = self.n_clusters
         n_docs = bounds[-1][1]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.dicts.api import Dictionary
 from repro.dicts.cost import profile_for_kind
 from repro.dicts.factory import make_dict
 from repro.errors import OperatorError
-from repro.exec.inline import ExecutionBackend
+from repro.exec.inline import ExecutionBackend, SequentialBackend
 from repro.exec.metrics import Timeline
 from repro.exec.parallel import auto_grain
 from repro.exec.scheduler import SimScheduler
@@ -397,59 +397,100 @@ class TfIdfOperator:
         weights[kept] = np.asarray(idf)[gmap[kept]]
         return block.bound(gmap, weights)
 
+    def _transform(
+        self,
+        wc: WordCountResult,
+        backend: ExecutionBackend | None,
+        grain: int | None,
+        tile_docs: int | None,
+    ):
+        """Phase 2a, the one driver: ``(vocabulary, idf, tiles)``.
+
+        The vocabulary/idf build stays serial (it is the phase's serial
+        prefix in the paper too), and so does mapping the corpus block's
+        terms onto it. ``tiles`` then yields the scored rows ``tile_docs``
+        documents at a time (``None``: all at once), each tile a list of
+        CSR blocks in row order — what the caller concatenates into a
+        resident matrix or spills. On a backend the per-document scoring
+        runs in chunks, each task a self-contained row range of the bound
+        block — workers hold no transform state, and no term string is
+        shipped; without one it is the inline reference, a document at a
+        time over instrumented dictionaries.
+        """
+        scratch = TaskCost()
+        vocabulary, idf = self.build_vocabulary(wc, scratch)
+        n_docs = len(wc.doc_tfs)
+        if backend is None:
+            index = self.build_index(vocabulary, scratch)
+
+            def rows(start: int, stop: int) -> list:
+                return [CsrMatrix.from_rows(
+                    self.transform_document(tf, index, idf, scratch)
+                    for tf in wc.doc_tfs[start:stop]
+                ).as_arrays()]
+        else:
+            backend.begin_phase(PHASE_TRANSFORM)
+            bound = self.bind(wc, vocabulary, idf)
+
+            def rows(start: int, stop: int) -> list:
+                step = grain or auto_grain(stop - start, backend.workers)
+                return self._map_chunks(
+                    backend,
+                    [
+                        bound[at:min(at + step, stop)]
+                        for at in range(start, stop, step)
+                    ],
+                    start,
+                )
+        tile_docs = tile_docs or max(1, n_docs)
+        tiles = (
+            rows(start, min(n_docs, start + tile_docs))
+            for start in range(0, n_docs, tile_docs)
+        )
+        return vocabulary, idf, tiles
+
+    @staticmethod
+    def _map_chunks(
+        backend: ExecutionBackend, chunks: list[TermBlock], first_doc: int
+    ) -> list:
+        """Bound row ranges → one CSR block each, on the backend.
+
+        ``bisect_items`` lets quarantine mode isolate a single poisoned
+        document inside a chunk (its rows are then simply absent from the
+        blocks returned); what was isolated is reported as document
+        indices, counted from ``first_doc`` — the index of the first row
+        of ``chunks[0]``.
+        """
+        quarantined_before = len(backend.quarantine.items)
+        parts = backend.map(
+            kernels.transform_chunk, chunks, grain=1, bisect_items=True
+        )
+        new_items = backend.quarantine.items[quarantined_before:]
+        if new_items:
+            starts = list(accumulate(map(len, chunks), initial=first_doc))
+            backend.quarantine.note_docs(
+                doc
+                for item in new_items
+                for doc in range(
+                    starts[item.item_index] + item.sub_start,
+                    starts[item.item_index] + item.sub_start + item.n_units,
+                )
+            )
+        return parts
+
     def transform_wordcount(
         self,
         wc: WordCountResult,
         backend: ExecutionBackend | None = None,
         grain: int | None = None,
     ) -> TfIdfResult:
-        """Phase 2a over an existing word-count result (no simulation).
-
-        The vocabulary/idf build stays serial (it is the phase's serial
-        prefix in the paper too), and so does mapping the corpus block's
-        terms onto it; the per-document scoring runs on the backend in
-        chunks, each task a self-contained row range of the bound block
-        — workers hold no transform state, and no term string is shipped.
-        """
-        scratch = TaskCost()
-        vocabulary, idf = self.build_vocabulary(wc, scratch)
-        if backend is None:
-            index = self.build_index(vocabulary, scratch)
-            matrix = CsrMatrix.from_rows(
-                (
-                    self.transform_document(tf, index, idf, scratch)
-                    for tf in wc.doc_tfs
-                ),
-                n_cols=len(vocabulary),
-            )
-        else:
-            backend.begin_phase(PHASE_TRANSFORM)
-            bound = self.bind(wc, vocabulary, idf)
-            if grain is None:
-                grain = auto_grain(len(bound), backend.workers)
-            quarantined_before = len(backend.quarantine.items)
-            # ``bisect_items`` lets quarantine mode isolate a single
-            # poisoned document inside a chunk.
-            parts = backend.map(
-                kernels.transform_chunk,
-                [bound[at:at + grain] for at in range(0, len(bound), grain)],
-                grain=1, bisect_items=True,
-            )
-            # Quarantine coordinates → document indices: map item i
-            # starts at document ``i * grain``.
-            new_items = backend.quarantine.items[quarantined_before:]
-            if new_items:
-                backend.quarantine.note_docs(
-                    doc
-                    for item in new_items
-                    for doc in range(
-                        item.item_index * grain + item.sub_start,
-                        item.item_index * grain + item.sub_start + item.n_units,
-                    )
-                )
-            matrix = CsrMatrix.from_arrays(
-                *concat_csr(parts), n_cols=len(vocabulary)
-            )
+        """Phase 2a over an existing word-count result (no simulation),
+        into one resident matrix (see :meth:`_transform`)."""
+        vocabulary, idf, tiles = self._transform(wc, backend, grain, None)
+        matrix = CsrMatrix.from_arrays(
+            *concat_csr(part for tile in tiles for part in tile),
+            n_cols=len(vocabulary),
+        )
         return TfIdfResult(
             matrix=matrix, vocabulary=vocabulary, idf=idf, wordcount=wc
         )
@@ -460,10 +501,9 @@ class TfIdfOperator:
         """Transform bound row ranges (``bind(...)[a:b]`` — the cache's
         changed shards) into one CSR block each, bit-identically to the
         full transform."""
-        if backend is None:
-            return [kernels.transform_chunk(chunk) for chunk in chunks]
+        backend = backend or SequentialBackend()
         backend.begin_phase(PHASE_TRANSFORM)
-        return backend.map(kernels.transform_chunk, chunks, grain=1)
+        return self._map_chunks(backend, chunks, 0)
 
     def transform_wordcount_tiled(
         self,
@@ -475,9 +515,9 @@ class TfIdfOperator:
     ) -> TfIdfResult:
         """Phase 2a emitting spill tiles instead of one in-memory matrix.
 
-        The bounded-memory twin of :meth:`transform_wordcount`: documents
-        are transformed ``tile_docs`` at a time, each finished row range
-        is written to ``store`` (a :class:`~repro.tiles.store.TileStore`)
+        :meth:`_transform` into a different container: documents are
+        transformed ``tile_docs`` at a time, each finished row range is
+        written to ``store`` (a :class:`~repro.tiles.store.TileStore`)
         as a binary tile — per-row squared norms precomputed for the
         k-means pass — and the rows are dropped before the next range
         starts, so peak memory is O(tile), not O(matrix). The per-document
@@ -486,51 +526,25 @@ class TfIdfOperator:
         differs. The returned result's ``matrix`` is a
         :class:`~repro.tiles.matrix.TiledCsrMatrix` view owning the store.
         ``tile_docs`` defaults to what fits the store's memory budget.
-
-        Unlike the monolithic path this one does not translate quarantine
-        coordinates: a poisoned document fails the phase (documented in
-        ``docs/data_plane.md``).
         """
         from repro.tiles.matrix import TiledCsrMatrix
 
         # Replays (degrade mode re-runs a phase after a pool death) must
         # not append onto a half-written tile set.
         store.reset()
-        scratch = TaskCost()
-        vocabulary, idf = self.build_vocabulary(wc, scratch)
-        n_cols = len(vocabulary)
-        n_docs = len(wc.doc_tfs)
         if tile_docs is None or tile_docs < 1:
             tile_docs = _rows_per_tile(wc, store.memory_budget)
-        if backend is None:
-            index = self.build_index(vocabulary, scratch)
-        else:
-            backend.begin_phase(PHASE_TRANSFORM)
-            bound = self.bind(wc, vocabulary, idf)
-        for tile_start in range(0, n_docs, tile_docs):
-            tile_stop = min(n_docs, tile_start + tile_docs)
-            if backend is None:
-                tile = CsrMatrix.from_rows(
-                    self.transform_document(tf, index, idf, scratch)
-                    for tf in wc.doc_tfs[tile_start:tile_stop]
-                ).as_arrays()
-            else:
-                sub_grain = grain or auto_grain(
-                    tile_stop - tile_start, backend.workers
-                )
-                tile = concat_csr(backend.map(
-                    kernels.transform_chunk,
-                    [
-                        bound[at:min(at + sub_grain, tile_stop)]
-                        for at in range(tile_start, tile_stop, sub_grain)
-                    ],
-                    grain=1,
-                ))
-            self._append_tile(store, tile_start, n_cols, tile)
-            del tile
-        manifest = store.seal(n_cols)
+        vocabulary, idf, tiles = self._transform(wc, backend, grain, tile_docs)
+        n_cols = len(vocabulary)
+        n_rows = 0
+        for tile in tiles:
+            tile = concat_csr(tile)
+            # At the running row count, not the tile's first document:
+            # a quarantined document leaves no row behind.
+            self._append_tile(store, n_rows, n_cols, tile)
+            n_rows += len(tile[0]) - 1
         return TfIdfResult(
-            matrix=TiledCsrMatrix(manifest, store=store),
+            matrix=TiledCsrMatrix(store.seal(n_cols), store=store),
             vocabulary=vocabulary,
             idf=idf,
             wordcount=wc,
@@ -540,9 +554,10 @@ class TfIdfOperator:
     def _append_tile(store, row_start: int, n_cols: int, tile) -> None:
         """Append one CSR block ``(indptr, indices, data)`` as a tile.
 
-        ``sq_norms`` is the per-row ``float64`` dot product the k-means
-        operator's in-memory ``_Prepared`` applies, so the stored norms
-        are the exact doubles the untiled fit would compute.
+        ``sq_norms`` is the per-row ``float64`` dot product a resident
+        block source (:class:`~repro.sparse.matrix.ResidentRows`) applies,
+        so the stored norms are the exact doubles the untiled fit would
+        compute.
         """
         indptr, indices, data = tile
         sq_norms = np.array(

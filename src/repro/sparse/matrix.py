@@ -13,9 +13,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.errors import OperatorError
+from repro.exec.shm import Placement
 from repro.sparse.vector import SparseVector
 
-__all__ = ["CsrMatrix", "csr_row_views"]
+__all__ = ["CsrMatrix", "ResidentRows", "csr_row_views"]
 
 
 def csr_row_views(
@@ -30,6 +31,72 @@ def csr_row_views(
     bounds = indptr.tolist()
     pairs = list(zip(bounds[:-1], bounds[1:]))
     return [indices[a:b] for a, b in pairs], [data[a:b] for a, b in pairs]
+
+
+class ResidentRows:
+    """Block source over a resident CSR triple: what k-means reads.
+
+    A *block source* answers ``n_rows``, ``n_cols``,
+    ``block_arrays(start, stop)`` and ``place(backend)``; this is the
+    in-memory one (:class:`~repro.tiles.matrix.TiledCsrMatrix` is the
+    spilled one). The per-row views and squared norms are computed once
+    and recycled across iterations. ``place`` puts the flat triple plus
+    norms on the backend's array plane — a shared segment, a by-value
+    copy, or nothing at all in-process — and a worker that resolves the
+    placement elsewhere gets a source built by :meth:`attach` over those
+    arrays.
+    """
+
+    def __init__(self, indptr, indices, data, n_cols, sq_norms=None,
+                 attached=None) -> None:
+        self.arrays = (indptr, indices, data)
+        self.indices, self.values = csr_row_views(indptr, indices, data)
+        if sq_norms is None:
+            sq_norms = [float(val @ val) for val in self.values]
+        self.sq_norms = sq_norms
+        self.n_rows = len(indptr) - 1
+        self.n_cols = n_cols
+        #: The arrays descriptor this source reads through, when it does.
+        self._attached = attached
+
+    @classmethod
+    def attach(cls, descriptor, n_cols: int) -> "ResidentRows":
+        """Worker side of :meth:`place`: views over the placed arrays."""
+        arrays = descriptor.resolve()
+        return cls(
+            arrays["indptr"], arrays["indices"], arrays["values"], n_cols,
+            arrays["sq_norms"], descriptor,
+        )
+
+    def block_arrays(self, start: int, stop: int):
+        """``(indices, values, sq_norms)`` of rows ``[start, stop)``,
+        position 0 being row ``start``."""
+        return (
+            self.indices[start:stop],
+            self.values[start:stop],
+            self.sq_norms[start:stop],
+        )
+
+    def place(self, backend) -> Placement:
+        indptr, indices, data = self.arrays
+        shared = backend.share_arrays(
+            "rows",
+            {
+                "indptr": indptr,
+                "indices": indices,
+                "values": data,
+                "sq_norms": np.asarray(self.sq_norms, dtype=np.float64),
+            },
+        )
+        return Placement(
+            self, ResidentRows.attach, (shared.descriptor(), self.n_cols), shared
+        )
+
+    def close(self) -> None:
+        """Drop the views, then the attachment they were views of."""
+        self.arrays = self.indices = self.values = self.sq_norms = None
+        if self._attached is not None:
+            self._attached.release()
 
 
 class CsrMatrix:
@@ -126,6 +193,10 @@ class CsrMatrix:
             np.ascontiguousarray(self.indices, dtype=np.intp),
             np.ascontiguousarray(self.data, dtype=np.float64),
         )
+
+    def block_source(self) -> ResidentRows:
+        """The matrix as a k-means block source (views + norms, built once)."""
+        return ResidentRows(*self.as_arrays(), self.n_cols)
 
     @property
     def n_rows(self) -> int:

@@ -16,10 +16,10 @@ Layout::
     sq_norms float64[n_rows]     16-byte aligned
 
 ``sq_norms[i]`` is ``float(v @ v)`` of row ``i``'s value vector, computed
-at write time with the exact arithmetic :class:`repro.ops.kmeans` uses
-for its in-memory ``_Prepared`` copies — so a streaming k-means pass
-reads per-row norms from the tile instead of re-deriving them each
-iteration, and gets bit-identical doubles.
+at write time with the exact arithmetic a resident
+:class:`~repro.sparse.matrix.ResidentRows` applies — so a streaming
+k-means pass reads per-row norms from the tile instead of re-deriving
+them each iteration, and gets bit-identical doubles.
 
 The header carries a CRC-32 of the payload region; :func:`open_tile`
 verifies it on demand (``verify=True``) and raises

@@ -6,7 +6,8 @@
 :class:`~repro.tiles.store.TileReader` instead of in-memory arrays, so
 at most ``memory_budget`` bytes of matrix are mapped at any time.
 
-Two extra methods serve the streaming k-means path:
+It is also a k-means *block source* — the spilled twin of
+:class:`~repro.sparse.matrix.ResidentRows`:
 
 * :meth:`block_arrays` assembles one row block ``[start, stop)`` as the
   exact ``(indices, values, sq_norms)`` triple
@@ -15,9 +16,12 @@ Two extra methods serve the streaming k-means path:
   precomputed at tile-write time. Feeding the same doubles through the
   same kernel in the same block order is what makes tiled output
   bit-identical to the in-memory path.
-* :meth:`from_manifest` rebuilds a read-only view in a worker process
-  from the picklable manifest — the file-backed analogue of resolving a
-  shm descriptor; no matrix bytes ever ride the task pickles.
+* :meth:`place` places nothing: the tile files are already a plane every
+  process can map, so the placement's recipe is the picklable manifest
+  plus the budget. In-process backends resolve it to this very matrix —
+  one reader, one budget, one set of counters; a worker *process* maps
+  its own read-only view (:meth:`from_manifest`), and no matrix bytes
+  ever ride the task pickles.
 
 ``as_arrays()`` still works (ARFF export, ad-hoc analysis) but
 materializes the full matrix — it is the documented escape hatch out of
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.exec.shm import Placement
 from repro.sparse.vector import SparseVector
 from repro.tiles.store import TileManifest, TileReader
 
@@ -129,19 +134,23 @@ class TiledCsrMatrix:
         # model compares the two forms, so they must use the same ruler.
         return 8 * self.nnz + 4 * self.nnz + 4 * (self.n_rows + 1)
 
-    # -- streaming access ----------------------------------------------------------
+    # -- block source ---------------------------------------------------------------
 
-    def sq_norm(self, i: int) -> float:
-        index = self._reader.tile_index_for_row(i)
-        sq_norms = self._reader.arrays(index)[3]
-        return float(sq_norms[i - self.manifest.tiles[index].row_start])
+    def block_source(self) -> "TiledCsrMatrix":
+        return self
+
+    def place(self, backend) -> Placement:
+        return Placement(
+            self, TiledCsrMatrix.from_manifest,
+            (self.manifest, self.memory_budget),
+        )
 
     def block_arrays(self, start: int, stop: int):
         """Per-row (indices, values) views plus sq_norms for ``[start, stop)``.
 
         Returns ``(doc_indices, doc_values, sq_norms)`` with local
         indexing — position 0 is row ``start`` — shaped exactly like the
-        per-document lists k-means' ``_Prepared`` builds in memory.
+        per-document lists a resident source slices in memory.
         """
         doc_indices: list[np.ndarray] = []
         doc_values: list[np.ndarray] = []

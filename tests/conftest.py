@@ -15,20 +15,32 @@ The tile plane gets the same treatment: every spill directory is named
 ``$TMPDIR/repro_tiles_*`` (:data:`repro.tiles.SPILL_PREFIX`), so a
 :class:`~repro.tiles.TileStore` that outlives its test — an unclosed
 tiled matrix, a worker-side reader, an exception path that skipped
-``close()`` — shows up as a leftover directory and fails that test.
+``close()`` — shows up as a leftover directory and fails that test. So
+does a tile file that is still *mapped* into this process after its test
+(``/proc/self/maps``, where there is one): a reader nobody closed keeps
+its mmaps — and the deleted files' blocks — for the life of the process.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import tempfile
 
 import pytest
+from hypothesis import settings
 
 from repro.exec.shm import SEGMENT_PREFIX
 from repro.tiles import SPILL_PREFIX
 
 _SHM_DIR = "/dev/shm"
+
+# ``pytest --hypothesis-profile=ci``: the same examples on every run (no
+# random seed, no example database) and a fixed number of them, so a CI
+# step's outcome and runtime are reproducible.
+settings.register_profile(
+    "ci", derandomize=True, database=None, max_examples=100, deadline=None
+)
 
 
 def _segments() -> set[str]:
@@ -73,6 +85,20 @@ def _spill_dirs() -> set[str]:
     return {name for name in names if name.startswith(SPILL_PREFIX)}
 
 
+def _mapped_tiles() -> set[str]:
+    """Tile files mapped into this process (empty where ``/proc`` is not)."""
+    try:
+        with open("/proc/self/maps") as handle:
+            lines = handle.read().splitlines()
+    except OSError:
+        return set()
+    # "address perms offset dev inode   pathname[ (deleted)]"
+    return {
+        line.split(None, 5)[5] for line in lines
+        if f"/{SPILL_PREFIX}_" in line
+    }
+
+
 @pytest.fixture(autouse=True)
 def no_shm_segment_leaks():
     if not os.path.isdir(_SHM_DIR):
@@ -92,10 +118,19 @@ def no_shm_segment_leaks():
 @pytest.fixture(autouse=True)
 def no_tile_spill_leaks():
     before = _spill_dirs()
+    mapped_before = _mapped_tiles()
     yield
     leaked = _spill_dirs() - before
     assert not leaked, (
         f"test leaked tile spill director{'y' if len(leaked) == 1 else 'ies'}: "
         f"{sorted(leaked)} — every TileStore (or the TiledCsrMatrix that "
         f"owns it) must be closed"
+    )
+    if _mapped_tiles() - mapped_before:
+        gc.collect()  # an evicted tile lives until its last view dies
+    still_mapped = _mapped_tiles() - mapped_before
+    assert not still_mapped, (
+        f"test left tile file(s) mapped: {sorted(still_mapped)} — every "
+        f"TileReader (or the TiledCsrMatrix over it) must be closed, "
+        f"worker-side ones included"
     )

@@ -12,10 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.pipeline import run_pipeline
+from repro.exec.process import make_backend
+from repro.exec.resilience import ResilienceConfig
+from repro.ops import kernels
 from repro.ops.kmeans import KMeansOperator
 from repro.ops.tfidf import TfIdfOperator
 from repro.plan import CalibrationStore
-from repro.text import MIX_PROFILE, generate_corpus
+from repro.text import MIX_PROFILE, Corpus, generate_corpus
 from repro.tiles.matrix import TiledCsrMatrix
 
 BUDGET = 50_000
@@ -82,6 +85,60 @@ class TestFixedPath:
         assert os.path.isdir(spill_dir)
         result.tfidf.matrix.close()
         assert not os.path.exists(spill_dir)
+
+
+#: Token count of the poisoned document below; no generated one is as long.
+_POISON_TOKENS = 4099
+
+_transform_chunk = kernels.transform_chunk
+
+
+def _poisoned_transform_chunk(block):
+    """``kernels.transform_chunk`` for a corpus with one document no
+    attempt can score: any row range holding it raises. (Module level:
+    the process backend ships the mapped function by reference.)"""
+    if (block.token_counts == _POISON_TOKENS).any():
+        raise ValueError("poisoned document")
+    return _transform_chunk(block)
+
+
+class TestQuarantineUnderBudget:
+    @pytest.mark.parametrize("name,workers", [("sequential", 1), ("processes", 2)])
+    def test_poisoned_document_is_isolated_tiled_as_resident(
+        self, corpus, monkeypatch, name, workers
+    ):
+        # One transform body serves both containers, so quarantine mode
+        # bisects down to the document and names it either way — and the
+        # tiles simply hold one row fewer.
+        texts = [doc.text for doc in corpus]
+        poisoned = len(texts) // 3
+        texts.insert(poisoned, "zyxq " * _POISON_TOKENS)
+        docs = Corpus.from_texts("poisoned", texts)
+        clean = _run(docs, backend=None)
+        assert clean.tfidf.wordcount.doc_token_counts.count(_POISON_TOKENS) == 1
+        survivors = [
+            row for at, row in enumerate(_fingerprint(clean)[0]) if at != poisoned
+        ]
+        monkeypatch.setattr(kernels, "transform_chunk", _poisoned_transform_chunk)
+
+        def run(memory_budget):
+            backend = make_backend(
+                name, workers, resilience=ResilienceConfig(on_poison="quarantine")
+            )
+            try:
+                return _run(docs, backend=backend, memory_budget=memory_budget)
+            finally:
+                backend.close()
+
+        resident, tiled = run(None), run(BUDGET)
+        try:
+            assert resident.quarantine.doc_ids == [poisoned]
+            assert tiled.quarantine.doc_ids == [poisoned]
+            assert tiled.tiles["tiles"] > 1
+            assert _fingerprint(resident)[0] == survivors
+            assert _fingerprint(tiled) == _fingerprint(resident)
+        finally:
+            tiled.tfidf.matrix.close()
 
 
 class TestPlannedPath:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec.inline import SequentialBackend, ThreadBackend
+from repro.exec.inline import ThreadBackend
 from repro.exec.process import ProcessBackend
 from repro.exec.shm import (
     IpcStats,
@@ -202,9 +202,7 @@ class TestShmPlane:
 
 class TestBackendPlane:
     def test_in_process_backends_do_not_use_shm(self):
-        assert SequentialBackend().uses_shm is False
         with ThreadBackend(2) as backend:
-            assert backend.uses_shm is False
             a = np.arange(3.0)
             handle = backend.share_arrays("t", {"a": a})
             assert handle.resolve()["a"] is a  # zero copies, trivially
@@ -216,7 +214,6 @@ class TestBackendPlane:
     @needs_shm
     def test_process_backend_share_and_map(self):
         with ProcessBackend(2, shm=True) as backend:
-            assert backend.uses_shm
             handle = backend.share_arrays(
                 "t", {"a": np.arange(6, dtype=np.float64)}
             )
@@ -226,13 +223,21 @@ class TestBackendPlane:
         # close() unlinked the plane's segments
         assert handle._shm is None or True  # handle closed by plane
 
-    def test_shm_disabled_backend_rejects_sharing(self):
+    def test_shm_disabled_backend_shares_by_value(self):
+        # No segment anywhere: the descriptor carries the placed arrays,
+        # the broadcast token carries the published ones.
         with ProcessBackend(2, shm=False) as backend:
-            assert backend.uses_shm is False
-            with pytest.raises(ConfigurationError):
-                backend.share_arrays("t", {"a": np.zeros(2)})
-            with pytest.raises(ConfigurationError):
-                backend.open_broadcast("c", (np.zeros(2),))
+            handle = backend.share_arrays(
+                "t", {"a": np.arange(6, dtype=np.float64)}
+            )
+            out = backend.map(_read_shared, [handle.descriptor()], grain=1)
+            assert out == [{"a": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}]
+            channel = backend.open_broadcast("c", (np.zeros(2),))
+            token = backend.broadcast(channel, (np.ones(2),))
+            descriptor = pickle.loads(pickle.dumps(channel.descriptor()))
+            assert descriptor.read(token)[0].tolist() == [1.0, 1.0]
+            assert backend.ipc.total().segments == 0
+            assert backend.ipc.total().broadcasts == 1
 
     @needs_shm
     def test_configure_recycle_keeps_segments_alive(self):
@@ -305,9 +310,10 @@ class TestKMeansIpcIndependence:
         matrix = self._matrix(2048)
         pickled = self._kmeans_task_bytes_per_iter(matrix, shm=False)
         shm = self._kmeans_task_bytes_per_iter(matrix, shm=True)
-        # 64 pickled K×V centroid copies per iteration vs a handful of
-        # constant-size tokens: orders of magnitude, not percent.
-        assert shm < pickled / 100
+        # One pickled K×V centroid copy per span (16 here; it was one per
+        # block, 64, before the by-value route took the span shape) vs
+        # as many constant-size tokens: a multiple, not a percentage.
+        assert shm < pickled / 10
 
     def test_output_identical_with_and_without_shm(self):
         matrix = self._matrix(512, seed=3)

@@ -18,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exec.process import make_backend
+from repro.exec.shm import Placement
 from repro.ops import kernels
 from repro.ops.kmeans import KMeansOperator
 from repro.ops.tfidf import TfIdfOperator
+from repro.sparse.matrix import ResidentRows
 from repro.text.synth import MIX_PROFILE, generate_corpus
 
 BACKENDS = (("sequential", 1), ("threads", 4), ("processes", 2))
@@ -188,53 +190,70 @@ def matrices():
     return wide, narrow
 
 
-def _views(matrix):
-    indptr, indices, data = matrix.as_arrays()
-    doc_idx = [indices[indptr[d]:indptr[d + 1]] for d in range(matrix.n_rows)]
-    doc_val = [data[indptr[d]:indptr[d + 1]] for d in range(matrix.n_rows)]
-    return doc_idx, doc_val, [float(val @ val) for val in doc_val]
+class _PoisonedRows(ResidentRows):
+    """A resident block source whose document ``poisoned`` carries one
+    value too many: its dot product raises inside the block kernel. The
+    flat CSR triple cannot express that, so the placement's recipe is
+    the constructor's arguments and every worker re-poisons its copy."""
+
+    def __init__(self, indptr, indices, data, n_cols, poisoned):
+        super().__init__(indptr, indices, data, n_cols)
+        self.poisoned = poisoned
+        self.values[poisoned] = np.append(self.values[poisoned], 1.0)
+
+    def place(self, backend):
+        return Placement(
+            self, _PoisonedRows, (*self.arrays, self.n_cols, self.poisoned)
+        )
 
 
 @pytest.mark.parametrize("name,workers", BACKENDS)
 class TestRecycledBufferHygiene:
     def test_block_that_raises_leaves_no_residue(self, matrices, name, workers):
         matrix, _ = matrices
-        doc_idx, doc_val, sq_norms = _views(matrix)
         n_docs = matrix.n_rows
         poisoned = n_docs // 2
-        # One value too many: the dot product of this document raises
-        # after the block's earlier documents were accumulated.
-        doc_val[poisoned] = np.append(doc_val[poisoned], 1.0)
+        source = _PoisonedRows(*matrix.as_arrays(), matrix.n_cols, poisoned)
+        doc_idx, doc_val, sq_norms = source.block_arrays(0, n_docs)
         K = 4
         centroids = np.zeros((K, matrix.n_cols))
         for k in range(K):
             centroids[k, doc_idx[k]] = doc_val[k]
         centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
-        bad = (0, n_docs, centroids, centroid_sq_norms)
-        # Retries: blocks either side of the poisoned document,
-        # overlapping the columns the failed attempt had touched.
-        retries = [
-            (start, stop, centroids, centroid_sq_norms)
-            for start, stop in ((0, poisoned), (poisoned + 1, n_docs)) * 4
-        ]
+        # Block 0 holds the poisoned document; blocks 1 and 2 are the
+        # retries either side of it, overlapping the columns the failed
+        # attempt had touched.
+        bounds = ((0, n_docs), (0, poisoned), (poisoned + 1, n_docs))
         expected = [
             _dense_block(start, stop, centroids, centroid_sq_norms,
                          doc_idx, doc_val, sq_norms)
-            for start, stop, *_ in retries
+            for start, stop in bounds[1:] * 4
         ]
         backend = make_backend(name, workers)
+        placed = source.place(backend)
+        channel = backend.open_broadcast(
+            "centroids", (centroids, centroid_sq_norms)
+        )
         try:
             backend.begin_phase("kmeans")
             backend.configure(
-                kernels.init_kmeans_worker, (doc_idx, doc_val, sq_norms)
+                kernels.init_kmeans_worker,
+                (7, placed.descriptor(), channel.descriptor(), bounds),
             )
+            token = backend.broadcast(channel, (centroids, centroid_sq_norms))
             # No reconfigure in between: the same warm workers serve the
             # failing block and its retries.
             for _round in range(3):
                 with pytest.raises(ValueError, match="matmul"):
-                    backend.map(kernels.assign_chunk, [bad] * workers, grain=1)
-                results = backend.map(kernels.assign_chunk, retries, grain=1)
-                for (assign, cells, partial, counts, inertia), (
+                    backend.map(
+                        kernels.assign_block_span,
+                        [(7, 0, 1, token)] * workers, grain=1,
+                    )
+                results = backend.map(
+                    kernels.assign_block_span,
+                    [(7, 1, 2, token), (7, 2, 3, token)] * 4, grain=1,
+                )
+                for ((assign, cells, partial, counts, inertia),), (
                     d_assign, d_partial, d_counts, d_inertia
                 ) in zip(results, expected):
                     assert assign == d_assign
@@ -243,6 +262,9 @@ class TestRecycledBufferHygiene:
                     scattered = _scatter(centroids.shape, cells, partial)
                     assert scattered.tobytes() == d_partial.tobytes()
         finally:
+            kernels.release_kmeans_worker(7)
+            channel.close()
+            placed.close()
             backend.close()
 
     def test_fits_of_different_shape_on_one_warm_backend(

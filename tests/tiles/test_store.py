@@ -215,8 +215,9 @@ class TestReaderBudget:
 
 class TestSharedReader:
     def test_threads_share_one_reader_under_eviction(self):
-        # ThreadBackend workers all read through the one reader that
-        # init_kmeans_worker_tiled installs. With room for fewer than two
+        # ThreadBackend workers all read through one reader — the tiled
+        # matrix's own, which kernels.init_kmeans_worker resolves the
+        # placement to in-process. With room for fewer than two
         # tiles every open evicts, so without the reader's lock one
         # thread's eviction nulls the arrays another is slicing
         # (TypeError: 'NoneType' object is not subscriptable).
