@@ -36,7 +36,7 @@ from repro.exec.resilience import (
     bisect_chunk,
     run_attempts,
 )
-from repro.exec.shm import IpcStats, LocalArrays, LocalBroadcast
+from repro.exec.shm import IpcStats, LocalArrays, LocalBroadcast, LocalGather
 from repro.exec.spans import SpanRecorder
 
 __all__ = [
@@ -113,6 +113,11 @@ class ExecutionBackend:
     name = "abstract"
     #: Degree of real parallelism the backend targets (1 for sequential).
     workers = 1
+    #: The grain rule of this tier: an operator phase splits its work into
+    #: about this many contiguous ranges per worker (see
+    #: :meth:`phase_grain`). In-process, a range's transients are the
+    #: run's peak memory, so ranges stay small.
+    tasks_per_worker = 8
 
     def __init__(self, resilience: ResilienceConfig | None = None) -> None:
         #: Per-phase IPC accounting (see :class:`repro.exec.shm.IpcStats`).
@@ -294,6 +299,30 @@ class ExecutionBackend:
         slot (publish stores references, readers get them back).
         """
         return LocalBroadcast(tag, stats=self.ipc)
+
+    def open_gather(self, tag: str, slots) -> LocalGather:
+        """Open a channel for per-task array *results* (the mirror of
+        :meth:`open_broadcast`).
+
+        ``slots`` is a zero-argument callable returning one tuple of
+        ``(dtype, capacity)`` per result slot, one pair per field; only
+        a transport that preallocates (the process backend's shared
+        arena) calls it. In-process default: results are handed back by
+        reference.
+        """
+        return LocalGather(tag)
+
+    def allocate_arrays(self, tag: str, specs):
+        """A zero-filled shared segment of ``(key, dtype, shape)`` arrays
+        that workers write in place, or ``None`` when results must come
+        back through the task's return value (every in-process backend,
+        where returning them copies nothing)."""
+        return None
+
+    def phase_grain(self, n_items: int) -> int:
+        """Items per task when an operator phase maps ``n_items`` (the
+        tier's grain rule; an explicit ``grain=`` overrides it)."""
+        return auto_grain(n_items, self.workers)
 
     def broadcast(self, channel, arrays) -> int:
         """Publish this iteration's arrays; returns their generation.

@@ -14,11 +14,16 @@ Design points (see ``docs/backends.md`` for the cost model):
   instead of being paid per document. ``map_stream`` micro-batches the
   producer's items the same way while still submitting each batch the
   moment it fills.
-* **Per-worker initializer.** Phase-constant state (tokenizer, stopword
-  table, vocabulary, prepared matrix) is shipped once per worker through
-  :meth:`ProcessBackend.configure`, not serialized into every task.
-  Reconfiguring with different state recycles the pool — one cheap pool
-  generation per phase, not per task.
+* **One pool generation, installed state.** Phase-constant state
+  (tokenizer, placed matrix) is shipped once per worker through
+  :meth:`ProcessBackend.configure`, not serialized into every task. The
+  pool is forked once per backend; later phases *install* their state
+  into the live workers (one barrier-held install task per worker, see
+  :func:`run_install`), dropping the previous phase's. A pool restarted
+  after a crash boots with the latest state.
+* **One range per worker.** Operator phases split their work into one
+  contiguous range per worker (:meth:`ProcessBackend.phase_grain`): one
+  pickle round trip per worker and phase, one part per worker to merge.
 * **Shared-memory data plane.** With ``shm`` enabled (the default where
   POSIX shared memory works), :meth:`share_arrays` places large arrays
   into named segments that workers attach zero-copy, and
@@ -27,7 +32,10 @@ Design points (see ``docs/backends.md`` for the cost model):
   backend owns every segment's lifecycle: ``close()`` unlinks them all,
   including after a worker crash. With ``shm`` off the same two calls
   answer by value — placed arrays ride the initargs, broadcast arrays
-  ride the tasks — so operators have one code path either way.
+  ride the tasks — so operators have one code path either way. Results
+  come back the same way round: :meth:`open_gather` gives tasks a
+  shared arena to write array results into (by value without shm), and
+  :meth:`allocate_arrays` a segment a whole phase writes its output into.
 * **IPC accounting.** Tasks round-trip through an explicit
   pickle-the-payload trampoline, so ``backend.ipc`` counts the *exact*
   bytes serialized each way, per pipeline phase — on a 1-CPU host the
@@ -67,15 +75,21 @@ from repro.exec.parallel import auto_grain
 from repro.exec.resilience import ResilienceConfig, bisect_chunk, run_attempts
 from repro.exec.shm import (
     LocalArrays,
+    LocalGather,
     ShmArrays,
     ShmBroadcast,
+    ShmGather,
     ShmPlane,
     ValueBroadcast,
+    detach_all,
     shm_available,
 )
 from repro.exec.spans import install_worker_epoch, worker_now
 
-__all__ = ["ProcessBackend", "make_backend", "BACKEND_CHOICES", "default_start_method"]
+__all__ = [
+    "ProcessBackend", "make_backend", "BACKEND_CHOICES", "default_start_method",
+    "register_worker_reset",
+]
 
 #: Names accepted by :func:`make_backend` (and the CLI ``--backend`` flag).
 BACKEND_CHOICES = ("sequential", "threads", "processes")
@@ -120,16 +134,51 @@ def run_pickled_chunk(payload: bytes) -> bytes:
     return pickle.dumps(apply_chunk(fn, chunk))
 
 
-def traced_worker_init(epoch: float, initializer, initargs: tuple) -> None:
-    """Pool initializer when tracing: install the epoch, then run the real one.
+#: Seconds an install task waits at its pool's barrier for the install
+#: tasks of the other workers.
+_INSTALL_TIMEOUT_S = 60.0
 
-    The parent's monotonic-clock epoch rides along with the per-phase
-    state shipment, so every worker re-bases its local clock onto the
-    parent's timeline before the first task arrives — no extra IPC.
-    """
-    install_worker_epoch(epoch)
+#: Worker side: the barrier of this worker's pool generation, handed over
+#: by :func:`boot_worker`.
+_BARRIER = None
+
+#: Worker side: what drops one phase's state before the next phase's is
+#: installed. Modules with per-worker state register here.
+_WORKER_RESETS: list[Callable[[], None]] = [detach_all]
+
+
+def register_worker_reset(reset: Callable[[], None]) -> None:
+    """Have every later install call ``reset()`` in each pool worker."""
+    if reset not in _WORKER_RESETS:
+        _WORKER_RESETS.insert(0, reset)  # before the segments detach
+
+
+def _apply_state(state: tuple) -> None:
+    epoch, initializer, initargs = state
+    if epoch is not None:
+        # Re-base the worker clock onto the parent's timeline (tracing).
+        install_worker_epoch(epoch)
     if initializer is not None:
         initializer(*initargs)
+
+
+def boot_worker(barrier, state: tuple) -> None:
+    """Pool initializer: keep the generation's barrier, install ``state``
+    — ``(epoch, initializer, initargs)``, the latest ``configure`` of the
+    backend when the pool was (re)started."""
+    global _BARRIER
+    _BARRIER = barrier
+    _apply_state(state)
+
+
+def run_install(payload: bytes) -> None:
+    """One worker's share of an install: drop the previous phase's state,
+    install the pickled ``state``, then wait at the barrier until every
+    other worker has taken its install task — so each takes exactly one."""
+    for reset in _WORKER_RESETS:
+        reset()
+    _apply_state(pickle.loads(payload))
+    _BARRIER.wait(_INSTALL_TIMEOUT_S)
 
 
 def run_pickled_chunk_traced(payload: bytes) -> tuple[bytes, bytes]:
@@ -197,6 +246,10 @@ class _ChunkTask:
 class ProcessBackend(ExecutionBackend):
     """Runs operator loops on a pool of worker processes."""
 
+    #: One contiguous range per worker and phase: each task pays a pickle
+    #: round trip and leaves one part for the parent to merge.
+    tasks_per_worker = 1
+
     def __init__(
         self,
         workers: int,
@@ -218,14 +271,12 @@ class ProcessBackend(ExecutionBackend):
             )
         self._plane = ShmPlane(stats=self.ipc) if shm else None
         self._pool: ProcessPoolExecutor | None = None
-        #: (initializer, initargs) the *current* pool generation was built
-        #: with; ``configure`` compares against it to avoid restarts when
-        #: the same phase maps repeatedly.
+        #: (initializer, initargs) of the latest ``configure``: installed
+        #: into the live workers, and what a (re)started pool boots with.
         self._init: tuple[Callable[..., None], tuple] | None = None
-        #: Trace state (enabled, epoch) the current pool was built with;
-        #: arming/re-arming the recorder forces a recycle so every worker
-        #: receives the new epoch.
-        self._pool_trace: tuple[bool, float] = (False, 0.0)
+        #: Trace epoch the live workers' clocks are based on (``None``:
+        #: never armed); re-arming the recorder installs the new one.
+        self._pool_epoch: float | None = None
         #: ``"phase#task_id"`` of the most recently submitted task — the
         #: context a :class:`BrokenProcessPool` error names.
         self._last_task: str | None = None
@@ -236,6 +287,9 @@ class ProcessBackend(ExecutionBackend):
     def begin_phase(self, name: str) -> None:
         super().begin_phase(name)
         self._pool_restarts_phase = 0
+
+    def phase_grain(self, n_items: int) -> int:
+        return max(1, -(-n_items // self.workers))
 
     # -- shared-array plane -------------------------------------------------------
 
@@ -250,16 +304,31 @@ class ProcessBackend(ExecutionBackend):
             return ValueBroadcast(tag, stats=self.ipc)
         return self._plane.open_broadcast(tag, template)
 
+    def open_gather(self, tag: str, slots) -> ShmGather | LocalGather:
+        if self._plane is None:
+            return LocalGather(tag)  # by value: results ride the returns
+        return self._plane.open_gather(tag, slots())
+
+    def allocate_arrays(self, tag: str, specs) -> ShmArrays | None:
+        if self._plane is None:
+            return None
+        return self._plane.allocate(tag, specs)
+
     # -- pool lifecycle ----------------------------------------------------------
 
     def configure(self, initializer, initargs=()) -> None:
-        """Ship per-worker state; recycles the pool only when it changed.
+        """Install per-worker state in the live pool — one pool generation
+        per backend, not per phase.
 
         Sameness is judged by identity (the initializer function and each
         initarg), not equality — initargs may hold numpy arrays, and
         callers that did not change the state pass the same objects.
+        Without a live pool the state waits for the pool's start (under
+        fork the workers inherit it, nothing is pickled); with one, every
+        worker drops the previous phase's state and installs the new one
+        (:func:`run_install`).
         """
-        if self._pool is not None and self._init is not None:
+        if self._init is not None:
             prev_fn, prev_args = self._init
             if (
                 prev_fn is initializer
@@ -267,46 +336,68 @@ class ProcessBackend(ExecutionBackend):
                 and all(a is b for a, b in zip(prev_args, initargs))
             ):
                 return
-        self._close_pool()
         self._init = (initializer, initargs)
-        # Under fork the pool inherits initargs copy-on-write — nothing is
-        # pickled; spawn/forkserver serialize them into every worker.
-        if self._start_method == "fork":
-            shipped = 0
+        if self._pool is not None:
+            self._install()
+        elif self._start_method == "fork":
+            self.ipc.record_configure(0)
         else:
-            shipped = len(pickle.dumps(initargs)) * self.workers
-        self.ipc.record_configure(shipped)
+            # spawn/forkserver serialize the boot state into every worker.
+            self.ipc.record_configure(len(pickle.dumps(initargs)) * self.workers)
+
+    def _epoch(self) -> float | None:
+        return self.spans.epoch if self.spans.enabled else None
+
+    def _install(self) -> None:
+        """Run one install task per live worker (see :func:`run_install`).
+
+        A pool that dies under the install is dropped: the next map
+        starts a fresh generation, which boots with the latest state.
+        """
+        epoch = self._epoch()
+        payload = pickle.dumps((epoch, *(self._init or (None, ()))))
+        self.ipc.record_configure(len(payload) * self.workers)
+        futures = [
+            self._pool.submit(run_install, payload) for _ in range(self.workers)
+        ]
+        try:
+            for future in futures:
+                future.result()
+        except BrokenProcessPool:
+            self._kill_pool()
+            return
+        except BaseException:
+            # An install that raised (or a barrier that broke) leaves the
+            # workers in mixed states: this generation cannot be trusted.
+            self._kill_pool()
+            raise
+        self._pool_epoch = epoch
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
-        trace_state = (
-            (True, self.spans.epoch) if self.spans.enabled else (False, 0.0)
-        )
-        if self._pool is not None and self._pool_trace != trace_state:
-            # Arming (or re-arming) the recorder changes the epoch every
-            # worker must re-base against: recycle the pool generation.
-            self._close_pool()
         if self._pool is None:
-            initializer, initargs = self._init or (None, ())
-            if trace_state[0]:
-                initializer, initargs = (
-                    traced_worker_init,
-                    (self.spans.epoch, initializer, initargs),
-                )
+            context = multiprocessing.get_context(self._start_method)
+            epoch = self._epoch()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=multiprocessing.get_context(self._start_method),
-                initializer=initializer,
-                initargs=initargs,
+                mp_context=context,
+                initializer=boot_worker,
+                initargs=(
+                    context.Barrier(self.workers),
+                    (epoch, *(self._init or (None, ()))),
+                ),
             )
-            self._pool_trace = trace_state
+            self._pool_epoch = epoch
+        elif self.spans.enabled and self._pool_epoch != self.spans.epoch:
+            # Arming (or re-arming) the recorder changes the epoch every
+            # worker must re-base against: the same install ships it.
+            self._install()
+            if self._pool is None:  # died under the install
+                return self._ensure_pool()
         return self._pool
 
     def _close_pool(self) -> None:
-        """Shut the pool down but keep shared segments alive.
-
-        ``configure`` recycles pools between phases; arrays an operator
-        has just placed for the *next* phase must survive the recycle.
-        """
+        """Shut the pool down but keep shared segments alive (a replay
+        re-attaches through the same descriptors)."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
@@ -448,9 +539,10 @@ class ProcessBackend(ExecutionBackend):
         before the executor is dropped); only in-flight chunks are
         resubmitted, at their current attempt — a pool death is the
         pool's fault, not the task's. Shared segments were never
-        unlinked, so respawned workers re-attach through the same
-        descriptors in the unchanged initargs. Bounded per phase by the
-        ``max_pool_restarts`` circuit breaker.
+        unlinked, and the new pool boots with the latest configured
+        state, so respawned workers re-attach through the same
+        descriptors. Bounded per phase by the ``max_pool_restarts``
+        circuit breaker.
         """
         self._pool_restarts_phase += 1
         if self._pool_restarts_phase > self.resilience.max_pool_restarts:
@@ -618,11 +710,13 @@ class ProcessBackend(ExecutionBackend):
             )
             return self._run_resilient(fn, chunks, bisect_items)
         pool = self._ensure_pool()
-        futures = [
-            self._submit_chunk(pool, fn, items[start : start + grain])
-            for start in range(0, len(items), grain)
-        ]
         try:
+            # A worker may die while later chunks are still being
+            # submitted: ``submit`` raises then, and takes the same path.
+            futures = [
+                self._submit_chunk(pool, fn, items[start : start + grain])
+                for start in range(0, len(items), grain)
+            ]
             return self._gather_pickled(futures)
         except BrokenProcessPool as exc:
             raise self._broken(exc) from exc

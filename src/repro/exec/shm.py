@@ -21,13 +21,17 @@ Three layers:
   "zero-copy" is trivially a no-op for them). The third transport, for
   worker processes *without* shared memory, is by value: a pickled
   :class:`LocalArrays` carries its arrays, and a
-  :class:`ValueBroadcast` token is the payload itself. A
-  :class:`Placement` is the same idea one level up — a whole block
-  source (resident rows, spilled tiles) behind ``resolve()``.
+  :class:`ValueBroadcast` token is the payload itself. Results travel
+  back through *gather* channels, the broadcast's mirror:
+  :class:`ShmGatherDescriptor` (``put(slot, arrays)`` into a parent-owned
+  arena) and :class:`LocalGather` (results handed back by reference
+  in-process, by value once pickled). A :class:`Placement` is the same
+  idea one level up — a whole block source (resident rows, spilled
+  tiles) behind ``resolve()``.
 * **Parent-side handles** — :class:`ShmArrays` / :class:`ShmBroadcast`
-  own a segment's lifecycle (create → write → unlink); the
-  :class:`ShmPlane` tracks every handle a backend created so
-  ``backend.close()`` can unlink them all even after a worker crash.
+  / :class:`ShmGather` own a segment's lifecycle (create → write →
+  unlink); the :class:`ShmPlane` tracks every handle a backend created
+  so ``backend.close()`` can unlink them all even after a worker crash.
 * **Accounting** — :class:`IpcStats` counts, per pipeline phase, the
   bytes actually pickled (tasks, results, configure) next to the bytes
   that crossed through shared segments instead. On a noisy or 1-CPU
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import atexit
 import itertools
+import math
 import os
 import signal
 import threading
@@ -62,11 +67,14 @@ __all__ = [
     "LocalArrays",
     "LocalBroadcast",
     "ValueBroadcast",
+    "LocalGather",
     "Placement",
     "ShmArrays",
     "ShmArraysDescriptor",
     "ShmBroadcast",
     "ShmBroadcastDescriptor",
+    "ShmGather",
+    "ShmGatherDescriptor",
     "ShmPlane",
     "shm_available",
     "SEGMENT_PREFIX",
@@ -394,6 +402,34 @@ class ValueBroadcast:
         pass
 
 
+class LocalGather:
+    """Gather channel that hands results back as they are.
+
+    The mirror of the broadcast channels, for per-task *array results*:
+    a task calls ``put`` for each of its slot results and returns what
+    ``put`` returned; the caller calls ``take`` on a slot with that
+    return value. Here ``put`` returns the arrays themselves — by
+    reference on the in-process backends (nothing is copied), by value
+    once the task's return value is pickled (a process backend without
+    shared memory). :class:`ShmGather` is the third transport.
+    """
+
+    def __init__(self, tag: str) -> None:
+        self.tag = tag
+
+    def descriptor(self) -> "LocalGather":
+        return self
+
+    def put(self, slot: int, arrays) -> tuple[np.ndarray, ...]:
+        return tuple(arrays)
+
+    def take(self, slot: int, returned) -> tuple[np.ndarray, ...]:
+        return returned
+
+    def close(self) -> None:
+        pass
+
+
 class Placement:
     """A block source made reachable from a backend's workers.
 
@@ -457,22 +493,39 @@ def _layout(
     arrays: list[tuple[str, np.ndarray]], base: int = 0
 ) -> tuple[tuple[_Field, ...], int]:
     """Assign aligned offsets to each array; returns (fields, end offset)."""
-    fields = []
-    offset = base
+    specs = []
     for key, array in arrays:
         array = np.asarray(array)
-        fields.append(_Field(key, array.dtype.str, tuple(array.shape), offset))
-        offset = _aligned(offset + array.nbytes)
+        specs.append((key, array.dtype, array.shape))
+    return _layout_specs(specs, base)
+
+
+def _layout_specs(specs, base: int = 0) -> tuple[tuple[_Field, ...], int]:
+    """:func:`_layout` from ``(key, dtype, shape)`` alone — for segments
+    whose arrays are written by workers, not copied in by the parent."""
+    fields = []
+    offset = base
+    for key, dtype, shape in specs:
+        dtype = np.dtype(dtype)
+        shape = tuple(int(n) for n in shape)
+        fields.append(_Field(key, dtype.str, shape, offset))
+        offset = _aligned(offset + dtype.itemsize * math.prod(shape))
     return tuple(fields), offset
 
 
 def _view(buf, spec: _Field, base: int = 0) -> np.ndarray:
-    return np.ndarray(spec.shape, dtype=spec.dtype, buffer=buf, offset=base + spec.offset)
+    # ``frombuffer`` holds an export on the mapping for as long as the
+    # view lives (``np.ndarray(buffer=...)`` does not): a segment closed
+    # under a live view stays mapped instead of leaving it dangling.
+    count = math.prod(spec.shape)
+    return np.frombuffer(
+        buf, dtype=spec.dtype, count=count, offset=base + spec.offset
+    ).reshape(spec.shape)
 
 
 #: Worker-side cache of attached segments, keyed by segment name. A
-#: worker attaches each segment once per pool generation; the mapping
-#: dies with the process, the *name* is unlinked by the parent.
+#: worker attaches each segment once per phase (an install detaches them
+#: all, :func:`detach_all`); the *name* is unlinked by the parent.
 _ATTACHED: dict[str, object] = {}
 
 
@@ -491,9 +544,22 @@ def _close_mapping(shm) -> None:
     try:
         shm.close()
     except BufferError:
-        # A numpy view over the buffer is still alive somewhere; the
-        # mapping is released when it is garbage collected.
-        pass
+        # A numpy view over the buffer is still alive somewhere (a result
+        # matrix the parent hands back, a worker's last block). Drop this
+        # handle's references instead: the views' buffer chain then owns
+        # the mapping, which is unmapped when the last of them dies — and
+        # the handle's own ``__del__`` can no longer trip over them.
+        shm._buf = shm._mmap = None
+        if getattr(shm, "_fd", -1) >= 0:
+            os.close(shm._fd)
+            shm._fd = -1
+
+
+def detach_all() -> None:
+    """Drop every attachment this process holds (a pool worker between
+    two phases: what the next phase reads, it attaches afresh)."""
+    while _ATTACHED:
+        _close_mapping(_ATTACHED.popitem()[1])
 
 
 def _release_segment(shm) -> None:
@@ -536,13 +602,18 @@ class ShmArrays:
     """
 
     def __init__(
-        self, tag: str, arrays: dict[str, np.ndarray], stats: IpcStats | None = None
+        self, tag: str, arrays: dict[str, np.ndarray] | None,
+        stats: IpcStats | None = None, specs=None,
     ) -> None:
         if _shared_memory is None:
             raise ConfigurationError("shared memory is unavailable on this platform")
         self.tag = tag
-        items = [(key, np.ascontiguousarray(a)) for key, a in arrays.items()]
-        fields, total = _layout(items)
+        items = [(key, np.ascontiguousarray(a)) for key, a in (arrays or {}).items()]
+        if specs is None:
+            fields, total = _layout(items)
+        else:
+            # Allocated, not placed: zero-filled arrays that workers write.
+            fields, total = _layout_specs(specs)
         self._shm = _shared_memory.SharedMemory(
             create=True, size=max(1, total), name=_segment_name()
         )
@@ -551,6 +622,11 @@ class ShmArrays:
         self._descriptor = ShmArraysDescriptor(self._shm.name, fields, total)
         if stats is not None:
             stats.record_segment(total)
+
+    @property
+    def live(self) -> bool:
+        """Whether the segment is still linked (workers can attach it)."""
+        return self._shm is not None
 
     @property
     def nbytes(self) -> int:
@@ -684,6 +760,97 @@ class ShmBroadcast:
             _release_segment(shm)
 
 
+def _slot_layout(slots) -> tuple[tuple[tuple[int, tuple[_Field, ...]], ...], int]:
+    """Lay out gather slots back to back: each is a header of one int64
+    length per field, then the fields at their capacities."""
+    layout = []
+    offset = 0
+    for capacities in slots:
+        header = offset
+        specs = [
+            (f"a{i}", dtype, (capacity,))
+            for i, (dtype, capacity) in enumerate(capacities)
+        ]
+        fields, offset = _layout_specs(
+            specs, base=header + _aligned(8 * len(specs))
+        )
+        layout.append((header, fields))
+    return tuple(layout), offset
+
+
+def _slot_lengths(buf, header: int, n_fields: int) -> np.ndarray:
+    return np.ndarray((n_fields,), dtype=np.int64, buffer=buf, offset=header)
+
+
+@dataclass(frozen=True)
+class ShmGatherDescriptor:
+    """Picklable recipe for writing results into a gather arena."""
+
+    segment: str
+    slots: tuple[tuple[int, tuple[_Field, ...]], ...]
+
+    def put(self, slot: int, arrays) -> None:
+        """Write one slot's arrays (each a prefix of its field) and their
+        lengths; the task returns ``None`` in their place."""
+        buf = _attach(self.segment).buf
+        header, fields = self.slots[slot]
+        lengths = _slot_lengths(buf, header, len(fields))
+        for at, (array, spec) in enumerate(zip(arrays, fields)):
+            array = np.asarray(array)
+            if len(array) > spec.shape[0]:
+                raise ConfigurationError(
+                    f"gather slot {slot} field {at}: {len(array)} values "
+                    f"exceed its capacity {spec.shape[0]}"
+                )
+            _view(buf, spec)[: len(array)] = array
+            lengths[at] = len(array)
+        return None
+
+
+class ShmGather:
+    """Parent-owned gather arena: one slot per result, bounded up front.
+
+    Workers write their slot results straight into the segment
+    (:meth:`ShmGatherDescriptor.put`) and the parent reads them back as
+    views (:meth:`take`) — no result array crosses a pipe. A slot is
+    rewritten whenever its task runs again (next iteration, retry,
+    replay), so a caller reads every slot it needs before resubmitting
+    the tasks that write it.
+    """
+
+    def __init__(self, tag: str, slots, stats: IpcStats | None = None) -> None:
+        if _shared_memory is None:
+            raise ConfigurationError("shared memory is unavailable on this platform")
+        self.tag = tag
+        layout, total = _slot_layout(slots)
+        self._shm = _shared_memory.SharedMemory(
+            create=True, size=max(1, total), name=_segment_name()
+        )
+        self._descriptor = ShmGatherDescriptor(self._shm.name, layout)
+        if stats is not None:
+            stats.record_segment(total)
+
+    def descriptor(self) -> ShmGatherDescriptor:
+        return self._descriptor
+
+    def take(self, slot: int, returned) -> tuple[np.ndarray, ...]:
+        if returned is not None:
+            return returned
+        if self._shm is None:
+            raise ConfigurationError(f"gather {self.tag!r} already closed")
+        buf = self._shm.buf
+        header, fields = self._descriptor.slots[slot]
+        lengths = _slot_lengths(buf, header, len(fields)).tolist()
+        return tuple(
+            _view(buf, spec)[:n] for spec, n in zip(fields, lengths)
+        )
+
+    def close(self) -> None:
+        shm, self._shm = self._shm, None
+        if shm is not None:
+            _release_segment(shm)
+
+
 #: Resources whose backing storage must be released if the owning process
 #: dies by SIGTERM (or plain interpreter exit) before ``close()`` ran:
 #: shm planes, and any other owner of kernel- or disk-backed state that
@@ -784,6 +951,16 @@ class ShmPlane:
 
     def open_broadcast(self, tag: str, template) -> ShmBroadcast:
         handle = ShmBroadcast(tag, template, stats=self._stats)
+        self._handles.append(handle)
+        return handle
+
+    def open_gather(self, tag: str, slots) -> ShmGather:
+        handle = ShmGather(tag, slots, stats=self._stats)
+        self._handles.append(handle)
+        return handle
+
+    def allocate(self, tag: str, specs) -> ShmArrays:
+        handle = ShmArrays(tag, None, stats=self._stats, specs=specs)
         self._handles.append(handle)
         return handle
 

@@ -175,11 +175,16 @@ class FsStorage(Storage):
             pass
 
     def list(self, prefix: str = "") -> Iterator[str]:
+        # ``os.walk`` yields ``root`` joined with the sub-folder, so the
+        # relative folder is a slice of it — one per directory, not an
+        # ``os.path.relpath`` per file.
+        cut = len(self.root.rstrip(os.sep)) + 1
         found = []
         for dirpath, _, filenames in os.walk(self.root):
-            for filename in filenames:
-                rel = os.path.relpath(os.path.join(dirpath, filename), self.root)
-                rel = rel.replace(os.sep, "/")
-                if rel.startswith(prefix):
-                    found.append(rel)
+            folder = dirpath[cut:].replace(os.sep, "/")
+            head = folder + "/" if folder else ""
+            found.extend(
+                rel for rel in map(head.__add__, filenames)
+                if rel.startswith(prefix)
+            )
         return iter(sorted(found))

@@ -28,33 +28,51 @@ from itertools import compress, count
 
 import numpy as np
 
+from repro.exec.process import register_worker_reset
 from repro.sparse.blocks import TermBlock, sorted_unique
 from repro.text.tokenizer import Tokenizer
 
 __all__ = [
     "init_wordcount_worker",
+    "release_wordcount_worker",
+    "wordcount_slot",
     "count_chunk",
     "transform_chunk",
+    "transform_into",
     "init_kmeans_worker",
     "release_kmeans_worker",
     "assign_block_span",
 ]
 
-#: Per-worker state installed by the ``init_*`` functions. Keyed by phase
-#: so a backend reconfigured mid-workflow cannot read stale state of a
-#: different kernel family.
-_STATE: dict[str, tuple] = {}
-
 
 # -- word count (TF/IDF phase 1) ------------------------------------------------------
 
 
-def init_wordcount_worker(tokenizer: Tokenizer) -> None:
+#: Word-count worker state per run, keyed by the run's slot (its tasks
+#: name it). The in-process backends install into the parent's copy,
+#: where runs on several threads may count at once, each with its own
+#: tokenizer. Slot 0 is the default of direct kernel calls.
+_WORDCOUNT: dict[int, Tokenizer] = {}
+
+#: Hands every word-count run its slot.
+_WORDCOUNT_SLOTS = count(1)
+
+
+def wordcount_slot() -> int:
+    """A word-count slot no other run of this process holds."""
+    return next(_WORDCOUNT_SLOTS)
+
+
+def init_wordcount_worker(tokenizer: Tokenizer, slot: int = 0) -> None:
     """Install the tokenizer (with its stopword/length config) once."""
-    _STATE["wordcount"] = (tokenizer,)
+    _WORDCOUNT[slot] = tokenizer
 
 
-def count_chunk(texts: list[str]) -> TermBlock:
+def release_wordcount_worker(slot: int) -> None:
+    _WORDCOUNT.pop(slot, None)
+
+
+def count_chunk(texts: list[str], slot: int = 0) -> TermBlock:
     """Count one chunk of documents into one columnar chunk block.
 
     No per-document object is built. (1) Every document is split and its
@@ -68,7 +86,7 @@ def count_chunk(texts: list[str]) -> TermBlock:
     :meth:`TermBlock.from_tokens`. Terms stay in first-seen order: the
     parent's :meth:`TermBlock.concat` sorts the union once.
     """
-    (tokenizer,) = _STATE["wordcount"]
+    tokenizer = _WORDCOUNT[slot]
     split = tokenizer.split
     tickets: dict[str, int] = {}
     intern = tickets.setdefault
@@ -123,6 +141,25 @@ def transform_chunk(
     return indptr, indices, data
 
 
+def transform_into(rows, task: tuple[TermBlock, int, int]) -> int:
+    """:func:`transform_chunk`, its rows written in place.
+
+    ``rows`` is the descriptor of the matrix's shared segment
+    (``indptr``/``indices``/``values``, sized for the whole corpus) and
+    ``task`` is ``(block, first_row, first_entry)``: the bound rows and
+    where they land. Returns the number of entries written — the task's
+    whole result pickle.
+    """
+    block, first_row, first_entry = task
+    indptr, indices, data = transform_chunk(block)
+    out = rows.resolve()
+    stop = first_entry + len(indices)
+    out["indptr"][first_row + 1 : first_row + len(indptr)] = indptr[1:] + first_entry
+    out["indices"][first_entry:stop] = indices
+    out["values"][first_entry:stop] = data
+    return len(indices)
+
+
 # -- K-means assignment ----------------------------------------------------------------
 
 
@@ -134,7 +171,7 @@ _KMEANS: dict[int, tuple] = {}
 
 
 def init_kmeans_worker(
-    slot: int, source_descriptor, channel_descriptor, bounds
+    slot: int, source_descriptor, channel_descriptor, bounds, gather=None
 ) -> None:
     """Resolve the placed block source once per worker (per fit).
 
@@ -145,7 +182,9 @@ def init_kmeans_worker(
     copy, or a read-only mapping of the tile files — the kernel below
     never learns which. ``channel_descriptor``/``bounds`` equip
     :func:`assign_block_span` to read each iteration's centroids and
-    walk its blocks. Whatever the slot held before is released first.
+    walk its blocks; ``gather``, when given, is the descriptor of the
+    fit's gather channel, one slot per block. Whatever the slot held
+    before is released first.
     """
     release_kmeans_worker(slot)
     _KMEANS[slot] = (
@@ -153,6 +192,7 @@ def init_kmeans_worker(
         source_descriptor.resolve(),
         channel_descriptor,
         tuple(bounds),
+        gather,
     )
 
 
@@ -166,35 +206,53 @@ def release_kmeans_worker(slot: int) -> None:
         source_descriptor.release(source)
 
 
-def assign_block_span(
-    task: tuple[int, int, int, object]
-) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray, float]]:
+def _drop_worker_state() -> None:
+    """Between two phases of a pool worker: every run's state goes."""
+    for slot in list(_KMEANS):
+        release_kmeans_worker(slot)
+    _WORDCOUNT.clear()
+
+
+register_worker_reset(_drop_worker_state)
+
+
+def assign_block_span(task: tuple[int, int, int, object]) -> list:
     """Assign a span of blocks against the iteration's centroids.
 
     ``task`` is ``(slot, first_block, last_block, token)``: the centroids
     come out of the broadcast channel (``token`` is a generation number
     on the in-process and shared-memory planes, the arrays themselves on
     the by-value one), and each block's per-document index/value views
-    and squared norms out of the worker's block source. The span returns
-    one result *per block* — its assignments, its compact partial
-    centroids (touched cell ids + their values, see
-    :func:`_assign_block`), per-cluster counts and inertia contribution.
-    Blocks are never merged worker-side and the caller merges them in
-    fixed block order, so the floating-point result does not depend on
-    the backend, the worker count, or where the rows live.
+    and squared norms out of the worker's block source. Each block's
+    result — its assignments, its compact partial centroids (touched
+    cell ids + their values, see :func:`_assign_block`), per-cluster
+    counts and inertia contribution — goes into the fit's gather channel
+    as five arrays, slot = block index, and the span returns what the
+    channel's ``put`` returned per block (the arrays themselves, or
+    ``None`` once they sit in the shared arena). Without a gather
+    channel the span returns the block results themselves. Blocks are
+    never merged worker-side and the caller merges them in fixed block
+    order, so the floating-point result does not depend on the backend,
+    the worker count, or where the rows live.
     """
     slot, first, last, token = task
-    _, source, channel, bounds = _KMEANS[slot]
+    _, source, channel, bounds, gather = _KMEANS[slot]
     centroids, centroid_sq_norms = channel.read(token)
     results = []
-    for start, stop in bounds[first:last]:
+    for block in range(first, last):
+        start, stop = bounds[block]
         indices, values, sq_norms = source.block_arrays(start, stop)
-        results.append(
-            _assign_block(
-                0, stop - start, centroids, centroid_sq_norms,
-                indices, values, sq_norms,
-            )
+        result = _assign_block(
+            0, stop - start, centroids, centroid_sq_norms,
+            indices, values, sq_norms,
         )
+        if gather is not None:
+            best, cells, partial, counts, inertia = result
+            result = gather.put(block, (
+                np.asarray(best, dtype=np.int64), cells, partial, counts,
+                np.array([inertia]),
+            ))
+        results.append(result)
     return results
 
 

@@ -68,16 +68,19 @@ KMEANS_GRAIN_DOCS = 8192
 _SLOTS = count(1 << 16)
 
 
-def _block_spans(n_blocks: int, workers: int) -> list[tuple[int, int]]:
-    """Group block indices into ≤ ``8·workers`` contiguous spans.
+def _block_spans(
+    n_blocks: int, workers: int, per_worker: int = 8
+) -> list[tuple[int, int]]:
+    """Group block indices into ≤ ``per_worker·workers`` contiguous spans.
 
     Each task covers a *span* of blocks, so the number of tasks per
     iteration — and with constant-size tokens, the pickled bytes per
     iteration — depends only on the worker count, never on how many
-    blocks the document count produced. ~8 spans per worker keeps load
-    balancing on par with one-task-per-block scheduling.
+    blocks the document count produced. ``per_worker`` is the backend's
+    grain rule (``tasks_per_worker``): ~8 spans per worker in-process,
+    one per worker on a process pool, where every task is a round trip.
     """
-    n_spans = min(n_blocks, 8 * workers)
+    n_spans = min(n_blocks, per_worker * workers)
     base, extra = divmod(n_blocks, n_spans)
     spans = []
     first = 0
@@ -422,11 +425,13 @@ class KMeansOperator:
         by-value copy, or the parent's own arrays in-process), a
         :class:`~repro.tiles.matrix.TiledCsrMatrix` hands over its
         manifest — and each iteration's centroids are *broadcast* once, so
-        tasks are ``(slot, first_block, last_block, token)`` spans. The block
-        bounds depend only on the document count and the per-block
-        partials are merged in block order, so assignments and centroids
-        are bit-identical across backends, worker counts, transports and
-        matrix forms.
+        tasks are ``(slot, first_block, last_block, token)`` spans. Block
+        results come back through a *gather* channel (by reference
+        in-process, written into a shared arena by pool workers, by value
+        without shared memory). The block bounds depend only on the
+        document count and the per-block partials are merged in block
+        order, so assignments and centroids are bit-identical across
+        backends, worker counts, transports and matrix forms.
         """
         if backend is None:
             scheduler = SimScheduler(MachineSpec(cores=1, name="functional"))
@@ -447,17 +452,30 @@ class KMeansOperator:
             (start, min(start + grain, n_docs))
             for start in range(0, n_docs, grain)
         ]
-        spans = _block_spans(len(bounds), backend.workers)
+        spans = _block_spans(
+            len(bounds), backend.workers, backend.tasks_per_worker
+        )
+        K = self.n_clusters
+
+        def gather_slots():
+            # A block ships at most one cell per stored entry.
+            return [
+                ((np.int64, stop - start), (np.intp, nnz), (np.float64, nnz),
+                 (np.int64, K), (np.float64, 1))
+                for (start, stop), nnz in zip(bounds, source.block_nnz(bounds))
+            ]
 
         slot = next(_SLOTS)
         placed = source.place(backend)
         channel = backend.open_broadcast(
             "kmeans-centroids", (centroids, centroid_sq_norms)
         )
+        gather = backend.open_gather("kmeans-partials", gather_slots)
         try:
             backend.configure(
                 kernels.init_kmeans_worker,
-                (slot, placed.descriptor(), channel.descriptor(), tuple(bounds)),
+                (slot, placed.descriptor(), channel.descriptor(), tuple(bounds),
+                 gather.descriptor()),
             )
 
             def run_iteration(centroids, centroid_sq_norms):
@@ -469,17 +487,31 @@ class KMeansOperator:
                 )
                 # Flatten spans back to per-block results: the merge
                 # sees the block sequence, whatever the span grouping.
-                return [block for span in span_results for block in span]
+                # Views into a shared arena are merged before the next
+                # iteration's tasks rewrite them.
+                results = []
+                for block, returned in enumerate(
+                    part for span in span_results for part in span
+                ):
+                    best, cells, partial, counts, inertia = gather.take(
+                        block, returned
+                    )
+                    results.append(
+                        (best.tolist(), cells, partial, counts, float(inertia[0]))
+                    )
+                return results
 
             return self._lloyd(bounds, centroids, centroid_sq_norms, run_iteration)
         finally:
-            # In-process backends installed the worker state right here;
-            # pool workers drop theirs with the pool generation. What was
-            # placed outlives pool recycling but not the fit (the
-            # backend's close() is the crash-path backstop).
-            kernels.release_kmeans_worker(slot)
-            channel.close()
-            placed.close()
+            try:
+                # In-process backends release the worker state right here;
+                # pool workers drop theirs in one install, so no worker is
+                # left attached to what the fit unlinks below.
+                backend.configure(kernels.release_kmeans_worker, (slot,))
+            finally:
+                gather.close()
+                channel.close()
+                placed.close()
 
     def _lloyd(
         self,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, compress, repeat
 
 import numpy as np
@@ -36,7 +37,6 @@ from repro.dicts.factory import make_dict
 from repro.errors import OperatorError
 from repro.exec.inline import ExecutionBackend, SequentialBackend
 from repro.exec.metrics import Timeline
-from repro.exec.parallel import auto_grain
 from repro.exec.scheduler import SimScheduler
 from repro.exec.task import TaskCost
 from repro.ops import kernels
@@ -404,7 +404,7 @@ class TfIdfOperator:
         grain: int | None,
         tile_docs: int | None,
     ):
-        """Phase 2a, the one driver: ``(vocabulary, idf, tiles)``.
+        """Phase 2a, the one driver: ``(vocabulary, idf, tiles, rows_out)``.
 
         The vocabulary/idf build stays serial (it is the phase's serial
         prefix in the paper too), and so does mapping the corpus block's
@@ -415,11 +415,15 @@ class TfIdfOperator:
         runs in chunks, each task a self-contained row range of the bound
         block — workers hold no transform state, and no term string is
         shipped; without one it is the inline reference, a document at a
-        time over instrumented dictionaries.
+        time over instrumented dictionaries. A resident transform on a
+        backend that can allocate a shared segment (``rows_out``) has
+        its workers write the rows straight into it (its tiles are then
+        empty), and no row crosses a pipe.
         """
         scratch = TaskCost()
         vocabulary, idf = self.build_vocabulary(wc, scratch)
         n_docs = len(wc.doc_tfs)
+        rows_out = None
         if backend is None:
             index = self.build_index(vocabulary, scratch)
 
@@ -431,23 +435,49 @@ class TfIdfOperator:
         else:
             backend.begin_phase(PHASE_TRANSFORM)
             bound = self.bind(wc, vocabulary, idf)
+            if tile_docs is None and not backend.resilience.quarantining:
+                # Quarantine may drop rows, which a preallocated matrix
+                # cannot absorb: those runs return their rows by value.
+                offsets = self._entry_offsets(bound)
+                rows_out = backend.allocate_arrays("rows", [
+                    ("indptr", np.int64, (n_docs + 1,)),
+                    ("indices", np.intp, (int(offsets[-1]),)),
+                    ("values", np.float64, (int(offsets[-1]),)),
+                    ("sq_norms", np.float64, (n_docs,)),  # k-means adds them
+                ])
 
             def rows(start: int, stop: int) -> list:
-                step = grain or auto_grain(stop - start, backend.workers)
-                return self._map_chunks(
-                    backend,
-                    [
-                        bound[at:min(at + step, stop)]
-                        for at in range(start, stop, step)
-                    ],
-                    start,
+                step = grain or backend.phase_grain(stop - start)
+                ranges = [
+                    (at, min(at + step, stop)) for at in range(start, stop, step)
+                ]
+                if rows_out is None:
+                    return self._map_chunks(
+                        backend, [bound[a:b] for a, b in ranges], start
+                    )
+                # Written in place: no block comes back.
+                backend.map(
+                    partial(kernels.transform_into, rows_out.descriptor()),
+                    [(bound[a:b], a, int(offsets[a])) for a, b in ranges],
+                    grain=1,
                 )
+                return []
         tile_docs = tile_docs or max(1, n_docs)
         tiles = (
             rows(start, min(n_docs, start + tile_docs))
             for start in range(0, n_docs, tile_docs)
         )
-        return vocabulary, idf, tiles
+        return vocabulary, idf, tiles, rows_out
+
+    @staticmethod
+    def _entry_offsets(bound: TermBlock) -> np.ndarray:
+        """Per row, the matrix entries before it: the block's entries
+        less those of terms pruned below ``min_df``."""
+        if (bound.gmap >= 0).all():
+            return bound.indptr
+        kept = np.zeros(len(bound.ids) + 1, dtype=np.int64)
+        np.cumsum(bound.gmap[bound.ids] >= 0, out=kept[1:])
+        return kept[bound.indptr]
 
     @staticmethod
     def _map_chunks(
@@ -486,11 +516,22 @@ class TfIdfOperator:
     ) -> TfIdfResult:
         """Phase 2a over an existing word-count result (no simulation),
         into one resident matrix (see :meth:`_transform`)."""
-        vocabulary, idf, tiles = self._transform(wc, backend, grain, None)
-        matrix = CsrMatrix.from_arrays(
-            *concat_csr(part for tile in tiles for part in tile),
-            n_cols=len(vocabulary),
+        vocabulary, idf, tiles, rows_out = self._transform(
+            wc, backend, grain, None
         )
+        parts = [part for tile in tiles for part in tile]
+        if rows_out is None:
+            matrix = CsrMatrix.from_arrays(
+                *concat_csr(parts), n_cols=len(vocabulary)
+            )
+        else:
+            # Written in place: the segment's views are the matrix.
+            arrays = rows_out.resolve()
+            matrix = CsrMatrix.from_arrays(
+                arrays["indptr"], arrays["indices"], arrays["values"],
+                n_cols=len(vocabulary),
+            )
+            matrix.shared = rows_out
         return TfIdfResult(
             matrix=matrix, vocabulary=vocabulary, idf=idf, wordcount=wc
         )
@@ -534,7 +575,7 @@ class TfIdfOperator:
         store.reset()
         if tile_docs is None or tile_docs < 1:
             tile_docs = _rows_per_tile(wc, store.memory_budget)
-        vocabulary, idf, tiles = self._transform(wc, backend, grain, tile_docs)
+        vocabulary, idf, tiles, _ = self._transform(wc, backend, grain, tile_docs)
         n_cols = len(vocabulary)
         n_rows = 0
         for tile in tiles:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator
 
 from repro.core.cost_model import DEFAULT_COSTS, UNIT_SCALE, CostConstants, WorkloadScale
@@ -25,7 +25,6 @@ from repro.dicts.cost import DictCostProfile, profile_for_kind
 from repro.dicts.factory import make_dict
 from repro.dicts.snapshot import SnapshotDict
 from repro.exec.inline import ExecutionBackend
-from repro.exec.parallel import auto_grain
 from repro.exec.scheduler import PhaseTiming, SimScheduler
 from repro.exec.task import TaskCost
 from repro.io.storage import Storage
@@ -400,21 +399,24 @@ class WordCountStep:
         Each chunk is one task: the worker tokenizes and counts its
         documents into one columnar block, so the parent only merges one
         term list per chunk (:meth:`TermBlock.concat`) instead of
-        re-counting per document.
+        re-counting per document. Chunks follow the backend's grain rule
+        (one contiguous range per worker on a process pool, so the
+        parent's merge sees ``workers`` blocks). The tokenizer is
+        installed in a slot of this run's own, so runs side by side in
+        one process never read each other's.
         Chunks are submitted as the source yields (``map_stream``), so a
         prefetching reader keeps the pool busy while later files are
         still in flight.
         """
         backend.begin_phase(PHASE_INPUT_WC)
-        backend.configure(kernels.init_wordcount_worker, (self.tokenizer,))
+        slot = kernels.wordcount_slot()
+        backend.configure(kernels.init_wordcount_worker, (self.tokenizer, slot))
         if grain is None:
             try:
                 n_hint = len(texts)
             except TypeError:
                 n_hint = None
-            grain = (
-                auto_grain(n_hint, backend.workers) if n_hint else _STREAM_GRAIN
-            )
+            grain = backend.phase_grain(n_hint) if n_hint else _STREAM_GRAIN
         paths: list[str] = []
         input_bytes = 0
         chunk_starts: list[int] = []
@@ -439,9 +441,15 @@ class WordCountStep:
         # ``bisect_items`` lets quarantine mode split *inside* a chunk, so
         # one poisoned document is isolated, not its whole chunk.
         quarantined_before = len(backend.quarantine.items)
-        parts = backend.map_stream(
-            kernels.count_chunk, chunked(), grain=1, bisect_items=True
-        )
+        try:
+            parts = backend.map_stream(
+                partial(kernels.count_chunk, slot=slot), chunked(), grain=1,
+                bisect_items=True,
+            )
+        finally:
+            # The in-process install is this run's alone; pool workers
+            # drop theirs at the next install.
+            kernels.release_wordcount_worker(slot)
 
         # Translate quarantine coordinates (chunk ordinal + offset inside
         # the chunk) into document indices, and drop those documents from

@@ -241,10 +241,14 @@ class CalibrationStore:
 
         # Phase 1: word count. One chunk = the whole sample, exactly the
         # kernel a backend task runs.
-        kernels.init_wordcount_worker(tokenizer)
-        t0 = time.perf_counter()
-        block = kernels.count_chunk(sample)
-        wc_s = time.perf_counter() - t0
+        slot = kernels.wordcount_slot()
+        kernels.init_wordcount_worker(tokenizer, slot)
+        try:
+            t0 = time.perf_counter()
+            block = kernels.count_chunk(sample, slot)
+            wc_s = time.perf_counter() - t0
+        finally:
+            kernels.release_wordcount_worker(slot)
         wc_task_bytes = len(pickle.dumps(sample)) / k
         store.phases["input+wc"] = PhaseConstants(
             compute_ns_per_doc=wc_s / k * 1e9,

@@ -48,7 +48,7 @@ class ResidentRows:
     """
 
     def __init__(self, indptr, indices, data, n_cols, sq_norms=None,
-                 attached=None) -> None:
+                 attached=None, shared=None) -> None:
         self.arrays = (indptr, indices, data)
         self.indices, self.values = csr_row_views(indptr, indices, data)
         if sq_norms is None:
@@ -58,6 +58,9 @@ class ResidentRows:
         self.n_cols = n_cols
         #: The arrays descriptor this source reads through, when it does.
         self._attached = attached
+        #: The shared segment the triple already lives in (a transform
+        #: that wrote its rows in place), which ``place`` hands over.
+        self._shared = shared
 
     @classmethod
     def attach(cls, descriptor, n_cols: int) -> "ResidentRows":
@@ -77,8 +80,23 @@ class ResidentRows:
             self.sq_norms[start:stop],
         )
 
+    def block_nnz(self, bounds) -> list[int]:
+        """Stored entries of each row block ``(start, stop)``."""
+        indptr = self.arrays[0]
+        return [int(indptr[stop] - indptr[start]) for start, stop in bounds]
+
     def place(self, backend) -> Placement:
         indptr, indices, data = self.arrays
+        shared = self._shared
+        if shared is not None and shared.live:
+            # The rows are on the plane already: add the norms and hand
+            # the segment over — the placement unlinks it with the fit,
+            # and a later placement copies.
+            shared.resolve()["sq_norms"][:] = self.sq_norms
+            return Placement(
+                self, ResidentRows.attach, (shared.descriptor(), self.n_cols),
+                shared,
+            )
         shared = backend.share_arrays(
             "rows",
             {
@@ -125,6 +143,9 @@ class CsrMatrix:
         self.indices = indices
         self.data = data
         self.n_cols = n_cols
+        #: Shared segment holding the arrays (plus room for row norms)
+        #: when workers wrote them in place; k-means places it as is.
+        self.shared = None
 
     @classmethod
     def from_rows(
@@ -196,7 +217,7 @@ class CsrMatrix:
 
     def block_source(self) -> ResidentRows:
         """The matrix as a k-means block source (views + norms, built once)."""
-        return ResidentRows(*self.as_arrays(), self.n_cols)
+        return ResidentRows(*self.as_arrays(), self.n_cols, shared=self.shared)
 
     @property
     def n_rows(self) -> int:

@@ -145,6 +145,21 @@ class TiledCsrMatrix:
             (self.manifest, self.memory_budget),
         )
 
+    def block_nnz(self, bounds) -> list[int]:
+        """Stored entries of each row block ``(start, stop)``: one pass
+        over the tiles' ``indptr`` (what a shared gather arena sizes its
+        slots by)."""
+        prefix = np.zeros(self.n_rows + 1, dtype=np.int64)
+        cursor = 0
+        for index, meta in enumerate(self.manifest.tiles):
+            indptr = self._reader.arrays(index)[0]
+            base = meta.row_start
+            prefix[base + 1 : base + meta.n_rows + 1] = (
+                np.asarray(indptr[1:], dtype=np.int64) + cursor
+            )
+            cursor += meta.nnz
+        return [int(prefix[stop] - prefix[start]) for start, stop in bounds]
+
     def block_arrays(self, start: int, stop: int):
         """Per-row (indices, values) views plus sq_norms for ``[start, stop)``.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 
 import pytest
@@ -52,6 +53,11 @@ def _poison_items(tmp_path, n_markers):
 
 def _add_offset(x):
     return x + _WORKER_STATE["offset"]
+
+
+def _pid(_):
+    time.sleep(0.01)  # long enough for both workers to take tasks
+    return os.getpid()
 
 
 class TestApplyChunk:
@@ -184,17 +190,23 @@ class TestProcessBackend:
                 x + 100 for x in range(10)
             ]
 
-    def test_configure_same_state_keeps_pool(self):
+    def test_configure_installs_into_the_live_pool(self):
         with ProcessBackend(2) as backend:
             args = (7,)
             backend.configure(_install_offset, args)
             backend.map(_add_offset, [1])
             pool = backend._pool
+            pids = set(backend.map(_pid, range(8), grain=1))
             backend.configure(_install_offset, args)
             assert backend._pool is pool
+            assert backend.ipc.total().configures == 1  # same state: no-op
             backend.configure(_install_offset, (8,))
-            assert backend._pool is None  # recycled for the new state
-            assert backend.map(_add_offset, [1]) == [9]
+            # New state goes into the same workers — no second generation.
+            assert backend._pool is pool
+            assert backend.map(_add_offset, range(8), grain=1) == [
+                x + 8 for x in range(8)
+            ]
+            assert set(backend.map(_pid, range(8), grain=1)) <= pids
 
     def test_pool_reused_across_maps(self):
         with ProcessBackend(2) as backend:

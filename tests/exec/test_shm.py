@@ -15,10 +15,12 @@ from repro.exec.shm import (
     IpcStats,
     LocalArrays,
     LocalBroadcast,
+    LocalGather,
     SEGMENT_PREFIX,
     ShmArrays,
     ShmBroadcast,
     ShmPlane,
+    detach_all,
     shm_available,
 )
 from repro.ops import kernels
@@ -187,6 +189,49 @@ class TestShmBroadcast:
 
 
 @needs_shm
+class TestGather:
+    SLOTS = [((np.int64, 3), (np.float64, 4)), ((np.int64, 1), (np.float64, 0))]
+
+    def test_local_gather_hands_results_back(self):
+        gather = LocalGather("g")
+        a = np.arange(3)
+        returned = gather.descriptor().put(0, (a,))
+        assert gather.take(0, returned)[0] is a
+
+    @needs_shm
+    def test_arena_slots_round_trip_by_prefix(self):
+        plane = ShmPlane()
+        try:
+            gather = plane.open_gather("g", self.SLOTS)
+            worker = pickle.loads(pickle.dumps(gather.descriptor()))
+            assert worker.put(0, (np.array([7, 8]), np.array([0.5]))) is None
+            assert worker.put(1, (np.array([9]), np.empty(0))) is None
+            ids, values = gather.take(0, None)
+            assert ids.tolist() == [7, 8] and values.tolist() == [0.5]
+            # A rewrite (next iteration, retry) replaces the slot.
+            worker.put(0, (np.array([1, 2, 3]), np.arange(4.0)))
+            ids, values = gather.take(0, None)
+            assert ids.tolist() == [1, 2, 3] and values.tolist() == [0, 1, 2, 3]
+            assert gather.take(1, None)[0].tolist() == [9]
+            with pytest.raises(ConfigurationError, match="capacity"):
+                worker.put(1, (np.array([1, 2]), np.empty(0)))
+        finally:
+            detach_all()  # this process attached as the "worker"
+            plane.close()
+
+    @needs_shm
+    def test_views_outlive_the_closed_segment(self):
+        plane = ShmPlane()
+        handle = plane.allocate("rows", [("values", np.float64, (4,))])
+        values = handle.resolve()["values"]
+        values[:] = [1.0, 2.0, 3.0, 4.0]
+        name = handle.descriptor().segment
+        plane.close()
+        # Unlinked, but the view still owns a live mapping.
+        assert name not in _live_segments() and not handle.live
+        assert values.sum() == 10.0
+
+
 class TestShmPlane:
     def test_close_releases_every_handle(self):
         plane = ShmPlane()

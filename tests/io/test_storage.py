@@ -1,5 +1,7 @@
 """Tests for storage backends and corpus persistence."""
 
+import os
+
 import pytest
 
 from repro.errors import StorageError
@@ -86,6 +88,34 @@ class TestFsStorageSpecifics:
         store = FsStorage(str(tmp_path / "root"))
         store.write("out.arff", "@relation r")
         assert (tmp_path / "root" / "out.arff").read_text() == "@relation r"
+
+    @pytest.mark.parametrize("spelling", ["absolute", "relative", "trailing"])
+    def test_list_matches_per_file_relpath(self, tmp_path, monkeypatch, spelling):
+        # The listing slices each walked folder instead of calling
+        # os.path.relpath per file; it must name exactly what relpath
+        # would, for nested folders, prefix filters and any root spelling.
+        monkeypatch.chdir(tmp_path)
+        root = {"absolute": str(tmp_path / "root"), "relative": "root",
+                "trailing": str(tmp_path / "root") + os.sep}[spelling]
+        store = FsStorage(root)
+        for path in ("z.txt", "a/b.txt", "a/b/c.txt", "a/b/c/d.txt",
+                     "ab/e.txt", "abc.txt", "q/r/s/t/u.txt"):
+            store.write(path, "x")
+
+        def by_relpath(prefix):
+            found = []
+            for dirpath, _, names in os.walk(tmp_path / "root"):
+                for name in names:
+                    rel = os.path.relpath(
+                        os.path.join(dirpath, name), tmp_path / "root"
+                    ).replace(os.sep, "/")
+                    if rel.startswith(prefix):
+                        found.append(rel)
+            return sorted(found)
+
+        for prefix in ("", "a", "a/", "a/b", "a/b/", "ab", "q/r/s", "zz"):
+            assert list(store.list(prefix)) == by_relpath(prefix), prefix
+        assert len(list(store.list())) == 7
 
 
 class TestCorpusIo:
