@@ -357,10 +357,11 @@ class ProcessBackend(ExecutionBackend):
         epoch = self._epoch()
         payload = pickle.dumps((epoch, *(self._init or (None, ()))))
         self.ipc.record_configure(len(payload) * self.workers)
-        futures = [
-            self._pool.submit(run_install, payload) for _ in range(self.workers)
-        ]
         try:
+            futures = [
+                self._pool.submit(run_install, payload)
+                for _ in range(self.workers)
+            ]
             for future in futures:
                 future.result()
         except BrokenProcessPool:
