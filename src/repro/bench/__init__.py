@@ -1,4 +1,7 @@
-"""Benchmark harnesses: virtual-time (paper figures) and wall-clock."""
+"""Benchmark harness for the paper figures: the simulator, in virtual time only.
+
+Wall-clock measurement of the real path lives in ``perfbench/``.
+"""
 
 from repro.bench.harness import (
     DEFAULT_BENCH_SCALE,
@@ -8,7 +11,6 @@ from repro.bench.harness import (
     prepare_workload,
     run_paper_workflow,
 )
-from repro.bench.wallclock import DEFAULT_WORKER_SWEEP, bench_wallclock
 
 __all__ = [
     "Workload",
@@ -17,6 +19,4 @@ __all__ = [
     "DEFAULT_BENCH_SCALE",
     "THREAD_SWEEP",
     "FIG3_THREADS",
-    "bench_wallclock",
-    "DEFAULT_WORKER_SWEEP",
 ]

@@ -5,8 +5,8 @@ questions in virtual time; this module is its real-execution twin. It
 runs the same fused TF/IDF → K-means composition — scores handed over in
 memory, no ARFF round trip — on an actual
 :class:`~repro.exec.inline.ExecutionBackend`, timing each phase with the
-host's wall clock. It is the engine behind ``python -m repro pipeline``
-and the wall-clock benchmark (:mod:`repro.bench.wallclock`).
+host's wall clock. It is the engine behind ``python -m repro pipeline``,
+the serve daemon's jobs and ``perfbench/``.
 
 There is one driver, :func:`run_pipeline`, and every run is a plan: a
 fixed backend (or none — the inline reference path) is the trivial plan
@@ -20,6 +20,8 @@ rows of :data:`PIPELINE_RULES`.
 
 from __future__ import annotations
 
+import hashlib
+import struct
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -41,7 +43,7 @@ from repro.text.corpus import Corpus
 from repro.tiles.store import TileStore
 
 __all__ = [
-    "RealRunResult", "run_pipeline", "PHASE_READ",
+    "RealRunResult", "output_digest", "run_pipeline", "PHASE_READ",
     "PIPELINE_RULES", "check_pipeline_rules",
 ]
 
@@ -207,6 +209,27 @@ class RealRunResult:
                 else None
             ),
         }
+
+
+def output_digest(result: RealRunResult) -> str:
+    """One hash over rows, assignments, and raw centroid bytes.
+
+    Struct-packed (not ``repr``) so equal doubles hash equally and any
+    last-ulp drift between tiled and resident execution changes the
+    digest — this is the cross-process form of the bit-identity check.
+    """
+    h = hashlib.sha256()
+    matrix = result.tfidf.matrix
+    h.update(struct.pack("<qq", matrix.n_rows, matrix.n_cols))
+    for row in matrix.iter_rows():
+        idx = [int(i) for i in row.indices]
+        val = [float(v) for v in row.values]
+        h.update(struct.pack(f"<q{len(idx)}q", len(idx), *idx))
+        h.update(struct.pack(f"<{len(val)}d", *val))
+    assignments = result.kmeans.assignments
+    h.update(struct.pack(f"<q{len(assignments)}q", len(assignments), *assignments))
+    h.update(result.kmeans.centroids.tobytes())
+    return h.hexdigest()
 
 
 def run_pipeline(

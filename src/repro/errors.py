@@ -18,7 +18,6 @@ __all__ = [
     "PlannerError",
     "OperatorError",
     "CacheError",
-    "BenchmarkError",
     "TaskTimeoutError",
     "PhaseTimeoutError",
 ]
@@ -63,10 +62,6 @@ class OperatorError(ReproError):
 class CacheError(ReproError):
     """The result cache was misused (corrupt *entries* are never raised —
     they are deleted and treated as misses; this covers caller errors)."""
-
-
-class BenchmarkError(ReproError):
-    """A wall-clock benchmark run failed; carries the failing configuration."""
 
 
 class TaskTimeoutError(ReproError):

@@ -194,8 +194,8 @@ class IpcStats:
     Operators call :meth:`set_phase` when they start a backend run; every
     subsequent task/configure/segment/broadcast is charged to that phase.
     ``snapshot()`` returns a JSON-able dict that ``run_pipeline`` surfaces
-    in :class:`~repro.core.pipeline.RealRunResult` and the wall-clock
-    benchmark appends to ``BENCH_wallclock.json``.
+    in :class:`~repro.core.pipeline.RealRunResult` (``result.ipc``), where
+    ``perfbench/`` reads its ``exec.*`` rows.
     """
 
     def __init__(self) -> None:

@@ -7,9 +7,8 @@ Aggregates the step records :mod:`repro.obs.ledger` accumulates into:
   every recorded run (the per-step "DNA" of the workflow);
 * **regression detection** — a step is flagged when its latest good
   duration exceeds the median of its trailing history by a relative
-  tolerance plus an absolute slack, the same spirit as the
-  ``validate_bench.py`` tolerance gates (generous by default: small
-  corpora on loaded hosts are noisy);
+  tolerance plus an absolute slack (generous by default: small corpora
+  on loaded hosts are noisy);
 * **exports** — plain JSON, Prometheus text exposition (for a future
   serving layer to scrape), Chrome trace-event JSON (the whole history
   on one wall-clock timeline, one lane per run), and a self-contained
@@ -49,8 +48,8 @@ __all__ = [
 
 #: Relative headroom the latest duration gets over the trailing median
 #: before it counts as a regression (0.5 = 50% slower). Deliberately
-#: generous — the bench's own planned-vs-fixed gate allows 10% on
-#: *floored repeats*; single uncontrolled runs need far more.
+#: generous — single uncontrolled runs on a loaded host can differ by
+#: far more than a paired benchmark comparison allows.
 DEFAULT_TOLERANCE = 0.5
 
 #: Minimum good samples of a step (including the latest) before the

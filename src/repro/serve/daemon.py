@@ -440,8 +440,7 @@ class ServeDaemon:
             max_iters=int(spec.get("iters", 10)),
             seed=int(spec.get("seed", 0)),
         )
-        from repro.bench.oocore_child import output_digest
-        from repro.core.pipeline import run_pipeline
+        from repro.core.pipeline import output_digest, run_pipeline
 
         result = run_pipeline(
             corpus, backend=backend, tfidf=tfidf, kmeans=kmeans,

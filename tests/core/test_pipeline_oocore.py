@@ -9,9 +9,12 @@ spill accounting on the result and keep outputs bit-identical.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+
 import pytest
 
-from repro.core.pipeline import run_pipeline
+from repro.core.pipeline import output_digest, run_pipeline
 from repro.exec.process import make_backend
 from repro.exec.resilience import ResilienceConfig
 from repro.ops import kernels
@@ -22,6 +25,14 @@ from repro.text import MIX_PROFILE, Corpus, generate_corpus
 from repro.tiles.matrix import TiledCsrMatrix
 
 BUDGET = 50_000
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_digest", os.path.join(REPO, "perfbench", "digest.py")
+)
+perfbench_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(perfbench_digest)
 
 
 @pytest.fixture(scope="module")
@@ -78,13 +89,32 @@ class TestFixedPath:
             result.tfidf.matrix.close()
 
     def test_close_removes_spill_dir(self, corpus, tmp_path):
-        import os
-
         result = _run(corpus, memory_budget=BUDGET)
         spill_dir = result.tiles["spill_dir"]
         assert os.path.isdir(spill_dir)
         result.tfidf.matrix.close()
         assert not os.path.exists(spill_dir)
+
+
+class TestOutputDigest:
+    """perfbench hashes with its own copy of the digest, and its
+    ``serve-closed`` workload compares the daemon's digest (this
+    program's) against it: the two byte streams must stay one."""
+
+    @pytest.mark.parametrize("memory_budget", [None, BUDGET],
+                             ids=["resident", "tiled"])
+    def test_program_digest_equals_perfbench_digest(self, corpus,
+                                                    memory_budget):
+        result = _run(corpus, memory_budget=memory_budget)
+        try:
+            assert (memory_budget is not None) == isinstance(
+                result.tfidf.matrix, TiledCsrMatrix
+            )
+            assert output_digest(result) == perfbench_digest.output_digest(result)
+        finally:
+            close = getattr(result.tfidf.matrix, "close", None)
+            if close is not None:
+                close()
 
 
 #: Token count of the poisoned document below; no generated one is as long.

@@ -16,8 +16,7 @@ import time
 
 import pytest
 
-from repro.bench.oocore_child import output_digest
-from repro.core.pipeline import run_pipeline
+from repro.core.pipeline import output_digest, run_pipeline
 from repro.exec import process as process_module
 from repro.exec import shm as shm_plane
 from repro.exec.faultinject import FaultPlan, FaultSpec

@@ -20,8 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.oocore_child import output_digest
-from repro.core.pipeline import run_pipeline
+from repro.core.pipeline import output_digest, run_pipeline
 from repro.errors import OperatorError
 from repro.exec.process import make_backend
 from repro.exec.resilience import bisect_chunk

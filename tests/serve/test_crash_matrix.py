@@ -4,8 +4,9 @@ Each case arms ``REPRO_SERVE_KILL_AT`` so a real daemon subprocess dies
 via ``os._exit`` (no cleanup, no atexit — the closest deterministic
 stand-in for SIGKILL) right after one journal append, then restarts a
 second daemon over the same state directory. Whatever the stage, every
-job must finish exactly once with the same digest, and the surviving
-journal must pass the strict validator.
+job must finish exactly once with the digest of an in-process sequential
+run over the same stored corpus, and the surviving journal must pass the
+strict validator.
 """
 
 from __future__ import annotations
@@ -17,8 +18,12 @@ import sys
 
 import pytest
 
-from repro.io.corpus_io import store_corpus
+from repro.core.pipeline import output_digest, run_pipeline
+from repro.exec.process import make_backend
+from repro.io.corpus_io import load_corpus, store_corpus
 from repro.io.storage import FsStorage
+from repro.ops.kmeans import KMeansOperator
+from repro.ops.tfidf import TfIdfOperator
 from repro.serve.daemon import CRASH_EXIT_CODE, KILL_STAGES
 from repro.serve.journal import read_journal, replay
 from repro.serve.transport import read_result, submit_job
@@ -41,6 +46,23 @@ def corpus_dir(tmp_path_factory):
     store_corpus(FsStorage(out), generate_corpus(MIX_PROFILE, scale=0.002,
                                                  seed=1))
     return out
+
+
+@pytest.fixture(scope="module")
+def reference_digest(corpus_dir):
+    """One-shot sequential run of what every job asks for: the stored
+    corpus read back from disk, the daemon's default operators, 2 iters."""
+    backend = make_backend("sequential", 1)
+    try:
+        result = run_pipeline(
+            load_corpus(FsStorage(corpus_dir), ""),
+            backend=backend,
+            tfidf=TfIdfOperator(min_df=1),
+            kmeans=KMeansOperator(n_clusters=8, max_iters=2, seed=0),
+        )
+    finally:
+        backend.close()
+    return output_digest(result)
 
 
 def _run_daemon(state: str, *, kill_at: str | None) -> int:
@@ -66,7 +88,7 @@ def _run_daemon(state: str, *, kill_at: str | None) -> int:
 
 @pytest.mark.parametrize("stage", KILL_STAGES)
 def test_kill_at_stage_then_recover_exactly_once(
-    stage, tmp_path, corpus_dir
+    stage, tmp_path, corpus_dir, reference_digest
 ):
     state = str(tmp_path / "state")
     job_ids = [
@@ -92,8 +114,9 @@ def test_kill_at_stage_then_recover_exactly_once(
         digests.add(view.digest)
         result = read_result(state, job_id)
         assert result is not None and result["digest"] == view.digest
-    # Deterministic pipeline: a re-run after the crash is bit-identical.
-    assert len(digests) == 1
+    # Deterministic pipeline: a re-run after the crash is bit-identical,
+    # and serving reproduces one-shot in-process execution bit for bit.
+    assert digests == {reference_digest}
 
     _, strict_problems = validate_journal.validate_state_dir(state)
     assert strict_problems == []
@@ -101,7 +124,7 @@ def test_kill_at_stage_then_recover_exactly_once(
 
 
 def test_crash_between_result_write_and_done_rewrites_identically(
-    tmp_path, corpus_dir
+    tmp_path, corpus_dir, reference_digest
 ):
     """The nastiest window: result durable, ``done`` not yet appended.
 
@@ -124,4 +147,4 @@ def test_crash_between_result_write_and_done_rewrites_identically(
     assert views[job_id].state == "done"
     assert views[job_id].attempt == 2  # the re-run is honest in the journal
     final = read_result(state, job_id)
-    assert final["digest"] == orphaned["digest"]
+    assert final["digest"] == orphaned["digest"] == reference_digest

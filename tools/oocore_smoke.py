@@ -1,9 +1,9 @@
 """CI smoke for the out-of-core tiled data plane: run under a hard cap.
 
-The benchmark (``tools/bench_wallclock.py --mode oocore``) measures; this
-smoke *enforces*. It runs the same pipeline three times in fresh child
-processes (via :mod:`repro.bench.oocore_child`, so each child owns its
-``ru_maxrss``/``VmPeak`` high-water marks):
+perfbench's ``nsf-oocore`` workload measures; this smoke *enforces*. It
+runs the same pipeline three times, each in a fresh child process (this
+script re-invoked with ``--child``), because ``ru_maxrss``/``VmPeak`` are
+per-process high-water marks that never go down:
 
 1. **untiled** — the reference digest and the untiled address-space
    footprint (``VmPeak``);
@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -37,16 +38,69 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
 
 
+def _vm_peak_kb() -> int | None:
+    """VmPeak from ``/proc/self/status`` (kB) — the address-space high
+    water the rlimit caps; ``None`` off Linux."""
+    try:
+        with open("/proc/self/status", "r", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmPeak:"):
+                    return int(line.split()[1])
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def run_child(config: dict) -> dict:
+    """One pipeline run in this process: regenerate the deterministic
+    corpus, run it (optionally under a ``memory_budget`` and/or an
+    ``RLIMIT_AS`` cap) and report the output digest and memory envelope."""
+    from repro.core.pipeline import output_digest, run_pipeline
+    from repro.exec.process import make_backend
+    from repro.ops.kmeans import KMeansOperator
+    from repro.ops.tfidf import TfIdfOperator
+    from repro.text.synth import MIX_PROFILE, NSF_ABSTRACTS_PROFILE, generate_corpus
+
+    rlimit_as = config.get("rlimit_as")
+    if rlimit_as:
+        resource.setrlimit(resource.RLIMIT_AS, (int(rlimit_as), int(rlimit_as)))
+    profiles = {"mix": MIX_PROFILE, "nsf-abstracts": NSF_ABSTRACTS_PROFILE}
+    corpus = generate_corpus(
+        profiles[config["profile"]],
+        scale=float(config["scale"]),
+        seed=int(config["seed"]),
+    )
+    backend = make_backend("sequential", 1)
+    try:
+        result = run_pipeline(
+            corpus,
+            backend=backend,
+            tfidf=TfIdfOperator(),
+            kmeans=KMeansOperator(max_iters=int(config["kmeans_iters"])),
+            memory_budget=config.get("memory_budget"),
+        )
+    finally:
+        backend.close()
+
+    out = {
+        "digest": output_digest(result),
+        "total_s": result.total_s,
+        "matrix_bytes": result.tfidf.matrix.resident_bytes(),
+        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "vm_peak_kb": _vm_peak_kb(),
+        "tiles": result.tiles,
+    }
+    close = getattr(result.tfidf.matrix, "close", None)
+    if close is not None:
+        close()
+    return out
+
+
 def _child(config: dict, label: str, verbose: bool) -> dict:
-    env = dict(os.environ)
-    src_root = os.path.join(REPO, "src")
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_root + os.pathsep + existing if existing else src_root
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.bench.oocore_child", json.dumps(config)],
+        [sys.executable, os.path.abspath(__file__), "--child", json.dumps(config)],
         capture_output=True,
         text=True,
-        env=env,
     )
     if proc.returncode != 0:
         tail = proc.stderr.strip()[-800:]
@@ -62,6 +116,10 @@ def _child(config: dict, label: str, verbose: bool) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--child"]:
+        print(json.dumps(run_child(json.loads(argv[1]))))
+        return 0
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--profile", choices=["mix", "nsf-abstracts"],
                         default="mix")
@@ -87,8 +145,6 @@ def main(argv: list[str] | None = None) -> int:
         "scale": args.scale,
         "seed": args.seed,
         "kmeans_iters": args.kmeans_iters,
-        "backend": "sequential",
-        "workers": 1,
     }
 
     try:
