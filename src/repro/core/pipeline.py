@@ -108,12 +108,6 @@ def _transplant(old: ExecutionBackend, new: ExecutionBackend) -> None:
     new.spans = old.spans
     new.quarantine = old.quarantine
     new._task_counters = old._task_counters
-    # The shm plane captured a stats reference at construction and hands
-    # it to every ShmArrays/ShmBroadcast it creates — rebind it too, or
-    # shm traffic on ``new`` would bill a counter nobody reads.
-    plane = getattr(new, "_plane", None)
-    if plane is not None:
-        plane._stats = old.ipc
 
 #: Phase label for time the pipeline spent blocked on input reads. Only
 #: reported for streamed input (a :class:`DocumentStream`); a materialized

@@ -36,7 +36,7 @@ from repro.exec.resilience import (
     bisect_chunk,
     run_attempts,
 )
-from repro.exec.shm import IpcStats, LocalArrays, LocalBroadcast, LocalGather
+from repro.exec.shm import REFERENCE, Broadcast, Gather, IpcStats, Plane, Segment
 from repro.exec.spans import SpanRecorder
 
 __all__ = [
@@ -124,6 +124,8 @@ class ExecutionBackend:
         #: In-process backends keep it too — operators charge phases
         #: uniformly, and the zero counts are themselves the measurement.
         self.ipc = IpcStats()
+        #: Where shared arrays live (see :class:`repro.exec.shm.Plane`).
+        self.plane = Plane(REFERENCE)
         #: Per-task span capture (see :class:`repro.exec.spans.SpanRecorder`);
         #: disarmed by default, armed by ``spans.begin_run()`` (which
         #: ``run_pipeline(trace=True)`` does for you).
@@ -279,58 +281,71 @@ class ExecutionBackend:
             t_start, self.spans.now(), n_items=n_items, phase=phase
         )
 
-    # -- shared-array plane -------------------------------------------------------
+    # -- data plane ---------------------------------------------------------------
+    #
+    # The channel calls of every backend. ``self.plane`` holds the one
+    # transport decision (in-process: references); segments and
+    # broadcasts bill the backend's current ``ipc``.
 
-    def share_arrays(self, tag: str, arrays) -> LocalArrays:
+    def share_arrays(self, tag: str, arrays) -> Segment:
         """Place phase-constant arrays where every worker can see them.
 
-        Returns a handle whose ``descriptor()`` is picklable into
-        ``configure`` initargs and whose ``close()`` releases the
-        placement. In-process default: a no-op wrapper around the very
-        same arrays (nothing is copied).
+        Returns a segment that is its own picklable descriptor (it rides
+        ``configure`` initargs) and whose ``close()`` releases the
+        placement. In-process it holds the very same arrays: nothing is
+        copied.
         """
-        return LocalArrays(tag, arrays)
+        return self.plane.track(Segment(
+            tag, arrays=arrays, shared=self.plane.shared, stats=self.ipc
+        ))
 
-    def open_broadcast(self, tag: str, template) -> LocalBroadcast:
+    def open_broadcast(self, tag: str, template) -> Broadcast:
         """Open a channel for per-iteration array publication.
 
-        ``template`` fixes the shapes/dtypes every later
-        :meth:`broadcast` must match. In-process default: a reference
-        slot (publish stores references, readers get them back).
+        ``template`` fixes the arity, shapes and dtypes every later
+        :meth:`broadcast` must match.
         """
-        return LocalBroadcast(tag, stats=self.ipc)
+        return self.plane.track(
+            Broadcast(tag, template, self.plane.transport, self.ipc)
+        )
 
-    def open_gather(self, tag: str, slots) -> LocalGather:
+    def open_gather(self, tag: str, slots) -> Gather:
         """Open a channel for per-task array *results* (the mirror of
         :meth:`open_broadcast`).
 
         ``slots`` is a zero-argument callable returning one tuple of
-        ``(dtype, capacity)`` per result slot, one pair per field; only
-        a transport that preallocates (the process backend's shared
-        arena) calls it. In-process default: results are handed back by
-        reference.
+        ``(dtype, capacity)`` per result slot, one pair per field: what
+        every ``put`` is checked against, and what a shared arena is
+        sized by.
         """
-        return LocalGather(tag)
+        return self.plane.track(
+            Gather(tag, slots(), self.plane.transport, self.ipc)
+        )
 
-    def allocate_arrays(self, tag: str, specs):
+    def allocate_arrays(self, tag: str, specs) -> Segment | None:
         """A zero-filled shared segment of ``(key, dtype, shape)`` arrays
         that workers write in place, or ``None`` when results must come
         back through the task's return value (every in-process backend,
         where returning them copies nothing)."""
-        return None
+        if not self.plane.shared:
+            return None
+        return self.plane.track(Segment(tag, specs, shared=True, stats=self.ipc))
+
+    def broadcast(self, channel, arrays):
+        """Publish this iteration's arrays; returns the token tasks carry.
+
+        Workers read them back through the channel *descriptor* with
+        ``read(token)``. The token is the generation number, or on the
+        value transport the arrays themselves.
+        """
+        token = channel.publish(arrays)
+        self.ipc.record_broadcast(channel.payload_bytes)
+        return token
 
     def phase_grain(self, n_items: int) -> int:
         """Items per task when an operator phase maps ``n_items`` (the
         tier's grain rule; an explicit ``grain=`` overrides it)."""
         return auto_grain(n_items, self.workers)
-
-    def broadcast(self, channel, arrays) -> int:
-        """Publish this iteration's arrays; returns their generation.
-
-        Workers read them back through the channel *descriptor* with
-        ``read(generation)`` — tasks carry only the integer token.
-        """
-        return channel.publish(arrays)
 
     def configure(
         self, initializer: Callable[..., None], initargs: tuple = ()

@@ -24,18 +24,17 @@ Design points (see ``docs/backends.md`` for the cost model):
 * **One range per worker.** Operator phases split their work into one
   contiguous range per worker (:meth:`ProcessBackend.phase_grain`): one
   pickle round trip per worker and phase, one part per worker to merge.
-* **Shared-memory data plane.** With ``shm`` enabled (the default where
-  POSIX shared memory works), :meth:`share_arrays` places large arrays
-  into named segments that workers attach zero-copy, and
-  :meth:`open_broadcast`/:meth:`broadcast` publish per-iteration arrays
-  into a double-buffered segment so tasks shrink to integer tokens. The
-  backend owns every segment's lifecycle: ``close()`` unlinks them all,
-  including after a worker crash. With ``shm`` off the same two calls
-  answer by value — placed arrays ride the initargs, broadcast arrays
-  ride the tasks — so operators have one code path either way. Results
-  come back the same way round: :meth:`open_gather` gives tasks a
-  shared arena to write array results into (by value without shm), and
-  :meth:`allocate_arrays` a segment a whole phase writes its output into.
+* **Shared-memory data plane.** The backend's only data-plane decision
+  is its :class:`~repro.exec.shm.Plane`'s transport: ``shm`` (the
+  default where POSIX shared memory works) or, with ``shm`` off, by
+  value. The channel calls are :class:`~repro.exec.inline.ExecutionBackend`'s.
+  Over shm, placed arrays sit in named segments that workers attach
+  zero-copy, a broadcast writes per-iteration arrays into two stamped
+  slots so tasks shrink to integer tokens, and tasks write gathered
+  results and allocated arrays into segments the parent reads. By value,
+  placed arrays ride the install, broadcast arrays the tasks and results
+  the returns, through the same operator code. ``close()`` unlinks every
+  segment, including after a worker crash.
 * **IPC accounting.** Tasks round-trip through an explicit
   pickle-the-payload trampoline, so ``backend.ipc`` counts the *exact*
   bytes serialized each way, per pipeline phase — on a 1-CPU host the
@@ -73,17 +72,7 @@ from repro.exec.inline import (
 )
 from repro.exec.parallel import auto_grain
 from repro.exec.resilience import ResilienceConfig, bisect_chunk, run_attempts
-from repro.exec.shm import (
-    LocalArrays,
-    LocalGather,
-    ShmArrays,
-    ShmBroadcast,
-    ShmGather,
-    ShmPlane,
-    ValueBroadcast,
-    detach_all,
-    shm_available,
-)
+from repro.exec.shm import SHM, VALUE, Plane, detach_all, shm_available
 from repro.exec.spans import install_worker_epoch, worker_now
 
 __all__ = [
@@ -269,7 +258,7 @@ class ProcessBackend(ExecutionBackend):
             raise ConfigurationError(
                 "shared memory requested but unavailable on this platform"
             )
-        self._plane = ShmPlane(stats=self.ipc) if shm else None
+        self.plane = Plane(SHM if shm else VALUE)
         self._pool: ProcessPoolExecutor | None = None
         #: (initializer, initargs) of the latest ``configure``: installed
         #: into the live workers, and what a (re)started pool boots with.
@@ -290,29 +279,6 @@ class ProcessBackend(ExecutionBackend):
 
     def phase_grain(self, n_items: int) -> int:
         return max(1, -(-n_items // self.workers))
-
-    # -- shared-array plane -------------------------------------------------------
-
-    def share_arrays(self, tag: str, arrays) -> ShmArrays | LocalArrays:
-        if self._plane is None:
-            # By value: the descriptor carries the arrays to each worker.
-            return LocalArrays(tag, arrays)
-        return self._plane.place(tag, dict(arrays))
-
-    def open_broadcast(self, tag: str, template) -> ShmBroadcast | ValueBroadcast:
-        if self._plane is None:
-            return ValueBroadcast(tag, stats=self.ipc)
-        return self._plane.open_broadcast(tag, template)
-
-    def open_gather(self, tag: str, slots) -> ShmGather | LocalGather:
-        if self._plane is None:
-            return LocalGather(tag)  # by value: results ride the returns
-        return self._plane.open_gather(tag, slots())
-
-    def allocate_arrays(self, tag: str, specs) -> ShmArrays | None:
-        if self._plane is None:
-            return None
-        return self._plane.allocate(tag, specs)
 
     # -- pool lifecycle ----------------------------------------------------------
 
@@ -423,8 +389,7 @@ class ProcessBackend(ExecutionBackend):
 
     def close(self) -> None:
         self._close_pool()
-        if self._plane is not None:
-            self._plane.close()
+        self.plane.close()
 
     def _broken(self, cause: BaseException | None = None) -> BrokenProcessPool:
         # A worker died (segfault, OOM kill): the pool is unusable and its

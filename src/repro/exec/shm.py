@@ -1,42 +1,31 @@
-"""Shared-memory array plane + IPC accounting for the real backends.
+"""The data plane of the real backends, and its IPC accounting.
 
 The process backend's hidden tax is serialization across the in-node
-boundary: phase-constant state (the prepared CSR matrix, the transform
-vocabulary) is shipped to every worker, and per-iteration K-means
-centroids used to be re-pickled into every block task. This module
-extends the fused pipeline's "memory edges" across the process boundary
-(paper §3.1/§3.3): arrays are *placed* once into named
-``multiprocessing.shared_memory`` segments and workers *attach*
-zero-copy, while per-iteration state is *broadcast* into a
-double-buffered segment — one buffer write per iteration instead of one
-pickled copy per task.
+boundary. This module extends the fused pipeline's "memory edges"
+across it (paper §3.1/§3.3): an operator declares what it writes and
+who reads it, and the backend's plane decides where the bytes live.
 
-Three layers:
+* A :class:`Segment` holds named arrays at one field layout, backed by
+  held references or by a named ``multiprocessing.shared_memory``
+  segment. It is its own picklable descriptor: a copy in another
+  process attaches by name, and only the creating process unlinks.
+* Channels are ownership rules over segments. Placed arrays are written
+  once by the parent and read by every task; allocated arrays are
+  written in place by tasks and read by the parent. A :class:`Broadcast`
+  is two stamped slots, written by the parent once per iteration and
+  read by tasks; a :class:`Gather` is one slot per block, written by
+  tasks and read by the parent. Both write through one gate that checks
+  arity, dtype and shape on every transport.
+* A :class:`Plane`, one per backend, makes the one transport decision:
+  :data:`REFERENCE` (in-process: the caller's own arrays, nothing
+  copied), :data:`VALUE` (worker processes without shared memory:
+  arrays ride the install payload, the task tokens and the task
+  returns) or :data:`SHM`. A shm plane unlinks every segment it made
+  on ``backend.close()``, after a worker crash, and on atexit/SIGTERM.
+* :class:`IpcStats` counts, per pipeline phase, the bytes pickled next
+  to the bytes that crossed through shared segments instead.
 
-* **Descriptors** — small, picklable recipes a worker turns back into
-  numpy arrays: :class:`ShmArraysDescriptor` (``resolve()``) and
-  :class:`ShmBroadcastDescriptor` (``read(token)``). Their in-process
-  twins :class:`LocalArrays` / :class:`LocalBroadcast` hold plain
-  references (sequential/thread backends share an address space, so
-  "zero-copy" is trivially a no-op for them). The third transport, for
-  worker processes *without* shared memory, is by value: a pickled
-  :class:`LocalArrays` carries its arrays, and a
-  :class:`ValueBroadcast` token is the payload itself. Results travel
-  back through *gather* channels, the broadcast's mirror:
-  :class:`ShmGatherDescriptor` (``put(slot, arrays)`` into a parent-owned
-  arena) and :class:`LocalGather` (results handed back by reference
-  in-process, by value once pickled). A :class:`Placement` is the same
-  idea one level up — a whole block source (resident rows, spilled
-  tiles) behind ``resolve()``.
-* **Parent-side handles** — :class:`ShmArrays` / :class:`ShmBroadcast`
-  / :class:`ShmGather` own a segment's lifecycle (create → write →
-  unlink); the :class:`ShmPlane` tracks every handle a backend created
-  so ``backend.close()`` can unlink them all even after a worker crash.
-* **Accounting** — :class:`IpcStats` counts, per pipeline phase, the
-  bytes actually pickled (tasks, results, configure) next to the bytes
-  that crossed through shared segments instead. On a noisy or 1-CPU
-  host the wall clock cannot show the win; the pickled-bytes counter
-  does, unambiguously.
+A :class:`Placement` is the plane one level up: a whole block source.
 
 Segments are named ``repro_shm_<pid>_<n>`` so tests can scan for leaks.
 """
@@ -50,7 +39,7 @@ import os
 import signal
 import threading
 import weakref
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -64,18 +53,15 @@ except ImportError:  # pragma: no cover - platform without _posixshmem
 __all__ = [
     "IpcStats",
     "PhaseIpc",
-    "LocalArrays",
-    "LocalBroadcast",
-    "ValueBroadcast",
-    "LocalGather",
+    "Broadcast",
+    "Gather",
     "Placement",
-    "ShmArrays",
-    "ShmArraysDescriptor",
-    "ShmBroadcast",
-    "ShmBroadcastDescriptor",
-    "ShmGather",
-    "ShmGatherDescriptor",
-    "ShmPlane",
+    "Plane",
+    "Segment",
+    "REFERENCE",
+    "VALUE",
+    "SHM",
+    "detach_all",
     "shm_available",
     "SEGMENT_PREFIX",
 ]
@@ -84,14 +70,15 @@ __all__ = [
 #: the test suite scans ``/dev/shm`` for it.
 SEGMENT_PREFIX = "repro_shm"
 
+#: The transports a :class:`Plane` chooses between: held references in
+#: one address space, pickled copies, or named shared-memory segments.
+REFERENCE, VALUE, SHM = "reference", "value", "shm"
+
 _SEQUENCE = itertools.count()
 
 #: Field offsets inside a segment are rounded up to this, so any dtype's
 #: alignment requirement is met by the view constructed over the buffer.
 _ALIGN = 16
-
-#: Per-slot broadcast header: one int64 generation stamp, padded.
-_HEADER_BYTES = _ALIGN
 
 
 def _segment_name() -> str:
@@ -293,143 +280,6 @@ class IpcStats:
         }
 
 
-# -- in-process (no-op) sharing ----------------------------------------------------
-
-
-class LocalArrays:
-    """Zero-copy array sharing inside one address space.
-
-    The sequential and thread backends' implementation of the shared
-    plane: the "descriptor" is the handle itself and ``resolve()`` hands
-    back the very arrays that were placed. Nothing is copied, nothing is
-    named, nothing can leak. Pickled into a process pool's initargs it
-    is the *by-value* transport: the descriptor carries the arrays, one
-    copy per worker — what a process backend without shared memory
-    places with.
-    """
-
-    def __init__(self, tag: str, arrays: dict[str, np.ndarray]) -> None:
-        self.tag = tag
-        self._arrays: dict[str, np.ndarray] | None = dict(arrays)
-        self.nbytes = int(sum(np.asarray(a).nbytes for a in arrays.values()))
-
-    def descriptor(self) -> "LocalArrays":
-        return self
-
-    def resolve(self) -> dict[str, np.ndarray]:
-        if self._arrays is None:
-            raise ConfigurationError(f"shared arrays {self.tag!r} already closed")
-        return self._arrays
-
-    def release(self) -> None:
-        """Nothing was attached, nothing to detach."""
-
-    def close(self) -> None:
-        self._arrays = None
-
-
-class LocalBroadcast:
-    """In-process broadcast channel: publish stores references.
-
-    ``read(generation)`` verifies the caller asked for the generation
-    that is actually current — the same staleness check the
-    shared-memory channel performs through its slot header.
-    """
-
-    def __init__(self, tag: str, stats: IpcStats | None = None) -> None:
-        self.tag = tag
-        self._stats = stats
-        self._generation = -1
-        self._arrays: tuple[np.ndarray, ...] | None = None
-
-    def descriptor(self) -> "LocalBroadcast":
-        return self
-
-    @property
-    def generation(self) -> int:
-        return self._generation
-
-    def publish(self, arrays) -> int:
-        self._arrays = tuple(arrays)
-        self._generation += 1
-        if self._stats is not None:
-            # In-process: nothing is copied, the broadcast is free.
-            self._stats.record_broadcast(0)
-        return self._generation
-
-    def read(self, generation: int) -> tuple[np.ndarray, ...]:
-        if self._arrays is None:
-            raise ConfigurationError(f"broadcast {self.tag!r} has never published")
-        if generation != self._generation:
-            raise ConfigurationError(
-                f"broadcast {self.tag!r}: generation {generation} requested "
-                f"but {self._generation} is current"
-            )
-        return self._arrays
-
-    def close(self) -> None:
-        self._arrays = None
-
-
-class ValueBroadcast:
-    """By-value broadcast for worker processes without shared memory.
-
-    ``publish()`` returns the arrays themselves as the token, so they
-    ride inside every task that carries it, and ``read(token)`` hands
-    them back. With a pickled :class:`LocalArrays` for the placed side
-    this is the plane's third transport — what ``--no-shm`` and
-    platforms without POSIX shared memory run on, through the same
-    operator code as the other two.
-    """
-
-    def __init__(self, tag: str, stats: IpcStats | None = None) -> None:
-        self.tag = tag
-        self._stats = stats
-
-    def descriptor(self) -> "ValueBroadcast":
-        return ValueBroadcast(self.tag)  # stateless: workers need no stats
-
-    def publish(self, arrays) -> tuple[np.ndarray, ...]:
-        if self._stats is not None:
-            # No buffer is written: the bytes are billed as task pickles.
-            self._stats.record_broadcast(0)
-        return tuple(arrays)
-
-    def read(self, token) -> tuple[np.ndarray, ...]:
-        return token
-
-    def close(self) -> None:
-        pass
-
-
-class LocalGather:
-    """Gather channel that hands results back as they are.
-
-    The mirror of the broadcast channels, for per-task *array results*:
-    a task calls ``put`` for each of its slot results and returns what
-    ``put`` returned; the caller calls ``take`` on a slot with that
-    return value. Here ``put`` returns the arrays themselves — by
-    reference on the in-process backends (nothing is copied), by value
-    once the task's return value is pickled (a process backend without
-    shared memory). :class:`ShmGather` is the third transport.
-    """
-
-    def __init__(self, tag: str) -> None:
-        self.tag = tag
-
-    def descriptor(self) -> "LocalGather":
-        return self
-
-    def put(self, slot: int, arrays) -> tuple[np.ndarray, ...]:
-        return tuple(arrays)
-
-    def take(self, slot: int, returned) -> tuple[np.ndarray, ...]:
-        return returned
-
-    def close(self) -> None:
-        pass
-
-
 class Placement:
     """A block source made reachable from a backend's workers.
 
@@ -472,14 +322,13 @@ class Placement:
             shared.close()
 
 
-# -- shared-memory segments --------------------------------------------------------
+# -- segments ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Field:
-    """Layout of one array inside a segment (offsets are slot-relative)."""
+    """Where one array lives inside a segment."""
 
-    key: str
     dtype: str
     shape: tuple[int, ...]
     offset: int
@@ -489,54 +338,65 @@ def _aligned(nbytes: int) -> int:
     return (nbytes + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
-def _layout(
-    arrays: list[tuple[str, np.ndarray]], base: int = 0
-) -> tuple[tuple[_Field, ...], int]:
-    """Assign aligned offsets to each array; returns (fields, end offset)."""
-    specs = []
-    for key, array in arrays:
-        array = np.asarray(array)
-        specs.append((key, array.dtype, array.shape))
-    return _layout_specs(specs, base)
-
-
-def _layout_specs(specs, base: int = 0) -> tuple[tuple[_Field, ...], int]:
-    """:func:`_layout` from ``(key, dtype, shape)`` alone — for segments
-    whose arrays are written by workers, not copied in by the parent."""
-    fields = []
-    offset = base
+def _layout(specs) -> tuple[dict[str, _Field], int]:
+    """Lay ``(key, dtype, shape)`` specs out back to back at aligned
+    offsets; returns the fields by key and the segment's size."""
+    fields = {}
+    offset = 0
     for key, dtype, shape in specs:
         dtype = np.dtype(dtype)
         shape = tuple(int(n) for n in shape)
-        fields.append(_Field(key, dtype.str, shape, offset))
+        fields[key] = _Field(dtype.str, shape, offset)
         offset = _aligned(offset + dtype.itemsize * math.prod(shape))
-    return tuple(fields), offset
+    return fields, offset
 
 
-def _view(buf, spec: _Field, base: int = 0) -> np.ndarray:
+def _view(buf, spec: _Field) -> np.ndarray:
     # ``frombuffer`` holds an export on the mapping for as long as the
     # view lives (``np.ndarray(buffer=...)`` does not): a segment closed
     # under a live view stays mapped instead of leaving it dangling.
     count = math.prod(spec.shape)
-    return np.frombuffer(
-        buf, dtype=spec.dtype, count=count, offset=base + spec.offset
-    ).reshape(spec.shape)
+    return np.frombuffer(buf, spec.dtype, count, spec.offset).reshape(spec.shape)
 
 
-#: Worker-side cache of attached segments, keyed by segment name. A
+def _checked(what: str, specs, arrays, prefix: bool = False) -> tuple:
+    """The one write gate of broadcast and gather: ``arrays`` must match
+    the ``(key, dtype, shape)`` specs in arity, dtype and shape — or,
+    with ``prefix``, be a 1-D prefix of the field's capacity."""
+    arrays = tuple(np.asarray(array) for array in arrays)
+    if len(arrays) != len(specs):
+        raise ConfigurationError(
+            f"{what} expects {len(specs)} arrays, got {len(arrays)}"
+        )
+    for array, (key, dtype, shape) in zip(arrays, specs):
+        fits = array.shape == shape or (
+            prefix and array.ndim == 1 and len(array) <= shape[0]
+        )
+        if array.dtype.str != dtype or not fits:
+            bound = "capacity" if prefix else "shape"
+            raise ConfigurationError(
+                f"{what} field {key}: got dtype {array.dtype.str}, shape "
+                f"{array.shape}; expected dtype {dtype}, {bound} {shape}"
+            )
+    return arrays
+
+
+def _slotted(tag: str, slots, shared: bool, stats) -> Segment:
+    """One segment of slots back to back. Slot ``s`` is an int64 header
+    at ``"s.head"`` followed by its ``(key, dtype, shape)`` fields at
+    ``"s.<key>"``; ``slots`` holds ``(header length, specs)`` per slot."""
+    specs = [
+        (f"{s}.{key}", dtype, shape)
+        for s, (width, fields) in enumerate(slots)
+        for key, dtype, shape in [("head", np.int64, (width,)), *fields]
+    ]
+    return Segment(tag, specs, shared=shared, stats=stats)
+
+
+#: Per-process cache of attached segments, keyed by segment name. A
 #: worker attaches each segment once per phase (an install detaches them
-#: all, :func:`detach_all`); the *name* is unlinked by the parent.
+#: all, :func:`detach_all`); the *name* is unlinked by its creator.
 _ATTACHED: dict[str, object] = {}
-
-
-def _attach(name: str):
-    segment = _ATTACHED.get(name)
-    if segment is None:
-        if _shared_memory is None:  # pragma: no cover - guarded by shm_available
-            raise ConfigurationError("shared memory is unavailable on this platform")
-        segment = _shared_memory.SharedMemory(name=name)
-        _ATTACHED[name] = segment
-    return segment
 
 
 def _close_mapping(shm) -> None:
@@ -562,293 +422,213 @@ def detach_all() -> None:
         _close_mapping(_ATTACHED.popitem()[1])
 
 
-def _release_segment(shm) -> None:
-    """Unlink + close, tolerating repeats and live exported views (the
-    *name* is gone either way, which is what leak checks observe)."""
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-    _close_mapping(shm)
+class Segment:
+    """Named arrays at one field layout, behind one picklable handle.
 
+    Built from ``arrays`` (placed) or ``(key, dtype, shape)`` ``specs``
+    (zero-filled). Without ``shared`` it holds references, the caller's
+    own arrays; with it, a named shared-memory segment (``segment``,
+    billed to ``stats``). Pickled, it drops this process's mapping: held
+    references travel by value, a shared segment by name, attached on
+    first read (``release()`` detaches). ``close()`` is idempotent and
+    unlinks only in the creating process; live views keep their mapping.
+    """
 
-@dataclass(frozen=True)
-class ShmArraysDescriptor:
-    """Picklable recipe for attaching to a placed-array segment."""
+    def __init__(
+        self, tag: str, specs=None, arrays=None, *, shared: bool = False,
+        stats=None,
+    ) -> None:
+        self.tag = tag
+        arrays = dict(arrays or {})
+        if specs is None:
+            specs = [(key, np.asarray(a).dtype, np.shape(a)) for key, a in arrays.items()]
+        self.fields, self.nbytes = _layout(specs)
+        #: Whether ``close()`` has not run (workers can still attach).
+        self.live = True
+        #: Name of the shared segment; ``None`` for held references.
+        self.segment: str | None = None
+        self._owner_pid = os.getpid()
+        self._shm = None
+        self._arrays = None if shared else arrays
+        if not shared:
+            return
+        if _shared_memory is None:
+            raise ConfigurationError("shared memory is unavailable on this platform")
+        self._shm = _shared_memory.SharedMemory(
+            create=True, size=max(1, self.nbytes), name=_segment_name()
+        )
+        self.segment = self._shm.name
+        if stats is not None:
+            stats.record_segment(self.nbytes)
+        self.write(arrays)
 
-    segment: str
-    fields: tuple[_Field, ...]
-    nbytes: int
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_shm": None}
+
+    def descriptor(self) -> "Segment":
+        return self
+
+    def read(self, keys) -> tuple[np.ndarray, ...]:
+        """The arrays at ``keys``: the held ones, or views over the segment."""
+        if not self.live:
+            raise ConfigurationError(f"segment {self.tag!r} already closed")
+        if self._arrays is not None:
+            return tuple(self._arrays[key] for key in keys)
+        shm = self._shm if os.getpid() == self._owner_pid else None
+        if shm is None and self.segment not in _ATTACHED:
+            _ATTACHED[self.segment] = _shared_memory.SharedMemory(name=self.segment)
+        shm = shm or _ATTACHED[self.segment]
+        return tuple(_view(shm.buf, self.fields[key]) for key in keys)
 
     def resolve(self) -> dict[str, np.ndarray]:
-        """Attach (cached) and return zero-copy views, keyed like place()."""
-        shm = _attach(self.segment)
-        return {spec.key: _view(shm.buf, spec) for spec in self.fields}
+        """Every array, keyed like the arrays or specs it was built from."""
+        return dict(zip(self.fields, self.read(self.fields)))
+
+    def write(self, values: dict) -> None:
+        """Store each array at its key: by reference, or copied into the
+        segment as a prefix of its field."""
+        if self._arrays is not None:
+            self._arrays.update(values)
+            return
+        for value, view in zip(values.values(), self.read(values)):
+            view[: len(value)] = value
 
     def release(self) -> None:
-        """Drop this process's attachment (the name is the parent's to
-        unlink). A view still alive keeps the mapping until it dies."""
+        """Drop this process's attachment, if it made one."""
         shm = _ATTACHED.pop(self.segment, None)
         if shm is not None:
             _close_mapping(shm)
 
-
-class ShmArrays:
-    """Parent-side owner of one segment holding named arrays.
-
-    ``place`` semantics: the arrays are copied into the segment **once**
-    at construction; every worker that resolves the descriptor reads the
-    same physical pages. ``close()`` unlinks the name and is idempotent.
-    """
-
-    def __init__(
-        self, tag: str, arrays: dict[str, np.ndarray] | None,
-        stats: IpcStats | None = None, specs=None,
-    ) -> None:
-        if _shared_memory is None:
-            raise ConfigurationError("shared memory is unavailable on this platform")
-        self.tag = tag
-        items = [(key, np.ascontiguousarray(a)) for key, a in (arrays or {}).items()]
-        if specs is None:
-            fields, total = _layout(items)
-        else:
-            # Allocated, not placed: zero-filled arrays that workers write.
-            fields, total = _layout_specs(specs)
-        self._shm = _shared_memory.SharedMemory(
-            create=True, size=max(1, total), name=_segment_name()
-        )
-        for (key, array), spec in zip(items, fields):
-            _view(self._shm.buf, spec)[...] = array
-        self._descriptor = ShmArraysDescriptor(self._shm.name, fields, total)
-        if stats is not None:
-            stats.record_segment(total)
-
-    @property
-    def live(self) -> bool:
-        """Whether the segment is still linked (workers can attach it)."""
-        return self._shm is not None
-
-    @property
-    def nbytes(self) -> int:
-        return self._descriptor.nbytes
-
-    def descriptor(self) -> ShmArraysDescriptor:
-        return self._descriptor
-
-    def resolve(self) -> dict[str, np.ndarray]:
-        """Parent-side views over the placed arrays."""
-        if self._shm is None:
-            raise ConfigurationError(f"shared arrays {self.tag!r} already closed")
-        return {spec.key: _view(self._shm.buf, spec) for spec in self._descriptor.fields}
-
     def close(self) -> None:
+        self.live = False
+        self._arrays = None
         shm, self._shm = self._shm, None
-        if shm is not None:
-            _release_segment(shm)
+        if shm is None:
+            return
+        if os.getpid() != self._owner_pid:
+            _close_mapping(shm)
+            return
+        # Unlink first: the *name* is gone even when live views keep the
+        # mapping, which is what leak checks observe.
+        try:
+            shm.unlink()
+        except FileNotFoundError:
+            pass
+        _close_mapping(shm)
 
 
-@dataclass(frozen=True)
-class ShmBroadcastDescriptor:
-    """Picklable recipe for reading a double-buffered broadcast channel."""
+class Broadcast:
+    """Parent → tasks: two stamped slots of one segment.
 
-    segment: str
-    fields: tuple[_Field, ...]
-    slot_bytes: int
-
-    def read(self, generation: int) -> tuple[np.ndarray, ...]:
-        """Views into generation's slot, after verifying its stamp."""
-        shm = _attach(self.segment)
-        base = (generation % 2) * self.slot_bytes
-        stamp = int(np.ndarray((1,), dtype=np.int64, buffer=shm.buf, offset=base)[0])
-        if stamp != generation:
-            raise ConfigurationError(
-                f"broadcast slot holds generation {stamp}, expected {generation}"
-            )
-        return tuple(_view(shm.buf, spec, base) for spec in self.fields)
-
-
-class ShmBroadcast:
-    """Double-buffered broadcast channel over one shared segment.
-
-    ``publish(arrays)`` copies the iteration's arrays into slot
-    ``generation % 2`` and stamps the slot header with the generation, so
-    a task token carrying only the generation lets every worker find —
-    and sanity-check — the right buffer. Two slots mean a publish never
-    writes into the buffer a straggler from the previous, already-merged
-    iteration might still be reading.
+    ``publish(arrays)`` writes slot ``generation % 2`` and stamps it last,
+    so a token carrying only the generation finds and checks its slot,
+    and a publish never overwrites the slot a straggler of the previous
+    iteration may still read. ``template`` fixes every publish's arity,
+    shapes and dtypes. On the value transport the token is the arrays.
     """
 
-    def __init__(
-        self, tag: str, template, stats: IpcStats | None = None
-    ) -> None:
-        if _shared_memory is None:
-            raise ConfigurationError("shared memory is unavailable on this platform")
+    def __init__(self, tag: str, template, transport: str, stats=None) -> None:
         self.tag = tag
-        self._stats = stats
-        items = [(f"a{i}", np.asarray(a)) for i, a in enumerate(template)]
-        fields, slot = _layout(items, base=_HEADER_BYTES)
-        slot = _aligned(slot)
-        self._payload_bytes = int(sum(a.nbytes for _, a in items))
-        self._shm = _shared_memory.SharedMemory(
-            create=True, size=max(1, 2 * slot), name=_segment_name()
-        )
-        self._descriptor = ShmBroadcastDescriptor(self._shm.name, fields, slot)
-        self._generation = -1
-        # Stamp both slots as "never published".
-        for base in (0, slot):
-            np.ndarray((1,), dtype=np.int64, buffer=self._shm.buf, offset=base)[0] = -1
-        if stats is not None:
-            stats.record_segment(2 * slot)
+        self.generation = -1
+        template = [np.asarray(a) for a in template]
+        self._specs = [(f"a{i}", a.dtype.str, a.shape) for i, a in enumerate(template)]
+        #: Bytes one publish copies: only into a shared segment (the value
+        #: transport's bytes are billed as task pickles).
+        self.payload_bytes = sum(a.nbytes for a in template) if transport == SHM else 0
+        self._segment = None
+        if transport != VALUE:
+            shared = transport == SHM
+            self._segment = _slotted(tag, [(1, self._specs)] * 2, shared, stats)
+            self._segment.write({"0.head": np.array([-1]), "1.head": np.array([-1])})
 
-    @property
-    def generation(self) -> int:
-        return self._generation
+    def descriptor(self) -> "Broadcast":
+        return self
 
-    @property
-    def nbytes(self) -> int:
-        return 2 * self._descriptor.slot_bytes
-
-    def descriptor(self) -> ShmBroadcastDescriptor:
-        return self._descriptor
-
-    def publish(self, arrays) -> int:
-        if self._shm is None:
-            raise ConfigurationError(f"broadcast {self.tag!r} already closed")
-        arrays = tuple(arrays)
-        if len(arrays) != len(self._descriptor.fields):
-            raise ConfigurationError(
-                f"broadcast {self.tag!r} expects {len(self._descriptor.fields)} "
-                f"arrays, got {len(arrays)}"
-            )
-        self._generation += 1
-        base = (self._generation % 2) * self._descriptor.slot_bytes
-        for array, spec in zip(arrays, self._descriptor.fields):
-            array = np.asarray(array)
-            if tuple(array.shape) != spec.shape or array.dtype.str != spec.dtype:
-                raise ConfigurationError(
-                    f"broadcast {self.tag!r} field {spec.key}: shape/dtype "
-                    f"changed since the channel was opened"
-                )
-            _view(self._shm.buf, spec, base)[...] = array
+    def publish(self, arrays):
+        """Write this iteration's arrays; returns the token tasks carry."""
+        arrays = _checked(f"broadcast {self.tag!r}", self._specs, arrays)
+        self.generation += 1
+        if self._segment is None:
+            return arrays
+        slot = self.generation % 2
+        self._segment.write({
+            f"{slot}.{key}": array for (key, _, _), array in zip(self._specs, arrays)
+        })
         # Stamp last: a reader that raced the copy sees a stale stamp,
         # not a half-written payload passing for the new generation.
-        np.ndarray((1,), dtype=np.int64, buffer=self._shm.buf, offset=base)[0] = (
-            self._generation
-        )
-        if self._stats is not None:
-            self._stats.record_broadcast(self._payload_bytes)
-        return self._generation
+        self._segment.write({f"{slot}.head": np.array([self.generation])})
+        return self.generation
 
-    def read(self, generation: int) -> tuple[np.ndarray, ...]:
-        if self._shm is None:
-            raise ConfigurationError(f"broadcast {self.tag!r} already closed")
-        base = (generation % 2) * self._descriptor.slot_bytes
-        stamp = int(
-            np.ndarray((1,), dtype=np.int64, buffer=self._shm.buf, offset=base)[0]
-        )
-        if stamp != generation:
+    def read(self, token) -> tuple[np.ndarray, ...]:
+        """The arrays ``token`` names, after checking the slot's stamp."""
+        if self._segment is None:
+            return token
+        slot = token % 2
+        (stamp,) = self._segment.read([f"{slot}.head"])
+        if int(stamp[0]) != token:
             raise ConfigurationError(
-                f"broadcast slot holds generation {stamp}, expected {generation}"
+                f"broadcast {self.tag!r} slot holds generation "
+                f"{int(stamp[0])}, expected {token}"
             )
-        return tuple(
-            _view(self._shm.buf, spec, base) for spec in self._descriptor.fields
-        )
+        return self._segment.read([f"{slot}.{key}" for key, _, _ in self._specs])
 
     def close(self) -> None:
-        shm, self._shm = self._shm, None
-        if shm is not None:
-            _release_segment(shm)
+        if self._segment is not None:
+            self._segment.close()
 
 
-def _slot_layout(slots) -> tuple[tuple[tuple[int, tuple[_Field, ...]], ...], int]:
-    """Lay out gather slots back to back: each is a header of one int64
-    length per field, then the fields at their capacities."""
-    layout = []
-    offset = 0
-    for capacities in slots:
-        header = offset
-        specs = [
-            (f"a{i}", dtype, (capacity,))
-            for i, (dtype, capacity) in enumerate(capacities)
-        ]
-        fields, offset = _layout_specs(
-            specs, base=header + _aligned(8 * len(specs))
-        )
-        layout.append((header, fields))
-    return tuple(layout), offset
+class Gather:
+    """Tasks → parent: one slot per result, bounded up front.
 
-
-def _slot_lengths(buf, header: int, n_fields: int) -> np.ndarray:
-    return np.ndarray((n_fields,), dtype=np.int64, buffer=buf, offset=header)
-
-
-@dataclass(frozen=True)
-class ShmGatherDescriptor:
-    """Picklable recipe for writing results into a gather arena."""
-
-    segment: str
-    slots: tuple[tuple[int, tuple[_Field, ...]], ...]
-
-    def put(self, slot: int, arrays) -> None:
-        """Write one slot's arrays (each a prefix of its field) and their
-        lengths; the task returns ``None`` in their place."""
-        buf = _attach(self.segment).buf
-        header, fields = self.slots[slot]
-        lengths = _slot_lengths(buf, header, len(fields))
-        for at, (array, spec) in enumerate(zip(arrays, fields)):
-            array = np.asarray(array)
-            if len(array) > spec.shape[0]:
-                raise ConfigurationError(
-                    f"gather slot {slot} field {at}: {len(array)} values "
-                    f"exceed its capacity {spec.shape[0]}"
-                )
-            _view(buf, spec)[: len(array)] = array
-            lengths[at] = len(array)
-        return None
-
-
-class ShmGather:
-    """Parent-owned gather arena: one slot per result, bounded up front.
-
-    Workers write their slot results straight into the segment
-    (:meth:`ShmGatherDescriptor.put`) and the parent reads them back as
-    views (:meth:`take`) — no result array crosses a pipe. A slot is
-    rewritten whenever its task runs again (next iteration, retry,
-    replay), so a caller reads every slot it needs before resubmitting
-    the tasks that write it.
+    ``slots`` holds one tuple of ``(dtype, capacity)`` pairs per slot. A
+    task returns what ``put(slot, arrays)`` returned and the parent
+    passes it to ``take(slot, returned)``. On the shm transport ``put``
+    writes prefixes and lengths into the slot and returns ``None``;
+    elsewhere the arrays ride the return value. A slot is rewritten
+    whenever its task runs again (next iteration, retry, replay), so the
+    parent reads it before resubmitting the tasks that write it.
     """
 
-    def __init__(self, tag: str, slots, stats: IpcStats | None = None) -> None:
-        if _shared_memory is None:
-            raise ConfigurationError("shared memory is unavailable on this platform")
+    def __init__(self, tag: str, slots, transport: str, stats=None) -> None:
         self.tag = tag
-        layout, total = _slot_layout(slots)
-        self._shm = _shared_memory.SharedMemory(
-            create=True, size=max(1, total), name=_segment_name()
-        )
-        self._descriptor = ShmGatherDescriptor(self._shm.name, layout)
-        if stats is not None:
-            stats.record_segment(total)
+        self._slots = [
+            tuple(
+                (f"a{i}", np.dtype(dtype).str, (int(capacity),))
+                for i, (dtype, capacity) in enumerate(fields)
+            )
+            for fields in slots
+        ]
+        self._segment = None
+        if transport == SHM:
+            self._segment = _slotted(
+                tag, [(len(specs), specs) for specs in self._slots], True, stats
+            )
 
-    def descriptor(self) -> ShmGatherDescriptor:
-        return self._descriptor
+    def descriptor(self) -> "Gather":
+        return self
+
+    def put(self, slot: int, arrays):
+        arrays = _checked(
+            f"gather {self.tag!r} slot {slot}", self._slots[slot], arrays, prefix=True
+        )
+        if self._segment is None:
+            return arrays
+        self._segment.write({
+            **{f"{slot}.{key}": a for (key, _, _), a in zip(self._slots[slot], arrays)},
+            f"{slot}.head": np.array([len(a) for a in arrays], dtype=np.int64),
+        })
+        return None
 
     def take(self, slot: int, returned) -> tuple[np.ndarray, ...]:
         if returned is not None:
             return returned
-        if self._shm is None:
-            raise ConfigurationError(f"gather {self.tag!r} already closed")
-        buf = self._shm.buf
-        header, fields = self._descriptor.slots[slot]
-        lengths = _slot_lengths(buf, header, len(fields)).tolist()
-        return tuple(
-            _view(buf, spec)[:n] for spec, n in zip(fields, lengths)
-        )
+        (lengths,) = self._segment.read([f"{slot}.head"])
+        views = self._segment.read([f"{slot}.{key}" for key, _, _ in self._slots[slot]])
+        return tuple(view[:n] for view, n in zip(views, lengths.tolist()))
 
     def close(self) -> None:
-        shm, self._shm = self._shm, None
-        if shm is not None:
-            _release_segment(shm)
+        if self._segment is not None:
+            self._segment.close()
 
 
 #: Resources whose backing storage must be released if the owning process
@@ -877,31 +657,18 @@ def _cleanup_live_planes() -> None:
 def register_cleanup_resource(resource) -> None:
     """Arm atexit/SIGTERM cleanup for any ``owner_pid``/``close()`` owner.
 
-    Generalizes the shm plane hook to file-backed resources: a tile spill
-    directory leaked by a SIGTERM'd run is the disk-sided twin of a leaked
-    ``/dev/shm`` segment, so both ride the same registry and handler.
-    """
-    _install_plane_cleanup()
-    _LIVE_PLANES.add(resource)
-
-
-def unregister_cleanup_resource(resource) -> None:
-    _LIVE_PLANES.discard(resource)
-
-
-def _install_plane_cleanup() -> None:
-    """Arm atexit + SIGTERM cleanup, once, on first plane creation.
-
-    A run killed by SIGTERM mid-pipeline used to leak its ``/dev/shm``
-    segments — ``close()`` only runs on orderly unwinding, and SIGTERM's
-    default disposition skips Python entirely. The handler unlinks every
-    live segment and then re-delivers the signal with the previous
-    disposition restored, so exit status and any outer handler behave
-    exactly as before. Installed lazily so merely importing this module
-    never hijacks a host application's signal handling; skipped silently
-    off the main thread, where CPython forbids ``signal.signal``.
+    A shm plane's segments and a tile spill directory are the two kinds
+    of state a run killed by SIGTERM would otherwise leak: ``close()``
+    only runs on orderly unwinding, and SIGTERM's default disposition
+    skips Python entirely. The handler releases every live resource and
+    then re-delivers the signal with the previous disposition restored,
+    so exit status and any outer handler behave exactly as before. It is
+    installed on the first registration, so merely importing this module
+    never hijacks a host application's signal handling, and skipped
+    silently off the main thread, where CPython forbids ``signal.signal``.
     """
     global _CLEANUP_INSTALLED
+    _LIVE_PLANES.add(resource)
     if _CLEANUP_INSTALLED:
         return
     _CLEANUP_INSTALLED = True
@@ -926,46 +693,45 @@ def _install_plane_cleanup() -> None:
         pass
 
 
-class ShmPlane:
-    """Every segment one backend created, so close-time cleanup is total.
+def unregister_cleanup_resource(resource) -> None:
+    _LIVE_PLANES.discard(resource)
 
-    Handles are also returned to the operators that placed them (for
-    early, per-phase release); the plane's ``close()`` is the backstop
-    that runs on ``backend.close()`` — including the ``BrokenProcessPool``
-    path — and unlinking twice is safe. Creation also registers the plane
-    for atexit/SIGTERM cleanup, so a run killed mid-flight cannot leak
-    ``/dev/shm`` entries either.
+
+class Plane:
+    """One backend's transport decision, and every segment it made.
+
+    ``transport`` is :data:`REFERENCE`, :data:`VALUE` or :data:`SHM`;
+    only through shm do worker writes reach the parent. A shm plane
+    tracks the handles it is given, and its ``close()`` unlinks them all
+    (closing twice is safe): it runs on ``backend.close()``, after a
+    worker crash, and on atexit/SIGTERM.
     """
 
-    def __init__(self, stats: IpcStats | None = None) -> None:
-        self._stats = stats
-        self._handles: list = []
+    def __init__(self, transport: str) -> None:
+        self.transport = transport
         self.owner_pid = os.getpid()
-        _install_plane_cleanup()
-        _LIVE_PLANES.add(self)
+        self._handles: list = []
+        if transport == SHM:
+            register_cleanup_resource(self)
 
-    def place(self, tag: str, arrays: dict[str, np.ndarray]) -> ShmArrays:
-        handle = ShmArrays(tag, arrays, stats=self._stats)
-        self._handles.append(handle)
-        return handle
+    @property
+    def shared(self) -> bool:
+        return self.transport == SHM
 
-    def open_broadcast(self, tag: str, template) -> ShmBroadcast:
-        handle = ShmBroadcast(tag, template, stats=self._stats)
-        self._handles.append(handle)
-        return handle
-
-    def open_gather(self, tag: str, slots) -> ShmGather:
-        handle = ShmGather(tag, slots, stats=self._stats)
-        self._handles.append(handle)
-        return handle
-
-    def allocate(self, tag: str, specs) -> ShmArrays:
-        handle = ShmArrays(tag, None, stats=self._stats, specs=specs)
-        self._handles.append(handle)
+    def track(self, handle):
+        """Close ``handle`` with the plane; returns it."""
+        if self.shared:
+            self._handles.append(handle)
         return handle
 
     def close(self) -> None:
         handles, self._handles = self._handles, []
         for handle in handles:
             handle.close()
-        _LIVE_PLANES.discard(self)
+        unregister_cleanup_resource(self)
+
+
+def LocalBroadcast(tag: str) -> Broadcast:
+    """An in-process broadcast with an empty template (the name the
+    reference transport's channel had before :class:`Broadcast`)."""
+    return Broadcast(tag, (), REFERENCE)

@@ -454,14 +454,12 @@ def _probe_tile_io(indptr, indices, data, sq_norms, n_cols) -> float:
 
 def _probe_shm_setup() -> float:
     """Time one small shared-segment place+close (0.0 when unavailable)."""
-    from repro.exec.shm import IpcStats, ShmPlane, shm_available
+    from repro.exec.shm import Segment, shm_available
 
     if not shm_available():
         return 0.0
-    plane = ShmPlane(stats=IpcStats())
     t0 = time.perf_counter()
-    shared = plane.place("calibration", {"x": np.zeros(64)})
-    shared.close()
+    Segment("calibration", arrays={"x": np.zeros(64)}, shared=True).close()
     return time.perf_counter() - t0
 
 

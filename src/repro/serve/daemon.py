@@ -21,7 +21,8 @@ Reliability stance (proved by the crash-matrix test and the CI smoke):
   the daemon into drain mode only after repeated pool losses;
 * **graceful lifecycle** — SIGTERM (or a drain marker) stops admission,
   lets in-flight jobs finish under a deadline, journals ``shutdown``,
-  and re-delivers the signal (the ShmPlane handler idiom); queued jobs
+  and re-delivers the signal (the shm plane's cleanup-handler idiom,
+  :func:`repro.exec.shm.register_cleanup_resource`); queued jobs
   stay ``admitted`` in the journal and are recovered on the next start.
 
 ``REPRO_SERVE_KILL_AT={queued,admitted,running,completing}`` arms a
@@ -711,6 +712,6 @@ class ServeDaemon:
             self._restore_signal_handlers()
         if self._term_signum is not None:
             # Re-deliver with the original disposition restored, so the
-            # process reports the honest signal exit (ShmPlane idiom).
+            # process reports the honest signal exit (shm plane idiom).
             os.kill(os.getpid(), self._term_signum)
         return exit_code

@@ -2,8 +2,8 @@
 
 The :class:`TileStore` owns a temporary spill directory and the tile
 files inside it — the file-backed generalization of the PR-3 shm
-descriptor machinery: where :class:`~repro.exec.shm.ShmPlane` places
-arrays into ``/dev/shm`` segments that workers attach by descriptor, a
+descriptor machinery: where a shared :class:`~repro.exec.shm.Segment`
+holds arrays in ``/dev/shm`` that workers attach by descriptor, a
 ``TileStore`` writes row-range tiles to disk and hands out a picklable
 :class:`TileManifest` that any process turns into a read-only
 :class:`TileReader`. Workers therefore receive *no matrix bytes over

@@ -111,7 +111,8 @@ def no_shm_segment_leaks():
     }
     assert not leaked, (
         f"test leaked shared-memory segment(s): {sorted(leaked)} — every "
-        f"ShmArrays/ShmBroadcast must be unlinked via close()"
+        f"shared Segment (and Broadcast/Gather over one) must be unlinked "
+        f"via close()"
     )
 
 

@@ -489,10 +489,12 @@ class TestGracefulDegradation:
 _SIGTERM_SCRIPT = """
 import sys, time
 import numpy as np
-from repro.exec.shm import ShmPlane
+from repro.exec.shm import SHM, Plane, Segment
 
-plane = ShmPlane()
-handle = plane.place("probe", {"a": np.arange(1024, dtype=np.int64)})
+plane = Plane(SHM)
+handle = plane.track(
+    Segment("probe", arrays={"a": np.arange(1024, dtype=np.int64)}, shared=True)
+)
 print(handle.descriptor().segment, flush=True)
 time.sleep(30)
 """

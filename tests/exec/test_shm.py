@@ -1,4 +1,4 @@
-"""Shared-memory data plane: handles, broadcasts, lifecycle, accounting."""
+"""The data plane: segments, broadcasts, gathers, lifecycle, accounting."""
 
 from __future__ import annotations
 
@@ -12,18 +12,23 @@ from repro.errors import ConfigurationError
 from repro.exec.inline import ThreadBackend
 from repro.exec.process import ProcessBackend
 from repro.exec.shm import (
+    REFERENCE,
+    SHM,
     IpcStats,
-    LocalArrays,
-    LocalBroadcast,
-    LocalGather,
     SEGMENT_PREFIX,
-    ShmArrays,
-    ShmBroadcast,
-    ShmPlane,
+    Broadcast,
+    Gather,
+    Plane,
+    Segment,
     detach_all,
     shm_available,
 )
+from repro.core.pipeline import run_pipeline
+from repro.exec.process import make_backend
 from repro.ops import kernels
+from repro.ops.tfidf import TfIdfOperator
+from repro.plan import PhasePlan, RealPlan
+from repro.text import MIX_PROFILE, generate_corpus
 from repro.ops.kmeans import KMeansOperator, _block_spans
 from repro.sparse.matrix import CsrMatrix
 from repro.sparse.vector import SparseVector
@@ -86,7 +91,7 @@ class TestIpcStats:
 class TestLocalHandles:
     def test_local_arrays_pass_references_through(self):
         a = np.arange(4.0)
-        handle = LocalArrays("t", {"a": a})
+        handle = Segment("t", arrays={"a": a})
         assert handle.descriptor() is handle
         assert handle.resolve()["a"] is a
         handle.close()
@@ -94,16 +99,19 @@ class TestLocalHandles:
             handle.resolve()
 
     def test_local_broadcast_generations(self):
-        channel = LocalBroadcast("c")
+        channel = Broadcast("c", (np.zeros(3),), REFERENCE)
         with pytest.raises(ConfigurationError):
-            channel.read(0)
+            channel.read(0)  # never published
         g0 = channel.publish((np.ones(3),))
         assert g0 == 0
         assert channel.read(0)[0].tolist() == [1, 1, 1]
         g1 = channel.publish((np.zeros(3),))
         assert g1 == 1
         with pytest.raises(ConfigurationError):
-            channel.read(0)  # stale generation
+            channel.read(3)  # not the generation slot 1 holds
+        channel.publish((np.zeros(3),))
+        with pytest.raises(ConfigurationError):
+            channel.read(0)  # slot overwritten by generation 2
 
 
 @needs_shm
@@ -114,7 +122,7 @@ class TestShmArrays:
             "val": np.array([2.0, 7.1], dtype=np.float64),
         }
         stats = IpcStats()
-        handle = ShmArrays("t", arrays, stats=stats)
+        handle = Segment("t", arrays=arrays, shared=True, stats=stats)
         try:
             descriptor = pickle.loads(pickle.dumps(handle.descriptor()))
             resolved = descriptor.resolve()
@@ -127,7 +135,7 @@ class TestShmArrays:
             handle.close()
 
     def test_close_is_idempotent_and_unlinks(self):
-        handle = ShmArrays("t", {"a": np.zeros(16)})
+        handle = Segment("t", arrays={"a": np.zeros(16)}, shared=True)
         name = handle.descriptor().segment
         assert name in _live_segments()
         handle.close()
@@ -135,13 +143,13 @@ class TestShmArrays:
         handle.close()  # double close is safe
 
     def test_resolve_after_close_raises(self):
-        handle = ShmArrays("t", {"a": np.zeros(2)})
+        handle = Segment("t", arrays={"a": np.zeros(2)}, shared=True)
         handle.close()
         with pytest.raises(ConfigurationError):
             handle.resolve()
 
     def test_empty_arrays_are_placeable(self):
-        handle = ShmArrays("t", {"a": np.zeros(0)})
+        handle = Segment("t", arrays={"a": np.zeros(0)}, shared=True)
         try:
             assert handle.resolve()["a"].tolist() == []
         finally:
@@ -151,7 +159,7 @@ class TestShmArrays:
 @needs_shm
 class TestShmBroadcast:
     def test_double_buffered_generations(self):
-        channel = ShmBroadcast("c", (np.zeros((2, 3)), np.zeros(2)))
+        channel = Broadcast("c", (np.zeros((2, 3)), np.zeros(2)), SHM)
         try:
             descriptor = pickle.loads(pickle.dumps(channel.descriptor()))
             g0 = channel.publish((np.full((2, 3), 1.0), np.array([1.0, 2.0])))
@@ -165,10 +173,11 @@ class TestShmBroadcast:
             with pytest.raises(ConfigurationError):
                 descriptor.read(0)  # slot overwritten by generation 2
         finally:
+            detach_all()  # this process attached as the "worker"
             channel.close()
 
     def test_shape_mismatch_rejected(self):
-        channel = ShmBroadcast("c", (np.zeros((2, 3)),))
+        channel = Broadcast("c", (np.zeros((2, 3)),), SHM)
         try:
             with pytest.raises(ConfigurationError):
                 channel.publish((np.zeros((3, 2)),))
@@ -178,9 +187,9 @@ class TestShmBroadcast:
             channel.close()
 
     def test_close_unlinks_segment(self):
-        channel = ShmBroadcast("c", (np.zeros(4),))
-        name = channel.descriptor().segment
-        assert name in _live_segments()
+        before = _live_segments()
+        channel = Broadcast("c", (np.zeros(4),), SHM)
+        (name,) = _live_segments() - before
         channel.close()
         channel.close()
         assert name not in _live_segments()
@@ -193,16 +202,16 @@ class TestGather:
     SLOTS = [((np.int64, 3), (np.float64, 4)), ((np.int64, 1), (np.float64, 0))]
 
     def test_local_gather_hands_results_back(self):
-        gather = LocalGather("g")
-        a = np.arange(3)
+        gather = Gather("g", [((np.int64, 3),)], REFERENCE)
+        a = np.arange(3, dtype=np.int64)
         returned = gather.descriptor().put(0, (a,))
         assert gather.take(0, returned)[0] is a
 
     @needs_shm
     def test_arena_slots_round_trip_by_prefix(self):
-        plane = ShmPlane()
+        plane = Plane(SHM)
         try:
-            gather = plane.open_gather("g", self.SLOTS)
+            gather = plane.track(Gather("g", self.SLOTS, SHM))
             worker = pickle.loads(pickle.dumps(gather.descriptor()))
             assert worker.put(0, (np.array([7, 8]), np.array([0.5]))) is None
             assert worker.put(1, (np.array([9]), np.empty(0))) is None
@@ -221,8 +230,10 @@ class TestGather:
 
     @needs_shm
     def test_views_outlive_the_closed_segment(self):
-        plane = ShmPlane()
-        handle = plane.allocate("rows", [("values", np.float64, (4,))])
+        plane = Plane(SHM)
+        handle = plane.track(
+            Segment("rows", [("values", np.float64, (4,))], shared=True)
+        )
         values = handle.resolve()["values"]
         values[:] = [1.0, 2.0, 3.0, 4.0]
         name = handle.descriptor().segment
@@ -232,17 +243,124 @@ class TestGather:
         assert values.sum() == 10.0
 
 
+@needs_shm
 class TestShmPlane:
     def test_close_releases_every_handle(self):
-        plane = ShmPlane()
-        names = [
-            plane.place("a", {"x": np.zeros(8)}).descriptor().segment,
-            plane.open_broadcast("b", (np.zeros(8),)).descriptor().segment,
-        ]
-        assert all(name in _live_segments() for name in names)
+        plane = Plane(SHM)
+        before = _live_segments()
+        plane.track(Segment("a", arrays={"x": np.zeros(8)}, shared=True))
+        plane.track(Broadcast("b", (np.zeros(8),), SHM))
+        plane.track(Gather("g", [((np.int64, 2),)], SHM))
+        names = _live_segments() - before
+        assert len(names) == 3
         plane.close()
-        assert not any(name in _live_segments() for name in names)
+        assert not names & _live_segments()
         plane.close()  # idempotent
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd"
+    )
+    def test_place_resolve_close_leaks_no_descriptor(self):
+        def cycle(keep_view: bool):
+            handle = Segment("t", arrays={"a": np.arange(8.0)}, shared=True)
+            view = handle.resolve()["a"]
+            if not keep_view:
+                del view
+                handle.close()
+                return
+            # A view alive at close: the BufferError path of the unmap.
+            handle.close()
+            assert view.sum() == 28.0
+
+        cycle(True)  # warm-up: first-use descriptors are not leaks
+        before = len(os.listdir("/proc/self/fd"))
+        for at in range(200):
+            cycle(keep_view=at % 2 == 0)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+# -- the write gate: one check on every transport -----------------------------------
+
+TRANSPORTS = [
+    pytest.param(lambda: make_backend("threads", 1), id="reference"),
+    pytest.param(lambda: make_backend("processes", 1, shm=False), id="value"),
+    pytest.param(
+        lambda: make_backend("processes", 1, shm=True), id="shm", marks=needs_shm
+    ),
+]
+
+
+@pytest.mark.parametrize("backend_factory", TRANSPORTS)
+class TestWriteGate:
+    """Broadcast and gather writes are checked the same way whichever
+    transport carries them (no pool is started: writes run here)."""
+
+    SLOTS = [((np.int64, 3), (np.float64, 3))]
+
+    def test_broadcast_rejects_shape_dtype_and_arity(self, backend_factory):
+        with backend_factory() as backend:
+            channel = backend.open_broadcast("c", (np.zeros((2, 3)),))
+            for wrong in (
+                (np.zeros((3, 2)),),
+                (np.zeros((2, 3), dtype=np.float32),),
+                (np.zeros((2, 3)), np.zeros(2)),
+            ):
+                with pytest.raises(ConfigurationError):
+                    backend.broadcast(channel, wrong)
+            token = backend.broadcast(channel, (np.ones((2, 3)),))
+            assert channel.read(token)[0].tolist() == np.ones((2, 3)).tolist()
+            channel.close()
+
+    def test_gather_put_rejects_wrong_arity(self, backend_factory):
+        with backend_factory() as backend:
+            gather = backend.open_gather("g", lambda: self.SLOTS)
+            worker = pickle.loads(pickle.dumps(gather.descriptor()))
+            try:
+                first = worker.put(0, (np.array([1, 2, 3]), np.full(3, 9.0)))
+                assert gather.take(0, first)[1].tolist() == [9.0, 9.0, 9.0]
+                with pytest.raises(ConfigurationError, match="expects 2 arrays"):
+                    worker.put(0, (np.array([4]),))
+            finally:
+                detach_all()
+                gather.close()
+
+    def test_gather_put_rejects_wrong_dtype(self, backend_factory):
+        with backend_factory() as backend:
+            gather = backend.open_gather("g", lambda: self.SLOTS)
+            worker = pickle.loads(pickle.dumps(gather.descriptor()))
+            try:
+                with pytest.raises(ConfigurationError, match="dtype"):
+                    worker.put(0, (np.array([1.7, 2.9]), np.empty(0)))
+            finally:
+                detach_all()
+                gather.close()
+
+
+@needs_shm
+def test_planned_process_run_bills_the_run_ipc():
+    """A phase backend the planner builds bills the run's counters, the
+    same segments and broadcasts as a caller-passed backend."""
+    corpus = generate_corpus(MIX_PROFILE, scale=0.002, seed=7)
+
+    def run(**how):
+        return run_pipeline(
+            corpus, tfidf=TfIdfOperator(), kmeans=KMeansOperator(max_iters=3),
+            **how,
+        )
+
+    plan = RealPlan(
+        phases={
+            phase: PhasePlan(phase, "processes", 2, True)
+            for phase in ("input+wc", "transform", "kmeans")
+        },
+        calibration="test",
+        n_docs=len(corpus),
+    )
+    planned = run(plan=plan).ipc["total"]
+    with ProcessBackend(2, shm=True) as backend:
+        passed = run(backend=backend).ipc["total"]
+    for key in ("segments", "segment_bytes", "broadcasts"):
+        assert planned[key] == passed[key] > 0, key
 
 
 class TestBackendPlane:
@@ -266,7 +384,7 @@ class TestBackendPlane:
             assert out == [{"a": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}]
             assert backend.ipc.total().segments == 1
         # close() unlinked the plane's segments
-        assert handle._shm is None or True  # handle closed by plane
+        assert handle.descriptor().segment not in _live_segments()
 
     def test_shm_disabled_backend_shares_by_value(self):
         # No segment anywhere: the descriptor carries the placed arrays,
