@@ -314,13 +314,13 @@ class ExecutionBackend:
         :meth:`open_broadcast`).
 
         ``slots`` is a zero-argument callable returning one tuple of
-        ``(dtype, capacity)`` per result slot, one pair per field: what
-        every ``put`` is checked against, and what a shared arena is
-        sized by.
+        ``(dtype, capacity)`` per result slot, one pair per field. Only a
+        shared arena, sized by it, calls it (the table may cost a pass
+        over the source); elsewhere a slot's first ``put`` fixes what its
+        later puts are checked against.
         """
-        return self.plane.track(
-            Gather(tag, slots(), self.plane.transport, self.ipc)
-        )
+        table = slots() if self.plane.shared else None
+        return self.plane.track(Gather(tag, table, self.plane.transport, self.ipc))
 
     def allocate_arrays(self, tag: str, specs) -> Segment | None:
         """A zero-filled shared segment of ``(key, dtype, shape)`` arrays

@@ -12,10 +12,10 @@ who reads it, and the backend's plane decides where the bytes live.
 * Channels are ownership rules over segments. Placed arrays are written
   once by the parent and read by every task; allocated arrays are
   written in place by tasks and read by the parent. A :class:`Broadcast`
-  is two stamped slots, written by the parent once per iteration and
-  read by tasks; a :class:`Gather` is one slot per block, written by
-  tasks and read by the parent. Both write through one gate that checks
-  arity, dtype and shape on every transport.
+  is stamped slots (two on shm), written by the parent once per
+  iteration and read by tasks; a :class:`Gather` is one slot per block,
+  written by tasks and read by the parent. Both write through one gate
+  that checks arity, dtype and shape.
 * A :class:`Plane`, one per backend, makes the one transport decision:
   :data:`REFERENCE` (in-process: the caller's own arrays, nothing
   copied), :data:`VALUE` (worker processes without shared memory:
@@ -404,11 +404,10 @@ def _close_mapping(shm) -> None:
     try:
         shm.close()
     except BufferError:
-        # A numpy view over the buffer is still alive somewhere (a result
-        # matrix the parent hands back, a worker's last block). Drop this
-        # handle's references instead: the views' buffer chain then owns
-        # the mapping, which is unmapped when the last of them dies — and
-        # the handle's own ``__del__`` can no longer trip over them.
+        # A numpy view over the buffer is still alive (a result matrix,
+        # a worker's last block): drop this handle's references instead.
+        # The views' buffer chain owns the mapping and unmaps it when the
+        # last of them dies.
         shm._buf = shm._mmap = None
         if getattr(shm, "_fd", -1) >= 0:
             os.close(shm._fd)
@@ -518,13 +517,15 @@ class Segment:
 
 
 class Broadcast:
-    """Parent → tasks: two stamped slots of one segment.
+    """Parent → tasks: stamped slots of one segment.
 
-    ``publish(arrays)`` writes slot ``generation % 2`` and stamps it last,
-    so a token carrying only the generation finds and checks its slot,
-    and a publish never overwrites the slot a straggler of the previous
-    iteration may still read. ``template`` fixes every publish's arity,
-    shapes and dtypes. On the value transport the token is the arrays.
+    ``publish(arrays)`` writes slot ``generation % slots`` and stamps it
+    last, so a token carrying only the generation finds and checks its
+    slot. Shm keeps two slots, so a publish never overwrites the one a
+    straggler of the previous iteration may still read; held references
+    keep one, so only the current generation reads. ``template`` fixes
+    every publish's arity, shapes and dtypes. On the value transport the
+    token is the arrays.
     """
 
     def __init__(self, tag: str, template, transport: str, stats=None) -> None:
@@ -536,10 +537,14 @@ class Broadcast:
         #: transport's bytes are billed as task pickles).
         self.payload_bytes = sum(a.nbytes for a in template) if transport == SHM else 0
         self._segment = None
+        self._n_slots = 2 if transport == SHM else 1
         if transport != VALUE:
-            shared = transport == SHM
-            self._segment = _slotted(tag, [(1, self._specs)] * 2, shared, stats)
-            self._segment.write({"0.head": np.array([-1]), "1.head": np.array([-1])})
+            self._segment = _slotted(
+                tag, [(1, self._specs)] * self._n_slots, transport == SHM, stats
+            )
+            self._segment.write(
+                {f"{slot}.head": np.array([-1]) for slot in range(self._n_slots)}
+            )
 
     def descriptor(self) -> "Broadcast":
         return self
@@ -550,7 +555,7 @@ class Broadcast:
         self.generation += 1
         if self._segment is None:
             return arrays
-        slot = self.generation % 2
+        slot = self.generation % self._n_slots
         self._segment.write({
             f"{slot}.{key}": array for (key, _, _), array in zip(self._specs, arrays)
         })
@@ -563,7 +568,7 @@ class Broadcast:
         """The arrays ``token`` names, after checking the slot's stamp."""
         if self._segment is None:
             return token
-        slot = token % 2
+        slot = token % self._n_slots
         (stamp,) = self._segment.read([f"{slot}.head"])
         if int(stamp[0]) != token:
             raise ConfigurationError(
@@ -578,36 +583,42 @@ class Broadcast:
 
 
 class Gather:
-    """Tasks → parent: one slot per result, bounded up front.
+    """Tasks → parent: one slot per result.
 
-    ``slots`` holds one tuple of ``(dtype, capacity)`` pairs per slot. A
-    task returns what ``put(slot, arrays)`` returned and the parent
-    passes it to ``take(slot, returned)``. On the shm transport ``put``
-    writes prefixes and lengths into the slot and returns ``None``;
-    elsewhere the arrays ride the return value. A slot is rewritten
-    whenever its task runs again (next iteration, retry, replay), so the
-    parent reads it before resubmitting the tasks that write it.
+    ``slots`` holds one tuple of ``(dtype, capacity)`` pairs per slot and
+    sizes a shm arena; without it a slot's first put fixes its arity and
+    dtypes. A task returns what ``put(slot, arrays)`` returned (``None``
+    on shm, which writes prefixes and lengths into the slot; elsewhere
+    the arrays) and the parent passes it to ``take(slot, returned)``. A
+    slot is rewritten whenever its task runs again (next iteration,
+    retry, replay), so the parent reads it before resubmitting its tasks.
     """
 
     def __init__(self, tag: str, slots, transport: str, stats=None) -> None:
         self.tag = tag
-        self._slots = [
-            tuple(
+        self._slots = {
+            slot: tuple(
                 (f"a{i}", np.dtype(dtype).str, (int(capacity),))
                 for i, (dtype, capacity) in enumerate(fields)
             )
-            for fields in slots
-        ]
+            for slot, fields in enumerate(slots or ())
+        }
         self._segment = None
         if transport == SHM:
             self._segment = _slotted(
-                tag, [(len(specs), specs) for specs in self._slots], True, stats
+                tag, [(len(specs), specs) for specs in self._slots.values()],
+                True, stats,
             )
 
     def descriptor(self) -> "Gather":
         return self
 
     def put(self, slot: int, arrays):
+        if slot not in self._slots and self._segment is None:
+            self._slots[slot] = tuple(
+                (f"a{i}", np.asarray(a).dtype.str, (math.inf,))
+                for i, a in enumerate(arrays)
+            )
         arrays = _checked(
             f"gather {self.tag!r} slot {slot}", self._slots[slot], arrays, prefix=True
         )
@@ -709,14 +720,12 @@ class Plane:
 
     def __init__(self, transport: str) -> None:
         self.transport = transport
+        #: Whether worker writes reach the parent (only through shm).
+        self.shared = transport == SHM
         self.owner_pid = os.getpid()
         self._handles: list = []
         if transport == SHM:
             register_cleanup_resource(self)
-
-    @property
-    def shared(self) -> bool:
-        return self.transport == SHM
 
     def track(self, handle):
         """Close ``handle`` with the plane; returns it."""

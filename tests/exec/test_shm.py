@@ -101,17 +101,14 @@ class TestLocalHandles:
     def test_local_broadcast_generations(self):
         channel = Broadcast("c", (np.zeros(3),), REFERENCE)
         with pytest.raises(ConfigurationError):
-            channel.read(0)  # never published
+            channel.read(0)
         g0 = channel.publish((np.ones(3),))
         assert g0 == 0
         assert channel.read(0)[0].tolist() == [1, 1, 1]
         g1 = channel.publish((np.zeros(3),))
         assert g1 == 1
         with pytest.raises(ConfigurationError):
-            channel.read(3)  # not the generation slot 1 holds
-        channel.publish((np.zeros(3),))
-        with pytest.raises(ConfigurationError):
-            channel.read(0)  # slot overwritten by generation 2
+            channel.read(0)  # stale generation
 
 
 @needs_shm
@@ -206,6 +203,13 @@ class TestGather:
         a = np.arange(3, dtype=np.int64)
         returned = gather.descriptor().put(0, (a,))
         assert gather.take(0, returned)[0] is a
+
+    def test_declared_table_checks_the_first_put(self):
+        gather = Gather("g", self.SLOTS, REFERENCE)
+        with pytest.raises(ConfigurationError, match="dtype"):
+            gather.put(0, (np.array([1.7, 2.9]), np.empty(0)))
+        with pytest.raises(ConfigurationError, match="capacity"):
+            gather.put(0, (np.arange(4), np.empty(0)))
 
     @needs_shm
     def test_arena_slots_round_trip_by_prefix(self):
@@ -329,11 +333,19 @@ class TestWriteGate:
             gather = backend.open_gather("g", lambda: self.SLOTS)
             worker = pickle.loads(pickle.dumps(gather.descriptor()))
             try:
+                worker.put(0, (np.array([1, 2]), np.empty(0)))
                 with pytest.raises(ConfigurationError, match="dtype"):
                     worker.put(0, (np.array([1.7, 2.9]), np.empty(0)))
             finally:
                 detach_all()
                 gather.close()
+
+    def test_slot_table_is_built_only_for_an_arena(self, backend_factory):
+        calls = []
+        with backend_factory() as backend:
+            gather = backend.open_gather("g", lambda: calls.append(1) or self.SLOTS)
+            gather.close()
+        assert len(calls) == (1 if backend.plane.shared else 0)
 
 
 @needs_shm
