@@ -1,11 +1,20 @@
 """Per-layer microbenchmarks of the chunk kernels (ROADMAP item 1).
 
 ``pytest-benchmark`` timings of the kernels a backend task runs, on the
-Mix@0.01 corpus: ``count_chunk`` (split, intern, group into one chunk
-block) and ``transform_chunk`` (score and normalise a bound block) over
-the whole corpus as one chunk, the parent's ``TermBlock.concat`` over the
-corpus counted in nine chunks (the df merge, and where terms get sorted),
-and one k-means iteration of ``_assign_block`` over the fit's blocks.
+Mix@0.01 corpus:
+
+* ``count_chunk`` over the whole corpus as one chunk (the byte kernel:
+  fold, bound and key the tokens, group them into one chunk block);
+* ``TermBlock.concat`` over the corpus counted in nine chunks (the
+  parent's df merge, where the union of packed keys is sorted and the
+  term strings are materialised);
+* the word-count phase as a sequential run does it: count the corpus in
+  nine chunks, then ``concat`` them. The byte kernel's gain spans both
+  functions, so this is the number to compare across commits;
+* ``transform_chunk`` (score and normalise a bound block) over the whole
+  corpus, and one k-means iteration of ``_assign_block`` over the fit's
+  blocks.
+
 They isolate a layer so it can be tuned without running a pipeline; the
 end-to-end gate is ``perfbench``. Run with::
 
@@ -22,8 +31,8 @@ from repro.ops.tfidf import TfIdfOperator
 from repro.sparse import CsrMatrix, TermBlock, csr_row_views
 from repro.text import MIX_PROFILE, generate_corpus
 
-#: Chunks of the ``concat`` benchmark: what ``auto_grain`` cuts a
-#: sequential run of this corpus into.
+#: Chunks of the ``concat`` and phase benchmarks: what ``auto_grain``
+#: cuts a sequential run of this corpus into.
 N_CHUNKS = 9
 #: Clusters and documents per block of the ``_assign_block`` benchmark
 #: (the operator's defaults at this corpus size).
@@ -57,19 +66,32 @@ def test_micro_transform_chunk(benchmark, bound):
     benchmark.extra_info.update(docs=len(bound), nnz=len(data))
 
 
-def test_micro_concat_chunk_blocks(benchmark, texts):
-    kernels.init_wordcount_worker(TfIdfOperator().tokenizer)
+def _count_in_chunks(texts):
     grain = -(-len(texts) // N_CHUNKS)
-    parts = [
+    return [
         kernels.count_chunk(texts[at:at + grain])
         for at in range(0, len(texts), grain)
     ]
+
+
+def test_micro_concat_chunk_blocks(benchmark, texts):
+    kernels.init_wordcount_worker(TfIdfOperator().tokenizer)
+    parts = _count_in_chunks(texts)
     assert len(parts) == N_CHUNKS
     block = benchmark(TermBlock.concat, parts)
     assert len(block) == len(texts) and block.terms == sorted(block.terms)
     benchmark.extra_info.update(
         chunks=len(parts), terms=len(block.terms), nnz=len(block.ids),
         chunk_terms=sum(len(part.terms) for part in parts),
+    )
+
+
+def test_micro_wordcount_phase(benchmark, texts):
+    kernels.init_wordcount_worker(TfIdfOperator().tokenizer)
+    block = benchmark(lambda: TermBlock.concat(_count_in_chunks(texts)))
+    assert len(block) == len(texts) and block.terms == sorted(block.terms)
+    benchmark.extra_info.update(
+        chunks=N_CHUNKS, terms=len(block.terms), nnz=len(block.ids)
     )
 
 

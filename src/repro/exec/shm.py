@@ -738,9 +738,3 @@ class Plane:
         for handle in handles:
             handle.close()
         unregister_cleanup_resource(self)
-
-
-def LocalBroadcast(tag: str) -> Broadcast:
-    """An in-process broadcast with an empty template (the name the
-    reference transport's channel had before :class:`Broadcast`)."""
-    return Broadcast(tag, (), REFERENCE)

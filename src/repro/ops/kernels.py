@@ -29,7 +29,9 @@ from itertools import compress, count
 import numpy as np
 
 from repro.exec.process import register_worker_reset
-from repro.sparse.blocks import TermBlock, sorted_unique
+from repro.sparse.blocks import TermBlock, _run_heads, _unpack, sorted_unique
+from repro.text.normalize import FOLD_BYTES
+from repro.text.stopwords import ENGLISH_STOPWORDS, is_stopword
 from repro.text.tokenizer import Tokenizer
 
 __all__ = [
@@ -75,6 +77,10 @@ def release_wordcount_worker(slot: int) -> None:
 def count_chunk(texts: list[str], slot: int = 0) -> TermBlock:
     """Count one chunk of documents into one columnar chunk block.
 
+    The tokenizer picks the kernel: one whose ``split`` is the base
+    fold-and-split runs on bytes (:func:`_intern_bytes`); one that
+    overrides ``split`` runs on its strings, as follows.
+
     No per-document object is built. (1) Every document is split and its
     words interned into one chunk-wide id stream: ``setdefault`` hands a
     new word the next ticket of a shared counter, a known word its first
@@ -87,6 +93,12 @@ def count_chunk(texts: list[str], slot: int = 0) -> TermBlock:
     parent's :meth:`TermBlock.concat` sorts the union once.
     """
     tokenizer = _WORDCOUNT[slot]
+    if type(tokenizer).split is Tokenizer.split:
+        # Helpers, so that their transients are freed before the next
+        # stage allocates its own: as one flat function the byte kernel
+        # peaked at twice the string kernel's memory.
+        ids, ends, packed = _intern_bytes(texts, tokenizer)
+        return TermBlock.from_tokens(None, ids, ends, packed)
     split = tokenizer.split
     tickets: dict[str, int] = {}
     intern = tickets.setdefault
@@ -103,6 +115,113 @@ def count_chunk(texts: list[str], slot: int = 0) -> TermBlock:
     )
     ids = dense[np.fromiter(stream, dtype=np.int64, count=len(stream))]
     return TermBlock.from_tokens(list(compress(tickets, keep.tolist())), ids, ends)
+
+
+#: The packed keys of the stop words that fit one (the longer ones can
+#: only be tails): big-endian, zero-padded to 8 bytes.
+_STOP_KEYS = np.array(
+    [int.from_bytes(word.encode().ljust(8, b"\0"), "big")
+     for word in ENGLISH_STOPWORDS if len(word) <= 8],
+    dtype=np.uint64,
+)
+
+#: ``_PREFIX[n]`` keeps the first ``n`` bytes of a big-endian word.
+_PREFIX = np.array(
+    [(1 << 64) - (1 << (64 - 8 * n)) for n in range(9)], dtype=np.uint64
+)
+
+
+def _token_bounds(
+    texts: list[str],
+) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
+    """The chunk's bytes folded, each token's start and length there, and
+    each document's end in tokens.
+
+    The texts are joined by one separator and encoded once
+    (``surrogatepass``: a lone surrogate is three bytes >= 0x80, a
+    separator, as ``fold_text`` makes it a space). One ``translate``
+    folds the bytes and deletes apostrophes; token bounds are where the
+    word mask changes.
+    """
+    joined = " ".join(texts)
+    data = joined.encode("utf-8", "surrogatepass")
+    if len(data) == len(joined):
+        sizes = list(map(len, texts))
+    else:
+        sizes = [len(text.encode("utf-8", "surrogatepass")) for text in texts]
+    if b"'" in data:
+        sizes = [size - text.count("'") for size, text in zip(sizes, texts)]
+    # One zero byte ahead so the first token has a left edge; a window's
+    # width behind so the last one can be read 8 bytes at a time.
+    folded = b"\0" + data.translate(FOLD_BYTES, b"'") + bytes(8)
+    edges = np.flatnonzero(np.diff(np.frombuffer(folded, dtype=np.uint8) != 0))
+    starts = edges[0::2] + 1
+    # Document i's separator sits at sum(sizes[:i+1]) + i + 1.
+    ends = np.searchsorted(starts, np.cumsum(np.array(sizes, dtype=np.int64) + 1))
+    return folded, starts, edges[1::2] - edges[0::2], ends
+
+
+def _intern_bytes(
+    texts: list[str], tokenizer: Tokenizer
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, dict[int, str]]]:
+    """:func:`count_chunk` for the base split, up to the grouping: each
+    token's term id (``-1``: filtered out), each document's end in
+    tokens, and the terms, packed.
+
+    A token of at most 8 bytes is keyed by an unaligned big-endian window
+    read masked to its length — exact, and ordered like the string — and
+    grouped by one sort of the keys; a longer one is interned by its
+    bytes. Nothing is hashed into a key, so nothing can collide. The
+    base ``keeps`` runs on the distinct terms' lengths and keys; an
+    overriding one is asked once per distinct term. Terms are numbered
+    in first-seen order.
+    """
+    folded, starts, lengths, ends = _token_bounds(texts)
+    window = np.ndarray((len(folded) - 7,), ">u8", folded, 0, (1,))
+    keys = window[starts] & _PREFIX[np.minimum(lengths, 8)]
+
+    by_key = np.flatnonzero(lengths <= 8)
+    by_key = by_key[np.argsort(keys[by_key])]
+    heads = _run_heads(keys[by_key])
+    run = np.cumsum(heads) - 1
+    # Each key's first token (the sort need not be stable).
+    first = np.minimum.reduceat(by_key, np.flatnonzero(heads))
+    long_at = np.flatnonzero(lengths > 8)
+    tickets: dict[bytes, int] = {}
+    long_starts = starts[long_at]
+    spans = zip(long_starts.tolist(), (long_starts + lengths[long_at]).tolist())
+    raw = np.fromiter(
+        map(tickets.setdefault, (folded[a:b] for a, b in spans), count()),
+        dtype=np.int64, count=len(long_at),
+    )
+    long_first = np.fromiter(tickets.values(), dtype=np.int64, count=len(tickets))
+    dense = np.empty(len(long_at), dtype=np.int64)
+    dense[long_first] = np.arange(len(first), len(first) + len(tickets))
+    n_short = len(first)
+    first = np.concatenate([first, long_at[long_first]])
+    tails = [word.decode() for word in tickets]
+
+    if type(tokenizer).keeps is Tokenizer.keeps:
+        size = lengths[first]
+        keep = (tokenizer.min_length <= size) & (size <= tokenizer.max_length)
+        if tokenizer.drop_stopwords:
+            keep[:n_short] &= ~np.isin(keys[first[:n_short]], _STOP_KEYS)
+            keep[n_short:] &= ~np.array(list(map(is_stopword, tails)), dtype=bool)
+    else:
+        words = _unpack(keys[first], dict(enumerate(tails, n_short)))
+        keep = np.fromiter(map(tokenizer.keeps, words), dtype=bool, count=len(words))
+    kept = np.flatnonzero(keep)
+    seen = kept[np.argsort(first[kept])]
+    position = np.full(len(first), -1, dtype=np.int64)
+    position[seen] = np.arange(len(seen))
+    ids = np.empty(len(starts), dtype=np.int64)
+    ids[by_key] = position[run]
+    ids[long_at] = position[dense[raw]]
+    return ids, ends, (
+        keys[first[seen]],
+        {at: word for at, word in zip(position[n_short:].tolist(), tails)
+         if at >= 0},
+    )
 
 
 # -- TF/IDF transform (phase 2a) ------------------------------------------------------

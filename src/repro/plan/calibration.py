@@ -74,7 +74,8 @@ class PhaseConstants:
     #: the shm plane instead of the task pickle (kmeans block tokens).
     #: 0 = effectively free.
     shm_task_bytes_per_doc: float = 0.0
-    #: Parent-side dictionary merge ops per document (wc: df increments).
+    #: Parent-side dictionary merge ops per document (wc: the df merge's
+    #: term probes).
     merge_ops_per_doc: float = 0.0
 
 
@@ -257,7 +258,12 @@ class CalibrationStore:
             # Raw texts ship as task pickles whether or not the shm plane
             # is up — shm carries no word-count state.
             shm_task_bytes_per_doc=wc_task_bytes,
-            merge_ops_per_doc=len(block.ids) / k,
+            # The df merge's dictionary probes: one per long term of a
+            # packed block (the rest merges numerically), one per term of
+            # a string block.
+            merge_ops_per_doc=(
+                block.n_terms if block.packed is None else len(block.packed[1])
+            ) / k,
         )
 
         # Phase 2a: transform — vocabulary and bound block through the

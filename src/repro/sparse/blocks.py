@@ -6,9 +6,9 @@ layout of :class:`~repro.sparse.matrix.CsrMatrix` with term ids local to
 the block. A chunk kernel produces one per chunk
 (:meth:`TermBlock.from_tokens`), the parent merges them into one block
 for the corpus (:meth:`TermBlock.concat`, which is also where the terms
-get sorted), and the transform reads row ranges of it (``block[a:b]``)
-with the term strings replaced by two per-term columns: the vocabulary
-id and the idf weight.
+get sorted: numerically when every chunk carries packed keys), and the
+transform reads row ranges of it (``block[a:b]``) with the term strings
+replaced by two per-term columns: the vocabulary id and the idf weight.
 Term strings therefore cross the IPC boundary once, in the word-count
 results, and nothing downstream handles a per-document Python object.
 """
@@ -57,6 +57,14 @@ class TermBlock:
     ``gmap`` and ``weights`` are ``None`` until :meth:`bound` attaches
     them, which also drops ``terms``.
 
+    **Packed terms.** The byte kernel's chunk blocks carry their terms
+    as ``packed = (keys, tails)``: ``keys`` is one ``uint64`` per term,
+    its ASCII bytes big-endian and zero-padded (exact for terms of at
+    most 8 bytes, none of which holds a zero byte, and ordered like the
+    strings); a longer term's key is its 8-byte prefix and ``tails``
+    maps its position to the whole string. ``terms`` is then built on
+    first access and never pickled.
+
     **Term order.** A *chunk* block (:meth:`from_tokens`, what a
     word-count task returns) lists its terms in first-seen order, so no
     string is sorted per chunk; its only consumer is :meth:`concat`.
@@ -69,18 +77,33 @@ class TermBlock:
     """
 
     __slots__ = (
-        "terms", "indptr", "ids", "counts", "token_counts", "gmap", "weights"
+        "_terms", "packed", "indptr", "ids", "counts", "token_counts", "gmap",
+        "weights",
     )
 
     def __init__(self, terms, indptr, ids, counts, token_counts,
-                 gmap=None, weights=None) -> None:
-        self.terms = terms
+                 gmap=None, weights=None, packed=None) -> None:
+        self._terms = terms
+        self.packed = packed
         self.indptr = indptr
         self.ids = ids
         self.counts = counts
         self.token_counts = token_counts
         self.gmap = gmap
         self.weights = weights
+
+    def __reduce__(self):
+        return TermBlock, (
+            None if self.packed is not None else self._terms, self.indptr,
+            self.ids, self.counts, self.token_counts, self.gmap, self.weights,
+            self.packed,
+        )
+
+    @property
+    def terms(self) -> list[str] | None:
+        if self._terms is None and self.packed is not None:
+            self._terms = _unpack(*self.packed)
+        return self._terms
 
     @classmethod
     def from_counts(cls, tfs, token_counts) -> "TermBlock":
@@ -102,7 +125,7 @@ class TermBlock:
         )
 
     @classmethod
-    def from_tokens(cls, terms, ids, ends) -> "TermBlock":
+    def from_tokens(cls, terms, ids, ends, packed=None) -> "TermBlock":
         """Group a chunk's interned token stream into a chunk block.
 
         ``ids[j]`` is the position in ``terms`` of the chunk's ``j``-th
@@ -111,7 +134,8 @@ class TermBlock:
         ``ends[i]``. One integer sort of ``document · |terms| + id``
         brings equal (document, term) pairs together; their run lengths
         are the counts, and the distinct keys, already in row order, are
-        ``indptr`` and ``ids``. ``terms`` stay in the order given.
+        ``indptr`` and ``ids``. ``terms`` stay in the order given; with
+        ``packed`` given (the terms as keys), ``terms`` is ``None``.
         """
         n_docs = len(ends)
         docs = np.repeat(
@@ -120,7 +144,8 @@ class TermBlock:
         kept = ids >= 0
         if not kept.all():
             ids, docs = ids[kept], docs[kept]
-        width = max(1, len(terms))
+        n_terms = len(terms if packed is None else packed[0])
+        width = max(1, n_terms)
         keys = docs * width + ids
         keys.sort()
         starts = np.flatnonzero(_run_heads(keys))
@@ -130,28 +155,34 @@ class TermBlock:
         indptr = np.zeros(n_docs + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n_docs), out=indptr[1:])
         return cls(
-            terms, indptr, _narrow(keys - rows * width, len(terms)),
+            terms, indptr, _narrow(keys - rows * width, n_terms),
             _narrow(counts, int(counts.max(initial=0))),
             np.bincount(docs, minlength=n_docs).astype(np.int64, copy=False),
+            packed=packed,
         )
 
     @classmethod
     def concat(cls, blocks) -> "TermBlock":
         """The blocks' documents in order, over the union of their terms.
 
-        This is the document-frequency merge, and the one place term
-        strings are sorted: one dictionary probe per (block, term), one
-        sort of the union, then array lookups rebase every id onto it.
+        This is the document-frequency merge, and the one place terms are
+        sorted. When every block is packed the merge is numeric
+        (:func:`_merge_packed`); otherwise it costs one dictionary probe
+        per (block, term) and one sort of the union of strings. Either
+        way array lookups then rebase every id onto the union.
         Rows are re-ordered by their new ids a block at a time — sorted
         input comes back as it was, a chunk block's first-seen order
         becomes term order — so the transients stay chunk-sized (one
         corpus-wide argsort would be the peak memory of a tiled run).
         """
         blocks = list(blocks)
-        terms, rebase = _rank_terms(
-            [block.terms for block in blocks],
-            [len(block.terms) for block in blocks],
-        )
+        if blocks and all(block.packed is not None for block in blocks):
+            terms, rebase = _merge_packed([block.packed for block in blocks])
+        else:
+            terms, rebase = _rank_terms(
+                [block.terms for block in blocks],
+                [len(block.terms) for block in blocks],
+            )
         ids, counts = [], []
         for lookup, block in zip(rebase, blocks):
             moved = lookup[block.ids]
@@ -185,9 +216,9 @@ class TermBlock:
         # the cells at ``used`` are ever written or read.
         renumber = np.empty(self.n_terms, dtype=np.int32)
         renumber[used] = np.arange(len(used), dtype=np.int32)
+        terms = self.terms
         return TermBlock(
-            None if self.terms is None
-            else [self.terms[at] for at in used.tolist()],
+            None if terms is None else [terms[at] for at in used.tolist()],
             self.indptr[start:stop + 1] - lo,
             _narrow(renumber[ids], len(used)),
             self.counts[lo:hi],
@@ -198,7 +229,9 @@ class TermBlock:
 
     @property
     def n_terms(self) -> int:
-        return len(self.gmap if self.terms is None else self.terms)
+        if self.packed is not None:
+            return len(self.packed[0])
+        return len(self.gmap if self._terms is None else self._terms)
 
     @property
     def df_counts(self) -> np.ndarray:
@@ -247,6 +280,59 @@ def _rank_terms(runs, lengths) -> tuple[list[str], list[np.ndarray]]:
         map(first_seen.__getitem__, terms), dtype=np.int64, count=len(terms)
     )] = np.arange(len(terms), dtype=np.int32)
     return terms, [rank[ids] for ids in raw]
+
+
+def _unpack(keys: np.ndarray, tails: dict[int, str]) -> list[str]:
+    """The strings of packed terms (the zero padding is numpy's ``S8``
+    trailing-NUL strip)."""
+    terms = keys.astype(">u8").view("S8").astype("U8").tolist()
+    for at, term in tails.items():
+        terms[at] = term
+    return terms
+
+
+def _merge_packed(packs) -> tuple[list[str], list[np.ndarray]]:
+    """:func:`_rank_terms` over packed terms, numerically.
+
+    The short keys of all blocks are ranked by one sort of their
+    concatenation (a run of equal keys is one term of the union). The
+    long terms (a few per cent) are sorted as strings and spliced in by
+    prefix: a long term follows every short key up to and including its
+    prefix, and precedes the rest. Only the union's strings are
+    materialised.
+    """
+    prefixes: dict[str, int] = {}
+    shorts = []
+    for keys, tails in packs:
+        short = np.ones(len(keys), dtype=bool)
+        short[list(tails)] = False
+        shorts.append(short)
+        prefixes.update(zip(tails.values(), keys[list(tails)].tolist()))
+    stacked = _concat(
+        [keys[short] for (keys, _), short in zip(packs, shorts)], np.uint64
+    )
+    order = np.argsort(stacked)
+    heads = _run_heads(stacked[order])
+    union = stacked[order[heads]]
+    rank = np.empty(len(stacked), dtype=np.int64)
+    rank[order] = np.cumsum(heads) - 1
+    longs = sorted(prefixes)
+    long_keys = np.array([prefixes[term] for term in longs], dtype=np.uint64)
+    short_rank = np.arange(len(union)) + np.searchsorted(long_keys, union)
+    long_rank = np.arange(len(longs)) + np.searchsorted(union, long_keys, "right")
+    terms = np.empty(len(union) + len(longs), dtype=object)
+    terms[short_rank] = _unpack(union, {})
+    terms[long_rank] = longs
+    long_at = dict(zip(longs, long_rank.tolist()))
+    rebase, at = [], 0
+    for (keys, tails), short in zip(packs, shorts):
+        lookup = np.empty(len(keys), dtype=np.int32)
+        n_short = len(keys) - len(tails)
+        lookup[short] = short_rank[rank[at:at + n_short]]
+        lookup[list(tails)] = [long_at[term] for term in tails.values()]
+        rebase.append(lookup)
+        at += n_short
+    return terms.tolist(), rebase
 
 
 def _stack_indptr(indptrs) -> np.ndarray:

@@ -224,7 +224,7 @@ class TestRebuiltSourcesAreReleased:
     it. The placed source itself is never closed by the worker state."""
 
     def _install(self, slot, placed, n_rows):
-        channel = shm_plane.LocalBroadcast("c")
+        channel = shm_plane.Broadcast("c", (), shm_plane.REFERENCE)
         kernels.init_kmeans_worker(
             slot, pickle.loads(pickle.dumps(placed.descriptor())),
             channel, ((0, n_rows),),

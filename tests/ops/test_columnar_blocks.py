@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import struct
 
 import numpy as np
@@ -365,6 +366,116 @@ class TestSliceConcatLaws:
         )
         assert quarantined == [(7, 2, 1)]
         assert survivors == [{"a": 1}, {"b": 2}, {"a": 3}, {"c": 1}]
+
+
+# -- byte kernel = string kernel ---------------------------------------------------
+
+
+class _StringKernel(Tokenizer):
+    """Splits exactly as the base tokenizer, but overrides ``split``: the
+    oracle that forces ``count_chunk`` onto its string kernel."""
+
+    def split(self, text: str) -> list[str]:
+        return super().split(text)
+
+
+class _AskedKeeps(Tokenizer):
+    """The base split with an overridden ``keeps``: the byte kernel asks
+    it once per distinct term instead of filtering on arrays."""
+
+    def keeps(self, term: str) -> bool:
+        return super().keeps(term)
+
+
+#: Fragments laid end to end, so words merge across them: apostrophes
+#: leading, trailing, doubled and alone; 2-, 3- and 4-byte UTF-8 and lone
+#: surrogates; CRLF, tabs and control bytes; stop words (one only after
+#: its apostrophe goes, one of exactly 8 bytes, two longer); an 8-byte
+#: word that is the packed prefix of two longer ones.
+FRAGMENTS = [
+    "'", "''", "'tis", "ours'", "do''nt", "don't", "\r\n", "\t", " ", "\x00",
+    "\x07", "\x7f", "-", ".", "é", "ß", "日本", "😀", "\ud800", "\udfff",
+    "The", "of", "yourself", "ourselves", "THEMSELVES", "Cat", "cat",
+    "overflow", "overflowed", "overflowing",
+]
+
+#: Words of 1, 2, 7, 8, 9, 16, 17 bytes and longer than every
+#: ``max_length`` drawn (keys are exact up to 8; longer terms are tails).
+sized_words = st.sampled_from([1, 2, 7, 8, 9, 16, 17, 81]).flatmap(
+    lambda size: st.text(alphabet="abyzAZ09", min_size=size, max_size=size)
+)
+
+byte_corpora = st.lists(
+    st.lists(
+        st.one_of(st.sampled_from(FRAGMENTS), sized_words), max_size=14
+    ).map("".join),
+    max_size=8,
+)
+
+filters = st.fixed_dictionaries({
+    "drop_stopwords": st.booleans(),
+    "min_length": st.integers(1, 9),
+    "max_length": st.sampled_from([5, 8, 9, 64, 80]),
+})
+
+
+def _chunk(tokenizer, texts) -> TermBlock:
+    slot = kernels.wordcount_slot()
+    kernels.init_wordcount_worker(tokenizer, slot)
+    try:
+        return kernels.count_chunk(texts, slot)
+    finally:
+        kernels.release_wordcount_worker(slot)
+
+
+class TestByteKernelIsTheStringKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        texts=byte_corpora, options=filters,
+        kind=st.sampled_from([Tokenizer, _AskedKeeps]), data=st.data(),
+    )
+    def test_blocks_are_identical(self, texts, options, kind, data):
+        ours, oracle = kind(**options), _StringKernel(**options)
+        by_bytes, by_strings = _chunk(ours, texts), _chunk(oracle, texts)
+        assert by_bytes.packed is not None and by_strings.packed is None
+        assert _same_block(by_bytes, by_strings)
+        assert _same_block(
+            TermBlock.concat([by_bytes]), TermBlock.concat([by_strings])
+        )
+        # Cut anywhere: numeric merge, string merge and a mix of both.
+        cut = data.draw(st.integers(0, len(texts)))
+        head, tail = texts[:cut], texts[cut:]
+        whole = TermBlock.concat([by_strings])
+        assert _same_block(
+            TermBlock.concat([_chunk(ours, head), _chunk(ours, tail)]), whole
+        )
+        assert _same_block(
+            TermBlock.concat([_chunk(oracle, head), _chunk(ours, tail)]), whole
+        )
+
+    def test_long_terms_splice_in_after_their_prefix(self):
+        # An 8-byte term is a packed key equal to its longer neighbours'
+        # prefix; the merge must order it first, then them as strings.
+        texts = ["overflowing Overflow", "overflowed overflox", "overflov"]
+        chunks = [_chunk(Tokenizer(), [text]) for text in texts]
+        merged = TermBlock.concat(chunks)
+        assert merged.terms == [
+            "overflov", "overflow", "overflowed", "overflowing", "overflox",
+        ]
+        assert _same_block(
+            merged, TermBlock.concat([_chunk(_StringKernel(), texts)])
+        )
+
+    def test_a_chunk_block_pickles_its_keys_not_its_strings(self):
+        texts = ["Pear fig'S apple", "extraordinarily long words, pear"]
+        block = _chunk(Tokenizer(), texts)
+        before = pickle.dumps(block)
+        assert block.terms == [
+            "pear", "figs", "apple", "extraordinarily", "long", "words",
+        ]
+        assert pickle.dumps(block) == before
+        again = pickle.loads(before)
+        assert again.packed is not None and _same_block(again, block)
 
 
 # -- whole pipeline: IPC bill, parent digests -----------------------------------------

@@ -1,13 +1,14 @@
 """How much parallel capacity does this host really have for our kernels?
 
-Times one fixed, interpreter-bound kernel — ``kernels.count_chunk`` over
-a generated Mix chunk — in one process alone, then in ``--processes``
-processes running it at the same moment, and prints the ratio::
+Times one fixed, CPU-bound kernel — ``kernels.count_chunk`` (the byte
+kernel, as the base tokenizer runs it) over a generated Mix chunk — in
+one process alone, then in ``--processes`` processes running it at the
+same moment, and prints the ratio::
 
     PYTHONPATH=src python tools/host_parallelism.py [--processes 2]
 
 A ratio near 1.0 means the processes ran on cores of their own; near
-``--processes`` means they shared one core's worth of interpreter
+``--processes`` means they shared one core's worth of compute
 throughput (SMT siblings, a throttled or oversubscribed VM). Any
 ``exec.speedup_vs_seq`` a ``processes`` run reports on this host is
 bounded by ``processes / ratio`` — read it against that number. The
