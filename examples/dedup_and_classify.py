@@ -14,7 +14,7 @@ Run with::
 """
 
 from repro import Corpus, KMeansOperator, TfIdfOperator
-from repro.ops import KnnClassifier, MinHasher, top_k_terms
+from repro.ops import KnnClassifier, MinHasher
 from repro.sparse import CsrMatrix
 from repro.text import Tokenizer
 
@@ -61,10 +61,15 @@ def main() -> None:
     corpus = Corpus.from_texts("systems", kept)
     scores = TfIdfOperator(tokenizer=tokenizer).fit_transform(corpus)
 
-    # 3. Dominant vocabulary.
-    ranked = top_k_terms(scores.wordcount.df, k=8)
+    # 3. Dominant vocabulary: the corpus block's terms by document
+    # frequency, ties broken alphabetically.
+    block = scores.wordcount.block
+    ranked = sorted(
+        zip(block.terms, block.df_counts.tolist()),
+        key=lambda entry: (-entry[1], entry[0]),
+    )[:8]
     print("top document-frequency terms:",
-          ", ".join(f"{t.term}({t.count})" for t in ranked))
+          ", ".join(f"{term}({count})" for term, count in ranked))
 
     # 4. Classify the unlabeled documents from the labelled ones.
     n_train = len(LABELLED)

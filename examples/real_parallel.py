@@ -1,8 +1,8 @@
 """Real multi-core execution: the fused pipeline on actual processes.
 
 The other examples run on the virtual-time simulator. This one runs the
-same TF/IDF → K-means workflow *for real* — once inline (the sequential
-reference) and once on a process pool with chunk-batched IPC — then
+same TF/IDF → K-means workflow *for real* — once on the sequential
+backend and once on a process pool with chunk-batched IPC — then
 checks that both produced bit-identical output and reports the measured
 wall-clock times per phase.
 

@@ -134,7 +134,6 @@ _VERSIONED_MODULES = (
     "repro.sparse.vector",
     "repro.sparse.matrix",
     "repro.sparse.blocks",
-    "repro.dicts.snapshot",
     "repro.tiles.format",
     "repro.tiles.matrix",
     "repro.tiles.store",

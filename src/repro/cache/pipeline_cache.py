@@ -26,9 +26,8 @@ materialized corpus. The session fronts the three real phases:
 Payloads are the phases' own columnar forms — a
 :class:`~repro.sparse.blocks.TermBlock` for the word count, a CSR array
 triple for the transform — so a hit unpickles a handful of arrays and
-does no per-document work. Served word-count dictionaries are
-:class:`~repro.dicts.snapshot.SnapshotDict` views (as on any backend
-path); downstream output is bit-identical regardless.
+does no per-document work. A served word count is a real result like
+any other: its block, paths and input bytes.
 """
 
 from __future__ import annotations
@@ -223,7 +222,7 @@ class RunCacheSession:
         hit = self.store.get(self.wc_key)
         if hit is not None:
             payload, stored_s, stored_bytes = hit
-            result = self._serve_wordcount(payload, step.dict_kind, step.scale)
+            result = self._serve_wordcount(payload, step.scale)
             serve_s = time.perf_counter() - t0
             stats.hits += 1
             stats.bytes_saved += stored_bytes
@@ -278,14 +277,14 @@ class RunCacheSession:
             t1 = time.perf_counter()
             sub_wc = compute_subset(sub_docs)
             compute_s = time.perf_counter() - t1
-            if len(sub_wc.doc_tfs) != len(sub_docs):
+            if sub_wc.n_docs != len(sub_docs):
                 # Quarantine dropped documents mid-subset: alignment with
                 # the fingerprint is gone. Fall back to the plain path
                 # and stop storing for this run.
                 self.disabled = True
                 return compute_all()
             per_doc_s = compute_s / max(1, len(sub_docs))
-            sub_block = sub_wc.term_block()
+            sub_block = sub_wc.block
             cursor = 0
             for at in missing:
                 start, stop = self.fp.shards[at]
@@ -311,7 +310,7 @@ class RunCacheSession:
                 (shard_payloads[at] or computed[at])["block"]
                 for at in range(len(shard_payloads))
             ),
-            paths, step.dict_kind, input_bytes, step.scale,
+            paths, input_bytes, step.scale,
         )
         stats.serve_s += lookup_s + (time.perf_counter() - t2)
         stats.seconds_saved += hit_seconds
@@ -328,15 +327,15 @@ class RunCacheSession:
         stats.stored += 1
         return result
 
-    def _serve_wordcount(self, payload, dict_kind, scale) -> WordCountResult:
+    def _serve_wordcount(self, payload, scale) -> WordCountResult:
         return WordCountResult.from_block(
-            payload["block"], list(payload["paths"]), dict_kind,
-            payload["input_bytes"], scale,
+            payload["block"], list(payload["paths"]), payload["input_bytes"],
+            scale,
         )
 
     def _store_wordcount(self, result, compute_s, shard_keys, stats) -> None:
         """Store a fully computed phase-1 result: full entry + every shard."""
-        if self.disabled or len(result.doc_tfs) != self.fp.n_docs:
+        if self.disabled or result.n_docs != self.fp.n_docs:
             self.disabled = True
             return
         self.store.put(
@@ -344,7 +343,7 @@ class RunCacheSession:
         )
         stats.stored += 1
         per_doc_s = compute_s / max(1, self.fp.n_docs)
-        block = result.term_block()
+        block = result.block
         for at, (start, stop) in enumerate(self.fp.shards):
             self.store.put(
                 shard_keys[at],
@@ -714,7 +713,7 @@ class RunCacheSession:
 def _wordcount_payload(result: WordCountResult) -> dict:
     return {
         "paths": list(result.paths),
-        "block": result.term_block(),
+        "block": result.block,
         "input_bytes": result.input_bytes,
     }
 

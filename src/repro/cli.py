@@ -560,7 +560,6 @@ def _validate_pipeline_flags(args) -> None:
     check_pipeline_rules(
         backend=not auto_plan,
         plan=auto_plan,
-        trace=args.trace is not None,
         policy=tuple(policy),
     )
 

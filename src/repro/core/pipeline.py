@@ -9,8 +9,8 @@ host's wall clock. It is the engine behind ``python -m repro pipeline``,
 the serve daemon's jobs and ``perfbench/``.
 
 There is one driver, :func:`run_pipeline`, and every run is a plan: a
-fixed backend (or none — the inline reference path) is the trivial plan
-with all three phases on it, ``plan="auto"`` asks the
+fixed backend (or none — a :class:`SequentialBackend` the driver builds)
+is the trivial plan with all three phases on it, ``plan="auto"`` asks the
 :class:`~repro.plan.AdaptivePlanner`, a :class:`~repro.plan.RealPlan` is
 executed verbatim. Tracing, caching, tiling, the ledger and graceful
 degradation wrap the same three phases on every route and never change
@@ -52,19 +52,15 @@ __all__ = [
 _clock = time.perf_counter
 
 #: Every option combination the real pipeline rejects up front, as
-#: ``(violated(backend, plan, trace, policy), message)`` rows over the
+#: ``(violated(backend, plan, policy), message)`` rows over the
 #: arguments of :func:`check_pipeline_rules`. Anything else works.
 PIPELINE_RULES = (
     (
-        lambda backend, plan, trace, policy: backend and plan,
+        lambda backend, plan, policy: backend and plan,
         "pass either backend= or plan=, not both",
     ),
     (
-        lambda backend, plan, trace, policy: trace and not (backend or plan),
-        "tracing requires an execution backend",
-    ),
-    (
-        lambda backend, plan, trace, policy: plan and policy,
+        lambda backend, plan, policy: plan and policy,
         "--plan auto cannot be combined with {policy}: planner-built "
         "backends carry no ResilienceConfig, and threading one through "
         "would add a run_pipeline parameter; use --plan fixed for "
@@ -74,14 +70,14 @@ PIPELINE_RULES = (
 
 
 def check_pipeline_rules(
-    *, backend: bool, plan: bool, trace: bool, policy: tuple[str, ...] = ()
+    *, backend: bool, plan: bool, policy: tuple[str, ...] = ()
 ) -> None:
     """Raise the first violated row of :data:`PIPELINE_RULES`:
     ``backend``/``plan`` say whether the run names one, ``policy`` lists
     the retry/timeout/poison options in force by CLI spelling. Shared by
     :func:`run_pipeline` and the CLI's flag validation."""
     for violated, message in PIPELINE_RULES:
-        if violated(backend, plan, trace, policy):
+        if violated(backend, plan, policy):
             raise ConfigurationError(message.format(policy=", ".join(policy)))
 
 
@@ -117,7 +113,7 @@ PHASE_READ = "read"
 _PHASES = (PHASE_INPUT_WC, PHASE_TRANSFORM, PHASE_KMEANS)
 
 #: Backend "tier" of the trivial plan's phases: whatever the caller
-#: passed as ``backend=`` (``None`` = the inline reference path).
+#: passed as ``backend=`` (``None``: a sequential one built here).
 _CALLER = "caller"
 
 
@@ -131,7 +127,7 @@ class RealRunResult:
     phase_seconds: dict[str, float] = field(default_factory=dict)
     backend_name: str = "sequential"
     #: IPC-accounting snapshot of the run (``{"phases": ..., "total": ...}``,
-    #: see :class:`repro.exec.shm.IpcStats`); ``None`` for the inline path.
+    #: see :class:`repro.exec.shm.IpcStats`).
     ipc: dict | None = None
     #: Per-task span trace (:class:`repro.exec.spans.RunTrace`) when the run
     #: was traced; ``None`` otherwise.
@@ -145,7 +141,7 @@ class RealRunResult:
     downgrades: list[DowngradeEvent] = field(default_factory=list)
     #: The :class:`~repro.plan.RealPlan` this run executed, when it was
     #: launched via ``run_pipeline(plan=...)``; ``None`` for fixed-backend
-    #: and inline runs.
+    #: runs.
     plan: RealPlan | None = None
     #: Seconds spent planning (probe + candidate costing), outside
     #: ``phase_seconds`` — planning is amortized across runs via the
@@ -249,16 +245,15 @@ def run_pipeline(
     tokenizes, and the time the pipeline actually spent *blocked* on reads
     is reported as its own ``read`` phase; the remainder of the wall time
     of phase 1 stays under ``input+wc``, so the phase totals still sum to
-    end-to-end wall time. ``backend=None`` runs the legacy inline path
-    (the reference for the bit-identical-output guarantee). Operators
+    end-to-end wall time. ``backend=None`` runs every phase on a
+    :class:`SequentialBackend` built (and closed) here. Operators
     default to the paper's configuration (``map`` dictionaries, K=8).
 
     ``trace=True`` records one span per executed task (including file
     reads for streamed input) and attaches the resulting
-    :class:`~repro.exec.spans.RunTrace` to the result; it requires a
-    backend. If a phase raises mid-run with streamed input, the stream's
-    reader pool is torn down before the error propagates — no reader
-    threads are leaked.
+    :class:`~repro.exec.spans.RunTrace` to the result. If a phase raises
+    mid-run with streamed input, the stream's reader pool is torn down
+    before the error propagates — no reader threads are leaked.
 
     ``degrade=True`` absorbs a dead worker pool (a
     ``BrokenProcessPool`` that survived the backend's own restart
@@ -313,9 +308,7 @@ def run_pipeline(
     does. Pass ``observe=False`` for runs that must not move the
     constants (A/B comparisons against a frozen store).
     """
-    check_pipeline_rules(
-        backend=backend is not None, plan=plan is not None, trace=trace
-    )
+    check_pipeline_rules(backend=backend is not None, plan=plan is not None)
     if not (plan is None or plan == "auto" or isinstance(plan, RealPlan)):
         raise ConfigurationError(
             f'plan must be "auto" or a RealPlan, got {plan!r}'
@@ -329,9 +322,15 @@ def run_pipeline(
     downgrades: list[DowngradeEvent] = []
     plan_t0 = _clock()
 
+    #: Backends built here (every planned one, every downgraded one, and
+    #: the sequential default), closed here; the caller's is borrowed.
+    owned: list[ExecutionBackend] = []
+    if backend is None and not planned:
+        backend = SequentialBackend()
+        owned.append(backend)
     # One bill (IPC counters, spans, quarantine) for the whole run. The
-    # caller's backend carries it; without one a placeholder does, and
-    # every backend built below adopts the bill from it.
+    # run's fixed backend carries it; a planned run's placeholder does,
+    # and every backend built below adopts the bill from it.
     bill = backend if backend is not None else ExecutionBackend()
     bill.ipc.reset()  # this run's bill only
     bill.quarantine.clear()
@@ -384,8 +383,8 @@ def run_pipeline(
             0.0, _clock() - plan_t0 - seconds.get(PHASE_READ, 0.0)
         )
     else:
-        # The trivial plan: every phase on the caller's backend (None =
-        # the inline reference path), grain auto, tiled iff budgeted.
+        # The trivial plan: every phase on the run's fixed backend, grain
+        # auto, tiled iff budgeted.
         steps = {
             phase: PhasePlan(phase, _CALLER, tiled=memory_budget is not None)
             for phase in _PHASES
@@ -400,16 +399,12 @@ def run_pipeline(
         transform_dict_kind=steps[PHASE_TRANSFORM].dict_kind,
     )
 
-    #: (tier, workers, shm) → its live backend. The caller's is borrowed;
-    #: every other entry, and every downgraded backend, is built here,
-    #: listed in ``owned`` and closed here.
+    #: (tier, workers, shm) → its live backend; every entry but the
+    #: fixed backend is built on first use and listed in ``owned``.
     pool: dict[tuple, ExecutionBackend | None] = {(_CALLER, 1, False): backend}
-    owned: list[ExecutionBackend] = []
 
     def backend_name() -> str:
-        return "planned" if planned else getattr(
-            pool[_CALLER, 1, False], "name", "inline"
-        )
+        return "planned" if planned else pool[_CALLER, 1, False].name
 
     # The step a raising run bills its failure record to.
     current_step = PHASE_INPUT_WC
@@ -541,7 +536,7 @@ def run_pipeline(
         kmeans=clusters,
         phase_seconds=seconds,
         backend_name=backend_name(),
-        ipc=bill.ipc.snapshot() if planned or backend is not None else None,
+        ipc=bill.ipc.snapshot(),
         trace=run_trace,
         quarantine=bill.quarantine or None,
         downgrades=downgrades,

@@ -439,6 +439,7 @@ def recalibrate(records: list[dict], store) -> dict:
             span_totals = record.get("span_totals")
             if isinstance(span_totals, dict):
                 totals[step] = span_totals
+            # Older records name a run without a backend "inline".
             elif backend in ("sequential", "inline"):
                 totals[step] = {
                     "busy_s": float(record.get("duration_s", 0.0)),

@@ -15,10 +15,11 @@ for ``block_arrays(start, stop)``.
 
 The kernels use plain builtin dicts and numpy internally (instrumented
 dictionaries would only be pickling dead weight across the IPC boundary)
-but replicate the legacy operators' arithmetic exactly — same term
-counts, same ``count * idf`` products, same sort orders, same centroid
-accumulation grouping — so operator output is byte-identical across
-backends and against the inline reference path.
+but replicate the simulated operators' word-count and transform
+arithmetic exactly — same term counts, same ``count * idf`` products,
+same sort orders — so the scores are byte-identical across backends and
+to the dictionary reference (``run_simulated``); the k-means kernels
+keep one centroid accumulation grouping on every backend.
 """
 
 from __future__ import annotations
@@ -239,7 +240,8 @@ def transform_chunk(
     vocabulary id (block rows are sorted by term, and so is the
     vocabulary), and a squared norm summed left to right per row — a
     Python ``sum`` over a list slice, because numpy's pairwise reductions
-    round differently. The result is bit-identical to the inline path.
+    round differently. The result is bit-identical to
+    ``transform_document``.
     """
     ids = block.ids
     indices = block.gmap[ids]

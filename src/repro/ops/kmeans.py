@@ -46,7 +46,7 @@ from repro.core.cost_model import (
     WorkloadScale,
 )
 from repro.errors import OperatorError
-from repro.exec.inline import ExecutionBackend
+from repro.exec.inline import ExecutionBackend, SequentialBackend
 from repro.exec.machine import MachineSpec
 from repro.exec.metrics import Timeline
 from repro.exec.scheduler import SimScheduler
@@ -416,9 +416,8 @@ class KMeansOperator:
     ) -> KMeansResult:
         """Cluster without caring about timings.
 
-        Without a ``backend`` this is :meth:`run_simulated` on a single
-        simulated core — the inline reference. With one, Lloyd's
-        iterations run for real on it (wall clock, no virtual-time
+        Lloyd's iterations run for real on ``backend`` (``None``: a
+        :class:`SequentialBackend`; wall clock, no virtual-time
         accounting): seed, place, iterate. The matrix's block source is
         *placed* once for the backend's workers — a resident matrix puts
         its CSR triple and norms on the array plane (a shared segment, a
@@ -433,10 +432,7 @@ class KMeansOperator:
         order, so assignments and centroids are bit-identical across
         backends, worker counts, transports and matrix forms.
         """
-        if backend is None:
-            scheduler = SimScheduler(MachineSpec(cores=1, name="functional"))
-            return self.run_simulated(scheduler, matrix, workers=1)
-
+        backend = backend or SequentialBackend()
         backend.begin_phase(PHASE_KMEANS)
         source = matrix.block_source()
         centroids = self._init_centroids(source)

@@ -81,7 +81,7 @@ class TfIdfResult:
         return self.matrix.n_rows
 
     def resident_bytes(self) -> int:
-        """Memory held while the operator's state is live (Figure 4)."""
+        """Memory held while a simulated run's state is live (Figure 4)."""
         scale = self.wordcount.scale
         vocab_bytes = sum(len(t) + 8 for t in self.vocabulary) + 8 * len(self.idf)
         return int(
@@ -152,10 +152,10 @@ class TfIdfOperator:
 
         The serial prefix of the transform phase: iterating the df
         dictionary (sorted for free on the tree, explicitly sorted on the
-        hash map). Paths that look terms up parent-side follow it with
-        :meth:`build_index`. A backend result is read off its term block
-        instead — two columns, no dictionary, nothing charged to ``cost``
-        (the simulated path is the authority on cost).
+        hash map); the simulated path follows it with :meth:`build_index`.
+        A real result is read off its term block instead — two columns,
+        no dictionary, nothing charged to ``cost`` (the simulated path is
+        the authority on cost).
         """
         if wc.block is not None:
             counts, kept, vocabulary = self._own_vocabulary(wc.block)
@@ -200,7 +200,7 @@ class TfIdfOperator:
         return counts, kept, list(compress(block.terms, kept.tolist()))
 
     def build_index(self, vocabulary: list[str], cost: TaskCost) -> Dictionary:
-        """The instrumented term → id dictionary of the inline paths."""
+        """The instrumented term → id dictionary of the simulated path."""
         index = make_dict(self.transform_dict_kind, reserve=max(self.reserve, 1))
         for term_id, term in enumerate(vocabulary):
             index.put(term, term_id)
@@ -355,10 +355,12 @@ class TfIdfOperator:
         stream, phase 1 consumes documents as reads complete, overlapping
         input with tokenization (paper §3.2). The returned result has an
         empty timeline; use :meth:`run_simulated` for performance studies.
-        With a ``backend`` both parallel phases (word count and transform)
-        run on it; the output matrix is bit-identical to the inline path
-        regardless of backend, worker count, or read-worker count.
+        Both parallel phases (word count and transform) run on ``backend``
+        (``None``: a :class:`SequentialBackend`); the output matrix is
+        bit-identical regardless of backend, worker count, or read-worker
+        count.
         """
+        backend = backend or SequentialBackend()
         wc = self.wordcount.run(corpus, backend=backend)
         return self.transform_wordcount(wc, backend=backend)
 
@@ -376,7 +378,7 @@ class TfIdfOperator:
         cache composing shards against a corpus-wide one) is looked up
         term by term.
         """
-        block = wc.term_block()
+        block = wc.block
         terms = block.terms
         _, kept, own = self._own_vocabulary(block)
         if vocabulary == own:
@@ -411,57 +413,48 @@ class TfIdfOperator:
         terms onto it. ``tiles`` then yields the scored rows ``tile_docs``
         documents at a time (``None``: all at once), each tile a list of
         CSR blocks in row order — what the caller concatenates into a
-        resident matrix or spills. On a backend the per-document scoring
-        runs in chunks, each task a self-contained row range of the bound
-        block — workers hold no transform state, and no term string is
-        shipped; without one it is the inline reference, a document at a
-        time over instrumented dictionaries. A resident transform on a
-        backend that can allocate a shared segment (``rows_out``) has
-        its workers write the rows straight into it (its tiles are then
-        empty), and no row crosses a pipe.
+        resident matrix or spills. The per-document scoring runs on
+        ``backend`` (``None``: a :class:`SequentialBackend`) in chunks,
+        each task a self-contained row range of the bound block — workers
+        hold no transform state, and no term string is shipped. A
+        resident transform on a backend that can allocate a shared
+        segment (``rows_out``) has its workers write the rows straight
+        into it (its tiles are then empty), and no row crosses a pipe.
         """
-        scratch = TaskCost()
-        vocabulary, idf = self.build_vocabulary(wc, scratch)
-        n_docs = len(wc.doc_tfs)
+        backend = backend or SequentialBackend()
+        vocabulary, idf = self.build_vocabulary(wc, TaskCost())
+        n_docs = wc.n_docs
+        backend.begin_phase(PHASE_TRANSFORM)
+        bound = self.bind(wc, vocabulary, idf)
         rows_out = None
-        if backend is None:
-            index = self.build_index(vocabulary, scratch)
+        if tile_docs is None and not backend.resilience.quarantining:
+            # Quarantine may drop rows, which a preallocated matrix
+            # cannot absorb: those runs return their rows by value.
+            offsets = self._entry_offsets(bound)
+            rows_out = backend.allocate_arrays("rows", [
+                ("indptr", np.int64, (n_docs + 1,)),
+                ("indices", np.intp, (int(offsets[-1]),)),
+                ("values", np.float64, (int(offsets[-1]),)),
+                ("sq_norms", np.float64, (n_docs,)),  # k-means adds them
+            ])
 
-            def rows(start: int, stop: int) -> list:
-                return [CsrMatrix.from_rows(
-                    self.transform_document(tf, index, idf, scratch)
-                    for tf in wc.doc_tfs[start:stop]
-                ).as_arrays()]
-        else:
-            backend.begin_phase(PHASE_TRANSFORM)
-            bound = self.bind(wc, vocabulary, idf)
-            if tile_docs is None and not backend.resilience.quarantining:
-                # Quarantine may drop rows, which a preallocated matrix
-                # cannot absorb: those runs return their rows by value.
-                offsets = self._entry_offsets(bound)
-                rows_out = backend.allocate_arrays("rows", [
-                    ("indptr", np.int64, (n_docs + 1,)),
-                    ("indices", np.intp, (int(offsets[-1]),)),
-                    ("values", np.float64, (int(offsets[-1]),)),
-                    ("sq_norms", np.float64, (n_docs,)),  # k-means adds them
-                ])
-
-            def rows(start: int, stop: int) -> list:
-                step = grain or backend.phase_grain(stop - start)
-                ranges = [
-                    (at, min(at + step, stop)) for at in range(start, stop, step)
-                ]
-                if rows_out is None:
-                    return self._map_chunks(
-                        backend, [bound[a:b] for a, b in ranges], start
-                    )
-                # Written in place: no block comes back.
-                backend.map(
-                    partial(kernels.transform_into, rows_out.descriptor()),
-                    [(bound[a:b], a, int(offsets[a])) for a, b in ranges],
-                    grain=1,
+        def rows(start: int, stop: int) -> list:
+            step = grain or backend.phase_grain(stop - start)
+            ranges = [
+                (at, min(at + step, stop)) for at in range(start, stop, step)
+            ]
+            if rows_out is None:
+                return self._map_chunks(
+                    backend, [bound[a:b] for a, b in ranges], start
                 )
-                return []
+            # Written in place: no block comes back.
+            backend.map(
+                partial(kernels.transform_into, rows_out.descriptor()),
+                [(bound[a:b], a, int(offsets[a])) for a, b in ranges],
+                grain=1,
+            )
+            return []
+
         tile_docs = tile_docs or max(1, n_docs)
         tiles = (
             rows(start, min(n_docs, start + tile_docs))

@@ -22,9 +22,7 @@ from repro.core.ports import ScoreMatrix, WorkflowContext, WorkflowOp
 from repro.dicts.api import Dictionary
 from repro.dicts.cost import profile_for_kind
 from repro.errors import OperatorError
-from repro.exec.scheduler import SimScheduler
 from repro.exec.task import TaskCost
-from repro.ops.wordcount import WordCountResult
 
 __all__ = ["TermCount", "top_k_terms", "TopTermsOp", "PHASE_TOPK"]
 
@@ -143,11 +141,3 @@ class TopTermsOp(WorkflowOp):
         ctx.timeline.add(ctx.scheduler.serial_phase(cost, name=PHASE_TOPK))
         return {"top_terms": ranked}
 
-
-def top_terms_from_wordcount(
-    wc: WordCountResult,
-    k: int,
-    scheduler: SimScheduler | None = None,
-) -> list[TermCount]:
-    """Rank the word-count step's global df dictionary (functional API)."""
-    return top_k_terms(wc.df, k)

@@ -7,24 +7,25 @@ documents; the global dictionary is kept contention-free the way a Cilk
 reducer would — every worker counts into a private dictionary and the
 privates are merged in a reduction tree afterwards.
 
-All dictionary work is performed for real on the configured implementation
-(``map``/``unordered_map``), and the operation counts are converted into
-simulated time through the dictionary cost profiles.
+The simulated run (:meth:`WordCountStep.run_simulated`) performs all
+dictionary work for real on the configured implementation
+(``map``/``unordered_map``) and converts the operation counts into
+simulated time through the dictionary cost profiles. The real run
+(:meth:`WordCountStep.run`) computes the same counts on an execution
+backend, as one columnar block.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
 from repro.core.cost_model import DEFAULT_COSTS, UNIT_SCALE, CostConstants, WorkloadScale
 from repro.dicts.api import Dictionary
 from repro.dicts.cost import DictCostProfile, profile_for_kind
 from repro.dicts.factory import make_dict
-from repro.dicts.snapshot import SnapshotDict
-from repro.exec.inline import ExecutionBackend
+from repro.exec.inline import ExecutionBackend, SequentialBackend
 from repro.exec.scheduler import PhaseTiming, SimScheduler
 from repro.exec.task import TaskCost
 from repro.io.storage import Storage
@@ -56,133 +57,57 @@ def _iter_named(source) -> Iterator[tuple[str | None, str]]:
             yield item.name, item.text
 
 
-class _BlockDocTfs(Sequence):
-    """``doc_tfs`` of a backend result: a view that materialises one
-    :class:`SnapshotDict` per access from the columnar block. For tests
-    and the inline reference path — nothing timed reads it."""
-
-    def __init__(self, block: TermBlock, kind: str) -> None:
-        self._block = block
-        self._kind = kind
-
-    def __len__(self) -> int:
-        return len(self._block)
-
-    def __getitem__(self, at):
-        if isinstance(at, slice):
-            return [self[i] for i in range(*at.indices(len(self)))]
-        if at < 0:
-            at += len(self)
-        if not 0 <= at < len(self):
-            raise IndexError(at)
-        return SnapshotDict(self._block.row_items(at), kind=self._kind)
-
-
-class _BlockDf(SnapshotDict):
-    """``df`` of a backend result: the block's terms against their
-    document counts, materialised on first use — nothing timed reads it.
-
-    Read-only: the block is the one source of truth (the transform reads
-    ``block.df_counts``), so an edit here could only be silently ignored.
-    """
-
-    def __init__(self, block: TermBlock, kind: str) -> None:
-        Dictionary.__init__(self)
-        self.kind = kind
-        self._block = block
-
-    @cached_property
-    def _data(self) -> dict[str, int]:
-        return dict(zip(self._block.terms, self._block.df_counts.tolist()))
-
-    def __len__(self) -> int:
-        return self._block.n_terms
-
-    def _read_only(self, *_args, **_kwargs):
-        raise TypeError(
-            "the df table of a backend word count is a read-only view of "
-            "its term block"
-        )
-
-    put = remove = clear = _read_only
-
-
 @dataclass
 class WordCountResult:
     """Output of the word-count step.
 
-    ``doc_tfs`` is aligned with the input path order; keeping the
-    per-document dictionaries alive until the transform step is what makes
-    the fused workflow memory-hungry under ``unordered_map`` (Figure 4's
-    12.8 GB) and compact under ``map`` (420 MB). The inline path fills it
-    with instrumented dictionaries; a backend run holds the same counts
-    as one columnar ``block``, and ``doc_tfs`` and ``df`` are views over
-    it.
+    A real run holds its counts as one columnar ``block`` (rows aligned
+    with ``paths``). A simulated run instead fills ``doc_tfs`` and ``df``
+    with the instrumented dictionaries it counted into: keeping the
+    per-document dictionaries alive until the transform step is what
+    makes the fused workflow memory-hungry under ``unordered_map``
+    (Figure 4's 12.8 GB) and compact under ``map`` (420 MB).
     """
 
     paths: list[str]
-    doc_tfs: Sequence[Dictionary]
     doc_token_counts: list[int]
-    df: Dictionary
-    dict_kind: str
     input_bytes: int = 0
     total_tokens: int = 0
     #: Extrapolation factors the producing step was configured with.
     scale: WorkloadScale = UNIT_SCALE
-    #: The corpus block of a backend run — the source of truth that
-    #: ``doc_tfs`` and ``df`` view; ``None`` on an inline result, whose
-    #: dictionaries are (see :meth:`term_block`).
+    #: The corpus block of a real run; ``None`` on a simulated result.
     block: TermBlock | None = None
-    _packed: TermBlock | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    #: The instrumented dictionaries of a simulated run; ``None`` on a
+    #: real result.
+    doc_tfs: list[Dictionary] | None = None
+    df: Dictionary | None = None
 
     @classmethod
     def from_block(
         cls,
         block: TermBlock,
         paths: list[str],
-        dict_kind: str,
         input_bytes: int,
         scale: WorkloadScale,
     ) -> "WordCountResult":
-        """The result a backend run (or the cache) builds from the
-        corpus block: ``df`` and ``doc_tfs`` are views over it."""
+        """The result a real run (or the cache) builds from the corpus
+        block."""
         doc_tokens = block.token_counts.tolist()
         return cls(
             paths=paths,
-            doc_tfs=_BlockDocTfs(block, dict_kind),
             doc_token_counts=doc_tokens,
-            df=_BlockDf(block, dict_kind),
-            dict_kind=dict_kind,
             input_bytes=input_bytes,
             total_tokens=sum(doc_tokens),
             scale=scale,
             block=block,
         )
 
-    def term_block(self) -> TermBlock:
-        """The per-document counts as one term-sorted block; an inline
-        result packs its dictionaries on first use."""
-        if self.block is not None:
-            return self.block
-        if self._packed is None:
-            self._packed = TermBlock.from_counts(
-                [dict(tf.items()) for tf in self.doc_tfs],
-                self.doc_token_counts,
-            )
-        return self._packed
-
     @property
     def n_docs(self) -> int:
-        return len(self.doc_tfs)
-
-    @property
-    def vocabulary_size(self) -> int:
-        return len(self.df)
+        return len(self.doc_token_counts)
 
     def resident_bytes(self) -> int:
-        """Modelled memory held by all live dictionaries of this result.
+        """Modelled memory held by the dictionaries of a simulated result.
 
         Extrapolated: the global df dictionary grows with the vocabulary,
         the per-document dictionaries with the document count.
@@ -334,13 +259,12 @@ class WordCountStep:
 
         result = WordCountResult(
             paths=list(paths),
-            doc_tfs=[tf for tf in doc_tfs if tf is not None],
             doc_token_counts=doc_tokens,
-            df=level[0],
-            dict_kind=self.dict_kind,
             input_bytes=input_bytes,
             total_tokens=sum(doc_tokens),
             scale=self.scale,
+            doc_tfs=[tf for tf in doc_tfs if tf is not None],
+            df=level[0],
         )
         return result, timings
 
@@ -352,62 +276,27 @@ class WordCountStep:
         backend: ExecutionBackend | None = None,
         grain: int | None = None,
     ) -> WordCountResult:
-        """Count an in-memory or streamed document source (no simulation).
+        """Chunked word count on a real backend (phase-1 parallel loop;
+        ``None`` runs it on a :class:`SequentialBackend`).
 
         ``texts`` may be a list of strings, a
         :class:`~repro.text.corpus.Corpus`, or a lazy
         :class:`~repro.io.parallel_read.DocumentStream` — with a stream,
         counting document *i* overlaps the read of document *i+k* (the
-        paper's parallel input, §3.2). With a ``backend``, the
-        per-document counting runs on it in Cilk-grain chunks (real
-        parallelism on :class:`~repro.exec.process.ProcessBackend`); term
-        and document frequencies are identical to the inline path, but the
-        returned dictionaries are uninstrumented
-        :class:`~repro.dicts.snapshot.SnapshotDict` views — use the
-        simulated path when op stats matter.
-        """
-        if backend is not None:
-            return self._run_backend(texts, backend, grain=grain)
-        df = make_dict(self.dict_kind, self.reserve)
-        doc_tfs: list[Dictionary] = []
-        doc_tokens: list[int] = []
-        paths: list[str] = []
-        input_bytes = 0
-        scratch = TaskCost()
-        for name, text in _iter_named(texts):
-            tf, n_tokens = self.count_document(text, df, scratch)
-            doc_tfs.append(tf)
-            doc_tokens.append(n_tokens)
-            paths.append(name if name is not None else f"mem-{len(paths)}")
-            input_bytes += len(text)
-        return WordCountResult(
-            paths=paths,
-            doc_tfs=doc_tfs,
-            doc_token_counts=doc_tokens,
-            df=df,
-            dict_kind=self.dict_kind,
-            input_bytes=input_bytes,
-            total_tokens=sum(doc_tokens),
-            scale=self.scale,
-        )
-
-    def _run_backend(
-        self, texts, backend: ExecutionBackend, grain: int | None = None
-    ) -> WordCountResult:
-        """Chunked word count on a real backend (phase-1 parallel loop).
-
-        Each chunk is one task: the worker tokenizes and counts its
-        documents into one columnar block, so the parent only merges one
-        term list per chunk (:meth:`TermBlock.concat`) instead of
-        re-counting per document. Chunks follow the backend's grain rule
-        (one contiguous range per worker on a process pool, so the
-        parent's merge sees ``workers`` blocks). The tokenizer is
-        installed in a slot of this run's own, so runs side by side in
-        one process never read each other's.
+        paper's parallel input, §3.2). Each chunk is one task: the worker
+        tokenizes and counts its documents into one columnar block, so
+        the parent only merges one term list per chunk
+        (:meth:`TermBlock.concat`) instead of re-counting per document.
+        Chunks follow the backend's grain rule (one contiguous range per
+        worker on a process pool, so the parent's merge sees ``workers``
+        blocks). The tokenizer is installed in a slot of this run's own,
+        so runs side by side in one process never read each other's.
         Chunks are submitted as the source yields (``map_stream``), so a
         prefetching reader keeps the pool busy while later files are
-        still in flight.
+        still in flight. The counts equal :meth:`run_simulated`'s; use
+        that path when dictionary op stats matter.
         """
+        backend = backend or SequentialBackend()
         backend.begin_phase(PHASE_INPUT_WC)
         slot = kernels.wordcount_slot()
         backend.configure(kernels.init_wordcount_worker, (self.tokenizer, slot))
@@ -453,7 +342,7 @@ class WordCountStep:
 
         # Translate quarantine coordinates (chunk ordinal + offset inside
         # the chunk) into document indices, and drop those documents from
-        # the path list so it stays aligned with the surviving TFs.
+        # the path list so it stays aligned with the surviving rows.
         new_items = backend.quarantine.items[quarantined_before:]
         if new_items:
             dropped: list[int] = []
@@ -467,6 +356,5 @@ class WordCountStep:
         # The df merge: one corpus block over the union of the chunks'
         # terms (quarantine bisection may have split a chunk into several).
         return WordCountResult.from_block(
-            TermBlock.concat(parts), paths, self.dict_kind, input_bytes,
-            self.scale,
+            TermBlock.concat(parts), paths, input_bytes, self.scale
         )

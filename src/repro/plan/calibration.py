@@ -271,7 +271,7 @@ class CalibrationStore:
         operator = TfIdfOperator(tokenizer=tokenizer, min_df=min_df)
         # A chunk block becomes a (term-sorted) corpus block in concat.
         wc = WordCountResult.from_block(
-            TermBlock.concat([block]), [], "map", 0, UNIT_SCALE
+            TermBlock.concat([block]), [], 0, UNIT_SCALE
         )
         vocabulary, idf = operator.build_vocabulary(wc, TaskCost())
         bound = operator.bind(wc, vocabulary, idf)

@@ -1,12 +1,13 @@
 """One driver, every route, every option pair: the digest or a table row.
 
-``run_pipeline`` executes every run as a plan — the caller's backend (or
-none) is the trivial one — and wraps the same three phases with
-streaming input, caching, tiling, tracing, degradation and the ledger.
+``run_pipeline`` executes every run as a plan — the caller's backend (or,
+given none, a sequential one it builds) is the trivial one — and wraps
+the same three phases with streaming input, caching, tiling, tracing,
+degradation and the ledger.
 This suite crosses every route with every subset of at most two of those
-options on Mix@0.01 and accepts exactly two outcomes: the recorded
-output digest, or a :class:`ConfigurationError` whose text is a row of
-``PIPELINE_RULES``. Nothing else — no option silently disables another.
+options on Mix@0.01 and accepts one outcome: the recorded output digest.
+No such pair meets a row of ``PIPELINE_RULES`` (``TestRuleTable`` fires
+each row with its own text), and no option silently disables another.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ from tests.ops.test_columnar_blocks import (
     _operators,
 )
 
+#: ``inline`` passes no backend (``make_backend``'s alias for sequential:
+#: the pipeline builds and closes a sequential backend itself).
 ROUTES = ("inline", "sequential", "processes-2", "auto", "mixed-tier")
 OPTIONS = ("stream", "cache", "budget", "trace", "degrade", "ledger")
 SUBSETS = [
@@ -50,7 +53,7 @@ SUBSETS = [
 ]
 #: Far below the Mix@0.01 matrix footprint: the budget really tiles.
 BUDGET = 64 * 1024
-BACKEND_DIGEST, INLINE_DIGEST = PARENT_DIGESTS["mix"]
+BACKEND_DIGEST = PARENT_DIGESTS["mix"][0]
 RULE_MESSAGES = [message for _violated, message in PIPELINE_RULES]
 
 
@@ -106,20 +109,18 @@ def _run(route, subset, corpus, corpus_dir, tmp_path):
 @pytest.mark.parametrize("subset", SUBSETS, ids=lambda s: "+".join(s) or "plain")
 @pytest.mark.parametrize("route", ROUTES)
 def test_digest_or_a_rule_table_row(route, subset, corpus, corpus_dir, tmp_path):
-    expected = INLINE_DIGEST if route == "inline" else BACKEND_DIGEST
-    # A cached combination runs cold, then warm: both must be right.
+    # A cached combination runs cold, then warm: both must be right. No
+    # rule row is reachable from these routes and options.
     for attempt in range(2 if "cache" in subset else 1):
-        try:
-            result = _run(route, subset, corpus, corpus_dir, tmp_path)
-        except ConfigurationError as exc:
-            assert str(exc) in RULE_MESSAGES
-            # The one conflict reachable here: nothing to trace inline.
-            assert route == "inline" and "trace" in subset
-            return
-        assert not (route == "inline" and "trace" in subset)
+        result = _run(route, subset, corpus, corpus_dir, tmp_path)
         planned = route in ("auto", "mixed-tier")
         assert (result.plan is not None) == planned
-        assert result.backend_name == ("planned" if planned else route)
+        assert result.backend_name == (
+            "planned" if planned
+            else "sequential" if route == "inline"
+            else route
+        )
+        assert result.ipc is not None
         assert (PHASE_READ in result.phase_seconds) == ("stream" in subset)
         assert (result.trace is not None) == ("trace" in subset)
         assert (result.ledger is not None) == ("ledger" in subset)
@@ -135,7 +136,7 @@ def test_digest_or_a_rule_table_row(route, subset, corpus, corpus_dir, tmp_path)
             )
         else:
             assert result.cache is None
-        assert _digest(result) == expected  # also releases a tiled matrix
+        assert _digest(result) == BACKEND_DIGEST  # also releases a tiled matrix
 
 
 class TestRuleTable:
@@ -148,17 +149,22 @@ class TestRuleTable:
         assert str(caught.value) == RULE_MESSAGES[0]
 
     def test_trace_on_the_inline_path(self, corpus):
-        with pytest.raises(ConfigurationError) as caught:
-            run_pipeline(corpus, trace=True)
-        assert str(caught.value) == RULE_MESSAGES[1]
+        # No row: without a backend the pipeline runs (and traces) a
+        # sequential one of its own.
+        tfidf, kmeans = _operators()
+        plain = run_pipeline(corpus, tfidf=tfidf, kmeans=kmeans)
+        traced = run_pipeline(corpus, tfidf=tfidf, kmeans=kmeans, trace=True)
+        assert plain.trace is None and traced.trace is not None
+        for result in (plain, traced):
+            assert result.backend_name == "sequential"
+            assert result.ipc is not None
+            assert _digest(result) == BACKEND_DIGEST
 
     def test_policy_flags_under_a_plan(self, corpus_dir, capsys):
         flags = ("--retries", "--on-poison")
         with pytest.raises(ConfigurationError) as caught:
-            check_pipeline_rules(
-                backend=False, plan=True, trace=False, policy=flags
-            )
-        text = RULE_MESSAGES[2].format(policy=", ".join(flags))
+            check_pipeline_rules(backend=False, plan=True, policy=flags)
+        text = RULE_MESSAGES[1].format(policy=", ".join(flags))
         assert str(caught.value) == text
         # The CLI is the caller that can violate it, and says the same.
         assert main(["pipeline", "--input", corpus_dir, "--plan", "auto",
@@ -174,10 +180,9 @@ class TestRuleTable:
             assert f"`{message}`" in text
 
     def test_legal_combinations_pass(self):
-        check_pipeline_rules(backend=True, plan=False, trace=True,
-                             policy=("--retries",))
-        check_pipeline_rules(backend=False, plan=True, trace=True)
-        check_pipeline_rules(backend=False, plan=False, trace=False)
+        check_pipeline_rules(backend=True, plan=False, policy=("--retries",))
+        check_pipeline_rules(backend=False, plan=True)
+        check_pipeline_rules(backend=False, plan=False)
 
 
 def test_verbatim_plan_over_a_stream_overlaps_reads_and_leaks_nothing(

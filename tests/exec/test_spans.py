@@ -345,9 +345,11 @@ class TestTracedPipeline:
             assert ra.values == rb.values
         assert a.kmeans.assignments == b.kmeans.assignments
 
-    def test_trace_requires_a_backend(self, corpus):
-        with pytest.raises(ConfigurationError, match="backend"):
-            run_pipeline(corpus, trace=True)
+    def test_trace_without_a_backend_runs_sequential(self, corpus):
+        traced = run_pipeline(corpus, trace=True)
+        assert traced.backend_name == "sequential" and traced.ipc is not None
+        assert set(traced.trace.phases) == {"input+wc", "transform", "kmeans"}
+        self._assert_identical(traced, run_pipeline(corpus))
 
     def test_untraced_run_has_no_trace(self, corpus):
         backend = make_backend("sequential")

@@ -3,8 +3,9 @@
 The contract of the real execution subsystem is that backend choice and
 worker count change *wall-clock time only*: TF/IDF matrices, vocabularies,
 idf tables and K-means assignments must be bit-identical across
-sequential, threads and processes — and identical to the inline
-(backend-free) reference path.
+sequential, threads and processes — and the word counts and scores
+identical to the simulator's one-core dictionary reference
+(``run_simulated``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,12 @@ from repro.ops.tfidf import TfIdfOperator
 from repro.ops.wordcount import WordCountStep
 from repro.text.synth import MIX_PROFILE, generate_corpus
 from repro.text.tokenizer import Tokenizer
+from tests.ops.test_columnar_blocks import (
+    df_dict,
+    row_dicts,
+    simulated_tfidf,
+    simulated_wordcount,
+)
 
 BACKENDS = ("sequential", "threads", "processes")
 
@@ -54,29 +61,28 @@ def run_backend(name, fn, workers=2):
 class TestWordCountEquivalence:
     def test_df_and_tokens_match_inline(self, texts):
         step = WordCountStep()
-        inline = step.run(texts)
+        reference = simulated_wordcount(step, texts)
         for name in BACKENDS:
             result = run_backend(name, lambda b: step.run(texts, backend=b))
-            assert result.df.to_dict() == inline.df.to_dict()
-            assert result.doc_token_counts == inline.doc_token_counts
-            assert result.total_tokens == inline.total_tokens
-            assert result.input_bytes == inline.input_bytes
+            assert df_dict(result) == df_dict(reference)
+            assert result.doc_token_counts == reference.doc_token_counts
+            assert result.total_tokens == reference.total_tokens
+            assert result.input_bytes == reference.input_bytes
 
     def test_doc_tfs_preserve_input_order(self, texts):
         step = WordCountStep()
-        inline = step.run(texts)
+        reference = simulated_wordcount(step, texts)
         result = run_backend(
             "processes", lambda b: step.run(texts, backend=b), workers=3
         )
-        assert len(result.doc_tfs) == len(texts)
-        for ours, reference in zip(result.doc_tfs, inline.doc_tfs):
-            assert ours.to_dict() == reference.to_dict()
+        assert result.n_docs == len(texts)
+        assert row_dicts(result) == row_dicts(reference)
 
 
 class TestTfIdfEquivalence:
     @pytest.mark.parametrize("dict_kind", ["map", "unordered_map"])
-    def test_matrix_identical_across_backends(self, corpus, dict_kind):
-        reference = TfIdfOperator(wc_dict_kind=dict_kind).fit_transform(corpus)
+    def test_matrix_identical_across_backends(self, corpus, texts, dict_kind):
+        reference = simulated_tfidf(TfIdfOperator(wc_dict_kind=dict_kind), texts)
         ref_entries = _matrix_entries(reference)
         for name in BACKENDS:
             result = run_backend(
@@ -89,9 +95,9 @@ class TestTfIdfEquivalence:
             assert result.idf == reference.idf
             assert _matrix_entries(result) == ref_entries
 
-    def test_min_df_pruning_matches_inline(self, corpus):
+    def test_min_df_pruning_matches_inline(self, corpus, texts):
         operator_args = dict(min_df=2, tokenizer=Tokenizer(drop_stopwords=True))
-        reference = TfIdfOperator(**operator_args).fit_transform(corpus)
+        reference = simulated_tfidf(TfIdfOperator(**operator_args), texts)
         result = run_backend(
             "processes",
             lambda b: TfIdfOperator(**operator_args).fit_transform(

@@ -25,7 +25,9 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import run_pipeline
 from repro.exec import shm as shm_plane
+from repro.exec.machine import MachineSpec
 from repro.exec.process import make_backend
+from repro.exec.scheduler import SimScheduler
 from repro.exec.shm import shm_available
 from repro.ops import kernels
 from repro.ops.kmeans import KMeansOperator
@@ -37,7 +39,8 @@ from tests.conftest import _mapped_tiles
 
 # -- generated equivalence over the source axis ----------------------------------------
 
-#: ``(name, workers, shm)``; ``None`` is the inline reference loop.
+#: ``(name, workers, shm)``; ``None`` is the simulator's one-core loop
+#: (``run_simulated``), the reference.
 _BACKENDS = [
     None,
     ("sequential", 1, None),
@@ -62,8 +65,6 @@ def _close_warm_backends():
 
 
 def _backend(config):
-    if config is None:
-        return None
     if config not in _WARM:
         name, workers, shm = config
         _WARM[config] = make_backend(name, workers, shm=shm)
@@ -123,6 +124,14 @@ def _tiled(matrix: CsrMatrix, tile_docs: int, budget) -> TiledCsrMatrix:
     return TiledCsrMatrix(store.seal(matrix.n_cols), store=store)
 
 
+def _fit(operator, matrix, config):
+    """``operator`` on ``matrix`` the way ``config`` names."""
+    if config is None:
+        scheduler = SimScheduler(MachineSpec(cores=1, name="reference"))
+        return operator.run_simulated(scheduler, matrix, workers=1)
+    return operator.fit(matrix, backend=_backend(config))
+
+
 def _fingerprint(result):
     return (
         result.assignments,
@@ -138,16 +147,15 @@ class TestSourceAxisEquivalence:
     @given(_cases())
     def test_every_source_form_and_backend_fits_the_same_bytes(self, case):
         matrix, tiling, operator, config = case
-        backend = _backend(config)
         # The reference: resident rows, and the simplest executor of the
-        # same kind (the inline loop and the real fit group their float
-        # additions differently, so each is held to its own).
-        reference = operator.fit(
-            matrix, backend=None if backend is None else _backend(_BACKENDS[1])
+        # same kind (the simulator's loop and the real fit group their
+        # float additions differently, so each is held to its own).
+        reference = _fit(
+            operator, matrix, None if config is None else _BACKENDS[1]
         )
         subject = matrix if tiling is None else _tiled(matrix, *tiling)
         try:
-            result = operator.fit(subject, backend=backend)
+            result = _fit(operator, subject, config)
         finally:
             if tiling is not None:
                 subject.close()

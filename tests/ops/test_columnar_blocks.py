@@ -1,12 +1,13 @@
 """Columnar word-count → transform: blocks instead of per-document lists.
 
-A backend run counts each chunk into one :class:`TermBlock`, merges the
+A real run counts each chunk into one :class:`TermBlock`, merges the
 chunks into one block for the corpus, and scores row ranges of it with a
-vectorised kernel. These tests pin that path to the inline
-``count_document``/``transform_document`` reference byte for byte, check
-the block algebra the cache, the tile plane and quarantine bisection
-lean on, and hold the outputs of every execution mode to digests
-recorded from the commit before the change.
+vectorised kernel. These tests pin that path byte for byte to the
+simulator's ``count_document``/``transform_document`` dictionary
+reference (``run_simulated`` on one core), check the block algebra the
+cache, the tile plane and quarantine bisection lean on, and hold the
+outputs of every execution mode — and of the reference — to digests
+recorded from the commit before the blocks landed.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import output_digest, run_pipeline
+from repro.core.pipeline import RealRunResult, output_digest, run_pipeline
 from repro.errors import OperatorError
+from repro.exec.machine import MachineSpec
 from repro.exec.process import make_backend
 from repro.exec.resilience import bisect_chunk
+from repro.exec.scheduler import SimScheduler
 from repro.exec.shm import shm_available
 from repro.exec.task import TaskCost
+from repro.io import MemStorage, store_corpus
 from repro.ops import kernels
 from repro.ops.kmeans import KMeansOperator
 from repro.ops.tfidf import TfIdfOperator
@@ -65,7 +69,7 @@ documents = st.lists(
 )
 
 #: Either tokenizer under every filter setting: the kernel asks
-#: ``keeps`` once per distinct term of a chunk, the inline path once per
+#: ``keeps`` once per distinct term of a chunk, the reference once per
 #: token. ``max_length`` below and above the longest word; a
 #: ``min_length`` above it keeps nothing at all.
 tokenizers = st.builds(
@@ -81,22 +85,61 @@ def _rows(result):
     return [(row.indices, row.values) for row in result.matrix.iter_rows()]
 
 
+def _one_core() -> SimScheduler:
+    return SimScheduler(MachineSpec(cores=1, name="reference"))
+
+
+def _stored(texts) -> MemStorage:
+    """``texts`` under zero-padded names, so name order is input order."""
+    storage = MemStorage()
+    for at, text in enumerate(texts):
+        storage.write(f"in/{at:05d}", text)
+    return storage
+
+
+def simulated_wordcount(step, texts):
+    """The dictionary reference of a word count: ``run_simulated`` on one
+    simulated core over ``texts``."""
+    storage = _stored(texts)
+    wc, _ = step.run_simulated(
+        _one_core(), storage, list(storage.list("in/")), workers=1
+    )
+    return wc
+
+
+def simulated_tfidf(operator, texts):
+    """The dictionary reference of the TF/IDF operator, likewise."""
+    return operator.run_simulated(_one_core(), _stored(texts), "in/", workers=1)
+
+
+def row_dicts(wc) -> list[dict[str, int]]:
+    """Per-document counts of a word count, real or simulated."""
+    if wc.block is None:
+        return [tf.to_dict() for tf in wc.doc_tfs]
+    return [dict(wc.block.row_items(row)) for row in range(len(wc.block))]
+
+
+def df_dict(wc) -> dict[str, int]:
+    """Document frequencies of a word count, real or simulated."""
+    if wc.block is None:
+        return wc.df.to_dict()
+    return dict(zip(wc.block.terms, wc.block.df_counts.tolist()))
+
+
 class TestByteEqualityWithInline:
     @settings(max_examples=120, deadline=None)
     @given(texts=documents, grain=st.integers(1, 6), tokenizer=tokenizers)
     def test_count_matches_count_document(self, texts, grain, tokenizer):
         step = TfIdfOperator(tokenizer=tokenizer).wordcount
-        inline = step.run(texts)
+        reference = simulated_wordcount(step, texts)
         backend = make_backend("sequential", 1)
         ours = step.run(texts, backend=backend, grain=grain)
-        assert [tf.to_dict() for tf in ours.doc_tfs] == [
-            tf.to_dict() for tf in inline.doc_tfs
-        ]
-        assert ours.df.to_dict() == inline.df.to_dict()
-        assert ours.doc_token_counts == inline.doc_token_counts
-        assert ours.total_tokens == inline.total_tokens
+        assert row_dicts(ours) == row_dicts(reference)
+        assert df_dict(ours) == df_dict(reference)
+        assert ours.doc_token_counts == reference.doc_token_counts
+        assert ours.total_tokens == reference.total_tokens
         block = ours.block
-        assert block.terms == sorted(inline.df.to_dict())
+        assert block.terms == sorted(df_dict(reference))
         for row in range(len(block)):
             ids = block.ids[block.indptr[row]:block.indptr[row + 1]]
             assert (np.diff(ids.astype(np.int64)) > 0).all()
@@ -117,13 +160,20 @@ class TestByteEqualityWithInline:
         # the tokenizer's filter, non-ASCII terms and tokens over
         # max_length — whatever Hypothesis draws.
         operator = TfIdfOperator(tokenizer=tokenizer, min_df=min_df)
-        inline = operator.fit_transform(texts)
         backend = make_backend("sequential", 1)
         wc = operator.wordcount.run(texts, backend=backend, grain=wc_grain)
         ours = operator.transform_wordcount(wc, backend=backend, grain=tr_grain)
-        assert ours.vocabulary == inline.vocabulary
-        assert ours.idf == inline.idf
-        assert _rows(ours) == _rows(inline)
+        if not texts:
+            # The reference refuses an empty corpus; the real path
+            # returns an empty result.
+            with pytest.raises(OperatorError, match="no input documents"):
+                simulated_tfidf(operator, texts)
+            assert (ours.vocabulary, ours.idf, _rows(ours)) == ([], [], [])
+            return
+        reference = simulated_tfidf(operator, texts)
+        assert ours.vocabulary == reference.vocabulary
+        assert ours.idf == reference.idf
+        assert _rows(ours) == _rows(reference)
 
     def test_no_documents_at_all(self):
         kernels.init_wordcount_worker(Tokenizer())
@@ -145,8 +195,9 @@ class TestByteEqualityWithInline:
         assert block.indptr.tolist() == [0, 0, 2, 2, 2]
         assert block.terms == ["cat", "zz"]  # first-seen order, kept only
         assert (block.ids.tolist(), block.counts.tolist()) == ([0, 1], [2, 1])
-        inline = TfIdfOperator(tokenizer=tokenizer).wordcount.run(texts)
-        assert block.token_counts.tolist() == inline.doc_token_counts
+        step = TfIdfOperator(tokenizer=tokenizer).wordcount
+        reference = simulated_wordcount(step, texts)
+        assert block.token_counts.tolist() == reference.doc_token_counts
         # One document, and the same document in a chunk of its own.
         alone = kernels.count_chunk(texts[1:2])
         assert _same_block(alone, block[1:2])
@@ -171,10 +222,10 @@ class TestByteEqualityWithInline:
         texts = ["zebra cat", "cat", "cat zebra zebra"]
         wc = step.run(texts, backend=make_backend("sequential", 1), grain=1)
         assert wc.block.terms == ["cat", "zebra"]
-        assert [tf.to_dict() for tf in wc.doc_tfs] == [
+        assert row_dicts(wc) == [
             {"zebra": 1, "cat": 1}, {"cat": 1}, {"cat": 1, "zebra": 2},
         ]
-        assert wc.df.to_dict() == {"cat": 3, "zebra": 2}
+        assert df_dict(wc) == {"cat": 3, "zebra": 2}
 
     def test_zero_norm_rows_are_left_alone(self):
         # A term in every document has idf 0: its rows score all-zero
@@ -182,7 +233,8 @@ class TestByteEqualityWithInline:
         operator = TfIdfOperator()
         backend = make_backend("sequential", 1)
         ours = operator.fit_transform(["same same", "same"], backend=backend)
-        assert _rows(ours) == _rows(operator.fit_transform(["same same", "same"]))
+        reference = simulated_tfidf(operator, ["same same", "same"])
+        assert _rows(ours) == _rows(reference)
         assert _rows(ours) == [([0], [0.0]), ([0], [0.0])]
 
     def test_term_missing_from_vocabulary_is_named(self):
@@ -200,32 +252,20 @@ class TestByteEqualityWithInline:
         bound = pruning.bind(wc, *pruning.build_vocabulary(wc, TaskCost()))
         assert bound.gmap.tolist() == [-1, 0, -1]
 
-    def test_df_of_a_backend_result_is_a_read_only_view(self):
+    def test_real_result_df_is_block_columns(self):
         step = TfIdfOperator().wordcount
         wc = step.run(["cat dog", "dog emu"], backend=make_backend("sequential", 1))
-        assert wc.vocabulary_size == len(wc.df) == 3
-        assert wc.df.to_dict() == {"cat": 1, "dog": 2, "emu": 1}
-        assert wc.df.get("dog") == 2 and "emu" in wc.df
-        for edit in (
-            lambda: wc.df.remove("emu"),
-            lambda: wc.df.put("emu", 5),
-            lambda: wc.df.increment("emu"),
-            wc.df.clear,
-        ):
-            with pytest.raises(TypeError, match="read-only view"):
-                edit()
-        assert wc.df.to_dict() == {"cat": 1, "dog": 2, "emu": 1}
+        assert wc.df is None and wc.doc_tfs is None
+        assert wc.block.n_terms == 3
+        assert df_dict(wc) == {"cat": 1, "dog": 2, "emu": 1}
 
-    def test_doc_tfs_is_a_sequence_view(self):
+    def test_real_result_rows_are_block_rows(self):
         step = TfIdfOperator().wordcount
         wc = step.run(["b a a", "", "c"], backend=make_backend("sequential", 1))
-        assert len(wc.doc_tfs) == 3
-        assert wc.doc_tfs[0].to_dict() == {"a": 2, "b": 1}
-        assert wc.doc_tfs[-1].to_dict() == {"c": 1}
-        assert [tf.to_dict() for tf in wc.doc_tfs[1:]] == [{}, {"c": 1}]
-        assert [len(tf) for tf in wc.doc_tfs] == [2, 0, 1]
-        with pytest.raises(IndexError):
-            wc.doc_tfs[3]
+        assert wc.n_docs == len(wc.block) == 3
+        assert wc.block.row_items(0) == [("a", 2), ("b", 1)]
+        assert row_dicts(wc) == [{"a": 2, "b": 1}, {}, {"c": 1}]
+        assert [wc.block.row_items(row) for row in (1, 2)] == [[], [("c", 1)]]
 
 
 # -- block algebra -------------------------------------------------------------------
@@ -553,8 +593,9 @@ def nsf():
 
 #: Recorded at the parent commit (0aaf07e) by running exactly the
 #: configurations of ``TestParentDigests`` there: every backend mode
-#: hashed to the first value, the inline path (whose k-means groups its
-#: accumulation differently) to the second.
+#: hashed to the first value, the backend-free path of that time — the
+#: one-core simulator reference, whose k-means groups its accumulation
+#: differently — to the second.
 PARENT_DIGESTS = {
     "mix": (
         "f771de021176d7d4b7719b5e8b91aa8704f8bd1f5731757d2f71ea5ad8109a37",
@@ -578,9 +619,9 @@ class TestParentDigests:
         self, name, mix, nsf, tmp_path
     ):
         corpus = {"mix": mix, "nsf": nsf}[name]
-        backend_digest, inline_digest = PARENT_DIGESTS[name]
-        assert _digest(_fixed(corpus, None, 1)) == inline_digest
+        backend_digest = PARENT_DIGESTS[name][0]
         modes = {
+            "no backend": lambda: _fixed(corpus, None, 1),
             "sequential": lambda: _fixed(corpus, "sequential", 1),
             "threads": lambda: _fixed(corpus, "threads", 2),
             "processes pickled": lambda: _fixed(corpus, "processes", 2, shm=False),
@@ -605,6 +646,23 @@ class TestParentDigests:
         served = _auto_cached(corpus, planned_cache)
         assert served.cache["hits"] == 3 and served.cache["misses"] == 0
         assert _digest(served) == backend_digest, "auto plan, cached warm"
+
+
+class TestSimulatorReference:
+    @pytest.mark.parametrize("name", ["mix", "nsf"])
+    def test_one_core_reference_reproduces_the_parent_bytes(
+        self, name, mix, nsf
+    ):
+        # The dictionary loops the backend-free path ran at the parent,
+        # called by their name: one core, the corpus from memory.
+        corpus = {"mix": mix, "nsf": nsf}[name]
+        storage = MemStorage()
+        store_corpus(storage, corpus)
+        tfidf, kmeans = _operators()
+        scores = tfidf.run_simulated(_one_core(), storage, "", workers=1)
+        clusters = kmeans.run_simulated(_one_core(), scores.matrix, workers=1)
+        reference = RealRunResult(tfidf=scores, kmeans=clusters)
+        assert _digest(reference) == PARENT_DIGESTS[name][1]
 
 
 class TestIpcBill:

@@ -32,10 +32,9 @@ class TestFitTransform:
         result = TfIdfOperator().fit_transform(tiny_corpus)
         wc = result.wordcount
         n = wc.n_docs
+        df = dict(zip(wc.block.terms, wc.block.df_counts.tolist()))
         for term_id, term in enumerate(result.vocabulary):
-            assert result.idf[term_id] == pytest.approx(
-                math.log(n / wc.df.get(term))
-            )
+            assert result.idf[term_id] == pytest.approx(math.log(n / df[term]))
 
     def test_ubiquitous_term_scores_zero(self, tiny_corpus):
         """'the' appears in (almost) every tiny document: idf ~ 0."""

@@ -7,6 +7,7 @@ from repro.dicts import make_dict
 from repro.exec import SimScheduler, TaskCost, paper_node
 from repro.ops import WordCountStep
 from repro.ops.wordcount import PHASE_INPUT_WC
+from tests.ops.test_columnar_blocks import df_dict, simulated_wordcount
 
 
 class TestCountDocument:
@@ -120,10 +121,10 @@ class TestRunSimulated:
         )
 
     def test_resident_bytes_uses_scale_factors(self, tiny_texts):
-        unit = WordCountStep(dict_kind="map").run(tiny_texts)
-        scaled = WordCountStep(
+        unit = simulated_wordcount(WordCountStep(dict_kind="map"), tiny_texts)
+        scaled = simulated_wordcount(WordCountStep(
             dict_kind="map", scale=WorkloadScale(doc_factor=5, vocab_factor=2)
-        ).run(tiny_texts)
+        ), tiny_texts)
         assert scaled.resident_bytes() > unit.resident_bytes()
 
 
@@ -131,16 +132,23 @@ class TestFunctionalRun:
     def test_run_on_texts(self, tiny_texts):
         result = WordCountStep(dict_kind="map").run(tiny_texts)
         assert result.n_docs == len(tiny_texts)
-        assert result.df.get("the") > 0
-        assert result.vocabulary_size == len(result.df)
+        df = df_dict(result)
+        assert df["the"] > 0
+        assert result.block.n_terms == len(df)
+        assert df == df_dict(simulated_wordcount(WordCountStep(), tiny_texts))
 
     def test_hash_and_tree_agree(self, tiny_texts):
-        tree = WordCountStep(dict_kind="map").run(tiny_texts)
-        hashed = WordCountStep(dict_kind="unordered_map").run(tiny_texts)
+        # The dictionary kind acts in the simulator, not on a real run.
+        tree = simulated_wordcount(WordCountStep(dict_kind="map"), tiny_texts)
+        hashed = simulated_wordcount(
+            WordCountStep(dict_kind="unordered_map"), tiny_texts
+        )
         assert tree.df.to_dict() == hashed.df.to_dict()
 
     def test_memory_hashmap_exceeds_treemap(self, tiny_texts):
         """The Figure 4 memory effect: pre-sized tables dwarf tree nodes."""
-        tree = WordCountStep(dict_kind="map").run(tiny_texts)
-        hashed = WordCountStep(dict_kind="unordered_map", reserve=4096).run(tiny_texts)
+        tree = simulated_wordcount(WordCountStep(dict_kind="map"), tiny_texts)
+        hashed = simulated_wordcount(
+            WordCountStep(dict_kind="unordered_map", reserve=4096), tiny_texts
+        )
         assert hashed.resident_bytes() > 20 * tree.resident_bytes()
