@@ -138,8 +138,8 @@ def _add_read_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--prefetch", type=int, default=None,
-        help="max documents in flight ahead of compute "
-        "(default: 4x read workers)",
+        help="max documents in flight ahead of compute, read in batches "
+        "of up to 32 per reader task (default: 128x read workers)",
     )
 
 

@@ -247,6 +247,7 @@ class ExecutionBackend:
             self._check_phase_deadline(phase)
             task_id = self._next_task_id(phase)
             task_key = f"{phase}#{task_id}"
+            self.ipc.record_tasks(1)
             try:
                 results.append(
                     self._run_item_resilient(fn, item, task_id=task_id, phase=phase)
@@ -391,15 +392,21 @@ class ExecutionBackend:
         per-item results are flattened in order, like the chunked text
         kernels).
         """
+        return self._map_inline(fn, items, bisect_items)
+
+    def _map_inline(self, fn, items: Iterable, bisect_items: bool = False) -> list:
+        """Every item on the calling thread, one task each."""
         if self._resilient:
             return self._map_inline_resilient(fn, items, bisect_items)
         if not self.spans.enabled:
-            return [fn(item) for item in items]
-        results = []
-        for item in items:
-            t_start = self.spans.now()
-            results.append(fn(item))
-            self._record_inline_span(t_start, n_items=1)
+            results = [fn(item) for item in items]
+        else:
+            results = []
+            for item in items:
+                t_start = self.spans.now()
+                results.append(fn(item))
+                self._record_inline_span(t_start, n_items=1)
+        self.ipc.record_tasks(len(results))
         return results
 
     def close(self) -> None:
@@ -418,19 +425,9 @@ class SequentialBackend(ExecutionBackend):
     name = "sequential"
 
     def map(self, fn, items, *, grain=None, bisect_items=False):
-        items = _as_list(items)
-        if self._resilient:
-            return self._map_inline_resilient(fn, items, bisect_items)
-        if not self.spans.enabled:
-            return [fn(item) for item in items]
         # Operators pre-chunk their items (one chunk/block per map item),
-        # so a span per item is a span per logical task here too.
-        results = []
-        for item in items:
-            t_start = self.spans.now()
-            results.append(fn(item))
-            self._record_inline_span(t_start, n_items=1)
-        return results
+        # so an item — its span, its task count — is a logical task here.
+        return self._map_inline(fn, _as_list(items), bisect_items)
 
 
 class ThreadBackend(ExecutionBackend):
@@ -503,14 +500,7 @@ class ThreadBackend(ExecutionBackend):
             ]
             return self._run_resilient(fn, chunks, bisect_items)
         if len(items) <= 1 or self.workers == 1:
-            if not self.spans.enabled:
-                return [fn(item) for item in items]
-            results = []
-            for item in items:
-                t_start = self.spans.now()
-                results.append(fn(item))
-                self._record_inline_span(t_start, n_items=1)
-            return results
+            return self._map_inline(fn, items)
         if grain is None:
             grain = auto_grain(len(items), self.workers)
         if grain < 1:
@@ -520,6 +510,7 @@ class ThreadBackend(ExecutionBackend):
             self._submit_chunk(pool, fn, items[start : start + grain])
             for start in range(0, len(items), grain)
         ]
+        self.ipc.record_tasks(len(futures))
         return gather_ordered(futures)
 
     def map_stream(self, fn, items, *, grain=None, bisect_items=False):
@@ -539,9 +530,11 @@ class ThreadBackend(ExecutionBackend):
             first = next(iterator, _EMPTY)
             if first is _EMPTY:
                 return []
-            return submit_stream(
+            results = submit_stream(
                 self._ensure_pool(), fn, chain([first], iterator)
             )
+            self.ipc.record_tasks(len(results))
+            return results
         pool = None
         futures = []
         try:
@@ -554,6 +547,7 @@ class ThreadBackend(ExecutionBackend):
             for future in futures:
                 future.cancel()
             raise
+        self.ipc.record_tasks(len(futures))
         return gather_ordered(futures)
 
     # -- hardened execution -------------------------------------------------------
@@ -614,6 +608,7 @@ class ThreadBackend(ExecutionBackend):
             task_id = self._next_task_id(phase)
             future = self._submit_resilient(pool, fn, chunk, task_id, phase, 1)
             tasks.append([start, chunk, task_id, future])
+        self.ipc.record_tasks(len(tasks))
         results: list = []
         for position, task in enumerate(tasks):
             start, chunk, task_id, future = task

@@ -9,11 +9,14 @@ execution path:
   — sized independently of the compute pool, since file reads release the
   GIL — and yields ``(path, text, cost)`` triples strictly in input order,
   no matter which read finished first.
+* Each reader task is a **batch** of contiguous files read back to back
+  on one thread, so the pool pays its per-task cost (a future, a queue
+  hand-off, a consumer wake-up) once per batch, not once per file.
 * A **bounded prefetch window** provides backpressure: at most ``prefetch``
   files are in flight (submitted but not yet delivered) at any moment, so
-  a fast disk cannot balloon memory ahead of a slow consumer. While the
-  consumer processes document *i*, the pool is already reading documents
-  *i+1 … i+prefetch*.
+  a fast disk cannot balloon memory ahead of a slow consumer. The default
+  window covers one word-count chunk, so the readers fill the next chunk
+  while the consumer counts this one.
 * :class:`DocumentStream` wraps the triples into
   :class:`~repro.text.corpus.Document` objects and meters the traffic: the
   per-file :class:`~repro.exec.task.TaskCost` aggregate (so simulated and
@@ -21,8 +24,9 @@ execution path:
   actually spent blocked on reads, which :func:`repro.core.pipeline.run_pipeline`
   reports as the ``read`` phase.
 
-Errors propagate eagerly: a missing file raises
-:class:`~repro.errors.StorageError` naming the offending path, and all
+Errors propagate eagerly and in order: the files before a failing one are
+delivered, then its :class:`~repro.errors.StorageError` (a missing file,
+a file that is not UTF-8) is raised naming the offending path, and all
 not-yet-started reads are cancelled.
 """
 
@@ -48,6 +52,7 @@ __all__ = [
     "DocumentStream",
     "corpus_stream",
     "default_prefetch",
+    "batch_files",
     "DEFAULT_PREFETCH_PER_WORKER",
 ]
 
@@ -56,15 +61,26 @@ __all__ = [
 #: module does not import the pipeline).
 _READ_PHASE = "read"
 
-#: Default in-flight files per reader thread. Deep enough that the window
-#: never drains while the consumer tokenizes one document, shallow enough
-#: that peak buffered text stays a few documents per reader.
-DEFAULT_PREFETCH_PER_WORKER = 4
+#: Default in-flight files per reader thread: four full batches each. Two
+#: readers then hold 256 files, one whole word-count chunk of a streamed
+#: corpus of ~2,000 documents (a sequential backend counts an eighth at a
+#: time), so they fill the next chunk while the consumer counts this one;
+#: for abstract-sized documents that is a few hundred kB of text.
+DEFAULT_PREFETCH_PER_WORKER = 128
+
+#: Most files one reader task reads back to back.
+_BATCH_FILES = 32
 
 
 def default_prefetch(workers: int) -> int:
     """Prefetch window used when the caller does not pick one."""
     return max(2, workers * DEFAULT_PREFETCH_PER_WORKER)
+
+
+def batch_files(workers: int, prefetch: int) -> int:
+    """Files per reader task: :data:`_BATCH_FILES`, shrunk so the window
+    of ``prefetch`` files still holds two batches per reader."""
+    return max(1, min(_BATCH_FILES, prefetch // (2 * workers)))
 
 
 def read_paths(
@@ -81,9 +97,10 @@ def read_paths(
     ``workers`` is the reader-thread count; ``workers=1`` reads inline with
     no pool (the serial baseline). ``prefetch`` bounds the number of files
     in flight — submitted to the pool but not yet delivered — and defaults
-    to :func:`default_prefetch`. When ``recorder`` is an armed
-    :class:`~repro.exec.spans.SpanRecorder`, each file read is captured as
-    a ``read``-phase span on the thread that performed it. A ``retry``
+    to :func:`default_prefetch`; the pool reads them in batches of
+    :func:`batch_files` contiguous files per task. When ``recorder`` is an
+    armed :class:`~repro.exec.spans.SpanRecorder`, each file read is
+    captured as a ``read``-phase span on the thread that performed it. A ``retry``
     policy re-reads a file whose read failed with a *transient*
     :class:`OSError` (deterministic backoff, per the policy); a read that
     exhausts the budget raises :class:`~repro.errors.StorageError` naming
@@ -155,32 +172,45 @@ def _reader(
     return resilient_read
 
 
+def _read_batch(read, batch: list[str]):
+    """Read ``batch`` in order on this thread -> ``(triples, error)``:
+    the files read before the first failure, and that failure."""
+    done = []
+    for path in batch:
+        try:
+            text, cost = read(path)
+        except Exception as exc:
+            return done, exc
+        done.append((path, text, cost))
+    return done, None
+
+
 def _read_overlapped(
     read, paths: list[str], workers: int, prefetch: int
 ) -> Iterator[tuple[str, str, TaskCost]]:
+    size = batch_files(workers, prefetch)
+    batches = (paths[at:at + size] for at in range(0, len(paths), size))
     pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-read")
     pending: deque = deque()
-    remaining = iter(paths)
     try:
-        for path in itertools.islice(remaining, prefetch):
-            pending.append((path, pool.submit(read, path)))
+        for batch in itertools.islice(batches, prefetch // size):
+            pending.append(pool.submit(_read_batch, read, batch))
         while pending:
-            path, future = pending.popleft()
-            try:
-                text, cost = future.result()
-            except BaseException:
-                for _, queued in pending:
+            done, error = pending.popleft().result()
+            if error is not None:
+                for queued in pending:
                     queued.cancel()
-                raise
-            yield path, text, cost
-            # Top up *after* the yield: in-flight files never exceed the
-            # prefetch window even while the consumer is busy.
-            for nxt in itertools.islice(remaining, 1):
-                pending.append((nxt, pool.submit(read, nxt)))
+            yield from done
+            if error is not None:
+                raise error
+            # Top up *after* the batch is delivered: in-flight files never
+            # exceed the prefetch window even while the consumer is busy.
+            for batch in itertools.islice(batches, 1):
+                pending.append(pool.submit(_read_batch, read, batch))
     finally:
         # Abandoned mid-iteration (consumer error / early exit): drop the
         # window before waiting out whatever already started.
-        for _, queued in pending:
+        for queued in pending:
             queued.cancel()
         pool.shutdown(wait=True)
 

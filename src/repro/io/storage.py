@@ -143,12 +143,28 @@ class FsStorage(Storage):
         return full
 
     def read(self, path: str) -> tuple[str, TaskCost]:
+        """The text ``open(..., encoding="utf-8").read()`` returns, from
+        one binary read and one strict decode.
+
+        Text mode's universal newlines are applied only to a file that
+        holds a ``\\r`` (``\\r\\n`` first, then a lone ``\\r``); a BOM is
+        kept as ``\\ufeff``, as the ``utf-8`` codec keeps it.
+        """
         full = self._resolve(path)
         try:
-            with open(full, "r", encoding="utf-8") as handle:
-                data = handle.read()
+            with open(full, "rb") as handle:
+                raw = handle.read()
         except FileNotFoundError:
             raise StorageError(f"no such file: {path!r}") from None
+        try:
+            data = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StorageError(
+                f"{path!r} is not valid UTF-8 at byte offset {exc.start} "
+                f"({exc.reason}); re-encode it as UTF-8"
+            ) from None
+        if b"\r" in raw:
+            data = data.replace("\r\n", "\n").replace("\r", "\n")
         return data, TaskCost(disk_read_bytes=len(data), disk_opens=1)
 
     def write(self, path: str, data: str) -> TaskCost:

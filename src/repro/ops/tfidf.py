@@ -404,19 +404,21 @@ class TfIdfOperator:
         wc: WordCountResult,
         backend: ExecutionBackend | None,
         grain: int | None,
-        tile_docs: int | None,
+        cuts: list[int] | None,
     ):
         """Phase 2a, the one driver: ``(vocabulary, idf, tiles, rows_out)``.
 
         The vocabulary/idf build stays serial (it is the phase's serial
         prefix in the paper too), and so does mapping the corpus block's
-        terms onto it. ``tiles`` then yields the scored rows ``tile_docs``
-        documents at a time (``None``: all at once), each tile a list of
-        CSR blocks in row order — what the caller concatenates into a
-        resident matrix or spills. The per-document scoring runs on
-        ``backend`` (``None``: a :class:`SequentialBackend`) in chunks,
-        each task a self-contained row range of the bound block — workers
-        hold no transform state, and no term string is shipped. A
+        terms onto it. ``tiles`` then yields the scored rows of each
+        ``[cuts[k], cuts[k + 1])`` document range (``None``: all at
+        once), each tile a list of CSR blocks in row order — what the
+        caller concatenates into a resident matrix or spills. The
+        per-document scoring runs on ``backend`` (``None``: a
+        :class:`SequentialBackend`) in chunks, each task a self-contained
+        row range of the bound block — workers hold no transform state,
+        and no term string is shipped. A tile is cut into one chunk
+        per worker, or at the phase's own grain where that is finer. A
         resident transform on a backend that can allocate a shared
         segment (``rows_out``) has its workers write the rows straight
         into it (its tiles are then empty), and no row crosses a pipe.
@@ -427,7 +429,7 @@ class TfIdfOperator:
         backend.begin_phase(PHASE_TRANSFORM)
         bound = self.bind(wc, vocabulary, idf)
         rows_out = None
-        if tile_docs is None and not backend.resilience.quarantining:
+        if cuts is None and not backend.resilience.quarantining:
             # Quarantine may drop rows, which a preallocated matrix
             # cannot absorb: those runs return their rows by value.
             offsets = self._entry_offsets(bound)
@@ -437,9 +439,12 @@ class TfIdfOperator:
                 ("values", np.float64, (int(offsets[-1]),)),
                 ("sq_norms", np.float64, (n_docs,)),  # k-means adds them
             ])
+        phase_step = backend.phase_grain(n_docs)
 
         def rows(start: int, stop: int) -> list:
-            step = grain or backend.phase_grain(stop - start)
+            step = grain or min(
+                phase_step, -(-(stop - start) // backend.workers)
+            )
             ranges = [
                 (at, min(at + step, stop)) for at in range(start, stop, step)
             ]
@@ -455,10 +460,10 @@ class TfIdfOperator:
             )
             return []
 
-        tile_docs = tile_docs or max(1, n_docs)
+        if cuts is None:
+            cuts = _even_cuts(n_docs, n_docs)
         tiles = (
-            rows(start, min(n_docs, start + tile_docs))
-            for start in range(0, n_docs, tile_docs)
+            rows(start, stop) for start, stop in zip(cuts[:-1], cuts[1:])
         )
         return vocabulary, idf, tiles, rows_out
 
@@ -559,7 +564,8 @@ class TfIdfOperator:
         to the monolithic path on the same backend; only the container
         differs. The returned result's ``matrix`` is a
         :class:`~repro.tiles.matrix.TiledCsrMatrix` view owning the store.
-        ``tile_docs`` defaults to what fits the store's memory budget.
+        Without ``tile_docs`` the tiles are cut to the store's memory
+        budget (:func:`_tile_cuts`).
         """
         from repro.tiles.matrix import TiledCsrMatrix
 
@@ -567,8 +573,10 @@ class TfIdfOperator:
         # not append onto a half-written tile set.
         store.reset()
         if tile_docs is None or tile_docs < 1:
-            tile_docs = _rows_per_tile(wc, store.memory_budget)
-        vocabulary, idf, tiles, _ = self._transform(wc, backend, grain, tile_docs)
+            cuts = _tile_cuts(wc.block.indptr, store.memory_budget)
+        else:
+            cuts = _even_cuts(wc.n_docs, tile_docs)
+        vocabulary, idf, tiles, _ = self._transform(wc, backend, grain, cuts)
         n_cols = len(vocabulary)
         n_rows = 0
         for tile in tiles:
@@ -601,18 +609,40 @@ class TfIdfOperator:
         store.append(row_start, n_cols, indptr, indices, data, sq_norms)
 
 
-def _rows_per_tile(wc: WordCountResult, memory_budget: int | None) -> int:
-    """Rows per tile under ``memory_budget``, from phase-1 statistics.
+def _even_cuts(n: int, rows: int) -> list[int]:
+    """Row boundaries of ``n`` rows cut every ``rows`` (none for none)."""
+    return [*range(0, n, rows), n] if n else [0]
 
-    Deliberately an *overestimate* of per-document bytes (every token
-    priced as a distinct nonzero), so a tile plus its working copies
-    land well inside the budget — the target is a quarter of it.
+
+#: A tile's bytes beyond 16 per row and entry, at most:
+#: ``tile_nbytes(rows, nnz) <= _TILE_FIXED + 16 * (rows + nnz)`` — a
+#: 48-byte header, one indptr slot more than rows, three alignments of
+#: at most 8 bytes each.
+_TILE_FIXED = 80
+
+
+def _tile_cuts(indptr: np.ndarray, memory_budget: int | None) -> list[int]:
+    """Row boundaries ``[0, ..., n]`` of the tiles under ``memory_budget``.
+
+    ``indptr`` is the word-count block's: a document's stored entries
+    bound its matrix entries from above (pruning only drops some), so a
+    range's rows and stored entries bound the file it becomes. Tiles are
+    cut at row boundaries by the running ``_TILE_FIXED + 16 * (rows +
+    entries)``, each at most a quarter of the budget — room for the
+    reader's LRU and the working copies — and a row larger than that
+    gets a tile of its own. Without a budget, 4096 rows a tile.
     """
-    n = wc.n_docs
+    n = len(indptr) - 1
     if memory_budget is None:
-        return max(1, min(n, 4096))
-    if n <= 0:
-        return 1
-    per_doc = 24.0 * (wc.total_tokens / n) + 40.0
-    docs = int((memory_budget / 4) // per_doc)
-    return max(1, min(n, docs))
+        return _even_cuts(n, 4096)
+    target = memory_budget // 4
+    cost = 16 * (np.arange(n + 1, dtype=np.int64) + indptr)
+    cuts = [0]
+    while cuts[-1] < n:
+        start = cuts[-1]
+        stop = int(np.searchsorted(
+            cost, cost[start] + target - _TILE_FIXED, side="right"
+        )) - 1
+        cuts.append(min(n, max(start + 1, stop)))
+    return cuts
+

@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exec.shm import Placement
+from repro.sparse.matrix import csr_row_views
 from repro.sparse.vector import SparseVector
 from repro.tiles.store import TileManifest, TileReader
 
@@ -178,13 +179,14 @@ class TiledCsrMatrix:
             # reader, and another thread's open may evict this tile.
             indptr, indices, data, sq_norms = self._reader.arrays(index)
             local_stop = min(stop, meta.row_start + meta.n_rows)
-            for doc in range(row, local_stop):
-                local = doc - meta.row_start
-                lo = int(indptr[local])
-                hi = int(indptr[local + 1])
-                doc_indices.append(indices[lo:hi])
-                doc_values.append(data[lo:hi])
-                norms[doc - start] = sq_norms[local]
+            lo, hi = row - meta.row_start, local_stop - meta.row_start
+            # One ``tolist`` per visit, no per-row scalar conversions.
+            row_indices, row_values = csr_row_views(
+                indptr[lo:hi + 1], indices, data
+            )
+            doc_indices.extend(row_indices)
+            doc_values.extend(row_values)
+            norms[row - start:local_stop - start] = sq_norms[lo:hi]
             row = local_stop
         return doc_indices, doc_values, norms
 

@@ -12,6 +12,7 @@ from repro.errors import ConfigurationError, StorageError
 from repro.io.corpus_io import store_corpus
 from repro.io.parallel_read import (
     DocumentStream,
+    batch_files,
     corpus_stream,
     default_prefetch,
     read_paths,
@@ -112,10 +113,65 @@ class TestReadPaths:
         reads.close()  # abandoning mid-stream must release the pool
 
 
+class ThreadLogStorage(MemStorage):
+    """Logs ``(reader thread, path)`` in the order reads start."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+        self._lock = threading.Lock()
+
+    def read(self, path):
+        with self._lock:
+            self.log.append((threading.get_ident(), path))
+        time.sleep(0.001)  # long enough for the other reader to interleave
+        return super().read(path)
+
+
+class TestBatches:
+    """One reader task is a contiguous batch of files on one thread."""
+
+    def test_batch_size_fits_the_window(self):
+        assert batch_files(2, default_prefetch(2)) == 32
+        assert batch_files(2, 16) == 4
+        assert batch_files(4, 5) == 1
+
+    def test_each_batch_is_read_consecutively_on_one_thread(self):
+        storage = ThreadLogStorage()
+        paths = _populate(storage, n=40)
+        size = batch_files(2, 16)
+        assert [p for p, _, _ in read_paths(
+            storage, paths, workers=2, prefetch=16
+        )] == paths
+        by_thread: dict = {}
+        for thread, path in storage.log:
+            by_thread.setdefault(thread, []).append(path)
+        for at in range(0, len(paths), size):
+            batch = paths[at:at + size]
+            readers = [t for t, run in by_thread.items() if batch[0] in run]
+            assert len(readers) == 1
+            run = by_thread[readers[0]]
+            first = run.index(batch[0])
+            assert run[first:first + len(batch)] == batch
+
+    def test_missing_file_mid_batch_delivers_earlier_paths_then_raises(self):
+        storage = MemStorage()
+        paths = _populate(storage, n=20)
+        assert batch_files(2, 16) == 4
+        paths.insert(6, "ghost.txt")  # third file of the second batch
+        delivered = []
+        with pytest.raises(StorageError, match="ghost.txt"):
+            for path, _, _ in read_paths(
+                storage, paths, workers=2, prefetch=16
+            ):
+                delivered.append(path)
+        assert delivered == paths[:6]
+
+
 class TestDefaultPrefetch:
     def test_scales_with_workers(self):
         assert default_prefetch(1) >= 2
-        assert default_prefetch(4) == 16
+        assert default_prefetch(4) == 512
 
 
 class TestDocumentStream:

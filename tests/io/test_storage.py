@@ -1,14 +1,18 @@
 """Tests for storage backends and corpus persistence."""
 
 import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.io import (
     FsStorage,
     MemStorage,
     corpus_paths,
+    corpus_stream,
     load_corpus,
     read_document,
     store_corpus,
@@ -116,6 +120,100 @@ class TestFsStorageSpecifics:
         for prefix in ("", "a", "a/", "a/b", "a/b/", "ab", "q/r/s", "zz"):
             assert list(store.list(prefix)) == by_relpath(prefix), prefix
         assert len(list(store.list())) == 7
+
+
+#: Byte pieces that stress text mode's decoding and newline translation:
+#: CRLF, lone CR, LF, a BOM, 2/3/4-byte characters, and bytes that are
+#: never (0xff) or not here (a truncated 2-byte lead) valid UTF-8.
+_PIECES = [
+    b"\r\n", b"\r", b"\n", b"\xef\xbb\xbf", b"word", b" ",
+    "\u00e9".encode(), "\u20ac".encode(), "\U0001d11e".encode(),
+    b"\xff", b"\xc3",
+]
+
+
+def _text_mode(path: str):
+    """What a text-mode UTF-8 read returns, or ``None`` if it refuses."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        return None
+
+
+def _binary_read(store: FsStorage, name: str):
+    try:
+        return store.read(name)[0]
+    except StorageError:
+        return None
+
+
+class TestBinaryRead:
+    """``FsStorage.read`` reads bytes and decodes once; it must return
+    exactly the ``str`` a text-mode UTF-8 read returns, and refuse
+    exactly the files that read refuses."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from(_PIECES), max_size=24).map(b"".join),
+        st.binary(max_size=64),
+    ))
+    @example(b"")
+    @example(b"a\r\nb\rc\n")
+    @example(b"ends in a carriage return\r")
+    @example(b"\r\r\n\n\r")
+    @example(b"\xef\xbb\xbfbom\r\n")
+    @example("caf\u00e9 \u20ac \U0001d11e".encode())
+    @example(b"bad \xff byte")
+    @example(b"a" * 8191 + b"\r\n" + b"b" * 8190 + b"\r")
+    def test_equals_text_mode(self, raw):
+        with tempfile.TemporaryDirectory() as root:
+            with open(os.path.join(root, "f.txt"), "wb") as handle:
+                handle.write(raw)
+            store = FsStorage(root)
+            expected = _text_mode(os.path.join(root, "f.txt"))
+            assert _binary_read(store, "f.txt") == expected
+
+    def _bad_corpus(self, tmp_path):
+        store = FsStorage(str(tmp_path / "corpus"))
+        store.write("a.txt", "fine")
+        with open(tmp_path / "corpus" / "b.txt", "wb") as handle:
+            handle.write(b"ok so far \xc3( then not")
+        store.write("c.txt", "never reached")
+        return store
+
+    def test_undecodable_file_names_path_offset_and_remedy_inline(
+        self, tmp_path
+    ):
+        store = self._bad_corpus(tmp_path)
+        with pytest.raises(
+            StorageError, match=r"'b\.txt'.*byte offset 10.*re-encode.*UTF-8"
+        ):
+            list(corpus_stream(store, workers=1))
+
+    def test_undecodable_file_names_path_through_reader_threads(
+        self, tmp_path
+    ):
+        store = self._bad_corpus(tmp_path)
+        delivered = []
+        with pytest.raises(
+            StorageError, match=r"'b\.txt'.*byte offset 10.*re-encode.*UTF-8"
+        ):
+            for doc in corpus_stream(store, workers=2):
+                delivered.append(doc.name)
+        assert delivered == ["a.txt"]
+
+    def test_undecodable_file_is_not_retried(self, tmp_path):
+        from repro.exec.resilience import RetryPolicy
+
+        store = self._bad_corpus(tmp_path)
+        stream = corpus_stream(
+            store, workers=2,
+            retry=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
+        )
+        with pytest.raises(StorageError, match=r"'b\.txt'") as caught:
+            list(stream)
+        assert "attempt" not in str(caught.value)
 
 
 class TestCorpusIo:

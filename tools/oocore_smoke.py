@@ -1,23 +1,32 @@
 """CI smoke for the out-of-core tiled data plane: run under a hard cap.
 
 perfbench's ``nsf-oocore`` workload measures; this smoke *enforces*. It
-runs the same pipeline three times, each in a fresh child process (this
+runs the same pipeline four times, each in a fresh child process (this
 script re-invoked with ``--child``), because ``ru_maxrss``/``VmPeak`` are
 per-process high-water marks that never go down:
 
-1. **untiled** — the reference digest and the untiled address-space
-   footprint (``VmPeak``);
-2. **tiled, uncapped** — a memory budget smaller than the matrix; must
+1. **untiled, in memory** — the reference digest and the matrix size
+   the budget is a fraction of;
+2. **untiled, streamed** — the corpus streamed from disk (stored under
+   the smoke's temporary directory) through ``corpus_stream(workers=2)``:
+   the untiled address-space footprint (``VmPeak``) of that route;
+3. **tiled, streamed** — a memory budget smaller than the matrix; must
    be bit-identical and keep ``peak_pinned_bytes`` under the budget;
-3. **tiled, capped** — the same budgeted run under ``RLIMIT_AS`` set
-   *below the untiled footprint* (midway between the two measured
-   ``VmPeak`` values). The untiled pipeline could not even map that much
-   address space; the tiled one must complete there bit-identically.
+4. **tiled, streamed, capped** — the same budgeted run under
+   ``RLIMIT_AS`` set *below the untiled footprint* (midway between the
+   two streamed ``VmPeak`` values), so batched reads, the budget-sized
+   tile cut and the tiled k-means all run under the cap. The untiled
+   pipeline could not even map that much address space; the tiled one
+   must complete there bit-identically.
 
-Exit code 0 when all three gates hold; 1 with a diagnostic otherwise.
-A separation gate guards the cap itself: if tiling stopped saving
-address space (tiled ``VmPeak`` within ``--min-separation-mb`` of
-untiled), the midpoint cap would be meaningless, so that regresses too.
+Every child runs with one malloc arena: each reader thread would
+otherwise reserve an arena of its own (64 MB of address space on 64-bit
+glibc), and the cap would measure those reservations, not the matrix.
+
+Exit code 0 when all gates hold; 1 with a diagnostic otherwise. A
+separation gate guards the cap itself: if tiling stopped saving address
+space (tiled ``VmPeak`` within ``--min-separation-mb`` of untiled), the
+midpoint cap would be meaningless, so that regresses too.
 
 Usage::
 
@@ -28,11 +37,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import ctypes
+import ctypes.util
 import json
 import os
 import resource
 import subprocess
 import sys
+import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "src"))
@@ -51,29 +63,52 @@ def _vm_peak_kb() -> int | None:
     return None
 
 
-def run_child(config: dict) -> dict:
-    """One pipeline run in this process: regenerate the deterministic
-    corpus, run it (optionally under a ``memory_budget`` and/or an
-    ``RLIMIT_AS`` cap) and report the output digest and memory envelope."""
-    from repro.core.pipeline import output_digest, run_pipeline
-    from repro.exec.process import make_backend
-    from repro.ops.kmeans import KMeansOperator
-    from repro.ops.tfidf import TfIdfOperator
+def _one_malloc_arena() -> None:
+    """Keep every thread on the main malloc arena (glibc only; a no-op
+    elsewhere): ``mallopt(M_ARENA_MAX, 1)``."""
+    name = ctypes.util.find_library("c")
+    if name is None:
+        return
+    mallopt = getattr(ctypes.CDLL(name), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-8, 1)  # M_ARENA_MAX
+
+
+def _corpus(config: dict):
+    """The deterministic corpus the smoke runs."""
     from repro.text.synth import MIX_PROFILE, NSF_ABSTRACTS_PROFILE, generate_corpus
 
-    rlimit_as = config.get("rlimit_as")
-    if rlimit_as:
-        resource.setrlimit(resource.RLIMIT_AS, (int(rlimit_as), int(rlimit_as)))
     profiles = {"mix": MIX_PROFILE, "nsf-abstracts": NSF_ABSTRACTS_PROFILE}
-    corpus = generate_corpus(
+    return generate_corpus(
         profiles[config["profile"]],
         scale=float(config["scale"]),
         seed=int(config["seed"]),
     )
+
+
+def run_child(config: dict) -> dict:
+    """One pipeline run in this process: regenerate the deterministic
+    corpus — or stream it from ``corpus_dir`` through two reader threads —
+    run it (optionally under a ``memory_budget`` and/or an ``RLIMIT_AS``
+    cap) and report the output digest and memory envelope."""
+    from repro.core.pipeline import output_digest, run_pipeline
+    from repro.exec.process import make_backend
+    from repro.io import FsStorage, corpus_stream
+    from repro.ops.kmeans import KMeansOperator
+    from repro.ops.tfidf import TfIdfOperator
+
+    _one_malloc_arena()
+    rlimit_as = config.get("rlimit_as")
+    if rlimit_as:
+        resource.setrlimit(resource.RLIMIT_AS, (int(rlimit_as), int(rlimit_as)))
+    if config.get("corpus_dir"):
+        source = corpus_stream(FsStorage(config["corpus_dir"]), workers=2)
+    else:
+        source = _corpus(config)
     backend = make_backend("sequential", 1)
     try:
         result = run_pipeline(
-            corpus,
+            source,
             backend=backend,
             tfidf=TfIdfOperator(),
             kmeans=KMeansOperator(max_iters=int(config["kmeans_iters"])),
@@ -154,50 +189,70 @@ def main(argv: list[str] | None = None) -> int:
         budget = max(1, int(matrix_bytes * args.budget_fraction))
         print(f"matrix {matrix_bytes:,} bytes; budget {budget:,} "
               f"({args.budget_fraction:g}x)")
+        with tempfile.TemporaryDirectory(prefix="repro_oocore_smoke_") as tmp:
+            from repro.io import FsStorage, store_corpus
 
-        print("tiled, uncapped...")
-        tiled = _child({**base, "memory_budget": budget}, "tiled", args.verbose)
-        if tiled["digest"] != ref["digest"]:
-            print("error: tiled output diverged from the untiled reference",
-                  file=sys.stderr)
-            return 1
-        pinned = int(tiled["tiles"]["peak_pinned_bytes"])
-        if pinned > budget:
-            print(f"error: peak_pinned_bytes {pinned:,} exceeds the "
-                  f"{budget:,}-byte budget", file=sys.stderr)
-            return 1
-
-        separation_kb = int(ref["vm_peak_kb"]) - int(tiled["vm_peak_kb"])
-        if separation_kb < args.min_separation_mb * 1024:
-            print(f"error: tiling saved only {separation_kb} kB of address "
-                  f"space (untiled VmPeak {ref['vm_peak_kb']} kB, tiled "
-                  f"{tiled['vm_peak_kb']} kB) — below the "
-                  f"{args.min_separation_mb:g} MB separation gate, so an "
-                  f"RLIMIT_AS below the untiled footprint cannot be set "
-                  f"meaningfully", file=sys.stderr)
-            return 1
-
-        # Midway between the two footprints: provably below what the
-        # untiled run needed, comfortably above what the tiled run used.
-        cap_bytes = 1024 * (int(ref["vm_peak_kb"]) + int(tiled["vm_peak_kb"])) // 2
-        print(f"tiled under RLIMIT_AS {cap_bytes:,} bytes "
-              f"(untiled needed {ref['vm_peak_kb'] * 1024:,})...")
-        capped = _child(
-            {**base, "memory_budget": budget, "rlimit_as": cap_bytes},
-            "capped", args.verbose,
-        )
+            corpus_dir = os.path.join(tmp, "corpus")
+            store_corpus(FsStorage(corpus_dir), _corpus(base))
+            streamed = {**base, "corpus_dir": corpus_dir}
+            capped = _streamed_runs(streamed, ref, budget, args)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if capped["digest"] != ref["digest"]:
-        print("error: capped tiled output diverged from the untiled "
-              "reference", file=sys.stderr)
-        return 1
-    print(f"ok: bounded-memory run bit-identical under an address-space cap "
-          f"{(ref['vm_peak_kb'] * 1024 - cap_bytes) / 1e6:.1f} MB below the "
-          f"untiled footprint (budget {budget:,} B, peak pinned {pinned:,} B)")
+    print(f"ok: bounded-memory streamed run bit-identical under an "
+          f"address-space cap {capped['below_mb']:.1f} MB below the untiled "
+          f"footprint (budget {budget:,} B, peak pinned "
+          f"{capped['pinned']:,} B)")
     return 0
+
+
+def _streamed_runs(streamed: dict, ref: dict, budget: int, args):
+    """Children 2-4 over the stored corpus; a failed gate raises
+    :class:`RuntimeError` with its diagnostic."""
+    print("untiled, streamed...")
+    untiled = _child(streamed, "untiled-streamed", args.verbose)
+    if untiled["digest"] != ref["digest"]:
+        raise RuntimeError(
+            "streamed output diverged from the in-memory reference"
+        )
+
+    print("tiled, streamed...")
+    tiled = _child({**streamed, "memory_budget": budget}, "tiled", args.verbose)
+    if tiled["digest"] != ref["digest"]:
+        raise RuntimeError("tiled output diverged from the untiled reference")
+    pinned = int(tiled["tiles"]["peak_pinned_bytes"])
+    if pinned > budget:
+        raise RuntimeError(
+            f"peak_pinned_bytes {pinned:,} exceeds the {budget:,}-byte budget"
+        )
+
+    separation_kb = int(untiled["vm_peak_kb"]) - int(tiled["vm_peak_kb"])
+    if separation_kb < args.min_separation_mb * 1024:
+        raise RuntimeError(
+            f"tiling saved only {separation_kb} kB of address space "
+            f"(untiled VmPeak {untiled['vm_peak_kb']} kB, tiled "
+            f"{tiled['vm_peak_kb']} kB) — below the "
+            f"{args.min_separation_mb:g} MB separation gate, so an "
+            f"RLIMIT_AS below the untiled footprint cannot be set "
+            f"meaningfully"
+        )
+
+    # Midway between the two footprints: provably below what the
+    # untiled run needed, comfortably above what the tiled run used.
+    untiled_bytes = 1024 * int(untiled["vm_peak_kb"])
+    cap_bytes = (untiled_bytes + 1024 * int(tiled["vm_peak_kb"])) // 2
+    print(f"tiled, streamed, under RLIMIT_AS {cap_bytes:,} bytes "
+          f"(untiled needed {untiled_bytes:,})...")
+    capped = _child(
+        {**streamed, "memory_budget": budget, "rlimit_as": cap_bytes},
+        "capped", args.verbose,
+    )
+    if capped["digest"] != ref["digest"]:
+        raise RuntimeError(
+            "capped tiled output diverged from the untiled reference"
+        )
+    return {"below_mb": (untiled_bytes - cap_bytes) / 1e6, "pinned": pinned}
 
 
 if __name__ == "__main__":
