@@ -7,8 +7,10 @@ content), *how it was processed* (the operator's semantic configuration),
 and *which code did the processing*. A cache key is a SHA-256 over
 exactly those three, nothing else:
 
-* **Corpus content** — per-document ``sha256(name || text)`` digests,
-  folded in order into one corpus digest. Document *order* is part of
+* **Corpus content** — one SHA-256 per shard of ``shard_docs``
+  contiguous documents over the shard's lengths, names and texts (see
+  :func:`_shard_digest`), folded in order with ``n_docs`` and
+  ``shard_docs`` into one corpus digest. Document *order* is part of
   the key: row order is part of the output contract.
 * **Operator config** — only knobs that change output *values*. The
   dictionary implementation, grain, backend, worker count, and shm mode
@@ -20,10 +22,10 @@ exactly those three, nothing else:
   editing a doc string does too (cheap, safe, and zero-maintenance
   compared to hand-bumped format versions).
 
-Incremental recompute adds *shards*: contiguous runs of documents whose
-member digests fold into a shard digest. A changed corpus shares shard
-digests with its predecessor wherever runs of documents survived, which
-is what lets the word count and transform recompute only changed shards.
+Incremental recompute keys on the same *shards*. A changed corpus
+shares shard digests with its predecessor wherever shard-aligned runs of
+documents survived, which is what lets the word count and transform
+recompute only changed shards.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
@@ -41,6 +45,7 @@ __all__ = [
     "tfidf_config",
     "wordcount_config",
     "kmeans_config",
+    "names_and_texts",
     "phase_key",
     "shard_key",
     "vocab_fingerprint",
@@ -49,7 +54,7 @@ __all__ = [
 #: Bumped when payload *schemas* change shape (entries layout, matrix
 #: serialization, ...) without any source edit that code_version() sees —
 #: e.g. a store-format migration. Folded into every key.
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: Documents per shard for incremental recompute. Small enough that a
 #: single edited document invalidates little work, large enough that the
@@ -65,15 +70,47 @@ def _sha(*parts: bytes) -> str:
     return digest.hexdigest()
 
 
-def _doc_digest(name: str, text: str) -> str:
-    return _sha(name.encode("utf-8"), text.encode("utf-8"))
+def names_and_texts(docs) -> tuple[list[str], list[str]]:
+    """Each document's name and text, named as the word count names them:
+    a plain string at position ``at`` is ``mem-{at}``."""
+    names: list[str] = []
+    texts: list[str] = []
+    for at, item in enumerate(docs):
+        if isinstance(item, str):
+            names.append(f"mem-{at}")
+            texts.append(item)
+        else:
+            names.append(item.name)
+            texts.append(item.text)
+    return names, texts
+
+
+def _lengths(strings: list[str]) -> bytes:
+    return np.fromiter(
+        map(len, strings), dtype=np.int64, count=len(strings)
+    ).tobytes()
+
+
+def _shard_digest(names: list[str], texts: list[str]) -> str:
+    """One SHA-256 over a shard: its name lengths and text lengths (in
+    characters, one ``int64`` array each), the joined names' UTF-8 and
+    the joined texts' UTF-8, each part prefixed with its byte length.
+    The lengths make the encoding injective: ``["ab", "c"]`` and
+    ``["a", "bc"]`` differ, and so does a boundary moved between a name
+    and its text."""
+    return _sha(
+        _lengths(names),
+        _lengths(texts),
+        "".join(names).encode("utf-8"),
+        "".join(texts).encode("utf-8"),
+    )
 
 
 @dataclass
 class CorpusFingerprint:
-    """Per-document and whole-corpus content digests, plus shard digests."""
+    """Shard and whole-corpus content digests."""
 
-    doc_digests: list[str]
+    n_docs: int = 0
     shard_docs: int = DEFAULT_SHARD_DOCS
     #: ``(start, stop)`` document ranges, one per shard, covering
     #: ``range(n_docs)`` contiguously.
@@ -89,30 +126,21 @@ class CorpusFingerprint:
         plain strings; naming mirrors the operators' path derivation so
         the fingerprint keys exactly what the word count will see.
         """
-        doc_digests: list[str] = []
-        for at, item in enumerate(docs):
-            if isinstance(item, str):
-                name, text = f"mem-{at}", item
-            else:
-                name, text = item.name, item.text
-            doc_digests.append(_doc_digest(name, text))
-        fp = cls(doc_digests=doc_digests, shard_docs=max(1, shard_docs))
-        n = len(doc_digests)
+        names, texts = names_and_texts(docs)
+        n = len(names)
+        fp = cls(n_docs=n, shard_docs=max(1, shard_docs))
         for start in range(0, n, fp.shard_docs):
             stop = min(n, start + fp.shard_docs)
             fp.shards.append((start, stop))
             fp.shard_digests.append(
-                _sha(*(d.encode("ascii") for d in doc_digests[start:stop]))
+                _shard_digest(names[start:stop], texts[start:stop])
             )
         fp.corpus_digest = _sha(
             str(n).encode("ascii"),
-            *(d.encode("ascii") for d in doc_digests),
+            str(fp.shard_docs).encode("ascii"),
+            *(d.encode("ascii") for d in fp.shard_digests),
         )
         return fp
-
-    @property
-    def n_docs(self) -> int:
-        return len(self.doc_digests)
 
 
 # -- code version -----------------------------------------------------------------

@@ -23,22 +23,27 @@ materialized corpus. The session fronts the three real phases:
   fingerprinted corpus, so the session disables itself for stores. A
   corrupt entry is deleted and treated as a miss by the store layer.
 
-Payloads are the phases' own columnar forms — a
-:class:`~repro.sparse.blocks.TermBlock` for the word count, a CSR array
-triple for the transform — so a hit unpickles a handful of arrays and
-does no per-document work. A served word count is a real result like
-any other: its block, paths and input bytes.
+Payloads are the phases' own columnar forms, each fact stored once: the
+word count is its :class:`~repro.sparse.blocks.TermBlock` alone (paths
+and input size are rebuilt from the run's documents), the transform is
+a CSR array triple plus the block's ``min_df`` mask and one ``float64``
+idf array. A hit unpickles a handful of arrays and the block's term
+strings once; the served vocabulary is the block's own string objects.
+A full-phase entry that does not fit (a missing field, a failed shape
+check, a payload of an older schema) is deleted and counted as a miss.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from repro.cache import keys as cache_keys
 from repro.cache.store import CacheStore
+from repro.errors import ReproError, TileError
 from repro.ops.kmeans import PHASE_KMEANS, KMeansResult
 from repro.ops.tfidf import PHASE_TRANSFORM, TfIdfResult
 from repro.ops.wordcount import PHASE_INPUT_WC, WordCountResult
@@ -51,6 +56,12 @@ __all__ = [
     "NullCacheSession",
     "PhaseCacheStats",
 ]
+
+#: What serving a malformed full-phase entry raises: a missing field, a
+#: wrong type, a failed shape check (``ReproError`` covers the matrix
+#: validation and a damaged tile).
+_DAMAGE = (KeyError, TypeError, ValueError, AttributeError, IndexError,
+           ReproError)
 
 
 @dataclass
@@ -217,38 +228,21 @@ class RunCacheSession:
         would; ``compute_subset(sub_docs)`` runs the same step over a
         document subset (changed shards only) on the same backend.
         """
+        result = self._serve(
+            PHASE_INPUT_WC, self.wc_key,
+            lambda block: self._serve_wordcount(block, step.scale),
+        )
+        if result is not None:
+            return result
         stats = self.stats[PHASE_INPUT_WC]
         t0 = time.perf_counter()
-        hit = self.store.get(self.wc_key)
-        if hit is not None:
-            payload, stored_s, stored_bytes = hit
-            result = self._serve_wordcount(payload, step.scale)
-            serve_s = time.perf_counter() - t0
-            stats.hits += 1
-            stats.bytes_saved += stored_bytes
-            stats.seconds_saved += max(0.0, stored_s - serve_s)
-            stats.serve_s += serve_s
-            return result
-        stats.misses += 1
-
         shard_keys = [
             cache_keys.shard_key("wc", self._wc_cfg, digest)
             for digest in self.fp.shard_digests
         ]
-        shard_payloads: list[dict | None] = []
-        hit_seconds = 0.0
-        for key in shard_keys:
-            entry = self.store.get(key)
-            if entry is None:
-                shard_payloads.append(None)
-            else:
-                payload, stored_s, stored_bytes = entry
-                shard_payloads.append(payload)
-                stats.bytes_saved += stored_bytes
-                hit_seconds += stored_s
-        n_hits = sum(1 for p in shard_payloads if p is not None)
-        stats.shard_hits += n_hits
-        stats.shard_misses += len(shard_payloads) - n_hits
+        shard_payloads, n_hits, hit_seconds = self._get_shards(
+            shard_keys, stats
+        )
         lookup_s = time.perf_counter() - t0
 
         if n_hits == 0:
@@ -296,21 +290,12 @@ class RunCacheSession:
                 cursor += count
 
         t2 = time.perf_counter()
-        paths: list[str] = []
-        input_bytes = 0
-        for at, item in enumerate(self.docs):
-            if isinstance(item, str):
-                paths.append(f"mem-{at}")
-                input_bytes += len(item)
-            else:
-                paths.append(item.name)
-                input_bytes += len(item.text)
         result = WordCountResult.from_block(
             TermBlock.concat(
                 (shard_payloads[at] or computed[at])["block"]
                 for at in range(len(shard_payloads))
             ),
-            paths, input_bytes, step.scale,
+            *self._paths_and_bytes(), step.scale,
         )
         stats.serve_s += lookup_s + (time.perf_counter() - t2)
         stats.seconds_saved += hit_seconds
@@ -320,17 +305,23 @@ class RunCacheSession:
             self.store.put(shard_keys[at], payload, seconds=payload["seconds"])
             stats.stored += 1
         self.store.put(
-            self.wc_key,
-            _wordcount_payload(result),
-            seconds=hit_seconds + compute_s,
+            self.wc_key, result.block, seconds=hit_seconds + compute_s
         )
         stats.stored += 1
         return result
 
-    def _serve_wordcount(self, payload, scale) -> WordCountResult:
+    def _paths_and_bytes(self) -> tuple[list[str], int]:
+        """The word count's ``paths`` and ``input_bytes`` for this run's
+        documents, derived as :class:`~repro.ops.wordcount.WordCountStep`
+        derives them."""
+        names, texts = cache_keys.names_and_texts(self.docs)
+        return names, sum(map(len, texts))
+
+    def _serve_wordcount(self, block, scale) -> WordCountResult:
+        if not isinstance(block, TermBlock) or len(block) != self.fp.n_docs:
+            raise TypeError("not this corpus's word-count block")
         return WordCountResult.from_block(
-            payload["block"], list(payload["paths"]), payload["input_bytes"],
-            scale,
+            block, *self._paths_and_bytes(), scale
         )
 
     def _store_wordcount(self, result, compute_s, shard_keys, stats) -> None:
@@ -338,9 +329,7 @@ class RunCacheSession:
         if self.disabled or result.n_docs != self.fp.n_docs:
             self.disabled = True
             return
-        self.store.put(
-            self.wc_key, _wordcount_payload(result), seconds=compute_s
-        )
+        self.store.put(self.wc_key, result.block, seconds=compute_s)
         stats.stored += 1
         per_doc_s = compute_s / max(1, self.fp.n_docs)
         block = result.block
@@ -366,19 +355,14 @@ class RunCacheSession:
         fingerprint: a corpus change that shifts either invalidates every
         transform shard, which is what keeps composition bit-identical.
         """
+        result = self._serve(
+            PHASE_TRANSFORM, self.tr_key,
+            lambda payload: self._serve_transform(payload, wc),
+        )
+        if result is not None:
+            return result
         stats = self.stats[PHASE_TRANSFORM]
         t0 = time.perf_counter()
-        hit = self.store.get(self.tr_key)
-        if hit is not None:
-            payload, stored_s, stored_bytes = hit
-            result = self._serve_transform(payload, wc)
-            serve_s = time.perf_counter() - t0
-            stats.hits += 1
-            stats.bytes_saved += stored_bytes
-            stats.seconds_saved += max(0.0, stored_s - serve_s)
-            stats.serve_s += serve_s
-            return result
-        stats.misses += 1
 
         if self.disabled or wc.n_docs != self.fp.n_docs:
             # A quarantined word count no longer lines up with the
@@ -396,27 +380,18 @@ class RunCacheSession:
             cache_keys.shard_key("tr", self._tr_cfg, digest, extra=vocab_fp)
             for digest in self.fp.shard_digests
         ]
-        shard_payloads: list[dict | None] = []
-        hit_seconds = 0.0
-        for key in shard_keys:
-            entry = self.store.get(key)
-            if entry is None:
-                shard_payloads.append(None)
-            else:
-                payload, stored_s, stored_bytes = entry
-                shard_payloads.append(payload)
-                stats.bytes_saved += stored_bytes
-                hit_seconds += stored_s
-        n_hits = sum(1 for p in shard_payloads if p is not None)
-        stats.shard_hits += n_hits
-        stats.shard_misses += len(shard_payloads) - n_hits
+        shard_payloads, n_hits, hit_seconds = self._get_shards(
+            shard_keys, stats
+        )
         lookup_s = time.perf_counter() - t0
 
         if n_hits == 0:
             t1 = time.perf_counter()
             result = compute_all()
             compute_s = time.perf_counter() - t1
-            self._store_transform(result, compute_s, shard_keys, stats)
+            self._store_transform(
+                tfidf_op, wc, result, compute_s, shard_keys, stats
+            )
             return result
 
         missing = [
@@ -462,33 +437,36 @@ class RunCacheSession:
         for at, payload in computed.items():
             self.store.put(shard_keys[at], payload, seconds=payload["seconds"])
             stats.stored += 1
-        self.store.put(
-            self.tr_key,
-            _transform_payload(result),
-            seconds=hit_seconds + compute_s,
-        )
-        stats.stored += 1
+        payload = _transform_payload(tfidf_op, wc, result)
+        if payload is not None:
+            self.store.put(
+                self.tr_key, payload, seconds=hit_seconds + compute_s
+            )
+            stats.stored += 1
         return result
 
     def _serve_transform(self, payload, wc) -> TfIdfResult:
+        matrix = CsrMatrix.from_arrays(
+            payload["indptr"], payload["indices"], payload["data"],
+            payload["n_cols"],
+        )
+        if matrix.n_rows != self.fp.n_docs:
+            raise ValueError("transform entry has the wrong row count")
+        vocabulary, idf = _served_vocabulary(payload, wc)
         return TfIdfResult(
-            matrix=CsrMatrix.from_arrays(
-                payload["indptr"], payload["indices"], payload["data"],
-                payload["n_cols"],
-            ),
-            vocabulary=payload["vocabulary"],
-            idf=payload["idf"],
-            wordcount=wc,
+            matrix=matrix, vocabulary=vocabulary, idf=idf, wordcount=wc
         )
 
-    def _store_transform(self, result, compute_s, shard_keys, stats) -> None:
+    def _store_transform(
+        self, tfidf_op, wc, result, compute_s, shard_keys, stats
+    ) -> None:
         if self.disabled or result.matrix.n_rows != self.fp.n_docs:
             self.disabled = True
             return
-        self.store.put(
-            self.tr_key, _transform_payload(result), seconds=compute_s
-        )
-        stats.stored += 1
+        payload = _transform_payload(tfidf_op, wc, result)
+        if payload is not None:
+            self.store.put(self.tr_key, payload, seconds=compute_s)
+            stats.stored += 1
         per_doc_s = compute_s / max(1, self.fp.n_docs)
         indptr, indices, data = result.matrix.as_arrays()
         for at, (start, stop) in enumerate(self.fp.shards):
@@ -522,27 +500,18 @@ class RunCacheSession:
         A missing or corrupt tile entry deletes the whole family and
         falls back to recompute.
         """
-        stats = self.stats[PHASE_TRANSFORM]
-        t0 = time.perf_counter()
-        hit = self.store.get(self.tr_tiled_key)
-        if hit is not None:
-            payload, stored_s, stored_bytes = hit
-            served = self._serve_transform_tiled(payload, wc, store)
-            if served is not None:
-                result, tile_bytes = served
-                serve_s = time.perf_counter() - t0
-                stats.hits += 1
-                stats.bytes_saved += stored_bytes + tile_bytes
-                stats.seconds_saved += max(0.0, stored_s - serve_s)
-                stats.serve_s += serve_s
-                return result
-            # A damaged family was deleted inside the serve attempt;
-            # recompute below exactly as on a plain miss.
-        stats.misses += 1
+        result = self._serve(
+            PHASE_TRANSFORM, self.tr_tiled_key,
+            lambda payload: self._serve_transform_tiled(payload, wc, store),
+        )
+        if result is not None:
+            return result
         t1 = time.perf_counter()
         result = compute_all()
         compute_s = time.perf_counter() - t1
-        self._store_transform_tiled(result, store, compute_s, stats)
+        self._store_transform_tiled(
+            tfidf_op, wc, result, store, compute_s, self.stats[PHASE_TRANSFORM]
+        )
         return result
 
     def _tile_key(self, manifest_digest: str, name: str) -> str:
@@ -550,15 +519,18 @@ class RunCacheSession:
             "trtile", self._tr_cfg, manifest_digest, extra=name
         )
 
-    def _serve_transform_tiled(self, payload, wc, store):
-        """Adopt cached tile blobs into ``store``; ``None`` on any damage."""
-        from repro.errors import TileError
+    def _serve_transform_tiled(self, payload, wc, store) -> TfIdfResult:
+        """Adopt cached tile blobs into ``store``. Any damage deletes the
+        whole family (a partial adoption must not survive to serve a
+        later run) and re-raises: the caller counts a miss."""
         from repro.tiles.matrix import TiledCsrMatrix
 
-        tile_keys = [
-            key for key in payload.get("tile_keys", ()) if isinstance(key, str)
-        ]
+        tile_keys: list[str] = []
         try:
+            tile_keys = [
+                key for key in payload["tile_keys"] if isinstance(key, str)
+            ]
+            vocabulary, idf = _served_vocabulary(payload, wc)
             store.reset()
             tile_bytes = 0
             for key in tile_keys:
@@ -571,23 +543,22 @@ class RunCacheSession:
             manifest = store.seal(payload["n_cols"])
             if manifest.digest() != payload["manifest_digest"]:
                 raise TileError("cached tile manifest digest mismatch")
-        except (TileError, KeyError, ValueError, TypeError):
-            # One bad piece invalidates the family: a partial adoption
-            # must not survive to serve a later run.
+        except _DAMAGE:
             for key in tile_keys:
                 self.store.delete(key)
-            self.store.delete(self.tr_tiled_key)
             store.reset()
-            return None
-        result = TfIdfResult(
+            raise
+        self.stats[PHASE_TRANSFORM].bytes_saved += tile_bytes
+        return TfIdfResult(
             matrix=TiledCsrMatrix(manifest, store=store),
-            vocabulary=list(payload["vocabulary"]),
-            idf=list(payload["idf"]),
+            vocabulary=vocabulary,
+            idf=idf,
             wordcount=wc,
         )
-        return result, tile_bytes
 
-    def _store_transform_tiled(self, result, store, compute_s, stats) -> None:
+    def _store_transform_tiled(
+        self, tfidf_op, wc, result, store, compute_s, stats
+    ) -> None:
         matrix = result.matrix
         manifest = getattr(matrix, "manifest", None)
         if (
@@ -596,6 +567,9 @@ class RunCacheSession:
             or matrix.n_rows != self.fp.n_docs
         ):
             self.disabled = self.disabled or manifest is None
+            return
+        vocab = _vocabulary_payload(tfidf_op, wc, result)
+        if vocab is None:
             return
         digest = manifest.digest()
         tile_keys = []
@@ -610,8 +584,7 @@ class RunCacheSession:
         self.store.put(
             self.tr_tiled_key,
             {
-                "vocabulary": list(result.vocabulary),
-                "idf": list(result.idf),
+                **vocab,
                 "n_cols": manifest.n_cols,
                 "manifest_digest": digest,
                 "tiles": [
@@ -636,29 +609,10 @@ class RunCacheSession:
     def kmeans_fit(self, compute) -> KMeansResult:
         """Serve or compute the clustering (full phase only — blocking and
         merge order are part of the output contract, nothing to shard)."""
-        stats = self.stats[PHASE_KMEANS]
-        t0 = time.perf_counter()
-        hit = self.store.get(self.km_key)
-        if hit is not None:
-            payload, stored_s, stored_bytes = hit
-            centroids = np.frombuffer(
-                payload["centroids"], dtype=np.dtype(payload["dtype"])
-            ).reshape(payload["shape"]).copy()
-            result = KMeansResult(
-                assignments=list(payload["assignments"]),
-                centroids=centroids,
-                n_iters=payload["n_iters"],
-                inertia=payload["inertia"],
-                converged=payload["converged"],
-                inertia_history=list(payload["inertia_history"]),
-            )
-            serve_s = time.perf_counter() - t0
-            stats.hits += 1
-            stats.bytes_saved += stored_bytes
-            stats.seconds_saved += max(0.0, stored_s - serve_s)
-            stats.serve_s += serve_s
+        result = self._serve(PHASE_KMEANS, self.km_key, self._serve_kmeans)
+        if result is not None:
             return result
-        stats.misses += 1
+        stats = self.stats[PHASE_KMEANS]
         t1 = time.perf_counter()
         result = compute()
         compute_s = time.perf_counter() - t1
@@ -680,6 +634,66 @@ class RunCacheSession:
             )
             stats.stored += 1
         return result
+
+    def _serve_kmeans(self, payload) -> KMeansResult:
+        assignments = list(payload["assignments"])
+        if len(assignments) != self.fp.n_docs:
+            raise ValueError("k-means entry has the wrong document count")
+        return KMeansResult(
+            assignments=assignments,
+            centroids=np.frombuffer(
+                payload["centroids"], dtype=np.dtype(payload["dtype"])
+            ).reshape(payload["shape"]).copy(),
+            n_iters=payload["n_iters"],
+            inertia=payload["inertia"],
+            converged=payload["converged"],
+            inertia_history=list(payload["inertia_history"]),
+        )
+
+    # -- serving ------------------------------------------------------------------------
+
+    def _get_shards(self, shard_keys, stats):
+        """``(payloads, n_hits, stored_seconds)`` of the shard entries
+        under ``shard_keys``; a missing entry's payload is ``None``."""
+        payloads: list[dict | None] = []
+        hit_seconds = 0.0
+        for key in shard_keys:
+            entry = self.store.get(key)
+            if entry is None:
+                payloads.append(None)
+            else:
+                payload, stored_s, stored_bytes = entry
+                payloads.append(payload)
+                stats.bytes_saved += stored_bytes
+                hit_seconds += stored_s
+        n_hits = len(payloads) - payloads.count(None)
+        stats.shard_hits += n_hits
+        stats.shard_misses += len(payloads) - n_hits
+        return payloads, n_hits, hit_seconds
+
+    def _serve(self, phase: str, key: str, serve):
+        """``serve(payload)`` of the full-phase entry under ``key``, or
+        ``None`` (counted as the phase's miss) when the entry is absent
+        or ``serve`` rejects it — a rejected entry is deleted, so the
+        recompute stores a fresh one."""
+        stats = self.stats[phase]
+        t0 = time.perf_counter()
+        hit = self.store.get(key)
+        if hit is not None:
+            payload, stored_s, stored_bytes = hit
+            try:
+                result = serve(payload)
+            except _DAMAGE:
+                self.store.delete(key)
+            else:
+                serve_s = time.perf_counter() - t0
+                stats.hits += 1
+                stats.bytes_saved += stored_bytes
+                stats.seconds_saved += max(0.0, stored_s - serve_s)
+                stats.serve_s += serve_s
+                return result
+        stats.misses += 1
+        return None
 
     # -- accounting ---------------------------------------------------------------------
 
@@ -710,15 +724,38 @@ class RunCacheSession:
         self.store.flush()
 
 
-def _wordcount_payload(result: WordCountResult) -> dict:
-    return {
-        "paths": list(result.paths),
-        "block": result.block,
-        "input_bytes": result.input_bytes,
-    }
+def _vocabulary_payload(tfidf_op, wc, result) -> dict | None:
+    """A result's vocabulary and idf as the word-count block's ``min_df``
+    mask and one ``float64`` array; ``None`` when the vocabulary is not
+    the block's own cut (nothing a hit could rebuild from the block)."""
+    _, kept, own = tfidf_op._own_vocabulary(wc.block)
+    if own != result.vocabulary:
+        return None
+    return {"kept": kept, "idf": np.asarray(result.idf, dtype=np.float64)}
 
 
-def _transform_payload(result: TfIdfResult) -> dict:
+def _served_vocabulary(payload, wc) -> tuple[list[str], list[float]]:
+    """The stored mask and idf array back as a vocabulary (the served
+    block's own string objects) and an idf list; ``ValueError`` when
+    the mask does not fit this block or the matrix's columns."""
+    kept, idf, n_cols = payload["kept"], payload["idf"], payload["n_cols"]
+    terms = wc.block.terms
+    if (
+        kept.dtype != np.bool_
+        or len(kept) != len(terms)
+        or int(kept.sum()) != n_cols
+        or idf.shape != (n_cols,)
+    ):
+        raise ValueError("stale vocabulary mask")
+    if n_cols == len(terms):  # min_df kept every term: skip the mask walk
+        return list(terms), idf.tolist()
+    return list(compress(terms, kept.tolist())), idf.tolist()
+
+
+def _transform_payload(tfidf_op, wc, result: TfIdfResult) -> dict | None:
+    vocab = _vocabulary_payload(tfidf_op, wc, result)
+    if vocab is None:
+        return None
     indptr, indices, data = result.matrix.as_arrays()
     return {
         "indptr": indptr,
@@ -726,6 +763,5 @@ def _transform_payload(result: TfIdfResult) -> dict:
         "indices": indices.astype(np.int32),
         "data": data,
         "n_cols": result.matrix.n_cols,
-        "vocabulary": list(result.vocabulary),
-        "idf": list(result.idf),
+        **vocab,
     }

@@ -125,10 +125,15 @@ class CacheStore:
         }
 
     def flush(self) -> None:
-        """Persist the index (atomic replace; crash-safe)."""
+        """Persist the index (atomic replace, fsynced; crash-safe).
+
+        Written compact: without ``indent`` the encoder is the C one, and
+        a warm run rewrites the whole index once (its access clock moved).
+        """
         atomic_write_json(
             self._index_path(),
             {"version": 1, "clock": self._clock, "entries": self._index},
+            indent=None,
         )
 
     # -- entries --------------------------------------------------------------------
