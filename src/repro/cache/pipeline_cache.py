@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.cache import keys as cache_keys
 from repro.cache.store import CacheStore
-from repro.errors import ReproError, TileError
+from repro.errors import OperatorError, TileError
 from repro.ops.kmeans import PHASE_KMEANS, KMeansResult
 from repro.ops.tfidf import PHASE_TRANSFORM, TfIdfResult
 from repro.ops.wordcount import PHASE_INPUT_WC, WordCountResult
@@ -57,11 +57,11 @@ __all__ = [
     "PhaseCacheStats",
 ]
 
-#: What serving a malformed full-phase entry raises: a missing field, a
-#: wrong type, a failed shape check (``ReproError`` covers the matrix
-#: validation and a damaged tile).
-_DAMAGE = (KeyError, TypeError, ValueError, AttributeError, IndexError,
-           ReproError)
+#: What serving a malformed full-phase entry raises: a missing field
+#: (``KeyError``), a wrong type or a failed shape check (``TypeError``,
+#: ``ValueError``), a matrix that fails validation (``OperatorError``),
+#: a damaged tile (``TileError``). Anything else is a bug and propagates.
+_DAMAGE = (KeyError, TypeError, ValueError, OperatorError, TileError)
 
 
 @dataclass
@@ -437,12 +437,11 @@ class RunCacheSession:
         for at, payload in computed.items():
             self.store.put(shard_keys[at], payload, seconds=payload["seconds"])
             stats.stored += 1
-        payload = _transform_payload(tfidf_op, wc, result)
-        if payload is not None:
-            self.store.put(
-                self.tr_key, payload, seconds=hit_seconds + compute_s
-            )
-            stats.stored += 1
+        self.store.put(
+            self.tr_key, _transform_payload(tfidf_op, wc, result),
+            seconds=hit_seconds + compute_s,
+        )
+        stats.stored += 1
         return result
 
     def _serve_transform(self, payload, wc) -> TfIdfResult:
@@ -463,10 +462,11 @@ class RunCacheSession:
         if self.disabled or result.matrix.n_rows != self.fp.n_docs:
             self.disabled = True
             return
-        payload = _transform_payload(tfidf_op, wc, result)
-        if payload is not None:
-            self.store.put(self.tr_key, payload, seconds=compute_s)
-            stats.stored += 1
+        self.store.put(
+            self.tr_key, _transform_payload(tfidf_op, wc, result),
+            seconds=compute_s,
+        )
+        stats.stored += 1
         per_doc_s = compute_s / max(1, self.fp.n_docs)
         indptr, indices, data = result.matrix.as_arrays()
         for at, (start, stop) in enumerate(self.fp.shards):
@@ -568,9 +568,6 @@ class RunCacheSession:
         ):
             self.disabled = self.disabled or manifest is None
             return
-        vocab = _vocabulary_payload(tfidf_op, wc, result)
-        if vocab is None:
-            return
         digest = manifest.digest()
         tile_keys = []
         per_tile_s = compute_s / max(1, len(manifest.tiles))
@@ -584,7 +581,7 @@ class RunCacheSession:
         self.store.put(
             self.tr_tiled_key,
             {
-                **vocab,
+                **_vocabulary_payload(tfidf_op, wc, result),
                 "n_cols": manifest.n_cols,
                 "manifest_digest": digest,
                 "tiles": [
@@ -724,14 +721,14 @@ class RunCacheSession:
         self.store.flush()
 
 
-def _vocabulary_payload(tfidf_op, wc, result) -> dict | None:
+def _vocabulary_payload(tfidf_op, wc, result) -> dict:
     """A result's vocabulary and idf as the word-count block's ``min_df``
-    mask and one ``float64`` array; ``None`` when the vocabulary is not
-    the block's own cut (nothing a hit could rebuild from the block)."""
-    _, kept, own = tfidf_op._own_vocabulary(wc.block)
-    if own != result.vocabulary:
-        return None
-    return {"kept": kept, "idf": np.asarray(result.idf, dtype=np.float64)}
+    mask and one ``float64`` array (a real vocabulary is that mask's cut
+    of the block's terms, see ``TfIdfOperator.build_vocabulary``)."""
+    return {
+        "kept": wc.block.df_counts >= tfidf_op.min_df,
+        "idf": np.asarray(result.idf, dtype=np.float64),
+    }
 
 
 def _served_vocabulary(payload, wc) -> tuple[list[str], list[float]]:
@@ -741,21 +738,18 @@ def _served_vocabulary(payload, wc) -> tuple[list[str], list[float]]:
     kept, idf, n_cols = payload["kept"], payload["idf"], payload["n_cols"]
     terms = wc.block.terms
     if (
-        kept.dtype != np.bool_
+        not isinstance(kept, np.ndarray)
+        or not isinstance(idf, np.ndarray)
+        or kept.dtype != np.bool_
         or len(kept) != len(terms)
         or int(kept.sum()) != n_cols
         or idf.shape != (n_cols,)
     ):
         raise ValueError("stale vocabulary mask")
-    if n_cols == len(terms):  # min_df kept every term: skip the mask walk
-        return list(terms), idf.tolist()
     return list(compress(terms, kept.tolist())), idf.tolist()
 
 
-def _transform_payload(tfidf_op, wc, result: TfIdfResult) -> dict | None:
-    vocab = _vocabulary_payload(tfidf_op, wc, result)
-    if vocab is None:
-        return None
+def _transform_payload(tfidf_op, wc, result: TfIdfResult) -> dict:
     indptr, indices, data = result.matrix.as_arrays()
     return {
         "indptr": indptr,
@@ -763,5 +757,5 @@ def _transform_payload(tfidf_op, wc, result: TfIdfResult) -> dict | None:
         "indices": indices.astype(np.int32),
         "data": data,
         "n_cols": result.matrix.n_cols,
-        **vocab,
+        **_vocabulary_payload(tfidf_op, wc, result),
     }

@@ -120,6 +120,12 @@ def _old_schema_wordcount(result):
             "input_bytes": wc.input_bytes}
 
 
+def _list_mask_transform(result):
+    payload = _stale_mask_transform(result)
+    payload.update(kept=[True] * len(result.tfidf.wordcount.block.terms))
+    return payload
+
+
 _MALFORMED = {
     "wc": [
         ("wrong shape", lambda result: {"indptr": None}),
@@ -129,6 +135,7 @@ _MALFORMED = {
         ("wrong shape", lambda result: {"indptr": None}),
         ("old schema", _old_schema_transform),
         ("stale mask", _stale_mask_transform),
+        ("list mask", _list_mask_transform),
     ],
     "km": [
         ("wrong shape", lambda result: {"indptr": None}),
@@ -165,6 +172,23 @@ class TestMalformedEntries:
         assert served.tfidf.idf == cold.tfidf.idf
         # The misfit was replaced: the next run is served whole.
         assert _run(corpus, cache=cache).cache["hits"] == 3
+
+
+    def test_a_bug_in_a_serve_helper_is_not_a_miss(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        from repro.cache.pipeline_cache import RunCacheSession
+
+        cache = PipelineCache(str(tmp_path / "cache"))
+        _run(corpus, cache=cache)
+
+        def broken(self, payload):
+            raise AttributeError("renamed field")
+
+        monkeypatch.setattr(RunCacheSession, "_serve_kmeans", broken)
+        with pytest.raises(AttributeError, match="renamed field"):
+            _run(corpus, cache=cache)
+        assert _session(cache, corpus).km_key in cache.store
 
 
 class TestTiledManifest:
