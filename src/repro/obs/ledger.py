@@ -2,18 +2,15 @@
 
 One run of the fused pipeline produces one JSONL record **per workflow
 step** (phase), written to ``<ledger dir>/ledger.jsonl`` in a single
-appending ``write`` — a reader sees either none or all of a run's
-records, and a crash mid-append can at worst tear the final line, which
-:func:`read_ledger` skips *loudly* (a warning naming file, line, and
-remedy) without ever failing aggregation.
+append (:class:`repro.io.jsonl_log.JsonlLog`): a reader sees either none
+or all of a run's records, and a torn final line is skipped *loudly* by
+:func:`read_ledger` without ever failing aggregation.
 
 Timestamps are **wall-anchored**: each run captures one
-:class:`WallAnchor` — an epoch pair ``(time.time(), perf_counter())`` —
-and every step timestamp is ``wall + monotonic offset``. Durations keep
+:class:`WallAnchor` and every step timestamp is ``wall + monotonic
+offset``, strictly increasing within the run. Durations keep
 monotonic-clock precision while records from different processes and
-different days stay comparable on one real-time axis (monotonic-only
-timestamps, as spans used before this module, are meaningless across
-processes).
+different days stay comparable on one real-time axis.
 
 The ledger is the persistence layer under ``repro analytics`` (the
 Workflow-DNA heatmap, regression detection, exports) and under
@@ -24,18 +21,18 @@ history into :class:`~repro.plan.CalibrationStore`. See
 
 from __future__ import annotations
 
-import json
+import itertools
 import os
 import platform
 import time
-import warnings
-from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
+from repro.io.jsonl_log import NUMBER, JsonlLog, LogSchema, StrictClock, WallAnchor
 
 __all__ = [
     "LEDGER_SCHEMA",
     "LEDGER_FILE",
+    "LEDGER_LOG",
     "LedgerCorruptionWarning",
     "WallAnchor",
     "RunLedger",
@@ -51,46 +48,30 @@ LEDGER_SCHEMA = 1
 #: next to the live one and stay aggregatable.
 LEDGER_FILE = "ledger.jsonl"
 
-#: Keys every schema-1 step record must carry to be aggregatable.
-_REQUIRED_KEYS = ("schema", "run_id", "ts", "step", "status", "duration_s", "run")
-
-#: Minimum gap between consecutive step timestamps within one run. One
-#: microsecond survives double rounding at epoch magnitude (~1e9 s has
-#: ~2.4e-7 s float spacing — a nanosecond bump would vanish) while
-#: staying far below any real phase duration.
-_TS_STEP = 1e-6
-
 
 class LedgerCorruptionWarning(UserWarning):
     """A ledger line was skipped (truncated write or foreign content)."""
 
 
-@dataclass(frozen=True)
-class WallAnchor:
-    """A run's epoch: one wall-clock reading paired with one monotonic.
+def _run_order(record: dict) -> tuple:
+    started = record["run"].get("started")
+    return (started if isinstance(started, NUMBER) else 0.0, record["ts"])
 
-    ``at(offset_s)`` maps a monotonic duration since the anchor onto the
-    wall-clock axis, so step timestamps are comparable across processes
-    while intervals keep ``perf_counter`` precision.
-    """
 
-    wall: float
-    mono: float
-
-    @classmethod
-    def capture(cls) -> "WallAnchor":
-        return cls(wall=time.time(), mono=time.perf_counter())
-
-    def at(self, offset_s: float) -> float:
-        """Wall-clock time of a moment ``offset_s`` after the anchor."""
-        return self.wall + offset_s
-
-    def now(self) -> float:
-        """Current wall-clock time via the monotonic offset (NTP-step-proof
-        within the run: never earlier than any previous ``now()``; *strict*
-        ordering of ledger timestamps is the writer's job — sub-microsecond
-        monotonic deltas round away at epoch magnitude)."""
-        return self.wall + (time.perf_counter() - self.mono)
+#: What :func:`read_ledger` requires of a step record to aggregate it.
+LEDGER_LOG = LogSchema(
+    name="ledger",
+    files="*.jsonl",
+    version=LEDGER_SCHEMA,
+    required={
+        "schema": int, "run_id": str, "ts": NUMBER, "step": str,
+        "status": str, "duration_s": NUMBER, "run": dict,
+    },
+    warning=LedgerCorruptionWarning,
+    remedy="delete the damaged ledger file or its torn tail (the history "
+    "in other *.jsonl files survives)",
+    sort_key=_run_order,
+)
 
 
 def _host() -> dict:
@@ -101,24 +82,19 @@ def _host() -> dict:
     }
 
 
-class RunLedger:
+class RunLedger(JsonlLog):
     """Writer for one ledger directory (created on first use).
 
     ``record_run``/``record_failed_run`` append all of a run's step
-    records in one ``O_APPEND`` write followed by ``fsync`` — records of
-    concurrent runs never interleave mid-record, and a crash can only
-    tear the final line, which readers skip loudly. ``last_append_s``
-    holds the seconds the most recent append cost (the run's entire
-    ledger overhead), so surfaces can bill it honestly.
+    records in one durable append, so records of concurrent runs never
+    interleave. ``last_append_s`` holds the seconds the most recent
+    append cost (the run's entire ledger overhead), so surfaces can bill
+    it honestly.
     """
 
     def __init__(self, root: str) -> None:
-        if not root:
-            raise ConfigurationError("ledger directory must be a non-empty path")
-        self.root = root
-        self.last_append_s = 0.0
-        self._counter = 0
-        os.makedirs(root, exist_ok=True)
+        super().__init__(root, LEDGER_FILE)
+        self._runs = itertools.count(1)
 
     @classmethod
     def ensure(cls, value: "RunLedger | str | None") -> "RunLedger | None":
@@ -132,33 +108,25 @@ class RunLedger:
             f"ledger must be a directory path or a RunLedger, got {value!r}"
         )
 
-    @property
-    def path(self) -> str:
-        return os.path.join(self.root, LEDGER_FILE)
-
-    # -- writing -----------------------------------------------------------------
-
-    def _run_id(self, anchor: WallAnchor) -> str:
-        self._counter += 1
-        return f"{int(anchor.wall * 1e3):013d}-{os.getpid()}-{self._counter}"
-
-    def _append(self, records: list[dict]) -> dict:
-        t0 = time.perf_counter()
-        payload = "".join(
-            json.dumps(record, sort_keys=True) + "\n" for record in records
-        ).encode("utf-8")
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, payload)
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        self.last_append_s = time.perf_counter() - t0
-        return {
-            "dir": self.root,
-            "records": len(records),
-            "append_s": self.last_append_s,
-        }
+    def _append_run(self, anchor: WallAnchor, steps: list, *, kind: str,
+                    config: dict | None, **run) -> dict:
+        """Append one run's step records; ``steps`` holds ``(step, end
+        offset from the anchor, fields)`` in execution order."""
+        run_id = f"{int(anchor.wall * 1e3):013d}-{os.getpid()}-{next(self._runs)}"
+        run = {"started": anchor.wall, "kind": kind, **run, "config": config or {}}
+        clock, host = StrictClock(anchor.wall), _host()
+        records = [
+            {
+                "schema": LEDGER_SCHEMA, "run_id": run_id,
+                "ts": clock.stamp(anchor.at(end)), "step": step,
+                "status": "ok", "run": run, "span": None, "span_totals": None,
+                "ipc": None, "cache": None, "tiles": None, "host": host,
+                **fields,
+            }
+            for step, end, fields in steps
+        ]
+        return {"run_id": run_id, "dir": self.root, "records": len(records),
+                "append_s": self.append(records)}
 
     def record_run(
         self,
@@ -177,53 +145,29 @@ class RunLedger:
         the cumulative sum is each phase's end on the wall axis.
         """
         record = result.to_record()
-        run_id = self._run_id(anchor)
-        n_docs = result.tfidf.matrix.n_rows
-        run_meta = {
-            "started": anchor.wall,
-            "kind": kind,
-            "backend": record["backend"],
-            "n_docs": n_docs,
-            "total_s": record["total_s"],
-            "plan_seconds": record["plan_seconds"],
-            "plan": record["plan"],
-            "downgrades": record["downgrades"],
-            "quarantine": record["quarantine"],
-            "config": config or {},
-        }
         ipc_phases = (record["ipc"] or {}).get("phases", {})
         cache_phases = (record["cache"] or {}).get("phases", {})
         trace_stats = record["trace"] or {}
         trace_totals = record["trace_totals"] or {}
-
-        records: list[dict] = []
-        elapsed = record["plan_seconds"]
-        previous_ts = anchor.wall
+        steps = []
+        end = record["plan_seconds"]
         for step, duration in record["phases"].items():
-            elapsed += duration
-            # Strictly increasing within the run even for zero-duration
-            # steps — the ordering guarantee analytics sorts by.
-            ts = max(anchor.at(elapsed), previous_ts + _TS_STEP)
-            previous_ts = ts
-            step_record = {
-                "schema": LEDGER_SCHEMA,
-                "run_id": run_id,
-                "ts": ts,
-                "step": step,
-                "status": "ok",
+            end += duration
+            steps.append((step, end, {
                 "duration_s": duration,
-                "run": run_meta,
                 "span": trace_stats.get(step),
                 "span_totals": trace_totals.get(step),
                 "ipc": ipc_phases.get(step),
                 "cache": cache_phases.get(step),
                 "tiles": record["tiles"] if step == "transform" else None,
-                "host": _host(),
-            }
-            records.append(step_record)
-        info = self._append(records)
-        info["run_id"] = run_id
-        return info
+            }))
+        return self._append_run(
+            anchor, steps, kind=kind, config=config,
+            backend=record["backend"], n_docs=result.tfidf.matrix.n_rows,
+            total_s=record["total_s"], plan_seconds=record["plan_seconds"],
+            plan=record["plan"], downgrades=record["downgrades"],
+            quarantine=record["quarantine"],
+        )
 
     def record_failed_run(
         self,
@@ -246,74 +190,22 @@ class RunLedger:
         the phase died mid-flight.
         """
         elapsed_total = time.perf_counter() - anchor.mono
-        run_meta = {
-            "started": anchor.wall,
-            "kind": kind,
-            "backend": backend,
-            "n_docs": n_docs,
-            "total_s": elapsed_total,
-            "plan_seconds": 0.0,
-            "plan": None,
-            "downgrades": [],
-            "quarantine": None,
-            "config": config or {},
-        }
-        run_id = self._run_id(anchor)
-        records: list[dict] = []
-        elapsed = 0.0
-        previous_ts = anchor.wall
+        steps = []
+        end = 0.0
         for step, duration in phase_seconds.items():
-            if step == failed_step:
-                continue
-            elapsed += duration
-            ts = max(anchor.at(elapsed), previous_ts + _TS_STEP)
-            previous_ts = ts
-            records.append(
-                {
-                    "schema": LEDGER_SCHEMA,
-                    "run_id": run_id,
-                    "ts": ts,
-                    "step": step,
-                    "status": "ok",
-                    "duration_s": duration,
-                    "run": run_meta,
-                    "span": None,
-                    "span_totals": None,
-                    "ipc": None,
-                    "cache": None,
-                    "tiles": None,
-                    "host": _host(),
-                }
-            )
-        records.append(
-            {
-                "schema": LEDGER_SCHEMA,
-                "run_id": run_id,
-                "ts": max(anchor.at(elapsed_total), previous_ts + _TS_STEP),
-                "step": failed_step,
-                "status": "failed",
-                "duration_s": max(0.0, elapsed_total - elapsed),
-                "error": str(error),
-                "run": run_meta,
-                "span": None,
-                "span_totals": None,
-                "ipc": None,
-                "cache": None,
-                "tiles": None,
-                "host": _host(),
-            }
+            if step != failed_step:
+                end += duration
+                steps.append((step, end, {"duration_s": duration}))
+        steps.append((failed_step, elapsed_total, {
+            "status": "failed",
+            "duration_s": max(0.0, elapsed_total - end),
+            "error": str(error),
+        }))
+        return self._append_run(
+            anchor, steps, kind=kind, config=config, backend=backend,
+            n_docs=n_docs, total_s=elapsed_total, plan_seconds=0.0, plan=None,
+            downgrades=[], quarantine=None,
         )
-        info = self._append(records)
-        info["run_id"] = run_id
-        return info
-
-
-# -- reading -----------------------------------------------------------------------
-
-
-def _loud(problems: list[str], message: str) -> None:
-    problems.append(message)
-    warnings.warn(message, LedgerCorruptionWarning, stacklevel=3)
 
 
 def read_ledger(root: str) -> tuple[list[dict], list[str]]:
@@ -322,68 +214,10 @@ def read_ledger(root: str) -> tuple[list[dict], list[str]]:
     Returns ``(records, problems)``: records sorted by ``(run start,
     ts)``; problems describing every line that was *skipped loudly* — a
     corrupt/truncated line (interrupted append), a record from a newer
-    schema than this reader understands, or a record missing required
-    keys. Skipping never fails aggregation: the remaining history stays
-    usable, which is the whole point of an append-forever log. A missing
-    or empty directory is simply an empty history (no runs yet).
+    schema than this reader understands, or a record missing or
+    mistyping a required key. Skipping never fails aggregation: the
+    remaining history stays usable, which is the whole point of an
+    append-forever log. A missing or empty directory is simply an empty
+    history (no runs yet).
     """
-    records: list[dict] = []
-    problems: list[str] = []
-    if not os.path.isdir(root):
-        return records, problems
-    for name in sorted(os.listdir(root)):
-        if not name.endswith(".jsonl"):
-            continue
-        path = os.path.join(root, name)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-        except OSError as exc:
-            _loud(problems, f"{path}: unreadable ledger file skipped: {exc}")
-            continue
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                _loud(
-                    problems,
-                    f"{path}:{lineno}: skipping corrupt ledger line "
-                    f"(truncated append? delete the damaged tail to silence "
-                    f"this warning)",
-                )
-                continue
-            if not isinstance(record, dict):
-                _loud(
-                    problems,
-                    f"{path}:{lineno}: skipping non-object ledger line",
-                )
-                continue
-            schema = record.get("schema")
-            if not isinstance(schema, int) or schema < 1:
-                _loud(
-                    problems,
-                    f"{path}:{lineno}: skipping record without an integer "
-                    f"'schema' (not a ledger record?)",
-                )
-                continue
-            if schema > LEDGER_SCHEMA:
-                _loud(
-                    problems,
-                    f"{path}:{lineno}: skipping schema-{schema} record "
-                    f"written by a newer version (this reader understands "
-                    f"schema <= {LEDGER_SCHEMA})",
-                )
-                continue
-            missing = [key for key in _REQUIRED_KEYS if key not in record]
-            if missing:
-                _loud(
-                    problems,
-                    f"{path}:{lineno}: skipping record lacking required "
-                    f"key(s) {', '.join(missing)}",
-                )
-                continue
-            records.append(record)
-    records.sort(key=lambda r: (r["run"].get("started", 0.0), r["ts"]))
-    return records, problems
+    return LEDGER_LOG.read(root)

@@ -3,11 +3,10 @@
 Every lifecycle transition of every job — ``submitted`` → ``admitted``
 (or ``shed``) → ``running`` → ``done``/``failed``, plus ``requeued`` for
 recovered work — is one JSONL record appended to
-``<state dir>/journal.jsonl`` with a single ``O_APPEND`` write followed
-by ``fsync``, the same durability discipline as
-:class:`repro.obs.ledger.RunLedger`: concurrent writers never interleave
-mid-record, and a crash can at worst tear the final line, which
-:func:`read_journal` skips *loudly* without failing replay.
+``<state dir>/journal.jsonl`` through :class:`repro.io.jsonl_log.JsonlLog`,
+the run ledger's durability discipline: concurrent writers never
+interleave mid-record, and a torn final line is skipped *loudly* by
+:func:`read_journal` without failing replay.
 
 The ``done`` append is the commit point for exactly-once completion: a
 restarted daemon re-runs only jobs without a terminal record, and
@@ -15,24 +14,21 @@ because pipeline runs are deterministic, a re-run after a crash between
 "result written" and "done appended" reproduces the result bit for bit.
 :func:`replay` folds the records into per-job current state; the strict
 CI stance (every transition legal, exactly one terminal record) lives in
-``tools/validate_journal.py``.
+``tools/validate.py journal``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import threading
-import time
-import warnings
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.obs.ledger import WallAnchor
+from repro.io.jsonl_log import NUMBER, JsonlLog, LogSchema, StrictClock, WallAnchor
 
 __all__ = [
     "JOURNAL_SCHEMA",
     "JOURNAL_FILE",
+    "JOURNAL_LOG",
     "JOB_EVENTS",
     "DAEMON_EVENTS",
     "TERMINAL_EVENTS",
@@ -69,8 +65,8 @@ DAEMON_EVENTS = ("start", "recovered", "breaker-open", "drain", "shutdown")
 TERMINAL_EVENTS = frozenset({"shed", "done", "failed"})
 
 #: state -> events legally appendable from it (``None`` = no prior
-#: record). ``validate_journal`` enforces this; ``replay`` tolerates
-#: damage because the reader must never die on a torn journal.
+#: record). ``tools/validate.py journal`` enforces this; ``replay``
+#: tolerates damage because the reader must never die on a torn journal.
 LEGAL_TRANSITIONS: dict[str | None, frozenset] = {
     None: frozenset({"submitted"}),
     "submitted": frozenset({"admitted", "shed"}),
@@ -79,64 +75,44 @@ LEGAL_TRANSITIONS: dict[str | None, frozenset] = {
     "requeued": frozenset({"running", "requeued", "failed"}),
 }
 
-#: Minimum gap between consecutive journal timestamps (see
-#: ``repro.obs.ledger._TS_STEP`` for the rounding argument).
-_TS_STEP = 1e-6
-
-#: Keys every schema-1 journal record must carry.
-_REQUIRED_KEYS = ("schema", "kind", "event", "ts", "pid")
-
 
 class JournalCorruptionWarning(UserWarning):
     """A journal line was skipped (truncated write or foreign content)."""
 
 
-class JobJournal:
+#: What :func:`read_journal` requires of a record to replay it.
+JOURNAL_LOG = LogSchema(
+    name="journal",
+    files=JOURNAL_FILE,
+    version=JOURNAL_SCHEMA,
+    required={"schema": int, "kind": str, "event": str, "ts": NUMBER, "pid": int},
+    warning=JournalCorruptionWarning,
+    remedy="delete the damaged tail or restore the journal from a backup of "
+    "the state directory",
+    sort_key=lambda record: record["ts"],
+)
+
+
+class JobJournal(JsonlLog):
     """Writer for one journal file (created on first append).
 
     Append methods are thread-safe (executor threads and the admission
-    loop share one journal) and each performs exactly one ``O_APPEND``
-    write + ``fsync``, so a SIGKILL can only tear the final line.
-    Timestamps are wall-anchored and strictly increasing across the
-    writer's lifetime — the ordering replay sorts by.
+    loop share one journal) and each is one durable append. Timestamps
+    are wall-anchored and strictly increasing across the writer's
+    lifetime, and stamped under the append lock, so file order is
+    timestamp order — the ordering replay sorts by.
     """
 
     def __init__(self, root: str) -> None:
-        if not root:
-            raise ConfigurationError("journal directory must be a non-empty path")
-        self.root = root
-        os.makedirs(root, exist_ok=True)
+        super().__init__(root, JOURNAL_FILE)
         self.anchor = WallAnchor.capture()
-        self.last_append_s = 0.0
-        self._lock = threading.Lock()
-        self._last_ts = 0.0
-
-    @property
-    def path(self) -> str:
-        return os.path.join(self.root, JOURNAL_FILE)
-
-    # -- writing -----------------------------------------------------------------
-
-    def _stamp(self) -> float:
-        ts = max(self.anchor.now(), self._last_ts + _TS_STEP)
-        self._last_ts = ts
-        return ts
+        self._clock = StrictClock()
 
     def _append(self, record: dict) -> dict:
-        t0 = time.perf_counter()
-        with self._lock:
-            record = dict(record)
-            record["schema"] = JOURNAL_SCHEMA
-            record["ts"] = self._stamp()
-            record["pid"] = os.getpid()
-            payload = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, payload)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        self.last_append_s = time.perf_counter() - t0
+        with self.lock:
+            record = {**record, "schema": JOURNAL_SCHEMA, "pid": os.getpid(),
+                      "ts": self._clock.stamp(self.anchor.now())}
+            self.append([record])
         return record
 
     def job_event(self, job_id: str, event: str, **fields) -> dict:
@@ -147,9 +123,8 @@ class JobJournal:
             )
         if not job_id:
             raise ConfigurationError("job_id must be a non-empty string")
-        record = {"kind": "job", "job_id": job_id, "event": event}
-        record.update(fields)
-        return self._append(record)
+        return self._append({"kind": "job", "job_id": job_id, "event": event,
+                             **fields})
 
     def daemon_event(self, event: str, **fields) -> dict:
         """Append one daemon lifecycle record (start/recovered/…)."""
@@ -157,9 +132,7 @@ class JobJournal:
             raise ConfigurationError(
                 f"unknown daemon event {event!r}; expected one of {DAEMON_EVENTS}"
             )
-        record = {"kind": "daemon", "event": event}
-        record.update(fields)
-        return self._append(record)
+        return self._append({"kind": "daemon", "event": event, **fields})
 
 
 # -- reading ---------------------------------------------------------------------
@@ -186,86 +159,28 @@ class JobView:
         return self.state in TERMINAL_EVENTS
 
 
-def _loud(problems: list[str], message: str) -> None:
-    problems.append(message)
-    warnings.warn(message, JournalCorruptionWarning, stacklevel=3)
-
-
 def read_journal(root: str) -> tuple[list[dict], list[str]]:
     """Load every journal record under a state directory.
 
     Returns ``(records, problems)``: records sorted by ``ts``; problems
     describing every line skipped *loudly* — corrupt/truncated (a torn
-    final append), newer-schema, or missing required keys. A missing
-    directory or file is an empty history. Mirrors
-    :func:`repro.obs.ledger.read_ledger`.
+    final append), newer-schema, or missing or mistyping a required key.
+    A missing directory or file is an empty history.
     """
-    records: list[dict] = []
-    problems: list[str] = []
-    path = os.path.join(root, JOURNAL_FILE)
-    if not os.path.isfile(path):
-        return records, problems
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        _loud(problems, f"{path}: unreadable journal file skipped: {exc}")
-        return records, problems
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            _loud(
-                problems,
-                f"{path}:{lineno}: skipping corrupt journal line "
-                f"(truncated append? delete the damaged tail to silence "
-                f"this warning)",
-            )
-            continue
-        if not isinstance(record, dict):
-            _loud(problems, f"{path}:{lineno}: skipping non-object journal line")
-            continue
-        schema = record.get("schema")
-        if not isinstance(schema, int) or schema < 1:
-            _loud(
-                problems,
-                f"{path}:{lineno}: skipping record without an integer "
-                f"'schema' (not a journal record?)",
-            )
-            continue
-        if schema > JOURNAL_SCHEMA:
-            _loud(
-                problems,
-                f"{path}:{lineno}: skipping schema-{schema} record written "
-                f"by a newer version (this reader understands schema <= "
-                f"{JOURNAL_SCHEMA})",
-            )
-            continue
-        missing = [key for key in _REQUIRED_KEYS if key not in record]
-        if missing:
-            _loud(
-                problems,
-                f"{path}:{lineno}: skipping record lacking required "
-                f"key(s) {', '.join(missing)}",
-            )
-            continue
-        records.append(record)
-    records.sort(key=lambda r: r["ts"])
-    return records, problems
+    return JOURNAL_LOG.read(root)
 
 
 def replay(records: list[dict]) -> dict[str, JobView]:
     """Fold journal records into per-job current state.
 
-    Tolerant by design (the strict stance lives in
-    ``tools/validate_journal.py``): an out-of-order or repeated event
-    still moves the job to that event's state — after a crash the
-    journal is the only truth, and the daemon must be able to recover
-    from whatever survived. A terminal state is sticky: once ``done``,
-    ``failed``, or ``shed`` is seen, later records cannot resurrect the
-    job, which is what makes replay the exactly-once gate.
+    Tolerant by design (the strict stance lives in ``tools/validate.py
+    journal``): an out-of-order or repeated event still moves the job to
+    that event's state — after a crash the journal is the only truth,
+    and the daemon must be able to recover from whatever survived.
+    Optional fields of the wrong type are ignored, never raised on. A
+    terminal state is sticky: once ``done``, ``failed``, or ``shed`` is
+    seen, later records cannot resurrect the job, which is what makes
+    replay the exactly-once gate.
     """
     jobs: dict[str, JobView] = {}
     for record in records:
@@ -285,7 +200,9 @@ def replay(records: list[dict]) -> dict[str, JobView]:
             continue  # terminal is forever
         view.state = event
         view.updated_ts = record["ts"]
-        view.attempt = max(view.attempt, int(record.get("attempt", 0) or 0))
+        attempt = record.get("attempt")
+        if isinstance(attempt, int):
+            view.attempt = max(view.attempt, attempt)
         if event == "submitted" and isinstance(record.get("spec"), dict):
             view.spec = record["spec"]
             view.submitted_ts = record["ts"]
@@ -296,5 +213,5 @@ def replay(records: list[dict]) -> dict[str, JobView]:
         if event == "done":
             view.digest = record.get("digest")
             total = record.get("total_s")
-            view.total_s = float(total) if total is not None else None
+            view.total_s = float(total) if isinstance(total, NUMBER) else None
     return jobs

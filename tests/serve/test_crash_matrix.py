@@ -11,7 +11,6 @@ strict validator.
 
 from __future__ import annotations
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -28,14 +27,11 @@ from repro.serve.daemon import CRASH_EXIT_CODE, KILL_STAGES
 from repro.serve.journal import read_journal, replay
 from repro.serve.transport import read_result, submit_job
 from repro.text.synth import MIX_PROFILE, generate_corpus
+from tests.validator_tool import bound, validate
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-_spec = importlib.util.spec_from_file_location(
-    "validate_journal", os.path.join(REPO, "tools", "validate_journal.py")
-)
-validate_journal = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(validate_journal)
+validate_journal = bound("journal", validate_state_dir=validate.check_journal)
 
 N_JOBS = 2
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 
@@ -17,14 +16,9 @@ from repro.serve.journal import (
     read_journal,
     replay,
 )
+from tests.validator_tool import bound, validate
 
-REPO = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-
-_spec = importlib.util.spec_from_file_location(
-    "validate_journal", os.path.join(REPO, "tools", "validate_journal.py")
-)
-validate_journal = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(validate_journal)
+validate_journal = bound("journal", validate_state_dir=validate.check_journal)
 
 
 class TestWriter:

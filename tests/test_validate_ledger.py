@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 
@@ -10,14 +9,9 @@ import pytest
 
 from repro.core.pipeline import run_pipeline
 from repro.text.synth import MIX_PROFILE, generate_corpus
+from tests.validator_tool import bound, validate
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-_spec = importlib.util.spec_from_file_location(
-    "validate_ledger", os.path.join(REPO, "tools", "validate_ledger.py")
-)
-validate_ledger = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(validate_ledger)
+validate_ledger = bound("ledger", validate_dir=validate.check_ledger)
 
 
 def _record(run_id="r1", ts=1001.0, step="kmeans", status="ok", **extra):

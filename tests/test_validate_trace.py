@@ -2,19 +2,13 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import os
 
 import pytest
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from tests.validator_tool import bound, validate
 
-_spec = importlib.util.spec_from_file_location(
-    "validate_trace", os.path.join(REPO, "tools", "validate_trace.py")
-)
-validate_trace = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(validate_trace)
+validate_trace = bound("trace", validate=validate.check_trace)
 
 
 def _event(ph="X", tid=0, name="p#0", ts=0.0, dur=1.0, cat="p"):
