@@ -59,7 +59,9 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=list(BACKEND_CHOICES) + sorted(_BACKEND_ALIASES),
         default="sequential",
-        help="real execution backend (processes = one per core)",
+        help="real execution backend: threads overlap the kernels' "
+        "GIL-releasing numpy calls with no pickling; processes bypass the "
+        "GIL at the cost of pickled IPC (see docs/backends.md)",
     )
     parser.add_argument(
         "--workers", type=int, default=max(1, os.cpu_count() or 1),
@@ -98,7 +100,9 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cli_resilience(args) -> ResilienceConfig | None:
-    """Fault-tolerance policy from the flags; None = seed fail-fast paths."""
+    """Fault-tolerance policy from the flags; None = the backend's default
+    policy (no retries, no deadlines, fail on the first task error; a dead
+    process pool is still restarted under the breaker)."""
     retries = getattr(args, "retries", 0)
     task_timeout = getattr(args, "task_timeout", None)
     phase_timeout = getattr(args, "phase_timeout", None)
@@ -203,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     pipe = sub.add_parser(
         "pipeline",
         help="run the fused TF/IDF -> K-means workflow for real "
-        "(wall clock, multi-core via --backend processes)",
+        "(wall clock; parallel via --backend threads or processes)",
     )
     pipe.add_argument("--input", "--input-dir", dest="input", required=True,
                       help="corpus directory")

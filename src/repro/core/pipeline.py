@@ -334,6 +334,7 @@ def run_pipeline(
     bill = backend if backend is not None else ExecutionBackend()
     bill.ipc.reset()  # this run's bill only
     bill.quarantine.clear()
+    bill._task_counters.clear()  # task ids restart with each run
     streamed = isinstance(corpus, DocumentStream)
     if trace:
         bill.spans.begin_run()

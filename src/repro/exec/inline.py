@@ -3,10 +3,11 @@
 The simulator answers "how would this scale on a 16-core node"; these
 backends simply *run* the operators on the host for functional use —
 examples, correctness tests, and real-data workloads. ``ThreadBackend``
-uses a thread pool, which on CPython mostly helps I/O-bound stages but
-keeps the operators' code paths identical to the simulated runs; the
-process pool in :mod:`repro.exec.process` delivers real multi-core
-speedups.
+uses a thread pool: the word count's byte kernel is numpy calls that
+release the GIL, and the transform and k-means kernels interleave numpy
+calls with per-row Python, so threads overlap real compute, not just
+I/O, and pay no pickling (``docs/backends.md``). The process pool in
+:mod:`repro.exec.process` bypasses the GIL at the price of pickled IPC.
 
 All backends share one protocol:
 
@@ -17,6 +18,12 @@ All backends share one protocol:
   order, submitting **chunks** of items per task (Cilk-style grain, via
   :func:`repro.exec.parallel.auto_grain`) so per-task overhead — future
   bookkeeping for threads, pickling for processes — is amortized.
+
+Each backend has one map loop, run under its
+:class:`~repro.exec.resilience.ResilienceConfig`. The default config is
+that loop's no-op policy: every task runs once, its first error
+propagates and cancels the tasks not started yet, and only a dead
+process pool is replayed, under the restart breaker.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from itertools import chain
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import ConfigurationError, PhaseTimeoutError, TaskTimeoutError
@@ -44,15 +50,9 @@ __all__ = [
     "SequentialBackend",
     "ThreadBackend",
     "apply_chunk",
-    "gather_ordered",
-    "submit_stream",
 ]
 
 ItemT = TypeVar("ItemT")
-
-#: Sentinel for "the stream produced nothing" when peeking at a lazy
-#: source — an empty input must never spin up a worker pool.
-_EMPTY = object()
 ResultT = TypeVar("ResultT")
 
 
@@ -69,42 +69,51 @@ def _as_list(items: Iterable) -> list:
     return items if isinstance(items, list) else list(items)
 
 
-def gather_ordered(futures: Sequence) -> list:
-    """Collect chunk futures in submission order, extending into one list.
+def _ranges(items: list, grain: int) -> list:
+    """``(start, items[start:start + grain])`` for every task of a map."""
+    if grain < 1:
+        raise ConfigurationError(f"grain must be >= 1, got {grain}")
+    return [
+        (start, items[start : start + grain])
+        for start in range(0, len(items), grain)
+    ]
 
-    If any chunk raises, every future that has not started yet is
-    cancelled before the exception propagates — a poisoned chunk must not
-    leave the chunks submitted after it running (or keeping a wedged pool
-    busy) once the caller has already seen the failure.
+
+class _ChunkTask:
+    """Parent-side record of one submitted chunk, across retries/replays.
+
+    ``item_index`` is the chunk's first item's position in the original
+    map input (quarantine coordinates); ``results`` flips from ``None``
+    to the chunk's result list exactly once, which is also the "done"
+    flag replay logic keys on.
     """
-    results: list = []
-    try:
-        for future in futures:
-            results.extend(future.result())
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        raise
-    return results
+
+    __slots__ = (
+        "fn", "chunk", "item_index", "task_id", "phase",
+        "attempt", "future", "results",
+    )
+
+    def __init__(self, fn, chunk, item_index: int, task_id: int, phase: str) -> None:
+        self.fn = fn
+        self.chunk = chunk
+        self.item_index = item_index
+        self.task_id = task_id
+        self.phase = phase
+        self.attempt = 1
+        self.future = None
+        self.results = None
+
+    @property
+    def key(self) -> str:
+        return f"{self.phase}#{self.task_id}"
 
 
-def submit_stream(pool, fn: Callable, items: Iterable) -> list:
-    """Submit one task per item as a (possibly lazy) producer yields it.
-
-    The streaming twin of chunked ``map``: tasks start executing while the
-    producer — typically a prefetching corpus reader — is still yielding,
-    so compute overlaps input. Results are returned in submission order.
-    If the producer *or* any task raises, all queued tasks are cancelled.
-    """
-    futures = []
-    try:
-        for item in items:
-            futures.append(pool.submit(fn, item))
-        return [future.result() for future in futures]
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        raise
+def _cancel(tasks: Sequence[_ChunkTask]) -> None:
+    """Cancel every task that has not started (a no-op on the rest), so a
+    failed map leaves nothing queued behind the caller's back."""
+    for task in tasks:
+        if task.future is not None:
+            task.future.cancel()
 
 
 class ExecutionBackend:
@@ -131,9 +140,8 @@ class ExecutionBackend:
         #: ``run_pipeline(trace=True)`` does for you).
         self.spans = SpanRecorder()
         #: Fault-tolerance policy (retries, deadlines, poison handling);
-        #: the default config reproduces the pre-resilience fail-fast
-        #: behavior exactly. Plain attribute — callers may replace it
-        #: between phases.
+        #: the default config runs every task once and fails on its first
+        #: error. Plain attribute — callers may replace it between phases.
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         #: Items isolated by ``on_poison="quarantine"`` across this
         #: backend's lifetime; ``run_pipeline`` clears it per run.
@@ -142,8 +150,9 @@ class ExecutionBackend:
         #: tasks consult it (in-process backends inline, the process
         #: backend via a directive shipped in the task payload).
         self.fault_plan = None
-        # Backend-level per-phase task ids, so fault plans, retries, and
-        # spans agree on numbering whether or not tracing is armed.
+        # The one source of per-phase task ids, so fault plans, retries,
+        # and spans agree on numbering whether or not tracing is armed.
+        # ``run_pipeline`` restarts them with each run's bill.
         self._task_counters: dict[str, int] = {}
         self._phase_started = time.monotonic()
 
@@ -154,19 +163,6 @@ class ExecutionBackend:
         self._phase_started = time.monotonic()
 
     # -- resilience plumbing ------------------------------------------------------
-
-    @property
-    def _resilient(self) -> bool:
-        """True when any fault-tolerance feature deviates from the seed
-        behavior (and the hardened execution paths must be taken)."""
-        cfg = self.resilience
-        return (
-            self.fault_plan is not None
-            or cfg.retry.enabled
-            or cfg.task_timeout_s is not None
-            or cfg.phase_timeout_s is not None
-            or cfg.quarantining
-        )
 
     def _next_task_id(self, phase: str) -> int:
         task_id = self._task_counters.get(phase, 0)
@@ -211,14 +207,12 @@ class ExecutionBackend:
         )
         self.ipc.record_quarantined(n_units)
 
-    def _run_item_resilient(self, fn, item, *, task_id: int, phase: str):
+    def _run_item(self, fn, item, *, task_id: int, phase: str):
         """One map item under the retry policy (inline execution)."""
 
         def thunk(attempt: int):
             if self.fault_plan is not None:
                 self.fault_plan.fire(phase, task_id)
-            if not self.spans.enabled:
-                return fn(item)
             t_start = self.spans.now()
             result = fn(item)
             self.spans.record(
@@ -234,12 +228,13 @@ class ExecutionBackend:
             self.resilience.retry, f"{phase}#{task_id}", thunk, on_retry=on_retry
         )
 
-    def _map_inline_resilient(self, fn, items: Iterable, bisect_items: bool) -> list:
-        """Hardened inline map shared by the sequential paths.
+    def _map_inline(self, fn, items: Iterable, bisect_items: bool) -> list:
+        """Every item on the calling thread, one task each.
 
-        Per item: fire any planned fault, retry under the policy, and —
-        in quarantine mode — bisect a poisoned item (splitting *inside*
-        sequence items when ``bisect_items``) instead of failing the map.
+        Per item: check the phase deadline, fire any planned fault, retry
+        under the policy, and — in quarantine mode — bisect a poisoned
+        item (splitting *inside* sequence items when ``bisect_items``)
+        instead of failing the map.
         """
         phase = self.spans.phase
         results: list = []
@@ -249,15 +244,13 @@ class ExecutionBackend:
             task_key = f"{phase}#{task_id}"
             self.ipc.record_tasks(1)
             try:
-                results.append(
-                    self._run_item_resilient(fn, item, task_id=task_id, phase=phase)
-                )
+                results.append(self._run_item(fn, item, task_id=task_id, phase=phase))
             except Exception as exc:
                 if not self.resilience.quarantining:
                     raise
                 def run_sub(sub, _task_id=task_id, _phase=phase):
                     return [
-                        self._run_item_resilient(fn, x, task_id=_task_id, phase=_phase)
+                        self._run_item(fn, x, task_id=_task_id, phase=_phase)
                         for x in sub
                     ]
                 def on_poisoned(i, sub_start, n_units, leaf_exc,
@@ -273,14 +266,6 @@ class ExecutionBackend:
                     )
                 )
         return results
-
-    def _record_inline_span(
-        self, t_start: float, n_items: int, phase: str | None = None
-    ) -> None:
-        """Span for work just executed inline on the calling thread."""
-        self.spans.record(
-            t_start, self.spans.now(), n_items=n_items, phase=phase
-        )
 
     # -- data plane ---------------------------------------------------------------
     #
@@ -383,8 +368,8 @@ class ExecutionBackend:
 
         Pooled backends start executing early tasks while the producer
         (e.g. a prefetching corpus reader) is still yielding later ones,
-        overlapping input with compute; in-process backends drain the
-        producer inline. ``grain`` is items per submitted task — callers
+        overlapping input with compute; the sequential backend drains
+        the producer inline. ``grain`` is items per submitted task — callers
         whose items are already chunk-sized pass ``grain=1``; the process
         backend micro-batches by default to amortize per-task pickling.
         ``bisect_items`` opts quarantine-mode bisection into splitting
@@ -393,21 +378,6 @@ class ExecutionBackend:
         kernels).
         """
         return self._map_inline(fn, items, bisect_items)
-
-    def _map_inline(self, fn, items: Iterable, bisect_items: bool = False) -> list:
-        """Every item on the calling thread, one task each."""
-        if self._resilient:
-            return self._map_inline_resilient(fn, items, bisect_items)
-        if not self.spans.enabled:
-            results = [fn(item) for item in items]
-        else:
-            results = []
-            for item in items:
-                t_start = self.spans.now()
-                results.append(fn(item))
-                self._record_inline_span(t_start, n_items=1)
-        self.ipc.record_tasks(len(results))
-        return results
 
     def close(self) -> None:
         """Release any pooled resources (idempotent)."""
@@ -454,110 +424,25 @@ class ThreadBackend(ExecutionBackend):
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
         return self._pool
 
-    def _traced_chunk(self, fn, chunk, task_id, phase, t_submit):
-        """Chunk trampoline that records its span on the executing thread."""
-        t_start = self.spans.now()
-        results = apply_chunk(fn, chunk)
-        self.spans.record(
-            t_start,
-            self.spans.now(),
-            task_id=task_id,
-            phase=phase,
-            n_items=len(chunk),
-            queue_s=t_start - t_submit,
-        )
-        return results
-
-    def _submit_chunk(self, pool, fn, chunk):
-        if not self.spans.enabled:
-            return pool.submit(apply_chunk, fn, chunk)
-        phase = self.spans.phase
-        return pool.submit(
-            self._traced_chunk,
-            fn,
-            chunk,
-            self.spans.next_task_id(phase),
-            phase,
-            self.spans.now(),
-        )
-
     def map(self, fn, items, *, grain=None, bisect_items=False):
         items = _as_list(items)
-        if self._resilient:
-            if not items:
-                return []
-            if grain is None:
-                grain = (
-                    auto_grain(len(items), self.workers)
-                    if self.workers > 1 and len(items) > 1
-                    else 1
-                )
-            if grain < 1:
-                raise ConfigurationError(f"grain must be >= 1, got {grain}")
-            chunks = [
-                (start, items[start : start + grain])
-                for start in range(0, len(items), grain)
-            ]
-            return self._run_resilient(fn, chunks, bisect_items)
-        if len(items) <= 1 or self.workers == 1:
-            return self._map_inline(fn, items)
         if grain is None:
-            grain = auto_grain(len(items), self.workers)
-        if grain < 1:
-            raise ConfigurationError(f"grain must be >= 1, got {grain}")
-        pool = self._ensure_pool()
-        futures = [
-            self._submit_chunk(pool, fn, items[start : start + grain])
-            for start in range(0, len(items), grain)
-        ]
-        self.ipc.record_tasks(len(futures))
-        return gather_ordered(futures)
+            # One worker: one item per task. Every chunk, even a lone
+            # one, goes to the pool, so a task deadline applies to it.
+            grain = auto_grain(len(items), self.workers) if self.workers > 1 else 1
+        return self._run_chunks(fn, _ranges(items, grain), bisect_items)
 
     def map_stream(self, fn, items, *, grain=None, bisect_items=False):
-        if self._resilient:
-            # Per-item chunks (threads pay no pickle tax); the generator
-            # keeps streaming overlap — tasks are submitted as the
-            # producer yields, the hardened gather starts afterwards.
-            chunks = ((index, [item]) for index, item in enumerate(items))
-            return self._run_resilient(fn, chunks, bisect_items)
-        if self.workers == 1:
-            return super().map_stream(fn, items, grain=grain)
-        if not self.spans.enabled:
-            # Threads pay no pickle tax, so per-item submission is fine;
-            # the grain knob only matters for the process backend. Peek
-            # before creating the pool: an empty stream costs nothing.
-            iterator = iter(items)
-            first = next(iterator, _EMPTY)
-            if first is _EMPTY:
-                return []
-            results = submit_stream(
-                self._ensure_pool(), fn, chain([first], iterator)
-            )
-            self.ipc.record_tasks(len(results))
-            return results
-        pool = None
-        futures = []
-        try:
-            for item in items:
-                if pool is None:
-                    pool = self._ensure_pool()
-                futures.append(self._submit_chunk(pool, fn, [item]))
-        except BaseException:
-            # The *producer* failed mid-stream: drop what was queued.
-            for future in futures:
-                future.cancel()
-            raise
-        self.ipc.record_tasks(len(futures))
-        return gather_ordered(futures)
+        # Per-item chunks (threads pay no pickle tax); the generator keeps
+        # streaming overlap — tasks are submitted as the producer yields.
+        chunks = ((index, [item]) for index, item in enumerate(items))
+        return self._run_chunks(fn, chunks, bisect_items)
 
-    # -- hardened execution -------------------------------------------------------
-
-    def _resilient_chunk(self, fn, chunk, task_id, phase, t_submit, attempt):
-        """Chunk trampoline that fires planned faults and stamps attempts."""
+    def _run_chunk(self, fn, chunk, task_id, phase, t_submit, attempt):
+        """Chunk trampoline that fires planned faults and records its span
+        on the executing thread."""
         if self.fault_plan is not None:
             self.fault_plan.fire(phase, task_id)
-        if not self.spans.enabled:
-            return apply_chunk(fn, chunk)
         t_start = self.spans.now()
         results = apply_chunk(fn, chunk)
         self.spans.record(
@@ -571,10 +456,10 @@ class ThreadBackend(ExecutionBackend):
         )
         return results
 
-    def _submit_resilient(self, pool, fn, chunk, task_id, phase, attempt):
-        t_submit = self.spans.now() if self.spans.enabled else 0.0
-        return pool.submit(
-            self._resilient_chunk, fn, chunk, task_id, phase, t_submit, attempt
+    def _submit(self, task: _ChunkTask) -> None:
+        task.future = self._ensure_pool().submit(
+            self._run_chunk, task.fn, task.chunk, task.task_id, task.phase,
+            self.spans.now(), task.attempt,
         )
 
     def _abandon_pool(self) -> None:
@@ -588,108 +473,94 @@ class ThreadBackend(ExecutionBackend):
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def _run_resilient(self, fn, chunks, bisect_items: bool) -> list:
-        """Submit ``(start_index, chunk)`` tasks; gather with the policy.
+    def _run_chunks(self, fn, chunks, bisect_items: bool) -> list:
+        """Submit ``(start_index, chunk)`` tasks as the producer yields
+        them; gather in order under the policy.
 
         A failed chunk is retried (resubmitted under the same task id,
         billed to ``IpcStats.retries``); a chunk that exhausts the budget
         is either raised (default) or bisected into quarantined leaves. A
         per-task deadline overrun is final on this backend — the wedged
         thread cannot be reclaimed, so the pool is abandoned and
-        :class:`TaskTimeoutError` propagates.
+        :class:`TaskTimeoutError` propagates. Any exception, from the
+        producer or from a task, cancels every task not started yet.
         """
-        cfg = self.resilience
         phase = self.spans.phase
-        pool = None  # created on the first chunk: empty input, no pool
-        tasks = []  # [start_index, chunk, task_id, future]
-        for start, chunk in chunks:
-            if pool is None:
-                pool = self._ensure_pool()
-            task_id = self._next_task_id(phase)
-            future = self._submit_resilient(pool, fn, chunk, task_id, phase, 1)
-            tasks.append([start, chunk, task_id, future])
-        self.ipc.record_tasks(len(tasks))
-        results: list = []
-        for position, task in enumerate(tasks):
-            start, chunk, task_id, future = task
-            task_key = f"{phase}#{task_id}"
-            attempt = 1
-            while True:
-                try:
-                    self._check_phase_deadline(phase)
-                    results.extend(future.result(timeout=self._wait_timeout()))
-                    break
-                except FutureTimeoutError:
-                    self._cancel_rest(tasks, position + 1)
-                    self._abandon_pool()
-                    self._check_phase_deadline(phase)  # phase overrun? say so
-                    self.ipc.record_timeout()
-                    raise TaskTimeoutError(
-                        f"task {task_key} exceeded its per-task deadline on "
-                        f"backend {self.name!r}; threads cannot be reclaimed "
-                        "— pool abandoned"
-                    ) from None
-                except PhaseTimeoutError:
-                    self._cancel_rest(tasks, position + 1)
-                    self._abandon_pool()
+        tasks: list[_ChunkTask] = []
+        try:
+            for start, chunk in chunks:
+                task = _ChunkTask(fn, chunk, start, self._next_task_id(phase), phase)
+                self._submit(task)
+                tasks.append(task)
+            self.ipc.record_tasks(len(tasks))
+            results: list = []
+            for task in tasks:
+                results.extend(self._gather(task, bisect_items))
+            return results
+        except BaseException:
+            _cancel(tasks)
+            raise
+
+    def _gather(self, task: _ChunkTask, bisect_items: bool) -> list:
+        """One task's results, waiting, retrying or quarantining as the
+        policy says."""
+        cfg = self.resilience
+        while True:
+            try:
+                self._check_phase_deadline(task.phase)
+                return task.future.result(timeout=self._wait_timeout())
+            except FutureTimeoutError:
+                self._abandon_pool()
+                self._check_phase_deadline(task.phase)  # phase overrun? say so
+                self.ipc.record_timeout()
+                raise TaskTimeoutError(
+                    f"task {task.key} exceeded its per-task deadline on "
+                    f"backend {self.name!r}; threads cannot be reclaimed "
+                    "— pool abandoned"
+                ) from None
+            except PhaseTimeoutError:
+                self._abandon_pool()
+                raise
+            except Exception as exc:
+                retry = cfg.retry
+                if retry.is_retryable(exc) and not retry.gives_up_after(task.attempt):
+                    delay = retry.backoff_s(task.key, task.attempt)
+                    self.ipc.record_retry(0)
+                    if delay > 0:
+                        time.sleep(delay)
+                    task.attempt += 1
+                    self._submit(task)
+                    continue
+                exc.attempts = task.attempt  # type: ignore[attr-defined]
+                if not cfg.quarantining:
                     raise
-                except Exception as exc:
-                    retry = cfg.retry
-                    if retry.is_retryable(exc) and not retry.gives_up_after(attempt):
-                        delay = retry.backoff_s(task_key, attempt)
-                        self.ipc.record_retry(0)
-                        if delay > 0:
-                            time.sleep(delay)
-                        attempt += 1
-                        future = self._submit_resilient(
-                            pool, fn, chunk, task_id, phase, attempt
-                        )
-                        continue
-                    exc.attempts = attempt  # type: ignore[attr-defined]
-                    if not cfg.quarantining:
-                        self._cancel_rest(tasks, position + 1)
-                        raise
-                    results.extend(
-                        self._bisect_poisoned(
-                            fn, chunk, exc,
-                            item_index=start, phase=phase, task_key=task_key,
-                            task_id=task_id, bisect_items=bisect_items,
-                        )
-                    )
-                    break
-        return results
+                return self._bisect_poisoned(task, exc, bisect_items)
 
-    @staticmethod
-    def _cancel_rest(tasks, from_position: int) -> None:
-        for task in tasks[from_position:]:
-            task[3].cancel()
-
-    def _bisect_poisoned(
-        self, fn, chunk, exc, *, item_index, phase, task_key, task_id, bisect_items
-    ) -> list:
+    def _bisect_poisoned(self, task: _ChunkTask, exc, bisect_items: bool) -> list:
         """Isolate the poisoned item(s) of an exhausted chunk, inline."""
 
         def run_sub(sub):
             def thunk(attempt):
                 if self.fault_plan is not None:
-                    self.fault_plan.fire(phase, task_id)
-                return apply_chunk(fn, sub)
+                    self.fault_plan.fire(task.phase, task.task_id)
+                return apply_chunk(task.fn, sub)
 
             def on_retry(attempt, retry_exc, delay_s):
                 self.ipc.record_retry(0)
 
             return run_attempts(
-                self.resilience.retry, task_key, thunk, on_retry=on_retry
+                self.resilience.retry, task.key, thunk, on_retry=on_retry
             )
 
         def on_poisoned(index, sub_start, n_units, leaf_exc):
             self._note_quarantined(
-                phase, task_key, index, sub_start, n_units, leaf_exc
+                task.phase, task.key, index, sub_start, n_units, leaf_exc
             )
 
         return bisect_chunk(
-            chunk, run_sub, on_poisoned,
-            item_index=item_index, bisect_items=bisect_items, failed_exc=exc,
+            task.chunk, run_sub, on_poisoned,
+            item_index=task.item_index, bisect_items=bisect_items,
+            failed_exc=exc,
         )
 
     def close(self) -> None:

@@ -1,10 +1,10 @@
-"""Process-pool execution backend: real multi-core parallelism.
+"""Process-pool execution backend: operator loops on worker processes.
 
-CPython's GIL caps :class:`~repro.exec.inline.ThreadBackend` at one core
-for pure-Python operator loops; this module runs them on a pool of worker
-*processes* instead — the reproduction's answer to the paper's Cilkplus
-node for hosts where the simulation is not enough and the wall clock is
-what counts.
+:class:`~repro.exec.inline.ThreadBackend` overlaps the kernels' numpy
+calls, which release the GIL, but runs their per-row Python one thread
+at a time; this module runs the loops on a pool of worker *processes*
+instead, which bypass the GIL entirely at the price of pickled IPC and a
+serial merge in the parent (``docs/backends.md`` compares the tiers).
 
 Design points (see ``docs/backends.md`` for the cost model):
 
@@ -42,12 +42,16 @@ Design points (see ``docs/backends.md`` for the cost model):
 * **Order preservation.** Results are collected in submission order, so
   ``map`` output is aligned with its input no matter which worker
   finished first.
-* **Exception transparency.** An exception raised by the mapped function
-  propagates to the caller (pickled across the process boundary) and all
-  not-yet-started chunks are cancelled — a poisoned chunk does not leave
-  its successors running behind the caller's back. The pool stays usable
-  for subsequent ``map`` calls. A crashed worker (``BrokenProcessPool``)
-  resets the pool — and unlinks the shared plane — so nothing leaks.
+* **One loop.** ``map`` and ``map_stream`` build their chunks and hand
+  them to one gather loop run under the backend's
+  :class:`~repro.exec.resilience.ResilienceConfig`. An exception raised
+  by the mapped function — or by the producer — propagates to the caller
+  once the policy's retries are spent (none by default), and all
+  not-yet-started chunks are cancelled first. The pool stays usable for
+  subsequent ``map`` calls. A crashed worker (``BrokenProcessPool``)
+  restarts the pool and replays the unfinished chunks, up to
+  ``max_pool_restarts`` times per phase; past that, the pool is reset and
+  the shared plane unlinked, so nothing leaks.
 """
 
 from __future__ import annotations
@@ -68,6 +72,9 @@ from repro.exec.inline import (
     SequentialBackend,
     ThreadBackend,
     _as_list,
+    _cancel,
+    _ChunkTask,
+    _ranges,
     apply_chunk,
 )
 from repro.exec.parallel import auto_grain
@@ -201,35 +208,6 @@ def run_pickled_chunk_traced(payload: bytes) -> tuple[bytes, bytes]:
         attempt,
     )
     return results_blob, pickle.dumps(span)
-
-
-class _ChunkTask:
-    """Parent-side record of one submitted chunk, across retries/replays.
-
-    ``item_index`` is the chunk's first item's position in the original
-    map input (quarantine coordinates); ``results`` flips from ``None``
-    to the chunk's result list exactly once, which is also the "done"
-    flag replay logic keys on.
-    """
-
-    __slots__ = (
-        "fn", "chunk", "item_index", "task_id", "phase",
-        "attempt", "future", "results",
-    )
-
-    def __init__(self, fn, chunk, item_index: int, task_id: int, phase: str) -> None:
-        self.fn = fn
-        self.chunk = chunk
-        self.item_index = item_index
-        self.task_id = task_id
-        self.phase = phase
-        self.attempt = 1
-        self.future = None
-        self.results = None
-
-    @property
-    def key(self) -> str:
-        return f"{self.phase}#{self.task_id}"
 
 
 class ProcessBackend(ExecutionBackend):
@@ -413,20 +391,6 @@ class ProcessBackend(ExecutionBackend):
 
     # -- execution ---------------------------------------------------------------
 
-    def _submit_chunk(self, pool, fn, chunk):
-        phase = self.ipc.phase
-        task_id = self.ipc.phase_stats(phase).tasks
-        self._last_task = f"{phase}#{task_id}"
-        if self.spans.enabled:
-            payload = pickle.dumps(
-                (fn, chunk, task_id, phase, self.spans.now())
-            )
-            self.ipc.record_task(len(payload))
-            return pool.submit(run_pickled_chunk_traced, payload)
-        payload = pickle.dumps((fn, chunk))
-        self.ipc.record_task(len(payload))
-        return pool.submit(run_pickled_chunk, payload)
-
     def _absorb_blob(self, blob) -> list:
         """Account one trampoline return value; unpickle its results.
 
@@ -441,31 +405,13 @@ class ProcessBackend(ExecutionBackend):
         self.ipc.record_result(len(blob))
         return pickle.loads(blob)
 
-    def _gather_pickled(self, futures) -> list:
-        """Collect trampoline futures in order, accounting result bytes.
-
-        If any chunk raises, every future that has not started yet is
-        cancelled before the exception propagates — a poisoned chunk must
-        not leave the chunks submitted after it running.
-        """
-        results: list = []
-        try:
-            for future in futures:
-                results.extend(self._absorb_blob(future.result()))
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-        return results
-
-    # -- hardened execution -------------------------------------------------------
-
     def _task_payload(self, fn, chunk, task_id: int, phase: str, attempt: int):
         """Pickle one task; returns ``(payload, trampoline)``.
 
-        First-attempt tasks with no planned fault keep the legacy payload
-        shapes byte-for-byte; the optional ``(fault, attempt)`` tail is
-        appended only when it carries information.
+        First-attempt tasks with no planned fault ship the plain shapes —
+        ``(fn, chunk)``, traced ``(fn, chunk, task_id, phase, t_submit)``;
+        the optional ``(fault, attempt)`` tail is appended only when it
+        carries information.
         """
         fault = None
         if self.fault_plan is not None:
@@ -490,12 +436,6 @@ class ProcessBackend(ExecutionBackend):
         else:
             self.ipc.record_task(len(payload))
         task.future = pool.submit(target, payload)
-
-    @staticmethod
-    def _cancel_unfinished(tasks) -> None:
-        for task in tasks:
-            if task.results is None and task.future is not None:
-                task.future.cancel()
 
     def _recover_pool(self, tasks, cause: BaseException) -> None:
         """Respawn after a pool death (or hung-worker kill); replay what
@@ -578,7 +518,7 @@ class ProcessBackend(ExecutionBackend):
         )
 
     def _collect(self, tasks, bisect_items: bool) -> list:
-        """Hardened ordered gather: retry, replay, reclaim, quarantine.
+        """Ordered gather: retry, replay, reclaim, quarantine.
 
         Worker-raised exceptions consume the task's retry budget; pool
         deaths and hung-worker kills do not (they are bounded by the
@@ -615,8 +555,7 @@ class ProcessBackend(ExecutionBackend):
                 )
                 continue
             except PhaseTimeoutError:
-                self._cancel_unfinished(tasks)
-                raise
+                raise  # final: the caller cancels what is left
             except BrokenProcessPool as exc:
                 self._recover_pool(tasks, exc)
                 continue
@@ -632,7 +571,6 @@ class ProcessBackend(ExecutionBackend):
                     continue
                 exc.attempts = task.attempt  # type: ignore[attr-defined]
                 if not cfg.quarantining:
-                    self._cancel_unfinished(tasks)
                     raise
                 task.results = self._bisect_poisoned(task, exc, bisect_items)
                 position += 1
@@ -641,51 +579,40 @@ class ProcessBackend(ExecutionBackend):
             position += 1
         return [result for task in tasks for result in task.results]
 
-    def _run_resilient(self, fn, chunks, bisect_items: bool) -> list:
-        """Submit ``(item_index, chunk)`` tasks; gather with the policy."""
+    def _run_chunks(self, fn, chunks, bisect_items: bool) -> list:
+        """Submit ``(item_index, chunk)`` tasks as the producer yields
+        them; gather with the policy (:meth:`_collect`).
+
+        A pool that dies under a submission is recovered like one that
+        dies under the gather. Any exception, from the producer or from a
+        task, cancels every unfinished task before it propagates.
+        """
         phase = self.ipc.phase
         tasks: list[_ChunkTask] = []
         try:
-            pool = None  # created on the first chunk: empty input, no pool
             for item_index, chunk in chunks:
-                if pool is None:
-                    pool = self._ensure_pool()
                 task = _ChunkTask(
                     fn, chunk, item_index, self._next_task_id(phase), phase
                 )
-                self._submit_task(pool, task)
                 tasks.append(task)
+                try:
+                    self._submit_task(self._ensure_pool(), task)
+                except BrokenProcessPool as exc:
+                    self._recover_pool(tasks, exc)
             return self._collect(tasks, bisect_items)
         except BrokenProcessPool as exc:
             if getattr(exc, "_repro_diagnosed", False):
                 raise
             raise self._broken(exc) from exc
+        except BaseException:
+            _cancel(tasks)
+            raise
 
     def map(self, fn, items, *, grain=None, bisect_items=False):
         items = _as_list(items)
-        if not items:
-            return []
         if grain is None:
             grain = auto_grain(len(items), self.workers)
-        if grain < 1:
-            raise ConfigurationError(f"grain must be >= 1, got {grain}")
-        if self._resilient:
-            chunks = (
-                (start, items[start : start + grain])
-                for start in range(0, len(items), grain)
-            )
-            return self._run_resilient(fn, chunks, bisect_items)
-        pool = self._ensure_pool()
-        try:
-            # A worker may die while later chunks are still being
-            # submitted: ``submit`` raises then, and takes the same path.
-            futures = [
-                self._submit_chunk(pool, fn, items[start : start + grain])
-                for start in range(0, len(items), grain)
-            ]
-            return self._gather_pickled(futures)
-        except BrokenProcessPool as exc:
-            raise self._broken(exc) from exc
+        return self._run_chunks(fn, _ranges(items, grain), bisect_items)
 
     def map_stream(self, fn, items, *, grain=None, bisect_items=False):
         """Micro-batched streaming map: one pickled task per *batch*.
@@ -700,42 +627,20 @@ class ProcessBackend(ExecutionBackend):
             grain = auto_grain(_STREAM_WINDOW, self.workers)
         if grain < 1:
             raise ConfigurationError(f"grain must be >= 1, got {grain}")
-        if self._resilient:
-            def batches():
-                offset = 0
-                batch: list = []
-                for item in items:
-                    batch.append(item)
-                    if len(batch) >= grain:
-                        yield offset, batch
-                        offset += len(batch)
-                        batch = []
-                if batch:
-                    yield offset, batch
 
-            return self._run_resilient(fn, batches(), bisect_items)
-        pool = None  # created on the first batch: empty input, no pool
-        futures: list = []
-        try:
+        def batches():
+            offset = 0
             batch: list = []
             for item in items:
                 batch.append(item)
                 if len(batch) >= grain:
-                    if pool is None:
-                        pool = self._ensure_pool()
-                    futures.append(self._submit_chunk(pool, fn, batch))
+                    yield offset, batch
+                    offset += len(batch)
                     batch = []
             if batch:
-                if pool is None:
-                    pool = self._ensure_pool()
-                futures.append(self._submit_chunk(pool, fn, batch))
-            return self._gather_pickled(futures)
-        except BrokenProcessPool as exc:
-            raise self._broken(exc) from exc
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
+                yield offset, batch
+
+        return self._run_chunks(fn, batches(), bisect_items)
 
 
 def make_backend(
@@ -749,7 +654,9 @@ def make_backend(
     ``shm`` applies to the process backend (``None`` = use it where
     available); the in-process backends share an address space, so for
     them the flag is a no-op by construction. ``resilience`` installs a
-    fault-tolerance policy (default: fail fast, the seed behavior).
+    fault-tolerance policy (default: no retries, no deadlines, fail on
+    the first task error; a dead pool is still restarted, see
+    ``docs/resilience.md``).
     Singular spellings (``process``, ``thread``) are accepted as aliases.
     """
     name = _BACKEND_ALIASES.get(name, name)

@@ -13,7 +13,7 @@ holds the *policy* objects the backends weave into ``map``/``map_stream``
   the same schedule every time.
 * :class:`ResilienceConfig` — one bundle per backend: the retry policy,
   per-task and per-phase deadlines, the poison-handling mode
-  (``"raise"`` keeps today's fail-fast semantics; ``"quarantine"``
+  (``"raise"``, the default, fails on the first error; ``"quarantine"``
   isolates poisoned items and completes the rest), and the pool-restart
   circuit breaker.
 * :class:`QuarantineReport` / :class:`QuarantinedItem` — the record of
@@ -62,8 +62,7 @@ class RetryPolicy:
     """Per-task retry budget with deterministic, seeded backoff jitter.
 
     ``max_attempts`` counts executions, not re-executions: the default of
-    1 means "no retries" and reproduces the pre-resilience behavior
-    exactly. Backoff before attempt ``n+1`` is
+    1 means "no retries". Backoff before attempt ``n+1`` is
     ``backoff_base_s * backoff_factor**(n-1)`` (capped at
     ``max_backoff_s``), scaled by a jitter factor in
     ``[1 - jitter, 1 + jitter]`` drawn from a CRC of
@@ -93,7 +92,7 @@ class RetryPolicy:
 
     @classmethod
     def none(cls) -> "RetryPolicy":
-        """No retries — every failure is final (the seed behavior)."""
+        """No retries — every failure is final (the default)."""
         return cls(max_attempts=1)
 
     @property
@@ -135,15 +134,16 @@ class ResilienceConfig:
     #: Max seconds the gather loop waits on one task before declaring the
     #: worker hung (process backend: kill + respawn + replay; thread
     #: backend: fail the map — threads cannot be killed). ``None`` waits
-    #: forever, the seed behavior.
+    #: forever (the default).
     task_timeout_s: float | None = None
     #: Max seconds a whole phase may run (measured from ``begin_phase``).
     phase_timeout_s: float | None = None
     #: ``"raise"`` (default) or ``"quarantine"`` — what happens to a task
     #: that exhausts its retries.
     on_poison: str = "raise"
-    #: Worker-pool deaths tolerated *per phase* before the circuit breaker
-    #: gives up with the diagnostic ``BrokenProcessPool``.
+    #: Worker-pool deaths tolerated *per phase* (under the default policy
+    #: too) before the circuit breaker gives up with the diagnostic
+    #: ``BrokenProcessPool``.
     max_pool_restarts: int = 2
 
     def __post_init__(self) -> None:

@@ -14,6 +14,12 @@ from repro.exec.process import (
     ProcessBackend,
     make_backend,
 )
+from repro.exec.resilience import ResilienceConfig, RetryPolicy
+
+#: The two policies every cancellation test runs under: the default
+#: (no retries) and one with a retry budget. Both run the same loop.
+_POLICIES = (None, ResilienceConfig(retry=RetryPolicy(max_attempts=2)))
+_POLICY_IDS = ("default", "retrying")
 
 # Module-level so the process backend can pickle them by reference.
 _WORKER_STATE = {}
@@ -49,6 +55,23 @@ def _poison_items(tmp_path, n_markers):
     return [("poison", "")] + [
         ("marker", str(tmp_path / f"marker-{i:02d}")) for i in range(n_markers)
     ]
+
+
+class _Abort(BaseException):
+    """Not an ``Exception``: no retry policy catches it."""
+
+
+def _abort_or_touch(item):
+    kind, path = item
+    if kind == "poison":
+        raise _Abort("aborted")
+    return _poison_or_touch(item)
+
+
+def _dying_producer(tmp_path, n_markers):
+    """Slow marker items, then the producer itself raises."""
+    yield from _poison_items(tmp_path, n_markers)[1:]
+    raise RuntimeError("producer died")
 
 
 def _add_offset(x):
@@ -154,19 +177,41 @@ class TestThreadBackend:
         assert touched <= 4, f"{touched} queued tasks ran after the failure"
 
     def test_map_stream_producer_error_cancels_queued_tasks(self, tmp_path):
-        def producer():
-            for item in _poison_items(tmp_path, n_markers=24)[1:]:
-                yield item
-            raise RuntimeError("producer died")
+        # Under either policy: the loop is the same one.
+        for name, policy in zip(_POLICY_IDS, _POLICIES):
+            out = tmp_path / name
+            out.mkdir()
+            backend = ThreadBackend(2, policy)
+            try:
+                with pytest.raises(RuntimeError, match="producer died"):
+                    backend.map_stream(
+                        _poison_or_touch, _dying_producer(out, n_markers=24)
+                    )
+            finally:
+                backend.close()
+            touched = len(list(out.iterdir()))
+            assert touched <= 4, (
+                f"{touched} tasks ran after the producer failed ({name})"
+            )
 
-        backend = ThreadBackend(2)
+    @pytest.mark.parametrize("policy", _POLICIES, ids=_POLICY_IDS)
+    def test_base_exception_cancels_queued_tasks(self, tmp_path, policy):
+        items = _poison_items(tmp_path, n_markers=24)
+        backend = ThreadBackend(2, policy)
         try:
-            with pytest.raises(RuntimeError, match="producer died"):
-                backend.map_stream(_poison_or_touch, producer())
+            with pytest.raises(_Abort):
+                backend.map(_abort_or_touch, items, grain=1)
         finally:
             backend.close()
         touched = len(list(tmp_path.iterdir()))
-        assert touched <= 4, f"{touched} tasks ran after the producer failed"
+        assert touched <= 4, f"{touched} marker chunks ran after the abort"
+
+    def test_one_item_runs_on_the_pool(self):
+        # A lone chunk is a pool task like any other, so a task deadline
+        # applies to it.
+        with ThreadBackend(2) as backend:
+            assert backend.map(_square, [3]) == [9]
+            assert backend._pool is not None
 
 
 class TestProcessBackend:
@@ -241,6 +286,22 @@ class TestProcessBackend:
         touched = len(list(tmp_path.iterdir()))
         assert touched < n_markers, "every chunk ran despite the failure"
         assert touched <= 8, f"{touched} marker chunks ran after the failure"
+
+    @pytest.mark.parametrize("policy", _POLICIES, ids=_POLICY_IDS)
+    def test_map_stream_producer_error_cancels_queued_tasks(self, tmp_path, policy):
+        n_markers = 24
+        backend = ProcessBackend(2, resilience=policy)
+        try:
+            with pytest.raises(RuntimeError, match="producer died"):
+                backend.map_stream(
+                    _poison_or_touch, _dying_producer(tmp_path, n_markers),
+                    grain=1,
+                )
+        finally:
+            backend.close()
+        # As above: only what the executor pre-fed may still run.
+        touched = len(list(tmp_path.iterdir()))
+        assert touched <= 8, f"{touched} tasks ran after the producer failed"
 
     def test_map_stream_matches_map(self):
         with ProcessBackend(2) as backend:

@@ -15,10 +15,11 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
-from repro.core.pipeline import run_pipeline
+from repro.core.pipeline import output_digest, run_pipeline
 from repro.errors import (
     ConfigurationError,
     PhaseTimeoutError,
@@ -39,8 +40,10 @@ from repro.exec.resilience import (
     run_attempts,
 )
 from repro.exec.shm import shm_available
+from repro.ops.tfidf import TfIdfOperator
 from repro.text.corpus import Corpus
 from repro.text.synth import MIX_PROFILE, generate_corpus
+from repro.text.tokenizer import Tokenizer
 
 needs_shm = pytest.mark.skipif(
     not shm_available(), reason="POSIX shared memory unavailable"
@@ -98,6 +101,32 @@ def _assert_identical(result, reference):
     for a, b in zip(ra.iter_rows(), rb.iter_rows()):
         assert a.indices == b.indices and a.values == b.values
     assert result.kmeans.assignments == reference.kmeans.assignments
+
+
+def _die_once(item):
+    """Square the index; the first task to find ``marker`` absent kills
+    its worker."""
+    marker, index = item
+    time.sleep(0.01)  # both workers take tasks before the death
+    if index == 3 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return index * index
+
+
+class _DieOnceTokenizer(Tokenizer):
+    """Kills the first pool worker to tokenize while ``marker`` is absent."""
+
+    def __init__(self, marker: str) -> None:
+        super().__init__()
+        self.marker = marker
+        self.parent = os.getpid()
+
+    def split(self, text):
+        if os.getpid() != self.parent and not os.path.exists(self.marker):
+            open(self.marker, "w").close()
+            os._exit(1)
+        return super().split(text)
 
 
 def _rows(result):
@@ -346,6 +375,53 @@ class TestWorkerCrashRecovery:
         # Replayed in-flight chunks were re-pickled on the recovery bill.
         assert total["retries"] >= 1
         assert total["retry_pickle_bytes"] > 0
+
+    def test_default_policy_replays_one_worker_death(self, tmp_path):
+        # No setting changed: the default breaker still absorbs a death.
+        marker = str(tmp_path / "died")
+        backend = make_backend("processes", 2)
+        try:
+            results = backend.map(
+                _die_once, [(marker, index) for index in range(8)], grain=1
+            )
+            assert os.path.exists(marker)
+            assert results == [index * index for index in range(8)]
+            assert backend.ipc.total().pool_restarts == 1
+        finally:
+            backend.close()
+
+    def test_pool_death_between_submissions_is_replayed(self, tmp_path):
+        # A slow producer: the pool is already dead when the next item
+        # is submitted, so ``submit`` itself raises BrokenProcessPool.
+        marker = str(tmp_path / "died")
+
+        def producer():
+            for index in range(5):
+                yield marker, index
+                time.sleep(0.3)
+
+        backend = make_backend("processes", 2)
+        try:
+            results = backend.map_stream(_die_once, producer(), grain=1)
+            assert os.path.exists(marker)
+            assert results == [index * index for index in range(5)]
+            assert backend.ipc.total().pool_restarts == 1
+        finally:
+            backend.close()
+
+    def test_default_policy_crash_replay_is_bit_identical(self, corpus, tmp_path):
+        # No fault plan, no setting changed: a worker dies once in phase 1.
+        marker = str(tmp_path / "died")
+        tfidf = TfIdfOperator(tokenizer=_DieOnceTokenizer(marker))
+        backend = make_backend("processes", 2)
+        try:
+            result = run_pipeline(corpus, backend=backend, tfidf=tfidf)
+        finally:
+            backend.close()
+        assert os.path.exists(marker)
+        assert result.ipc["total"]["pool_restarts"] == 1
+        expected = run_pipeline(corpus, tfidf=tfidf)  # inline: never dies
+        assert output_digest(result) == output_digest(expected)
 
     def test_circuit_breaker_trips_on_repeated_crashes(self, corpus, tmp_path):
         from concurrent.futures.process import BrokenProcessPool
