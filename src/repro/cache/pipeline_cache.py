@@ -143,9 +143,6 @@ class NullCacheSession:
     one code path whether or not a cache was given.
     """
 
-    def cached_phases(self, prefer_tiled: bool = False) -> frozenset[str]:
-        return frozenset()
-
     def wordcount(self, step, compute_all, compute_subset):
         return compute_all()
 
@@ -200,24 +197,6 @@ class RunCacheSession:
         #: fingerprinted corpus (quarantine dropped documents) — storing
         #: would poison the cache for every later run.
         self.disabled = False
-
-    # -- planner integration ---------------------------------------------------------
-
-    def cached_phases(self, prefer_tiled: bool = False) -> frozenset[str]:
-        """Phases whose *full* result is present (for plan routing).
-
-        ``prefer_tiled=True`` checks the tiled-manifest entry for the
-        transform instead — what a budget-constrained run would serve.
-        """
-        cached = set()
-        if self.wc_key in self.store:
-            cached.add(PHASE_INPUT_WC)
-        tr_key = self.tr_tiled_key if prefer_tiled else self.tr_key
-        if tr_key in self.store:
-            cached.add(PHASE_TRANSFORM)
-        if self.km_key in self.store:
-            cached.add(PHASE_KMEANS)
-        return frozenset(cached)
 
     # -- phase 1: word count -----------------------------------------------------------
 

@@ -188,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     tfidf.add_argument("--input", "--input-dir", dest="input", required=True,
                        help="corpus directory")
     tfidf.add_argument("--output", required=True, help="ARFF output file")
-    tfidf.add_argument("--dict", dest="dict_kind", default="map",
-                       choices=["map", "unordered_map", "dict"])
     tfidf.add_argument("--min-df", type=int, default=1)
     tfidf.add_argument("--stopwords", action="store_true")
     _add_backend_args(tfidf)
@@ -215,10 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="assignments file (default: stdout summary only)")
     pipe.add_argument("--arff", default=None,
                       help="also write the TF/IDF scores as ARFF")
-    pipe.add_argument("--dict", dest="dict_kind", default=None,
-                      choices=["map", "unordered_map", "dict"],
-                      help="dictionary implementation (default: map, or "
-                      "the planner's pick under --plan auto)")
     pipe.add_argument("--min-df", type=int, default=1)
     pipe.add_argument("--stopwords", action="store_true")
     pipe.add_argument("--clusters", type=int, default=8)
@@ -239,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument(
         "--plan", choices=["fixed", "auto"], default="fixed",
         help="fixed = run every phase on the --backend given; auto = let "
-        "the measured-cost planner pick each phase's backend, grain "
-        "and dictionary (see docs/planner.md)",
+        "the measured-cost planner pick each phase's backend, workers, "
+        "shm and tiling (see docs/planner.md)",
     )
     pipe.add_argument(
         "--calibration", default=None, metavar="PATH",
@@ -485,7 +479,6 @@ def _cmd_tfidf(args) -> int:
         print(f"error: no documents found in {args.input}", file=sys.stderr)
         return 1
     operator = TfIdfOperator(
-        wc_dict_kind=args.dict_kind,
         tokenizer=Tokenizer(drop_stopwords=args.stopwords),
         min_df=args.min_df,
     )
@@ -595,15 +588,10 @@ def _cmd_pipeline(args) -> int:
         print(f"error: no documents found in {args.input}", file=sys.stderr)
         return 1
     auto_plan = args.plan == "auto"
-    tfidf = None
-    if not auto_plan or args.dict_kind or args.stopwords or args.min_df != 1:
-        # Pinned operators: the planner may still pick backends, but the
-        # dictionary choice belongs to the user.
-        tfidf = TfIdfOperator(
-            wc_dict_kind=args.dict_kind or "map",
-            tokenizer=Tokenizer(drop_stopwords=args.stopwords),
-            min_df=args.min_df,
-        )
+    tfidf = TfIdfOperator(
+        tokenizer=Tokenizer(drop_stopwords=args.stopwords),
+        min_df=args.min_df,
+    )
     kmeans = KMeansOperator(
         n_clusters=args.clusters,
         max_iters=args.max_iters,

@@ -353,24 +353,19 @@ def run_pipeline(
         seconds[PHASE_READ] = corpus.wait_seconds
         corpus.close()
         streamed = False
+    tfidf = tfidf or TfIdfOperator()
     session = NullCacheSession()
     if pipeline_cache is not None:
-        session = pipeline_cache.begin_run(
-            source, tfidf or TfIdfOperator(), kmeans
-        ) or session
+        session = pipeline_cache.begin_run(source, tfidf, kmeans) or session
 
     store: CalibrationStore | None = None
     if plan == "auto":
+        # Cached phases need no routing: a served phase never builds the
+        # backend its plan names (backends are built on first use).
         store = CalibrationStore.ensure(calibration, source)
         plan = AdaptivePlanner(store).plan(
             n_docs=len(source),
             kmeans_iters=kmeans.max_iters,
-            # Phases already cached are pinned to near-zero "cached"
-            # plans so the planner routes around skippable work; the
-            # transform entry checked is the one a budgeted plan serves.
-            cached_phases=session.cached_phases(
-                prefer_tiled=store.must_tile(len(source), memory_budget)
-            ),
             memory_budget=memory_budget,
         )
     if planned:
@@ -384,8 +379,8 @@ def run_pipeline(
             0.0, _clock() - plan_t0 - seconds.get(PHASE_READ, 0.0)
         )
     else:
-        # The trivial plan: every phase on the run's fixed backend, grain
-        # auto, tiled iff budgeted.
+        # The trivial plan: every phase on the run's fixed backend, tiled
+        # iff budgeted.
         steps = {
             phase: PhasePlan(phase, _CALLER, tiled=memory_budget is not None)
             for phase in _PHASES
@@ -393,12 +388,6 @@ def run_pipeline(
         budget, plan_seconds = None, 0.0
     if budget is None:
         budget = memory_budget
-    # The dictionary implementation is a planner knob only when the
-    # caller didn't pin the operators themselves.
-    tfidf = tfidf or TfIdfOperator(
-        wc_dict_kind=steps[PHASE_INPUT_WC].dict_kind,
-        transform_dict_kind=steps[PHASE_TRANSFORM].dict_kind,
-    )
 
     #: (tier, workers, shm) → its live backend; every entry but the
     #: fixed backend is built on first use and listed in ``owned``.
@@ -424,13 +413,10 @@ def run_pipeline(
             )
             _transplant(bill, pool[slot])  # one bill, whichever executes
             owned.append(pool[slot])
-        # How the plan wants the phase run: its backend, and its grain
-        # when the plan fixes one (else the operator's own auto grain).
-        how = {} if step.grain is None else {"grain": step.grain}
         while True:
             live = pool[slot]
             try:
-                return thunk(backend=live, **how)
+                return thunk(live)
             except BrokenProcessPool as exc:
                 lower = _downgraded(live) if degrade and replayable else None
                 if lower is None:
@@ -450,7 +436,7 @@ def run_pipeline(
         def count(texts):
             return run_phase(
                 PHASE_INPUT_WC,
-                lambda **how: tfidf.wordcount.run(texts, **how),
+                lambda backend: tfidf.wordcount.run(texts, backend=backend),
                 replayable=not streamed,
             )
 
@@ -477,8 +463,8 @@ def run_pipeline(
                 tfidf, wc, tile_store,
                 compute_all=lambda: run_phase(
                     PHASE_TRANSFORM,
-                    lambda **how: tfidf.transform_wordcount_tiled(
-                        wc, tile_store, **how
+                    lambda backend: tfidf.transform_wordcount_tiled(
+                        wc, tile_store, backend=backend
                     ),
                 ),
             )
@@ -487,11 +473,13 @@ def run_pipeline(
                 tfidf, wc,
                 compute_all=lambda: run_phase(
                     PHASE_TRANSFORM,
-                    lambda **how: tfidf.transform_wordcount(wc, **how),
+                    lambda backend: tfidf.transform_wordcount(
+                        wc, backend=backend
+                    ),
                 ),
                 compute_rows=lambda chunks: run_phase(
                     PHASE_TRANSFORM,
-                    lambda backend, **_: tfidf.transform_chunks(chunks, backend),
+                    lambda backend: tfidf.transform_chunks(chunks, backend),
                 ),
             )
         t2 = _clock()
@@ -500,7 +488,7 @@ def run_pipeline(
         clusters = session.kmeans_fit(
             lambda: run_phase(
                 PHASE_KMEANS,
-                lambda backend, **_: kmeans.fit(scores.matrix, backend=backend),
+                lambda backend: kmeans.fit(scores.matrix, backend=backend),
             )
         )
         seconds[PHASE_KMEANS] = _clock() - t2

@@ -84,15 +84,14 @@ def available_kinds() -> list[str]:
 def dict_candidate_pairs(
     kinds: tuple[str, ...] = PLANNER_KINDS, *, mixed: bool = True
 ) -> list[tuple[str, str]]:
-    """Candidate ``(wc_kind, transform_kind)`` pairs for planners.
+    """Candidate ``(wc_kind, transform_kind)`` pairs for the simulator.
 
-    The single source of truth for dictionary-candidate enumeration: both
-    the virtual-time :class:`repro.core.planner.WorkflowPlanner` and the
-    real-execution :class:`repro.plan.AdaptivePlanner` call this instead of
-    hard-coding the list. Uniform pairs come first (same kind in both
-    phases), then — when ``mixed`` is true — the cross pairs that let the
-    planner assign a different implementation per phase, the paper's
-    fourth optimization.
+    The virtual-time :class:`repro.core.planner.WorkflowPlanner` calls
+    this instead of hard-coding the list (a real run touches no
+    dictionary, so the real-execution planner has no such dimension).
+    Uniform pairs come first (same kind in both phases), then — when
+    ``mixed`` is true — the cross pairs that let the planner assign a
+    different implementation per phase, the paper's fourth optimization.
     """
     for kind in kinds:
         if kind not in _REGISTRY:

@@ -420,7 +420,9 @@ def recalibrate(records: list[dict], store) -> dict:
     ``sequential`` backend contribute their wall durations as compute
     (sequential wall time *is* compute — no pool, no queueing); untraced
     parallel runs without IPC data carry no usable signal and are
-    skipped. Returns ``{"runs_applied", "runs_skipped"}``.
+    skipped. The k-means constants move only for runs whose record
+    carries ``kmeans_passes`` (they are per document per pass). Returns
+    ``{"runs_applied", "runs_skipped"}``.
     """
     by_run: dict[str, list[dict]] = {}
     for record in records:
@@ -430,8 +432,10 @@ def recalibrate(records: list[dict], store) -> dict:
         if any(record.get("status") == "failed" for record in run_records):
             skipped += 1
             continue
-        n_docs = int(run_records[0]["run"].get("n_docs") or 0)
-        backend = run_records[0]["run"].get("backend")
+        run = run_records[0]["run"]
+        n_docs = int(run.get("n_docs") or 0)
+        passes = int(run.get("kmeans_passes") or 0)
+        backend = run.get("backend")
         totals: dict[str, dict] = {}
         ipc_phases: dict[str, dict] = {}
         for record in run_records:
@@ -451,7 +455,7 @@ def recalibrate(records: list[dict], store) -> dict:
         if n_docs <= 0 or not (totals or ipc_phases):
             skipped += 1
             continue
-        store.observe_totals(totals, ipc_phases, n_docs)
+        store.observe_totals(totals, ipc_phases, n_docs, kmeans_passes=passes)
         applied += 1
     return {"runs_applied": applied, "runs_skipped": skipped}
 

@@ -164,6 +164,7 @@ class RunLedger(JsonlLog):
         return self._append_run(
             anchor, steps, kind=kind, config=config,
             backend=record["backend"], n_docs=result.tfidf.matrix.n_rows,
+            kmeans_passes=result.kmeans.n_iters,
             total_s=record["total_s"], plan_seconds=record["plan_seconds"],
             plan=record["plan"], downgrades=record["downgrades"],
             quarantine=record["quarantine"],

@@ -9,8 +9,8 @@ The measure → calibrate → plan loop (ROADMAP item 2):
    constants from those measurements, or from a cheap sampled sequential
    probe when no history exists; stores persist as JSON.
 3. **Plan** — :class:`RealCostModel` prices every candidate
-   :class:`PhasePlan` (backend × workers × shm × grain × dict kind)
-   and :class:`AdaptivePlanner` picks the per-phase argmin,
+   :class:`PhasePlan` (backend × workers × shm × tiling) and
+   :class:`AdaptivePlanner` picks the per-phase argmin,
    returning a :class:`RealPlan` whose ``explain()`` narrates the
    rejected candidates.
 
@@ -29,7 +29,7 @@ from repro.plan.cost_model import (
     PhaseWorkload,
     RealCostModel,
 )
-from repro.plan.planner import AdaptivePlanner, PairEstimate, RealPlan
+from repro.plan.planner import AdaptivePlanner, RealPlan
 
 __all__ = [
     "CalibrationStore",
@@ -39,7 +39,6 @@ __all__ = [
     "PhaseWorkload",
     "PhaseEstimate",
     "RealCostModel",
-    "PairEstimate",
     "RealPlan",
     "AdaptivePlanner",
 ]

@@ -33,7 +33,6 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.dicts.factory import PLANNER_KINDS, make_dict
 from repro.errors import ConfigurationError
 from repro.io.atomic import atomic_write_json
 
@@ -62,8 +61,9 @@ _BLEND = 0.5
 @dataclass
 class PhaseConstants:
     """Per-phase cost constants, all *per document* (per document per
-    iteration for ``kmeans`` — spans count a document once per pass, so
-    fitted values land in the same unit automatically)."""
+    assignment pass for ``kmeans``: the probe times one pass, and
+    :meth:`CalibrationStore.observe_totals` divides a run's k-means time
+    and bytes by documents × passes)."""
 
     compute_ns_per_doc: float = 0.0
     #: Bytes of task pickle shipped per document (chunk payload / docs).
@@ -74,9 +74,6 @@ class PhaseConstants:
     #: the shm plane instead of the task pickle (kmeans block tokens).
     #: 0 = effectively free.
     shm_task_bytes_per_doc: float = 0.0
-    #: Parent-side dictionary merge ops per document (wc: the df merge's
-    #: term probes).
-    merge_ops_per_doc: float = 0.0
 
 
 @dataclass
@@ -89,15 +86,6 @@ class CalibrationStore:
     pool_spawn_s_per_worker: float = _DEFAULT_POOL_SPAWN_S
     shm_setup_s: float = _DEFAULT_SHM_SETUP_S
     task_overhead_s: float = _DEFAULT_TASK_OVERHEAD_S
-    #: Measured nanoseconds per increment per dictionary kind — the term
-    #: that differentiates dict candidates in the real cost model.
-    dict_ns_per_op: dict[str, float] = field(default_factory=dict)
-    #: Per-document cost of serving a phase from the result cache
-    #: (deserialize + compose) — the near-zero term that lets the planner
-    #: route around cached work. Deliberately conservative; cache serves
-    #: execute no tasks, so observe_run never pollutes compute constants
-    #: with it.
-    cache_serve_ns_per_doc: float = 2000.0
     #: Nanoseconds per byte moved through the tiled spill plane (binary
     #: tile write + mmap read-back, measured round trip by the probe).
     #: Prices one matrix pass of a tiled phase; the ~page-cache-speed
@@ -122,8 +110,7 @@ class CalibrationStore:
 
     def must_tile(self, n_docs: int, memory_budget: int | None) -> bool:
         """Whether a run over ``n_docs`` has to go through the tiled data
-        plane: a budget is set and the estimated matrix exceeds it. The
-        one definition the planner and the driver's cache routing share."""
+        plane: a budget is set and the estimated matrix exceeds it."""
         return (
             memory_budget is not None
             and self.matrix_bytes(n_docs) > memory_budget
@@ -140,14 +127,17 @@ class CalibrationStore:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CalibrationStore":
+        """Rebuild a store; keys this version no longer reads (retired
+        constants such as ``dict_ns_per_op`` or ``merge_ops_per_doc``)
+        are dropped at both levels, so older stores still load."""
         if not isinstance(payload, dict):
             raise ConfigurationError("calibration store must be a JSON object")
         phases = {
-            phase: PhaseConstants(**constants)
+            phase: PhaseConstants(**_known(PhaseConstants, constants))
             for phase, constants in payload.get("phases", {}).items()
         }
-        known = {f for f in cls.__dataclass_fields__} - {"phases"}
-        kwargs = {k: v for k, v in payload.items() if k in known}
+        kwargs = _known(cls, payload)
+        kwargs.pop("phases", None)
         return cls(phases=phases, **kwargs)
 
     def save(self, path: str) -> None:
@@ -258,12 +248,6 @@ class CalibrationStore:
             # Raw texts ship as task pickles whether or not the shm plane
             # is up — shm carries no word-count state.
             shm_task_bytes_per_doc=wc_task_bytes,
-            # The df merge's dictionary probes: one per long term of a
-            # packed block (the rest merges numerically), one per term of
-            # a string block.
-            merge_ops_per_doc=(
-                block.n_terms if block.packed is None else len(block.packed[1])
-            ) / k,
         )
 
         # Phase 2a: transform — vocabulary and bound block through the
@@ -329,19 +313,6 @@ class CalibrationStore:
             (time.perf_counter() - t0) / (reps * len(blob)) * 1e9
         )
 
-        # Dictionary increments per kind: the term that separates dict
-        # candidates. A flat token sample keeps this under a millisecond.
-        terms = block.terms
-        tokens = [terms[at] for at in block.ids[:4096].tolist()] or ["x"]
-        for kind in PLANNER_KINDS:
-            d = make_dict(kind)
-            t0 = time.perf_counter()
-            for token in tokens:
-                d.increment(token)
-            store.dict_ns_per_op[kind] = (
-                (time.perf_counter() - t0) / len(tokens) * 1e9
-            )
-
         store.shm_setup_s = _probe_shm_setup()
         store.tile_io_ns_per_byte = _probe_tile_io(
             indptr, indices, data, sq_norms, len(vocabulary)
@@ -356,16 +327,21 @@ class CalibrationStore:
         """Blend a finished run's measurements into the constants.
 
         ``result`` is a :class:`~repro.core.pipeline.RealRunResult`;
-        worker-side compute comes from its trace (``busy_s / n_items``
-        per phase — requires ``trace=True``), byte constants from its
-        IPC snapshot. Phases absent from the run are left untouched.
+        worker-side compute comes from its trace (requires
+        ``trace=True``), byte constants from its IPC snapshot, and the
+        k-means pass count from its clustering. Phases absent from the
+        run are left untouched.
         """
         totals = result.trace.phase_totals() if result.trace else {}
         ipc = result.ipc if isinstance(result.ipc, dict) else {}
-        self.observe_totals(totals, ipc.get("phases", {}), n_docs)
+        self.observe_totals(
+            totals, ipc.get("phases", {}), n_docs,
+            kmeans_passes=result.kmeans.n_iters,
+        )
 
     def observe_totals(
-        self, totals: dict, ipc_phases: dict, n_docs: int
+        self, totals: dict, ipc_phases: dict, n_docs: int,
+        kmeans_passes: int | None = None,
     ) -> None:
         """Blend raw per-phase measurements into the constants.
 
@@ -376,44 +352,54 @@ class CalibrationStore:
         :meth:`~repro.exec.spans.RunTrace.phase_totals`); ``ipc_phases``
         maps phase → its IPC counter dict. Phases absent from either are
         left untouched.
+
+        Busy seconds and bytes are divided by the documents the phase
+        went through: ``n_docs``, times ``kmeans_passes`` for k-means.
+        Span ``n_items`` counts the chunks a task was handed, not
+        documents, so it only tells whether the phase ran. Without a
+        pass count the k-means constants are left untouched.
         """
         if n_docs <= 0:
             return
+        units = {phase: n_docs for phase in self.phases}
+        if "kmeans" in units:
+            if kmeans_passes:
+                units["kmeans"] = n_docs * kmeans_passes
+            else:
+                del units["kmeans"]
         for phase, t in totals.items():
-            if t.get("n_items", 0) <= 0 or phase not in self.phases:
+            if t.get("n_items", 0) <= 0 or phase not in units:
                 continue
-            measured = t["busy_s"] / t["n_items"] * 1e9
             constants = self.phases[phase]
             constants.compute_ns_per_doc = _blend(
-                constants.compute_ns_per_doc, measured
+                constants.compute_ns_per_doc, t["busy_s"] / units[phase] * 1e9
             )
         for phase, counters in ipc_phases.items():
-            if phase not in self.phases:
+            if phase not in units:
                 continue
             constants = self.phases[phase]
             task_bytes = counters.get("task_pickle_bytes", 0)
             result_bytes = counters.get("result_pickle_bytes", 0)
             if task_bytes:
                 constants.task_bytes_per_doc = _blend(
-                    constants.task_bytes_per_doc, task_bytes / n_docs
+                    constants.task_bytes_per_doc, task_bytes / units[phase]
                 )
             if result_bytes:
                 constants.result_bytes_per_doc = _blend(
-                    constants.result_bytes_per_doc, result_bytes / n_docs
+                    constants.result_bytes_per_doc,
+                    result_bytes / units[phase],
                 )
         self.samples += n_docs
         if self.source in ("default", "probe"):
             self.source = "observed"
 
-    def dict_factor_ns(self, kind: str) -> float:
-        """Per-op cost for ``kind``; unknown kinds cost the known median."""
-        if kind in self.dict_ns_per_op:
-            return self.dict_ns_per_op[kind]
-        known = sorted(self.dict_ns_per_op.values())
-        return known[len(known) // 2] if known else 50.0
-
     def describe(self) -> str:
         return f"{self.source} ({self.samples} docs sampled)"
+
+
+def _known(schema, payload: dict) -> dict:
+    """The entries of ``payload`` that name a field of dataclass ``schema``."""
+    return {k: v for k, v in payload.items() if k in schema.__dataclass_fields__}
 
 
 def _blend(old: float, new: float) -> float:

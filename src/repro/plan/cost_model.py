@@ -2,24 +2,27 @@
 
 Where :mod:`repro.core.cost_model` prices *virtual* machines, this model
 prices the host it runs on: a :class:`PhasePlan` names one candidate
-configuration (backend tier × workers × shm × grain × dictionary kind)
-and :meth:`RealCostModel.predict` multiplies it against a
+configuration (backend tier × workers × shm × tiling) and
+:meth:`RealCostModel.predict` multiplies it against a
 :class:`~repro.plan.calibration.CalibrationStore`'s measured constants:
 
 ``predicted = compute / effective_parallelism + pickle(task + result
 bytes, both directions) + pool spawn + shm setup + per-task overhead +
-dictionary merge + last-chunk imbalance``
+last-chunk imbalance + tile I/O``
 
-The terms mirror how the backends actually spend time — threads get no
-compute division (CPython's GIL serializes the CPU-bound kernels),
-process pools pay one spawn per ``configure`` generation — so on a 1-CPU
-host the model *discovers* that sequential wins at small scale, rather
-than being told.
+On a 1-CPU host the model *discovers* that sequential wins at small
+scale, rather than being told. Two terms misprice the backends as they
+now run, and ROADMAP item 5 owns both: threads get no compute division,
+although the kernels' numpy calls release the GIL; and every
+``processes`` phase is charged a pool spawn, although a
+:class:`~repro.exec.process.ProcessBackend` forks its pool once and
+later phases install into the live workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import os
 
@@ -38,23 +41,18 @@ class PhasePlan:
     backend: str  # "sequential" | "threads" | "processes"
     workers: int = 1
     shm: bool = False
-    #: Items per task; ``None`` = the backend's Cilk-style auto grain.
-    grain: int | None = None
-    dict_kind: str = DEFAULT_KIND
-    #: True when the phase's full result sits in the run's result cache:
-    #: the phase serves from disk instead of computing, and the cost
-    #: model prices it at deserialization speed.
-    cached: bool = False
     #: True when the phase goes through the tiled data plane: the
     #: transform writes binary spill tiles instead of keeping the matrix
     #: resident, and k-means streams them back every assignment pass.
     #: Output stays bit-identical; the model adds a tile-I/O term per
     #: matrix pass, which is why an unconstrained plan never tiles.
     tiled: bool = False
+    #: Not a knob: a real run counts into term blocks and touches no
+    #: dictionary. Kept, read-only, for ``perfbench/workloads.py``, which
+    #: records ``phase.dict_kind`` for its planned workload.
+    dict_kind: ClassVar[str] = DEFAULT_KIND
 
     def describe(self) -> str:
-        if self.cached:
-            return "cached+tiled" if self.tiled else "cached"
         backend = self.backend
         if self.backend != "sequential":
             backend = f"{self.backend}-{self.workers}"
@@ -62,12 +60,7 @@ class PhasePlan:
             backend += "+shm"
         if self.tiled:
             backend += "+tiled"
-        if self.phase == "kmeans":
-            # Blocking and merge order are part of the output contract;
-            # grain and dictionary kind are not knobs here.
-            return backend
-        grain = "auto" if self.grain is None else str(self.grain)
-        return f"{backend} grain={grain} dict={self.dict_kind}"
+        return backend
 
 
 @dataclass(frozen=True)
@@ -76,7 +69,6 @@ class PhaseWorkload:
 
     phase: str
     n_docs: int
-    input_bytes: int = 0
     #: Assignment passes for ``kmeans`` (constants are per doc per pass).
     iterations: int = 1
     #: Estimated resident bytes of the score matrix — the volume a tiled
@@ -122,36 +114,6 @@ class RealCostModel:
     ) -> PhaseEstimate:
         """Predicted wall seconds for running ``workload`` under ``plan``."""
         c = self.calibration
-        # Tile I/O: a tiled transform writes the matrix to spill tiles
-        # once; a tiled k-means re-reads it every assignment pass. The
-        # term is what makes an unconstrained plan prefer the resident
-        # matrix — tiling only wins when the budget forbids residency.
-        tile_passes = (
-            workload.iterations if workload.phase == "kmeans" else 1
-        )
-        tile_io_s = (
-            max(0, workload.matrix_bytes)
-            * c.tile_io_ns_per_byte * 1e-9 * tile_passes
-            if plan.tiled
-            else 0.0
-        )
-        if plan.cached:
-            # A cached phase deserializes its stored result instead of
-            # computing: near-zero, linear in the corpus (iteration count
-            # is irrelevant — the stored clustering is served whole). A
-            # cached *tiled* transform additionally re-materializes its
-            # spill tiles (one write pass) while serving.
-            serve_s = (
-                max(0, workload.n_docs) * c.cache_serve_ns_per_doc * 1e-9
-            )
-            breakdown = {"cache_serve": serve_s}
-            if plan.tiled and workload.phase != "kmeans":
-                breakdown["tile_io"] = tile_io_s
-            return PhaseEstimate(
-                plan=plan,
-                predicted_s=sum(breakdown.values()),
-                breakdown=breakdown,
-            )
         try:
             constants = c.phases[workload.phase]
         except KeyError:
@@ -162,25 +124,17 @@ class RealCostModel:
         n = max(0, workload.n_docs)
         passes = workload.iterations if workload.phase == "kmeans" else 1
         compute_s = n * passes * constants.compute_ns_per_doc * 1e-9
-        # Parent-side dictionary merge: charged once, scaled by the
-        # candidate's dictionary implementation.
-        dict_s = (
-            n * constants.merge_ops_per_doc * c.dict_factor_ns(plan.dict_kind)
-            * 1e-9
-        )
-
-        grain = plan.grain or auto_grain(n, plan.workers)
+        grain = auto_grain(n, plan.workers)
         n_tasks = -(-n // grain) if n else 0
 
         breakdown: dict[str, float]
         if plan.backend == "sequential":
-            breakdown = {"compute": compute_s, "dict": dict_s}
+            breakdown = {"compute": compute_s}
         elif plan.backend == "threads":
-            # The kernels are CPU-bound pure Python: the GIL serializes
-            # them, so threads pay overhead without gaining parallelism.
+            # Priced as if the GIL serialized the kernels: overhead, no
+            # parallelism (a mispricing, see the module docstring).
             breakdown = {
                 "compute": compute_s,
-                "dict": dict_s,
                 "task_overhead": n_tasks * c.task_overhead_s,
             }
         elif plan.backend == "processes":
@@ -196,8 +150,8 @@ class RealCostModel:
                 * (c.pickle_ns_per_byte + c.unpickle_ns_per_byte)
                 * 1e-9
             )
-            # One pool generation per configure: every phase
-            # reconfigures its initializer, so every phase pays a spawn.
+            # Every phase is charged a spawn (a mispricing, see the
+            # module docstring).
             spawn_s = c.pool_spawn_s_per_worker * plan.workers
             shm_s = c.shm_setup_s * (1 if plan.shm else 0)
             # Last-chunk imbalance: the final grain-sized task has no
@@ -207,7 +161,6 @@ class RealCostModel:
             )
             breakdown = {
                 "compute": compute_s / p,
-                "dict": dict_s,
                 "pickle": pickle_s,
                 "spawn": spawn_s,
                 "shm_setup": shm_s,
@@ -219,6 +172,13 @@ class RealCostModel:
                 f"unknown backend tier {plan.backend!r} in {plan}"
             )
         if plan.tiled:
-            breakdown["tile_io"] = tile_io_s
+            # A tiled transform writes the matrix to spill tiles once; a
+            # tiled k-means re-reads it every assignment pass. The term
+            # is what makes an unconstrained plan prefer the resident
+            # matrix: tiling only wins when the budget forbids residency.
+            breakdown["tile_io"] = (
+                max(0, workload.matrix_bytes)
+                * c.tile_io_ns_per_byte * 1e-9 * passes
+            )
         total = sum(breakdown.values())
         return PhaseEstimate(plan=plan, predicted_s=total, breakdown=breakdown)

@@ -21,7 +21,7 @@ from repro.exec.shm import shm_available
 from repro.ops.kmeans import KMeansOperator
 from repro.ops.tfidf import TfIdfOperator
 from repro.ops.wordcount import WordCountStep
-from repro.plan import CalibrationStore
+from repro.plan import CalibrationStore, PhasePlan, RealPlan
 from repro.text import MIX_PROFILE, generate_corpus
 from repro.text.corpus import Document
 
@@ -234,25 +234,55 @@ class TestEdgeCases:
         assert _run(corpus).cache is None
 
 
+#: A plan that names pool workers for every phase.
+_PROCESSES_PLAN = RealPlan(phases={
+    phase: PhasePlan(phase, "processes", 2)
+    for phase in ("input+wc", "transform", "kmeans")
+})
+
+
 class TestPlannedCache:
+    """A served phase runs no task, whatever backend its plan names."""
+
+    @staticmethod
+    def _planned(corpus, cache, plan):
+        return run_pipeline(
+            corpus,
+            plan=plan,
+            calibration=CalibrationStore.load_or_probe(None, corpus),
+            tfidf=TfIdfOperator(),
+            kmeans=KMeansOperator(max_iters=3),
+            cache=cache,
+            observe=False,
+        )
+
+    @staticmethod
+    def _tasks(result):
+        return {
+            phase: counters["tasks"]
+            for phase, counters in result.ipc["phases"].items()
+        }
+
     def test_auto_plan_routes_around_cached_phases(self, corpus, tmp_path):
-        calibration = CalibrationStore.load_or_probe(None, corpus)
         cache = PipelineCache(str(tmp_path / "cache"))
+        cold = self._planned(corpus, cache, "auto")
+        for warm_plan in ("auto", _PROCESSES_PLAN):
+            warm = self._planned(corpus, cache, warm_plan)
+            _assert_identical(warm, cold)
+            assert warm.cache["hits"] == 3
+            assert all(tasks == 0 for tasks in self._tasks(warm).values())
 
-        def planned():
-            return run_pipeline(
-                corpus,
-                plan="auto",
-                calibration=calibration,
-                tfidf=TfIdfOperator(),
-                kmeans=KMeansOperator(max_iters=3),
-                cache=cache,
-            )
-
-        cold = planned()
-        warm = planned()
+    def test_deleted_transform_recomputes_on_the_planned_backend(
+        self, corpus, tmp_path
+    ):
+        cache = PipelineCache(str(tmp_path / "cache"))
+        cold = self._planned(corpus, cache, "auto")
+        # The full entry and its shards: nothing is left to compose from.
+        for path in glob.glob(str(tmp_path / "cache" / "objects" / "tr-*.pkl")):
+            os.remove(path)
+        warm = self._planned(corpus, cache, _PROCESSES_PLAN)
         _assert_identical(warm, cold)
-        assert warm.cache["hits"] == 3
-        for phase in ("input+wc", "transform", "kmeans"):
-            assert warm.plan.phases[phase].cached
-            assert warm.plan.phases[phase].describe() == "cached"
+        assert (warm.cache["hits"], warm.cache["misses"]) == (2, 1)
+        tasks = self._tasks(warm)
+        assert tasks["transform"] > 0
+        assert tasks.get("input+wc", 0) == tasks.get("kmeans", 0) == 0

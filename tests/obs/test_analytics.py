@@ -260,6 +260,8 @@ class TestRecalibrate:
                     span_totals={"busy_s": 1.0, "n_items": n},
                 ))
                 records[-1]["run"]["n_docs"] = n
+                # K-means constants are per pass; replay needs the count.
+                records[-1]["run"]["kmeans_passes"] = 2
         summary = analytics.recalibrate(records, store)
         assert summary == {"runs_applied": 2, "runs_skipped": 0}
         assert store.source == "observed"

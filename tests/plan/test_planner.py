@@ -1,10 +1,13 @@
-"""Adaptive planner: argmin choices, explain narrative."""
+"""Adaptive planner: argmin choices, explain narrative, recorded choices."""
 
 from __future__ import annotations
 
+import dataclasses
+from pathlib import Path
+
 import pytest
 
-from repro.dicts.factory import PLANNER_KINDS, dict_candidate_pairs
+from repro.dicts.factory import DEFAULT_KIND
 from repro.errors import PlannerError
 from repro.plan import (
     AdaptivePlanner,
@@ -37,14 +40,12 @@ def make_store(
                 shm_task_bytes_per_doc=(
                     0.0 if phase == "kmeans" else task_bytes
                 ),
-                merge_ops_per_doc=100.0 if phase == "input+wc" else 0.0,
             )
             for phase in PHASES
         },
         pickle_ns_per_byte=pickle_ns,
         unpickle_ns_per_byte=pickle_ns,
         pool_spawn_s_per_worker=spawn_s,
-        dict_ns_per_op={"map": 100.0, "unordered_map": 40.0},
         source="fixture",
     )
 
@@ -55,7 +56,7 @@ class TestCostModel:
         estimate = model.predict(
             PhaseWorkload("transform", 1000), PhasePlan("transform", "sequential")
         )
-        assert set(estimate.breakdown) == {"compute", "dict"}
+        assert set(estimate.breakdown) == {"compute"}
 
     def test_threads_pay_overhead_without_parallelism(self):
         model = RealCostModel(make_store(), cpu_count=4)
@@ -124,14 +125,17 @@ class TestAdaptivePlanner:
         with pytest.raises(PlannerError):
             AdaptivePlanner(make_store(), cpu_count=1).plan(n_docs=0)
 
-    def test_dict_candidates_come_from_factory(self):
-        planner = AdaptivePlanner(make_store(), cpu_count=1, shm_ok=False)
-        plan = planner.plan(n_docs=100)
-        enumerated = {
-            (pair.wc.plan.dict_kind, pair.transform.plan.dict_kind)
-            for pair in plan.pair_candidates
-        }
-        assert enumerated == set(dict_candidate_pairs(PLANNER_KINDS))
+    def test_each_phase_is_one_argmin_over_the_configurations(self):
+        planner = AdaptivePlanner(make_store(), cpu_count=4, shm_ok=True)
+        plan = planner.plan(n_docs=1000)
+        configs = planner._configs()
+        assert len(configs) == 10
+        for phase in PHASES:
+            ranked = plan.candidates[phase]
+            assert len(ranked) == len(configs)
+            assert plan.phases[phase] == ranked[0].plan
+            costs = [estimate.predicted_s for estimate in ranked]
+            assert costs == sorted(costs)
 
     def test_explain_names_rejected_candidates(self):
         planner = AdaptivePlanner(make_store(), cpu_count=1, shm_ok=True)
@@ -142,6 +146,11 @@ class TestAdaptivePlanner:
         assert "sequential" in narrative
         # The chosen line and the predicted totals are narrated too.
         assert f"Plan for {1000} documents" in narrative
+        # One chosen configuration per phase, and only the knobs a run
+        # executes.
+        chosen = [line for line in narrative.splitlines() if "[predicted" in line]
+        assert [line.split(":")[0].strip() for line in chosen] == list(PHASES)
+        assert "dict=" not in narrative and "grain=" not in narrative
 
     def test_ties_resolve_to_simplest_config(self):
         # With all costs zero every candidate ties; the stable sort must
@@ -150,7 +159,6 @@ class TestAdaptivePlanner:
             phases={phase: PhaseConstants() for phase in PHASES},
             pickle_ns_per_byte=0.0, unpickle_ns_per_byte=0.0,
             pool_spawn_s_per_worker=0.0, shm_setup_s=0.0, task_overhead_s=0.0,
-            dict_ns_per_op={"map": 0.0, "unordered_map": 0.0},
         )
         plan = AdaptivePlanner(store, cpu_count=4, shm_ok=True).plan(n_docs=10)
         for phase in PHASES:
@@ -164,54 +172,148 @@ class TestAdaptivePlanner:
         assert set(payload["phases"]) == set(PHASES)
 
 
-class TestCachedPhases:
-    """Result-cache integration: cached phases are pinned, not enumerated."""
+class TestPhasePlan:
+    def test_dict_kind_is_a_constant_not_a_field(self):
+        # perfbench/workloads.py reads phase.dict_kind; nothing sets it.
+        assert PhasePlan.dict_kind == DEFAULT_KIND
+        assert "dict_kind" not in {f.name for f in dataclasses.fields(PhasePlan)}
+        with pytest.raises(TypeError):
+            PhasePlan("input+wc", "sequential", dict_kind="unordered_map")
 
-    def test_cached_phase_priced_at_serve_speed(self):
-        model = RealCostModel(make_store(), cpu_count=1)
-        workload = PhaseWorkload("kmeans", 1000, iterations=50)
-        cached = model.predict(
-            workload, PhasePlan("kmeans", "sequential", cached=True)
+    def test_describe_names_only_executed_knobs(self):
+        assert PhasePlan("input+wc", "sequential").describe() == "sequential"
+        assert (
+            PhasePlan("transform", "processes", 4, True, tiled=True).describe()
+            == "processes-4+shm+tiled"
         )
-        computed = model.predict(workload, PhasePlan("kmeans", "sequential"))
-        assert set(cached.breakdown) == {"cache_serve"}
-        assert cached.predicted_s < computed.predicted_s
-        # Serving ignores the iteration count: the clustering comes whole.
-        more_iters = model.predict(
-            PhaseWorkload("kmeans", 1000, iterations=500),
-            PhasePlan("kmeans", "sequential", cached=True),
-        )
-        assert more_iters.predicted_s == cached.predicted_s
 
-    def test_cached_plan_describes_itself(self):
-        assert PhasePlan("kmeans", "sequential", cached=True).describe() == "cached"
 
-    def test_all_phases_cached_pins_every_plan(self):
-        planner = AdaptivePlanner(make_store(), cpu_count=8, shm_ok=True)
-        plan = planner.plan(
-            n_docs=5000,
-            cached_phases=frozenset({"input+wc", "transform", "kmeans"}),
-        )
-        for phase in PHASES:
-            assert plan.phases[phase].cached, phase
-        assert len(plan.pair_candidates) == 1
-        assert len(plan.kmeans_candidates) == 1
+#: Committed calibration stores the choice table was recorded over.
+_REPO = Path(__file__).resolve().parents[2]
+STORES = {
+    "perfbench": str(_REPO / "perfbench" / "calibration.json"),
+    "ci": str(_REPO / "benchmarks" / "calibration_ci.json"),
+}
 
-    def test_partial_cache_still_enumerates_the_live_phase(self):
-        planner = AdaptivePlanner(make_store(), cpu_count=4, shm_ok=True)
-        plan = planner.plan(
-            n_docs=1000, cached_phases=frozenset({"input+wc"})
-        )
-        assert plan.phases["input+wc"].cached
-        assert not plan.phases["transform"].cached
-        # The transform is still chosen from real candidates.
-        assert len(plan.pair_candidates) > 1
+MB, GB = 1 << 20, 1 << 30
+SEQ = ("sequential", 1, False, False)
+SEQ_TILED = ("sequential", 1, False, True)
+PROCS_4 = ("processes", 4, False, False)
 
-    def test_cached_phases_beat_any_computed_candidate(self):
-        planner = AdaptivePlanner(make_store(), cpu_count=1, shm_ok=False)
-        cached = planner.plan(
-            n_docs=1000,
-            cached_phases=frozenset({"input+wc", "transform", "kmeans"}),
+#: (store, n_docs, memory_budget, cpu_count, input+wc, transform, kmeans),
+#: each phase as (backend, workers, shm, tiled), planned with shm_ok=True.
+#: Recorded from the planner that still enumerated dictionary kinds,
+#: grains and cache pins; the cut-down planner must choose the same.
+PLAN_CHOICES = [
+    ("perfbench", 16, None, 1, SEQ, SEQ, SEQ),
+    ("perfbench", 16, None, 2, SEQ, SEQ, SEQ),
+    ("perfbench", 16, None, 8, SEQ, SEQ, SEQ),
+    ("perfbench", 16, MB, 1, SEQ, SEQ, SEQ),
+    ("perfbench", 16, MB, 2, SEQ, SEQ, SEQ),
+    ("perfbench", 16, MB, 8, SEQ, SEQ, SEQ),
+    ("perfbench", 16, GB, 1, SEQ, SEQ, SEQ),
+    ("perfbench", 16, GB, 2, SEQ, SEQ, SEQ),
+    ("perfbench", 16, GB, 8, SEQ, SEQ, SEQ),
+    ("perfbench", 250, None, 1, SEQ, SEQ, SEQ),
+    ("perfbench", 250, None, 2, SEQ, SEQ, SEQ),
+    ("perfbench", 250, None, 8, SEQ, SEQ, SEQ),
+    ("perfbench", 250, MB, 1, SEQ, SEQ_TILED, SEQ_TILED),
+    ("perfbench", 250, MB, 2, SEQ, SEQ_TILED, SEQ_TILED),
+    ("perfbench", 250, MB, 8, SEQ, SEQ_TILED, SEQ_TILED),
+    ("perfbench", 250, GB, 1, SEQ, SEQ, SEQ),
+    ("perfbench", 250, GB, 2, SEQ, SEQ, SEQ),
+    ("perfbench", 250, GB, 8, SEQ, SEQ, SEQ),
+    ("perfbench", 1200, None, 1, SEQ, SEQ, SEQ),
+    ("perfbench", 1200, None, 2, SEQ, SEQ, SEQ),
+    ("perfbench", 1200, None, 8, PROCS_4, SEQ, SEQ),
+    ("perfbench", 1200, MB, 1, SEQ, SEQ_TILED, SEQ_TILED),
+    ("perfbench", 1200, MB, 2, SEQ, SEQ_TILED, SEQ_TILED),
+    ("perfbench", 1200, MB, 8, PROCS_4, SEQ_TILED, SEQ_TILED),
+    ("perfbench", 1200, GB, 1, SEQ, SEQ, SEQ),
+    ("perfbench", 1200, GB, 2, SEQ, SEQ, SEQ),
+    ("perfbench", 1200, GB, 8, PROCS_4, SEQ, SEQ),
+    ("perfbench", 5000, None, 1, SEQ, SEQ, SEQ),
+    ("perfbench", 5000, None, 2, SEQ, SEQ, SEQ),
+    ("perfbench", 5000, None, 8, PROCS_4, SEQ, SEQ),
+    ("perfbench", 5000, MB, 1, SEQ, SEQ_TILED, SEQ_TILED),
+    ("perfbench", 5000, MB, 2, SEQ, SEQ_TILED, SEQ_TILED),
+    ("perfbench", 5000, MB, 8, PROCS_4, SEQ_TILED, SEQ_TILED),
+    ("perfbench", 5000, GB, 1, SEQ, SEQ, SEQ),
+    ("perfbench", 5000, GB, 2, SEQ, SEQ, SEQ),
+    ("perfbench", 5000, GB, 8, PROCS_4, SEQ, SEQ),
+    ("perfbench", 50000, None, 1, SEQ, SEQ, SEQ),
+    ("perfbench", 50000, None, 2, SEQ, SEQ, SEQ),
+    ("perfbench", 50000, None, 8, PROCS_4, SEQ, SEQ),
+    ("perfbench", 50000, MB, 1, SEQ, SEQ_TILED, SEQ_TILED),
+    ("perfbench", 50000, MB, 2, SEQ, SEQ_TILED, SEQ_TILED),
+    ("perfbench", 50000, MB, 8, PROCS_4, SEQ_TILED, SEQ_TILED),
+    ("perfbench", 50000, GB, 1, SEQ, SEQ, SEQ),
+    ("perfbench", 50000, GB, 2, SEQ, SEQ, SEQ),
+    ("perfbench", 50000, GB, 8, PROCS_4, SEQ, SEQ),
+    ("ci", 16, None, 1, SEQ, SEQ, SEQ),
+    ("ci", 16, None, 2, SEQ, SEQ, SEQ),
+    ("ci", 16, None, 8, SEQ, SEQ, SEQ),
+    ("ci", 16, MB, 1, SEQ, SEQ, SEQ),
+    ("ci", 16, MB, 2, SEQ, SEQ, SEQ),
+    ("ci", 16, MB, 8, SEQ, SEQ, SEQ),
+    ("ci", 16, GB, 1, SEQ, SEQ, SEQ),
+    ("ci", 16, GB, 2, SEQ, SEQ, SEQ),
+    ("ci", 16, GB, 8, SEQ, SEQ, SEQ),
+    ("ci", 250, None, 1, SEQ, SEQ, SEQ),
+    ("ci", 250, None, 2, SEQ, SEQ, SEQ),
+    ("ci", 250, None, 8, SEQ, SEQ, SEQ),
+    ("ci", 250, MB, 1, SEQ, SEQ_TILED, SEQ_TILED),
+    ("ci", 250, MB, 2, SEQ, SEQ_TILED, SEQ_TILED),
+    ("ci", 250, MB, 8, SEQ, SEQ_TILED, SEQ_TILED),
+    ("ci", 250, GB, 1, SEQ, SEQ, SEQ),
+    ("ci", 250, GB, 2, SEQ, SEQ, SEQ),
+    ("ci", 250, GB, 8, SEQ, SEQ, SEQ),
+    ("ci", 1200, None, 1, SEQ, SEQ, SEQ),
+    ("ci", 1200, None, 2, SEQ, SEQ, SEQ),
+    ("ci", 1200, None, 8, SEQ, SEQ, SEQ),
+    ("ci", 1200, MB, 1, SEQ, SEQ_TILED, SEQ_TILED),
+    ("ci", 1200, MB, 2, SEQ, SEQ_TILED, SEQ_TILED),
+    ("ci", 1200, MB, 8, SEQ, SEQ_TILED, SEQ_TILED),
+    ("ci", 1200, GB, 1, SEQ, SEQ, SEQ),
+    ("ci", 1200, GB, 2, SEQ, SEQ, SEQ),
+    ("ci", 1200, GB, 8, SEQ, SEQ, SEQ),
+    ("ci", 5000, None, 1, SEQ, SEQ, SEQ),
+    ("ci", 5000, None, 2, SEQ, SEQ, SEQ),
+    ("ci", 5000, None, 8, SEQ, SEQ, SEQ),
+    ("ci", 5000, MB, 1, SEQ, SEQ_TILED, SEQ_TILED),
+    ("ci", 5000, MB, 2, SEQ, SEQ_TILED, SEQ_TILED),
+    ("ci", 5000, MB, 8, SEQ, SEQ_TILED, SEQ_TILED),
+    ("ci", 5000, GB, 1, SEQ, SEQ, SEQ),
+    ("ci", 5000, GB, 2, SEQ, SEQ, SEQ),
+    ("ci", 5000, GB, 8, SEQ, SEQ, SEQ),
+    ("ci", 50000, None, 1, SEQ, SEQ, SEQ),
+    ("ci", 50000, None, 2, SEQ, SEQ, SEQ),
+    ("ci", 50000, None, 8, PROCS_4, SEQ, SEQ),
+    ("ci", 50000, MB, 1, SEQ, SEQ_TILED, SEQ_TILED),
+    ("ci", 50000, MB, 2, SEQ, SEQ_TILED, SEQ_TILED),
+    ("ci", 50000, MB, 8, PROCS_4, SEQ_TILED, SEQ_TILED),
+    ("ci", 50000, GB, 1, SEQ, SEQ, SEQ),
+    ("ci", 50000, GB, 2, SEQ, SEQ, SEQ),
+    ("ci", 50000, GB, 8, PROCS_4, SEQ, SEQ),
+]
+
+
+class TestPlanChoiceTable:
+    @pytest.fixture(scope="class")
+    def stores(self):
+        return {name: CalibrationStore.load(path) for name, path in STORES.items()}
+
+    @pytest.mark.parametrize(
+        "store, n_docs, budget, cpus, wc, transform, kmeans", PLAN_CHOICES
+    )
+    def test_recorded_choice(
+        self, stores, store, n_docs, budget, cpus, wc, transform, kmeans
+    ):
+        plan = AdaptivePlanner(stores[store], cpu_count=cpus, shm_ok=True).plan(
+            n_docs, memory_budget=budget
         )
-        live = planner.plan(n_docs=1000)
-        assert cached.predicted_total_s < live.predicted_total_s
+        got = [
+            (step.backend, step.workers, step.shm, step.tiled)
+            for step in (plan.phases[phase] for phase in PHASES)
+        ]
+        assert got == [wc, transform, kmeans]

@@ -315,7 +315,7 @@ class TestPlannedPipeline:
         assert args.plan == "fixed"
         assert args.calibration is None
         assert args.explain_plan is False
-        assert args.dict_kind is None  # planner may choose when unpinned
+        assert not hasattr(args, "dict_kind")  # a real run has no dictionary
 
     def test_auto_plan_runs_and_persists_calibration(
         self, corpus_dir, tmp_path, capsys
@@ -418,18 +418,20 @@ class TestCachedPipeline:
         assert "served" in warm and "saved" in warm
         assert open(warm_out).read() == open(cold_out).read()
 
-    def test_cache_with_auto_plan_pins_cached_phases(
+    def test_cache_with_auto_plan_serves_every_phase(
         self, corpus_dir, tmp_path, capsys
     ):
         cache = str(tmp_path / "cache")
         calib = str(tmp_path / "calib.json")
-        for _ in range(2):
+        outputs = []
+        for name in ("cold.txt", "warm.txt"):
+            outputs.append(str(tmp_path / name))
             assert main(["pipeline", "--input", corpus_dir, "--cache", cache,
                          "--plan", "auto", "--calibration", calib,
-                         "--max-iters", "2"]) == 0
+                         "--output", outputs[-1], "--max-iters", "2"]) == 0
         warm = capsys.readouterr().out
-        assert "cached" in warm
         assert "cache: 3 hit(s), 0 miss(es)" in warm
+        assert open(outputs[1]).read() == open(outputs[0]).read()
 
     def test_cache_max_mb_requires_cache(self, corpus_dir, capsys):
         assert main(["pipeline", "--input", corpus_dir,
