@@ -48,7 +48,6 @@ __all__ = [
     "names_and_texts",
     "phase_key",
     "shard_key",
-    "vocab_fingerprint",
 ]
 
 #: Bumped when payload *schemas* change shape (entries layout, matrix
@@ -249,28 +248,11 @@ def phase_key(kind: str, config: dict, content_digest: str) -> str:
 
 
 def shard_key(kind: str, config: dict, shard_digest: str, extra: str = "") -> str:
-    """Per-shard key; ``extra`` carries cross-shard context (the transform
-    shard's vocabulary fingerprint) so global changes invalidate shards."""
+    """Per-shard key; ``extra`` tells apart entries of one shard digest
+    (a tile's name within its manifest)."""
     return f"{kind}-shard-" + _sha(
         code_version().encode("ascii"),
         config_fingerprint(config).encode("ascii"),
         shard_digest.encode("ascii"),
         extra.encode("ascii"),
-    )
-
-
-def vocab_fingerprint(vocabulary: list[str], idf: list[float]) -> str:
-    """Digest of the (vocabulary, idf) tables a transform shard depends on.
-
-    The per-document TF entries are shard-local, but the scores are not:
-    they multiply global idf values through a global term-id index. Any
-    corpus change that shifts the vocabulary or idf therefore changes
-    this digest and invalidates every transform shard — exactly the
-    invalidation rule that keeps incremental transforms bit-identical.
-    """
-    import struct
-
-    return _sha(
-        "\x00".join(vocabulary).encode("utf-8"),
-        struct.pack(f"<{len(idf)}d", *idf),
     )

@@ -8,20 +8,20 @@ materialized corpus. The session fronts the three real phases:
   :mod:`repro.cache.keys` (corpus content × semantic config × code
   version). A warm run serves all three phases with zero operator
   recompute and bit-identical output.
-* **Incremental recompute** — the word count and transform additionally
-  store *per-shard* entries (contiguous document runs). On a changed
-  corpus, only shards whose content digest changed are recomputed — via
-  the caller-supplied ``compute_subset``/``compute_rows`` callbacks,
-  which run on whatever backend the run configured — and composed with
-  the cached shards. The document-frequency/vocabulary merge is plain
-  integer adds over per-shard tables (order-independent), and transform
-  shards are additionally keyed on the global vocabulary+idf fingerprint
-  so any vocabulary shift invalidates them wholesale.
-* **Safety rails** — k-means is cached whole (its blocking and merge
-  order are part of the output contract; there is no shard-composable
-  form). A run that quarantined documents no longer corresponds to the
-  fingerprinted corpus, so the session disables itself for stores. A
-  corrupt entry is deleted and treated as a miss by the store layer.
+* **Incremental recompute** — the word count additionally stores
+  *per-shard* entries (contiguous document runs). On a changed corpus,
+  only shards whose content digest changed are recomputed — via the
+  caller-supplied ``compute_subset`` callback, which runs on whatever
+  backend the run configured — and composed with the cached shards; the
+  document-frequency merge is plain integer adds over per-shard tables.
+  The transform and k-means are cached whole: every transform row
+  multiplies a corpus-wide idf, so almost any edit changes all of them,
+  and k-means's blocking and merge order are part of the output
+  contract.
+* **Safety rails** — a run that quarantined documents no longer
+  corresponds to the fingerprinted corpus, so the session disables
+  itself for stores. A corrupt entry is deleted and treated as a miss
+  by the store layer.
 
 Payloads are the phases' own columnar forms, each fact stored once: the
 word count is its :class:`~repro.sparse.blocks.TermBlock` alone (paths
@@ -47,7 +47,7 @@ from repro.errors import OperatorError, TileError
 from repro.ops.kmeans import PHASE_KMEANS, KMeansResult
 from repro.ops.tfidf import PHASE_TRANSFORM, TfIdfResult
 from repro.ops.wordcount import PHASE_INPUT_WC, WordCountResult
-from repro.sparse.blocks import TermBlock, concat_csr
+from repro.sparse.blocks import TermBlock
 from repro.sparse.matrix import CsrMatrix
 
 __all__ = [
@@ -146,11 +146,8 @@ class NullCacheSession:
     def wordcount(self, step, compute_all, compute_subset):
         return compute_all()
 
-    def transform(self, tfidf_op, wc, compute_all, compute_rows):
-        return compute_all()
-
-    def transform_tiled(self, tfidf_op, wc, store, compute_all):
-        return compute_all()
+    def transform(self, tfidf_op, wc, compute, tiles=None):
+        return compute()
 
     def kmeans_fit(self, compute):
         return compute()
@@ -323,105 +320,36 @@ class RunCacheSession:
             )
             stats.stored += 1
 
-    # -- phase 2a: transform ------------------------------------------------------------
+    # -- phase 2: transform ------------------------------------------------------------
 
-    def transform(self, tfidf_op, wc, compute_all, compute_rows) -> TfIdfResult:
-        """Serve, incrementally compose, or fully compute the transform.
+    def transform(self, tfidf_op, wc, compute, tiles=None) -> TfIdfResult:
+        """Serve or compute the transform, cached whole.
 
-        ``compute_all()`` is the uncached phase; ``compute_rows(chunks)``
-        transforms bound row ranges of the corpus block (one per missing
-        shard) on the run's backend and returns one CSR block per chunk. Shard entries are keyed on the global vocabulary+idf
-        fingerprint: a corpus change that shifts either invalidates every
-        transform shard, which is what keeps composition bit-identical.
+        ``compute()`` runs the phase as the uncached pipeline would.
+        Resident runs store the CSR arrays under ``tr_key``. A tiled run
+        (``tiles`` is its :class:`~repro.tiles.store.TileStore`) stores
+        one small manifest entry under ``tr_tiled_key`` plus one
+        raw-bytes entry per tile, and is served one tile at a time into
+        ``tiles``, so serving never materializes the matrix and the run's
+        memory budget holds. There is no shard-incremental form: every
+        score multiplies a corpus-wide idf, so almost any edit changes
+        every row, and a changed corpus recomputes the phase.
         """
-        result = self._serve(
-            PHASE_TRANSFORM, self.tr_key,
-            lambda payload: self._serve_transform(payload, wc),
-        )
-        if result is not None:
-            return result
-        stats = self.stats[PHASE_TRANSFORM]
-        t0 = time.perf_counter()
-
-        if self.disabled or wc.n_docs != self.fp.n_docs:
-            # A quarantined word count no longer lines up with the
-            # fingerprinted shards; run the plain path and store nothing.
-            self.disabled = True
-            return compute_all()
-
-        # Serial prefix, exactly as transform_wordcount's: vocabulary
-        # and idf from the (possibly served) df table.
-        from repro.exec.task import TaskCost
-
-        vocabulary, idf = tfidf_op.build_vocabulary(wc, TaskCost())
-        vocab_fp = cache_keys.vocab_fingerprint(vocabulary, idf)
-        shard_keys = [
-            cache_keys.shard_key("tr", self._tr_cfg, digest, extra=vocab_fp)
-            for digest in self.fp.shard_digests
-        ]
-        shard_payloads, n_hits, hit_seconds = self._get_shards(
-            shard_keys, stats
-        )
-        lookup_s = time.perf_counter() - t0
-
-        if n_hits == 0:
-            t1 = time.perf_counter()
-            result = compute_all()
-            compute_s = time.perf_counter() - t1
-            self._store_transform(
-                tfidf_op, wc, result, compute_s, shard_keys, stats
+        if tiles is None:
+            return self._serve_or_compute(
+                PHASE_TRANSFORM, self.tr_key,
+                lambda payload: self._serve_transform(payload, wc),
+                compute, lambda result: result.matrix.n_rows,
+                lambda result, _s: _transform_payload(tfidf_op, wc, result),
             )
-            return result
-
-        missing = [
-            at for at, payload in enumerate(shard_payloads) if payload is None
-        ]
-        compute_s = 0.0
-        computed: dict[int, dict] = {}
-        if missing:
-            bound = tfidf_op.bind(wc, vocabulary, idf)
-            chunks = [
-                bound[self.fp.shards[at][0]:self.fp.shards[at][1]]
-                for at in missing
-            ]
-            t1 = time.perf_counter()
-            chunk_rows = compute_rows(chunks)
-            compute_s = time.perf_counter() - t1
-            n_sub = sum(len(chunk) for chunk in chunks)
-            if sum(len(rows[0]) - 1 for rows in chunk_rows) != n_sub:
-                self.disabled = True
-                return compute_all()
-            per_doc_s = compute_s / max(1, n_sub)
-            for at, rows in zip(missing, chunk_rows):
-                computed[at] = {
-                    "rows": rows,
-                    "seconds": per_doc_s * (len(rows[0]) - 1),
-                }
-
-        t2 = time.perf_counter()
-        result = TfIdfResult(
-            matrix=CsrMatrix.from_arrays(
-                *concat_csr(
-                    (shard_payloads[at] or computed[at])["rows"]
-                    for at in range(len(shard_payloads))
-                ),
-                n_cols=len(vocabulary),
+        return self._serve_or_compute(
+            PHASE_TRANSFORM, self.tr_tiled_key,
+            lambda payload: self._serve_transform_tiled(payload, wc, tiles),
+            compute, lambda result: result.matrix.n_rows,
+            lambda result, compute_s: self._tiled_payload(
+                tfidf_op, wc, result, tiles, compute_s
             ),
-            vocabulary=vocabulary,
-            idf=idf,
-            wordcount=wc,
         )
-        stats.serve_s += lookup_s + (time.perf_counter() - t2)
-        stats.seconds_saved += hit_seconds
-        for at, payload in computed.items():
-            self.store.put(shard_keys[at], payload, seconds=payload["seconds"])
-            stats.stored += 1
-        self.store.put(
-            self.tr_key, _transform_payload(tfidf_op, wc, result),
-            seconds=hit_seconds + compute_s,
-        )
-        stats.stored += 1
-        return result
 
     def _serve_transform(self, payload, wc) -> TfIdfResult:
         matrix = CsrMatrix.from_arrays(
@@ -434,64 +362,6 @@ class RunCacheSession:
         return TfIdfResult(
             matrix=matrix, vocabulary=vocabulary, idf=idf, wordcount=wc
         )
-
-    def _store_transform(
-        self, tfidf_op, wc, result, compute_s, shard_keys, stats
-    ) -> None:
-        if self.disabled or result.matrix.n_rows != self.fp.n_docs:
-            self.disabled = True
-            return
-        self.store.put(
-            self.tr_key, _transform_payload(tfidf_op, wc, result),
-            seconds=compute_s,
-        )
-        stats.stored += 1
-        per_doc_s = compute_s / max(1, self.fp.n_docs)
-        indptr, indices, data = result.matrix.as_arrays()
-        for at, (start, stop) in enumerate(self.fp.shards):
-            lo, hi = int(indptr[start]), int(indptr[stop])
-            self.store.put(
-                shard_keys[at],
-                {
-                    "rows": (
-                        indptr[start:stop + 1] - lo,
-                        indices[lo:hi].astype(np.int32),
-                        data[lo:hi],
-                    ),
-                    "seconds": per_doc_s * (stop - start),
-                },
-                seconds=per_doc_s * (stop - start),
-            )
-            stats.stored += 1
-
-    # -- phase 2b: tiled transform --------------------------------------------------------
-
-    def transform_tiled(self, tfidf_op, wc, store, compute_all) -> TfIdfResult:
-        """Serve or compute the *tiled* transform (full phase only).
-
-        Entries are keyed on the tile manifest: one small manifest entry
-        (vocabulary, idf, per-tile metadata, digest) plus one raw-bytes
-        entry per tile, served one tile at a time into the run's fresh
-        :class:`~repro.tiles.store.TileStore` — the serve path never
-        materializes the matrix, preserving the run's memory budget.
-        There is no shard-incremental form: tile boundaries are part of
-        the manifest digest, so a changed corpus recomputes the phase.
-        A missing or corrupt tile entry deletes the whole family and
-        falls back to recompute.
-        """
-        result = self._serve(
-            PHASE_TRANSFORM, self.tr_tiled_key,
-            lambda payload: self._serve_transform_tiled(payload, wc, store),
-        )
-        if result is not None:
-            return result
-        t1 = time.perf_counter()
-        result = compute_all()
-        compute_s = time.perf_counter() - t1
-        self._store_transform_tiled(
-            tfidf_op, wc, result, store, compute_s, self.stats[PHASE_TRANSFORM]
-        )
-        return result
 
     def _tile_key(self, manifest_digest: str, name: str) -> str:
         return cache_keys.shard_key(
@@ -535,18 +405,10 @@ class RunCacheSession:
             wordcount=wc,
         )
 
-    def _store_transform_tiled(
-        self, tfidf_op, wc, result, store, compute_s, stats
-    ) -> None:
-        matrix = result.matrix
-        manifest = getattr(matrix, "manifest", None)
-        if (
-            self.disabled
-            or manifest is None
-            or matrix.n_rows != self.fp.n_docs
-        ):
-            self.disabled = self.disabled or manifest is None
-            return
+    def _tiled_payload(self, tfidf_op, wc, result, tiles, compute_s) -> dict:
+        """Store each tile of ``result`` as its own entry and return the
+        manifest entry that names them."""
+        manifest = result.matrix.manifest
         digest = manifest.digest()
         tile_keys = []
         per_tile_s = compute_s / max(1, len(manifest.tiles))
@@ -554,62 +416,37 @@ class RunCacheSession:
             key = self._tile_key(digest, meta.name)
             # One tile's raw bytes at a time — the store path stays
             # inside the run's memory budget.
-            self.store.put(key, store.tile_bytes(meta), seconds=per_tile_s)
+            self.store.put(key, tiles.tile_bytes(meta), seconds=per_tile_s)
             tile_keys.append(key)
-            stats.stored += 1
-        self.store.put(
-            self.tr_tiled_key,
-            {
-                **_vocabulary_payload(tfidf_op, wc, result),
-                "n_cols": manifest.n_cols,
-                "manifest_digest": digest,
-                "tiles": [
-                    {
-                        "name": meta.name,
-                        "row_start": meta.row_start,
-                        "n_rows": meta.n_rows,
-                        "nnz": meta.nnz,
-                        "nbytes": meta.nbytes,
-                        "checksum": meta.checksum,
-                    }
-                    for meta in manifest.tiles
-                ],
-                "tile_keys": tile_keys,
-            },
-            seconds=compute_s,
-        )
-        stats.stored += 1
+            self.stats[PHASE_TRANSFORM].stored += 1
+        return {
+            **_vocabulary_payload(tfidf_op, wc, result),
+            "n_cols": manifest.n_cols,
+            "manifest_digest": digest,
+            "tiles": [
+                {
+                    "name": meta.name,
+                    "row_start": meta.row_start,
+                    "n_rows": meta.n_rows,
+                    "nnz": meta.nnz,
+                    "nbytes": meta.nbytes,
+                    "checksum": meta.checksum,
+                }
+                for meta in manifest.tiles
+            ],
+            "tile_keys": tile_keys,
+        }
 
     # -- phase 3: k-means ---------------------------------------------------------------
 
     def kmeans_fit(self, compute) -> KMeansResult:
         """Serve or compute the clustering (full phase only — blocking and
         merge order are part of the output contract, nothing to shard)."""
-        result = self._serve(PHASE_KMEANS, self.km_key, self._serve_kmeans)
-        if result is not None:
-            return result
-        stats = self.stats[PHASE_KMEANS]
-        t1 = time.perf_counter()
-        result = compute()
-        compute_s = time.perf_counter() - t1
-        if not self.disabled and len(result.assignments) == self.fp.n_docs:
-            centroids = np.ascontiguousarray(result.centroids)
-            self.store.put(
-                self.km_key,
-                {
-                    "assignments": list(result.assignments),
-                    "centroids": centroids.tobytes(),
-                    "dtype": centroids.dtype.str,
-                    "shape": tuple(centroids.shape),
-                    "n_iters": result.n_iters,
-                    "inertia": result.inertia,
-                    "converged": result.converged,
-                    "inertia_history": list(result.inertia_history),
-                },
-                seconds=compute_s,
-            )
-            stats.stored += 1
-        return result
+        return self._serve_or_compute(
+            PHASE_KMEANS, self.km_key, self._serve_kmeans, compute,
+            lambda result: len(result.assignments),
+            lambda result, _s: _kmeans_payload(result),
+        )
 
     def _serve_kmeans(self, payload) -> KMeansResult:
         assignments = list(payload["assignments"])
@@ -670,6 +507,25 @@ class RunCacheSession:
                 return result
         stats.misses += 1
         return None
+
+    def _serve_or_compute(self, phase, key, serve, compute, n_rows, entry):
+        """The full-phase entry under ``key`` through ``serve``, or else
+        ``compute()``'s result, stored under ``key`` as ``entry(result,
+        compute_s)`` while its ``n_rows(result)`` still lines up with the
+        fingerprinted corpus. A result that does not (quarantine dropped
+        documents) stops every store for the rest of the run."""
+        result = self._serve(phase, key, serve)
+        if result is not None:
+            return result
+        t0 = time.perf_counter()
+        result = compute()
+        compute_s = time.perf_counter() - t0
+        if n_rows(result) != self.fp.n_docs:
+            self.disabled = True
+        if not self.disabled:
+            self.store.put(key, entry(result, compute_s), seconds=compute_s)
+            self.stats[phase].stored += 1
+        return result
 
     # -- accounting ---------------------------------------------------------------------
 
@@ -737,4 +593,18 @@ def _transform_payload(tfidf_op, wc, result: TfIdfResult) -> dict:
         "data": data,
         "n_cols": result.matrix.n_cols,
         **_vocabulary_payload(tfidf_op, wc, result),
+    }
+
+
+def _kmeans_payload(result: KMeansResult) -> dict:
+    centroids = np.ascontiguousarray(result.centroids)
+    return {
+        "assignments": list(result.assignments),
+        "centroids": centroids.tobytes(),
+        "dtype": centroids.dtype.str,
+        "shape": tuple(centroids.shape),
+        "n_iters": result.n_iters,
+        "inertia": result.inertia,
+        "converged": result.converged,
+        "inertia_history": list(result.inertia_history),
     }

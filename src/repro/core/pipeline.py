@@ -454,34 +454,25 @@ def run_pipeline(
         else:
             seconds[PHASE_INPUT_WC] = t1 - t0
 
+        tile_store = None
         if steps[PHASE_TRANSFORM].tiled:
             # Tiled data plane: the transform spills row-range tiles as
             # it goes, k-means streams them back. The result's matrix
             # owns the spill store; tiles live until it is closed.
             tile_store = TileStore(memory_budget=budget, stats=bill.ipc)
-            scores = session.transform_tiled(
-                tfidf, wc, tile_store,
-                compute_all=lambda: run_phase(
-                    PHASE_TRANSFORM,
-                    lambda backend: tfidf.transform_wordcount_tiled(
-                        wc, tile_store, backend=backend
-                    ),
-                ),
-            )
+
+            def transform(backend):
+                return tfidf.transform_wordcount_tiled(
+                    wc, tile_store, backend=backend
+                )
         else:
-            scores = session.transform(
-                tfidf, wc,
-                compute_all=lambda: run_phase(
-                    PHASE_TRANSFORM,
-                    lambda backend: tfidf.transform_wordcount(
-                        wc, backend=backend
-                    ),
-                ),
-                compute_rows=lambda chunks: run_phase(
-                    PHASE_TRANSFORM,
-                    lambda backend: tfidf.transform_chunks(chunks, backend),
-                ),
-            )
+            def transform(backend):
+                return tfidf.transform_wordcount(wc, backend=backend)
+
+        scores = session.transform(
+            tfidf, wc, lambda: run_phase(PHASE_TRANSFORM, transform),
+            tiles=tile_store,
+        )
         t2 = _clock()
         seconds[PHASE_TRANSFORM] = t2 - t1
 

@@ -421,7 +421,8 @@ def recalibrate(records: list[dict], store) -> dict:
     (sequential wall time *is* compute — no pool, no queueing); untraced
     parallel runs without IPC data carry no usable signal and are
     skipped. The k-means constants move only for runs whose record
-    carries ``kmeans_passes`` (they are per document per pass). Returns
+    carries ``kmeans_passes`` (they are per document per pass). A run
+    counts as applied only when a measurement of it reached a constant. Returns
     ``{"runs_applied", "runs_skipped"}``.
     """
     by_run: dict[str, list[dict]] = {}
@@ -452,11 +453,12 @@ def recalibrate(records: list[dict], store) -> dict:
             ipc = record.get("ipc")
             if isinstance(ipc, dict):
                 ipc_phases[step] = ipc
-        if n_docs <= 0 or not (totals or ipc_phases):
+        if store.observe_totals(
+            totals, ipc_phases, n_docs, kmeans_passes=passes
+        ):
+            applied += 1
+        else:
             skipped += 1
-            continue
-        store.observe_totals(totals, ipc_phases, n_docs, kmeans_passes=passes)
-        applied += 1
     return {"runs_applied": applied, "runs_skipped": skipped}
 
 

@@ -374,9 +374,9 @@ class TfIdfOperator:
         id (``-1`` = pruned by ``min_df``) and its idf weight. Handed the
         block's own vocabulary — what :meth:`build_vocabulary` made of it,
         the same string objects, so the comparison is pointer-fast — the
-        ids follow from the ``min_df`` mask; any other vocabulary (the
-        cache composing shards against a corpus-wide one) is looked up
-        term by term.
+        ids follow from the ``min_df`` mask; any other vocabulary is
+        looked up term by term, and one missing a term the block keeps
+        is refused.
         """
         block = wc.block
         terms = block.terms
@@ -533,16 +533,6 @@ class TfIdfOperator:
         return TfIdfResult(
             matrix=matrix, vocabulary=vocabulary, idf=idf, wordcount=wc
         )
-
-    def transform_chunks(
-        self, chunks: list[TermBlock], backend: ExecutionBackend | None = None
-    ) -> list:
-        """Transform bound row ranges (``bind(...)[a:b]`` — the cache's
-        changed shards) into one CSR block each, bit-identically to the
-        full transform."""
-        backend = backend or SequentialBackend()
-        backend.begin_phase(PHASE_TRANSFORM)
-        return self._map_chunks(backend, chunks, 0)
 
     def transform_wordcount_tiled(
         self,

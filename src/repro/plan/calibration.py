@@ -342,31 +342,35 @@ class CalibrationStore:
     def observe_totals(
         self, totals: dict, ipc_phases: dict, n_docs: int,
         kmeans_passes: int | None = None,
-    ) -> None:
-        """Blend raw per-phase measurements into the constants.
+    ) -> bool:
+        """Blend raw per-phase measurements into the constants; returns
+        whether any measurement was blended into a constant.
 
         The record-level entry point shared by :meth:`observe_run` (live
         feedback from the run that just finished) and ledger replay
         (``repro analytics recalibrate`` over persisted history).
         ``totals`` maps phase → ``{"busy_s", "n_items"}`` (the shape of
         :meth:`~repro.exec.spans.RunTrace.phase_totals`); ``ipc_phases``
-        maps phase → its IPC counter dict. Phases absent from either are
-        left untouched.
+        maps phase → its IPC counter dict. Phases absent from either, or
+        from the store, are left untouched.
 
         Busy seconds and bytes are divided by the documents the phase
         went through: ``n_docs``, times ``kmeans_passes`` for k-means.
         Span ``n_items`` counts the chunks a task was handed, not
         documents, so it only tells whether the phase ran. Without a
-        pass count the k-means constants are left untouched.
+        pass count the k-means constants are left untouched. A call that
+        blends nothing (an empty store, or only an unpriceable phase)
+        leaves ``samples`` and ``source`` as they were.
         """
         if n_docs <= 0:
-            return
+            return False
         units = {phase: n_docs for phase in self.phases}
         if "kmeans" in units:
             if kmeans_passes:
                 units["kmeans"] = n_docs * kmeans_passes
             else:
                 del units["kmeans"]
+        blended = False
         for phase, t in totals.items():
             if t.get("n_items", 0) <= 0 or phase not in units:
                 continue
@@ -374,6 +378,7 @@ class CalibrationStore:
             constants.compute_ns_per_doc = _blend(
                 constants.compute_ns_per_doc, t["busy_s"] / units[phase] * 1e9
             )
+            blended = True
         for phase, counters in ipc_phases.items():
             if phase not in units:
                 continue
@@ -384,14 +389,19 @@ class CalibrationStore:
                 constants.task_bytes_per_doc = _blend(
                     constants.task_bytes_per_doc, task_bytes / units[phase]
                 )
+                blended = True
             if result_bytes:
                 constants.result_bytes_per_doc = _blend(
                     constants.result_bytes_per_doc,
                     result_bytes / units[phase],
                 )
+                blended = True
+        if not blended:
+            return False
         self.samples += n_docs
         if self.source in ("default", "probe"):
             self.source = "observed"
+        return True
 
     def describe(self) -> str:
         return f"{self.source} ({self.samples} docs sampled)"

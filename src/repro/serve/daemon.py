@@ -6,8 +6,9 @@ journals and admits (or sheds) each submission, and a small crew of
 executor threads runs admitted jobs over *warm* execution backends that
 persist across jobs — the pool-spawn cost is paid once per breaker
 replacement, not once per run. Every completed job feeds the persistent
-run ledger and :meth:`~repro.plan.CalibrationStore.observe_run`, so the
-planner's constants sharpen under live traffic.
+run ledger and, when the daemon started with a calibration store,
+:meth:`~repro.plan.CalibrationStore.observe_run`, so the planner's
+constants sharpen under live traffic.
 
 Reliability stance (proved by the crash-matrix test and the CI smoke):
 
@@ -99,7 +100,8 @@ class ServeConfig:
     #: (``None`` = run until drained/signalled). Test/CI convenience.
     idle_exit_s: float | None = None
     #: Calibration store path — loaded when present, observed into as
-    #: jobs complete, saved on shutdown. Default lives in the state dir.
+    #: jobs complete, saved on shutdown. Absent, the daemon observes
+    #: nothing and writes no store. Default lives in the state dir.
     calibration: str | None = None
     ledger: str | None = None
     #: ``"retry"`` re-runs orphans (attempt budget permitting);
@@ -460,11 +462,11 @@ class ServeDaemon:
             "quarantine": record["quarantine"],
             "downgrades": record["downgrades"],
         }
+        # Observing sharpens a store that has constants; an empty one
+        # would only count samples it cannot price with.
         with self._calib_lock:
-            store = self._calib
-            if store is None:
-                store = self._calib = CalibrationStore()
-            store.observe_run(result, n_docs=len(corpus))
+            if self._calib is not None:
+                self._calib.observe_run(result, n_docs=len(corpus))
         return payload
 
     def _executor_loop(self, index: int) -> None:

@@ -16,7 +16,6 @@ from repro.cache.keys import (
     phase_key,
     shard_key,
     tfidf_config,
-    vocab_fingerprint,
     wordcount_config,
 )
 from repro.ops.kmeans import KMeansOperator
@@ -152,15 +151,6 @@ class TestConfigKeys:
             shard_key("wc", cfg, fp.shard_digests[0]),
         ):
             assert "/" not in key and not key.startswith(".")
-
-    def test_vocab_fingerprint_tracks_idf(self):
-        vocab = ["alpha", "beta"]
-        assert vocab_fingerprint(vocab, [1.0, 2.0]) != vocab_fingerprint(
-            vocab, [1.0, 2.5]
-        )
-        assert vocab_fingerprint(vocab, [1.0, 2.0]) == vocab_fingerprint(
-            list(vocab), [1.0, 2.0]
-        )
 
     def test_shard_extra_context_participates(self):
         fp = CorpusFingerprint.from_docs(["a"])

@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.cache import PipelineCache
-from repro.core.pipeline import run_pipeline
+from repro.core.pipeline import output_digest, run_pipeline
 from repro.errors import OperatorError
 from repro.exec.process import make_backend
 from repro.exec.shm import shm_available
@@ -203,6 +203,36 @@ class TestIncremental:
         _assert_identical(second, first)
 
 
+class TestTransformCachedWhole:
+    """Only the word count composes shards; the transform is one entry."""
+
+    def test_cold_run_writes_no_transform_shard(self, corpus, tmp_path):
+        _run(corpus, cache=PipelineCache(str(tmp_path / "cache")))
+        names = os.listdir(tmp_path / "cache" / "objects")
+        assert any(name.startswith("wc-shard-") for name in names)
+        assert not any(name.startswith("tr-shard-") for name in names)
+
+    def test_tf_only_edit_composes_word_counts_and_recomputes_the_transform(
+        self, corpus, tmp_path
+    ):
+        cache = PipelineCache(str(tmp_path / "cache"))
+        _run(corpus, cache=cache)
+        # Repeat a word the first document already keeps: its term
+        # frequency moves, no document frequency does.
+        docs = list(corpus)
+        first = docs[0]
+        word = TfIdfOperator().tokenizer.tokenize(first.text).tokens[0]
+        docs[0] = Document(
+            doc_id=first.doc_id, name=first.name, text=f"{first.text} {word}"
+        )
+        edited = _run(docs, cache=cache)
+        phases = edited.cache["phases"]
+        assert phases["input+wc"]["shard_hits"] > 0
+        assert phases["transform"]["misses"] == 1
+        assert phases["transform"]["shard_hits"] == 0
+        assert output_digest(edited) == output_digest(_run(docs))
+
+
 class TestEdgeCases:
     def test_empty_corpus_neither_stores_nor_serves(self, tmp_path):
         cache = PipelineCache(str(tmp_path / "cache"))
@@ -277,7 +307,6 @@ class TestPlannedCache:
     ):
         cache = PipelineCache(str(tmp_path / "cache"))
         cold = self._planned(corpus, cache, "auto")
-        # The full entry and its shards: nothing is left to compose from.
         for path in glob.glob(str(tmp_path / "cache" / "objects" / "tr-*.pkl")):
             os.remove(path)
         warm = self._planned(corpus, cache, _PROCESSES_PLAN)

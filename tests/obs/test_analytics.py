@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from types import SimpleNamespace
 
 import pytest
@@ -270,11 +271,28 @@ class TestRecalibrate:
 
     def test_sequential_runs_contribute_wall_time_as_compute(self, corpus):
         store = self._store(corpus)
+        before = store.phases["kmeans"].compute_ns_per_doc
+        record = _rec("kmeans", 2.0)
+        record["run"]["backend"] = "sequential"
+        record["run"]["n_docs"] = len(corpus)
+        record["run"]["kmeans_passes"] = 2
+        summary = analytics.recalibrate([record], store)
+        assert summary["runs_applied"] == 1
+        assert store.phases["kmeans"].compute_ns_per_doc != before
+
+    def test_a_run_that_moves_no_constant_is_skipped(self, corpus):
+        # An untraced sequential k-means step without a pass count: the
+        # only phase it measured cannot be priced per pass.
+        store = self._store(corpus)
+        phases = copy.deepcopy(store.phases)
+        samples, source = store.samples, store.source
         record = _rec("kmeans", 2.0)
         record["run"]["backend"] = "sequential"
         record["run"]["n_docs"] = len(corpus)
         summary = analytics.recalibrate([record], store)
-        assert summary["runs_applied"] == 1
+        assert summary == {"runs_applied": 0, "runs_skipped": 1}
+        assert (store.samples, store.source) == (samples, source)
+        assert store.phases == phases
 
     def test_untraced_parallel_and_failed_runs_skipped(self, corpus):
         store = self._store(corpus)

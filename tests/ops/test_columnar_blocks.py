@@ -240,7 +240,7 @@ class TestByteEqualityWithInline:
     def test_term_missing_from_vocabulary_is_named(self):
         # The block is the one source of truth of a backend result, so a
         # vocabulary short of a term can only be handed to ``bind`` from
-        # outside (the cache composing shards does) — and is refused.
+        # outside the pipeline — and is refused.
         operator = TfIdfOperator()
         backend = make_backend("sequential", 1)
         wc = operator.wordcount.run(["cat dog", "dog emu"], backend=backend)

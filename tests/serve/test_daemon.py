@@ -11,6 +11,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.io.corpus_io import store_corpus
 from repro.io.storage import FsStorage
+from repro.plan.calibration import CalibrationStore
 from repro.serve.daemon import ServeConfig, ServeDaemon, _QueuedJob
 from repro.serve.journal import JobJournal, read_journal, replay
 from repro.serve.transport import (
@@ -65,8 +66,7 @@ class TestHappyPath:
         assert view.state == "done"
         result = read_result(config.state, job_id)
         assert result is not None and result["digest"] == view.digest
-        # Completed work feeds the planner's calibration and the ledger.
-        assert os.path.isfile(config.calibration_path)
+        # Completed work feeds the ledger.
         assert os.path.isfile(os.path.join(config.ledger_path, "ledger.jsonl"))
 
     def test_duplicate_submission_runs_once(self, tmp_path, corpus_dir):
@@ -98,6 +98,37 @@ class TestHappyPath:
         assert "empty corpus" in views[bad].error
         assert views[good].state == "done"
         assert daemon.stats.done == 1 and daemon.stats.failed == 1
+
+
+class TestCalibration:
+    def test_without_a_store_nothing_is_observed_or_written(
+        self, tmp_path, corpus_dir
+    ):
+        config = _config(tmp_path, cost_budget_s=1000.0)
+        submit_job(config.state, {"input": corpus_dir, "iters": 2})
+        daemon = ServeDaemon(config)
+        assert daemon.run() == 0
+        assert daemon.stats.done == 1
+        assert not os.path.exists(config.calibration_path)
+        # A restart still admits unpriced rather than failing to price.
+        restarted = ServeDaemon(config)
+        assert restarted._estimate_cost_s({"input": corpus_dir}) is None
+
+    def test_a_seeded_store_learns_from_jobs_and_prices_them(
+        self, tmp_path, corpus_dir
+    ):
+        config = _config(tmp_path, cost_budget_s=1000.0)
+        os.makedirs(config.state)
+        seeded = CalibrationStore.probe(generate_corpus(
+            MIX_PROFILE, scale=0.002, seed=1
+        ))
+        seeded.save(config.calibration_path)
+        submit_job(config.state, {"input": corpus_dir, "iters": 2})
+        assert ServeDaemon(config).run() == 0
+        learned = CalibrationStore.load(config.calibration_path)
+        assert learned.samples > seeded.samples
+        assert learned.source == "observed"
+        assert ServeDaemon(config)._estimate_cost_s({"input": corpus_dir}) > 0
 
 
 class TestAdmission:
