@@ -11,7 +11,7 @@ structures on the Mix workflow.
 import pytest
 
 from repro.bench import run_paper_workflow
-from repro.core import format_breakdown_table
+from repro.sim import format_breakdown_table
 
 KINDS = ("map", "unordered_map", "btree")
 

@@ -13,8 +13,12 @@ import dataclasses
 
 import pytest
 
-from repro.core import build_tfidf_kmeans_workflow
-from repro.exec import SimScheduler, fast_ssd_node, paper_node
+from repro.sim import (
+    SimScheduler,
+    build_tfidf_kmeans_workflow,
+    fast_ssd_node,
+    paper_node,
+)
 
 
 def input_wc_seconds(workload, machine, workers):

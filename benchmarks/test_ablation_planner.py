@@ -10,8 +10,7 @@ are evaluated on the full (benchmark-scale) input.
 import pytest
 
 from repro.bench import run_paper_workflow
-from repro.core import WorkflowPlanner
-from repro.exec import paper_node
+from repro.sim import WorkflowPlanner, paper_node
 
 
 @pytest.fixture(scope="module")

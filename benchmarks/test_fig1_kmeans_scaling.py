@@ -11,8 +11,7 @@ grain (8 192 documents per chunk): Mix yields only ~3 chunks, NSF ~12.
 import pytest
 
 from repro.bench import THREAD_SWEEP, run_paper_workflow
-from repro.core import format_speedup_table, series_to_csv
-from repro.exec import self_relative_speedups
+from repro.sim import format_speedup_table, self_relative_speedups, series_to_csv
 
 
 def kmeans_seconds(workload, workers):

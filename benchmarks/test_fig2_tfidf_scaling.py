@@ -10,8 +10,7 @@ with the storage device, caps the curve.
 import pytest
 
 from repro.bench import THREAD_SWEEP, run_paper_workflow
-from repro.core import format_speedup_table, series_to_csv
-from repro.exec import self_relative_speedups
+from repro.sim import format_speedup_table, self_relative_speedups, series_to_csv
 
 
 def tfidf_seconds(workload, workers):

@@ -13,7 +13,7 @@ tfidf-output, kmeans-input, transform, kmeans, output.
 import pytest
 
 from repro.bench import FIG3_THREADS, run_paper_workflow
-from repro.core import format_breakdown_table, format_comparison_rows
+from repro.sim import format_breakdown_table, format_comparison_rows
 
 PHASE_ORDER = [
     "input+wc",
@@ -86,8 +86,12 @@ def test_fig3_stacked_breakdown(benchmark, figure3_runs, report):
 
 def test_fig3_fusion_rewriter_matches_merged_mode(benchmark, nsf_workload):
     """fuse_workflow(discrete graph) must behave like the merged build."""
-    from repro.core import build_tfidf_kmeans_workflow, fuse_workflow
-    from repro.exec import SimScheduler, paper_node
+    from repro.sim import (
+        SimScheduler,
+        build_tfidf_kmeans_workflow,
+        fuse_workflow,
+        paper_node,
+    )
 
     def run():
         fused = build_tfidf_kmeans_workflow(

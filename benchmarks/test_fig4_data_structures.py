@@ -12,7 +12,7 @@ Paper shapes (merged TF/IDF→K-means workflow on Mix):
 import pytest
 
 from repro.bench import FIG3_THREADS, run_paper_workflow
-from repro.core import format_breakdown_table, format_comparison_rows
+from repro.sim import format_breakdown_table, format_comparison_rows
 
 PHASE_ORDER = ["input+wc", "transform", "kmeans", "output"]
 

@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro.exec.process import make_backend
-from repro.exec.task import TaskCost
 from repro.ops import kernels
 from repro.ops.tfidf import TfIdfOperator
 from repro.sparse import CsrMatrix, TermBlock, csr_row_views
@@ -49,7 +48,7 @@ def texts():
 def bound(texts):
     operator = TfIdfOperator()
     wc = operator.wordcount.run(texts, backend=make_backend("sequential", 1))
-    vocabulary, idf = operator.build_vocabulary(wc, TaskCost())
+    vocabulary, idf = operator.build_vocabulary(wc)
     return operator.bind(wc, vocabulary, idf)
 
 

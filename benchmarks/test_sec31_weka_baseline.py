@@ -12,9 +12,12 @@ and projected to full scale with the closed-form model.
 """
 
 from repro.bench import run_paper_workflow
-from repro.core import format_comparison_rows
-from repro.exec import SimScheduler, paper_node
-from repro.ops import SimpleKMeansBaseline
+from repro.sim import (
+    SimScheduler,
+    SimpleKMeansBaseline,
+    format_comparison_rows,
+    paper_node,
+)
 from repro.text import MIX_PROFILE, NSF_ABSTRACTS_PROFILE
 
 

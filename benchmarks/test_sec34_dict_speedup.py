@@ -12,7 +12,7 @@ which is the paper's actual point.
 import pytest
 
 from repro.bench import run_paper_workflow
-from repro.core import format_comparison_rows
+from repro.sim import format_comparison_rows
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ statistics, and extrapolates documents/bytes linearly and the vocabulary
 along the calibrated Heaps curve.
 """
 
-from repro.core import format_comparison_rows
+from repro.sim import format_comparison_rows
 from repro.text import MIX_PROFILE, NSF_ABSTRACTS_PROFILE
 
 

@@ -1,7 +1,8 @@
 """A richer analytics pipeline: dedup → TF/IDF → top terms + k-NN labels.
 
 The paper argues analytics workflows chain many diverse operators (§1).
-This example composes four from this library on one corpus:
+This example composes four on one corpus; MinHash and k-NN come from
+``text_ops/`` beside this script, not from the library:
 
 1. **MinHash** near-duplicate detection removes boilerplate re-posts;
 2. **TF/IDF** vectorises the surviving documents;
@@ -14,9 +15,10 @@ Run with::
 """
 
 from repro import Corpus, KMeansOperator, TfIdfOperator
-from repro.ops import KnnClassifier, MinHasher
 from repro.sparse import CsrMatrix
 from repro.text import Tokenizer
+from text_ops.knn import KnnClassifier
+from text_ops.minhash import MinHasher
 
 LABELLED = [
     ("db", "The query optimizer rewrites the join order using table statistics"),

@@ -75,7 +75,6 @@ def main() -> None:
     # Stop words and hapax terms matter on tiny documents: dropping both
     # leaves the topical vocabulary that actually links documents.
     tfidf = TfIdfOperator(
-        wc_dict_kind="map",
         tokenizer=Tokenizer(drop_stopwords=True, min_length=3),
         min_df=2,
     )

@@ -20,16 +20,10 @@ Run with::
     python examples/planner_tour.py
 """
 
-from repro import (
-    MIX_PROFILE,
-    MemStorage,
-    WorkflowPlanner,
-    generate_corpus,
-    paper_node,
-    store_corpus,
-)
+from repro import MIX_PROFILE, MemStorage, generate_corpus, store_corpus
 from repro.core.pipeline import run_pipeline
 from repro.ops import KMeansOperator
+from repro.sim import WorkflowPlanner, paper_node
 
 
 def main() -> None:

@@ -9,15 +9,8 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import (
-    MIX_PROFILE,
-    MemStorage,
-    SimScheduler,
-    build_tfidf_kmeans_workflow,
-    generate_corpus,
-    paper_node,
-    store_corpus,
-)
+from repro import MIX_PROFILE, MemStorage, generate_corpus, store_corpus
+from repro.sim import SimScheduler, build_tfidf_kmeans_workflow, paper_node
 
 
 def main() -> None:

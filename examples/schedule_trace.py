@@ -10,19 +10,26 @@ Run with::
     python examples/schedule_trace.py
 """
 
-from repro import MIX_PROFILE, NSF_ABSTRACTS_PROFILE, SimScheduler, paper_node
+from repro import MIX_PROFILE, NSF_ABSTRACTS_PROFILE
 from repro.bench import prepare_workload
-from repro.exec import render_phase_trace
 from repro.ops import KMeansOperator, TfIdfOperator
+from repro.sim import (
+    SimConfig,
+    SimScheduler,
+    paper_node,
+    render_phase_trace,
+    run_kmeans,
+    run_tfidf,
+)
 
 
 def first_assignment_phase(workload, workers=16):
     scheduler = SimScheduler(paper_node(16))
-    tfidf = TfIdfOperator(wc_dict_kind="map", scale=workload.scale)
-    scores = tfidf.run_simulated(scheduler, workload.storage, workload.prefix,
-                                 workers=workers)
-    kmeans = KMeansOperator(max_iters=1, scale=workload.scale)
-    result = kmeans.run_simulated(scheduler, scores.matrix, workers=workers)
+    config = SimConfig(wc_dict_kind="map", scale=workload.scale)
+    scores = run_tfidf(TfIdfOperator(), scheduler, workload.storage,
+                       workload.prefix, workers=workers, config=config)
+    result = run_kmeans(KMeansOperator(max_iters=1), scheduler, scores.matrix,
+                        workers=workers, config=config)
     # The first phase of the iteration is the parallel assignment.
     return result.timeline.phases[0]
 

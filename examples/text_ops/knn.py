@@ -14,10 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.core.cost_model import DEFAULT_COSTS, CostConstants
 from repro.errors import OperatorError
-from repro.exec.scheduler import SimScheduler
 from repro.exec.task import TaskCost
+from repro.sim.cost_model import DEFAULT_COSTS, CostConstants
+from repro.sim.scheduler import SimScheduler
 from repro.sparse.matrix import CsrMatrix
 from repro.sparse.vector import SparseVector
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cost_model import DEFAULT_COSTS, CostConstants
 from repro.errors import OperatorError
-from repro.exec.scheduler import SimScheduler
 from repro.exec.task import TaskCost
+from repro.sim.cost_model import DEFAULT_COSTS, CostConstants
+from repro.sim.scheduler import SimScheduler
 
 __all__ = ["MinHasher", "DuplicatePair", "shingles"]
 

@@ -17,12 +17,12 @@ import heapq
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.cost_model import DEFAULT_COSTS, CostConstants
-from repro.core.ports import ScoreMatrix, WorkflowContext, WorkflowOp
 from repro.dicts.api import Dictionary
 from repro.dicts.cost import profile_for_kind
 from repro.errors import OperatorError
 from repro.exec.task import TaskCost
+from repro.sim.cost_model import DEFAULT_COSTS, CostConstants
+from repro.sim.ports import ScoreMatrix, WorkflowContext, WorkflowOp
 
 __all__ = ["TermCount", "top_k_terms", "TopTermsOp", "PHASE_TOPK"]
 

@@ -9,13 +9,9 @@ Run with::
     python examples/thread_scaling.py
 """
 
-from repro import (
-    MIX_PROFILE,
-    NSF_ABSTRACTS_PROFILE,
-    self_relative_speedups,
-)
+from repro import MIX_PROFILE, NSF_ABSTRACTS_PROFILE
 from repro.bench import prepare_workload, run_paper_workflow
-from repro.core import format_speedup_table
+from repro.sim import format_speedup_table, self_relative_speedups
 
 THREADS = (1, 2, 4, 8, 12, 16, 20)
 

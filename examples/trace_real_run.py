@@ -4,8 +4,9 @@ Runs the fused TF/IDF → K-means pipeline on the process backend with span
 tracing on, then shows what the simulator has always shown for virtual
 runs — who ran what, when — but measured on the host's wall clock:
 
-* one Gantt chart per phase (``render_phase_trace`` over the
-  :class:`~repro.exec.spans.RunTrace` adapter), lanes = real workers;
+* one Gantt chart per phase (``render_phase_trace`` over
+  ``phase_timings``, the simulator's adapter of a
+  :class:`~repro.exec.spans.RunTrace`), lanes = real workers;
 * the per-phase utilization / queue-wait / straggler summary;
 * the top-3 straggler tasks of the whole run.
 
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 from repro.core.pipeline import run_pipeline
 from repro.exec.process import make_backend
-from repro.exec.trace import render_phase_trace
 from repro.ops.kmeans import KMeansOperator
 from repro.ops.tfidf import TfIdfOperator
+from repro.sim.trace import phase_timings, render_phase_trace
 from repro.text.synth import MIX_PROFILE, generate_corpus
 
 
@@ -44,7 +45,7 @@ def main() -> None:
           f"total {result.total_s:.3f}s\n")
 
     # The same ASCII Gantt the simulator draws, now over measured spans.
-    for timing in trace.to_phase_timings():
+    for timing in phase_timings(trace):
         print(render_phase_trace(timing))
         print()
 

@@ -11,15 +11,12 @@ Run with::
     python examples/workflow_fusion_demo.py
 """
 
-from repro import (
-    NSF_ABSTRACTS_PROFILE,
-    MemStorage,
+from repro import NSF_ABSTRACTS_PROFILE, MemStorage, generate_corpus, store_corpus
+from repro.sim import (
     SimScheduler,
     build_tfidf_kmeans_workflow,
     fuse_workflow,
-    generate_corpus,
     paper_node,
-    store_corpus,
 )
 
 PHASES = ["input+wc", "tfidf-output", "kmeans-input", "transform", "kmeans", "output"]

@@ -8,12 +8,16 @@ compute, parallel input, workflow fusion, data-structure selection) and a
 deterministic virtual-time multicore machine on which every figure and
 table of the paper's evaluation can be regenerated.
 
+The package is two systems. This top level exports the *engine*: the
+operators and substrates a real run executes (:func:`repro.core.pipeline.run_pipeline`
+on :mod:`repro.exec` backends). The *simulator* — the virtual-time node,
+the instrumented dictionaries and the paper's workflow layer — is
+:mod:`repro.sim`, which the engine never imports.
+
 Quick start::
 
-    from repro import (
-        MIX_PROFILE, generate_corpus, MemStorage, store_corpus,
-        SimScheduler, paper_node, build_tfidf_kmeans_workflow,
-    )
+    from repro import MIX_PROFILE, MemStorage, generate_corpus, store_corpus
+    from repro.sim import SimScheduler, build_tfidf_kmeans_workflow, paper_node
 
     corpus = generate_corpus(MIX_PROFILE, scale=0.01)
     storage = MemStorage()
@@ -26,28 +30,6 @@ Quick start::
     print(result.breakdown())
 """
 
-from repro.core import (
-    DEFAULT_COSTS,
-    CostConstants,
-    Plan,
-    PlanConfig,
-    ScoreMatrix,
-    Workflow,
-    WorkflowPlanner,
-    WorkflowResult,
-    build_tfidf_kmeans_workflow,
-    fuse_workflow,
-)
-from repro.dicts import HashMap, TreeMap, make_dict
-from repro.exec import (
-    MachineSpec,
-    SimScheduler,
-    TaskCost,
-    Timeline,
-    fast_ssd_node,
-    paper_node,
-    self_relative_speedups,
-)
 from repro.io import (
     FsStorage,
     MemStorage,
@@ -55,13 +37,7 @@ from repro.io import (
     store_corpus,
     write_sparse_arff,
 )
-from repro.ops import (
-    KMeansOperator,
-    KMeansResult,
-    SimpleKMeansBaseline,
-    TfIdfOperator,
-    TfIdfResult,
-)
+from repro.ops import KMeansOperator, KMeansResult, TfIdfOperator, TfIdfResult
 from repro.sparse import CsrMatrix, SparseVector
 from repro.text import (
     MIX_PROFILE,
@@ -76,35 +52,12 @@ __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    # core
-    "Workflow",
-    "WorkflowResult",
-    "build_tfidf_kmeans_workflow",
-    "fuse_workflow",
-    "WorkflowPlanner",
-    "Plan",
-    "PlanConfig",
-    "ScoreMatrix",
-    "CostConstants",
-    "DEFAULT_COSTS",
-    # exec
-    "MachineSpec",
-    "paper_node",
-    "fast_ssd_node",
-    "SimScheduler",
-    "TaskCost",
-    "Timeline",
-    "self_relative_speedups",
     # operators
     "TfIdfOperator",
     "TfIdfResult",
     "KMeansOperator",
     "KMeansResult",
-    "SimpleKMeansBaseline",
     # substrates
-    "TreeMap",
-    "HashMap",
-    "make_dict",
     "SparseVector",
     "CsrMatrix",
     "Tokenizer",

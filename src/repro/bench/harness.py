@@ -2,7 +2,7 @@
 
 Benchmarks run the real operators on a scaled-down synthetic corpus and
 meter costs up to full scale through a
-:class:`~repro.core.cost_model.WorkloadScale` (documents scale linearly,
+:class:`~repro.sim.cost_model.WorkloadScale` (documents scale linearly,
 vocabulary by the Heaps curve), so every reported number is directly a
 full-scale virtual-time figure. Prepared workloads are cached per
 (profile, scale, seed) because several benchmarks sweep the same corpus.
@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cost_model import DEFAULT_COSTS, CostConstants, WorkloadScale
-from repro.core.workflow import WorkflowResult, build_tfidf_kmeans_workflow
-from repro.exec.machine import paper_node
-from repro.exec.scheduler import SimScheduler
-from repro.io.storage import MemStorage
 from repro.io.corpus_io import store_corpus
+from repro.io.storage import MemStorage
+from repro.sim.cost_model import DEFAULT_COSTS, CostConstants, WorkloadScale
+from repro.sim.machine import paper_node
+from repro.sim.scheduler import SimScheduler
+from repro.sim.workflow import WorkflowResult, build_tfidf_kmeans_workflow
 from repro.text.corpus import CorpusStats
 from repro.text.synth import CorpusProfile, generate_corpus
 

@@ -116,6 +116,11 @@ class CorpusFingerprint:
     shards: list[tuple[int, int]] = field(default_factory=list)
     shard_digests: list[str] = field(default_factory=list)
     corpus_digest: str = ""
+    #: Each document's name and the corpus size in characters, as the
+    #: word count derives its ``paths`` and ``input_bytes``: kept from
+    #: the fingerprinting pass so a served run walks the documents once.
+    names: list[str] = field(default_factory=list)
+    input_bytes: int = 0
 
     @classmethod
     def from_docs(cls, docs, shard_docs: int = DEFAULT_SHARD_DOCS):
@@ -127,7 +132,10 @@ class CorpusFingerprint:
         """
         names, texts = names_and_texts(docs)
         n = len(names)
-        fp = cls(n_docs=n, shard_docs=max(1, shard_docs))
+        fp = cls(
+            n_docs=n, shard_docs=max(1, shard_docs), names=names,
+            input_bytes=sum(map(len, texts)),
+        )
         for start in range(0, n, fp.shard_docs):
             stop = min(n, start + fp.shard_docs)
             fp.shards.append((start, stop))
@@ -222,8 +230,9 @@ def tfidf_config(tfidf) -> dict:
 
 
 def kmeans_config(kmeans) -> dict:
-    """Knobs that change k-means output values. Blocking (``grain_docs``)
-    is part of the merge-order contract, so it participates."""
+    """Knobs that change k-means output values. A fit's blocking (its
+    merge order) follows from the document count alone, which the
+    corpus digest already keys."""
     return {
         "op": "kmeans",
         "class": type(kmeans).__qualname__,
@@ -231,7 +240,6 @@ def kmeans_config(kmeans) -> dict:
         "max_iters": kmeans.max_iters,
         "seed": kmeans.seed,
         "init": kmeans.init,
-        "grain_docs": kmeans.grain_docs,
     }
 
 

@@ -143,7 +143,7 @@ class NullCacheSession:
     one code path whether or not a cache was given.
     """
 
-    def wordcount(self, step, compute_all, compute_subset):
+    def wordcount(self, compute_all, compute_subset):
         return compute_all()
 
     def transform(self, tfidf_op, wc, compute, tiles=None):
@@ -197,17 +197,14 @@ class RunCacheSession:
 
     # -- phase 1: word count -----------------------------------------------------------
 
-    def wordcount(self, step, compute_all, compute_subset) -> WordCountResult:
+    def wordcount(self, compute_all, compute_subset) -> WordCountResult:
         """Serve, incrementally compose, or fully compute phase 1.
 
         ``compute_all()`` runs the phase exactly as the uncached pipeline
         would; ``compute_subset(sub_docs)`` runs the same step over a
         document subset (changed shards only) on the same backend.
         """
-        result = self._serve(
-            PHASE_INPUT_WC, self.wc_key,
-            lambda block: self._serve_wordcount(block, step.scale),
-        )
+        result = self._serve(PHASE_INPUT_WC, self.wc_key, self._serve_wordcount)
         if result is not None:
             return result
         stats = self.stats[PHASE_INPUT_WC]
@@ -271,7 +268,7 @@ class RunCacheSession:
                 (shard_payloads[at] or computed[at])["block"]
                 for at in range(len(shard_payloads))
             ),
-            *self._paths_and_bytes(), step.scale,
+            *self._paths_and_bytes(),
         )
         stats.serve_s += lookup_s + (time.perf_counter() - t2)
         stats.seconds_saved += hit_seconds
@@ -288,17 +285,14 @@ class RunCacheSession:
 
     def _paths_and_bytes(self) -> tuple[list[str], int]:
         """The word count's ``paths`` and ``input_bytes`` for this run's
-        documents, derived as :class:`~repro.ops.wordcount.WordCountStep`
-        derives them."""
-        names, texts = cache_keys.names_and_texts(self.docs)
-        return names, sum(map(len, texts))
+        documents, as the fingerprinting pass recorded them (a fresh
+        list: each result owns its ``paths``)."""
+        return list(self.fp.names), self.fp.input_bytes
 
-    def _serve_wordcount(self, block, scale) -> WordCountResult:
+    def _serve_wordcount(self, block) -> WordCountResult:
         if not isinstance(block, TermBlock) or len(block) != self.fp.n_docs:
             raise TypeError("not this corpus's word-count block")
-        return WordCountResult.from_block(
-            block, *self._paths_and_bytes(), scale
-        )
+        return WordCountResult.from_block(block, *self._paths_and_bytes())
 
     def _store_wordcount(self, result, compute_s, shard_keys, stats) -> None:
         """Store a fully computed phase-1 result: full entry + every shard."""

@@ -19,6 +19,8 @@ or as a long-lived service with a durable job queue (``docs/serving.md``)::
 
 All commands operate on real files through :class:`repro.io.FsStorage`,
 so intermediates (the ARFF scores) can be inspected or loaded into WEKA.
+Only ``workflow`` and ``plan`` import the simulator (:mod:`repro.sim`),
+inside the command, so the engine's commands and the daemon never load it.
 """
 
 from __future__ import annotations
@@ -32,12 +34,8 @@ from contextlib import nullcontext
 
 from repro.core.pipeline import check_pipeline_rules, run_pipeline
 from repro.errors import ConfigurationError
-from repro.core.planner import WorkflowPlanner
-from repro.core.workflow import build_tfidf_kmeans_workflow
-from repro.exec.machine import paper_node
 from repro.exec.process import BACKEND_CHOICES, _BACKEND_ALIASES, make_backend
 from repro.exec.resilience import POISON_MODES, ResilienceConfig, RetryPolicy
-from repro.exec.scheduler import SimScheduler
 from repro.io.arff import read_sparse_arff, write_sparse_arff
 from repro.io.corpus_io import load_corpus, store_corpus
 from repro.io.parallel_read import corpus_stream
@@ -516,6 +514,8 @@ def _cmd_kmeans(args) -> int:
 
 
 def _cmd_workflow(args) -> int:
+    from repro.sim import SimScheduler, build_tfidf_kmeans_workflow, paper_node
+
     storage = FsStorage(args.input)
     workflow = build_tfidf_kmeans_workflow(
         mode=args.mode,
@@ -851,6 +851,8 @@ def _cmd_analytics(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from repro.sim import WorkflowPlanner, paper_node
+
     storage = FsStorage(args.input)
     planner = WorkflowPlanner(paper_node(args.cores))
     budget = (

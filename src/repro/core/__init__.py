@@ -1,71 +1,8 @@
-"""Core contribution: operator/workflow optimization layer.
+"""The real pipeline driver (:mod:`repro.core.pipeline`).
 
-Implements the paper's four optimizations as mechanisms:
-
-1. intra-node parallelism — operators execute parallel phases on the
-   simulated multicore node (:mod:`repro.exec`);
-2. parallel input — per-document file reads ride inside parallel tasks;
-3. workflow fusion — :mod:`repro.core.fusion` rewrites file edges of a
-   :class:`~repro.core.workflow.Workflow` into in-memory edges;
-4. data-structure selection — the planner picks a dictionary
-   implementation per phase (:mod:`repro.core.planner`).
+The paper's fused TF/IDF → K-means workflow on real backends: one driver
+for every route (a fixed backend, a planned run), with tracing, caching,
+tiling, the run ledger and graceful degradation around the same three
+phases. The simulated workflow layer — operator DAGs, the fusion
+rewriter, the virtual-time planner — is :mod:`repro.sim`.
 """
-
-from repro.core.cost_model import (
-    DEFAULT_COSTS,
-    CostConstants,
-    amdahl_speedup,
-    roofline_cap,
-)
-from repro.core.fusion import FusionReport, estimate_edge_round_trip, fuse_workflow
-from repro.core.operator import (
-    ArffScoresMaterializer,
-    KMeansOp,
-    Materializer,
-    ScoreMatrix,
-    TfIdfOp,
-    WorkflowContext,
-    WorkflowOp,
-)
-from repro.core.planner import Plan, PlanConfig, PlanEstimate, WorkflowPlanner
-from repro.core.report import (
-    format_breakdown_table,
-    format_comparison_rows,
-    format_speedup_table,
-    series_to_csv,
-)
-from repro.core.workflow import (
-    Edge,
-    Workflow,
-    WorkflowResult,
-    build_tfidf_kmeans_workflow,
-)
-
-__all__ = [
-    "CostConstants",
-    "DEFAULT_COSTS",
-    "amdahl_speedup",
-    "roofline_cap",
-    "Workflow",
-    "WorkflowResult",
-    "Edge",
-    "build_tfidf_kmeans_workflow",
-    "WorkflowOp",
-    "WorkflowContext",
-    "TfIdfOp",
-    "KMeansOp",
-    "ScoreMatrix",
-    "Materializer",
-    "ArffScoresMaterializer",
-    "fuse_workflow",
-    "FusionReport",
-    "estimate_edge_round_trip",
-    "WorkflowPlanner",
-    "Plan",
-    "PlanConfig",
-    "PlanEstimate",
-    "format_speedup_table",
-    "format_breakdown_table",
-    "series_to_csv",
-    "format_comparison_rows",
-]

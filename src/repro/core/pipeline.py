@@ -1,6 +1,6 @@
 """Real (wall-clock) fused pipeline: TF/IDF → K-means on a backend.
 
-The simulated workflow (:mod:`repro.core.workflow`) answers scaling
+The simulated workflow (:mod:`repro.sim.workflow`) answers scaling
 questions in virtual time; this module is its real-execution twin. It
 runs the same fused TF/IDF → K-means composition — scores handed over in
 memory, no ARFF round trip — on an actual
@@ -290,8 +290,11 @@ def run_pipeline(
     ``memory_budget`` (bytes) switches the matrix phases to the tiled
     data plane: the transform spills binary row-range tiles to disk as
     it produces them and k-means streams them back chunk-at-a-time, so
-    peak residency is O(tile + centroids) instead of O(matrix) — with
-    bit-identical output (see ``docs/data_plane.md``). On the fixed
+    the matrix is never resident and the tile reader pins at most the
+    budget — with bit-identical output. The budget bounds the matrix
+    only: the word count's block, and the k-means fit's per-block
+    partials (≈ 16 B per stored entry, held until each iteration's
+    merge), grow with the corpus (``docs/data_plane.md``). On the fixed
     path the budget tiles unconditionally; on the planned path it is
     handed to the planner, which only tiles when the estimated matrix
     exceeds the budget. ``result.tiles`` carries the spill accounting.
@@ -441,7 +444,6 @@ def run_pipeline(
             )
 
         wc = session.wordcount(
-            tfidf.wordcount,
             compute_all=lambda: count(source),
             compute_subset=count,
         )

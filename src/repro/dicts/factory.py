@@ -86,7 +86,7 @@ def dict_candidate_pairs(
 ) -> list[tuple[str, str]]:
     """Candidate ``(wc_kind, transform_kind)`` pairs for the simulator.
 
-    The virtual-time :class:`repro.core.planner.WorkflowPlanner` calls
+    The virtual-time :class:`repro.sim.planner.WorkflowPlanner` calls
     this instead of hard-coding the list (a real run touches no
     dictionary, so the real-execution planner has no such dimension).
     Uniform pairs come first (same kind in both phases), then — when

@@ -1,51 +1,33 @@
-"""Execution substrate: simulated multicore node + real backends.
+"""Execution substrate: the real backends.
 
-The paper's experiments sweep thread counts on a Cilkplus node; this
-package reproduces that environment as a deterministic virtual-time model
-(machine spec, task costs, greedy chunk scheduler, device rooflines) plus
-plain real executors for functional runs.
+Sequential, thread and process backends behind one ``map`` protocol,
+the shared-memory data plane, per-task span tracing, resilience and
+fault injection. The paper's simulated multicore node (machine spec,
+virtual-time scheduler, timelines) is :mod:`repro.sim`.
 """
 
 from repro.exec.faultinject import FAULT_KINDS, FaultInjected, FaultPlan, FaultSpec
-from repro.exec.inline import ExecutionBackend, SequentialBackend, ThreadBackend
-from repro.exec.machine import MachineSpec, fast_ssd_node, paper_node
+from repro.exec.inline import (
+    ExecutionBackend,
+    SequentialBackend,
+    ThreadBackend,
+    auto_grain,
+)
 from repro.exec.process import BACKEND_CHOICES, ProcessBackend, make_backend
 from repro.exec.resilience import (
     DowngradeEvent,
-    QuarantinedItem,
     QuarantineReport,
+    QuarantinedItem,
     ResilienceConfig,
     RetryPolicy,
 )
 from repro.exec.shm import IpcStats, shm_available
 from repro.exec.spans import RunTrace, SpanRecorder, TaskSpan
-from repro.exec.metrics import (
-    Timeline,
-    WorkSpan,
-    self_relative_speedups,
-    work_span,
-)
-from repro.exec.parallel import ParallelResult, auto_grain, parallel_map
-from repro.exec.scheduler import PhaseTiming, SimScheduler
-from repro.exec.trace import render_phase_trace, render_timeline_trace
 from repro.exec.task import TaskCost
 
 __all__ = [
-    "MachineSpec",
-    "paper_node",
-    "fast_ssd_node",
     "TaskCost",
-    "SimScheduler",
-    "PhaseTiming",
-    "parallel_map",
-    "ParallelResult",
     "auto_grain",
-    "Timeline",
-    "WorkSpan",
-    "work_span",
-    "self_relative_speedups",
-    "render_phase_trace",
-    "render_timeline_trace",
     "ExecutionBackend",
     "SequentialBackend",
     "ThreadBackend",

@@ -16,7 +16,7 @@ All backends share one protocol:
   with every task;
 * :meth:`ExecutionBackend.map` applies a function over items in input
   order, submitting **chunks** of items per task (Cilk-style grain, via
-  :func:`repro.exec.parallel.auto_grain`) so per-task overhead — future
+  :func:`auto_grain`) so per-task overhead — future
   bookkeeping for threads, pickling for processes — is amortized.
 
 Each backend has one map loop, run under its
@@ -34,7 +34,6 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import ConfigurationError, PhaseTimeoutError, TaskTimeoutError
-from repro.exec.parallel import auto_grain
 from repro.exec.resilience import (
     QuarantinedItem,
     QuarantineReport,
@@ -50,10 +49,22 @@ __all__ = [
     "SequentialBackend",
     "ThreadBackend",
     "apply_chunk",
+    "auto_grain",
 ]
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
+
+#: Target number of chunks per worker when the grain is chosen automatically;
+#: enough to smooth imbalance without flooding the scheduler.
+_CHUNKS_PER_WORKER = 8
+
+
+def auto_grain(n_items: int, workers: int) -> int:
+    """Chunk size giving ~8 chunks per worker (Cilk-style default grain)."""
+    if n_items <= 0:
+        return 1
+    return max(1, n_items // (workers * _CHUNKS_PER_WORKER))
 
 
 def apply_chunk(fn: Callable, chunk: Sequence) -> list:
@@ -406,7 +417,7 @@ class ThreadBackend(ExecutionBackend):
     ``map`` submits one future per *chunk* of items, not per item: with
     small loop bodies the executor's per-future bookkeeping otherwise
     swamps the work itself. The default grain targets ~8 chunks per
-    worker (:func:`~repro.exec.parallel.auto_grain`).
+    worker (:func:`auto_grain`).
     """
 
     def __init__(

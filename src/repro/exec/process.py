@@ -9,7 +9,7 @@ serial merge in the parent (``docs/backends.md`` compares the tiers).
 Design points (see ``docs/backends.md`` for the cost model):
 
 * **Chunk-batched IPC.** ``map`` pickles one task per *chunk* of items
-  (Cilk-style grain via :func:`~repro.exec.parallel.auto_grain`), so the
+  (Cilk-style grain via :func:`~repro.exec.inline.auto_grain`), so the
   per-task pickle/unpickle round trip is amortized over the whole chunk
   instead of being paid per document. ``map_stream`` micro-batches the
   producer's items the same way while still submitting each batch the
@@ -71,13 +71,13 @@ from repro.exec.inline import (
     ExecutionBackend,
     SequentialBackend,
     ThreadBackend,
+    _ChunkTask,
     _as_list,
     _cancel,
-    _ChunkTask,
     _ranges,
     apply_chunk,
+    auto_grain,
 )
-from repro.exec.parallel import auto_grain
 from repro.exec.resilience import ResilienceConfig, bisect_chunk, run_attempts
 from repro.exec.shm import SHM, VALUE, Plane, detach_all, shm_available
 from repro.exec.spans import install_worker_epoch, worker_now

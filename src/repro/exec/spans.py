@@ -20,11 +20,10 @@ box. This module gives real runs the same eyes:
 * :class:`RunTrace` — the aggregated trace attached to
   :class:`~repro.core.pipeline.RealRunResult`: per-phase worker
   utilization, queue wait, straggler ratio (p100/p50 task time) and
-  serial-tail seconds, plus two export views — Chrome trace-event JSON
-  (loadable in ``chrome://tracing`` / Perfetto) and an adapter to
-  :class:`~repro.exec.scheduler.PhaseTiming` so
-  :func:`~repro.exec.trace.render_phase_trace` draws real schedules with
-  the same ASCII Gantt it draws simulated ones.
+  serial-tail seconds, plus a Chrome trace-event JSON export (loadable
+  in ``chrome://tracing`` / Perfetto). The simulator's
+  :func:`~repro.sim.trace.phase_timings` adapts it to ``PhaseTiming``,
+  so real schedules draw with the same ASCII Gantt as simulated ones.
 
 Tracing is off by default and has no effect on operator output: spans
 observe task boundaries, never touch task data, and the traced process
@@ -39,9 +38,6 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-
-from repro.exec.scheduler import PhaseTiming
-from repro.exec.task import TaskCost
 
 __all__ = [
     "TaskSpan",
@@ -485,35 +481,3 @@ class RunTrace:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(self.to_chrome_trace(), handle, indent=1)
             handle.write("\n")
-
-    # -- PhaseTiming adapter (ASCII Gantt reuse) -----------------------------------
-
-    def to_phase_timings(self) -> list[PhaseTiming]:
-        """Adapt each phase to a :class:`PhaseTiming` for the ASCII Gantt.
-
-        Span times are re-based to the phase's first task start, so each
-        chart starts at its left edge; ``render_phase_trace`` then draws
-        real schedules exactly as it draws simulated ones.
-        """
-        timings: list[PhaseTiming] = []
-        for phase in self.phases:
-            spans = self.phase_spans(phase)
-            t0 = min(span.t_start for span in spans)
-            window = max(span.t_end for span in spans) - t0
-            placements = [
-                (span.worker, span.t_start - t0, span.t_end - t0) for span in spans
-            ]
-            timings.append(
-                PhaseTiming(
-                    name=phase,
-                    elapsed_s=window,
-                    workers=len({span.worker for span in spans}),
-                    n_tasks=len(spans),
-                    totals=TaskCost(),
-                    bounds={"schedule": window},
-                    bottleneck="schedule",
-                    busy_s=sum(span.duration_s for span in spans),
-                    spans=placements,
-                )
-            )
-        return timings

@@ -1,17 +1,17 @@
-"""Task cost records for the virtual-time simulator.
+"""Task cost records: a plain tally of declared work and I/O.
 
-Operators execute their real Python logic and, as a by-product, produce a
-:class:`TaskCost` per unit of work (per document chunk, per file, per
-centroid update...). The scheduler never times Python execution — wall
-clock on the host is irrelevant — it only aggregates these declared costs
-onto the machine model.
+Storage backends report one per read or write (bytes moved, files
+opened). The simulator (:mod:`repro.sim`) additionally has its operators
+declare the CPU seconds and memory traffic of each unit of work (per
+document chunk, per file, per centroid update...), and its scheduler
+turns these declared costs into virtual time on a machine model
+(:func:`repro.sim.scheduler.duration_on`); nothing here times Python
+execution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.exec.machine import MachineSpec
 
 __all__ = ["TaskCost"]
 
@@ -69,26 +69,6 @@ class TaskCost:
             disk_write_bytes=self.disk_write_bytes * factor,
             disk_opens=int(round(self.disk_opens * factor)),
         )
-
-    def compute_time(self, machine: MachineSpec) -> float:
-        """Single-core compute time: CPU overlapped with its own DRAM traffic.
-
-        A core executes instructions and its memory accesses concurrently up
-        to its private streaming limit, hence the ``max``.
-        """
-        return max(self.cpu_s, self.mem_bytes / machine.core_mem_bw)
-
-    def io_time(self, machine: MachineSpec) -> float:
-        """Synchronous storage time paid inside this task."""
-        return (
-            self.disk_read_bytes / machine.disk_read_bw
-            + self.disk_write_bytes / machine.disk_write_bw
-            + self.disk_opens * machine.disk_latency_s
-        )
-
-    def duration_on(self, machine: MachineSpec) -> float:
-        """Total occupancy of one core by this task (compute + blocking I/O)."""
-        return self.compute_time(machine) + self.io_time(machine)
 
     @property
     def is_zero(self) -> bool:

@@ -1,10 +1,10 @@
-"""Analytics operators: TF/IDF, K-means and the baselines."""
+"""Analytics operators: TF/IDF and K-means, each with one real path.
 
-from repro.ops.baselines import SimpleKMeansBaseline
+Their simulated runs (instrumented dictionaries, virtual time) and the
+dense WEKA-style baseline are in :mod:`repro.sim`.
+"""
+
 from repro.ops.kmeans import PHASE_KMEANS, KMeansOperator, KMeansResult
-from repro.ops.knn import KnnClassifier, Neighbor
-from repro.ops.minhash import DuplicatePair, MinHasher, shingles
-from repro.ops.topk import TermCount, TopTermsOp, top_k_terms
 from repro.ops.tfidf import (
     PHASE_TFIDF_OUTPUT,
     PHASE_TRANSFORM,
@@ -20,15 +20,6 @@ __all__ = [
     "TfIdfResult",
     "KMeansOperator",
     "KMeansResult",
-    "SimpleKMeansBaseline",
-    "KnnClassifier",
-    "Neighbor",
-    "MinHasher",
-    "DuplicatePair",
-    "shingles",
-    "TermCount",
-    "TopTermsOp",
-    "top_k_terms",
     "PHASE_INPUT_WC",
     "PHASE_TRANSFORM",
     "PHASE_TFIDF_OUTPUT",

@@ -18,8 +18,9 @@ dictionaries would only be pickling dead weight across the IPC boundary)
 but replicate the simulated operators' word-count and transform
 arithmetic exactly — same term counts, same ``count * idf`` products,
 same sort orders — so the scores are byte-identical across backends and
-to the dictionary reference (``run_simulated``); the k-means kernels
-keep one centroid accumulation grouping on every backend.
+to the simulator's dictionary reference (:mod:`repro.sim.operators`);
+the k-means kernels keep one centroid accumulation grouping on every
+backend.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def transform_chunk(
 
     A pure function of its argument (``block.gmap``: term → vocabulary
     id, ``-1`` = pruned below ``min_df``; ``block.weights``: term → idf).
-    Mirrors :meth:`repro.ops.tfidf.TfIdfOperator.transform_document`
+    Mirrors the simulator's :func:`repro.sim.operators.transform_document`
     double for double: ``count * idf`` products, rows sorted by
     vocabulary id (block rows are sorted by term, and so is the
     vocabulary), and a squared norm summed left to right per row — a

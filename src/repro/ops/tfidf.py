@@ -1,52 +1,35 @@
-"""TF/IDF operator: word count → transform → (optional) ARFF output.
+"""TF/IDF operator: word count → transform.
 
 Mirrors the paper's implementation (§3.2):
 
-* **Phase 1 — input+wc** (parallel): per-document term frequencies and the
-  global term → document-count dictionary (:mod:`repro.ops.wordcount`).
+* **Phase 1 — input+wc** (parallel): per-document term frequencies and
+  each term's document count (:mod:`repro.ops.wordcount`).
 * **Phase 2a — transform** (parallel with a serial vocabulary/index
   prefix): per-document sparse TF/IDF vectors, sorted by term id and
   L2-normalized.
-* **Phase 2b — tfidf-output** (serial): the sparse vectors written as an
-  ARFF file. The format forces single-threaded output — the key fact
-  behind Figure 3.
 
-The dictionary implementation is pluggable *per phase*: the word-count
-phase and the transform/output phases may use different kinds, which is
-exactly the optimization opportunity §3.4 describes.
+Phase 2b, the serial ARFF output the format forces (the key fact behind
+Figure 3), is :func:`repro.io.arff.write_sparse_arff` over the result on
+the real path. The simulator's run of all three phases over
+instrumented dictionaries, with a dictionary kind per phase (§3.4), is
+:func:`repro.sim.operators.run_tfidf`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, compress, repeat
 
 import numpy as np
 
-from repro.core.cost_model import (
-    DEFAULT_COSTS,
-    UNIT_SCALE,
-    CostConstants,
-    WorkloadScale,
-)
-from repro.dicts.api import Dictionary
-from repro.dicts.cost import profile_for_kind
-from repro.dicts.factory import make_dict
 from repro.errors import OperatorError
 from repro.exec.inline import ExecutionBackend, SequentialBackend
-from repro.exec.metrics import Timeline
-from repro.exec.scheduler import SimScheduler
-from repro.exec.task import TaskCost
 from repro.ops import kernels
-from repro.io.arff import arff_lines
-from repro.io.corpus_io import corpus_paths
-from repro.io.storage import Storage
 from repro.ops.wordcount import WordCountResult, WordCountStep
 from repro.sparse.blocks import TermBlock, concat_csr
 from repro.sparse.matrix import CsrMatrix, csr_row_views
-from repro.sparse.vector import SparseVector
 from repro.text.corpus import Corpus
 from repro.text.tokenizer import Tokenizer
 
@@ -73,22 +56,10 @@ class TfIdfResult:
     idf: list[float]
     #: Phase-1 result (kept alive between phases in the fused workflow).
     wordcount: WordCountResult
-    #: Virtual-time record of all executed phases.
-    timeline: Timeline = field(default_factory=Timeline)
 
     @property
     def n_docs(self) -> int:
         return self.matrix.n_rows
-
-    def resident_bytes(self) -> int:
-        """Memory held while a simulated run's state is live (Figure 4)."""
-        scale = self.wordcount.scale
-        vocab_bytes = sum(len(t) + 8 for t in self.vocabulary) + 8 * len(self.idf)
-        return int(
-            self.wordcount.resident_bytes()
-            + self.matrix.resident_bytes() * scale.doc_factor
-            + vocab_bytes * scale.vocab_factor
-        )
 
 
 class TfIdfOperator:
@@ -96,98 +67,51 @@ class TfIdfOperator:
 
     Parameters
     ----------
-    wc_dict_kind / transform_dict_kind:
-        Dictionary implementation per phase (``"map"``, ``"unordered_map"``
-        or ``"dict"``). ``transform_dict_kind`` defaults to the word-count
-        kind.
-    reserve:
-        Pre-size hint for hash dictionaries (paper: 4K).
+    tokenizer:
+        How documents split into terms (default :class:`Tokenizer`).
     min_df:
         Drop terms that occur in fewer than this many documents. The
         default (1) keeps everything, as the paper's operator does;
         higher values prune hapax terms, which markedly improves
         clustering quality on small corpora.
+    wc_dict_kind / transform_dict_kind:
+        Accepted and ignored. A real run counts into term blocks and
+        touches no dictionary; the simulator's per-phase kinds are
+        :class:`repro.sim.operators.SimConfig` fields. ``perfbench``
+        still passes them for its planned workload.
     """
 
     def __init__(
         self,
-        wc_dict_kind: str = "map",
-        transform_dict_kind: str | None = None,
-        reserve: int = 4096,
         tokenizer: Tokenizer | None = None,
-        costs: CostConstants = DEFAULT_COSTS,
-        scale: WorkloadScale = UNIT_SCALE,
         min_df: int = 1,
-        parallel_transform: bool = True,
+        *,
+        wc_dict_kind: str | None = None,
+        transform_dict_kind: str | None = None,
     ) -> None:
         if min_df < 1:
             raise OperatorError(f"min_df must be >= 1, got {min_df}")
-        self.wc_dict_kind = wc_dict_kind
-        self.transform_dict_kind = transform_dict_kind or wc_dict_kind
-        self.reserve = reserve
         self.tokenizer = tokenizer or Tokenizer()
-        self.costs = costs
-        self.scale = scale
         self.min_df = min_df
-        #: §3.2's standalone operator leaves phase 2 serial; the fused
-        #: workflow parallelises it (Figure 4 plots its scaling).
-        self.parallel_transform = parallel_transform
-        self.wordcount = WordCountStep(
-            dict_kind=wc_dict_kind,
-            reserve=reserve,
-            tokenizer=self.tokenizer,
-            costs=costs,
-            scale=scale,
-        )
-        self._transform_profile = profile_for_kind(
-            make_dict(self.transform_dict_kind, reserve).kind
-        )
+        self.wordcount = WordCountStep(tokenizer=self.tokenizer)
 
-    # -- vocabulary / transform -------------------------------------------------------
+    # -- vocabulary --------------------------------------------------------------------
 
     def build_vocabulary(
-        self, wc: WordCountResult, cost: TaskCost
+        self, wc: WordCountResult
     ) -> tuple[list[str], list[float]]:
-        """Sorted vocabulary and idf table from the df dictionary.
-
-        The serial prefix of the transform phase: iterating the df
-        dictionary (sorted for free on the tree, explicitly sorted on the
-        hash map); the simulated path follows it with :meth:`build_index`.
-        A real result is read off its term block instead — two columns,
-        no dictionary, nothing charged to ``cost`` (the simulated path is
-        the authority on cost).
-        """
-        if wc.block is not None:
-            counts, kept, vocabulary = self._own_vocabulary(wc.block)
-            n_docs = wc.n_docs
-            # math.log as below (np.log may round differently), once per
-            # possible count — a term is in at most ``n_docs`` documents.
-            by_count = np.array([0.0] + [
-                math.log(n_docs / count)
-                for count in range(1, int(counts.max(initial=0)) + 1)
-            ])
-            return vocabulary, by_count[counts[kept]].tolist()
-        df_profile = profile_for_kind(wc.df.kind)
-        df_before = wc.df.stats.copy()
-        entries = wc.df.items_sorted()
-        df_delta = wc.df.stats.delta(df_before)
-        cost.cpu_s += df_profile.cpu_seconds(df_delta)
-        cost.mem_bytes += df_profile.memory_traffic(df_delta)
-        if wc.df.kind != "map":
-            # Hash iteration order is arbitrary: charge the explicit sort.
-            n = max(1, len(entries))
-            cost.cpu_s += (
-                n * math.log2(n) * self.costs.vocab_sort_ns_per_cmp * 1e-9
-            )
-
-        if self.min_df > 1:
-            entries = [entry for entry in entries if entry[1] >= self.min_df]
-
+        """Sorted vocabulary and idf table of a word count: the serial
+        prefix of the transform phase, read off the term-sorted corpus
+        block — two columns, no dictionary."""
+        counts, kept, vocabulary = self._own_vocabulary(wc.block)
         n_docs = wc.n_docs
-        vocabulary = [term for term, _ in entries]
-        idf = [math.log(n_docs / count) if count else 0.0 for _, count in entries]
-        cost.cpu_s += len(entries) * self.costs.tfidf_score_ns * 1e-9
-        return vocabulary, idf
+        # math.log, not np.log (which may round differently), once per
+        # possible count — a term is in at most ``n_docs`` documents.
+        by_count = np.array([0.0] + [
+            math.log(n_docs / count)
+            for count in range(1, int(counts.max(initial=0)) + 1)
+        ])
+        return vocabulary, by_count[counts[kept]].tolist()
 
     def _own_vocabulary(
         self, block: TermBlock
@@ -199,166 +123,20 @@ class TfIdfOperator:
         kept = counts >= self.min_df
         return counts, kept, list(compress(block.terms, kept.tolist()))
 
-    def build_index(self, vocabulary: list[str], cost: TaskCost) -> Dictionary:
-        """The instrumented term → id dictionary of the simulated path."""
-        index = make_dict(self.transform_dict_kind, reserve=max(self.reserve, 1))
-        for term_id, term in enumerate(vocabulary):
-            index.put(term, term_id)
-        cost.cpu_s += self._transform_profile.cpu_seconds(index.stats)
-        cost.mem_bytes += self._transform_profile.memory_traffic(index.stats)
-        return index
-
-    def transform_document(
-        self,
-        tf: Dictionary,
-        index: Dictionary,
-        idf: list[float],
-        cost: TaskCost,
-    ) -> SparseVector:
-        """One document's normalized TF/IDF vector (the transform kernel)."""
-        tf_profile = profile_for_kind(tf.kind)
-        tf_before = tf.stats.copy()
-        index_before = index.stats.copy()
-
-        pairs: list[tuple[int, float]] = []
-        for term, count in tf.items():
-            term_id = index.get(term)
-            if term_id is None:
-                if self.min_df > 1:
-                    continue  # pruned below the document-frequency cutoff
-                raise OperatorError(f"term {term!r} missing from vocabulary index")
-            pairs.append((term_id, count * idf[term_id]))
-        pairs.sort()
-
-        for profile, stats, before in (
-            (tf_profile, tf.stats, tf_before),
-            (self._transform_profile, index.stats, index_before),
-        ):
-            delta = stats.delta(before)
-            cost.cpu_s += profile.cpu_seconds(delta)
-            cost.mem_bytes += profile.memory_traffic(delta)
-        nnz = len(pairs)
-        cost.cpu_s += nnz * (
-            self.costs.tfidf_score_ns + self.costs.sparse_build_ns_per_entry
-        ) * 1e-9
-        cost.mem_bytes += nnz * self.costs.sparse_build_bytes_per_entry
-
-        vector = SparseVector(
-            [term_id for term_id, _ in pairs], [score for _, score in pairs]
-        )
-        return vector.normalized()
-
-    # -- simulated execution --------------------------------------------------------------
-
-    def run_simulated(
-        self,
-        scheduler: SimScheduler,
-        storage: Storage,
-        input_prefix: str,
-        workers: int | None = None,
-        output_path: str | None = None,
-    ) -> TfIdfResult:
-        """Execute the full operator on the simulated machine.
-
-        When ``output_path`` is given, the serial ARFF output phase runs
-        (discrete workflow); otherwise the scores stay in memory (fused
-        workflow, paper §3.3).
-        """
-        T = scheduler.machine.effective_workers(workers)
-        timeline = Timeline()
-
-        paths = corpus_paths(storage, input_prefix)
-        if not paths:
-            raise OperatorError(f"no input documents under {input_prefix!r}")
-        wc, wc_timings = self.wordcount.run_simulated(
-            scheduler, storage, paths, workers=T
-        )
-        for timing in wc_timings:
-            timeline.add(timing)
-
-        # Serial prefix of the transform: vocabulary, idf, term-id index.
-        index_cost = TaskCost()
-        vocabulary, idf = self.build_vocabulary(wc, index_cost)
-        index = self.build_index(vocabulary, index_cost)
-        timeline.add(
-            scheduler.serial_phase(
-                index_cost.scaled(self.scale.vocab_factor), name=PHASE_TRANSFORM
-            )
-        )
-
-        # Transform over documents: parallel round-robin shards, or one
-        # serial task when the operator is configured per §3.2.
-        transform_workers = T if self.parallel_transform else 1
-        shard_costs = [TaskCost() for _ in range(transform_workers)]
-        rows: list[SparseVector] = []
-        for doc_index, tf in enumerate(wc.doc_tfs):
-            rows.append(
-                self.transform_document(
-                    tf, index, idf, shard_costs[doc_index % transform_workers]
-                )
-            )
-        timeline.add(
-            scheduler.simulate_phase(
-                [cost.scaled(self.scale.doc_factor) for cost in shard_costs],
-                workers=transform_workers,
-                name=PHASE_TRANSFORM,
-            )
-        )
-
-        matrix = CsrMatrix.from_rows(rows, n_cols=len(vocabulary))
-        result = TfIdfResult(
-            matrix=matrix,
-            vocabulary=vocabulary,
-            idf=idf,
-            wordcount=wc,
-            timeline=timeline,
-        )
-
-        if output_path is not None:
-            self.write_arff_simulated(scheduler, storage, result, output_path)
-        return result
-
-    def write_arff_simulated(
-        self,
-        scheduler: SimScheduler,
-        storage: Storage,
-        result: TfIdfResult,
-        output_path: str,
-        phase_name: str = PHASE_TFIDF_OUTPUT,
-    ) -> None:
-        """Serial ARFF output phase (the format forbids parallel writing)."""
-        cost = TaskCost()
-        chunks: list[str] = []
-        for line in arff_lines(
-            "tfidf", result.vocabulary, result.matrix.iter_rows(), sparse=True
-        ):
-            chunks.append(line)
-        document = "\n".join(chunks) + "\n"
-        cost.cpu_s += len(document) * self.costs.arff_serialize_ns_per_byte * 1e-9
-        cost.mem_bytes += len(document) * self.costs.arff_bytes_per_byte
-        cost.add(storage.write(output_path, document))
-        result.timeline.add(
-            scheduler.serial_phase(
-                cost.scaled(self.scale.doc_factor), name=phase_name
-            )
-        )
-
-    # -- functional execution ---------------------------------------------------------------
+    # -- transform --------------------------------------------------------------------
 
     def fit_transform(
         self, corpus: Corpus, backend: ExecutionBackend | None = None
     ) -> TfIdfResult:
-        """Compute TF/IDF for an in-memory or streamed corpus (no simulation).
+        """Compute TF/IDF for an in-memory or streamed corpus.
 
         ``corpus`` may be a materialized :class:`~repro.text.corpus.Corpus`
         or a lazy :class:`~repro.io.parallel_read.DocumentStream`; with a
         stream, phase 1 consumes documents as reads complete, overlapping
-        input with tokenization (paper §3.2). The returned result has an
-        empty timeline; use :meth:`run_simulated` for performance studies.
-        Both parallel phases (word count and transform) run on ``backend``
-        (``None``: a :class:`SequentialBackend`); the output matrix is
-        bit-identical regardless of backend, worker count, or read-worker
-        count.
+        input with tokenization (paper §3.2). Both parallel phases (word
+        count and transform) run on ``backend`` (``None``: a
+        :class:`SequentialBackend`); the output matrix is bit-identical
+        regardless of backend, worker count, or read-worker count.
         """
         backend = backend or SequentialBackend()
         wc = self.wordcount.run(corpus, backend=backend)
@@ -424,7 +202,7 @@ class TfIdfOperator:
         into it (its tiles are then empty), and no row crosses a pipe.
         """
         backend = backend or SequentialBackend()
-        vocabulary, idf = self.build_vocabulary(wc, TaskCost())
+        vocabulary, idf = self.build_vocabulary(wc)
         n_docs = wc.n_docs
         backend.begin_phase(PHASE_TRANSFORM)
         bound = self.bind(wc, vocabulary, idf)
@@ -512,8 +290,8 @@ class TfIdfOperator:
         backend: ExecutionBackend | None = None,
         grain: int | None = None,
     ) -> TfIdfResult:
-        """Phase 2a over an existing word-count result (no simulation),
-        into one resident matrix (see :meth:`_transform`)."""
+        """Phase 2a over an existing word-count result, into one resident
+        matrix (see :meth:`_transform`)."""
         vocabulary, idf, tiles, rows_out = self._transform(
             wc, backend, grain, None
         )

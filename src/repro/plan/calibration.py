@@ -207,8 +207,6 @@ class CalibrationStore:
         one-worker process pool to time its spawn (skipped by default —
         it costs what it measures).
         """
-        from repro.core.cost_model import UNIT_SCALE
-        from repro.exec.task import TaskCost
         from repro.ops import kernels
         from repro.ops.tfidf import TfIdfOperator
         from repro.ops.wordcount import WordCountResult
@@ -254,10 +252,8 @@ class CalibrationStore:
         # operator's own serial prefix, scoped to the probe.
         operator = TfIdfOperator(tokenizer=tokenizer, min_df=min_df)
         # A chunk block becomes a (term-sorted) corpus block in concat.
-        wc = WordCountResult.from_block(
-            TermBlock.concat([block]), [], 0, UNIT_SCALE
-        )
-        vocabulary, idf = operator.build_vocabulary(wc, TaskCost())
+        wc = WordCountResult.from_block(TermBlock.concat([block]), [], 0)
+        vocabulary, idf = operator.build_vocabulary(wc)
         bound = operator.bind(wc, vocabulary, idf)
         t0 = time.perf_counter()
         rows = kernels.transform_chunk(bound)

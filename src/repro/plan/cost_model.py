@@ -1,6 +1,6 @@
 """Predict real phase wall time for candidate configurations.
 
-Where :mod:`repro.core.cost_model` prices *virtual* machines, this model
+Where :mod:`repro.sim.cost_model` prices *virtual* machines, this model
 prices the host it runs on: a :class:`PhasePlan` names one candidate
 configuration (backend tier × workers × shm × tiling) and
 :meth:`RealCostModel.predict` multiplies it against a
@@ -26,9 +26,8 @@ from typing import ClassVar
 
 import os
 
-from repro.dicts.factory import DEFAULT_KIND
 from repro.errors import ConfigurationError
-from repro.exec.parallel import auto_grain
+from repro.exec.inline import auto_grain
 from repro.plan.calibration import CalibrationStore
 
 __all__ = ["PhasePlan", "PhaseWorkload", "PhaseEstimate", "RealCostModel"]
@@ -49,8 +48,9 @@ class PhasePlan:
     tiled: bool = False
     #: Not a knob: a real run counts into term blocks and touches no
     #: dictionary. Kept, read-only, for ``perfbench/workloads.py``, which
-    #: records ``phase.dict_kind`` for its planned workload.
-    dict_kind: ClassVar[str] = DEFAULT_KIND
+    #: records ``phase.dict_kind`` for its planned workload; the value is
+    #: the simulator's default kind (``repro.dicts.DEFAULT_KIND``).
+    dict_kind: ClassVar[str] = "map"
 
     def describe(self) -> str:
         backend = self.backend

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cost_model import DEFAULT_COSTS, CostConstants
 from repro.errors import OperatorError
-from repro.exec.metrics import Timeline
-from repro.exec.scheduler import SimScheduler
 from repro.exec.task import TaskCost
-from repro.ops.kmeans import KMeansResult
+from repro.sim.cost_model import DEFAULT_COSTS, CostConstants
+from repro.sim.metrics import Timeline
+from repro.sim.operators import SimKMeansResult
+from repro.sim.scheduler import SimScheduler
 from repro.sparse.matrix import CsrMatrix
 
 __all__ = ["SimpleKMeansBaseline", "PHASE_BASELINE"]
@@ -69,7 +69,7 @@ class SimpleKMeansBaseline:
 
     def run_simulated(
         self, scheduler: SimScheduler, matrix: CsrMatrix
-    ) -> KMeansResult:
+    ) -> SimKMeansResult:
         """Execute the baseline (serially, as WEKA does) on real data."""
         K = self.n_clusters
         D, V = matrix.n_rows, matrix.n_cols
@@ -129,7 +129,7 @@ class SimpleKMeansBaseline:
                 break
             previous = assignments.copy()
 
-        return KMeansResult(
+        return SimKMeansResult(
             assignments=[int(a) for a in assignments],
             centroids=centroids,
             n_iters=n_iters,

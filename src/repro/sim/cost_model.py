@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exec.machine import MachineSpec
+from repro.sim.machine import MachineSpec
 
 __all__ = [
     "CostConstants",

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.workflow import FILE, MEMORY, Edge, Workflow
-from repro.exec.machine import MachineSpec
+from repro.sim.machine import MachineSpec
+from repro.sim.workflow import FILE, MEMORY, Edge, Workflow
 
 __all__ = ["FusionReport", "fuse_workflow", "estimate_edge_round_trip"]
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.exec.machine import MachineSpec
-from repro.exec.scheduler import PhaseTiming
 from repro.exec.task import TaskCost
+from repro.sim.machine import MachineSpec
+from repro.sim.scheduler import PhaseTiming, duration_on
 
 __all__ = ["Timeline", "WorkSpan", "work_span", "self_relative_speedups"]
 
@@ -81,7 +81,7 @@ class WorkSpan:
 
 def work_span(costs: Sequence[TaskCost], machine: MachineSpec) -> WorkSpan:
     """Compute work and span of independent tasks on the given machine."""
-    durations = [cost.duration_on(machine) for cost in costs]
+    durations = [duration_on(cost, machine) for cost in costs]
     return WorkSpan(work_s=sum(durations), span_s=max(durations, default=0.0))
 
 

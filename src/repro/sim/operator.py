@@ -11,23 +11,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.cost_model import (
-    DEFAULT_COSTS,
-    UNIT_SCALE,
-    CostConstants,
-    WorkloadScale,
-)
-from repro.core.ports import (
-    Materializer,
-    ScoreMatrix,
-    WorkflowContext,
-    WorkflowOp,
-)
 from repro.errors import WorkflowError
 from repro.exec.task import TaskCost
 from repro.io.arff import read_sparse_arff, write_sparse_arff
 from repro.ops.kmeans import KMeansOperator, KMeansResult
-from repro.ops.tfidf import TfIdfOperator, TfIdfResult
+from repro.ops.tfidf import TfIdfOperator
+from repro.sim.cost_model import DEFAULT_COSTS, UNIT_SCALE, CostConstants, WorkloadScale
+from repro.sim.operators import SimConfig, SimTfIdfResult, run_kmeans, run_tfidf
+from repro.sim.ports import Materializer, ScoreMatrix, WorkflowContext, WorkflowOp
 
 __all__ = [
     "WorkflowContext",
@@ -61,19 +52,21 @@ class TfIdfOp(WorkflowOp):
         scale: WorkloadScale = UNIT_SCALE,
     ) -> None:
         self.name = name
-        self.operator = TfIdfOperator(
+        self.operator = TfIdfOperator()
+        self.config = SimConfig(
             wc_dict_kind=wc_dict_kind,
             transform_dict_kind=transform_dict_kind,
             reserve=reserve,
             costs=costs,
             scale=scale,
         )
-        self.last_result: TfIdfResult | None = None
+        self.last_result: SimTfIdfResult | None = None
 
     def execute(self, ctx: WorkflowContext, inputs: dict[str, Any]) -> dict[str, Any]:
         prefix = self._require(inputs, "corpus_prefix")
-        result = self.operator.run_simulated(
-            ctx.scheduler, ctx.storage, prefix, workers=ctx.workers
+        result = run_tfidf(
+            self.operator, ctx.scheduler, ctx.storage, prefix,
+            workers=ctx.workers, config=self.config,
         )
         ctx.timeline.extend(result.timeline)
         ctx.note_allocation(result.resident_bytes())
@@ -105,20 +98,16 @@ class KMeansOp(WorkflowOp):
     ) -> None:
         self.name = name
         self.operator = KMeansOperator(
-            n_clusters=n_clusters,
-            max_iters=max_iters,
-            seed=seed,
-            costs=costs,
-            scale=scale,
+            n_clusters=n_clusters, max_iters=max_iters, seed=seed
         )
-        self.costs = costs
+        self.config = SimConfig(costs=costs, scale=scale)
         self.output_path = output_path
-        self.scale = scale
 
     def execute(self, ctx: WorkflowContext, inputs: dict[str, Any]) -> dict[str, Any]:
         scores: ScoreMatrix = self._require(inputs, "scores")
-        result = self.operator.run_simulated(
-            ctx.scheduler, scores.matrix, workers=ctx.workers
+        result = run_kmeans(
+            self.operator, ctx.scheduler, scores.matrix,
+            workers=ctx.workers, config=self.config,
         )
         ctx.timeline.extend(result.timeline)
         if self.output_path is not None:
@@ -132,14 +121,15 @@ class KMeansOp(WorkflowOp):
             for doc_id, cluster in enumerate(result.assignments)
         ]
         document = "\n".join(lines) + "\n"
+        costs = self.config.costs
         cost = TaskCost(
-            cpu_s=len(document) * self.costs.arff_serialize_ns_per_byte * 1e-9,
-            mem_bytes=len(document) * self.costs.arff_bytes_per_byte,
+            cpu_s=len(document) * costs.arff_serialize_ns_per_byte * 1e-9,
+            mem_bytes=len(document) * costs.arff_bytes_per_byte,
         )
         cost.add(ctx.storage.write(self.output_path, document))
         ctx.timeline.add(
             ctx.scheduler.serial_phase(
-                cost.scaled(self.scale.doc_factor), name=PHASE_OUTPUT
+                cost.scaled(self.config.scale.doc_factor), name=PHASE_OUTPUT
             )
         )
 

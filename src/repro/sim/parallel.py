@@ -14,17 +14,14 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import ConfigurationError
-from repro.exec.scheduler import PhaseTiming, SimScheduler
+from repro.exec.inline import auto_grain
 from repro.exec.task import TaskCost
+from repro.sim.scheduler import PhaseTiming, SimScheduler
 
-__all__ = ["ParallelResult", "parallel_map", "parallel_reduce", "auto_grain"]
+__all__ = ["ParallelResult", "parallel_map", "parallel_reduce"]
 
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
-
-#: Target number of chunks per worker when the grain is chosen automatically;
-#: enough to smooth imbalance without flooding the scheduler.
-_CHUNKS_PER_WORKER = 8
 
 
 @dataclass
@@ -33,13 +30,6 @@ class ParallelResult:
 
     values: list
     timing: PhaseTiming
-
-
-def auto_grain(n_items: int, workers: int) -> int:
-    """Chunk size giving ~8 chunks per worker (Cilk-style default grain)."""
-    if n_items <= 0:
-        return 1
-    return max(1, n_items // (workers * _CHUNKS_PER_WORKER))
 
 
 def parallel_map(

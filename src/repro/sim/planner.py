@@ -18,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.cost_model import DEFAULT_COSTS, CostConstants
-from repro.core.workflow import build_tfidf_kmeans_workflow
 from repro.dicts.factory import PLANNER_KINDS, dict_candidate_pairs
 from repro.errors import PlannerError
-from repro.exec.machine import MachineSpec
-from repro.exec.scheduler import SimScheduler
 from repro.io.corpus_io import corpus_paths
 from repro.io.storage import MemStorage, Storage
+from repro.sim.cost_model import DEFAULT_COSTS, CostConstants
+from repro.sim.machine import MachineSpec
+from repro.sim.scheduler import SimScheduler
+from repro.sim.workflow import build_tfidf_kmeans_workflow
 
 __all__ = ["PlanConfig", "PlanEstimate", "Plan", "WorkflowPlanner"]
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import WorkflowError
-from repro.exec.metrics import Timeline
-from repro.exec.scheduler import SimScheduler
 from repro.io.storage import Storage
+from repro.sim.metrics import Timeline
+from repro.sim.scheduler import SimScheduler
 from repro.sparse.matrix import CsrMatrix
 
 __all__ = ["WorkflowContext", "WorkflowOp", "Materializer", "ScoreMatrix"]

@@ -8,7 +8,7 @@ is what the benchmark harness prints next to the paper's reference values.
 
 from __future__ import annotations
 
-from repro.exec.metrics import self_relative_speedups
+from repro.sim.metrics import self_relative_speedups
 
 __all__ = [
     "format_speedup_table",

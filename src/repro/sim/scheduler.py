@@ -18,10 +18,39 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import SchedulerError
-from repro.exec.machine import MachineSpec
 from repro.exec.task import TaskCost
+from repro.sim.machine import MachineSpec
 
-__all__ = ["PhaseTiming", "SimScheduler"]
+__all__ = [
+    "PhaseTiming",
+    "SimScheduler",
+    "compute_time",
+    "io_time",
+    "duration_on",
+]
+
+
+def compute_time(cost: TaskCost, machine: MachineSpec) -> float:
+    """Single-core compute time: CPU overlapped with its own DRAM traffic.
+
+    A core executes instructions and its memory accesses concurrently up
+    to its private streaming limit, hence the ``max``.
+    """
+    return max(cost.cpu_s, cost.mem_bytes / machine.core_mem_bw)
+
+
+def io_time(cost: TaskCost, machine: MachineSpec) -> float:
+    """Synchronous storage time paid inside the task."""
+    return (
+        cost.disk_read_bytes / machine.disk_read_bw
+        + cost.disk_write_bytes / machine.disk_write_bw
+        + cost.disk_opens * machine.disk_latency_s
+    )
+
+
+def duration_on(cost: TaskCost, machine: MachineSpec) -> float:
+    """Total occupancy of one core by the task (compute + blocking I/O)."""
+    return compute_time(cost, machine) + io_time(cost, machine)
 
 
 @dataclass
@@ -98,7 +127,7 @@ class SimScheduler:
         busy = 0.0
         spans: list[tuple[int, float, float]] = []
         for cost in costs:
-            duration = cost.duration_on(machine)
+            duration = duration_on(cost, machine)
             busy += duration
             start, core = heapq.heappop(core_free)
             spans.append((core, start, start + duration))

@@ -4,15 +4,19 @@ Renders the per-core placement recorded by the scheduler as a Gantt-style
 text chart — the quickest way to *see* why a phase stopped scaling (three
 fat chunks on a 16-core machine, a serial ARFF tail, a memory-bandwidth
 plateau). Used by examples and by humans debugging calibrations; the
-benchmark reports stay tabular.
+benchmark reports stay tabular. :func:`phase_timings` adapts a real
+run's span trace (:class:`~repro.exec.spans.RunTrace`) so its measured
+schedule draws the same way.
 """
 
 from __future__ import annotations
 
-from repro.exec.metrics import Timeline
-from repro.exec.scheduler import PhaseTiming
+from repro.exec.spans import RunTrace
+from repro.exec.task import TaskCost
+from repro.sim.metrics import Timeline
+from repro.sim.scheduler import PhaseTiming
 
-__all__ = ["render_phase_trace", "render_timeline_trace"]
+__all__ = ["render_phase_trace", "render_timeline_trace", "phase_timings"]
 
 _FULL = "█"
 _PART = "▒"
@@ -76,3 +80,34 @@ def render_timeline_trace(
     if max_phases is not None and len(timeline.phases) > max_phases:
         blocks.append(f"... {len(timeline.phases) - max_phases} more phase(s)")
     return "\n\n".join(blocks)
+
+
+def phase_timings(trace: RunTrace) -> list[PhaseTiming]:
+    """Adapt each phase of a real run's trace to a :class:`PhaseTiming`.
+
+    Span times are re-based to the phase's first task start, so each
+    chart starts at its left edge; :func:`render_phase_trace` then draws
+    real schedules exactly as it draws simulated ones.
+    """
+    timings: list[PhaseTiming] = []
+    for phase in trace.phases:
+        spans = trace.phase_spans(phase)
+        t0 = min(span.t_start for span in spans)
+        window = max(span.t_end for span in spans) - t0
+        placements = [
+            (span.worker, span.t_start - t0, span.t_end - t0) for span in spans
+        ]
+        timings.append(
+            PhaseTiming(
+                name=phase,
+                elapsed_s=window,
+                workers=len({span.worker for span in spans}),
+                n_tasks=len(spans),
+                totals=TaskCost(),
+                bounds={"schedule": window},
+                bottleneck="schedule",
+                busy_s=sum(span.duration_s for span in spans),
+                spans=placements,
+            )
+        )
+    return timings

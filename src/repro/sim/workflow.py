@@ -4,7 +4,7 @@ The paper contrasts two ways of composing operators (§3.3):
 
 * **discrete** — each operator is its own executable; they communicate by
   dumping intermediates to disk (here: ARFF through a
-  :class:`~repro.core.operator.Materializer`), paying serialization,
+  :class:`~repro.sim.operator.Materializer`), paying serialization,
   serial I/O and parsing, but freeing each operator's memory as soon as
   its output is on disk;
 * **merged** (fused) — operators share one address space and hand results
@@ -21,13 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.cost_model import (
-    DEFAULT_COSTS,
-    UNIT_SCALE,
-    CostConstants,
-    WorkloadScale,
-)
-from repro.core.operator import (
+from repro.errors import WorkflowError
+from repro.io.storage import Storage
+from repro.sim.cost_model import DEFAULT_COSTS, UNIT_SCALE, CostConstants, WorkloadScale
+from repro.sim.metrics import Timeline
+from repro.sim.operator import (
     ArffScoresMaterializer,
     KMeansOp,
     Materializer,
@@ -35,10 +33,7 @@ from repro.core.operator import (
     WorkflowContext,
     WorkflowOp,
 )
-from repro.errors import WorkflowError
-from repro.exec.metrics import Timeline
-from repro.exec.scheduler import SimScheduler
-from repro.io.storage import Storage
+from repro.sim.scheduler import SimScheduler
 
 __all__ = ["Edge", "Workflow", "WorkflowResult", "build_tfidf_kmeans_workflow"]
 
@@ -100,7 +95,7 @@ class WorkflowResult:
 
     def trace(self, width: int = 64, max_phases: int | None = 12) -> str:
         """ASCII Gantt trace of the run's phases (debugging aid)."""
-        from repro.exec.trace import render_timeline_trace
+        from repro.sim.trace import render_timeline_trace
 
         return render_timeline_trace(
             self.timeline, width=width, max_phases=max_phases

@@ -14,6 +14,7 @@ import os
 import pytest
 
 from repro.cache import PipelineCache
+from repro.cache import keys as cache_keys
 from repro.core.pipeline import output_digest, run_pipeline
 from repro.errors import OperatorError
 from repro.exec.process import make_backend
@@ -151,6 +152,28 @@ class TestWarmServe:
         monkeypatch.setattr(KMeansOperator, "fit", forbidden)
         warm = _run(corpus, cache=cache)
         assert warm.cache["hits"] == 3
+
+    def test_warm_run_walks_the_documents_once(
+        self, corpus, tmp_path, monkeypatch
+    ):
+        # The fingerprint's pass yields the word count's paths and input
+        # size too: serving the word count walks the documents no more.
+        cache = PipelineCache(str(tmp_path / "cache"))
+        cold = _run(corpus, cache=cache)
+        walks = []
+        walk = cache_keys.names_and_texts
+
+        def counted(docs):
+            walks.append(len(docs))
+            return walk(docs)
+
+        monkeypatch.setattr(cache_keys, "names_and_texts", counted)
+        warm = _run(corpus, cache=cache)
+        assert warm.cache["hits"] == 3
+        assert walks == [len(corpus)]
+        served, computed = warm.tfidf.wordcount, cold.tfidf.wordcount
+        assert served.paths == computed.paths
+        assert served.input_bytes == computed.input_bytes
 
 
 class TestIncremental:

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.core import (
+from repro.sim import (
     amdahl_speedup,
     build_tfidf_kmeans_workflow,
     estimate_edge_round_trip,
     fuse_workflow,
+    paper_node,
     roofline_cap,
 )
-from repro.core.cost_model import UNIT_SCALE, WorkloadScale
-from repro.exec import paper_node
+from repro.sim.cost_model import UNIT_SCALE, WorkloadScale
 
 _GB = 1024**3
 

@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.core import (
+from repro.errors import PlannerError
+from repro.io import MemStorage
+from repro.sim import (
     WorkflowPlanner,
     format_breakdown_table,
     format_comparison_rows,
     format_speedup_table,
+    paper_node,
     series_to_csv,
 )
-from repro.errors import PlannerError
-from repro.exec import paper_node
-from repro.io import MemStorage
 
 
 @pytest.fixture(scope="module")

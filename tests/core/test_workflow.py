@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core import (
+from repro.errors import WorkflowError
+from repro.ops import KMeansResult
+from repro.sim import (
     ArffScoresMaterializer,
     ScoreMatrix,
     Workflow,
@@ -10,9 +12,7 @@ from repro.core import (
     WorkflowOp,
     build_tfidf_kmeans_workflow,
 )
-from repro.core.workflow import FILE, Edge
-from repro.errors import WorkflowError
-from repro.ops import KMeansResult
+from repro.sim.workflow import FILE, Edge
 
 
 class _Const(WorkflowOp):

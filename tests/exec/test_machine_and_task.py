@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec import MachineSpec, TaskCost, fast_ssd_node, paper_node
+from repro.exec import TaskCost
+from repro.sim import MachineSpec, fast_ssd_node, paper_node
+from repro.sim.scheduler import compute_time, duration_on, io_time
 
 
 class TestMachineSpec:
@@ -83,13 +85,13 @@ class TestTaskCost:
     def test_compute_time_cpu_bound(self):
         machine = paper_node()
         cost = TaskCost(cpu_s=1.0, mem_bytes=1)  # negligible traffic
-        assert cost.compute_time(machine) == 1.0
+        assert compute_time(cost, machine) == 1.0
 
     def test_compute_time_memory_bound(self):
         machine = paper_node()
         # Far more traffic than one core can stream in cpu_s.
         cost = TaskCost(cpu_s=0.001, mem_bytes=machine.core_mem_bw * 2)
-        assert cost.compute_time(machine) == pytest.approx(2.0)
+        assert compute_time(cost, machine) == pytest.approx(2.0)
 
     def test_io_time_components(self):
         machine = paper_node()
@@ -98,9 +100,9 @@ class TestTaskCost:
             disk_write_bytes=machine.disk_write_bw,
             disk_opens=2,
         )
-        assert cost.io_time(machine) == pytest.approx(2 + 2 * machine.disk_latency_s)
+        assert io_time(cost, machine) == pytest.approx(2 + 2 * machine.disk_latency_s)
 
     def test_duration_is_compute_plus_io(self):
         machine = paper_node()
         cost = TaskCost(cpu_s=1.0, disk_read_bytes=machine.disk_read_bw)
-        assert cost.duration_on(machine) == pytest.approx(2.0)
+        assert duration_on(cost, machine) == pytest.approx(2.0)

@@ -3,15 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec import (
-    SequentialBackend,
+from repro.exec import SequentialBackend, TaskCost, ThreadBackend, auto_grain
+from repro.sim import (
     SimScheduler,
-    TaskCost,
-    ThreadBackend,
     Timeline,
-    auto_grain,
-    parallel_map,
     paper_node,
+    parallel_map,
     self_relative_speedups,
     work_span,
 )

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.exec import SimScheduler, TaskCost, paper_node
-from repro.exec.parallel import parallel_reduce
+from repro.exec import TaskCost
+from repro.sim import SimScheduler, paper_node
+from repro.sim.parallel import parallel_reduce
 
 
 def summing_combine(cost_s=1.0):

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SchedulerError
-from repro.exec import MachineSpec, SimScheduler, TaskCost, paper_node
+from repro.exec import TaskCost
+from repro.sim import MachineSpec, SimScheduler, paper_node
 
 _GB = 1024**3
 

@@ -18,7 +18,7 @@ from repro.exec.spans import (
     install_worker_epoch,
     worker_now,
 )
-from repro.exec.trace import render_phase_trace
+from repro.sim.trace import phase_timings, render_phase_trace
 from repro.text.synth import MIX_PROFILE, generate_corpus
 
 
@@ -223,7 +223,7 @@ class TestPhaseTimingAdapter:
             span("input+wc", 1, 1, 1.1, 1.4),
             span("kmeans", 0, 0, 2.0, 2.2),
         ])
-        timings = trace.to_phase_timings()
+        timings = phase_timings(trace)
         assert [t.name for t in timings] == ["input+wc", "kmeans"]
         first = timings[0]
         # Re-based to the phase's first task start.

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.exec import (
+from repro.exec import TaskCost
+from repro.sim import (
     SimScheduler,
-    TaskCost,
     Timeline,
     paper_node,
     render_phase_trace,

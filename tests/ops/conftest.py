@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.exec import SimScheduler, paper_node
 from repro.io import MemStorage, corpus_paths, store_corpus
+from repro.sim import SimScheduler, paper_node
 from repro.text import MIX_PROFILE, Corpus, generate_corpus
 
 

@@ -5,7 +5,7 @@ worker count change *wall-clock time only*: TF/IDF matrices, vocabularies,
 idf tables and K-means assignments must be bit-identical across
 sequential, threads and processes — and the word counts and scores
 identical to the simulator's one-core dictionary reference
-(``run_simulated``).
+(``repro.sim.operators``).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.exec.shm import shm_available
 from repro.ops.kmeans import KMeansOperator
 from repro.ops.tfidf import TfIdfOperator
 from repro.ops.wordcount import WordCountStep
+from repro.sim import SimConfig
 from repro.text.synth import MIX_PROFILE, generate_corpus
 from repro.text.tokenizer import Tokenizer
 from tests.ops.test_columnar_blocks import (
@@ -82,14 +83,13 @@ class TestWordCountEquivalence:
 class TestTfIdfEquivalence:
     @pytest.mark.parametrize("dict_kind", ["map", "unordered_map"])
     def test_matrix_identical_across_backends(self, corpus, texts, dict_kind):
-        reference = simulated_tfidf(TfIdfOperator(wc_dict_kind=dict_kind), texts)
+        reference = simulated_tfidf(
+            TfIdfOperator(), texts, SimConfig(wc_dict_kind=dict_kind)
+        )
         ref_entries = _matrix_entries(reference)
         for name in BACKENDS:
             result = run_backend(
-                name,
-                lambda b: TfIdfOperator(wc_dict_kind=dict_kind).fit_transform(
-                    corpus, backend=b
-                ),
+                name, lambda b: TfIdfOperator().fit_transform(corpus, backend=b)
             )
             assert result.vocabulary == reference.vocabulary
             assert result.idf == reference.idf

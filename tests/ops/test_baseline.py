@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import OperatorError
-from repro.exec import SimScheduler, paper_node
-from repro.ops import KMeansOperator, SimpleKMeansBaseline, TfIdfOperator
+from repro.ops import KMeansOperator, TfIdfOperator
+from repro.sim import SimScheduler, SimpleKMeansBaseline, paper_node
+from repro.sim.operators import run_kmeans
 from repro.sparse import CsrMatrix, SparseVector
 
 
@@ -54,8 +55,9 @@ class TestCostPathologies:
         """
         matrix = TfIdfOperator().fit_transform(tiny_corpus).matrix
         scheduler = SimScheduler(paper_node(1))
-        sparse = KMeansOperator(n_clusters=2, max_iters=5).run_simulated(
-            scheduler, matrix, workers=1
+        sparse = run_kmeans(
+            KMeansOperator(n_clusters=2, max_iters=5), scheduler, matrix,
+            workers=1,
         )
         dense = SimpleKMeansBaseline(n_clusters=2, max_iters=5).run_simulated(
             scheduler, matrix

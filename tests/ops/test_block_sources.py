@@ -25,22 +25,22 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import run_pipeline
 from repro.exec import shm as shm_plane
-from repro.exec.machine import MachineSpec
 from repro.exec.process import make_backend
-from repro.exec.scheduler import SimScheduler
 from repro.exec.shm import shm_available
 from repro.ops import kernels
 from repro.ops.kmeans import KMeansOperator
 from repro.ops.tfidf import TfIdfOperator
+from repro.sim import MachineSpec, SimScheduler
+from repro.sim.operators import run_kmeans
 from repro.sparse.matrix import CsrMatrix
 from repro.text.synth import MIX_PROFILE, generate_corpus
-from repro.tiles import TiledCsrMatrix, TileStore
+from repro.tiles import TileStore, TiledCsrMatrix
 from tests.conftest import _mapped_tiles
 
 # -- generated equivalence over the source axis ----------------------------------------
 
 #: ``(name, workers, shm)``; ``None`` is the simulator's one-core loop
-#: (``run_simulated``), the reference.
+#: (``repro.sim.operators.run_kmeans``), the reference.
 _BACKENDS = [
     None,
     ("sequential", 1, None),
@@ -128,7 +128,7 @@ def _fit(operator, matrix, config):
     """``operator`` on ``matrix`` the way ``config`` names."""
     if config is None:
         scheduler = SimScheduler(MachineSpec(cores=1, name="reference"))
-        return operator.run_simulated(scheduler, matrix, workers=1)
+        return run_kmeans(operator, scheduler, matrix, workers=1)
     return operator.fit(matrix, backend=_backend(config))
 
 

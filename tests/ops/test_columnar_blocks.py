@@ -4,7 +4,7 @@ A real run counts each chunk into one :class:`TermBlock`, merges the
 chunks into one block for the corpus, and scores row ranges of it with a
 vectorised kernel. These tests pin that path byte for byte to the
 simulator's ``count_document``/``transform_document`` dictionary
-reference (``run_simulated`` on one core), check the block algebra the
+reference (``repro.sim.operators`` on one core), check the block algebra the
 cache, the tile plane and quarantine bisection lean on, and hold the
 outputs of every execution mode — and of the reference — to digests
 recorded from the commit before the blocks landed.
@@ -24,17 +24,16 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import RealRunResult, output_digest, run_pipeline
 from repro.errors import OperatorError
-from repro.exec.machine import MachineSpec
 from repro.exec.process import make_backend
 from repro.exec.resilience import bisect_chunk
-from repro.exec.scheduler import SimScheduler
 from repro.exec.shm import shm_available
-from repro.exec.task import TaskCost
 from repro.io import MemStorage, store_corpus
 from repro.ops import kernels
 from repro.ops.kmeans import KMeansOperator
 from repro.ops.tfidf import TfIdfOperator
 from repro.plan import CalibrationStore, PhasePlan, RealPlan
+from repro.sim import MachineSpec, SimConfig, SimScheduler
+from repro.sim.operators import run_kmeans, run_tfidf, run_wordcount
 from repro.sparse.blocks import TermBlock
 from repro.text.synth import MIX_PROFILE, NSF_ABSTRACTS_PROFILE, generate_corpus
 from repro.text.tokenizer import Tokenizer
@@ -97,19 +96,22 @@ def _stored(texts) -> MemStorage:
     return storage
 
 
-def simulated_wordcount(step, texts):
-    """The dictionary reference of a word count: ``run_simulated`` on one
+def simulated_wordcount(step, texts, config=SimConfig()):
+    """The dictionary reference of a word count: ``run_wordcount`` on one
     simulated core over ``texts``."""
     storage = _stored(texts)
-    wc, _ = step.run_simulated(
-        _one_core(), storage, list(storage.list("in/")), workers=1
+    wc, _ = run_wordcount(
+        step, _one_core(), storage, list(storage.list("in/")), workers=1,
+        config=config,
     )
     return wc
 
 
-def simulated_tfidf(operator, texts):
+def simulated_tfidf(operator, texts, config=SimConfig()):
     """The dictionary reference of the TF/IDF operator, likewise."""
-    return operator.run_simulated(_one_core(), _stored(texts), "in/", workers=1)
+    return run_tfidf(
+        operator, _one_core(), _stored(texts), "in/", workers=1, config=config
+    )
 
 
 def row_dicts(wc) -> list[dict[str, int]]:
@@ -244,18 +246,18 @@ class TestByteEqualityWithInline:
         operator = TfIdfOperator()
         backend = make_backend("sequential", 1)
         wc = operator.wordcount.run(["cat dog", "dog emu"], backend=backend)
-        vocabulary, idf = operator.build_vocabulary(wc, TaskCost())
+        vocabulary, idf = operator.build_vocabulary(wc)
         assert vocabulary == ["cat", "dog", "emu"]
         with pytest.raises(OperatorError, match="'emu' missing from vocabulary"):
             operator.bind(wc, vocabulary[:2], idf[:2])
         pruning = TfIdfOperator(min_df=2)
-        bound = pruning.bind(wc, *pruning.build_vocabulary(wc, TaskCost()))
+        bound = pruning.bind(wc, *pruning.build_vocabulary(wc))
         assert bound.gmap.tolist() == [-1, 0, -1]
 
     def test_real_result_df_is_block_columns(self):
         step = TfIdfOperator().wordcount
         wc = step.run(["cat dog", "dog emu"], backend=make_backend("sequential", 1))
-        assert wc.df is None and wc.doc_tfs is None
+        assert not hasattr(wc, "df") and not hasattr(wc, "doc_tfs")
         assert wc.block.n_terms == 3
         assert df_dict(wc) == {"cat": 1, "dog": 2, "emu": 1}
 
@@ -659,8 +661,8 @@ class TestSimulatorReference:
         storage = MemStorage()
         store_corpus(storage, corpus)
         tfidf, kmeans = _operators()
-        scores = tfidf.run_simulated(_one_core(), storage, "", workers=1)
-        clusters = kmeans.run_simulated(_one_core(), scores.matrix, workers=1)
+        scores = run_tfidf(tfidf, _one_core(), storage, "", workers=1)
+        clusters = run_kmeans(kmeans, _one_core(), scores.matrix, workers=1)
         reference = RealRunResult(tfidf=scores, kmeans=clusters)
         assert _digest(reference) == PARENT_DIGESTS[name][1]
 

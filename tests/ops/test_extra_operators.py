@@ -1,4 +1,10 @@
-"""Tests for the extension operators: top-k terms, k-NN, MinHash."""
+"""Tests for the extension operators: top-k terms, k-NN, MinHash.
+
+The operators live in ``examples/text_ops``, beside their one example.
+"""
+
+import os
+import sys
 
 import pytest
 from hypothesis import given
@@ -6,17 +12,18 @@ from hypothesis import strategies as st
 
 from repro.dicts import make_dict
 from repro.errors import OperatorError
-from repro.exec import SimScheduler, TaskCost, paper_node
-from repro.ops import (
-    KnnClassifier,
-    MinHasher,
-    TfIdfOperator,
-    TopTermsOp,
-    shingles,
-    top_k_terms,
-)
+from repro.exec import TaskCost
+from repro.ops import TfIdfOperator
+from repro.sim import SimScheduler, paper_node
 from repro.sparse import CsrMatrix, SparseVector
 from repro.text import Corpus, Tokenizer
+
+sys.path.insert(
+    0, os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "examples")
+)
+from text_ops.knn import KnnClassifier  # noqa: E402
+from text_ops.minhash import MinHasher, shingles  # noqa: E402
+from text_ops.topk import TopTermsOp, top_k_terms  # noqa: E402
 
 
 class TestTopK:
@@ -73,8 +80,8 @@ class TestTopK:
 
     def test_workflow_op_fan_out(self, stored_corpus, scheduler):
         """TopTermsOp consumes the same scores port as k-means (fan-out)."""
-        from repro.core import Workflow
-        from repro.core.operator import KMeansOp, TfIdfOp
+        from repro.sim import Workflow
+        from repro.sim.operator import KMeansOp, TfIdfOp
 
         storage, _ = stored_corpus
         wf = Workflow("fanout")

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.cost_model import WorkloadScale
 from repro.errors import OperatorError
-from repro.exec import SimScheduler, paper_node
 from repro.ops import KMeansOperator, TfIdfOperator
+from repro.sim import SimConfig, SimScheduler, WorkloadScale, paper_node
+from repro.sim.operators import run_kmeans
 from repro.sparse import CsrMatrix, SparseVector
 
 
@@ -62,7 +62,7 @@ class TestClusteringQuality:
         with pytest.raises(OperatorError):
             KMeansOperator(max_iters=0)
         with pytest.raises(OperatorError):
-            KMeansOperator(grain_docs=0)
+            SimConfig(grain_docs=0)
 
 
 class TestSimulatedExecution:
@@ -73,8 +73,8 @@ class TestSimulatedExecution:
         matrix = self.make_matrix(tiny_corpus)
         op = KMeansOperator(n_clusters=3, max_iters=10)
         scheduler = SimScheduler(paper_node(16))
-        one = op.run_simulated(scheduler, matrix, workers=1)
-        many = op.run_simulated(scheduler, matrix, workers=16)
+        one = run_kmeans(op, scheduler, matrix, workers=1)
+        many = run_kmeans(op, scheduler, matrix, workers=16)
         assert one.assignments == many.assignments
         assert one.n_iters == many.n_iters
 
@@ -83,35 +83,46 @@ class TestSimulatedExecution:
     ):
         matrix = self.make_matrix(tiny_corpus)
         # Tiny grain: every document its own chunk, so parallelism helps.
-        op = KMeansOperator(n_clusters=3, max_iters=5, grain_docs=1)
+        op = KMeansOperator(n_clusters=3, max_iters=5)
+        config = SimConfig(grain_docs=1)
         scheduler = SimScheduler(paper_node(16))
-        t1 = op.run_simulated(scheduler, matrix, workers=1).timeline.total_s
-        t8 = op.run_simulated(scheduler, matrix, workers=8).timeline.total_s
+        t1 = run_kmeans(
+            op, scheduler, matrix, workers=1, config=config
+        ).timeline.total_s
+        t8 = run_kmeans(
+            op, scheduler, matrix, workers=8, config=config
+        ).timeline.total_s
         assert t8 < t1
 
     def test_fixed_grain_caps_speedup(self, tiny_corpus):
         """The Figure 1 mechanism: few chunks -> bounded speedup."""
         matrix = self.make_matrix(tiny_corpus)  # 10 documents
         # grain 5 docs -> 2 chunks -> speedup can never exceed ~2.
-        op = KMeansOperator(n_clusters=3, max_iters=5, grain_docs=5)
+        op = KMeansOperator(n_clusters=3, max_iters=5)
+        config = SimConfig(grain_docs=5)
         scheduler = SimScheduler(paper_node(16))
-        t1 = op.run_simulated(scheduler, matrix, workers=1).timeline.total_s
-        t16 = op.run_simulated(scheduler, matrix, workers=16).timeline.total_s
+        t1 = run_kmeans(
+            op, scheduler, matrix, workers=1, config=config
+        ).timeline.total_s
+        t16 = run_kmeans(
+            op, scheduler, matrix, workers=16, config=config
+        ).timeline.total_s
         assert t1 / t16 <= 2.5
 
     def test_reducer_chain_grows_with_workers(self, tiny_corpus):
         matrix = self.make_matrix(tiny_corpus)
-        op = KMeansOperator(n_clusters=3, max_iters=3, grain_docs=1)
+        op = KMeansOperator(n_clusters=3, max_iters=3)
+        config = SimConfig(grain_docs=1)
         scheduler = SimScheduler(paper_node(16))
         # Serial phases (merge chains) have workers == 1 and n_tasks == 1.
-        result = op.run_simulated(scheduler, matrix, workers=8)
+        result = run_kmeans(op, scheduler, matrix, workers=8, config=config)
         chains = [
             p
             for p in result.timeline.phases
             if p.workers == 1 and p.n_tasks == 1
         ]
         assert chains  # reducer combines happened
-        solo = op.run_simulated(scheduler, matrix, workers=1)
+        solo = run_kmeans(op, scheduler, matrix, workers=1, config=config)
         solo_chains = [
             p for p in solo.timeline.phases if p.workers == 1 and p.n_tasks == 1
         ]
@@ -120,21 +131,20 @@ class TestSimulatedExecution:
     def test_scale_multiplies_assignment_cost(self, tiny_corpus):
         matrix = self.make_matrix(tiny_corpus)
         scheduler = SimScheduler(paper_node(16))
-        unit = KMeansOperator(n_clusters=3, max_iters=3).run_simulated(
-            scheduler, matrix, workers=1
+        op = KMeansOperator(n_clusters=3, max_iters=3)
+        unit = run_kmeans(op, scheduler, matrix, workers=1)
+        scaled = run_kmeans(
+            op, scheduler, matrix, workers=1,
+            config=SimConfig(scale=WorkloadScale(doc_factor=10, vocab_factor=1)),
         )
-        scaled = KMeansOperator(
-            n_clusters=3,
-            max_iters=3,
-            scale=WorkloadScale(doc_factor=10, vocab_factor=1),
-        ).run_simulated(scheduler, matrix, workers=1)
         assert scaled.assignments == unit.assignments
         assert scaled.timeline.total_s > 5 * unit.timeline.total_s
 
     def test_timeline_phases_named_kmeans(self, tiny_corpus):
         matrix = self.make_matrix(tiny_corpus)
-        result = KMeansOperator(n_clusters=3, max_iters=2).run_simulated(
-            SimScheduler(paper_node(4)), matrix, workers=4
+        result = run_kmeans(
+            KMeansOperator(n_clusters=3, max_iters=2),
+            SimScheduler(paper_node(4)), matrix, workers=4,
         )
         assert set(result.timeline.breakdown()) == {"kmeans"}
 

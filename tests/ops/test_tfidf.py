@@ -9,11 +9,14 @@ from repro.io import read_sparse_arff
 from repro.ops import TfIdfOperator
 from repro.ops.tfidf import PHASE_TFIDF_OUTPUT, PHASE_TRANSFORM
 from repro.ops.wordcount import PHASE_INPUT_WC
+from repro.sim import SimConfig
+from repro.sim.operators import run_tfidf
+from tests.ops.test_columnar_blocks import simulated_tfidf
 
 
 class TestFitTransform:
     def test_matrix_shape(self, tiny_corpus):
-        result = TfIdfOperator(wc_dict_kind="map").fit_transform(tiny_corpus)
+        result = TfIdfOperator().fit_transform(tiny_corpus)
         assert result.matrix.n_rows == len(tiny_corpus)
         assert result.matrix.n_cols == len(result.vocabulary)
         assert len(result.idf) == len(result.vocabulary)
@@ -42,10 +45,10 @@ class TestFitTransform:
         term_id = result.vocabulary.index("the")
         assert result.idf[term_id] < result.idf[result.vocabulary.index("bird")]
 
-    def test_dict_kinds_agree_on_scores(self, tiny_corpus):
-        tree = TfIdfOperator(wc_dict_kind="map").fit_transform(tiny_corpus)
-        hashed = TfIdfOperator(wc_dict_kind="unordered_map").fit_transform(
-            tiny_corpus
+    def test_dict_kinds_agree_on_scores(self, tiny_texts):
+        tree = simulated_tfidf(TfIdfOperator(), tiny_texts)
+        hashed = simulated_tfidf(
+            TfIdfOperator(), tiny_texts, SimConfig(wc_dict_kind="unordered_map")
         )
         assert tree.vocabulary == hashed.vocabulary
         for a, b in zip(tree.matrix.iter_rows(), hashed.matrix.iter_rows()):
@@ -53,11 +56,11 @@ class TestFitTransform:
             for x, y in zip(a.values, b.values):
                 assert x == pytest.approx(y)
 
-    def test_mixed_dict_kinds(self, tiny_corpus):
-        mixed = TfIdfOperator(
+    def test_mixed_dict_kinds(self, tiny_texts):
+        mixed = simulated_tfidf(TfIdfOperator(), tiny_texts, SimConfig(
             wc_dict_kind="map", transform_dict_kind="unordered_map"
-        ).fit_transform(tiny_corpus)
-        uniform = TfIdfOperator(wc_dict_kind="map").fit_transform(tiny_corpus)
+        ))
+        uniform = simulated_tfidf(TfIdfOperator(), tiny_texts)
         assert mixed.vocabulary == uniform.vocabulary
         assert list(mixed.matrix.iter_rows()) == list(uniform.matrix.iter_rows())
 
@@ -65,8 +68,8 @@ class TestFitTransform:
 class TestSimulatedRun:
     def test_phases_present(self, stored_corpus, scheduler):
         storage, _ = stored_corpus
-        result = TfIdfOperator().run_simulated(
-            scheduler, storage, "in/", workers=8, output_path="out.arff"
+        result = run_tfidf(
+            TfIdfOperator(), scheduler, storage, "in/", workers=8, output_path="out.arff"
         )
         breakdown = result.timeline.breakdown()
         assert set(breakdown) == {PHASE_INPUT_WC, PHASE_TRANSFORM, PHASE_TFIDF_OUTPUT}
@@ -74,13 +77,13 @@ class TestSimulatedRun:
 
     def test_no_output_phase_when_fused(self, stored_corpus, scheduler):
         storage, _ = stored_corpus
-        result = TfIdfOperator().run_simulated(scheduler, storage, "in/", workers=8)
+        result = run_tfidf(TfIdfOperator(), scheduler, storage, "in/", workers=8)
         assert PHASE_TFIDF_OUTPUT not in result.timeline.breakdown()
 
     def test_output_phase_is_serial(self, stored_corpus, scheduler):
         storage, _ = stored_corpus
-        result = TfIdfOperator().run_simulated(
-            scheduler, storage, "in/", workers=16, output_path="out.arff"
+        result = run_tfidf(
+            TfIdfOperator(), scheduler, storage, "in/", workers=16, output_path="out.arff"
         )
         output_phases = [
             p for p in result.timeline.phases if p.name == PHASE_TFIDF_OUTPUT
@@ -89,8 +92,8 @@ class TestSimulatedRun:
 
     def test_arff_roundtrip_matches_matrix(self, stored_corpus, scheduler):
         storage, _ = stored_corpus
-        result = TfIdfOperator().run_simulated(
-            scheduler, storage, "in/", workers=4, output_path="out.arff"
+        result = run_tfidf(
+            TfIdfOperator(), scheduler, storage, "in/", workers=4, output_path="out.arff"
         )
         relation = read_sparse_arff(storage.read_data("out.arff"))
         assert relation.attributes == result.vocabulary
@@ -103,8 +106,8 @@ class TestSimulatedRun:
 
     def test_workers_do_not_change_result(self, stored_corpus, scheduler):
         storage, _ = stored_corpus
-        one = TfIdfOperator().run_simulated(scheduler, storage, "in/", workers=1)
-        many = TfIdfOperator().run_simulated(scheduler, storage, "in/", workers=16)
+        one = run_tfidf(TfIdfOperator(), scheduler, storage, "in/", workers=1)
+        many = run_tfidf(TfIdfOperator(), scheduler, storage, "in/", workers=16)
         assert one.vocabulary == many.vocabulary
         assert list(one.matrix.iter_rows()) == list(many.matrix.iter_rows())
 
@@ -112,11 +115,11 @@ class TestSimulatedRun:
         from repro.io import MemStorage
 
         with pytest.raises(OperatorError):
-            TfIdfOperator().run_simulated(scheduler, MemStorage(), "nothing/")
+            run_tfidf(TfIdfOperator(), scheduler, MemStorage(), "nothing/")
 
     def test_simulated_matches_functional(self, stored_corpus, scheduler, small_corpus):
         storage, _ = stored_corpus
-        simulated = TfIdfOperator().run_simulated(scheduler, storage, "in/")
+        simulated = run_tfidf(TfIdfOperator(), scheduler, storage, "in/")
         functional = TfIdfOperator().fit_transform(small_corpus)
         assert simulated.vocabulary == functional.vocabulary
         assert list(simulated.matrix.iter_rows()) == list(
@@ -128,11 +131,13 @@ class TestDataStructureEffects:
     def test_insert_heavy_wc_phase_favours_tree(self, stored_corpus, scheduler):
         """Paper §3.4: input+wc is faster with std::map at one thread."""
         storage, _ = stored_corpus
-        tree = TfIdfOperator(wc_dict_kind="map").run_simulated(
-            scheduler, storage, "in/", workers=1
+        tree = run_tfidf(
+            TfIdfOperator(), scheduler, storage, "in/", workers=1,
+            config=SimConfig(wc_dict_kind="map"),
         )
-        hashed = TfIdfOperator(wc_dict_kind="unordered_map").run_simulated(
-            scheduler, storage, "in/", workers=1
+        hashed = run_tfidf(
+            TfIdfOperator(), scheduler, storage, "in/", workers=1,
+            config=SimConfig(wc_dict_kind="unordered_map"),
         )
         assert tree.timeline.phase_seconds(PHASE_INPUT_WC) < hashed.timeline.phase_seconds(
             PHASE_INPUT_WC
@@ -143,11 +148,13 @@ class TestDataStructureEffects:
     ):
         """Paper §3.4: the transform step is slower with a map on 1 thread."""
         storage, _ = stored_corpus
-        tree = TfIdfOperator(wc_dict_kind="map").run_simulated(
-            scheduler, storage, "in/", workers=1
+        tree = run_tfidf(
+            TfIdfOperator(), scheduler, storage, "in/", workers=1,
+            config=SimConfig(wc_dict_kind="map"),
         )
-        hashed = TfIdfOperator(wc_dict_kind="unordered_map").run_simulated(
-            scheduler, storage, "in/", workers=1
+        hashed = run_tfidf(
+            TfIdfOperator(), scheduler, storage, "in/", workers=1,
+            config=SimConfig(wc_dict_kind="unordered_map"),
         )
         assert hashed.timeline.phase_seconds(
             PHASE_TRANSFORM
@@ -155,10 +162,12 @@ class TestDataStructureEffects:
 
     def test_memory_contrast(self, stored_corpus, scheduler):
         storage, _ = stored_corpus
-        tree = TfIdfOperator(wc_dict_kind="map").run_simulated(
-            scheduler, storage, "in/"
+        tree = run_tfidf(
+            TfIdfOperator(), scheduler, storage, "in/",
+            config=SimConfig(wc_dict_kind="map"),
         )
-        hashed = TfIdfOperator(wc_dict_kind="unordered_map").run_simulated(
-            scheduler, storage, "in/"
+        hashed = run_tfidf(
+            TfIdfOperator(), scheduler, storage, "in/",
+            config=SimConfig(wc_dict_kind="unordered_map"),
         )
         assert hashed.resident_bytes() > 10 * tree.resident_bytes()

@@ -11,18 +11,20 @@ from repro import (
     MIX_PROFILE,
     FsStorage,
     MemStorage,
-    SimScheduler,
-    WorkflowPlanner,
-    build_tfidf_kmeans_workflow,
     generate_corpus,
-    paper_node,
     read_sparse_arff,
     store_corpus,
 )
-from repro.core.cost_model import WorkloadScale
 from repro.errors import StorageError
 from repro.exec import TaskCost
 from repro.io.storage import Storage
+from repro.sim import (
+    SimScheduler,
+    WorkflowPlanner,
+    build_tfidf_kmeans_workflow,
+    paper_node,
+)
+from repro.sim.cost_model import WorkloadScale
 
 
 @pytest.fixture(scope="module")
@@ -234,15 +236,18 @@ class TestSerialTransformVariant:
     def test_serial_transform_flag(self, corpus):
         """§3.2: the standalone operator's phase 2 can be left serial."""
         from repro.ops import TfIdfOperator
+        from repro.sim import SimConfig, run_tfidf
 
         storage = MemStorage()
         store_corpus(storage, corpus, prefix="in/")
         scheduler = SimScheduler(paper_node(16))
-        parallel = TfIdfOperator(parallel_transform=True).run_simulated(
-            scheduler, storage, "in/", workers=16
+        parallel = run_tfidf(
+            TfIdfOperator(), scheduler, storage, "in/", workers=16,
+            config=SimConfig(parallel_transform=True),
         )
-        serial = TfIdfOperator(parallel_transform=False).run_simulated(
-            scheduler, storage, "in/", workers=16
+        serial = run_tfidf(
+            TfIdfOperator(), scheduler, storage, "in/", workers=16,
+            config=SimConfig(parallel_transform=False),
         )
         assert list(serial.matrix.iter_rows()) == list(parallel.matrix.iter_rows())
         assert serial.timeline.phase_seconds(

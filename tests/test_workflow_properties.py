@@ -10,14 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    MemStorage,
-    SimScheduler,
-    build_tfidf_kmeans_workflow,
-    paper_node,
-)
-from repro.core.cost_model import WorkloadScale
+from repro import MemStorage
 from repro.ops import KMeansOperator, TfIdfOperator
+from repro.sim import SimScheduler, build_tfidf_kmeans_workflow, paper_node
+from repro.sim.cost_model import WorkloadScale
 from repro.text import Corpus
 
 # Small random documents over a compact vocabulary so clusters exist.

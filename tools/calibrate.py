@@ -2,7 +2,7 @@
 
 Run with ``python tools/calibrate.py [scale]``. Prints each paper anchor
 next to the value the current cost constants produce, so the constants in
-``repro.core.cost_model`` and ``repro.dicts.cost`` can be tuned until the
+``repro.sim.cost_model`` and ``repro.dicts.cost`` can be tuned until the
 shapes match. All reported seconds are full-scale (the WorkloadScale does
 the extrapolation at metering time).
 
