@@ -292,9 +292,10 @@ def run_pipeline(
     it produces them and k-means streams them back chunk-at-a-time, so
     the matrix is never resident and the tile reader pins at most the
     budget — with bit-identical output. The budget bounds the matrix
-    only: the word count's block, and the k-means fit's per-block
-    partials (≈ 16 B per stored entry, held until each iteration's
-    merge), grow with the corpus (``docs/data_plane.md``). On the fixed
+    only: the word count's block grows with the corpus and sets a
+    budgeted run's peak, while the k-means fit merges each block's
+    partial as it arrives and holds about one span of them in-process
+    (``docs/data_plane.md``). On the fixed
     path the budget tiles unconditionally; on the planned path it is
     handed to the planner, which only tiles when the estimated matrix
     exceeds the budget. ``result.tiles`` carries the spill accounting.

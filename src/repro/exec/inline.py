@@ -17,12 +17,16 @@ All backends share one protocol:
 * :meth:`ExecutionBackend.map` applies a function over items in input
   order, submitting **chunks** of items per task (Cilk-style grain, via
   :func:`auto_grain`) so per-task overhead — future
-  bookkeeping for threads, pickling for processes — is amortized.
+  bookkeeping for threads, pickling for processes — is amortized;
+* :meth:`ExecutionBackend.imap` is the same map as a lazy stream: each
+  item's result is yielded, in item order, as soon as it is gathered, so
+  a caller that folds the results holds only those not yet folded.
 
 Each backend has one map loop, run under its
-:class:`~repro.exec.resilience.ResilienceConfig`. The default config is
-that loop's no-op policy: every task runs once, its first error
-propagates and cancels the tasks not started yet, and only a dead
+:class:`~repro.exec.resilience.ResilienceConfig`; in-process it is a
+generator, and ``map``/``map_stream`` are ``list()`` of it. The default
+config is that loop's no-op policy: every task runs once, its first
+error propagates and cancels the tasks not started yet, and only a dead
 process pool is replayed, under the restart breaker.
 """
 
@@ -31,7 +35,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.errors import ConfigurationError, PhaseTimeoutError, TaskTimeoutError
 from repro.exec.resilience import (
@@ -239,8 +243,9 @@ class ExecutionBackend:
             self.resilience.retry, f"{phase}#{task_id}", thunk, on_retry=on_retry
         )
 
-    def _map_inline(self, fn, items: Iterable, bisect_items: bool) -> list:
-        """Every item on the calling thread, one task each.
+    def _map_inline(self, fn, items: Iterable, bisect_items: bool) -> Iterator:
+        """Every item on the calling thread, one task each, yielded as it
+        finishes: item *i + 1* starts only when the consumer asks for it.
 
         Per item: check the phase deadline, fire any planned fault, retry
         under the policy, and — in quarantine mode — bisect a poisoned
@@ -248,14 +253,13 @@ class ExecutionBackend:
         instead of failing the map.
         """
         phase = self.spans.phase
-        results: list = []
         for index, item in enumerate(items):
             self._check_phase_deadline(phase)
             task_id = self._next_task_id(phase)
             task_key = f"{phase}#{task_id}"
             self.ipc.record_tasks(1)
             try:
-                results.append(self._run_item(fn, item, task_id=task_id, phase=phase))
+                result = self._run_item(fn, item, task_id=task_id, phase=phase)
             except Exception as exc:
                 if not self.resilience.quarantining:
                     raise
@@ -269,14 +273,14 @@ class ExecutionBackend:
                     self._note_quarantined(
                         _phase, _key, i, sub_start, n_units, leaf_exc
                     )
-                results.extend(
-                    bisect_chunk(
-                        [item], run_sub, on_poisoned,
-                        item_index=index, bisect_items=bisect_items,
-                        failed_exc=exc,
-                    )
+                yield from bisect_chunk(
+                    [item], run_sub, on_poisoned,
+                    item_index=index, bisect_items=bisect_items,
+                    failed_exc=exc,
                 )
-        return results
+                continue
+            yield result
+            del result  # the consumer has it; the next item runs without it
 
     # -- data plane ---------------------------------------------------------------
     #
@@ -357,6 +361,27 @@ class ExecutionBackend:
         """
         initializer(*initargs)
 
+    def imap(
+        self,
+        fn: Callable[[ItemT], ResultT],
+        items: Iterable[ItemT],
+        *,
+        grain: int | None = None,
+        bisect_items: bool = False,
+    ) -> Iterator[ResultT]:
+        """:meth:`map` as a lazy stream: each item's result, in item order,
+        yielded as soon as it is gathered.
+
+        Retries, quarantine, deadlines and cancel-on-error are
+        :meth:`map`'s. A caller that folds results as they come holds
+        only those not folded yet: inline, item *i + 1* starts only when
+        result *i* has been taken; on threads, only the results finished
+        ahead of the consumer wait. Closing the generator early (or
+        dropping it, as a consumer's exception does) cancels every task
+        not started yet.
+        """
+        raise NotImplementedError
+
     def map(
         self,
         fn: Callable[[ItemT], ResultT],
@@ -365,7 +390,8 @@ class ExecutionBackend:
         grain: int | None = None,
         bisect_items: bool = False,
     ) -> list[ResultT]:
-        raise NotImplementedError
+        """Apply ``fn`` over ``items``; every result, in item order."""
+        return list(self.imap(fn, items, grain=grain, bisect_items=bisect_items))
 
     def map_stream(
         self,
@@ -388,7 +414,7 @@ class ExecutionBackend:
         per-item results are flattened in order, like the chunked text
         kernels).
         """
-        return self._map_inline(fn, items, bisect_items)
+        return list(self._map_inline(fn, items, bisect_items))
 
     def close(self) -> None:
         """Release any pooled resources (idempotent)."""
@@ -405,10 +431,10 @@ class SequentialBackend(ExecutionBackend):
 
     name = "sequential"
 
-    def map(self, fn, items, *, grain=None, bisect_items=False):
+    def imap(self, fn, items, *, grain=None, bisect_items=False):
         # Operators pre-chunk their items (one chunk/block per map item),
         # so an item — its span, its task count — is a logical task here.
-        return self._map_inline(fn, _as_list(items), bisect_items)
+        return self._map_inline(fn, items, bisect_items)
 
 
 class ThreadBackend(ExecutionBackend):
@@ -435,7 +461,7 @@ class ThreadBackend(ExecutionBackend):
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
         return self._pool
 
-    def map(self, fn, items, *, grain=None, bisect_items=False):
+    def imap(self, fn, items, *, grain=None, bisect_items=False):
         items = _as_list(items)
         if grain is None:
             # One worker: one item per task. Every chunk, even a lone
@@ -447,7 +473,7 @@ class ThreadBackend(ExecutionBackend):
         # Per-item chunks (threads pay no pickle tax); the generator keeps
         # streaming overlap — tasks are submitted as the producer yields.
         chunks = ((index, [item]) for index, item in enumerate(items))
-        return self._run_chunks(fn, chunks, bisect_items)
+        return list(self._run_chunks(fn, chunks, bisect_items))
 
     def _run_chunk(self, fn, chunk, task_id, phase, t_submit, attempt):
         """Chunk trampoline that fires planned faults and records its span
@@ -484,9 +510,10 @@ class ThreadBackend(ExecutionBackend):
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def _run_chunks(self, fn, chunks, bisect_items: bool) -> list:
+    def _run_chunks(self, fn, chunks, bisect_items: bool) -> Iterator:
         """Submit ``(start_index, chunk)`` tasks as the producer yields
-        them; gather in order under the policy.
+        them; gather in order under the policy, yielding each result as
+        its chunk is gathered.
 
         A failed chunk is retried (resubmitted under the same task id,
         billed to ``IpcStats.retries``); a chunk that exhausts the budget
@@ -494,7 +521,8 @@ class ThreadBackend(ExecutionBackend):
         per-task deadline overrun is final on this backend — the wedged
         thread cannot be reclaimed, so the pool is abandoned and
         :class:`TaskTimeoutError` propagates. Any exception, from the
-        producer or from a task, cancels every task not started yet.
+        producer or from a task — or the consumer closing the generator —
+        cancels every task not started yet.
         """
         phase = self.spans.phase
         tasks: list[_ChunkTask] = []
@@ -504,10 +532,10 @@ class ThreadBackend(ExecutionBackend):
                 self._submit(task)
                 tasks.append(task)
             self.ipc.record_tasks(len(tasks))
-            results: list = []
             for task in tasks:
-                results.extend(self._gather(task, bisect_items))
-            return results
+                yield from self._gather(task, bisect_items)
+                # Gathered: its future need not keep the results alive.
+                task.future = None
         except BaseException:
             _cancel(tasks)
             raise

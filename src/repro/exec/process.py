@@ -614,6 +614,13 @@ class ProcessBackend(ExecutionBackend):
             grain = auto_grain(len(items), self.workers)
         return self._run_chunks(fn, _ranges(items, grain), bisect_items)
 
+    def imap(self, fn, items, *, grain=None, bisect_items=False):
+        # Eager: the ordered gather (:meth:`_collect`) runs to the end,
+        # then hands the results out one by one. On shm a k-means fit's
+        # block results sit in its gather arena, sized for every block,
+        # whichever way they are handed out.
+        return iter(self.map(fn, items, grain=grain, bisect_items=bisect_items))
+
     def map_stream(self, fn, items, *, grain=None, bisect_items=False):
         """Micro-batched streaming map: one pickled task per *batch*.
 

@@ -201,10 +201,14 @@ class KMeansOperator:
         tasks are ``(slot, first_block, last_block, token)`` spans. Block
         results come back through a *gather* channel (by reference
         in-process, written into a shared arena by pool workers, by value
-        without shared memory). The block bounds depend only on the
-        document count and the per-block partials are merged in block
-        order, so assignments and centroids are bit-identical across
-        backends, worker counts, transports and matrix forms.
+        without shared memory) and ``backend.imap``, and each block's
+        partial is scatter-added as it arrives: an in-process fit holds
+        the spans not merged yet, not one partial per block, so a tiled
+        matrix's budget is not undone by up to 16 B per stored entry of
+        partials. The block bounds depend only on the document count and
+        the partials are merged in block order, so assignments and
+        centroids are bit-identical across backends, worker counts,
+        transports and matrix forms.
         """
         backend = backend or SequentialBackend()
         backend.begin_phase(PHASE_KMEANS)
@@ -250,26 +254,24 @@ class KMeansOperator:
 
             def run_iteration(centroids, centroid_sq_norms):
                 token = backend.broadcast(channel, (centroids, centroid_sq_norms))
-                span_results = backend.map(
+                span_results = backend.imap(
                     kernels.assign_block_span,
                     [(slot, first, last, token) for first, last in spans],
                     grain=1,
                 )
-                # Flatten spans back to per-block results: the merge
-                # sees the block sequence, whatever the span grouping.
-                # Views into a shared arena are merged before the next
-                # iteration's tasks rewrite them.
-                results = []
-                for block, returned in enumerate(
-                    part for span in span_results for part in span
-                ):
-                    best, cells, partial, counts, inertia = gather.take(
-                        block, returned
-                    )
-                    results.append(
-                        (best.tolist(), cells, partial, counts, float(inertia[0]))
-                    )
-                return results
+                # Flatten spans back to per-block results as they arrive:
+                # the merge sees the block sequence, whatever the span
+                # grouping. Views into a shared arena are merged before
+                # the next iteration's tasks rewrite them.
+                block = 0
+                for span in span_results:
+                    for returned in span:
+                        best, cells, partial, counts, inertia = gather.take(
+                            block, returned
+                        )
+                        yield best.tolist(), cells, partial, counts, float(inertia[0])
+                        block += 1
+                    del span  # merged: the next span runs without it
 
             return self._lloyd(bounds, centroids, centroid_sq_norms, run_iteration)
         finally:
@@ -292,9 +294,11 @@ class KMeansOperator:
     ) -> KMeansResult:
         """The iteration loop of every real fit.
 
-        ``run_iteration(centroids, centroid_sq_norms)`` returns one
-        result per block, in block order; the fixed block-order merge,
-        finalize and convergence test live here and nowhere else.
+        ``run_iteration(centroids, centroid_sq_norms)`` returns an
+        iterable of one result per block, in block order; each is
+        scatter-added as it arrives, so a generator's block results never
+        all exist at once. The fixed block-order merge, finalize and
+        convergence test live here and nowhere else.
         """
         K = self.n_clusters
         n_docs = bounds[-1][1]
@@ -309,15 +313,15 @@ class KMeansOperator:
         merged_flat = merged.reshape(-1)
         for _ in range(self.max_iters):
             n_iters += 1
-            block_results = run_iteration(centroids, centroid_sq_norms)
 
             # Merge in fixed block order (deterministic float grouping).
             merged.fill(0.0)
             merged_counts = np.zeros(K, dtype=np.int64)
             inertia = 0.0
-            for (start, _), (
-                block_assign, cells, partial, counts, block_inertia
-            ) in zip(bounds, block_results):
+            # Block results first, so zip drains their generator to its end.
+            for (block_assign, cells, partial, counts, block_inertia), (
+                start, _
+            ) in zip(run_iteration(centroids, centroid_sq_norms), bounds):
                 assignments[start : start + len(block_assign)] = block_assign
                 # Scatter-add the block's compact partial: only the cells
                 # it touched travelled, the rest of its K×V were +0.0.

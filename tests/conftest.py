@@ -15,7 +15,9 @@ The tile plane gets the same treatment: every spill directory is named
 ``$TMPDIR/repro_tiles_*`` (:data:`repro.tiles.SPILL_PREFIX`), so a
 :class:`~repro.tiles.TileStore` that outlives its test — an unclosed
 tiled matrix, a worker-side reader, an exception path that skipped
-``close()`` — shows up as a leftover directory and fails that test. So
+``close()`` — shows up as a leftover directory and fails that test
+(a live process outside the run owns its directories, as it does its
+segments). So
 does a tile file that is still *mapped* into this process after its test
 (``/proc/self/maps``, where there is one): a reader nobody closed keeps
 its mmaps — and the deleted files' blocks — for the life of the process.
@@ -51,17 +53,18 @@ def _segments() -> set[str]:
     return {name for name in names if name.startswith(SEGMENT_PREFIX)}
 
 
-def _foreign_segment(name: str) -> bool:
+def _foreign(name: str, prefix: str) -> bool:
     """Whether a live process outside this test run created ``name``.
 
-    Segments are named ``repro_shm_<creating pid>_<n>``. One whose
+    Segments are named ``repro_shm_<creating pid>_<n>`` and spill
+    directories ``repro_tiles_<creating pid>_<n>_<random>``. One whose
     creator is alive and is neither this process nor a descendant
     belongs to something running beside pytest (a perfbench run, another
-    test session) and is not this test's leak; a dead creator's segment
-    is reported, whoever it was.
+    test session) and is not this test's leak; a dead creator's is
+    reported, whoever it was.
     """
     try:
-        pid = int(name[len(SEGMENT_PREFIX) + 1:].split("_")[0])
+        pid = int(name[len(prefix) + 1:].split("_")[0])
     except ValueError:
         return False
     while pid != os.getpid():
@@ -107,7 +110,8 @@ def no_shm_segment_leaks():
     before = _segments()
     yield
     leaked = {
-        name for name in _segments() - before if not _foreign_segment(name)
+        name for name in _segments() - before
+        if not _foreign(name, SEGMENT_PREFIX)
     }
     assert not leaked, (
         f"test leaked shared-memory segment(s): {sorted(leaked)} — every "
@@ -121,7 +125,10 @@ def no_tile_spill_leaks():
     before = _spill_dirs()
     mapped_before = _mapped_tiles()
     yield
-    leaked = _spill_dirs() - before
+    leaked = {
+        name for name in _spill_dirs() - before
+        if not _foreign(name, SPILL_PREFIX)
+    }
     assert not leaked, (
         f"test leaked tile spill director{'y' if len(leaked) == 1 else 'ies'}: "
         f"{sorted(leaked)} — every TileStore (or the TiledCsrMatrix that "

@@ -156,6 +156,15 @@ class TestSourceAxisEquivalence:
         subject = matrix if tiling is None else _tiled(matrix, *tiling)
         try:
             result = _fit(operator, subject, config)
+            if tiling is not None and tiling[1] is not None and (
+                config is None or config[0] != "processes"
+            ):
+                # In-process fits read through the matrix's own reader,
+                # which pins at most its budget, or the one tile it
+                # serves when that alone is larger.
+                largest = max(meta.nbytes for meta in subject.manifest.tiles)
+                pinned = subject.spill_stats()["peak_pinned_bytes"]
+                assert pinned <= max(tiling[1], largest)
         finally:
             if tiling is not None:
                 subject.close()
