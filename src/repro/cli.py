@@ -7,10 +7,10 @@ communicating through files; this CLI makes that literal::
     python -m repro tfidf    --input data/corpus --output data/scores.arff
     python -m repro kmeans   --input data/scores.arff --output data/clusters.txt
 
-or fused in one process, with the simulated machine's timing report::
+or fused in one process, on a fixed backend or a planned one::
 
-    python -m repro workflow --input data/corpus --mode merged --threads 16
-    python -m repro plan     --input data/corpus
+    python -m repro pipeline --input data/corpus --backend threads --workers 4
+    python -m repro pipeline --input data/corpus --plan auto --explain-plan
 
 or as a long-lived service with a durable job queue (``docs/serving.md``)::
 
@@ -19,8 +19,8 @@ or as a long-lived service with a durable job queue (``docs/serving.md``)::
 
 All commands operate on real files through :class:`repro.io.FsStorage`,
 so intermediates (the ARFF scores) can be inspected or loaded into WEKA.
-Only ``workflow`` and ``plan`` import the simulator (:mod:`repro.sim`),
-inside the command, so the engine's commands and the daemon never load it.
+These are the engine's commands; the simulator's ``sim`` commands live
+beside the simulator, and ``repro/__main__.py`` routes between the two.
 """
 
 from __future__ import annotations
@@ -30,29 +30,28 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
 
-from repro.core.pipeline import check_pipeline_rules, run_pipeline
-from repro.errors import ConfigurationError
+from repro.core.pipeline import run_pipeline
+from repro.errors import CacheError, ConfigurationError, OperatorError
 from repro.exec.process import BACKEND_CHOICES, _BACKEND_ALIASES, make_backend
 from repro.exec.resilience import POISON_MODES, ResilienceConfig, RetryPolicy
 from repro.io.arff import read_sparse_arff, write_sparse_arff
-from repro.io.corpus_io import load_corpus, store_corpus
+from repro.io.corpus_io import store_corpus
 from repro.io.parallel_read import corpus_stream
 from repro.io.storage import FsStorage
+from repro.obs import analytics
 from repro.ops.kmeans import KMeansOperator
 from repro.ops.tfidf import TfIdfOperator
-from repro.text.analysis import fit_heaps, zipf_profile
 from repro.text.synth import MIX_PROFILE, NSF_ABSTRACTS_PROFILE, generate_corpus
 from repro.text.tokenizer import Tokenizer
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "run_command"]
 
 _PROFILES = {"mix": MIX_PROFILE, "nsf-abstracts": NSF_ABSTRACTS_PROFILE}
 
 
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
-    """Real-execution backend selection, shared by tfidf/kmeans/pipeline."""
+    """The backend and its policy, shared by tfidf/kmeans/pipeline."""
     parser.add_argument(
         "--backend",
         choices=list(BACKEND_CHOICES) + sorted(_BACKEND_ALIASES),
@@ -97,43 +96,34 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _cli_resilience(args) -> ResilienceConfig | None:
-    """Fault-tolerance policy from the flags; None = the backend's default
-    policy (no retries, no deadlines, fail on the first task error; a dead
-    process pool is still restarted under the breaker)."""
-    retries = getattr(args, "retries", 0)
-    task_timeout = getattr(args, "task_timeout", None)
-    phase_timeout = getattr(args, "phase_timeout", None)
-    on_poison = getattr(args, "on_poison", "raise")
-    if retries < 0:
-        raise ConfigurationError(f"--retries must be >= 0, got {retries}")
-    if (
-        retries == 0
-        and task_timeout is None
-        and phase_timeout is None
-        and on_poison == "raise"
-    ):
-        return None
+def _resilience(args) -> ResilienceConfig:
+    """The run's fault-tolerance policy; the flags' defaults give the
+    backends' default (no retries, no deadlines, fail fast)."""
+    if args.retries < 0:
+        raise ConfigurationError(f"--retries must be >= 0, got {args.retries}")
     return ResilienceConfig(
         retry=RetryPolicy(
-            max_attempts=retries + 1,
-            backoff_base_s=getattr(args, "retry_backoff", 0.05),
+            max_attempts=args.retries + 1, backoff_base_s=args.retry_backoff
         ),
-        task_timeout_s=task_timeout,
-        phase_timeout_s=phase_timeout,
-        on_poison=on_poison,
+        task_timeout_s=args.task_timeout,
+        phase_timeout_s=args.phase_timeout,
+        on_poison=args.on_poison,
     )
 
 
-def _make_cli_backend(args):
-    """Build the backend an invocation asked for (caller must close it)."""
-    return make_backend(
-        args.backend, args.workers, shm=args.shm, resilience=_cli_resilience(args)
-    )
+def _backend(args, policy: ResilienceConfig):
+    """The backend an invocation asked for (caller must close it)."""
+    return make_backend(args.backend, args.workers, shm=args.shm,
+                        resilience=policy)
 
 
-def _add_read_args(parser: argparse.ArgumentParser) -> None:
-    """Parallel-input flags (paper §3.2), shared by tfidf/pipeline."""
+def _add_tfidf_args(parser: argparse.ArgumentParser) -> None:
+    """The corpus directory, the parallel-input flags (paper §3.2) and
+    the TF/IDF knobs, shared by tfidf/pipeline."""
+    parser.add_argument("--input", "--input-dir", dest="input", required=True,
+                        help="corpus directory")
+    parser.add_argument("--min-df", type=int, default=1)
+    parser.add_argument("--stopwords", action="store_true")
     parser.add_argument(
         "--read-workers", type=int, default=1,
         help="concurrent file-read threads (1 = serial input)",
@@ -145,34 +135,67 @@ def _add_read_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_cli_stream(args):
-    """Bounded-prefetch document stream over the input directory."""
-    storage = FsStorage(args.input)
-    retries = getattr(args, "retries", 0)
-    retry = (
-        RetryPolicy(
-            max_attempts=retries + 1,
-            backoff_base_s=getattr(args, "retry_backoff", 0.05),
-        )
-        if retries > 0
-        else None
-    )
-    return corpus_stream(
-        storage,
+def _stream(args, policy: ResilienceConfig):
+    """Bounded-prefetch document stream over the input directory; a
+    transient read error is retried under the run's policy."""
+    stream = corpus_stream(
+        FsStorage(args.input),
         "",
         workers=args.read_workers,
         prefetch=args.prefetch,
         name=os.path.basename(args.input),
-        retry=retry,
+        retry=policy.retry,
+    )
+    if not len(stream):
+        raise FileNotFoundError(f"no documents found in {args.input}")
+    return stream
+
+
+def _tfidf(args) -> TfIdfOperator:
+    return TfIdfOperator(
+        tokenizer=Tokenizer(drop_stopwords=args.stopwords), min_df=args.min_df
     )
 
 
+def _add_kmeans_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--clusters", type=int, default=8)
+    parser.add_argument("--max-iters", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--init", choices=["spread", "kmeans++"],
+                        default="spread")
+
+
+def _kmeans(args) -> KMeansOperator:
+    return KMeansOperator(
+        n_clusters=args.clusters,
+        max_iters=args.max_iters,
+        seed=args.seed,
+        init=args.init,
+    )
+
+
+def _write_arff(path: str, scores) -> str:
+    document = write_sparse_arff("tfidf", scores.vocabulary,
+                                 scores.matrix.iter_rows())
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(document)
+    return document
+
+
+def _write_assignments(path: str, clusters) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        for doc_id, cluster in enumerate(clusters.assignments):
+            handle.write(f"{doc_id}\t{cluster}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the argument parser for all subcommands."""
+    """Construct the argument parser for the engine's subcommands."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Operator and workflow optimization for analytics "
         "(MEDAL/EDBT 2016 reproduction)",
+        epilog="The simulated node's commands run as "
+        "'sim {workflow,plan,analyze}'; 'sim --help' lists them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -183,21 +206,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output directory")
 
     tfidf = sub.add_parser("tfidf", help="TF/IDF over a corpus directory")
-    tfidf.add_argument("--input", "--input-dir", dest="input", required=True,
-                       help="corpus directory")
+    _add_tfidf_args(tfidf)
     tfidf.add_argument("--output", required=True, help="ARFF output file")
-    tfidf.add_argument("--min-df", type=int, default=1)
-    tfidf.add_argument("--stopwords", action="store_true")
     _add_backend_args(tfidf)
-    _add_read_args(tfidf)
 
     kmeans = sub.add_parser("kmeans", help="K-means over an ARFF file")
     kmeans.add_argument("--input", required=True, help="ARFF input file")
     kmeans.add_argument("--output", required=True, help="assignments file")
-    kmeans.add_argument("--clusters", type=int, default=8)
-    kmeans.add_argument("--max-iters", type=int, default=10)
-    kmeans.add_argument("--seed", type=int, default=0)
-    kmeans.add_argument("--init", choices=["spread", "kmeans++"], default="spread")
+    _add_kmeans_args(kmeans)
     _add_backend_args(kmeans)
 
     pipe = sub.add_parser(
@@ -205,18 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the fused TF/IDF -> K-means workflow for real "
         "(wall clock; parallel via --backend threads or processes)",
     )
-    pipe.add_argument("--input", "--input-dir", dest="input", required=True,
-                      help="corpus directory")
+    _add_tfidf_args(pipe)
     pipe.add_argument("--output", default=None,
                       help="assignments file (default: stdout summary only)")
     pipe.add_argument("--arff", default=None,
                       help="also write the TF/IDF scores as ARFF")
-    pipe.add_argument("--min-df", type=int, default=1)
-    pipe.add_argument("--stopwords", action="store_true")
-    pipe.add_argument("--clusters", type=int, default=8)
-    pipe.add_argument("--max-iters", type=int, default=10)
-    pipe.add_argument("--seed", type=int, default=0)
-    pipe.add_argument("--init", choices=["spread", "kmeans++"], default="spread")
+    _add_kmeans_args(pipe)
     pipe.add_argument(
         "--trace", default=None, metavar="PATH",
         help="record per-task spans and write Chrome trace-event JSON "
@@ -232,7 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan", choices=["fixed", "auto"], default="fixed",
         help="fixed = run every phase on the --backend given; auto = let "
         "the measured-cost planner pick each phase's backend, workers, "
-        "shm and tiling (see docs/planner.md)",
+        "shm and tiling (see docs/planner.md). Under auto, --backend "
+        "(with --workers and --shm) is still the run's own backend: it "
+        "runs every phase planned on that same configuration, and every "
+        "backend the plan builds takes its --retries, --task-timeout, "
+        "--phase-timeout and --on-poison policy",
     )
     pipe.add_argument(
         "--calibration", default=None, metavar="PATH",
@@ -273,14 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
         "'repro analytics' (see docs/ledger.md)",
     )
     _add_backend_args(pipe)
-    _add_read_args(pipe)
 
-    analytics = sub.add_parser(
+    aparser = sub.add_parser(
         "analytics",
         help="aggregate the run ledger: Workflow-DNA heatmap, per-step "
         "history, regression flags, exports, calibration replay",
     )
-    asub = analytics.add_subparsers(dest="action", required=True)
+    asub = aparser.add_subparsers(dest="action", required=True)
 
     def _ledger_arg(p):
         p.add_argument("--ledger", required=True, metavar="DIR",
@@ -305,12 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
         "baseline (exit 1 when any step regressed)",
     )
     _ledger_arg(aregr)
-    aregr.add_argument("--tolerance", type=float, default=None, metavar="FRAC",
+    aregr.add_argument("--tolerance", type=float, metavar="FRAC",
+                       default=analytics.DEFAULT_TOLERANCE,
                        help="relative headroom over the baseline p50 "
-                       "(default 0.5 = 50%%)")
-    aregr.add_argument("--min-runs", type=int, default=None, metavar="N",
+                       "(default %(default)s)")
+    aregr.add_argument("--min-runs", type=int, metavar="N",
+                       default=analytics.DEFAULT_MIN_RUNS,
                        help="good samples required before flagging "
-                       "(default 3)")
+                       "(default %(default)s)")
     aregr.add_argument("--json", action="store_true")
 
     aexp = asub.add_parser(
@@ -335,31 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the updated store here instead of "
                         "replacing --calibration")
 
-    wf = sub.add_parser("workflow", help="run the fused/discrete workflow "
-                        "with a simulated timing report")
-    wf.add_argument("--input", required=True, help="corpus directory")
-    wf.add_argument("--mode", choices=["merged", "discrete"], default="merged")
-    wf.add_argument("--dict", dest="dict_kind", default="map",
-                    choices=["map", "unordered_map", "dict"])
-    wf.add_argument("--threads", type=int, default=16)
-    wf.add_argument("--cores", type=int, default=16)
-    wf.add_argument("--clusters", type=int, default=8)
-    wf.add_argument("--max-iters", type=int, default=10)
-    wf.add_argument("--output", default="clusters.txt",
-                    help="assignments file (within the input directory)")
-
-    plan = sub.add_parser("plan", help="cost-based planning over a corpus")
-    plan.add_argument("--input", required=True, help="corpus directory")
-    plan.add_argument("--cores", type=int, default=16)
-    plan.add_argument("--pilot-docs", type=int, default=64)
-    plan.add_argument("--memory-budget-gb", type=float, default=None)
-
-    analyze = sub.add_parser(
-        "analyze", help="corpus statistics, Heaps fit and Zipf head"
-    )
-    analyze.add_argument("--input", required=True, help="corpus directory")
-    analyze.add_argument("--top", type=int, default=10)
-
     serve = sub.add_parser(
         "serve",
         help="pipeline-as-a-service: durable job queue with admission "
@@ -374,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     srun = ssub.add_parser("run", help="run the daemon (blocks)")
     _state_arg(srun)
-    srun.add_argument("--backend", choices=["sequential", "threads",
-                                            "processes"], default="threads",
+    srun.add_argument("--backend", choices=BACKEND_CHOICES, default="threads",
                       help="default execution backend for jobs")
     srun.add_argument("--workers", type=int, default=2)
     srun.add_argument("--executors", type=int, default=1,
@@ -417,8 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssubmit.add_argument("--iters", type=int, default=10)
     ssubmit.add_argument("--seed", type=int, default=0)
     ssubmit.add_argument("--min-df", type=int, default=1)
-    ssubmit.add_argument("--backend", default=None,
-                         choices=["sequential", "threads", "processes"],
+    ssubmit.add_argument("--backend", default=None, choices=BACKEND_CHOICES,
                          help="override the daemon's default backend")
     ssubmit.add_argument("--workers", type=int, default=None)
     ssubmit.add_argument("--timeout", type=float, default=None,
@@ -472,39 +460,24 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_tfidf(args) -> int:
-    stream = _make_cli_stream(args)
-    if not len(stream):
-        print(f"error: no documents found in {args.input}", file=sys.stderr)
-        return 1
-    operator = TfIdfOperator(
-        tokenizer=Tokenizer(drop_stopwords=args.stopwords),
-        min_df=args.min_df,
-    )
-    with _make_cli_backend(args) as backend:
-        result = operator.fit_transform(stream, backend=backend)
-    document = write_sparse_arff("tfidf", result.vocabulary,
-                                 result.matrix.iter_rows())
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(document)
+    policy = _resilience(args)
+    operator = _tfidf(args)
+    with _backend(args, policy) as backend:
+        result = operator.fit_transform(_stream(args, policy), backend=backend)
+    document = _write_arff(args.output, result)
     print(f"wrote {result.matrix.n_rows} x {len(result.vocabulary)} scores "
           f"({len(document) / 1e6:.1f} MB ARFF) to {args.output}")
     return 0
 
 
 def _cmd_kmeans(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as handle:
-        relation = read_sparse_arff(handle.read())
-    operator = KMeansOperator(
-        n_clusters=args.clusters,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        init=args.init,
-    )
-    with _make_cli_backend(args) as backend:
+    policy = _resilience(args)
+    operator = _kmeans(args)
+    with _backend(args, policy) as backend:
+        with open(args.input, "r", encoding="utf-8") as handle:
+            relation = read_sparse_arff(handle.read())
         result = operator.fit(relation.rows, backend=backend)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        for doc_id, cluster in enumerate(result.assignments):
-            handle.write(f"{doc_id}\t{cluster}\n")
+    _write_assignments(args.output, result)
     sizes = ", ".join(str(s) for s in result.cluster_sizes())
     print(f"clustered {relation.rows.n_rows} documents into "
           f"{args.clusters} clusters ({result.n_iters} iterations, "
@@ -513,91 +486,28 @@ def _cmd_kmeans(args) -> int:
     return 0
 
 
-def _cmd_workflow(args) -> int:
-    from repro.sim import SimScheduler, build_tfidf_kmeans_workflow, paper_node
-
-    storage = FsStorage(args.input)
-    workflow = build_tfidf_kmeans_workflow(
-        mode=args.mode,
-        wc_dict_kind=args.dict_kind,
-        n_clusters=args.clusters,
-        max_iters=args.max_iters,
-        output_path=args.output,
-    )
-    scheduler = SimScheduler(paper_node(max(args.cores, args.threads)))
-    result = workflow.run(
-        scheduler, storage, inputs={"tfidf.corpus_prefix": ""},
-        workers=args.threads,
-    )
-    clusters = result.value("kmeans.clusters")
-    print(f"{args.mode} workflow, {args.threads} thread(s) on "
-          f"{scheduler.machine.name}:")
-    for phase, seconds in result.breakdown().items():
-        print(f"  {phase:>14}: {seconds:9.3f}s")
-    print(f"  {'total':>14}: {result.total_s:9.3f}s "
-          f"(peak memory {result.peak_resident_bytes / 1e6:.1f} MB)")
-    print(f"cluster sizes: {clusters.cluster_sizes()}")
-    return 0
-
-
-def _validate_pipeline_flags(args) -> None:
-    """Fail fast — before the input is opened — on the flag combinations
-    ``run_pipeline`` rejects (``repro.core.pipeline.PIPELINE_RULES``),
-    naming every offending flag."""
-    policy = []
-    if args.retries:
-        policy.append("--retries")
-    if args.task_timeout is not None:
-        policy.append("--task-timeout")
-    if args.phase_timeout is not None:
-        policy.append("--phase-timeout")
-    if args.on_poison != "raise":
-        policy.append("--on-poison")
-    auto_plan = args.plan == "auto"
-    check_pipeline_rules(
-        backend=not auto_plan,
-        plan=auto_plan,
-        policy=tuple(policy),
-    )
-
-
 def _cli_cache(args):
     """Result cache from the flags; ``None`` when caching is off."""
     from repro.cache import PipelineCache
 
-    if getattr(args, "cache", None) is None:
-        if getattr(args, "cache_max_mb", None) is not None:
+    if args.cache is None:
+        if args.cache_max_mb is not None:
             raise ConfigurationError("--cache-max-mb requires --cache DIR")
-        if getattr(args, "cache_ttl", None) is not None:
+        if args.cache_ttl is not None:
             raise ConfigurationError("--cache-ttl requires --cache DIR")
         return None
     max_bytes = (
-        int(args.cache_max_mb * 1e6)
-        if getattr(args, "cache_max_mb", None) is not None
-        else None
+        int(args.cache_max_mb * 1e6) if args.cache_max_mb is not None else None
     )
     return PipelineCache(args.cache, max_bytes=max_bytes,
-                         max_age_s=getattr(args, "cache_ttl", None))
+                         max_age_s=args.cache_ttl)
 
 
 def _cmd_pipeline(args) -> int:
-    _validate_pipeline_flags(args)
+    # Every flag value is checked before the input is opened.
+    policy = _resilience(args)
+    tfidf, kmeans = _tfidf(args), _kmeans(args)
     cache = _cli_cache(args)
-    stream = _make_cli_stream(args)
-    if not len(stream):
-        print(f"error: no documents found in {args.input}", file=sys.stderr)
-        return 1
-    auto_plan = args.plan == "auto"
-    tfidf = TfIdfOperator(
-        tokenizer=Tokenizer(drop_stopwords=args.stopwords),
-        min_df=args.min_df,
-    )
-    kmeans = KMeansOperator(
-        n_clusters=args.clusters,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        init=args.init,
-    )
     memory_budget = (
         int(args.memory_budget_mb * 1e6)
         if args.memory_budget_mb is not None
@@ -607,13 +517,14 @@ def _cmd_pipeline(args) -> int:
         raise ConfigurationError(
             f"--memory-budget-mb must be > 0, got {args.memory_budget_mb}"
         )
-    # --plan auto builds its own backends; --plan fixed runs on the one
-    # the backend flags describe.
-    with nullcontext() if auto_plan else _make_cli_backend(args) as backend:
+    # The run's own backend: every phase's under --plan fixed; under
+    # --plan auto, its policy and its slot are the plan's.
+    with _backend(args, policy) as backend:
+        stream = _stream(args, policy)
         result = run_pipeline(
             stream,
             backend=backend,
-            plan="auto" if auto_plan else None,
+            plan="auto" if args.plan == "auto" else None,
             calibration=args.calibration,
             tfidf=tfidf,
             kmeans=kmeans,
@@ -625,15 +536,9 @@ def _cmd_pipeline(args) -> int:
         )
 
     if args.arff is not None:
-        document = write_sparse_arff(
-            "tfidf", result.tfidf.vocabulary, result.tfidf.matrix.iter_rows()
-        )
-        with open(args.arff, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        _write_arff(args.arff, result.tfidf)
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            for doc_id, cluster in enumerate(result.kmeans.assignments):
-                handle.write(f"{doc_id}\t{cluster}\n")
+        _write_assignments(args.output, result.kmeans)
 
     # One serializer feeds every reporting surface (ledger, bench, this
     # summary) — the prints below read the shared record, not the live
@@ -652,23 +557,22 @@ def _cmd_pipeline(args) -> int:
     for phase, seconds in record["phases"].items():
         print(f"  {phase:>14}: {seconds:9.3f}s")
     print(f"  {'total':>14}: {record['total_s']:9.3f}s")
-    if record["ipc"] is not None:
-        total = record["ipc"]["total"]
+    total = record["ipc"]["total"]
+    print(
+        f"IPC: {total['tasks']} tasks, "
+        f"{total['task_pickle_bytes'] / 1e6:.2f} MB pickled out / "
+        f"{total['result_pickle_bytes'] / 1e6:.2f} MB back, "
+        f"{total['segments']} shared segment(s) "
+        f"({total['segment_bytes'] / 1e6:.2f} MB), "
+        f"{total['broadcasts']} broadcast(s)"
+    )
+    if total["retries"] or total["timeouts"] or total["pool_restarts"]:
         print(
-            f"IPC: {total['tasks']} tasks, "
-            f"{total['task_pickle_bytes'] / 1e6:.2f} MB pickled out / "
-            f"{total['result_pickle_bytes'] / 1e6:.2f} MB back, "
-            f"{total['segments']} shared segment(s) "
-            f"({total['segment_bytes'] / 1e6:.2f} MB), "
-            f"{total['broadcasts']} broadcast(s)"
+            f"recovery: {total['retries']} task re-execution(s) "
+            f"({total['retry_pickle_bytes'] / 1e6:.2f} MB re-pickled), "
+            f"{total['timeouts']} timeout(s), "
+            f"{total['pool_restarts']} pool restart(s)"
         )
-        if total["retries"] or total["timeouts"] or total["pool_restarts"]:
-            print(
-                f"recovery: {total['retries']} task re-execution(s) "
-                f"({total['retry_pickle_bytes'] / 1e6:.2f} MB re-pickled), "
-                f"{total['timeouts']} timeout(s), "
-                f"{total['pool_restarts']} pool restart(s)"
-            )
     for event in record["downgrades"]:
         print(
             f"degraded: {event['from_backend']} -> {event['to_backend']} "
@@ -740,8 +644,6 @@ def _analytics_records(args):
 
 
 def _cmd_analytics(args) -> int:
-    from repro.obs import analytics
-
     if args.action == "recalibrate":
         from repro.plan import CalibrationStore
 
@@ -809,12 +711,9 @@ def _cmd_analytics(args) -> int:
         return 0
 
     if args.action == "regressions":
-        kwargs = {}
-        if args.tolerance is not None:
-            kwargs["tolerance"] = args.tolerance
-        if args.min_runs is not None:
-            kwargs["min_runs"] = args.min_runs
-        flagged = analytics.detect_regressions(records, **kwargs)
+        flagged = analytics.detect_regressions(
+            records, tolerance=args.tolerance, min_runs=args.min_runs
+        )
         if args.json:
             print(analytics.to_json(flagged), end="")
         elif not flagged:
@@ -828,65 +727,23 @@ def _cmd_analytics(args) -> int:
                       f"{f['threshold_s']:.3f}s, {f['samples']} samples)")
         return 1 if flagged else 0
 
-    if args.action == "export":
-        if args.format == "json":
-            text = analytics.to_json(analytics.export_json(records))
-        elif args.format == "prom":
-            text = analytics.export_prom(records)
-        elif args.format == "chrome":
-            text = analytics.to_json(analytics.export_chrome(records))
-        else:
-            text = analytics.export_html(records)
-        if args.out is None:
-            print(text, end="")
-        else:
-            from repro.io.atomic import atomic_write_text
+    # export
+    if args.format == "json":
+        text = analytics.to_json(analytics.export_json(records))
+    elif args.format == "prom":
+        text = analytics.export_prom(records)
+    elif args.format == "chrome":
+        text = analytics.to_json(analytics.export_chrome(records))
+    else:
+        text = analytics.export_html(records)
+    if args.out is None:
+        print(text, end="")
+    else:
+        from repro.io.atomic import atomic_write_text
 
-            atomic_write_text(args.out, text)
-            print(f"wrote {args.format} export "
-                  f"({len(records)} record(s)) to {args.out}")
-        return 0
-
-    raise ConfigurationError(f"unknown analytics action {args.action!r}")
-
-
-def _cmd_plan(args) -> int:
-    from repro.sim import WorkflowPlanner, paper_node
-
-    storage = FsStorage(args.input)
-    planner = WorkflowPlanner(paper_node(args.cores))
-    budget = (
-        args.memory_budget_gb * 1e9 if args.memory_budget_gb is not None else None
-    )
-    plan = planner.plan(
-        storage, "", pilot_docs=args.pilot_docs, memory_budget_bytes=budget
-    )
-    print(plan.explain())
-    return 0
-
-
-def _cmd_analyze(args) -> int:
-    storage = FsStorage(args.input)
-    corpus = load_corpus(storage, "", name=os.path.basename(args.input))
-    if not len(corpus):
-        print(f"error: no documents found in {args.input}", file=sys.stderr)
-        return 1
-    stats = corpus.stats()
-    print(f"documents:        {stats.documents:,}")
-    print(f"bytes:            {stats.total_bytes:,} "
-          f"({stats.mean_bytes_per_doc:.0f}/doc)")
-    print(f"tokens:           {stats.total_tokens:,} "
-          f"({stats.mean_tokens_per_doc:.0f}/doc)")
-    print(f"distinct words:   {stats.distinct_words:,}")
-    if stats.documents >= 2:
-        fit = fit_heaps(corpus)
-        print(f"Heaps fit:        V(N) = {fit.k:.1f} * N^{fit.beta:.3f} "
-              f"(R^2={fit.r_squared:.3f})")
-        print(f"  projected vocabulary at 10x the tokens: "
-              f"{fit.predict(10 * stats.total_tokens):,.0f}")
-    head = zipf_profile(corpus, top=args.top)
-    print(f"top-{args.top} term frequencies: "
-          + ", ".join(str(freq) for _, freq in head))
+        atomic_write_text(args.out, text)
+        print(f"wrote {args.format} export "
+              f"({len(records)} record(s)) to {args.out}")
     return 0
 
 
@@ -1031,25 +888,32 @@ _COMMANDS = {
     "generate": _cmd_generate,
     "tfidf": _cmd_tfidf,
     "kmeans": _cmd_kmeans,
-    "workflow": _cmd_workflow,
     "pipeline": _cmd_pipeline,
     "analytics": _cmd_analytics,
-    "plan": _cmd_plan,
-    "analyze": _cmd_analyze,
     "serve": _cmd_serve,
     "cache": _cmd_cache,
 }
 
+#: What the library raises for a value it refuses: the flag that set it
+#: is wrong (exit 2). Missing input, a file or an input directory with no
+#: documents, is a ``FileNotFoundError`` (exit 1).
+_FLAG_ERRORS = (ConfigurationError, OperatorError, CacheError)
 
-def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+
+def run_command(command, args) -> int:
+    """Run one parsed command; a refused flag value or missing input
+    prints one ``error:`` line instead of a traceback."""
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigurationError as exc:
+        return command(args)
+    except _FLAG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py
-    raise SystemExit(main())
+def main(argv: list[str] | None = None) -> int:
+    """Entry point of the engine's commands; returns a process exit code."""
+    args = build_parser().parse_args(argv)
+    return run_command(_COMMANDS[args.command], args)

@@ -14,8 +14,7 @@ is the trivial plan with all three phases on it, ``plan="auto"`` asks the
 :class:`~repro.plan.AdaptivePlanner`, a :class:`~repro.plan.RealPlan` is
 executed verbatim. Tracing, caching, tiling, the ledger and graceful
 degradation wrap the same three phases on every route and never change
-the output bits; the only option combinations rejected up front are the
-rows of :data:`PIPELINE_RULES`.
+the output bits; no option combination is rejected.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from repro.errors import ConfigurationError
 from repro.exec.inline import ExecutionBackend, SequentialBackend, ThreadBackend
 from repro.exec.process import ProcessBackend, make_backend
 from repro.exec.resilience import DowngradeEvent, QuarantineReport
+from repro.exec.shm import SHM
 from repro.exec.spans import RunTrace
 from repro.io.parallel_read import DocumentStream
 from repro.obs.ledger import RunLedger, WallAnchor
@@ -42,44 +42,11 @@ from repro.plan import AdaptivePlanner, CalibrationStore, PhasePlan, RealPlan
 from repro.text.corpus import Corpus
 from repro.tiles.store import TileStore
 
-__all__ = [
-    "RealRunResult", "output_digest", "run_pipeline", "PHASE_READ",
-    "PIPELINE_RULES", "check_pipeline_rules",
-]
+__all__ = ["RealRunResult", "output_digest", "run_pipeline", "PHASE_READ"]
 
 #: Phase and plan time is read through this one clock (tests substitute
 #: a deterministic one).
 _clock = time.perf_counter
-
-#: Every option combination the real pipeline rejects up front, as
-#: ``(violated(backend, plan, policy), message)`` rows over the
-#: arguments of :func:`check_pipeline_rules`. Anything else works.
-PIPELINE_RULES = (
-    (
-        lambda backend, plan, policy: backend and plan,
-        "pass either backend= or plan=, not both",
-    ),
-    (
-        lambda backend, plan, policy: plan and policy,
-        "--plan auto cannot be combined with {policy}: planner-built "
-        "backends carry no ResilienceConfig, and threading one through "
-        "would add a run_pipeline parameter; use --plan fixed for "
-        "resilient runs",
-    ),
-)
-
-
-def check_pipeline_rules(
-    *, backend: bool, plan: bool, policy: tuple[str, ...] = ()
-) -> None:
-    """Raise the first violated row of :data:`PIPELINE_RULES`:
-    ``backend``/``plan`` say whether the run names one, ``policy`` lists
-    the retry/timeout/poison options in force by CLI spelling. Shared by
-    :func:`run_pipeline` and the CLI's flag validation."""
-    for violated, message in PIPELINE_RULES:
-        if violated(backend, plan, policy):
-            raise ConfigurationError(message.format(policy=", ".join(policy)))
-
 
 def _downgraded(backend: ExecutionBackend) -> ExecutionBackend | None:
     """The next tier down (processes → threads → sequential), or ``None``."""
@@ -112,9 +79,14 @@ PHASE_READ = "read"
 
 _PHASES = (PHASE_INPUT_WC, PHASE_TRANSFORM, PHASE_KMEANS)
 
-#: Backend "tier" of the trivial plan's phases: whatever the caller
-#: passed as ``backend=`` (``None``: a sequential one built here).
-_CALLER = "caller"
+
+def _slot(backend: ExecutionBackend) -> tuple[str, int, bool]:
+    """The ``(tier, workers, shm)`` a plan step would name for ``backend``."""
+    if isinstance(backend, ProcessBackend):
+        return "processes", backend.workers, backend.plane.transport == SHM
+    if isinstance(backend, ThreadBackend):
+        return "threads", backend.workers, False
+    return "sequential", 1, False
 
 
 @dataclass
@@ -265,8 +237,7 @@ def run_pipeline(
     tier. Phase 1 over *streamed* input cannot be replayed (the stream
     is partially consumed), so there the error still propagates.
 
-    ``plan`` switches to adaptive execution and is mutually exclusive
-    with ``backend``: ``"auto"`` lets an
+    ``plan`` switches to adaptive execution: ``"auto"`` lets an
     :class:`~repro.plan.AdaptivePlanner` pick each phase's configuration
     from measured cost constants (``calibration``: a
     :class:`~repro.plan.CalibrationStore`, a path to one, or ``None`` to
@@ -276,7 +247,10 @@ def run_pipeline(
     different backends — built once per tier × workers × shm, closed
     here — under one IPC/span/quarantine bill; the executed plan is
     recorded on the result, and planned outputs are bit-identical to
-    every fixed-configuration run.
+    every fixed-configuration run. ``backend`` (or the sequential one
+    built here) is still the run's own: it carries that bill, every
+    backend the plan builds takes its ``resilience`` policy, and it
+    runs every phase planned on its own tier × workers × shm.
 
     ``cache`` (a :class:`~repro.cache.PipelineCache` or a store
     directory) memoizes each phase's result on disk, keyed on corpus
@@ -312,7 +286,6 @@ def run_pipeline(
     does. Pass ``observe=False`` for runs that must not move the
     constants (A/B comparisons against a frozen store).
     """
-    check_pipeline_rules(backend=backend is not None, plan=plan is not None)
     if not (plan is None or plan == "auto" or isinstance(plan, RealPlan)):
         raise ConfigurationError(
             f'plan must be "auto" or a RealPlan, got {plan!r}'
@@ -329,13 +302,13 @@ def run_pipeline(
     #: Backends built here (every planned one, every downgraded one, and
     #: the sequential default), closed here; the caller's is borrowed.
     owned: list[ExecutionBackend] = []
-    if backend is None and not planned:
+    if backend is None:
         backend = SequentialBackend()
         owned.append(backend)
-    # One bill (IPC counters, spans, quarantine) for the whole run. The
-    # run's fixed backend carries it; a planned run's placeholder does,
-    # and every backend built below adopts the bill from it.
-    bill = backend if backend is not None else ExecutionBackend()
+    # One bill (IPC counters, spans, quarantine) and one policy for the
+    # whole run: the run's own backend's, adopted by every backend below.
+    bill = backend
+    home = _slot(backend)
     bill.ipc.reset()  # this run's bill only
     bill.quarantine.clear()
     bill._task_counters.clear()  # task ids restart with each run
@@ -383,10 +356,10 @@ def run_pipeline(
             0.0, _clock() - plan_t0 - seconds.get(PHASE_READ, 0.0)
         )
     else:
-        # The trivial plan: every phase on the run's fixed backend, tiled
+        # The trivial plan: every phase on the run's own backend, tiled
         # iff budgeted.
         steps = {
-            phase: PhasePlan(phase, _CALLER, tiled=memory_budget is not None)
+            phase: PhasePlan(phase, *home, tiled=memory_budget is not None)
             for phase in _PHASES
         }
         budget, plan_seconds = None, 0.0
@@ -394,11 +367,11 @@ def run_pipeline(
         budget = memory_budget
 
     #: (tier, workers, shm) → its live backend; every entry but the
-    #: fixed backend is built on first use and listed in ``owned``.
-    pool: dict[tuple, ExecutionBackend | None] = {(_CALLER, 1, False): backend}
+    #: run's own backend is built on first use and listed in ``owned``.
+    pool: dict[tuple, ExecutionBackend] = {home: backend}
 
     def backend_name() -> str:
-        return "planned" if planned else pool[_CALLER, 1, False].name
+        return "planned" if planned else pool[home].name
 
     # The step a raising run bills its failure record to.
     current_step = PHASE_INPUT_WC
@@ -414,6 +387,7 @@ def run_pipeline(
             pool[slot] = make_backend(
                 step.backend, step.workers,
                 shm=step.shm if step.backend == "processes" else None,
+                resilience=bill.resilience,
             )
             _transplant(bill, pool[slot])  # one bill, whichever executes
             owned.append(pool[slot])

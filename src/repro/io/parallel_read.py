@@ -253,6 +253,8 @@ class DocumentStream:
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"read workers must be >= 1, got {workers}")
+        if prefetch is not None and prefetch < 1:
+            raise ConfigurationError(f"prefetch must be >= 1, got {prefetch}")
         self.storage = storage
         self.paths = list(paths)
         self.workers = workers

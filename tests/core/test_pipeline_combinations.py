@@ -1,35 +1,28 @@
-"""One driver, every route, every option pair: the digest or a table row.
+"""One driver, every route, every option pair: the recorded digest.
 
 ``run_pipeline`` executes every run as a plan — the caller's backend (or,
 given none, a sequential one it builds) is the trivial one — and wraps
 the same three phases with streaming input, caching, tiling, tracing,
-degradation and the ledger.
+degradation and the ledger. Under a plan the caller's backend stays the
+run's own: it carries the bill and the fault-tolerance policy, which is
+why a policy combines with every route too.
 This suite crosses every route with every subset of at most two of those
 options on Mix@0.01 and accepts one outcome: the recorded output digest.
-No such pair meets a row of ``PIPELINE_RULES`` (``TestRuleTable`` fires
-each row with its own text), and no option silently disables another.
+Nothing is rejected up front, and no option silently disables another.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 
 import pytest
 
-from repro.cli import main
-from repro.core.pipeline import (
-    PHASE_READ,
-    PIPELINE_RULES,
-    check_pipeline_rules,
-    run_pipeline,
-)
-from repro.errors import ConfigurationError
+from repro.core.pipeline import PHASE_READ, run_pipeline
 from repro.exec.faultinject import FaultPlan, FaultSpec
 from repro.exec.process import ProcessBackend, make_backend
-from repro.exec.resilience import ResilienceConfig
+from repro.exec.resilience import ResilienceConfig, RetryPolicy
 from repro.io import FsStorage, corpus_stream, store_corpus
 from repro.plan import CalibrationStore, PhasePlan, RealPlan
 from repro.text.synth import MIX_PROFILE, generate_corpus
@@ -45,7 +38,9 @@ from tests.ops.test_columnar_blocks import (
 #: ``inline`` passes no backend (``make_backend``'s alias for sequential:
 #: the pipeline builds and closes a sequential backend itself).
 ROUTES = ("inline", "sequential", "processes-2", "auto", "mixed-tier")
-OPTIONS = ("stream", "cache", "budget", "trace", "degrade", "ledger")
+#: ``policy`` hands the run a backend with retries and quarantine on: a
+#: sequential one where the route itself passes none.
+OPTIONS = ("stream", "cache", "budget", "trace", "degrade", "ledger", "policy")
 SUBSETS = [
     subset
     for size in range(3)
@@ -54,7 +49,9 @@ SUBSETS = [
 #: Far below the Mix@0.01 matrix footprint: the budget really tiles.
 BUDGET = 64 * 1024
 BACKEND_DIGEST = PARENT_DIGESTS["mix"][0]
-RULE_MESSAGES = [message for _violated, message in PIPELINE_RULES]
+POLICY = ResilienceConfig(
+    retry=RetryPolicy(max_attempts=2), on_poison="quarantine"
+)
 
 
 @pytest.fixture(scope="module")
@@ -88,11 +85,12 @@ def _run(route, subset, corpus, corpus_dir, tmp_path):
         )
     elif route == "mixed-tier":
         options["plan"] = _mixed_tier_plan(len(corpus), budget)
+    policy = POLICY if "policy" in subset else None
     backend = None
-    if route == "sequential":
-        backend = make_backend("sequential")
-    elif route == "processes-2":
-        backend = make_backend("processes", 2)
+    if route == "processes-2":
+        backend = make_backend("processes", 2, resilience=policy)
+    elif route == "sequential" or policy is not None:
+        backend = make_backend("sequential", resilience=policy)
     source = corpus
     if "stream" in subset:
         source = corpus_stream(FsStorage(corpus_dir), workers=2)
@@ -109,8 +107,7 @@ def _run(route, subset, corpus, corpus_dir, tmp_path):
 @pytest.mark.parametrize("subset", SUBSETS, ids=lambda s: "+".join(s) or "plain")
 @pytest.mark.parametrize("route", ROUTES)
 def test_digest_or_a_rule_table_row(route, subset, corpus, corpus_dir, tmp_path):
-    # A cached combination runs cold, then warm: both must be right. No
-    # rule row is reachable from these routes and options.
+    # A cached combination runs cold, then warm: both must be right.
     for attempt in range(2 if "cache" in subset else 1):
         result = _run(route, subset, corpus, corpus_dir, tmp_path)
         planned = route in ("auto", "mixed-tier")
@@ -125,6 +122,7 @@ def test_digest_or_a_rule_table_row(route, subset, corpus, corpus_dir, tmp_path)
         assert (result.trace is not None) == ("trace" in subset)
         assert (result.ledger is not None) == ("ledger" in subset)
         assert result.downgrades == []
+        assert result.quarantine is None
         if "budget" in subset:
             assert result.tiles["peak_pinned_bytes"] <= BUDGET
         else:
@@ -140,17 +138,11 @@ def test_digest_or_a_rule_table_row(route, subset, corpus, corpus_dir, tmp_path)
 
 
 class TestRuleTable:
-    """Each row fires, with the table's own text."""
-
-    def test_backend_with_plan(self, corpus):
-        backend = make_backend("sequential")
-        with pytest.raises(ConfigurationError) as caught:
-            run_pipeline(corpus, backend=backend, plan="auto")
-        assert str(caught.value) == RULE_MESSAGES[0]
+    """What the deleted rule table once refused now runs."""
 
     def test_trace_on_the_inline_path(self, corpus):
-        # No row: without a backend the pipeline runs (and traces) a
-        # sequential one of its own.
+        # Without a backend the pipeline runs (and traces) a sequential
+        # one of its own.
         tfidf, kmeans = _operators()
         plain = run_pipeline(corpus, tfidf=tfidf, kmeans=kmeans)
         traced = run_pipeline(corpus, tfidf=tfidf, kmeans=kmeans, trace=True)
@@ -160,29 +152,43 @@ class TestRuleTable:
             assert result.ipc is not None
             assert _digest(result) == BACKEND_DIGEST
 
-    def test_policy_flags_under_a_plan(self, corpus_dir, capsys):
-        flags = ("--retries", "--on-poison")
-        with pytest.raises(ConfigurationError) as caught:
-            check_pipeline_rules(backend=False, plan=True, policy=flags)
-        text = RULE_MESSAGES[1].format(policy=", ".join(flags))
-        assert str(caught.value) == text
-        # The CLI is the caller that can violate it, and says the same.
-        assert main(["pipeline", "--input", corpus_dir, "--plan", "auto",
-                     "--retries", "1", "--on-poison", "quarantine"]) == 2
-        assert text in capsys.readouterr().err
+    def test_legal_combinations_pass(self, corpus, tmp_path, monkeypatch):
+        """A backend and a plan together: a verbatim plan puts k-means on
+        the caller's slot (threads-2), where a transient fault fires and
+        the caller's policy retries it; every backend the plan builds
+        takes that same policy."""
+        built = []
 
-    @pytest.mark.parametrize("doc", ["README.md", "docs/resilience.md"])
-    def test_docs_quote_the_table_verbatim(self, doc):
-        root = os.path.join(os.path.dirname(__file__), "..", "..")
-        with open(os.path.join(root, doc), encoding="utf-8") as handle:
-            text = handle.read()
-        for message in RULE_MESSAGES:
-            assert f"`{message}`" in text
+        def spy(name, workers=1, shm=None, resilience=None):
+            built.append((name, resilience))
+            return make_backend(name, workers, shm=shm, resilience=resilience)
 
-    def test_legal_combinations_pass(self):
-        check_pipeline_rules(backend=True, plan=False, policy=("--retries",))
-        check_pipeline_rules(backend=False, plan=True)
-        check_pipeline_rules(backend=False, plan=False)
+        monkeypatch.setattr("repro.core.pipeline.make_backend", spy)
+        plan = RealPlan(
+            phases={
+                "input+wc": PhasePlan("input+wc", "sequential"),
+                "transform": PhasePlan("transform", "processes", 2, False),
+                "kmeans": PhasePlan("kmeans", "threads", 2),
+            },
+            calibration="test",
+            n_docs=len(corpus),
+        )
+        backend = make_backend("threads", 2, resilience=POLICY)
+        backend.fault_plan = FaultPlan(
+            [FaultSpec("kmeans", 0, "raise")], str(tmp_path)
+        )
+        tfidf, kmeans = _operators()
+        try:
+            result = run_pipeline(
+                corpus, backend=backend, plan=plan, tfidf=tfidf, kmeans=kmeans
+            )
+        finally:
+            backend.close()
+        assert built == [("sequential", POLICY), ("processes", POLICY)]
+        assert result.ipc["phases"]["kmeans"]["retries"] >= 1
+        assert result.ipc["total"]["retries"] >= 1
+        assert result.quarantine is None
+        assert _digest(result) == BACKEND_DIGEST
 
 
 def test_verbatim_plan_over_a_stream_overlaps_reads_and_leaks_nothing(
@@ -216,13 +222,8 @@ def test_downgrade_is_sticky_on_a_planned_run(corpus, tmp_path, monkeypatch):
         for phase in ("input+wc", "transform", "kmeans")
     ]
 
-    def armed(name, workers=1, shm=None):
-        # No pool restarts: the first crash survives the backend's own
-        # breaker and reaches the driver's degrade loop.
-        backend = make_backend(
-            name, workers, shm=shm,
-            resilience=ResilienceConfig(max_pool_restarts=0),
-        )
+    def armed(name, workers=1, shm=None, resilience=None):
+        backend = make_backend(name, workers, shm=shm, resilience=resilience)
         if isinstance(backend, ProcessBackend):
             backend.fault_plan = FaultPlan(specs, str(tmp_path))
         return backend
@@ -236,9 +237,15 @@ def test_downgrade_is_sticky_on_a_planned_run(corpus, tmp_path, monkeypatch):
         calibration="test",
         n_docs=len(corpus),
     )
+    # No pool restarts, by the run's own policy: the first crash survives
+    # the backend's own breaker and reaches the driver's degrade loop.
+    backend = make_backend(
+        "sequential", resilience=ResilienceConfig(max_pool_restarts=0)
+    )
     tfidf, kmeans = _operators()
     result = run_pipeline(
-        corpus, plan=plan, tfidf=tfidf, kmeans=kmeans, degrade=True
+        corpus, backend=backend, plan=plan, tfidf=tfidf, kmeans=kmeans,
+        degrade=True,
     )
     assert [
         (event.phase, event.from_backend, event.to_backend)

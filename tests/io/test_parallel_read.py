@@ -195,6 +195,15 @@ class TestDocumentStream:
         with pytest.raises(StorageError, match="single-use"):
             list(stream)
 
+    @pytest.mark.parametrize("prefetch", [0, -3])
+    def test_bad_prefetch_is_refused_at_construction(self, prefetch):
+        # Serial reads never consult the window, so it is checked here,
+        # not when the first read would use it.
+        storage = MemStorage()
+        _populate(storage, n=3)
+        with pytest.raises(ConfigurationError, match="prefetch"):
+            corpus_stream(storage, workers=1, prefetch=prefetch)
+
     def test_corpus_stream_lists_by_prefix(self):
         storage = MemStorage()
         _populate(storage, n=5)

@@ -98,7 +98,7 @@ def _cases(draw):
         st.none(),
         st.tuples(
             st.integers(1, n_docs),  # rows per tile
-            st.one_of(st.none(), st.integers(1, 4096)),  # reader budget
+            st.booleans(),  # budgeted reader (budget drawn from the tiles)
         ),
     ))
     operator = KMeansOperator(
@@ -110,10 +110,12 @@ def _cases(draw):
     return matrix, tiling, operator, draw(st.sampled_from(_BACKENDS))
 
 
-def _tiled(matrix: CsrMatrix, tile_docs: int, budget) -> TiledCsrMatrix:
-    """``matrix`` spilled ``tile_docs`` rows per tile; owns its store."""
+def _tiled(matrix: CsrMatrix, tile_docs: int, budget=None) -> TiledCsrMatrix:
+    """``matrix`` spilled ``tile_docs`` rows per tile; owns its store.
+    ``budget`` is the reader's byte budget, or a function of the tiles'
+    byte sizes that picks one."""
     indptr, indices, data = matrix.as_arrays()
-    store = TileStore(memory_budget=budget)
+    store = TileStore()
     for start in range(0, matrix.n_rows, tile_docs):
         stop = min(matrix.n_rows, start + tile_docs)
         lo, hi = int(indptr[start]), int(indptr[stop])
@@ -121,7 +123,11 @@ def _tiled(matrix: CsrMatrix, tile_docs: int, budget) -> TiledCsrMatrix:
             store, start, matrix.n_cols,
             (indptr[start:stop + 1] - lo, indices[lo:hi], data[lo:hi]),
         )
-    return TiledCsrMatrix(store.seal(matrix.n_cols), store=store)
+    manifest = store.seal(matrix.n_cols)
+    if callable(budget):
+        budget = budget([meta.nbytes for meta in manifest.tiles])
+    store.memory_budget = budget  # the matrix's reader takes it
+    return TiledCsrMatrix(manifest, store=store)
 
 
 def _fit(operator, matrix, config):
@@ -144,8 +150,8 @@ def _fingerprint(result):
 
 class TestSourceAxisEquivalence:
     @settings(deadline=None)  # example count: the profile's (100; CI pins it)
-    @given(_cases())
-    def test_every_source_form_and_backend_fits_the_same_bytes(self, case):
+    @given(_cases(), st.data())
+    def test_every_source_form_and_backend_fits_the_same_bytes(self, case, data):
         matrix, tiling, operator, config = case
         # The reference: resident rows, and the simplest executor of the
         # same kind (the simulator's loop and the real fit group their
@@ -153,18 +159,24 @@ class TestSourceAxisEquivalence:
         reference = _fit(
             operator, matrix, None if config is None else _BACKENDS[1]
         )
-        subject = matrix if tiling is None else _tiled(matrix, *tiling)
+        def budget(sizes):
+            # Between the largest tile and all of them: one tile always
+            # fits, and holding the budget takes evictions.
+            return data.draw(st.integers(max(sizes), sum(sizes)), label="budget")
+
+        subject = matrix
+        if tiling is not None:
+            rows_per_tile, budgeted = tiling
+            subject = _tiled(matrix, rows_per_tile, budget if budgeted else None)
         try:
             result = _fit(operator, subject, config)
-            if tiling is not None and tiling[1] is not None and (
+            if tiling is not None and tiling[1] and (
                 config is None or config[0] != "processes"
             ):
                 # In-process fits read through the matrix's own reader,
-                # which pins at most its budget, or the one tile it
-                # serves when that alone is larger.
-                largest = max(meta.nbytes for meta in subject.manifest.tiles)
+                # which pins at most its budget.
                 pinned = subject.spill_stats()["peak_pinned_bytes"]
-                assert pinned <= max(tiling[1], largest)
+                assert pinned <= subject.memory_budget
         finally:
             if tiling is not None:
                 subject.close()

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.__main__ import main as repro
 from repro.cli import build_parser, main
 from repro.io import read_sparse_arff
 from repro.obs import read_ledger
@@ -28,6 +29,17 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize("command", ["workflow", "plan", "analyze"])
+    def test_simulator_commands_live_under_sim(self, command, capsys):
+        # The engine's parser has no simulator command; the dispatcher
+        # routes them, and only them, through "sim".
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--input", "x"])
+        with pytest.raises(SystemExit) as caught:
+            repro(["sim", command, "--help"])
+        assert caught.value.code == 0
+        assert f"repro sim {command}" in capsys.readouterr().out
 
     def test_generate_defaults(self):
         args = build_parser().parse_args(["generate", "--out", "x"])
@@ -81,6 +93,30 @@ class TestParser:
                      "--read-workers", "0"]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
+
+
+class TestCleanErrors:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            ("pipeline --input {corpus} --clusters 0", 2),
+            ("pipeline --input {corpus} --max-iters 0", 2),
+            ("pipeline --input {corpus} --min-df 0", 2),
+            ("pipeline --input {corpus} --prefetch 0", 2),
+            ("pipeline --input {corpus} --prefetch -3", 2),
+            ("pipeline --input {corpus} --cache {tmp}/c --cache-max-mb -1", 2),
+            ("pipeline --input {corpus} --cache {tmp}/c --cache-ttl -5", 2),
+            ("pipeline --input {corpus} --retry-backoff -1", 2),
+            ("kmeans --input {tmp}/missing.arff --output {tmp}/c.txt", 1),
+        ],
+    )
+    def test_one_error_line(self, corpus_dir, tmp_path, capsys, argv, code):
+        # A refused flag value exits 2 and missing input exits 1, each
+        # with one error line and no traceback.
+        argv = argv.format(corpus=corpus_dir, tmp=tmp_path).split()
+        assert main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestGenerate:
@@ -268,8 +304,8 @@ class TestRealPipeline:
 
 class TestWorkflowAndPlan:
     def test_workflow_reports_phases(self, corpus_dir, capsys):
-        assert main(["workflow", "--input", corpus_dir, "--mode", "discrete",
-                     "--threads", "8", "--max-iters", "3"]) == 0
+        assert repro(["sim", "workflow", "--input", corpus_dir, "--mode",
+                      "discrete", "--threads", "8", "--max-iters", "3"]) == 0
         out = capsys.readouterr().out
         assert "input+wc" in out
         assert "tfidf-output" in out
@@ -278,13 +314,14 @@ class TestWorkflowAndPlan:
         assert os.path.exists(os.path.join(corpus_dir, "clusters.txt"))
 
     def test_merged_workflow_has_no_materialization(self, corpus_dir, capsys):
-        main(["workflow", "--input", corpus_dir, "--mode", "merged",
-              "--max-iters", "3"])
+        repro(["sim", "workflow", "--input", corpus_dir, "--mode", "merged",
+               "--max-iters", "3"])
         out = capsys.readouterr().out
         assert "tfidf-output" not in out
 
     def test_plan_prints_ranking(self, corpus_dir, capsys):
-        assert main(["plan", "--input", corpus_dir, "--pilot-docs", "24"]) == 0
+        assert repro(["sim", "plan", "--input", corpus_dir,
+                      "--pilot-docs", "24"]) == 0
         out = capsys.readouterr().out
         assert "#1" in out
         assert "merged" in out
@@ -292,7 +329,7 @@ class TestWorkflowAndPlan:
 
 class TestAnalyze:
     def test_analyze_reports_statistics(self, corpus_dir, capsys):
-        assert main(["analyze", "--input", corpus_dir, "--top", "5"]) == 0
+        assert repro(["sim", "analyze", "--input", corpus_dir, "--top", "5"]) == 0
         out = capsys.readouterr().out
         assert "documents:" in out
         assert "Heaps fit:" in out
@@ -303,7 +340,7 @@ class TestAnalyze:
 
         empty = str(tmp_path / "void")
         os.makedirs(empty)
-        assert main(["analyze", "--input", empty]) == 1
+        assert repro(["sim", "analyze", "--input", empty]) == 1
         assert "no documents" in capsys.readouterr().err
 
 
@@ -346,39 +383,6 @@ class TestPlannedPipeline:
                      "--plan", "auto", "--max-iters", "2"]) == 0
         assert open(planned).read() == open(fixed).read()
 
-    def test_auto_plan_rejects_resilience_flags(self, corpus_dir, capsys):
-        assert main(["pipeline", "--input", corpus_dir,
-                     "--plan", "auto", "--retries", "2"]) == 2
-        err = capsys.readouterr().err
-        assert "--plan fixed" in err
-
-    def test_auto_plan_conflict_names_every_offending_flag(
-        self, corpus_dir, capsys
-    ):
-        # Fail fast at argument validation — before any corpus read —
-        # naming each conflicting flag, not just a generic policy error.
-        assert main(["pipeline", "--input", corpus_dir, "--plan", "auto",
-                     "--retries", "2", "--task-timeout", "5",
-                     "--on-poison", "quarantine", "--degrade"]) == 2
-        err = capsys.readouterr().err
-        for flag in ("--retries", "--task-timeout", "--on-poison",
-                     "--plan fixed"):
-            assert flag in err
-        # --degrade is not a conflict: the degrade loop is the driver's.
-        assert "--degrade" not in err
-        # The text is the rule table's, with the real reason.
-        assert "carry no ResilienceConfig" in err
-
-    def test_auto_plan_conflict_precedes_input_validation(
-        self, tmp_path, capsys
-    ):
-        # The conflict is caught even when the input directory is bogus:
-        # argument validation runs before the stream is opened.
-        missing = str(tmp_path / "nonexistent")
-        assert main(["pipeline", "--input", missing,
-                     "--plan", "auto", "--phase-timeout", "9"]) == 2
-        assert "--phase-timeout" in capsys.readouterr().err
-
     def test_auto_plan_with_degrade_runs_and_matches_fixed(
         self, corpus_dir, tmp_path
     ):
@@ -388,6 +392,19 @@ class TestPlannedPipeline:
                      "--backend", "sequential", "--max-iters", "2"]) == 0
         assert main(["pipeline", "--input", corpus_dir, "--output", planned,
                      "--plan", "auto", "--degrade", "--max-iters", "2"]) == 0
+        assert open(planned).read() == open(fixed).read()
+
+    def test_auto_plan_takes_the_policy_flags(self, corpus_dir, tmp_path):
+        # --backend is the planned run's own backend: its policy reaches
+        # every backend the plan builds, and the output does not move.
+        fixed = str(tmp_path / "fixed.txt")
+        planned = str(tmp_path / "planned.txt")
+        assert main(["pipeline", "--input", corpus_dir, "--output", fixed,
+                     "--max-iters", "2"]) == 0
+        assert main(["pipeline", "--input", corpus_dir, "--output", planned,
+                     "--plan", "auto", "--retries", "1", "--task-timeout",
+                     "60", "--phase-timeout", "600", "--on-poison",
+                     "quarantine", "--max-iters", "2"]) == 0
         assert open(planned).read() == open(fixed).read()
 
     def test_plan_fixed_still_accepts_resilience_flags(self, corpus_dir):

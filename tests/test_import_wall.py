@@ -34,6 +34,7 @@ SRC = os.path.join(ROOT, "src")
 #: Where the engine starts: every entry point a real run, the daemon or
 #: the benchmark goes through.
 ENGINE_ROOTS = (
+    "repro.cli",
     "repro.core.pipeline",
     "repro.serve.daemon",
     "repro.exec.process",
