@@ -902,9 +902,17 @@ _FLAG_ERRORS = (ConfigurationError, OperatorError, CacheError)
 
 def run_command(command, args) -> int:
     """Run one parsed command; a refused flag value or missing input
-    prints one ``error:`` line instead of a traceback."""
+    prints one ``error:`` line instead of a traceback, and a reader that
+    closed stdout early (``| head``) ends the command with exit 1."""
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's exit-time flush
+        # cannot raise again (the Python docs' note on SIGPIPE).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _FLAG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,19 +14,20 @@ All backends share one protocol:
 * :meth:`ExecutionBackend.configure` installs per-worker state (tokenizer,
   vocabulary, prepared matrix) *once per phase* instead of shipping it
   with every task;
-* :meth:`ExecutionBackend.map` applies a function over items in input
-  order, submitting **chunks** of items per task (Cilk-style grain, via
-  :func:`auto_grain`) so per-task overhead — future
-  bookkeeping for threads, pickling for processes — is amortized;
-* :meth:`ExecutionBackend.imap` is the same map as a lazy stream: each
-  item's result is yielded, in item order, as soon as it is gathered, so
-  a caller that folds the results holds only those not yet folded.
+* :meth:`ExecutionBackend.imap` applies a function over items — a list
+  or a lazy producer — one task per item, each submitted as it is
+  yielded, and yields every result in item order as soon as it is
+  gathered, so a caller that folds the results holds only those not yet
+  folded. :meth:`ExecutionBackend.map` is ``list()`` of it. The backends
+  never re-chunk: an operator decides how much work an item carries
+  (its grain rule, :meth:`ExecutionBackend.phase_grain`), so per-task
+  overhead — future bookkeeping for threads, pickling for processes —
+  is amortized where the work is known.
 
 Each backend has one map loop, run under its
-:class:`~repro.exec.resilience.ResilienceConfig`; in-process it is a
-generator, and ``map``/``map_stream`` are ``list()`` of it. The default
-config is that loop's no-op policy: every task runs once, its first
-error propagates and cancels the tasks not started yet, and only a dead
+:class:`~repro.exec.resilience.ResilienceConfig`. The default config is
+that loop's no-op policy: every task runs once, its first error
+propagates and cancels the tasks not started yet, and only a dead
 process pool is replayed, under the restart breaker.
 """
 
@@ -74,43 +75,30 @@ def auto_grain(n_items: int, workers: int) -> int:
 def apply_chunk(fn: Callable, chunk: Sequence) -> list:
     """Apply ``fn`` to every item of ``chunk`` (the per-task trampoline).
 
-    Module-level so process backends can pickle it once per submitted
-    chunk; the thread backend reuses it so all backends share one path.
+    Module-level so the process backend can pickle a task as
+    ``(fn, [item])``; a bisection probe sends a slice of the item the
+    same way.
     """
     return [fn(item) for item in chunk]
 
 
-def _as_list(items: Iterable) -> list:
-    return items if isinstance(items, list) else list(items)
+class _Task:
+    """Parent-side record of one submitted item, across retries/replays.
 
-
-def _ranges(items: list, grain: int) -> list:
-    """``(start, items[start:start + grain])`` for every task of a map."""
-    if grain < 1:
-        raise ConfigurationError(f"grain must be >= 1, got {grain}")
-    return [
-        (start, items[start : start + grain])
-        for start in range(0, len(items), grain)
-    ]
-
-
-class _ChunkTask:
-    """Parent-side record of one submitted chunk, across retries/replays.
-
-    ``item_index`` is the chunk's first item's position in the original
-    map input (quarantine coordinates); ``results`` flips from ``None``
-    to the chunk's result list exactly once, which is also the "done"
-    flag replay logic keys on.
+    ``item_index`` is the item's position in the map input (quarantine
+    coordinates); ``results`` flips from ``None`` to the item's result
+    list exactly once, which is also the "done" flag replay logic keys
+    on.
     """
 
     __slots__ = (
-        "fn", "chunk", "item_index", "task_id", "phase",
+        "fn", "item", "item_index", "task_id", "phase",
         "attempt", "future", "results",
     )
 
-    def __init__(self, fn, chunk, item_index: int, task_id: int, phase: str) -> None:
+    def __init__(self, fn, item, item_index: int, task_id: int, phase: str) -> None:
         self.fn = fn
-        self.chunk = chunk
+        self.item = item
         self.item_index = item_index
         self.task_id = task_id
         self.phase = phase
@@ -123,7 +111,7 @@ class _ChunkTask:
         return f"{self.phase}#{self.task_id}"
 
 
-def _cancel(tasks: Sequence[_ChunkTask]) -> None:
+def _cancel(tasks: Sequence[_Task]) -> None:
     """Cancel every task that has not started (a no-op on the rest), so a
     failed map leaves nothing queued behind the caller's back."""
     for task in tasks:
@@ -132,7 +120,8 @@ def _cancel(tasks: Sequence[_ChunkTask]) -> None:
 
 
 class ExecutionBackend:
-    """Interface: map a function over items, preserving input order."""
+    """Map a function over items, preserving input order; the base class
+    runs every item inline on the calling thread."""
 
     name = "abstract"
     #: Degree of real parallelism the backend targets (1 for sequential).
@@ -344,8 +333,9 @@ class ExecutionBackend:
         return token
 
     def phase_grain(self, n_items: int) -> int:
-        """Items per task when an operator phase maps ``n_items`` (the
-        tier's grain rule; an explicit ``grain=`` overrides it)."""
+        """Units of work per map item when an operator phase splits
+        ``n_items`` into items (the tier's grain rule; the backends never
+        re-chunk, so this is the only one)."""
         return auto_grain(n_items, self.workers)
 
     def configure(
@@ -366,55 +356,36 @@ class ExecutionBackend:
         fn: Callable[[ItemT], ResultT],
         items: Iterable[ItemT],
         *,
-        grain: int | None = None,
         bisect_items: bool = False,
     ) -> Iterator[ResultT]:
-        """:meth:`map` as a lazy stream: each item's result, in item order,
-        yielded as soon as it is gathered.
+        """Apply ``fn`` to each item, one task per item; yield the results
+        in item order, each as soon as it is gathered.
 
-        Retries, quarantine, deadlines and cancel-on-error are
-        :meth:`map`'s. A caller that folds results as they come holds
-        only those not folded yet: inline, item *i + 1* starts only when
-        result *i* has been taken; on threads, only the results finished
-        ahead of the consumer wait. Closing the generator early (or
-        dropping it, as a consumer's exception does) cancels every task
-        not started yet.
+        ``items`` may be a lazy producer (e.g. a prefetching corpus
+        reader): pooled backends submit each item as it is yielded, so
+        early tasks run while later items are still being produced. A
+        caller that folds results as they come holds only those not
+        folded yet: inline, item *i + 1* starts only when result *i* has
+        been taken; on threads, only the results finished ahead of the
+        consumer wait (the process backend gathers eagerly). An exception
+        from a task or from the producer — or the consumer closing the
+        generator early — cancels every task not started yet.
+        ``bisect_items`` opts quarantine-mode bisection into splitting
+        *inside* sequence-valued items (only meaningful for callers whose
+        per-item results are flattened in order, like the chunked text
+        kernels).
         """
-        raise NotImplementedError
+        return self._map_inline(fn, items, bisect_items)
 
     def map(
         self,
         fn: Callable[[ItemT], ResultT],
         items: Iterable[ItemT],
         *,
-        grain: int | None = None,
         bisect_items: bool = False,
     ) -> list[ResultT]:
-        """Apply ``fn`` over ``items``; every result, in item order."""
-        return list(self.imap(fn, items, grain=grain, bisect_items=bisect_items))
-
-    def map_stream(
-        self,
-        fn: Callable[[ItemT], ResultT],
-        items: Iterable[ItemT],
-        *,
-        grain: int | None = None,
-        bisect_items: bool = False,
-    ) -> list[ResultT]:
-        """Apply ``fn`` to items as a lazy producer yields them, in order.
-
-        Pooled backends start executing early tasks while the producer
-        (e.g. a prefetching corpus reader) is still yielding later ones,
-        overlapping input with compute; the sequential backend drains
-        the producer inline. ``grain`` is items per submitted task — callers
-        whose items are already chunk-sized pass ``grain=1``; the process
-        backend micro-batches by default to amortize per-task pickling.
-        ``bisect_items`` opts quarantine-mode bisection into splitting
-        *inside* sequence-valued items (only meaningful for callers whose
-        per-item results are flattened in order, like the chunked text
-        kernels).
-        """
-        return list(self._map_inline(fn, items, bisect_items))
+        """Every result of :meth:`imap`, in item order."""
+        return list(self.imap(fn, items, bisect_items=bisect_items))
 
     def close(self) -> None:
         """Release any pooled resources (idempotent)."""
@@ -427,24 +398,14 @@ class ExecutionBackend:
 
 
 class SequentialBackend(ExecutionBackend):
-    """Runs the loop inline on the calling thread."""
+    """Runs the loop inline on the calling thread (the base class's
+    :meth:`~ExecutionBackend.imap`)."""
 
     name = "sequential"
 
-    def imap(self, fn, items, *, grain=None, bisect_items=False):
-        # Operators pre-chunk their items (one chunk/block per map item),
-        # so an item — its span, its task count — is a logical task here.
-        return self._map_inline(fn, items, bisect_items)
-
 
 class ThreadBackend(ExecutionBackend):
-    """Runs the loop on a pool of OS threads.
-
-    ``map`` submits one future per *chunk* of items, not per item: with
-    small loop bodies the executor's per-future bookkeeping otherwise
-    swamps the work itself. The default grain targets ~8 chunks per
-    worker (:func:`auto_grain`).
-    """
+    """Runs the loop on a pool of OS threads, one future per item."""
 
     def __init__(
         self, workers: int, resilience: ResilienceConfig | None = None
@@ -461,41 +422,27 @@ class ThreadBackend(ExecutionBackend):
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
         return self._pool
 
-    def imap(self, fn, items, *, grain=None, bisect_items=False):
-        items = _as_list(items)
-        if grain is None:
-            # One worker: one item per task. Every chunk, even a lone
-            # one, goes to the pool, so a task deadline applies to it.
-            grain = auto_grain(len(items), self.workers) if self.workers > 1 else 1
-        return self._run_chunks(fn, _ranges(items, grain), bisect_items)
-
-    def map_stream(self, fn, items, *, grain=None, bisect_items=False):
-        # Per-item chunks (threads pay no pickle tax); the generator keeps
-        # streaming overlap — tasks are submitted as the producer yields.
-        chunks = ((index, [item]) for index, item in enumerate(items))
-        return list(self._run_chunks(fn, chunks, bisect_items))
-
-    def _run_chunk(self, fn, chunk, task_id, phase, t_submit, attempt):
-        """Chunk trampoline that fires planned faults and records its span
+    def _run_task(self, fn, item, task_id, phase, t_submit, attempt):
+        """Item trampoline that fires planned faults and records its span
         on the executing thread."""
         if self.fault_plan is not None:
             self.fault_plan.fire(phase, task_id)
         t_start = self.spans.now()
-        results = apply_chunk(fn, chunk)
+        result = fn(item)
         self.spans.record(
             t_start,
             self.spans.now(),
             task_id=task_id,
             phase=phase,
-            n_items=len(chunk),
+            n_items=1,
             queue_s=t_start - t_submit,
             attempt=attempt,
         )
-        return results
+        return result
 
-    def _submit(self, task: _ChunkTask) -> None:
+    def _submit(self, task: _Task) -> None:
         task.future = self._ensure_pool().submit(
-            self._run_chunk, task.fn, task.chunk, task.task_id, task.phase,
+            self._run_task, task.fn, task.item, task.task_id, task.phase,
             self.spans.now(), task.attempt,
         )
 
@@ -510,44 +457,42 @@ class ThreadBackend(ExecutionBackend):
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 
-    def _run_chunks(self, fn, chunks, bisect_items: bool) -> Iterator:
-        """Submit ``(start_index, chunk)`` tasks as the producer yields
-        them; gather in order under the policy, yielding each result as
-        its chunk is gathered.
+    def imap(self, fn, items, *, bisect_items=False):
+        """Submit each item as the producer yields it; gather in order
+        under the policy, yielding each result as its task is gathered.
 
-        A failed chunk is retried (resubmitted under the same task id,
-        billed to ``IpcStats.retries``); a chunk that exhausts the budget
+        A failed task is retried (resubmitted under the same task id,
+        billed to ``IpcStats.retries``); a task that exhausts the budget
         is either raised (default) or bisected into quarantined leaves. A
         per-task deadline overrun is final on this backend — the wedged
         thread cannot be reclaimed, so the pool is abandoned and
-        :class:`TaskTimeoutError` propagates. Any exception, from the
-        producer or from a task — or the consumer closing the generator —
-        cancels every task not started yet.
+        :class:`TaskTimeoutError` propagates.
         """
         phase = self.spans.phase
-        tasks: list[_ChunkTask] = []
+        tasks: list[_Task] = []
         try:
-            for start, chunk in chunks:
-                task = _ChunkTask(fn, chunk, start, self._next_task_id(phase), phase)
+            for index, item in enumerate(items):
+                task = _Task(fn, item, index, self._next_task_id(phase), phase)
                 self._submit(task)
                 tasks.append(task)
             self.ipc.record_tasks(len(tasks))
             for task in tasks:
                 yield from self._gather(task, bisect_items)
-                # Gathered: its future need not keep the results alive.
+                # Gathered: its future need not keep the result alive.
                 task.future = None
         except BaseException:
             _cancel(tasks)
             raise
 
-    def _gather(self, task: _ChunkTask, bisect_items: bool) -> list:
-        """One task's results, waiting, retrying or quarantining as the
-        policy says."""
+    def _gather(self, task: _Task, bisect_items: bool) -> list:
+        """One task's results — its item's, or a bisected item's
+        survivors — waiting, retrying or quarantining as the policy
+        says."""
         cfg = self.resilience
         while True:
             try:
                 self._check_phase_deadline(task.phase)
-                return task.future.result(timeout=self._wait_timeout())
+                return [task.future.result(timeout=self._wait_timeout())]
             except FutureTimeoutError:
                 self._abandon_pool()
                 self._check_phase_deadline(task.phase)  # phase overrun? say so
@@ -575,8 +520,8 @@ class ThreadBackend(ExecutionBackend):
                     raise
                 return self._bisect_poisoned(task, exc, bisect_items)
 
-    def _bisect_poisoned(self, task: _ChunkTask, exc, bisect_items: bool) -> list:
-        """Isolate the poisoned item(s) of an exhausted chunk, inline."""
+    def _bisect_poisoned(self, task: _Task, exc, bisect_items: bool) -> list:
+        """Isolate the poisoned part of an exhausted task's item, inline."""
 
         def run_sub(sub):
             def thunk(attempt):
@@ -597,7 +542,7 @@ class ThreadBackend(ExecutionBackend):
             )
 
         return bisect_chunk(
-            task.chunk, run_sub, on_poisoned,
+            [task.item], run_sub, on_poisoned,
             item_index=task.item_index, bisect_items=bisect_items,
             failed_exc=exc,
         )

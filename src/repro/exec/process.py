@@ -8,12 +8,11 @@ serial merge in the parent (``docs/backends.md`` compares the tiers).
 
 Design points (see ``docs/backends.md`` for the cost model):
 
-* **Chunk-batched IPC.** ``map`` pickles one task per *chunk* of items
-  (Cilk-style grain via :func:`~repro.exec.inline.auto_grain`), so the
-  per-task pickle/unpickle round trip is amortized over the whole chunk
-  instead of being paid per document. ``map_stream`` micro-batches the
-  producer's items the same way while still submitting each batch the
-  moment it fills.
+* **One item, one task.** ``imap`` pickles one task per item, as
+  ``(fn, [item])``. The backend never re-chunks: operators hand it
+  items already cut to the tier's grain
+  (:meth:`ProcessBackend.phase_grain`), so the pickle round trip is
+  amortized over a whole range of documents, not paid per document.
 * **One pool generation, installed state.** Phase-constant state
   (tokenizer, placed matrix) is shipped once per worker through
   :meth:`ProcessBackend.configure`, not serialized into every task. The
@@ -42,16 +41,16 @@ Design points (see ``docs/backends.md`` for the cost model):
 * **Order preservation.** Results are collected in submission order, so
   ``map`` output is aligned with its input no matter which worker
   finished first.
-* **One loop.** ``map`` and ``map_stream`` build their chunks and hand
-  them to one gather loop run under the backend's
-  :class:`~repro.exec.resilience.ResilienceConfig`. An exception raised
-  by the mapped function — or by the producer — propagates to the caller
-  once the policy's retries are spent (none by default), and all
-  not-yet-started chunks are cancelled first. The pool stays usable for
-  subsequent ``map`` calls. A crashed worker (``BrokenProcessPool``)
-  restarts the pool and replays the unfinished chunks, up to
-  ``max_pool_restarts`` times per phase; past that, the pool is reset and
-  the shared plane unlinked, so nothing leaks.
+* **One loop.** ``imap`` submits each item as the producer yields it
+  and hands the tasks to one gather loop run under the backend's
+  :class:`~repro.exec.resilience.ResilienceConfig`; ``map`` is ``list()``
+  of it. An exception raised by the mapped function — or by the
+  producer — propagates to the caller once the policy's retries are
+  spent (none by default), and all not-yet-started tasks are cancelled
+  first. The pool stays usable for subsequent maps. A crashed worker
+  (``BrokenProcessPool``) restarts the pool and replays the unfinished
+  tasks, up to ``max_pool_restarts`` times per phase; past that, the
+  pool is reset and the shared plane unlinked, so nothing leaks.
 """
 
 from __future__ import annotations
@@ -71,12 +70,9 @@ from repro.exec.inline import (
     ExecutionBackend,
     SequentialBackend,
     ThreadBackend,
-    _ChunkTask,
-    _as_list,
+    _Task,
     _cancel,
-    _ranges,
     apply_chunk,
-    auto_grain,
 )
 from repro.exec.resilience import ResilienceConfig, bisect_chunk, run_attempts
 from repro.exec.shm import SHM, VALUE, Plane, detach_all, shm_available
@@ -93,10 +89,6 @@ BACKEND_CHOICES = ("sequential", "threads", "processes")
 #: Singular spellings normalize to the canonical names, so
 #: ``--backend process`` does what it obviously means.
 _BACKEND_ALIASES = {"process": "processes", "thread": "threads", "inline": "sequential"}
-
-#: ``map_stream`` cannot see the producer's length up front; its default
-#: micro-batch grain assumes a window of this many items.
-_STREAM_WINDOW = 256
 
 
 def default_start_method() -> str:
@@ -115,11 +107,11 @@ def default_start_method() -> str:
 def run_pickled_chunk(payload: bytes) -> bytes:
     """Worker-side trampoline for exact IPC accounting.
 
-    The parent pickles ``(fn, chunk)`` itself — measuring the payload —
+    The parent pickles ``(fn, [item])`` itself — measuring the payload —
     and the worker pickles the results back, so both directions are
     counted without serializing anything twice. Hardened submissions
     append ``(fault, attempt)``: a planned-fault directive fired before
-    the chunk runs (see :mod:`repro.exec.faultinject`) and the 1-based
+    the task runs (see :mod:`repro.exec.faultinject`) and the 1-based
     execution attempt.
     """
     loaded = pickle.loads(payload)
@@ -408,7 +400,8 @@ class ProcessBackend(ExecutionBackend):
     def _task_payload(self, fn, chunk, task_id: int, phase: str, attempt: int):
         """Pickle one task; returns ``(payload, trampoline)``.
 
-        First-attempt tasks with no planned fault ship the plain shapes —
+        ``chunk`` is the task's ``[item]`` (a bisection probe's
+        ``[sub_item]``). First-attempt tasks with no planned fault ship the plain shapes —
         ``(fn, chunk)``, traced ``(fn, chunk, task_id, phase, t_submit)``;
         the optional ``(fault, attempt)`` tail is appended only when it
         carries information.
@@ -424,9 +417,9 @@ class ProcessBackend(ExecutionBackend):
             return pickle.dumps(base + extra), run_pickled_chunk_traced
         return pickle.dumps((fn, chunk) + extra), run_pickled_chunk
 
-    def _submit_task(self, pool, task: _ChunkTask, *, resubmit: bool = False) -> None:
+    def _submit_task(self, pool, task: _Task, *, resubmit: bool = False) -> None:
         payload, target = self._task_payload(
-            task.fn, task.chunk, task.task_id, task.phase, task.attempt
+            task.fn, [task.item], task.task_id, task.phase, task.attempt
         )
         self._last_task = task.key
         if resubmit:
@@ -441,8 +434,8 @@ class ProcessBackend(ExecutionBackend):
         """Respawn after a pool death (or hung-worker kill); replay what
         did not finish.
 
-        Completed chunks keep their results (harvested from done futures
-        before the executor is dropped); only in-flight chunks are
+        Completed tasks keep their results (harvested from done futures
+        before the executor is dropped); only in-flight tasks are
         resubmitted, at their current attempt — a pool death is the
         pool's fault, not the task's. Shared segments were never
         unlinked, and the new pool boots with the latest configured
@@ -467,7 +460,7 @@ class ProcessBackend(ExecutionBackend):
             if task.results is None:
                 self._submit_task(pool, task, resubmit=True)
 
-    def _run_chunk_sync(self, task: _ChunkTask, sub: list) -> list:
+    def _run_chunk_sync(self, task: _Task, sub: list) -> list:
         """One bisection probe through the pool, synchronously.
 
         Probes must run on *workers* — kernels depend on per-worker state
@@ -502,14 +495,14 @@ class ProcessBackend(ExecutionBackend):
 
         return run_attempts(cfg.retry, task.key, thunk)
 
-    def _bisect_poisoned(self, task: _ChunkTask, exc: Exception, bisect_items: bool):
+    def _bisect_poisoned(self, task: _Task, exc: Exception, bisect_items: bool):
         def on_poisoned(index, sub_start, n_units, leaf_exc):
             self._note_quarantined(
                 task.phase, task.key, index, sub_start, n_units, leaf_exc
             )
 
         return bisect_chunk(
-            task.chunk,
+            [task.item],
             lambda sub: self._run_chunk_sync(task, sub),
             on_poisoned,
             item_index=task.item_index,
@@ -579,27 +572,27 @@ class ProcessBackend(ExecutionBackend):
             position += 1
         return [result for task in tasks for result in task.results]
 
-    def _run_chunks(self, fn, chunks, bisect_items: bool) -> list:
-        """Submit ``(item_index, chunk)`` tasks as the producer yields
-        them; gather with the policy (:meth:`_collect`).
+    def imap(self, fn, items, *, bisect_items=False):
+        """Submit each item as the producer yields it; gather with the
+        policy (:meth:`_collect`).
 
-        A pool that dies under a submission is recovered like one that
-        dies under the gather. Any exception, from the producer or from a
-        task, cancels every unfinished task before it propagates.
+        Eager: the ordered gather runs to the end, then hands the results
+        out one by one. On shm a k-means fit's block results sit in its
+        gather arena, sized for every block, whichever way they are
+        handed out. A pool that dies under a submission is recovered like
+        one that dies under the gather.
         """
         phase = self.ipc.phase
-        tasks: list[_ChunkTask] = []
+        tasks: list[_Task] = []
         try:
-            for item_index, chunk in chunks:
-                task = _ChunkTask(
-                    fn, chunk, item_index, self._next_task_id(phase), phase
-                )
+            for index, item in enumerate(items):
+                task = _Task(fn, item, index, self._next_task_id(phase), phase)
                 tasks.append(task)
                 try:
                     self._submit_task(self._ensure_pool(), task)
                 except BrokenProcessPool as exc:
                     self._recover_pool(tasks, exc)
-            return self._collect(tasks, bisect_items)
+            return iter(self._collect(tasks, bisect_items))
         except BrokenProcessPool as exc:
             if getattr(exc, "_repro_diagnosed", False):
                 raise
@@ -607,47 +600,6 @@ class ProcessBackend(ExecutionBackend):
         except BaseException:
             _cancel(tasks)
             raise
-
-    def map(self, fn, items, *, grain=None, bisect_items=False):
-        items = _as_list(items)
-        if grain is None:
-            grain = auto_grain(len(items), self.workers)
-        return self._run_chunks(fn, _ranges(items, grain), bisect_items)
-
-    def imap(self, fn, items, *, grain=None, bisect_items=False):
-        # Eager: the ordered gather (:meth:`_collect`) runs to the end,
-        # then hands the results out one by one. On shm a k-means fit's
-        # block results sit in its gather arena, sized for every block,
-        # whichever way they are handed out.
-        return iter(self.map(fn, items, grain=grain, bisect_items=bisect_items))
-
-    def map_stream(self, fn, items, *, grain=None, bisect_items=False):
-        """Micro-batched streaming map: one pickled task per *batch*.
-
-        Items are grouped into batches of ``grain`` as the producer
-        yields them, and each batch is submitted the moment it fills —
-        delivery stays ordered and submit-as-produced, but a slow
-        producer of many small items no longer pays one pickle round
-        trip per item.
-        """
-        if grain is None:
-            grain = auto_grain(_STREAM_WINDOW, self.workers)
-        if grain < 1:
-            raise ConfigurationError(f"grain must be >= 1, got {grain}")
-
-        def batches():
-            offset = 0
-            batch: list = []
-            for item in items:
-                batch.append(item)
-                if len(batch) >= grain:
-                    yield offset, batch
-                    offset += len(batch)
-                    batch = []
-            if batch:
-                yield offset, batch
-
-        return self._run_chunks(fn, batches(), bisect_items)
 
 
 def make_backend(

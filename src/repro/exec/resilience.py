@@ -3,7 +3,7 @@
 The paper's intra-node operators assume every Cilk task completes; the
 real backends inherited that assumption, so one poisoned document, hung
 worker, or killed process used to abort the entire pipeline. This module
-holds the *policy* objects the backends weave into ``map``/``map_stream``
+holds the *policy* objects the backends weave into their one map loop
 (the mechanisms live in :mod:`repro.exec.inline` and
 :mod:`repro.exec.process`):
 
@@ -23,12 +23,12 @@ holds the *policy* objects the backends weave into ``map``/``map_stream``
   inline) performed by ``run_pipeline(degrade=True)`` after a circuit
   breaker tripped.
 * :func:`run_attempts` / :func:`bisect_chunk` — the small shared
-  mechanisms: a retry loop for in-process execution (thread chunks,
+  mechanisms: a retry loop for in-process execution (thread tasks,
   reader threads) and the recursive bisection that narrows a poisoned
-  chunk down to the offending item(s).
+  item down to the offending document(s).
 
 Nothing here touches task *data*: retries re-run the same pure kernel on
-the same chunk, so whenever recovery succeeds the output is bit-identical
+the same item, so whenever recovery succeeds the output is bit-identical
 to a fault-free run.
 """
 
@@ -170,7 +170,7 @@ class ResilienceConfig:
 class QuarantinedItem:
     """One map item (or isolated slice of one) that exhausted its retries.
 
-    ``item_index`` is the item's position in the ``map``/``map_stream``
+    ``item_index`` is the item's position in the ``map``/``imap``
     input; for sequence items that were bisected internally,
     ``sub_start``/``n_units`` locate the poisoned slice inside the item
     (units are the item's own elements — documents, for the chunked text
@@ -271,7 +271,7 @@ def run_attempts(
 ):
     """Run ``thunk(attempt)`` under ``policy``; returns its value.
 
-    The in-process retry loop (thread chunks, sequential items, reader
+    The in-process retry loop (thread tasks, sequential items, reader
     threads): a retryable failure with attempts left sleeps the policy's
     deterministic backoff and re-runs; anything else propagates with the
     attempt count attached as ``exc.attempts`` for the caller's poison
@@ -312,23 +312,22 @@ def bisect_chunk(
     bisect_items: bool = False,
     failed_exc: Exception | None = None,
 ) -> list:
-    """Recursively isolate the poisoned element(s) of a failed chunk.
+    """Recursively isolate the poisoned document(s) of a failed task.
 
-    ``chunk`` is the list of map items one task carried. ``run_chunk``
-    executes a sub-chunk (applying the caller's own retry policy) and
-    returns its per-item results; raising means the sub-chunk is still
-    poisoned. Failures bisect: multi-item chunks split between items;
-    with ``bisect_items`` single items that are themselves runs of
-    documents (the chunk kernels' text lists and term blocks) split
-    *inside* the item, so a single
-    poisoned document is isolated even when the backend was handed
-    pre-chunked items. A failing leaf is handed to
+    ``chunk`` is the ``[item]`` one task carried (its wire format).
+    ``run_chunk`` executes ``[sub_item]`` (applying the caller's own
+    retry policy) and returns its results; raising means the sub-item is
+    still poisoned. With ``bisect_items``, an item that is itself a run
+    of documents (the chunk kernels' text lists and term blocks) splits
+    in half until a single poisoned document stands alone; otherwise the
+    item is the leaf. A failing leaf is handed to
     ``quarantine(item_index, sub_start, n_units, exc)`` and contributes
     no results; everything else's results are returned in input order.
 
     Callers that already watched ``chunk`` fail pass the exception as
     ``failed_exc`` to skip the redundant first execution.
     """
+    (item,) = chunk  # a task carries exactly one item
     exc: Exception
     if failed_exc is not None:
         exc = failed_exc
@@ -337,21 +336,7 @@ def bisect_chunk(
             return list(run_chunk(chunk))
         except Exception as caught:
             exc = caught
-    if len(chunk) > 1:
-        mid = len(chunk) // 2
-        left = bisect_chunk(
-            chunk[:mid], run_chunk, quarantine,
-            item_index=item_index, sub_start=sub_start,
-            bisect_items=bisect_items,
-        )
-        right = bisect_chunk(
-            chunk[mid:], run_chunk, quarantine,
-            item_index=item_index + mid, sub_start=sub_start,
-            bisect_items=bisect_items,
-        )
-        return left + right
-    if bisect_items and _splittable(chunk[0]):
-        item = chunk[0]
+    if bisect_items and _splittable(item):
         mid = len(item) // 2
         left = bisect_chunk(
             [item[:mid]], run_chunk, quarantine,
@@ -364,8 +349,8 @@ def bisect_chunk(
             bisect_items=bisect_items,
         )
         return left + right
-    if bisect_items and isinstance(chunk[0], _DOCUMENT_RUNS):
-        n_units = len(chunk[0])
+    if bisect_items and isinstance(item, _DOCUMENT_RUNS):
+        n_units = len(item)
     else:
         n_units = 1
     quarantine(item_index, sub_start, n_units, exc)

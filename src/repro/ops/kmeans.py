@@ -257,7 +257,6 @@ class KMeansOperator:
                 span_results = backend.imap(
                     kernels.assign_block_span,
                     [(slot, first, last, token) for first, last in spans],
-                    grain=1,
                 )
                 # Flatten spans back to per-block results as they arrive:
                 # the merge sees the block sequence, whatever the span

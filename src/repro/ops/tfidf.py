@@ -234,7 +234,6 @@ class TfIdfOperator:
             backend.map(
                 partial(kernels.transform_into, rows_out.descriptor()),
                 [(bound[a:b], a, int(offsets[a])) for a, b in ranges],
-                grain=1,
             )
             return []
 
@@ -268,9 +267,7 @@ class TfIdfOperator:
         of ``chunks[0]``.
         """
         quarantined_before = len(backend.quarantine.items)
-        parts = backend.map(
-            kernels.transform_chunk, chunks, grain=1, bisect_items=True
-        )
+        parts = backend.map(kernels.transform_chunk, chunks, bisect_items=True)
         new_items = backend.quarantine.items[quarantined_before:]
         if new_items:
             starts = list(accumulate(map(len, chunks), initial=first_doc))

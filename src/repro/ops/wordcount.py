@@ -110,10 +110,11 @@ class WordCountStep:
         worker on a process pool, so the parent's merge sees ``workers``
         blocks). The tokenizer is installed in a slot of this run's own,
         so runs side by side in one process never read each other's.
-        Chunks are submitted as the source yields (``map_stream``), so a
-        prefetching reader keeps the pool busy while later files are
-        still in flight. The counts equal those of the simulator's
-        dictionary reference (:func:`repro.sim.operators.run_wordcount`).
+        ``backend.map`` takes the chunks from a lazy producer and submits
+        each as it is cut, so a prefetching reader keeps the pool busy
+        while later files are still in flight. The counts equal those of
+        the simulator's dictionary reference
+        (:func:`repro.sim.operators.run_wordcount`).
         """
         backend = backend or SequentialBackend()
         backend.begin_phase(PHASE_INPUT_WC)
@@ -144,14 +145,13 @@ class WordCountStep:
                 chunk_starts.append(len(paths) - len(chunk))
                 yield chunk
 
-        # Items are already grain-sized chunks — grain=1 stops the process
-        # backend's stream micro-batching from batching them again.
-        # ``bisect_items`` lets quarantine mode split *inside* a chunk, so
-        # one poisoned document is isolated, not its whole chunk.
+        # One chunk, one task. ``bisect_items`` lets quarantine mode split
+        # *inside* a chunk, so one poisoned document is isolated, not its
+        # whole chunk.
         quarantined_before = len(backend.quarantine.items)
         try:
-            parts = backend.map_stream(
-                partial(kernels.count_chunk, slot=slot), chunked(), grain=1,
+            parts = backend.map(
+                partial(kernels.count_chunk, slot=slot), chunked(),
                 bisect_items=True,
             )
         finally:

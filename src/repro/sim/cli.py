@@ -11,7 +11,7 @@ import os
 
 from repro.cli import run_command
 from repro.io.corpus_io import load_corpus
-from repro.io.storage import FsStorage
+from repro.io.storage import FsStorage, MemStorage
 from repro.sim import (
     SimScheduler,
     WorkflowPlanner,
@@ -43,7 +43,8 @@ def build_parser() -> argparse.ArgumentParser:
     wf.add_argument("--clusters", type=int, default=8)
     wf.add_argument("--max-iters", type=int, default=10)
     wf.add_argument("--output", default="clusters.txt",
-                    help="assignments file (within the input directory)")
+                    help="assignments file (default: clusters.txt in the "
+                    "working directory)")
 
     plan = sub.add_parser("plan", help="cost-based planning over a corpus")
     plan.add_argument("--input", required=True, help="corpus directory")
@@ -60,7 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_workflow(args) -> int:
-    storage = FsStorage(args.input)
+    # The workflow runs over an in-memory copy of the corpus, so what it
+    # writes (the assignments, a discrete run's staged ARFF) never lands
+    # in the corpus directory. Both storages meter a file the same way.
+    corpus = FsStorage(args.input)
+    storage = MemStorage()
+    for path in corpus.list():
+        storage.write(path, corpus.read_data(path))
     workflow = build_tfidf_kmeans_workflow(
         mode=args.mode,
         wc_dict_kind=args.dict_kind,
@@ -74,6 +81,8 @@ def _cmd_workflow(args) -> int:
         workers=args.threads,
     )
     clusters = result.value("kmeans.clusters")
+    with open(args.output, "w", encoding="utf-8") as handle:
+        handle.write(storage.read_data(args.output))
     print(f"{args.mode} workflow, {args.threads} thread(s) on "
           f"{scheduler.machine.name}:")
     for phase, seconds in result.breakdown().items():

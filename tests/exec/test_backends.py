@@ -1,8 +1,13 @@
-"""Real execution backends: chunking, ordering, errors, pool lifecycle."""
+"""Real execution backends: one task per item, ordering, errors, pool
+lifecycle.
+
+A "map_stream" in a test name is a map over a lazy producer: ``map`` and
+``imap`` take one and submit each item as it is yielded."""
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 
 import pytest
@@ -103,23 +108,12 @@ class TestThreadBackend:
         with ThreadBackend(4) as backend:
             assert backend.map(_square, range(100)) == [x * x for x in range(100)]
 
-    def test_explicit_grain(self):
-        with ThreadBackend(2) as backend:
-            assert backend.map(_square, range(10), grain=3) == [
-                x * x for x in range(10)
-            ]
-
-    def test_rejects_bad_grain(self):
-        with ThreadBackend(2) as backend:
-            with pytest.raises(ConfigurationError):
-                backend.map(_square, range(10), grain=0)
-
     def test_exception_propagates_and_pool_survives(self):
         backend = ThreadBackend(2)
         with pytest.raises(ValueError, match="boom at 3"):
-            backend.map(_fail_on_three, range(10), grain=1)
+            backend.map(_fail_on_three, range(10))
         # The pool is still usable after a failed map ...
-        assert backend.map(_square, range(4), grain=1) == [0, 1, 4, 9]
+        assert backend.map(_square, range(4)) == [0, 1, 4, 9]
         # ... and close is safe afterwards, twice.
         backend.close()
         backend.close()
@@ -127,7 +121,7 @@ class TestThreadBackend:
     def test_close_after_failed_map(self):
         backend = ThreadBackend(2)
         with pytest.raises(ValueError):
-            backend.map(_fail_on_three, range(10), grain=1)
+            backend.map(_fail_on_three, range(10))
         backend.close()
         assert backend._pool is None
 
@@ -142,7 +136,7 @@ class TestThreadBackend:
     def test_configure_runs_inline(self):
         with ThreadBackend(2) as backend:
             backend.configure(_install_offset, (5,))
-            assert backend.map(_add_offset, range(10), grain=2) == [
+            assert backend.map(_add_offset, range(10)) == [
                 x + 5 for x in range(10)
             ]
 
@@ -151,7 +145,7 @@ class TestThreadBackend:
         backend = ThreadBackend(2)
         try:
             with pytest.raises(ValueError, match="poisoned chunk"):
-                backend.map(_poison_or_touch, items, grain=1)
+                backend.map(_poison_or_touch, items)
         finally:
             backend.close()  # waits out chunks that had already started
         # Only chunks a worker had picked up before the poison surfaced may
@@ -161,16 +155,37 @@ class TestThreadBackend:
 
     def test_map_stream_matches_map(self):
         with ThreadBackend(3) as backend:
-            assert backend.map_stream(_square, iter(range(20))) == [
+            assert backend.map(_square, iter(range(20))) == [
                 x * x for x in range(20)
             ]
+            assert list(backend.imap(_square, iter(range(20)))) == [
+                x * x for x in range(20)
+            ]
+
+    def test_submits_as_the_producer_yields(self):
+        # Item 1 exists only once task 0 has run: a backend that drains
+        # the producer before submitting anything times out here.
+        ran = threading.Event()
+
+        def producer():
+            yield ran
+            assert ran.wait(timeout=5), "task 0 never ran before item 1"
+            yield None
+
+        def mark(event):
+            if event is not None:
+                event.set()
+            return event is not None
+
+        with ThreadBackend(2) as backend:
+            assert list(backend.imap(mark, producer())) == [True, False]
 
     def test_map_stream_failure_cancels_queued_tasks(self, tmp_path):
         items = _poison_items(tmp_path, n_markers=24)
         backend = ThreadBackend(2)
         try:
             with pytest.raises(ValueError, match="poisoned chunk"):
-                backend.map_stream(_poison_or_touch, iter(items))
+                backend.map(_poison_or_touch, iter(items))
         finally:
             backend.close()
         touched = len(list(tmp_path.iterdir()))
@@ -184,7 +199,7 @@ class TestThreadBackend:
             backend = ThreadBackend(2, policy)
             try:
                 with pytest.raises(RuntimeError, match="producer died"):
-                    backend.map_stream(
+                    backend.map(
                         _poison_or_touch, _dying_producer(out, n_markers=24)
                     )
             finally:
@@ -200,7 +215,7 @@ class TestThreadBackend:
         backend = ThreadBackend(2, policy)
         try:
             with pytest.raises(_Abort):
-                backend.map(_abort_or_touch, items, grain=1)
+                backend.map(_abort_or_touch, items)
         finally:
             backend.close()
         touched = len(list(tmp_path.iterdir()))
@@ -231,7 +246,7 @@ class TestProcessBackend:
     def test_initializer_ships_state_once(self):
         with ProcessBackend(2) as backend:
             backend.configure(_install_offset, (100,))
-            assert backend.map(_add_offset, range(10), grain=2) == [
+            assert backend.map(_add_offset, range(10)) == [
                 x + 100 for x in range(10)
             ]
 
@@ -241,17 +256,17 @@ class TestProcessBackend:
             backend.configure(_install_offset, args)
             backend.map(_add_offset, [1])
             pool = backend._pool
-            pids = set(backend.map(_pid, range(8), grain=1))
+            pids = set(backend.map(_pid, range(8)))
             backend.configure(_install_offset, args)
             assert backend._pool is pool
             assert backend.ipc.total().configures == 1  # same state: no-op
             backend.configure(_install_offset, (8,))
             # New state goes into the same workers — no second generation.
             assert backend._pool is pool
-            assert backend.map(_add_offset, range(8), grain=1) == [
+            assert backend.map(_add_offset, range(8)) == [
                 x + 8 for x in range(8)
             ]
-            assert set(backend.map(_pid, range(8), grain=1)) <= pids
+            assert set(backend.map(_pid, range(8))) <= pids
 
     def test_pool_reused_across_maps(self):
         with ProcessBackend(2) as backend:
@@ -264,7 +279,7 @@ class TestProcessBackend:
         backend = ProcessBackend(2)
         try:
             with pytest.raises(ValueError, match="boom at 3"):
-                backend.map(_fail_on_three, range(10), grain=1)
+                backend.map(_fail_on_three, range(10))
             # Pool survives an ordinary task exception.
             assert backend.map(_square, range(4)) == [0, 1, 4, 9]
         finally:
@@ -277,7 +292,7 @@ class TestProcessBackend:
         backend = ProcessBackend(2)
         try:
             with pytest.raises(ValueError, match="poisoned chunk"):
-                backend.map(_poison_or_touch, items, grain=1)
+                backend.map(_poison_or_touch, items)
         finally:
             backend.close()  # waits out chunks that had already started
         # ProcessPoolExecutor pre-feeds ~workers+1 chunks into its call
@@ -293,9 +308,8 @@ class TestProcessBackend:
         backend = ProcessBackend(2, resilience=policy)
         try:
             with pytest.raises(RuntimeError, match="producer died"):
-                backend.map_stream(
-                    _poison_or_touch, _dying_producer(tmp_path, n_markers),
-                    grain=1,
+                backend.map(
+                    _poison_or_touch, _dying_producer(tmp_path, n_markers)
                 )
         finally:
             backend.close()
@@ -305,35 +319,18 @@ class TestProcessBackend:
 
     def test_map_stream_matches_map(self):
         with ProcessBackend(2) as backend:
-            assert backend.map_stream(_square, iter(range(20))) == [
+            assert backend.map(_square, iter(range(20))) == [
+                x * x for x in range(20)
+            ]
+            assert list(backend.imap(_square, iter(range(20)))) == [
                 x * x for x in range(20)
             ]
 
-    def test_map_stream_micro_batches_submissions(self):
-        # The regression this guards: one pickled task per *item* (100
-        # round trips for 100 items). With micro-batching, 2 workers get
-        # a default grain of auto_grain(256, 2) = 16 → ceil(100/16) = 7
-        # submitted tasks, while results stay ordered and complete.
-        with ProcessBackend(2) as backend:
-            assert backend.map_stream(_square, iter(range(100))) == [
-                x * x for x in range(100)
-            ]
-            assert backend.ipc.total().tasks == 7
-
-    def test_map_stream_explicit_grain_controls_task_count(self):
-        with ProcessBackend(2) as backend:
-            assert backend.map_stream(_square, iter(range(10)), grain=1) == [
-                x * x for x in range(10)
-            ]
-            assert backend.ipc.total().tasks == 10
-            with pytest.raises(ConfigurationError):
-                backend.map_stream(_square, iter(range(4)), grain=0)
-
     def test_map_accounts_pickled_bytes(self):
         with ProcessBackend(2) as backend:
-            backend.map(_square, range(20), grain=5)
+            backend.map(_square, range(20))
             total = backend.ipc.total()
-            assert total.tasks == 4
+            assert total.tasks == 20  # one task per item
             assert total.task_pickle_bytes > 0
             assert total.result_pickle_bytes > 0
 
@@ -363,7 +360,8 @@ class TestEmptyInput:
         backend = make_backend(name, 2)
         try:
             assert backend.map(_square, []) == []
-            assert backend.map_stream(_square, iter([])) == []
+            assert backend.map(_square, iter([])) == []
+            assert list(backend.imap(_square, iter([]))) == []
         finally:
             backend.close()
 
@@ -373,11 +371,11 @@ class TestEmptyInput:
         try:
             backend.map(_square, [])
             assert backend._pool is None
-            backend.map_stream(_square, iter([]))
+            backend.map(_square, iter([]))
             assert backend._pool is None
-            # An empty generator must be fully drained before deciding —
-            # peeking one item is what keeps the pool unspawned.
-            backend.map_stream(_square, (x for x in ()))
+            # The pool starts with the first item's submission, so an
+            # empty generator never starts one.
+            list(backend.imap(_square, (x for x in ())))
             assert backend._pool is None
         finally:
             backend.close()
@@ -392,7 +390,7 @@ class TestEmptyInput:
         )
         try:
             assert backend.map(_square, []) == []
-            assert backend.map_stream(_square, iter([])) == []
+            assert backend.map(_square, iter([])) == []
             assert backend._pool is None
         finally:
             backend.close()
@@ -404,7 +402,7 @@ class TestEmptyInput:
             try:
                 outputs.append(
                     (backend.map(_square, []),
-                     backend.map_stream(_square, iter([])))
+                     list(backend.imap(_square, iter([]))))
                 )
             finally:
                 backend.close()

@@ -1,8 +1,8 @@
 """``ExecutionBackend.imap``: the map loop as an ordered, lazy stream.
 
-``map`` and ``map_stream`` are ``list()`` of the same loop, so the retry,
-quarantine and deadline suites in this directory hold for ``imap`` too.
-What only the stream can get wrong is pinned here: the order results
+``map`` is ``list()`` of it, so the retry, quarantine and deadline
+suites in this directory hold for ``imap`` too. What only the stream
+can get wrong is pinned here: the order results
 come out in, that an inline item does not run before its predecessor's
 result is taken, that a consumer walking away cancels what has not
 started, and that a k-means fit failing mid-stream leaves no worker
@@ -39,7 +39,7 @@ def _slow_square(x):
 @pytest.mark.parametrize("name,workers", BACKENDS)
 def test_results_come_in_item_order(name, workers):
     with make_backend(name, workers) as backend:
-        stream = backend.imap(_slow_square, range(10), grain=1)
+        stream = backend.imap(_slow_square, range(10))
         assert list(stream) == [x * x for x in range(10)]
 
 
@@ -86,7 +86,7 @@ def _drain_after(gate, backend):
 def test_closing_the_stream_cancels_unstarted_tasks():
     gate = _Gate()
     backend = ThreadBackend(1)
-    stream = backend.imap(gate, range(8), grain=1)
+    stream = backend.imap(gate, range(8))
     assert next(stream) == 0
     assert gate.holding.wait(timeout=30)
     stream.close()
@@ -97,7 +97,7 @@ def test_a_consumer_error_cancels_unstarted_tasks():
     gate = _Gate()
     backend = ThreadBackend(1)
     with pytest.raises(RuntimeError, match="consumer"):
-        for result in backend.imap(gate, range(8), grain=1):
+        for result in backend.imap(gate, range(8)):
             assert gate.holding.wait(timeout=30)
             raise RuntimeError(f"consumer failed on {result}")
     assert _drain_after(gate, backend) == {0, 1}

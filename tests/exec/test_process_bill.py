@@ -129,12 +129,12 @@ def test_crash_replays_onto_a_pool_booted_with_the_latest_state(tmp_path):
     with ProcessBackend(_WORKERS, resilience=cfg) as backend:
         backend.configure(_install_tag, ("first",))
         assert {tag for tag, _ in backend.map(
-            _tag_or_die, [("", 0)] * 4, grain=1
+            _tag_or_die, [("", 0)] * 4
         )} == {"first"}
         backend.configure(_install_tag, ("second",))  # installed, not forked
         marker = str(tmp_path / "died")
         results = backend.map(
-            _tag_or_die, [(marker, index) for index in range(8)], grain=1
+            _tag_or_die, [(marker, index) for index in range(8)]
         )
         assert os.path.exists(marker)
         assert backend.ipc.total().pool_restarts == 1
@@ -190,7 +190,7 @@ def test_worker_state_is_bounded_across_runs(corpus, reference):
     with ProcessBackend(_WORKERS) as backend:
         for _ in range(5):
             assert output_digest(_run(corpus, backend)) == reference
-        probes = backend.map(_worker_state, range(8), grain=1)
+        probes = backend.map(_worker_state, range(8))
     assert len({pid for pid, *_ in probes}) == _WORKERS
     for _, kmeans_slots, wordcount_slots, linked in probes:
         assert kmeans_slots <= 1 and wordcount_slots <= 1

@@ -207,24 +207,41 @@ class TestRetryPolicy:
 
 class TestBisectChunk:
     def test_isolates_single_poisoned_item(self):
+        # A task carries one item; here a run of six documents, split
+        # inside until the poisoned one stands alone.
         quarantined = []
 
         def run_chunk(sub):
-            if 13 in sub:
+            (item,) = sub
+            if 13 in item:
                 raise ValueError("poison")
-            return [x * 2 for x in sub]
+            return [[x * 2 for x in item]]
 
         results = bisect_chunk(
-            [10, 11, 12, 13, 14, 15],
+            [[10, 11, 12, 13, 14, 15]],
             run_chunk,
             lambda *a: quarantined.append(a),
             item_index=5,
+            bisect_items=True,
         )
-        assert results == [20, 22, 24, 28, 30]
+        assert [x for part in results for x in part] == [20, 22, 24, 28, 30]
         assert len(quarantined) == 1
         index, sub_start, n_units, exc = quarantined[0]
-        assert (index, sub_start, n_units) == (8, 0, 1)
+        assert (index, sub_start, n_units) == (5, 3, 1)
         assert isinstance(exc, ValueError)
+
+    def test_an_unsplittable_item_is_the_leaf(self):
+        quarantined = []
+
+        def run_chunk(sub):
+            raise ValueError("poison")
+
+        assert bisect_chunk(
+            [[1, 2, 3]], run_chunk, lambda *a: quarantined.append(a[:3]),
+            item_index=4,
+        ) == []
+        # Without ``bisect_items`` the whole item is one unit.
+        assert quarantined == [(4, 0, 1)]
 
     def test_bisect_items_splits_inside_sequences(self):
         quarantined = []
@@ -254,15 +271,16 @@ class TestBisectChunk:
 
         marker = ValueError("already failed")
         results = bisect_chunk(
-            [1, 2],
+            [[1, 2]],
             run_chunk,
             lambda *a: pytest.fail("nothing should be quarantined"),
             item_index=0,
+            bisect_items=True,
             failed_exc=marker,
         )
-        assert results == [1, 2]
-        # Straight to the two halves — the full chunk is not re-run.
-        assert runs == [[1], [2]]
+        assert results == [[1], [2]]
+        # Straight to the two halves — the full item is not re-run.
+        assert runs == [[[1]], [[2]]]
 
 
 class TestFaultPlan:
@@ -382,7 +400,7 @@ class TestWorkerCrashRecovery:
         backend = make_backend("processes", 2)
         try:
             results = backend.map(
-                _die_once, [(marker, index) for index in range(8)], grain=1
+                _die_once, [(marker, index) for index in range(8)]
             )
             assert os.path.exists(marker)
             assert results == [index * index for index in range(8)]
@@ -402,7 +420,7 @@ class TestWorkerCrashRecovery:
 
         backend = make_backend("processes", 2)
         try:
-            results = backend.map_stream(_die_once, producer(), grain=1)
+            results = backend.map(_die_once, producer())
             assert os.path.exists(marker)
             assert results == [index * index for index in range(5)]
             assert backend.ipc.total().pool_restarts == 1
@@ -461,7 +479,7 @@ class TestTimeouts:
         try:
             backend.begin_phase("test")
             with pytest.raises(TaskTimeoutError) as err:
-                backend.map(lambda x: x, list(range(4)), grain=1)
+                backend.map(lambda x: x, list(range(4)))
             assert "abandoned" in str(err.value)
         finally:
             backend.close()

@@ -392,7 +392,7 @@ class TestBackendPlane:
             handle = backend.share_arrays(
                 "t", {"a": np.arange(6, dtype=np.float64)}
             )
-            out = backend.map(_read_shared, [handle.descriptor()], grain=1)
+            out = backend.map(_read_shared, [handle.descriptor()])
             assert out == [{"a": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}]
             assert backend.ipc.total().segments == 1
         # close() unlinked the plane's segments
@@ -405,7 +405,7 @@ class TestBackendPlane:
             handle = backend.share_arrays(
                 "t", {"a": np.arange(6, dtype=np.float64)}
             )
-            out = backend.map(_read_shared, [handle.descriptor()], grain=1)
+            out = backend.map(_read_shared, [handle.descriptor()])
             assert out == [{"a": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}]
             channel = backend.open_broadcast("c", (np.zeros(2),))
             token = backend.broadcast(channel, (np.ones(2),))
@@ -436,7 +436,7 @@ class TestBackendPlane:
             handle = backend.share_arrays("t", {"a": np.ones(4)})
             name = handle.descriptor().segment
             with pytest.raises(BrokenProcessPool):
-                backend.map(_crash_worker, range(8), grain=1)
+                backend.map(_crash_worker, range(8))
             # The crash path must have performed a *full* close: pool reset
             # and every segment unlinked — nothing left to leak.
             assert name not in _live_segments()

@@ -255,15 +255,15 @@ class TestProcessBackendTracing:
         try:
             backend.spans.begin_run()
             backend.begin_phase("input+wc")
-            out = backend.map(len, ["x" * i for i in range(50)], grain=5)
+            out = backend.map(len, ["x" * i for i in range(50)])
             assert out == [i for i in range(50)]
             spans = backend.spans.spans
-            assert len(spans) == 10  # one per chunk
+            assert len(spans) == 50  # one per item
             now = backend.spans.now()
             for s in spans:
                 assert s.phase == "input+wc"
                 assert 0.0 <= s.t_start <= s.t_end <= now
-                assert s.n_items == 5
+                assert s.n_items == 1
                 assert s.in_bytes > 0 and s.out_bytes > 0
         finally:
             backend.close()
@@ -276,8 +276,8 @@ class TestProcessBackendTracing:
             untraced_backend = ProcessBackend(1, shm=False)
             try:
                 untraced_backend.begin_phase("input+wc")
-                backend.map(len, list("abcdef"), grain=2)
-                untraced_backend.map(len, list("abcdef"), grain=2)
+                backend.map(len, list("abcdef"))
+                untraced_backend.map(len, list("abcdef"))
                 traced_ipc = backend.ipc.snapshot()["phases"]["input+wc"]
                 plain_ipc = untraced_backend.ipc.snapshot()["phases"]["input+wc"]
                 # Same result bytes; span payload on its own counter.

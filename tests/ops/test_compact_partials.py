@@ -247,11 +247,11 @@ class TestRecycledBufferHygiene:
                 with pytest.raises(ValueError, match="matmul"):
                     backend.map(
                         kernels.assign_block_span,
-                        [(7, 0, 1, token)] * workers, grain=1,
+                        [(7, 0, 1, token)] * workers,
                     )
                 results = backend.map(
                     kernels.assign_block_span,
-                    [(7, 1, 2, token), (7, 2, 3, token)] * 4, grain=1,
+                    [(7, 1, 2, token), (7, 2, 3, token)] * 4,
                 )
                 for ((assign, cells, partial, counts, inertia),), (
                     d_assign, d_partial, d_counts, d_inertia

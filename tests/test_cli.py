@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro as repro_pkg
 from repro.__main__ import main as repro
 from repro.cli import build_parser, main
 from repro.io import read_sparse_arff
@@ -302,22 +305,44 @@ class TestRealPipeline:
                      "--clusters", "4", "--init", "kmeans++"]) == 0
 
 
+def _snapshot(directory):
+    """Every file under ``directory``, by relative path, with its bytes."""
+    found = {}
+    for root, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as handle:
+                found[os.path.relpath(path, directory)] = handle.read()
+    return found
+
+
 class TestWorkflowAndPlan:
-    def test_workflow_reports_phases(self, corpus_dir, capsys):
+    def test_workflow_reports_phases(self, corpus_dir, tmp_path, capsys):
+        before = _snapshot(corpus_dir)
+        output = str(tmp_path / "clusters.txt")
         assert repro(["sim", "workflow", "--input", corpus_dir, "--mode",
-                      "discrete", "--threads", "8", "--max-iters", "3"]) == 0
+                      "discrete", "--threads", "8", "--max-iters", "3",
+                      "--output", output]) == 0
         out = capsys.readouterr().out
         assert "input+wc" in out
         assert "tfidf-output" in out
         assert "total" in out
-        # The output file lands inside the corpus storage.
-        assert os.path.exists(os.path.join(corpus_dir, "clusters.txt"))
+        # The assignments land at --output; the corpus is left as it was
+        # (no assignments, no staged ARFF).
+        with open(output, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+        assert len(lines) == len(before)
+        assert _snapshot(corpus_dir) == before
 
-    def test_merged_workflow_has_no_materialization(self, corpus_dir, capsys):
+    def test_merged_workflow_has_no_materialization(
+        self, corpus_dir, tmp_path, capsys
+    ):
+        before = _snapshot(corpus_dir)
         repro(["sim", "workflow", "--input", corpus_dir, "--mode", "merged",
-               "--max-iters", "3"])
+               "--max-iters", "3", "--output", str(tmp_path / "c.txt")])
         out = capsys.readouterr().out
         assert "tfidf-output" not in out
+        assert _snapshot(corpus_dir) == before
 
     def test_plan_prints_ranking(self, corpus_dir, capsys):
         assert repro(["sim", "plan", "--input", corpus_dir,
@@ -325,6 +350,27 @@ class TestWorkflowAndPlan:
         out = capsys.readouterr().out
         assert "#1" in out
         assert "merged" in out
+
+
+class TestClosedStdout:
+    def test_a_closed_pipe_exits_1_without_a_traceback(self, corpus_dir):
+        # The reader is gone before the first line, as with ``| head``
+        # once it has what it wants.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro_pkg.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "sim", "analyze",
+                 "--input", corpus_dir],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr.decode() == ""
 
 
 class TestAnalyze:
