@@ -24,16 +24,25 @@ All backends share one protocol:
   overhead — future bookkeeping for threads, pickling for processes —
   is amortized where the work is known.
 
-Each backend has one map loop, run under its
-:class:`~repro.exec.resilience.ResilienceConfig`. The default config is
-that loop's no-op policy: every task runs once, its first error
-propagates and cancels the tasks not started yet, and only a dead
-process pool is replayed, under the restart breaker.
+Every backend runs one task lifecycle, written once here and run under
+the backend's :class:`~repro.exec.resilience.ResilienceConfig`: start a
+task, wait for it under the task and phase deadlines, on failure ask the
+retry policy and start it again, and when its attempts run out raise its
+error or bisect it and quarantine the poisoned part. An in-process task
+body fires its planned fault and records its span in one place too. A
+backend brings only hooks: how a task starts (inline when it is
+gathered, as a thread future, as a pickled process task), what a
+deadline overrun does (threads abandon the pool and fail; processes kill
+it, use up an attempt and replay) and what a dead pool does (processes
+only, under the restart breaker). The default config is the no-op
+policy: every task runs once, its first error propagates and cancels the
+tasks not started yet, and only a dead process pool is replayed.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -44,7 +53,6 @@ from repro.exec.resilience import (
     QuarantineReport,
     ResilienceConfig,
     bisect_chunk,
-    run_attempts,
 )
 from repro.exec.shm import REFERENCE, Broadcast, Gather, IpcStats, Plane, Segment
 from repro.exec.spans import SpanRecorder
@@ -83,40 +91,37 @@ def apply_chunk(fn: Callable, chunk: Sequence) -> list:
 
 
 class _Task:
-    """Parent-side record of one submitted item, across retries/replays.
+    """Parent-side record of one task across its attempts and replays:
+    a map item, or a bisection probe of one.
 
-    ``item_index`` is the item's position in the map input (quarantine
-    coordinates); ``results`` flips from ``None`` to the item's result
-    list exactly once, which is also the "done" flag replay logic keys
-    on.
+    ``item_index`` is the map item's position in the input (quarantine
+    coordinates). ``billed`` flips when the task's first start is billed
+    as a task, so every later start — retry, replay — is billed as a
+    retry; a probe is born billed, as each of its runs re-executes part
+    of a task that already ran.
     """
 
     __slots__ = (
         "fn", "item", "item_index", "task_id", "phase",
-        "attempt", "future", "results",
+        "attempt", "billed", "future",
     )
 
-    def __init__(self, fn, item, item_index: int, task_id: int, phase: str) -> None:
+    def __init__(
+        self, fn, item, item_index: int, task_id: int, phase: str,
+        *, billed: bool = False,
+    ) -> None:
         self.fn = fn
         self.item = item
         self.item_index = item_index
         self.task_id = task_id
         self.phase = phase
         self.attempt = 1
+        self.billed = billed
         self.future = None
-        self.results = None
 
     @property
     def key(self) -> str:
         return f"{self.phase}#{self.task_id}"
-
-
-def _cancel(tasks: Sequence[_Task]) -> None:
-    """Cancel every task that has not started (a no-op on the rest), so a
-    failed map leaves nothing queued behind the caller's back."""
-    for task in tasks:
-        if task.future is not None:
-            task.future.cancel()
 
 
 class ExecutionBackend:
@@ -131,6 +136,14 @@ class ExecutionBackend:
     #: :meth:`phase_grain`). In-process, a range's transients are the
     #: run's peak memory, so ranges stay small.
     tasks_per_worker = 8
+    #: Whether the loop starts every item as the producer yields it
+    #: (pooled backends) or each only once the result before it has been
+    #: taken (inline).
+    runs_ahead = False
+    #: What a wait raises when the worker pool died under it (processes
+    #: only): the lost tasks are replayed (:meth:`_replay`) without using
+    #: up an attempt.
+    _pool_death: tuple = ()
 
     def __init__(self, resilience: ResilienceConfig | None = None) -> None:
         #: Per-phase IPC accounting (see :class:`repro.exec.shm.IpcStats`).
@@ -166,7 +179,12 @@ class ExecutionBackend:
         self.spans.set_phase(name)
         self._phase_started = time.monotonic()
 
-    # -- resilience plumbing ------------------------------------------------------
+    # -- the task lifecycle -------------------------------------------------------
+    #
+    # One gather loop for every backend: start a task, wait for it under
+    # the task and phase deadlines, on failure ask the retry policy and
+    # start it again, and when its attempts run out raise it or bisect
+    # it into quarantined leaves. The hooks after it are what differs.
 
     def _next_task_id(self, phase: str) -> int:
         task_id = self._task_counters.get(phase, 0)
@@ -182,8 +200,8 @@ class ExecutionBackend:
             )
 
     def _wait_timeout(self) -> float | None:
-        """Effective timeout for one future wait: the per-task deadline,
-        capped by whatever remains of the phase deadline."""
+        """Effective timeout for one wait: the per-task deadline, capped
+        by whatever remains of the phase deadline."""
         cfg = self.resilience
         timeout = cfg.task_timeout_s
         if cfg.phase_timeout_s is not None:
@@ -193,14 +211,101 @@ class ExecutionBackend:
             timeout = remaining if timeout is None else min(timeout, remaining)
         return timeout
 
+    def _loop(self, fn, items: Iterable, bisect_items: bool) -> Iterator:
+        """Start each item as the producer yields it (inline: only once
+        the result before it is taken); gather in item order."""
+        phase = self.spans.phase
+        window: deque[_Task] = deque()  # started, not yet gathered
+        try:
+            for index, item in enumerate(items):
+                task = _Task(fn, item, index, self._next_task_id(phase), phase)
+                self._start(task)
+                window.append(task)
+                if not self.runs_ahead:
+                    yield from self._gather(window.popleft(), window, bisect_items)
+            while window:
+                yield from self._gather(window.popleft(), window, bisect_items)
+        except BaseException:
+            for task in window:
+                if task.future is not None:
+                    task.future.cancel()
+            raise
+
+    def _gather(self, task: _Task, window, bisect_items: bool) -> list:
+        """One task's results: its item's, or — when its attempts ran out
+        in quarantine mode — the survivors of bisecting it."""
+        try:
+            return [self._settle(task, window)]
+        except Exception as exc:
+            if not self.resilience.quarantining:
+                raise
+
+            def probe(sub):  # part of the item, under the same task id
+                part = _Task(
+                    task.fn, sub, task.item_index, task.task_id, task.phase,
+                    billed=True,
+                )
+                self._start(part)
+                return self._settle(part, window)
+
+            def on_poisoned(index, sub_start, n_units, leaf_exc):
+                self._note_quarantined(task, index, sub_start, n_units, leaf_exc)
+
+            return bisect_chunk(
+                task.item, probe, on_poisoned,
+                item_index=task.item_index, bisect_items=bisect_items,
+                failed_exc=exc,
+            )
+
+    def _settle(self, task: _Task, window):
+        """Wait for a started task under the deadlines; on failure ask the
+        retry policy and start it again. Returns its result, or raises
+        its final error (with ``exc.attempts``)."""
+        while True:
+            try:
+                self._check_phase_deadline(task.phase)
+                return self._result(task, self._wait_timeout())
+            except FutureTimeoutError as caught:
+                # A task may raise TimeoutError itself: a failure, not an overrun.
+                future = task.future
+                own = future is None or (future.done() and future.exception() is caught)
+                exc = caught if own else self._overrun(task)
+            except PhaseTimeoutError:
+                self._reclaim()
+                raise
+            except self._pool_death as death:
+                self._replay([task, *window], death)
+                continue
+            except Exception as caught:
+                exc = caught
+            delay = self.resilience.retry.retry_delay(exc, task.key, task.attempt)
+            if delay is None:
+                raise exc
+            if delay > 0:
+                time.sleep(delay)
+            task.attempt += 1
+            self._restart(task, window)
+
+    def _overrun(self, task: _Task) -> TaskTimeoutError:
+        """A wait outlived the per-task deadline: reclaim the pool, fail
+        the phase if its deadline passed too, and return the task's error
+        for the retry policy."""
+        outcome = self._reclaim()
+        self._check_phase_deadline(task.phase)
+        self.ipc.record_timeout()
+        return TaskTimeoutError(
+            f"task {task.key} exceeded its per-task deadline on backend "
+            f"{self.name!r} (attempt {task.attempt}); {outcome}"
+        )
+
     def _note_quarantined(
-        self, phase: str, task_key: str, item_index: int,
-        sub_start: int, n_units: int, exc: BaseException,
+        self, task: _Task, item_index: int, sub_start: int, n_units: int,
+        exc: BaseException,
     ) -> None:
         self.quarantine.add(
             QuarantinedItem(
-                phase=phase,
-                task_key=task_key,
+                phase=task.phase,
+                task_key=task.key,
                 item_index=item_index,
                 sub_start=sub_start,
                 n_units=n_units,
@@ -211,65 +316,52 @@ class ExecutionBackend:
         )
         self.ipc.record_quarantined(n_units)
 
-    def _run_item(self, fn, item, *, task_id: int, phase: str):
-        """One map item under the retry policy (inline execution)."""
+    def _bill(self, task: _Task, payload_bytes: int) -> None:
+        """A task's first start is billed as a task; every later one —
+        retry, replay, probe — as a retry."""
+        if task.billed:
+            self.ipc.record_retry(payload_bytes)
+        else:
+            task.billed = True
+            self.ipc.record_task(payload_bytes)
 
-        def thunk(attempt: int):
-            if self.fault_plan is not None:
-                self.fault_plan.fire(phase, task_id)
-            t_start = self.spans.now()
-            result = fn(item)
-            self.spans.record(
-                t_start, self.spans.now(), task_id=task_id, phase=phase,
-                n_items=1, attempt=attempt,
-            )
-            return result
-
-        def on_retry(attempt, exc, delay_s):
-            self.ipc.record_retry(0)
-
-        return run_attempts(
-            self.resilience.retry, f"{phase}#{task_id}", thunk, on_retry=on_retry
+    def _run_body(self, task: _Task, attempt: int, t_submit: float):
+        """An in-process task body: fire any planned fault, apply the
+        function, record the span."""
+        if self.fault_plan is not None:
+            self.fault_plan.fire(task.phase, task.task_id)
+        t_start = self.spans.now()
+        result = task.fn(task.item)
+        self.spans.record(
+            t_start, self.spans.now(), task_id=task.task_id, phase=task.phase,
+            n_items=1, queue_s=t_start - t_submit, attempt=attempt,
         )
+        return result
 
-    def _map_inline(self, fn, items: Iterable, bisect_items: bool) -> Iterator:
-        """Every item on the calling thread, one task each, yielded as it
-        finishes: item *i + 1* starts only when the consumer asks for it.
+    # -- per-backend hooks ----------------------------------------------------------
 
-        Per item: check the phase deadline, fire any planned fault, retry
-        under the policy, and — in quarantine mode — bisect a poisoned
-        item (splitting *inside* sequence items when ``bisect_items``)
-        instead of failing the map.
-        """
-        phase = self.spans.phase
-        for index, item in enumerate(items):
-            self._check_phase_deadline(phase)
-            task_id = self._next_task_id(phase)
-            task_key = f"{phase}#{task_id}"
-            self.ipc.record_tasks(1)
-            try:
-                result = self._run_item(fn, item, task_id=task_id, phase=phase)
-            except Exception as exc:
-                if not self.resilience.quarantining:
-                    raise
-                def run_sub(sub, _task_id=task_id, _phase=phase):
-                    return [
-                        self._run_item(fn, x, task_id=_task_id, phase=_phase)
-                        for x in sub
-                    ]
-                def on_poisoned(i, sub_start, n_units, leaf_exc,
-                                _phase=phase, _key=task_key):
-                    self._note_quarantined(
-                        _phase, _key, i, sub_start, n_units, leaf_exc
-                    )
-                yield from bisect_chunk(
-                    [item], run_sub, on_poisoned,
-                    item_index=index, bisect_items=bisect_items,
-                    failed_exc=exc,
-                )
-                continue
-            yield result
-            del result  # the consumer has it; the next item runs without it
+    def _start(self, task: _Task) -> None:
+        """Start one run of ``task`` (inline: nothing runs until it is
+        gathered)."""
+        self._bill(task, 0)
+
+    def _restart(self, task: _Task, window) -> None:
+        """Start ``task`` again after a failed attempt."""
+        self._start(task)
+
+    def _result(self, task: _Task, timeout: float | None):
+        """Wait at most ``timeout`` for the started ``task``; return its
+        result or raise its error (inline: run it now)."""
+        return self._run_body(task, task.attempt, self.spans.now())
+
+    def _reclaim(self) -> str:
+        """Walk away from whatever a deadline overrun left running; says
+        what was done (inline nothing runs behind the caller's back)."""
+        return "nothing to reclaim"
+
+    def _replay(self, tasks, cause: BaseException) -> None:
+        """Restart a dead pool and the ``tasks`` it lost (processes)."""
+        raise NotImplementedError
 
     # -- data plane ---------------------------------------------------------------
     #
@@ -375,7 +467,7 @@ class ExecutionBackend:
         per-item results are flattened in order, like the chunked text
         kernels).
         """
-        return self._map_inline(fn, items, bisect_items)
+        return self._loop(fn, items, bisect_items)
 
     def map(
         self,
@@ -405,7 +497,9 @@ class SequentialBackend(ExecutionBackend):
 
 
 class ThreadBackend(ExecutionBackend):
-    """Runs the loop on a pool of OS threads, one future per item."""
+    """Runs the loop on a pool of OS threads, one future per task."""
+
+    runs_ahead = True
 
     def __init__(
         self, workers: int, resilience: ResilienceConfig | None = None
@@ -422,31 +516,16 @@ class ThreadBackend(ExecutionBackend):
             self._pool = ThreadPoolExecutor(max_workers=self.workers)
         return self._pool
 
-    def _run_task(self, fn, item, task_id, phase, t_submit, attempt):
-        """Item trampoline that fires planned faults and records its span
-        on the executing thread."""
-        if self.fault_plan is not None:
-            self.fault_plan.fire(phase, task_id)
-        t_start = self.spans.now()
-        result = fn(item)
-        self.spans.record(
-            t_start,
-            self.spans.now(),
-            task_id=task_id,
-            phase=phase,
-            n_items=1,
-            queue_s=t_start - t_submit,
-            attempt=attempt,
-        )
-        return result
-
-    def _submit(self, task: _Task) -> None:
+    def _start(self, task: _Task) -> None:
+        super()._start(task)
         task.future = self._ensure_pool().submit(
-            self._run_task, task.fn, task.item, task.task_id, task.phase,
-            self.spans.now(), task.attempt,
+            self._run_body, task, task.attempt, self.spans.now()
         )
 
-    def _abandon_pool(self) -> None:
+    def _result(self, task: _Task, timeout: float | None):
+        return task.future.result(timeout=timeout)
+
+    def _reclaim(self) -> str:
         """Walk away from a pool with a wedged thread.
 
         Threads cannot be killed; all we can do is cancel what has not
@@ -456,96 +535,11 @@ class ThreadBackend(ExecutionBackend):
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
+        return "threads cannot be reclaimed — pool abandoned"
 
-    def imap(self, fn, items, *, bisect_items=False):
-        """Submit each item as the producer yields it; gather in order
-        under the policy, yielding each result as its task is gathered.
-
-        A failed task is retried (resubmitted under the same task id,
-        billed to ``IpcStats.retries``); a task that exhausts the budget
-        is either raised (default) or bisected into quarantined leaves. A
-        per-task deadline overrun is final on this backend — the wedged
-        thread cannot be reclaimed, so the pool is abandoned and
-        :class:`TaskTimeoutError` propagates.
-        """
-        phase = self.spans.phase
-        tasks: list[_Task] = []
-        try:
-            for index, item in enumerate(items):
-                task = _Task(fn, item, index, self._next_task_id(phase), phase)
-                self._submit(task)
-                tasks.append(task)
-            self.ipc.record_tasks(len(tasks))
-            for task in tasks:
-                yield from self._gather(task, bisect_items)
-                # Gathered: its future need not keep the result alive.
-                task.future = None
-        except BaseException:
-            _cancel(tasks)
-            raise
-
-    def _gather(self, task: _Task, bisect_items: bool) -> list:
-        """One task's results — its item's, or a bisected item's
-        survivors — waiting, retrying or quarantining as the policy
-        says."""
-        cfg = self.resilience
-        while True:
-            try:
-                self._check_phase_deadline(task.phase)
-                return [task.future.result(timeout=self._wait_timeout())]
-            except FutureTimeoutError:
-                self._abandon_pool()
-                self._check_phase_deadline(task.phase)  # phase overrun? say so
-                self.ipc.record_timeout()
-                raise TaskTimeoutError(
-                    f"task {task.key} exceeded its per-task deadline on "
-                    f"backend {self.name!r}; threads cannot be reclaimed "
-                    "— pool abandoned"
-                ) from None
-            except PhaseTimeoutError:
-                self._abandon_pool()
-                raise
-            except Exception as exc:
-                retry = cfg.retry
-                if retry.is_retryable(exc) and not retry.gives_up_after(task.attempt):
-                    delay = retry.backoff_s(task.key, task.attempt)
-                    self.ipc.record_retry(0)
-                    if delay > 0:
-                        time.sleep(delay)
-                    task.attempt += 1
-                    self._submit(task)
-                    continue
-                exc.attempts = task.attempt  # type: ignore[attr-defined]
-                if not cfg.quarantining:
-                    raise
-                return self._bisect_poisoned(task, exc, bisect_items)
-
-    def _bisect_poisoned(self, task: _Task, exc, bisect_items: bool) -> list:
-        """Isolate the poisoned part of an exhausted task's item, inline."""
-
-        def run_sub(sub):
-            def thunk(attempt):
-                if self.fault_plan is not None:
-                    self.fault_plan.fire(task.phase, task.task_id)
-                return apply_chunk(task.fn, sub)
-
-            def on_retry(attempt, retry_exc, delay_s):
-                self.ipc.record_retry(0)
-
-            return run_attempts(
-                self.resilience.retry, task.key, thunk, on_retry=on_retry
-            )
-
-        def on_poisoned(index, sub_start, n_units, leaf_exc):
-            self._note_quarantined(
-                task.phase, task.key, index, sub_start, n_units, leaf_exc
-            )
-
-        return bisect_chunk(
-            [task.item], run_sub, on_poisoned,
-            item_index=task.item_index, bisect_items=bisect_items,
-            failed_exc=exc,
-        )
+    def _overrun(self, task: _Task) -> TaskTimeoutError:
+        # Final: the wedged thread still holds its item.
+        raise super()._overrun(task) from None
 
     def close(self) -> None:
         pool, self._pool = self._pool, None

@@ -41,16 +41,17 @@ Design points (see ``docs/backends.md`` for the cost model):
 * **Order preservation.** Results are collected in submission order, so
   ``map`` output is aligned with its input no matter which worker
   finished first.
-* **One loop.** ``imap`` submits each item as the producer yields it
-  and hands the tasks to one gather loop run under the backend's
-  :class:`~repro.exec.resilience.ResilienceConfig`; ``map`` is ``list()``
-  of it. An exception raised by the mapped function — or by the
-  producer — propagates to the caller once the policy's retries are
-  spent (none by default), and all not-yet-started tasks are cancelled
-  first. The pool stays usable for subsequent maps. A crashed worker
-  (``BrokenProcessPool``) restarts the pool and replays the unfinished
-  tasks, up to ``max_pool_restarts`` times per phase; past that, the
-  pool is reset and the shared plane unlinked, so nothing leaks.
+* **One lifecycle, its own hooks.** Retries, deadlines, fault plans and
+  quarantine are :class:`~repro.exec.inline.ExecutionBackend`'s one
+  gather loop. This module adds only what is a process pool's own: a
+  task — a bisection probe too, since kernels read the worker state
+  ``configure`` installed — starts as a pickled payload on a worker; a
+  deadline overrun kills the pool, uses up the task's attempt and
+  replays; a dead pool (``BrokenProcessPool``) restarts and replays the
+  unfinished tasks without using up attempts, up to
+  ``max_pool_restarts`` times per phase, past which the pool is reset
+  and the shared plane unlinked, so nothing leaks. The gather is eager:
+  ``imap`` runs the loop to the end, then hands the results out.
 """
 
 from __future__ import annotations
@@ -58,23 +59,20 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
-import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable
 
-from repro.errors import ConfigurationError, PhaseTimeoutError, TaskTimeoutError
+from repro.errors import ConfigurationError, TaskTimeoutError
 from repro.exec.faultinject import fire_spec
 from repro.exec.inline import (
     ExecutionBackend,
     SequentialBackend,
     ThreadBackend,
     _Task,
-    _cancel,
     apply_chunk,
 )
-from repro.exec.resilience import ResilienceConfig, bisect_chunk, run_attempts
+from repro.exec.resilience import ResilienceConfig
 from repro.exec.shm import SHM, VALUE, Plane, detach_all, shm_available
 from repro.exec.spans import install_worker_epoch, worker_now
 
@@ -208,6 +206,8 @@ class ProcessBackend(ExecutionBackend):
     #: One contiguous range per worker and phase: each task pays a pickle
     #: round trip and leaves one part for the parent to merge.
     tasks_per_worker = 1
+    runs_ahead = True
+    _pool_death = (BrokenProcessPool,)
 
     def __init__(
         self,
@@ -375,16 +375,12 @@ class ProcessBackend(ExecutionBackend):
         detail = str(cause).strip() if cause is not None else ""
         if detail:
             context += f": {detail}"
-        error = BrokenProcessPool(context)
-        # Marks the error as already carrying the diagnostic context, so
-        # outer handlers do not wrap it a second time.
-        error._repro_diagnosed = True  # type: ignore[attr-defined]
-        return error
+        return BrokenProcessPool(context)
 
     # -- execution ---------------------------------------------------------------
 
-    def _absorb_blob(self, blob) -> list:
-        """Account one trampoline return value; unpickle its results.
+    def _absorb_blob(self, blob):
+        """Account one trampoline return value; unpickle its one result.
 
         Traced futures return ``(results_blob, span_blob)``; the span is
         handed to the recorder and its bytes billed to the separate span
@@ -395,50 +391,65 @@ class ProcessBackend(ExecutionBackend):
             self.ipc.record_span_payload(len(span_blob))
             self.spans.record_worker_span(pickle.loads(span_blob))
         self.ipc.record_result(len(blob))
-        return pickle.loads(blob)
+        (result,) = pickle.loads(blob)
+        return result
 
-    def _task_payload(self, fn, chunk, task_id: int, phase: str, attempt: int):
+    def _task_payload(self, task: _Task):
         """Pickle one task; returns ``(payload, trampoline)``.
 
-        ``chunk`` is the task's ``[item]`` (a bisection probe's
-        ``[sub_item]``). First-attempt tasks with no planned fault ship the plain shapes —
-        ``(fn, chunk)``, traced ``(fn, chunk, task_id, phase, t_submit)``;
-        the optional ``(fault, attempt)`` tail is appended only when it
-        carries information.
+        The payload carries ``[task.item]`` (a bisection probe's item is
+        its slice). First-attempt tasks with no planned fault ship the
+        plain shapes — ``(fn, [item])``, traced ``(fn, [item], task_id,
+        phase, t_submit)``; the optional ``(fault, attempt)`` tail is
+        appended only when it carries information.
         """
         fault = None
         if self.fault_plan is not None:
-            spec = self.fault_plan.spec_for(phase, task_id)
+            spec = self.fault_plan.spec_for(task.phase, task.task_id)
             if spec is not None:
                 fault = (spec, self.fault_plan.state_dir)
-        extra = (fault, attempt) if (fault is not None or attempt > 1) else ()
+        extra = (fault, task.attempt) if (fault is not None or task.attempt > 1) else ()
+        chunk = [task.item]
         if self.spans.enabled:
-            base = (fn, chunk, task_id, phase, self.spans.now())
+            base = (task.fn, chunk, task.task_id, task.phase, self.spans.now())
             return pickle.dumps(base + extra), run_pickled_chunk_traced
-        return pickle.dumps((fn, chunk) + extra), run_pickled_chunk
+        return pickle.dumps((task.fn, chunk) + extra), run_pickled_chunk
 
-    def _submit_task(self, pool, task: _Task, *, resubmit: bool = False) -> None:
-        payload, target = self._task_payload(
-            task.fn, [task.item], task.task_id, task.phase, task.attempt
-        )
+    def _start(self, task: _Task) -> None:
+        """Pickle ``task`` and hand it to a worker. A pool that is already
+        dead fails the task's future, so the gather replays it like any
+        other pool death."""
+        payload, target = self._task_payload(task)
         self._last_task = task.key
-        if resubmit:
-            # Re-executions of any cause — retry, crash replay, bisection
-            # probe — bill their pickle bytes to the recovery counters.
-            self.ipc.record_retry(len(payload))
-        else:
-            self.ipc.record_task(len(payload))
-        task.future = pool.submit(target, payload)
+        self._bill(task, len(payload))
+        try:
+            task.future = self._ensure_pool().submit(target, payload)
+        except BrokenProcessPool as exc:
+            task.future = Future()
+            task.future.set_exception(exc)
 
-    def _recover_pool(self, tasks, cause: BaseException) -> None:
-        """Respawn after a pool death (or hung-worker kill); replay what
-        did not finish.
+    def _result(self, task: _Task, timeout: float | None):
+        return self._absorb_blob(task.future.result(timeout=timeout))
 
-        Completed tasks keep their results (harvested from done futures
-        before the executor is dropped); only in-flight tasks are
-        resubmitted, at their current attempt — a pool death is the
-        pool's fault, not the task's. Shared segments were never
-        unlinked, and the new pool boots with the latest configured
+    def _reclaim(self) -> str:
+        self._kill_pool()
+        return "worker killed"
+
+    def _restart(self, task: _Task, window) -> None:
+        if self._pool is not None:
+            self._start(task)
+        else:  # a deadline overrun killed the pool under the whole window
+            cause = TaskTimeoutError(f"hung task {task.key}; worker killed")
+            self._replay([task, *window], cause)
+
+    def _replay(self, tasks, cause: BaseException) -> None:
+        """Respawn after a pool death (or hung-worker kill); start again
+        every task that did not finish.
+
+        A finished task keeps its result (its future outlives the
+        executor); the rest restart at their current attempt — a pool
+        death is the pool's fault, not the task's. Shared segments were
+        never unlinked, and the new pool boots with the latest configured
         state, so respawned workers re-attach through the same
         descriptors. Bounded per phase by the ``max_pool_restarts``
         circuit breaker.
@@ -447,159 +458,18 @@ class ProcessBackend(ExecutionBackend):
         if self._pool_restarts_phase > self.resilience.max_pool_restarts:
             raise self._broken(cause) from cause
         self.ipc.record_pool_restart()
-        for task in tasks:
-            if task.results is None and task.future is not None and task.future.done():
-                try:
-                    blob = task.future.result(timeout=0)
-                except Exception:
-                    continue
-                task.results = self._absorb_blob(blob)
         self._close_pool()
-        pool = self._ensure_pool()
         for task in tasks:
-            if task.results is None:
-                self._submit_task(pool, task, resubmit=True)
-
-    def _run_chunk_sync(self, task: _Task, sub: list) -> list:
-        """One bisection probe through the pool, synchronously.
-
-        Probes must run on *workers* — kernels depend on per-worker state
-        installed by ``configure`` that the parent never runs — and their
-        pickle bytes are recovery overhead, billed like retries.
-        """
-        cfg = self.resilience
-
-        def thunk(attempt: int) -> list:
-            pool = self._ensure_pool()
-            payload, target = self._task_payload(
-                task.fn, sub, task.task_id, task.phase, attempt
-            )
-            self.ipc.record_retry(len(payload))
-            future = pool.submit(target, payload)
-            try:
-                return self._absorb_blob(future.result(timeout=self._wait_timeout()))
-            except FutureTimeoutError:
-                self.ipc.record_timeout()
-                self._kill_pool()
-                raise TaskTimeoutError(
-                    f"bisection probe for task {task.key} exceeded its "
-                    "deadline; worker killed"
-                ) from None
-            except BrokenProcessPool as exc:
-                self._pool_restarts_phase += 1
-                if self._pool_restarts_phase > cfg.max_pool_restarts:
-                    raise self._broken(exc) from exc
-                self.ipc.record_pool_restart()
-                self._close_pool()
-                raise
-
-        return run_attempts(cfg.retry, task.key, thunk)
-
-    def _bisect_poisoned(self, task: _Task, exc: Exception, bisect_items: bool):
-        def on_poisoned(index, sub_start, n_units, leaf_exc):
-            self._note_quarantined(
-                task.phase, task.key, index, sub_start, n_units, leaf_exc
-            )
-
-        return bisect_chunk(
-            [task.item],
-            lambda sub: self._run_chunk_sync(task, sub),
-            on_poisoned,
-            item_index=task.item_index,
-            bisect_items=bisect_items,
-            failed_exc=exc,
-        )
-
-    def _collect(self, tasks, bisect_items: bool) -> list:
-        """Ordered gather: retry, replay, reclaim, quarantine.
-
-        Worker-raised exceptions consume the task's retry budget; pool
-        deaths and hung-worker kills do not (they are bounded by the
-        restart breaker instead). A task that exhausts its budget either
-        raises (default) or is bisected into quarantined leaves.
-        """
-        cfg = self.resilience
-        position = 0
-        while position < len(tasks):
-            task = tasks[position]
-            if task.results is not None:
-                position += 1
-                continue
-            try:
-                self._check_phase_deadline(task.phase)
-                blob = task.future.result(timeout=self._wait_timeout())
-            except FutureTimeoutError:
-                try:
-                    self._check_phase_deadline(task.phase)
-                except PhaseTimeoutError:
-                    self._kill_pool()
-                    raise
-                self.ipc.record_timeout()
-                self._kill_pool()
-                if cfg.retry.gives_up_after(task.attempt):
-                    raise TaskTimeoutError(
-                        f"task {task.key} exceeded its "
-                        f"{cfg.task_timeout_s:.3f}s deadline on backend "
-                        f"{self.name!r} (attempt {task.attempt}); worker killed"
-                    ) from None
-                task.attempt += 1
-                self._recover_pool(
-                    tasks, TaskTimeoutError(f"hung task {task.key}; worker killed")
-                )
-                continue
-            except PhaseTimeoutError:
-                raise  # final: the caller cancels what is left
-            except BrokenProcessPool as exc:
-                self._recover_pool(tasks, exc)
-                continue
-            except Exception as exc:
-                if cfg.retry.is_retryable(exc) and not cfg.retry.gives_up_after(
-                    task.attempt
-                ):
-                    delay = cfg.retry.backoff_s(task.key, task.attempt)
-                    if delay > 0:
-                        time.sleep(delay)
-                    task.attempt += 1
-                    self._submit_task(self._ensure_pool(), task, resubmit=True)
-                    continue
-                exc.attempts = task.attempt  # type: ignore[attr-defined]
-                if not cfg.quarantining:
-                    raise
-                task.results = self._bisect_poisoned(task, exc, bisect_items)
-                position += 1
-                continue
-            task.results = self._absorb_blob(blob)
-            position += 1
-        return [result for task in tasks for result in task.results]
+            future = task.future
+            if not future.done() or future.cancelled() or future.exception():
+                self._start(task)
 
     def imap(self, fn, items, *, bisect_items=False):
-        """Submit each item as the producer yields it; gather with the
-        policy (:meth:`_collect`).
-
-        Eager: the ordered gather runs to the end, then hands the results
-        out one by one. On shm a k-means fit's block results sit in its
-        gather arena, sized for every block, whichever way they are
-        handed out. A pool that dies under a submission is recovered like
-        one that dies under the gather.
-        """
-        phase = self.ipc.phase
-        tasks: list[_Task] = []
-        try:
-            for index, item in enumerate(items):
-                task = _Task(fn, item, index, self._next_task_id(phase), phase)
-                tasks.append(task)
-                try:
-                    self._submit_task(self._ensure_pool(), task)
-                except BrokenProcessPool as exc:
-                    self._recover_pool(tasks, exc)
-            return iter(self._collect(tasks, bisect_items))
-        except BrokenProcessPool as exc:
-            if getattr(exc, "_repro_diagnosed", False):
-                raise
-            raise self._broken(exc) from exc
-        except BaseException:
-            _cancel(tasks)
-            raise
+        """The base loop, gathered eagerly: it runs to the end, then hands
+        the results out one by one. On shm a k-means fit's block results
+        sit in its gather arena, sized for every block, whichever way
+        they are handed out."""
+        return iter(list(super().imap(fn, items, bisect_items=bisect_items)))
 
 
 def make_backend(

@@ -3,14 +3,16 @@
 The paper's intra-node operators assume every Cilk task completes; the
 real backends inherited that assumption, so one poisoned document, hung
 worker, or killed process used to abort the entire pipeline. This module
-holds the *policy* objects the backends weave into their one map loop
-(the mechanisms live in :mod:`repro.exec.inline` and
+holds the *policy* objects the backends' one task lifecycle asks (the
+lifecycle is :class:`repro.exec.inline.ExecutionBackend`'s gather loop;
+its per-backend hooks live in :mod:`repro.exec.inline` and
 :mod:`repro.exec.process`):
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   **deterministic** jitter: the jitter for ``(task, attempt)`` comes from
   a seeded hash, never from global randomness, so a retried run sleeps
-  the same schedule every time.
+  the same schedule every time. :meth:`RetryPolicy.retry_delay` is the
+  one retry decision every retry loop asks.
 * :class:`ResilienceConfig` — one bundle per backend: the retry policy,
   per-task and per-phase deadlines, the poison-handling mode
   (``"raise"``, the default, fails on the first error; ``"quarantine"``
@@ -23,9 +25,9 @@ holds the *policy* objects the backends weave into their one map loop
   inline) performed by ``run_pipeline(degrade=True)`` after a circuit
   breaker tripped.
 * :func:`run_attempts` / :func:`bisect_chunk` — the small shared
-  mechanisms: a retry loop for in-process execution (thread tasks,
-  reader threads) and the recursive bisection that narrows a poisoned
-  item down to the offending document(s).
+  mechanisms: a retry loop for work outside the task loop (the parallel
+  reader's file reads) and the recursive bisection that narrows a
+  poisoned item down to the offending document(s).
 
 Nothing here touches task *data*: retries re-run the same pure kernel on
 the same item, so whenever recovery succeeds the output is bit-identical
@@ -36,9 +38,10 @@ from __future__ import annotations
 
 import time
 import zlib
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TaskTimeoutError
 from repro.sparse.blocks import TermBlock
 
 __all__ = [
@@ -105,6 +108,19 @@ class RetryPolicy:
     def gives_up_after(self, attempt: int) -> bool:
         """True when ``attempt`` (1-based) was the last allowed execution."""
         return attempt >= self.max_attempts
+
+    def retry_delay(
+        self, exc: BaseException, task_key: str, attempt: int
+    ) -> float | None:
+        """The retry decision: seconds to back off before running
+        ``task_key`` again after its ``attempt`` (1-based) failed with
+        ``exc``, or ``None`` when that failure is final — not retryable,
+        or the budget is spent. A final error records how many runs it
+        took as ``exc.attempts``."""
+        if self.is_retryable(exc) and not self.gives_up_after(attempt):
+            return self.backoff_s(task_key, attempt)
+        exc.attempts = attempt  # type: ignore[attr-defined]
+        return None
 
     def backoff_s(self, task_key: str, attempt: int) -> float:
         """Deterministic sleep before re-running ``task_key``.
@@ -271,21 +287,20 @@ def run_attempts(
 ):
     """Run ``thunk(attempt)`` under ``policy``; returns its value.
 
-    The in-process retry loop (thread tasks, sequential items, reader
-    threads): a retryable failure with attempts left sleeps the policy's
-    deterministic backoff and re-runs; anything else propagates with the
-    attempt count attached as ``exc.attempts`` for the caller's poison
-    handling. ``on_retry(attempt, exc, delay_s)`` observes each retry.
+    The retry loop for work outside the backends' task loop (the
+    parallel reader's file reads): a failure the policy retries sleeps
+    its deterministic backoff and re-runs; a final one propagates with
+    ``exc.attempts`` set. ``on_retry(attempt, exc, delay_s)`` observes
+    each retry.
     """
     attempt = 1
     while True:
         try:
             return thunk(attempt)
         except Exception as exc:
-            if not policy.is_retryable(exc) or policy.gives_up_after(attempt):
-                exc.attempts = attempt  # type: ignore[attr-defined]
+            delay = policy.retry_delay(exc, task_key, attempt)
+            if delay is None:
                 raise
-            delay = policy.backoff_s(task_key, attempt)
             if on_retry is not None:
                 on_retry(attempt, exc, delay)
             if delay > 0:
@@ -297,14 +312,19 @@ def run_attempts(
 #: a slice is again a valid item, so bisection may cut inside one.
 _DOCUMENT_RUNS = (list, tuple, TermBlock)
 
+#: Errors that end a map whatever the poison mode: a deadline overrun,
+#: or a worker pool that died more often than its breaker allows. Only
+#: a task's own error is poison.
+_NOT_POISON = (TaskTimeoutError, BrokenExecutor)
+
 
 def _splittable(item) -> bool:
     return isinstance(item, _DOCUMENT_RUNS) and len(item) > 1
 
 
 def bisect_chunk(
-    chunk: list,
-    run_chunk,
+    item,
+    run_item,
     quarantine,
     *,
     item_index: int,
@@ -314,44 +334,40 @@ def bisect_chunk(
 ) -> list:
     """Recursively isolate the poisoned document(s) of a failed task.
 
-    ``chunk`` is the ``[item]`` one task carried (its wire format).
-    ``run_chunk`` executes ``[sub_item]`` (applying the caller's own
-    retry policy) and returns its results; raising means the sub-item is
-    still poisoned. With ``bisect_items``, an item that is itself a run
-    of documents (the chunk kernels' text lists and term blocks) splits
-    in half until a single poisoned document stands alone; otherwise the
-    item is the leaf. A failing leaf is handed to
-    ``quarantine(item_index, sub_start, n_units, exc)`` and contributes
-    no results; everything else's results are returned in input order.
+    ``item`` is what the task carried. ``run_item(sub)`` runs part of it
+    (under the caller's own retry policy) and returns its result;
+    raising means the part is still poisoned. With ``bisect_items``, an
+    item that is itself a run of documents (the chunk kernels' text
+    lists and term blocks) splits in half until a single poisoned
+    document stands alone; otherwise the item is the leaf. A failing
+    leaf is handed to ``quarantine(item_index, sub_start, n_units, exc)``
+    and contributes no result; the results of everything else are
+    returned in input order. An error that is not poison propagates.
 
-    Callers that already watched ``chunk`` fail pass the exception as
+    Callers that already watched ``item`` fail pass the exception as
     ``failed_exc`` to skip the redundant first execution.
     """
-    (item,) = chunk  # a task carries exactly one item
-    exc: Exception
-    if failed_exc is not None:
-        exc = failed_exc
-    else:
+    if failed_exc is None:
         try:
-            return list(run_chunk(chunk))
+            return [run_item(item)]
         except Exception as caught:
-            exc = caught
+            failed_exc = caught
+    if isinstance(failed_exc, _NOT_POISON):
+        raise failed_exc
     if bisect_items and _splittable(item):
         mid = len(item) // 2
-        left = bisect_chunk(
-            [item[:mid]], run_chunk, quarantine,
+        return bisect_chunk(
+            item[:mid], run_item, quarantine,
             item_index=item_index, sub_start=sub_start,
             bisect_items=bisect_items,
-        )
-        right = bisect_chunk(
-            [item[mid:]], run_chunk, quarantine,
+        ) + bisect_chunk(
+            item[mid:], run_item, quarantine,
             item_index=item_index, sub_start=sub_start + mid,
             bisect_items=bisect_items,
         )
-        return left + right
     if bisect_items and isinstance(item, _DOCUMENT_RUNS):
         n_units = len(item)
     else:
         n_units = 1
-    quarantine(item_index, sub_start, n_units, exc)
+    quarantine(item_index, sub_start, n_units, failed_exc)
     return []

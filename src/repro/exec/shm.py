@@ -213,10 +213,6 @@ class IpcStats:
         bucket.tasks += 1
         bucket.task_pickle_bytes += pickle_bytes
 
-    def record_tasks(self, n: int) -> None:
-        """``n`` tasks run in-process: dispatched, nothing pickled."""
-        self._current().tasks += n
-
     def record_result(self, pickle_bytes: int) -> None:
         self._current().result_pickle_bytes += pickle_bytes
 

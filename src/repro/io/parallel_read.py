@@ -296,7 +296,8 @@ class DocumentStream:
             active.close()  # type: ignore[attr-defined]
 
     def _generate(self) -> Iterator[Document]:
-        reads = self.storage.read_many(
+        reads = read_paths(
+            self.storage,
             self.paths,
             workers=self.workers,
             prefetch=self.prefetch,

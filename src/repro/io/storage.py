@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.errors import StorageError
 from repro.exec.task import TaskCost
@@ -55,36 +55,6 @@ class Storage(ABC):
         """Yield stored paths starting with ``prefix``, sorted."""
 
     # -- shared helpers -----------------------------------------------------------
-
-    def read_many(
-        self,
-        paths: "Iterable[str]",
-        *,
-        workers: int = 1,
-        prefetch: int | None = None,
-        recorder=None,
-        retry=None,
-    ) -> Iterator[tuple[str, str, "TaskCost"]]:
-        """Read many files concurrently; yield ``(path, contents, cost)``.
-
-        Results arrive strictly in input order with per-file costs still
-        metered for the simulator; ``workers`` reader threads keep at most
-        ``prefetch`` files in flight (paper §3.2's parallel input). An armed
-        :class:`~repro.exec.spans.SpanRecorder` passed as ``recorder``
-        captures one span per file; a ``retry``
-        :class:`~repro.exec.resilience.RetryPolicy` re-attempts transient
-        ``OSError`` reads. See :func:`repro.io.parallel_read.read_paths`.
-        """
-        from repro.io.parallel_read import read_paths
-
-        return read_paths(
-            self,
-            paths,
-            workers=workers,
-            prefetch=prefetch,
-            recorder=recorder,
-            retry=retry,
-        )
 
     def read_data(self, path: str) -> str:
         """Contents only, discarding the cost (functional use)."""
@@ -133,8 +103,9 @@ class FsStorage(Storage):
     """Directory-backed storage on the host filesystem."""
 
     def __init__(self, root: str) -> None:
+        # Nothing is created until a write: a mistyped input directory
+        # lists empty instead of being left behind.
         self.root = os.path.abspath(root)
-        os.makedirs(self.root, exist_ok=True)
 
     def _resolve(self, path: str) -> str:
         full = os.path.abspath(os.path.join(self.root, path))

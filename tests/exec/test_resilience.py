@@ -211,15 +211,14 @@ class TestBisectChunk:
         # inside until the poisoned one stands alone.
         quarantined = []
 
-        def run_chunk(sub):
-            (item,) = sub
+        def run_item(item):
             if 13 in item:
                 raise ValueError("poison")
-            return [[x * 2 for x in item]]
+            return [x * 2 for x in item]
 
         results = bisect_chunk(
-            [[10, 11, 12, 13, 14, 15]],
-            run_chunk,
+            [10, 11, 12, 13, 14, 15],
+            run_item,
             lambda *a: quarantined.append(a),
             item_index=5,
             bisect_items=True,
@@ -233,11 +232,11 @@ class TestBisectChunk:
     def test_an_unsplittable_item_is_the_leaf(self):
         quarantined = []
 
-        def run_chunk(sub):
+        def run_item(item):
             raise ValueError("poison")
 
         assert bisect_chunk(
-            [[1, 2, 3]], run_chunk, lambda *a: quarantined.append(a[:3]),
+            [1, 2, 3], run_item, lambda *a: quarantined.append(a[:3]),
             item_index=4,
         ) == []
         # Without ``bisect_items`` the whole item is one unit.
@@ -246,14 +245,14 @@ class TestBisectChunk:
     def test_bisect_items_splits_inside_sequences(self):
         quarantined = []
 
-        def run_chunk(sub):
-            if any("bad" in item for item in sub):
+        def run_item(item):
+            if "bad" in item:
                 raise ValueError("poison")
-            return [[len(s) for s in item] for item in sub]
+            return [len(s) for s in item]
 
         results = bisect_chunk(
-            [["aa", "bbb", "bad", "c"]],
-            run_chunk,
+            ["aa", "bbb", "bad", "c"],
+            run_item,
             lambda *a: quarantined.append(a[:3]),
             item_index=2,
             bisect_items=True,
@@ -265,14 +264,14 @@ class TestBisectChunk:
     def test_failed_exc_skips_redundant_first_run(self):
         runs = []
 
-        def run_chunk(sub):
-            runs.append(list(sub))
-            return list(sub)
+        def run_item(item):
+            runs.append(list(item))
+            return list(item)
 
         marker = ValueError("already failed")
         results = bisect_chunk(
-            [[1, 2]],
-            run_chunk,
+            [1, 2],
+            run_item,
             lambda *a: pytest.fail("nothing should be quarantined"),
             item_index=0,
             bisect_items=True,
@@ -280,7 +279,7 @@ class TestBisectChunk:
         )
         assert results == [[1], [2]]
         # Straight to the two halves — the full item is not re-run.
-        assert runs == [[[1]], [[2]]]
+        assert runs == [[1], [2]]
 
 
 class TestFaultPlan:

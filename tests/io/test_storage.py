@@ -88,6 +88,13 @@ class TestFsStorageSpecifics:
         with pytest.raises(StorageError):
             store.write("../evil.txt", "nope")
 
+    def test_a_missing_root_lists_empty_and_is_not_created(self, tmp_path):
+        root = tmp_path / "nosuch"
+        store = FsStorage(str(root))
+        assert list(store.list()) == []
+        assert store.total_bytes() == 0
+        assert not root.exists()
+
     def test_files_visible_on_real_filesystem(self, tmp_path):
         store = FsStorage(str(tmp_path / "root"))
         store.write("out.arff", "@relation r")

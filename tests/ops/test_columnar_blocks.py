@@ -391,22 +391,21 @@ class TestSliceConcatLaws:
         tfs = [{"a": 1}, {"b": 2}, {"poison": 1}, {"a": 3}, {"c": 1}]
         block = TermBlock.from_counts(tfs, [0] * len(tfs))
 
-        def run_chunk(chunk):
-            for item in chunk:
-                if "poison" in item.terms:
-                    raise ValueError("poisoned")
-            return [dict(item.row_items(i)) for item in chunk
-                    for i in range(len(item))]
+        def run_item(item):
+            if "poison" in item.terms:
+                raise ValueError("poisoned")
+            return [dict(item.row_items(i)) for i in range(len(item))]
 
         quarantined = []
-        survivors = bisect_chunk(
-            [block], run_chunk,
+        parts = bisect_chunk(
+            block, run_item,
             lambda index, start, units, exc: quarantined.append(
                 (index, start, units)
             ),
             item_index=7, bisect_items=True,
         )
         assert quarantined == [(7, 2, 1)]
+        survivors = [row for part in parts for row in part]
         assert survivors == [{"a": 1}, {"b": 2}, {"a": 3}, {"c": 1}]
 
 

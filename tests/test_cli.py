@@ -290,6 +290,13 @@ class TestRealPipeline:
         pruned_attrs = read_sparse_arff(open(pruned).read()).attributes
         assert len(pruned_attrs) < len(full_attrs)
 
+    def test_tfidf_missing_dir_fails_and_leaves_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "nosuch"
+        assert main(["tfidf", "--input", str(missing), "--output",
+                     str(tmp_path / "x.arff")]) == 1
+        assert "no documents" in capsys.readouterr().err
+        assert not missing.exists()
+
     def test_tfidf_empty_dir_fails(self, tmp_path, capsys):
         empty = str(tmp_path / "empty")
         os.makedirs(empty)
