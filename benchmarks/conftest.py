@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.bench import prepare_workload
-from repro.text import MIX_PROFILE, NSF_ABSTRACTS_PROFILE
+from repro.text import MIX_PROFILE, NSF_ABSTRACTS_PROFILE, with_topics
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.01"))
 
@@ -30,6 +30,19 @@ def mix_workload():
 @pytest.fixture(scope="session")
 def nsf_workload():
     return prepare_workload(NSF_ABSTRACTS_PROFILE, scale=BENCH_SCALE / 2)
+
+
+@pytest.fixture(scope="session")
+def mix_topics_workload():
+    """Mix with 8 latent topics (``repro.text.synth.with_topics``)."""
+    return prepare_workload(with_topics(MIX_PROFILE), scale=BENCH_SCALE)
+
+
+@pytest.fixture(scope="session")
+def nsf_topics_workload():
+    return prepare_workload(
+        with_topics(NSF_ABSTRACTS_PROFILE), scale=BENCH_SCALE / 2
+    )
 
 
 @pytest.fixture(scope="session")

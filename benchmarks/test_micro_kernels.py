@@ -106,11 +106,12 @@ def test_micro_assign_block_iteration(benchmark, bound):
     for cluster in range(N_CLUSTERS):
         centroids[cluster, doc_idx[cluster]] = doc_val[cluster]
     centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
+    by_column = np.ascontiguousarray(centroids.T)
 
     def iteration():
         return [
             kernels._assign_block(
-                start, min(start + BLOCK_DOCS, n_docs), centroids,
+                start, min(start + BLOCK_DOCS, n_docs), by_column,
                 centroid_sq_norms, doc_idx, doc_val, sq_norms,
             )
             for start in range(0, n_docs, BLOCK_DOCS)

@@ -30,6 +30,8 @@ Quick start::
     print(result.breakdown())
 """
 
+from importlib import import_module
+
 from repro.io import (
     FsStorage,
     MemStorage,
@@ -39,16 +41,23 @@ from repro.io import (
 )
 from repro.ops import KMeansOperator, KMeansResult, TfIdfOperator, TfIdfResult
 from repro.sparse import CsrMatrix, SparseVector
-from repro.text import (
-    MIX_PROFILE,
-    NSF_ABSTRACTS_PROFILE,
-    Corpus,
-    CorpusProfile,
-    Tokenizer,
-    generate_corpus,
-)
+from repro.text import Corpus, Tokenizer
 
 __version__ = "1.0.0"
+
+#: The corpus generator's names, served on first use (PEP 562) so that
+#: importing the engine does not load the generator.
+_LAZY = ("CorpusProfile", "MIX_PROFILE", "NSF_ABSTRACTS_PROFILE",
+         "generate_corpus")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module("repro.text.synth"), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "__version__",

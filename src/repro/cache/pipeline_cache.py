@@ -25,10 +25,13 @@ materialized corpus. The session fronts the three real phases:
 
 Payloads are the phases' own columnar forms, each fact stored once: the
 word count is its :class:`~repro.sparse.blocks.TermBlock` alone (paths
-and input size are rebuilt from the run's documents), the transform is
-a CSR array triple plus the block's ``min_df`` mask and one ``float64``
-idf array. A hit unpickles a handful of arrays and the block's term
-strings once; the served vocabulary is the block's own string objects.
+and input size are rebuilt from the run's documents; a byte-kernel
+block pickles its packed term keys, not strings), the transform is a
+CSR array triple plus the block's ``min_df`` mask and one ``float64``
+idf array. A hit unpickles arrays only: the served vocabulary and idf
+are a :class:`~repro.ops.tfidf.Vocabulary` over the served block and an
+:class:`~repro.ops.tfidf.Idf` over the stored array, and a term string
+is made only when the caller reads one.
 A full-phase entry that does not fit (a missing field, a failed shape
 check, a payload of an older schema) is deleted and counted as a miss.
 """
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from repro.cache import keys as cache_keys
 from repro.cache.store import CacheStore
 from repro.errors import OperatorError, TileError
 from repro.ops.kmeans import PHASE_KMEANS, KMeansResult
-from repro.ops.tfidf import PHASE_TRANSFORM, TfIdfResult
+from repro.ops.tfidf import PHASE_TRANSFORM, Idf, TfIdfResult, Vocabulary
 from repro.ops.wordcount import PHASE_INPUT_WC, WordCountResult
 from repro.sparse.blocks import TermBlock
 from repro.sparse.matrix import CsrMatrix
@@ -560,22 +562,22 @@ def _vocabulary_payload(tfidf_op, wc, result) -> dict:
     }
 
 
-def _served_vocabulary(payload, wc) -> tuple[list[str], list[float]]:
-    """The stored mask and idf array back as a vocabulary (the served
-    block's own string objects) and an idf list; ``ValueError`` when
-    the mask does not fit this block or the matrix's columns."""
+def _served_vocabulary(payload, wc) -> tuple[Vocabulary, Idf]:
+    """The stored mask and idf array back as a vocabulary over the
+    served block and an idf column, neither made yet; ``ValueError``
+    when the mask does not fit this block or the matrix's columns."""
     kept, idf, n_cols = payload["kept"], payload["idf"], payload["n_cols"]
-    terms = wc.block.terms
     if (
         not isinstance(kept, np.ndarray)
         or not isinstance(idf, np.ndarray)
         or kept.dtype != np.bool_
-        or len(kept) != len(terms)
+        or idf.dtype != np.float64
+        or len(kept) != wc.block.n_terms
         or int(kept.sum()) != n_cols
         or idf.shape != (n_cols,)
     ):
         raise ValueError("stale vocabulary mask")
-    return list(compress(terms, kept.tolist())), idf.tolist()
+    return Vocabulary(wc.block, kept), Idf(idf)
 
 
 def _transform_payload(tfidf_op, wc, result: TfIdfResult) -> dict:

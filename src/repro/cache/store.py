@@ -11,6 +11,13 @@ leaves either the old index or the new one, never a truncated file.
 Payload files get the same temp-file + ``os.replace`` treatment, so a
 partially written object can never be observed under its final name.
 
+The index is fsynced only when its set of entries changed (a put, a
+delete, an eviction). A flush that only carries access recency — every
+warm run's, whose hits moved the LRU clock — is still an atomic replace
+but is not fsynced: a power cut may lose it, and a lost recency update
+costs eviction order, never a wrong answer (a damaged index is rebuilt
+from the objects below).
+
 Corruption is *demoted*, never raised: an unreadable index is rebuilt
 from the object files on disk, an unpicklable entry is deleted and
 reported as a miss. The cache is an accelerator; the worst a damaged
@@ -63,6 +70,9 @@ class CacheStore:
         #: key -> {"bytes": int, "seconds": float, "used": int,
         #: "stored_at": float (epoch seconds)}
         self._index: dict[str, dict] = {}
+        #: Set when the entry set changed since the last flush: that
+        #: flush is fsynced, a recency-only one is not.
+        self._entries_changed = False
         self._load_index()
 
     # -- index persistence ---------------------------------------------------------
@@ -101,6 +111,7 @@ class CacheStore:
             # (seconds-saved accounting restarts at zero for them).
             self._index = {}
             self._clock = 0
+            self._entries_changed = True
             for name in sorted(os.listdir(self._objects)):
                 if not name.endswith(".pkl"):
                     continue
@@ -118,23 +129,29 @@ class CacheStore:
                     "stored_at": mtime,
                 }
         # Entries whose payload file vanished are unusable.
-        self._index = {
+        present = {
             key: meta
             for key, meta in self._index.items()
             if os.path.exists(self._object_path(key))
         }
+        if len(present) != len(self._index):
+            self._entries_changed = True
+        self._index = present
 
     def flush(self) -> None:
-        """Persist the index (atomic replace, fsynced; crash-safe).
+        """Persist the index (atomic replace; crash-safe).
 
+        Fsynced when entries were added or removed since the last flush,
+        not when only their access recency moved (module docstring).
         Written compact: without ``indent`` the encoder is the C one, and
         a warm run rewrites the whole index once (its access clock moved).
         """
         atomic_write_json(
             self._index_path(),
             {"version": 1, "clock": self._clock, "entries": self._index},
-            indent=None,
+            indent=None, fsync=self._entries_changed,
         )
+        self._entries_changed = False
 
     # -- entries --------------------------------------------------------------------
 
@@ -215,11 +232,13 @@ class CacheStore:
             "bytes": nbytes, "seconds": seconds, "used": self._clock,
             "stored_at": time.time(),
         }
+        self._entries_changed = True
         self._evict()
         return nbytes
 
     def delete(self, key: str) -> None:
-        self._index.pop(key, None)
+        if self._index.pop(key, None) is not None:
+            self._entries_changed = True
         try:
             os.unlink(self._object_path(key))
         except OSError:

@@ -42,12 +42,12 @@ from repro.io.storage import FsStorage
 from repro.obs import analytics
 from repro.ops.kmeans import KMeansOperator
 from repro.ops.tfidf import TfIdfOperator
-from repro.text.synth import MIX_PROFILE, NSF_ABSTRACTS_PROFILE, generate_corpus
 from repro.text.tokenizer import Tokenizer
 
 __all__ = ["main", "build_parser", "run_command"]
 
-_PROFILES = {"mix": MIX_PROFILE, "nsf-abstracts": NSF_ABSTRACTS_PROFILE}
+#: ``generate --profile`` names -> the profile's name in ``repro.text.synth``.
+_PROFILES = {"mix": "MIX_PROFILE", "nsf-abstracts": "NSF_ABSTRACTS_PROFILE"}
 
 
 def _add_backend_args(parser: argparse.ArgumentParser) -> None:
@@ -450,8 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
-    profile = _PROFILES[args.profile]
-    corpus = generate_corpus(profile, scale=args.scale, seed=args.seed)
+    # The one command that loads the corpus generator.
+    from repro.text import synth
+
+    profile = getattr(synth, _PROFILES[args.profile])
+    corpus = synth.generate_corpus(profile, scale=args.scale, seed=args.seed)
     storage = FsStorage(args.out)
     cost = store_corpus(storage, corpus)
     print(f"wrote {len(corpus)} documents "

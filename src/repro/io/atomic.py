@@ -19,8 +19,13 @@ import tempfile
 __all__ = ["atomic_write_bytes", "atomic_write_text", "atomic_write_json"]
 
 
-def atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` via a same-directory temp + replace."""
+def atomic_write_bytes(path: str, payload: bytes, *, fsync: bool = True) -> None:
+    """Write ``payload`` to ``path`` via a same-directory temp + replace.
+
+    ``fsync=False`` keeps the replace atomic but lets the new content
+    reach the disk when the kernel flushes it: for a file whose loss in
+    a power cut costs nothing its reader cannot rebuild.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
@@ -28,8 +33,9 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
+            if fsync:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         # The temp file must not outlive a failed write (including an
@@ -42,16 +48,18 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text: str, *, fsync: bool = True) -> None:
     """UTF-8 text variant of :func:`atomic_write_bytes`."""
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)
 
 
-def atomic_write_json(path: str, payload, *, indent: int = 2) -> None:
+def atomic_write_json(
+    path: str, payload, *, indent: int = 2, fsync: bool = True
+) -> None:
     """Serialize ``payload`` as JSON and atomically replace ``path``.
 
     Serialization happens *before* the target is touched, so a payload
     that fails to encode leaves the existing file intact too.
     """
     text = json.dumps(payload, indent=indent, sort_keys=True) + "\n"
-    atomic_write_text(path, text)
+    atomic_write_text(path, text, fsync=fsync)

@@ -342,6 +342,7 @@ def assign_block_span(task: tuple[int, int, int, object]) -> list:
     """Assign a span of blocks against the iteration's centroids.
 
     ``task`` is ``(slot, first_block, last_block, token)``: the centroids
+    (transposed, see :func:`_assign_block`) and their squared norms
     come out of the broadcast channel (``token`` is a generation number
     on the in-process and shared-memory planes, the arrays themselves on
     the by-value one), and each block's per-document index/value views
@@ -359,13 +360,13 @@ def assign_block_span(task: tuple[int, int, int, object]) -> list:
     """
     slot, first, last, token = task
     _, source, channel, bounds, gather = _KMEANS[slot]
-    centroids, centroid_sq_norms = channel.read(token)
+    by_column, centroid_sq_norms = channel.read(token)
     results = []
     for block in range(first, last):
         start, stop = bounds[block]
         indices, values, sq_norms = source.block_arrays(start, stop)
         result = _assign_block(
-            0, stop - start, centroids, centroid_sq_norms,
+            0, stop - start, by_column, centroid_sq_norms,
             indices, values, sq_norms,
         )
         if gather is not None:
@@ -397,7 +398,7 @@ def _accumulator(size: int) -> np.ndarray:
 def _assign_block(
     start: int,
     stop: int,
-    centroids: np.ndarray,
+    by_column: np.ndarray,
     centroid_sq_norms: np.ndarray,
     indices,
     values,
@@ -405,6 +406,8 @@ def _assign_block(
 ) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, float]:
     """Assign one block; return its partial centroids in compact form.
 
+    ``by_column`` is the centroids transposed, C-contiguous (V×K: one
+    row per column of the matrix), as the fit broadcasts them.
     Only the dot products run per document; distances, ``argmin``,
     counts, inertia and the accumulation are computed for the block at
     once. The block accumulates into the thread's recycled K×V buffer
@@ -418,7 +421,7 @@ def _assign_block(
     is ``+0.0``. The buffer is zeroed again at ``cells`` on the way out,
     and wholesale if anything raises mid-block.
     """
-    K, V = centroids.shape
+    V, K = by_column.shape
     accumulator = _accumulator(K * V)
     block_indices = indices[start:stop]
     block_values = values[start:stop]
@@ -427,11 +430,14 @@ def _assign_block(
     try:
         for row, (idx, val) in enumerate(zip(block_indices, block_values)):
             if len(idx):
-                # Frozen: the memory layout of the fancy-indexed gather
-                # selects the gemv kernel, so ``centroids.take(idx, 1)``,
-                # a transposed gather or a block-wide gather sliced per
-                # document all differ from this in the last bits.
-                dots[row] = centroids[:, idx] @ val
+                # Frozen operand layout: the gathered K×m operand is
+                # F-ordered, strides (8, 8·K) — what ``centroids[:, idx]``
+                # gives, and what this row gather of the transposed
+                # centroids gives at a third of the cost. The layout
+                # selects the gemv kernel: a C-ordered K×m operand
+                # (``centroids.take(idx, 1)``) or a block-wide gather
+                # sliced per document differ in the last bits.
+                dots[row] = by_column.take(idx, 0).T @ val
         distances = (
             np.asarray(sq_norms[start:stop], dtype=np.float64)[:, None]
             - 2.0 * dots + centroid_sq_norms

@@ -197,7 +197,8 @@ class KMeansOperator:
         (a shared segment, a by-value copy, or the parent's own arrays
         in-process), a
         :class:`~repro.tiles.matrix.TiledCsrMatrix` hands over its
-        manifest — and each iteration's centroids are *broadcast* once, so
+        manifest — and each iteration's centroids are *broadcast* once
+        (transposed, the layout the kernel gathers rows of), so
         tasks are ``(slot, first_block, last_block, token)`` spans. Block
         results come back through a *gather* channel (by reference
         in-process, written into a shared arena by pool workers, by value
@@ -241,8 +242,10 @@ class KMeansOperator:
 
         slot = next(_SLOTS)
         placed = source.place(backend)
+        # The kernel gathers rows of the transposed centroids (see
+        # ``kernels._assign_block``): that is what each iteration ships.
         channel = backend.open_broadcast(
-            "kmeans-centroids", (centroids, centroid_sq_norms)
+            "kmeans-centroids", (centroids.T, centroid_sq_norms)
         )
         gather = backend.open_gather("kmeans-partials", gather_slots)
         try:
@@ -253,7 +256,10 @@ class KMeansOperator:
             )
 
             def run_iteration(centroids, centroid_sq_norms):
-                token = backend.broadcast(channel, (centroids, centroid_sq_norms))
+                token = backend.broadcast(
+                    channel,
+                    (np.ascontiguousarray(centroids.T), centroid_sq_norms),
+                )
                 span_results = backend.imap(
                     kernels.assign_block_span,
                     [(slot, first, last, token) for first, last in spans],

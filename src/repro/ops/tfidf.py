@@ -18,6 +18,7 @@ instrumented dictionaries, with a dictionary kind per phase (§3.4), is
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, compress, repeat
@@ -34,14 +35,93 @@ from repro.text.corpus import Corpus
 from repro.text.tokenizer import Tokenizer
 
 __all__ = [
+    "Idf",
     "TfIdfResult",
     "TfIdfOperator",
     "PHASE_TRANSFORM",
     "PHASE_TFIDF_OUTPUT",
+    "Vocabulary",
 ]
 
 PHASE_TRANSFORM = "transform"
 PHASE_TFIDF_OUTPUT = "tfidf-output"
+
+
+class _Column(Sequence):
+    """A read-only list whose items are made on the first element read;
+    ``len()`` makes none. Compares equal to a list of the same items."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self) -> None:
+        self._items = None
+
+    def _make(self) -> list:
+        raise NotImplementedError
+
+    def _list(self) -> list:
+        if self._items is None:
+            self._items = self._make()
+        return self._items
+
+    def __getitem__(self, at):
+        return self._list()[at]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other):
+        if isinstance(other, _Column):
+            other = other._list()
+        if isinstance(other, list):
+            return self._list() == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+
+class Vocabulary(_Column):
+    """Term strings by vocabulary id: the ``min_df`` cut (``kept``) of a
+    term-sorted block's terms, the block's own string objects. Made
+    from the block's (packed) term column on the first element read."""
+
+    __slots__ = ("block", "kept", "_len")
+
+    def __init__(self, block: TermBlock, kept: np.ndarray) -> None:
+        super().__init__()
+        self.block = block
+        self.kept = kept
+        self._len = int(np.count_nonzero(kept))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _make(self) -> list[str]:
+        return list(compress(self.block.terms, self.kept.tolist()))
+
+
+class Idf(_Column):
+    """Inverse document frequency by vocabulary id: one ``float64``
+    array (what ``np.asarray`` returns), Python floats on the first
+    element read."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights: np.ndarray) -> None:
+        super().__init__()
+        self.weights = weights
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy:
+            return np.array(self.weights, dtype=dtype)
+        return np.asarray(self.weights, dtype=dtype)
+
+    def _make(self) -> list[float]:
+        return self.weights.tolist()
 
 
 @dataclass
@@ -50,10 +130,11 @@ class TfIdfResult:
 
     #: Normalized TF/IDF scores, one row per document (sorted term ids).
     matrix: CsrMatrix
-    #: Term strings indexed by term id.
-    vocabulary: list[str]
-    #: Inverse document frequency per term id.
-    idf: list[float]
+    #: Term strings indexed by term id (a :class:`Vocabulary` on the
+    #: real path: no string exists until one is read).
+    vocabulary: Sequence[str]
+    #: Inverse document frequency per term id (an :class:`Idf`).
+    idf: Sequence[float]
     #: Phase-1 result (kept alive between phases in the fused workflow).
     wordcount: WordCountResult
 
@@ -97,13 +178,12 @@ class TfIdfOperator:
 
     # -- vocabulary --------------------------------------------------------------------
 
-    def build_vocabulary(
-        self, wc: WordCountResult
-    ) -> tuple[list[str], list[float]]:
+    def build_vocabulary(self, wc: WordCountResult) -> tuple[Vocabulary, Idf]:
         """Sorted vocabulary and idf table of a word count: the serial
         prefix of the transform phase, read off the term-sorted corpus
-        block — two columns, no dictionary."""
-        counts, kept, vocabulary = self._own_vocabulary(wc.block)
+        block — two columns, no dictionary and no string."""
+        counts = wc.block.df_counts
+        kept = counts >= self.min_df
         n_docs = wc.n_docs
         # math.log, not np.log (which may round differently), once per
         # possible count — a term is in at most ``n_docs`` documents.
@@ -111,17 +191,7 @@ class TfIdfOperator:
             math.log(n_docs / count)
             for count in range(1, int(counts.max(initial=0)) + 1)
         ])
-        return vocabulary, by_count[counts[kept]].tolist()
-
-    def _own_vocabulary(
-        self, block: TermBlock
-    ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-        """The ``min_df`` cut of a term-sorted block: its document counts,
-        the mask of terms that survive, and those terms — the vocabulary
-        (a fresh list of the block's own string objects)."""
-        counts = block.df_counts
-        kept = counts >= self.min_df
-        return counts, kept, list(compress(block.terms, kept.tolist()))
+        return Vocabulary(wc.block, kept), Idf(by_count[counts[kept]])
 
     # -- transform --------------------------------------------------------------------
 
@@ -143,38 +213,35 @@ class TfIdfOperator:
         return self.transform_wordcount(wc, backend=backend)
 
     def bind(
-        self, wc: WordCountResult, vocabulary: list[str], idf: list[float]
+        self, wc: WordCountResult, vocabulary: Sequence[str], idf
     ) -> TermBlock:
         """The corpus block bound to a vocabulary: what the transform
         kernel consumes, a row range (``bound[a:b]``) at a time.
 
         Binding maps each of the block's (sorted) terms to its vocabulary
-        id (``-1`` = pruned by ``min_df``) and its idf weight. Handed the
-        block's own vocabulary — what :meth:`build_vocabulary` made of it,
-        the same string objects, so the comparison is pointer-fast — the
-        ids follow from the ``min_df`` mask; any other vocabulary is
-        looked up term by term, and one missing a term the block keeps
-        is refused.
+        id (``-1`` = pruned by ``min_df``) and its idf weight. Handed a
+        :class:`Vocabulary` of this very block — what
+        :meth:`build_vocabulary` or the cache made of it — the ids
+        follow from its mask and no string is read; any other vocabulary
+        is looked up term by term. Under ``min_df`` 1 a vocabulary
+        missing a term of the block is refused.
         """
         block = wc.block
-        terms = block.terms
-        _, kept, own = self._own_vocabulary(block)
-        if vocabulary == own:
+        if isinstance(vocabulary, Vocabulary) and vocabulary.block is block:
+            kept = vocabulary.kept
             gmap = np.where(kept, np.cumsum(kept) - 1, -1).astype(np.int32)
         else:
             index = {term: term_id for term_id, term in enumerate(vocabulary)}
             gmap = np.fromiter(
-                map(index.get, terms, repeat(-1)),
-                dtype=np.int32, count=len(terms),
+                map(index.get, block.terms, repeat(-1)),
+                dtype=np.int32, count=block.n_terms,
             )
             kept = gmap >= 0
-            if self.min_df == 1 and not kept.all():
-                term = terms[int(np.flatnonzero(~kept)[0])]
-                raise OperatorError(
-                    f"term {term!r} missing from vocabulary index"
-                )
-        weights = np.zeros(len(terms), dtype=np.float64)
-        weights[kept] = np.asarray(idf)[gmap[kept]]
+        if self.min_df == 1 and not kept.all():
+            term = block.terms[int(np.flatnonzero(~kept)[0])]
+            raise OperatorError(f"term {term!r} missing from vocabulary index")
+        weights = np.zeros(block.n_terms, dtype=np.float64)
+        weights[kept] = np.asarray(idf, dtype=np.float64)[gmap[kept]]
         return block.bound(gmap, weights)
 
     def _transform(

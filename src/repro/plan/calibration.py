@@ -279,12 +279,13 @@ class CalibrationStore:
         for cluster in range(n_clusters):
             centroids[cluster, doc_idx[cluster]] = doc_val[cluster]
         centroid_sq_norms = np.einsum("ij,ij->i", centroids, centroids)
+        by_column = np.ascontiguousarray(centroids.T)
         t0 = time.perf_counter()
         km_out = kernels._assign_block(
-            0, k, centroids, centroid_sq_norms, doc_idx, doc_val, sq_norms
+            0, k, by_column, centroid_sq_norms, doc_idx, doc_val, sq_norms
         )
         km_s = time.perf_counter() - t0
-        km_task = (0, k, centroids, centroid_sq_norms)
+        km_task = (0, k, by_column, centroid_sq_norms)
         store.phases["kmeans"] = PhaseConstants(
             compute_ns_per_doc=km_s / k * 1e9,
             task_bytes_per_doc=len(pickle.dumps(km_task)) / k,

@@ -1,16 +1,20 @@
 """Columnar term-count blocks: the word count's intermediate form.
 
 A :class:`TermBlock` holds the term frequencies of a run of documents as
-four flat arrays plus one list of the run's distinct terms — the CSR
+four flat arrays plus one column of the run's distinct terms — the CSR
 layout of :class:`~repro.sparse.matrix.CsrMatrix` with term ids local to
 the block. A chunk kernel produces one per chunk
 (:meth:`TermBlock.from_tokens`), the parent merges them into one block
 for the corpus (:meth:`TermBlock.concat`, which is also where the terms
 get sorted: numerically when every chunk carries packed keys), and the
-transform reads row ranges of it (``block[a:b]``) with the term strings
+transform reads row ranges of it (``block[a:b]``) with the term column
 replaced by two per-term columns: the vocabulary id and the idf weight.
-Term strings therefore cross the IPC boundary once, in the word-count
-results, and nothing downstream handles a per-document Python object.
+
+The byte kernel's term column stays packed (one ``uint64`` key per
+term) from the chunk through the df merge, the slices, the cache and a
+warm hit: a term becomes a ``str`` only when a caller reads
+``block.terms`` — the ARFF header, an example's top terms. Nothing
+downstream handles a per-document or per-term Python object.
 """
 
 from __future__ import annotations
@@ -57,13 +61,16 @@ class TermBlock:
     ``gmap`` and ``weights`` are ``None`` until :meth:`bound` attaches
     them, which also drops ``terms``.
 
-    **Packed terms.** The byte kernel's chunk blocks carry their terms
-    as ``packed = (keys, tails)``: ``keys`` is one ``uint64`` per term,
+    **Packed terms.** The byte kernel's blocks carry their terms as
+    ``packed = (keys, tails)``: ``keys`` is one ``uint64`` per term,
     its ASCII bytes big-endian and zero-padded (exact for terms of at
     most 8 bytes, none of which holds a zero byte, and ordered like the
     strings); a longer term's key is its 8-byte prefix and ``tails``
     maps its position to the whole string. ``terms`` is then built on
-    first access and never pickled.
+    first access and never pickled. :meth:`concat` of packed blocks is
+    packed (its keys non-decreasing), and so is a slice of one; a block
+    of the string kernel (a tokenizer that overrides ``split``) holds
+    its strings throughout.
 
     **Term order.** A *chunk* block (:meth:`from_tokens`, what a
     word-count task returns) lists its terms in first-seen order, so no
@@ -166,28 +173,32 @@ class TermBlock:
         """The blocks' documents in order, over the union of their terms.
 
         This is the document-frequency merge, and the one place terms are
-        sorted. When every block is packed the merge is numeric
-        (:func:`_merge_packed`); otherwise it costs one dictionary probe
-        per (block, term) and one sort of the union of strings. Either
-        way array lookups then rebase every id onto the union.
+        sorted. When every block is packed the merge is numeric and the
+        result packed (:func:`_merge_packed`: no string is made);
+        otherwise it costs one dictionary probe per (block, term) and
+        one sort of the union of strings. Either way array lookups then
+        rebase every id onto the union.
         Rows are re-ordered by their new ids a block at a time — sorted
         input comes back as it was, a chunk block's first-seen order
         becomes term order — so the transients stay chunk-sized (one
         corpus-wide argsort would be the peak memory of a tiled run).
         """
         blocks = list(blocks)
+        terms = packed = None
         if blocks and all(block.packed is not None for block in blocks):
-            terms, rebase = _merge_packed([block.packed for block in blocks])
+            packed, rebase = _merge_packed([block.packed for block in blocks])
+            n_terms = len(packed[0])
         else:
             terms, rebase = _rank_terms(
                 [block.terms for block in blocks],
                 [len(block.terms) for block in blocks],
             )
+            n_terms = len(terms)
         ids, counts = [], []
         for lookup, block in zip(rebase, blocks):
             moved = lookup[block.ids]
-            order = _row_order(block.indptr, moved, len(terms))
-            ids.append(_narrow(moved[order], len(terms)))
+            order = _row_order(block.indptr, moved, n_terms)
+            ids.append(_narrow(moved[order], n_terms))
             counts.append(block.counts[order])
         return cls(
             terms,
@@ -195,6 +206,7 @@ class TermBlock:
             _concat(ids),
             _concat(counts),
             _concat([block.token_counts for block in blocks]),
+            packed=packed,
         )
 
     def __len__(self) -> int:
@@ -205,7 +217,8 @@ class TermBlock:
 
         The slice is compacted: only the terms (and per-term columns) its
         rows use survive, with ids renumbered — so a piece pickles no
-        more than it needs and its ``df_counts`` is a recount.
+        more than it needs and its ``df_counts`` is a recount. A packed
+        block's slice is packed.
         """
         start, stop, _ = rows.indices(len(self))
         stop = max(start, stop)
@@ -216,15 +229,25 @@ class TermBlock:
         # the cells at ``used`` are ever written or read.
         renumber = np.empty(self.n_terms, dtype=np.int32)
         renumber[used] = np.arange(len(used), dtype=np.int32)
-        terms = self.terms
+        terms = packed = None
+        if self.packed is not None:
+            keys, tails = self.packed
+            long_at = np.fromiter(tails, dtype=np.int64, count=len(tails))
+            long_at = long_at[np.isin(long_at, used)]
+            packed = keys[used], dict(zip(
+                renumber[long_at].tolist(), map(tails.get, long_at.tolist())
+            ))
+        elif self._terms is not None:
+            terms = [self._terms[at] for at in used.tolist()]
         return TermBlock(
-            None if terms is None else [terms[at] for at in used.tolist()],
+            terms,
             self.indptr[start:stop + 1] - lo,
             _narrow(renumber[ids], len(used)),
             self.counts[lo:hi],
             self.token_counts[start:stop],
             None if self.gmap is None else self.gmap[used],
             None if self.weights is None else self.weights[used],
+            packed,
         )
 
     @property
@@ -291,15 +314,17 @@ def _unpack(keys: np.ndarray, tails: dict[int, str]) -> list[str]:
     return terms
 
 
-def _merge_packed(packs) -> tuple[list[str], list[np.ndarray]]:
-    """:func:`_rank_terms` over packed terms, numerically.
+def _merge_packed(packs) -> tuple[tuple, list[np.ndarray]]:
+    """:func:`_rank_terms` over packed terms, numerically, into the
+    union's packed terms.
 
     The short keys of all blocks are ranked by one sort of their
     concatenation (a run of equal keys is one term of the union). The
     long terms (a few per cent) are sorted as strings and spliced in by
     prefix: a long term follows every short key up to and including its
-    prefix, and precedes the rest. Only the union's strings are
-    materialised.
+    prefix, and precedes the rest — so the union's keys are
+    non-decreasing and its order is the strings'. Only the long terms
+    are strings here, as they were in the blocks.
     """
     prefixes: dict[str, int] = {}
     shorts = []
@@ -320,9 +345,9 @@ def _merge_packed(packs) -> tuple[list[str], list[np.ndarray]]:
     long_keys = np.array([prefixes[term] for term in longs], dtype=np.uint64)
     short_rank = np.arange(len(union)) + np.searchsorted(long_keys, union)
     long_rank = np.arange(len(longs)) + np.searchsorted(union, long_keys, "right")
-    terms = np.empty(len(union) + len(longs), dtype=object)
-    terms[short_rank] = _unpack(union, {})
-    terms[long_rank] = longs
+    merged = np.empty(len(union) + len(longs), dtype=np.uint64)
+    merged[short_rank] = union
+    merged[long_rank] = long_keys
     long_at = dict(zip(longs, long_rank.tolist()))
     rebase, at = [], 0
     for (keys, tails), short in zip(packs, shorts):
@@ -332,7 +357,7 @@ def _merge_packed(packs) -> tuple[list[str], list[np.ndarray]]:
         lookup[list(tails)] = [long_at[term] for term in tails.values()]
         rebase.append(lookup)
         at += n_short
-    return terms.tolist(), rebase
+    return (merged, {at: term for term, at in long_at.items()}), rebase
 
 
 def _stack_indptr(indptrs) -> np.ndarray:

@@ -20,6 +20,13 @@ mean.
 Every document is generated independently and deterministically from
 ``(seed, profile, doc index)``, so corpora are reproducible at any scale
 and generation order is irrelevant.
+
+Off by default, a profile can also carry *latent topics*
+(:func:`with_topics`): each document draws one of ``n_topics``, part of
+its recurring tokens move onto that topic's words, and some repeat a
+topical word the document already used (a burst). The corpus statistics
+stay close to the profile's, but documents now share topic words, so a
+clustering has structure to find.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ __all__ = [
     "generate_document_text",
     "synth_word",
     "heaps_vocabulary",
+    "with_topics",
 ]
 
 # -- deterministic word table -----------------------------------------------------
@@ -156,10 +164,14 @@ class CorpusProfile:
     paper_documents: int = 0
     paper_bytes: int = 0
     paper_distinct_words: int = 0
+    #: Latent topics; 0 (the default) generates without any.
+    n_topics: int = 0
 
     def __post_init__(self) -> None:
         if self.n_docs < 1:
             raise ConfigurationError("profile needs at least one document")
+        if self.n_topics < 0:
+            raise ConfigurationError("n_topics must be >= 0")
         if self.mean_doc_tokens < 1:
             raise ConfigurationError("mean_doc_tokens must be >= 1")
         if not 0 < self.heaps_beta < 1:
@@ -229,6 +241,21 @@ NSF_ABSTRACTS_PROFILE = _calibrated_profile(
 )
 
 
+#: Under topics, the share of a document's recurring tokens that repeat
+#: a topical word it already used (the burst), and the share moved onto
+#: its topic's words (the ranks past the common words congruent to the
+#: topic modulo ``n_topics``). The rest follow the profile's Zipf law.
+_BURST = 0.2
+_TOPIC_SHARE = 0.5
+
+
+def with_topics(profile: CorpusProfile, n_topics: int = 8) -> CorpusProfile:
+    """``profile`` with ``n_topics`` latent topics (its name says so, and
+    so its documents draw from their own random streams)."""
+    return replace(profile, name=f"{profile.name}-topics{n_topics}",
+                   n_topics=n_topics)
+
+
 # -- generation ---------------------------------------------------------------------
 
 
@@ -265,10 +292,24 @@ def generate_document_text(
     n_new = min(n_new, length)
 
     tokens: list[str] = []
+    n_topics = profile.n_topics
+    # Draws past the default stream's happen only with topics on, so a
+    # profile without them generates exactly what it always did.
+    topic = rng.randrange(n_topics) if n_topics else None
+    topical: list[int] = []
     for _ in range(length - n_new):
         # Log-uniform rank over the vocabulary seen so far = Zipf-like.
-        rank = int(vocab_before ** rng.random()) - 1
-        tokens.append(synth_word(max(0, rank)))
+        rank = max(0, int(vocab_before ** rng.random()) - 1)
+        if topic is not None:
+            draw = rng.random()
+            if topical and draw < _BURST:
+                rank = rng.choice(topical)
+            elif draw < _BURST + _TOPIC_SHARE and rank >= len(_COMMON_WORDS):
+                # The topic's word in this run of n_topics ranks: topics
+                # re-weight the Zipf ranks, each owning every n_topics-th.
+                rank -= (rank - len(_COMMON_WORDS)) % n_topics - topic
+                topical.append(rank)
+        tokens.append(synth_word(rank))
     first_new_rank = int(vocab_before)
     new_tokens = [synth_word(first_new_rank + j) for j in range(n_new)]
     for token in new_tokens:

@@ -130,8 +130,8 @@ class TestCompactEqualsDense:
         def run_iteration(centroids, centroid_sq_norms):
             return [
                 kernels._assign_block(
-                    start, stop, centroids, centroid_sq_norms,
-                    indices, values, sq_norms,
+                    start, stop, np.ascontiguousarray(centroids.T),
+                    centroid_sq_norms, indices, values, sq_norms,
                 )
                 for start, stop in bounds
             ]
@@ -163,7 +163,9 @@ class TestCompactEqualsDense:
                 start, stop, centroids, centroid_sq_norms,
                 indices, values, sq_norms,
             )
-            assign, cells, partial, counts, inertia = kernels._assign_block(*args)
+            assign, cells, partial, counts, inertia = kernels._assign_block(
+                start, stop, np.ascontiguousarray(centroids.T), *args[3:]
+            )
             d_assign, d_partial, d_counts, d_inertia = _dense_block(*args)
             assert assign == d_assign
             assert counts.tolist() == d_counts.tolist()
@@ -231,8 +233,9 @@ class TestRecycledBufferHygiene:
         ]
         backend = make_backend(name, workers)
         placed = source.place(backend)
+        by_column = np.ascontiguousarray(centroids.T)
         channel = backend.open_broadcast(
-            "centroids", (centroids, centroid_sq_norms)
+            "centroids", (by_column, centroid_sq_norms)
         )
         try:
             backend.begin_phase("kmeans")
@@ -240,7 +243,7 @@ class TestRecycledBufferHygiene:
                 kernels.init_kmeans_worker,
                 (7, placed.descriptor(), channel.descriptor(), bounds),
             )
-            token = backend.broadcast(channel, (centroids, centroid_sq_norms))
+            token = backend.broadcast(channel, (by_column, centroid_sq_norms))
             # No reconfigure in between: the same warm workers serve the
             # failing block and its retries.
             for _round in range(3):

@@ -11,7 +11,9 @@ and must stay out of it. Two checks hold the line:
   each import runs — that fails on any simulator module;
 * its runtime twin, which imports each root in a fresh interpreter and
   reads ``sys.modules``, catching ``importlib`` imports and anything
-  else the walk cannot see.
+  else the walk cannot see. It also holds the corpus generator and the
+  corpus analysis out: ``repro.text`` serves their names on first use,
+  and only ``repro generate`` loads them.
 
 Run as a script, it prints the engine's size by the same walk, the
 number README states::
@@ -47,6 +49,9 @@ ENGINE_ROOTS = (
 
 #: The simulator's packages.
 SIMULATOR = ("repro.sim", "repro.dicts")
+
+#: Modules no engine root loads at import, though a command may.
+NOT_AT_IMPORT = ("repro.text.synth", "repro.text.analysis")
 
 
 def _is_simulator(module: str) -> bool:
@@ -154,6 +159,7 @@ def test_importing_an_engine_root_loads_no_simulator_module(root):
     ).stdout.split()
     assert root in out
     assert [m for m in out if _is_simulator(m)] == []
+    assert [m for m in out if m in NOT_AT_IMPORT] == []
 
 
 def test_readme_states_the_engine_size():

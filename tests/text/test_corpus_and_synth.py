@@ -170,3 +170,33 @@ class TestGeneration:
         token_ratio = large.total_tokens / small.total_tokens
         vocab_ratio = large.distinct_words / small.distinct_words
         assert 1.0 < vocab_ratio < token_ratio  # Heaps: sublinear growth
+
+
+class TestTopicMixture:
+    def test_off_by_default_and_named_when_on(self):
+        assert synth.MIX_PROFILE.n_topics == 0
+        topics = synth.with_topics(synth.MIX_PROFILE)
+        assert (topics.n_topics, topics.name) == (8, "mix-topics8")
+        assert topics.scaled(0.01).n_topics == 8
+        with pytest.raises(ConfigurationError):
+            synth.with_topics(synth.MIX_PROFILE, -1)
+
+    def test_topics_keep_the_corpus_statistics_close(self):
+        plain = generate_corpus(MIX_PROFILE, scale=0.005, seed=3).stats()
+        topics = generate_corpus(
+            synth.with_topics(MIX_PROFILE), scale=0.005, seed=3
+        ).stats()
+        assert topics.documents == plain.documents
+        assert abs(topics.total_tokens / plain.total_tokens - 1) < 0.05
+        assert abs(topics.distinct_words / plain.distinct_words - 1) < 0.1
+
+    def test_a_topic_fit_runs_at_least_five_iterations(self):
+        from repro.ops.kmeans import KMeansOperator
+        from repro.ops.tfidf import TfIdfOperator
+
+        corpus = generate_corpus(
+            synth.with_topics(MIX_PROFILE), scale=0.05, seed=0
+        )
+        scores = TfIdfOperator().fit_transform(corpus)
+        fit = KMeansOperator(n_clusters=8, max_iters=10).fit(scores.matrix)
+        assert fit.n_iters >= 5
