@@ -28,7 +28,12 @@ from dataclasses import dataclass, field
 
 from repro.cache import NullCacheSession, PipelineCache
 from repro.errors import ConfigurationError
-from repro.exec.inline import ExecutionBackend, SequentialBackend, ThreadBackend
+from repro.exec.inline import (
+    ExecutionBackend,
+    RunBill,
+    SequentialBackend,
+    ThreadBackend,
+)
 from repro.exec.process import ProcessBackend, make_backend
 from repro.exec.resilience import DowngradeEvent, QuarantineReport
 from repro.exec.shm import SHM
@@ -56,21 +61,6 @@ def _downgraded(backend: ExecutionBackend) -> ExecutionBackend | None:
         return SequentialBackend(backend.resilience)
     return None
 
-
-def _transplant(old: ExecutionBackend, new: ExecutionBackend) -> None:
-    """Carry one run's accounting state onto another backend of the run
-    (a downgraded one, or the next phase's under a mixed-tier plan).
-
-    IPC counters, span recorder, quarantine report, and task-id counters
-    move over so the run has one continuous bill whichever backend runs.
-    The fault plan deliberately does *not* move: its directives targeted
-    the dead backend's workers (an ``exit`` fault re-fired in-process
-    would kill the parent), and the point of degrading is to finish.
-    """
-    new.ipc = old.ipc
-    new.spans = old.spans
-    new.quarantine = old.quarantine
-    new._task_counters = old._task_counters
 
 #: Phase label for time the pipeline spent blocked on input reads. Only
 #: reported for streamed input (a :class:`DocumentStream`); a materialized
@@ -230,12 +220,12 @@ def run_pipeline(
     ``degrade=True`` absorbs a dead worker pool (a
     ``BrokenProcessPool`` that survived the backend's own restart
     breaker) by rebuilding the failed phase one backend tier down —
-    processes → threads → sequential — with the run's accounting
-    transplanted; each step is recorded as a
-    :class:`~repro.exec.resilience.DowngradeEvent` on the result, and
-    every later phase planned on the same backend stays on the lower
-    tier. Phase 1 over *streamed* input cannot be replayed (the stream
-    is partially consumed), so there the error still propagates.
+    processes → threads → sequential — billed to the same run; each step
+    is recorded as a :class:`~repro.exec.resilience.DowngradeEvent` on
+    the result, and every later phase planned on the same backend stays
+    on the lower tier. Phase 1 over *streamed* input cannot be replayed
+    (the stream is partially consumed), so there the error still
+    propagates.
 
     ``plan`` switches to adaptive execution: ``"auto"`` lets an
     :class:`~repro.plan.AdaptivePlanner` pick each phase's configuration
@@ -245,12 +235,16 @@ def run_pipeline(
     the document count); a prebuilt :class:`~repro.plan.RealPlan` is
     executed verbatim and keeps the read overlap. Phases may run on
     different backends — built once per tier × workers × shm, closed
-    here — under one IPC/span/quarantine bill; the executed plan is
-    recorded on the result, and planned outputs are bit-identical to
-    every fixed-configuration run. ``backend`` (or the sequential one
-    built here) is still the run's own: it carries that bill, every
-    backend the plan builds takes its ``resilience`` policy, and it
-    runs every phase planned on its own tier × workers × shm.
+    here — under one bill; the executed plan is recorded on the result,
+    and planned outputs are bit-identical to every fixed-configuration
+    run. ``backend`` (or the sequential one built here) is still the
+    run's own: every backend the plan builds takes its ``resilience``
+    policy, and it runs every phase planned on its own tier × workers ×
+    shm.
+
+    Every run bills a fresh :class:`~repro.exec.inline.RunBill`, set as
+    ``.bill`` on each backend it uses (and left on ``backend``), so a
+    later run leaves this result's accounting as it is.
 
     ``cache`` (a :class:`~repro.cache.PipelineCache` or a store
     directory) memoizes each phase's result on disk, keyed on corpus
@@ -305,18 +299,17 @@ def run_pipeline(
     if backend is None:
         backend = SequentialBackend()
         owned.append(backend)
-    # One bill (IPC counters, spans, quarantine) and one policy for the
-    # whole run: the run's own backend's, adopted by every backend below.
-    bill = backend
+    # One bill for the whole run, set on every backend it uses, and one
+    # policy: the run's own backend's, lent to every backend built here.
+    # The fault plan is not lent: its directives target the caller's
+    # backend (an ``exit`` fault fired in-process would kill the parent).
+    bill = backend.bill = RunBill()
     home = _slot(backend)
-    bill.ipc.reset()  # this run's bill only
-    bill.quarantine.clear()
-    bill._task_counters.clear()  # task ids restart with each run
     streamed = isinstance(corpus, DocumentStream)
     if trace:
         bill.spans.begin_run()
-        if streamed:
-            corpus.spans = bill.spans
+    if streamed:
+        corpus.bill = bill
 
     source = corpus
     pipeline_cache = PipelineCache.ensure(cache)
@@ -387,9 +380,9 @@ def run_pipeline(
             pool[slot] = make_backend(
                 step.backend, step.workers,
                 shm=step.shm if step.backend == "processes" else None,
-                resilience=bill.resilience,
+                resilience=backend.resilience,
             )
-            _transplant(bill, pool[slot])  # one bill, whichever executes
+            pool[slot].bill = bill
             owned.append(pool[slot])
         while True:
             live = pool[slot]
@@ -399,7 +392,7 @@ def run_pipeline(
                 lower = _downgraded(live) if degrade and replayable else None
                 if lower is None:
                     raise
-                _transplant(live, lower)
+                lower.bill = bill
                 owned.append(lower)
                 downgrades.append(DowngradeEvent(
                     phase=phase, from_backend=live.name,
@@ -485,7 +478,7 @@ def run_pipeline(
         bill.spans,
         phase_wall_s=dict(seconds),
         backend_name=backend_name(),
-        workers=max(be.workers for be in (bill, *owned)),
+        workers=max(be.workers for be in (backend, *owned)),
     ) if trace else None
     spill_stats = getattr(scores.matrix, "spill_stats", None)
     result = RealRunResult(

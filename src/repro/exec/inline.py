@@ -41,6 +41,7 @@ tasks not started yet, and only a dead process pool is replayed.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -59,6 +60,7 @@ from repro.exec.spans import SpanRecorder
 
 __all__ = [
     "ExecutionBackend",
+    "RunBill",
     "SequentialBackend",
     "ThreadBackend",
     "apply_chunk",
@@ -124,6 +126,35 @@ class _Task:
         return f"{self.phase}#{self.task_id}"
 
 
+class RunBill:
+    """What one run's tasks cost: IPC counters, spans, the quarantine
+    report and task ids.
+
+    ``run_pipeline`` makes one per run and sets it on every backend the
+    run uses — its own, each one a plan builds, each downgraded one — so
+    the run has one continuous bill whichever backend executes. A backend
+    built outside a run carries its own. The phase cursor is the one in
+    ``ipc``: shm handles and tile stores bill through it.
+    """
+
+    def __init__(self) -> None:
+        self.ipc = IpcStats()
+        #: Disarmed until ``spans.begin_run()`` (``run_pipeline(trace=True)``).
+        self.spans = SpanRecorder()
+        self.quarantine = QuarantineReport()
+        self._task_ids: dict[str, int] = {}
+        self._lock = threading.Lock()
+
+    def next_task_id(self, phase: str) -> int:
+        """The phase's next task id (0, 1, ... per phase), shared by the
+        gather loop and the reader threads, so fault plans, retries and
+        spans agree on numbering whether or not tracing is armed."""
+        with self._lock:
+            task_id = self._task_ids.get(phase, 0)
+            self._task_ids[phase] = task_id + 1
+        return task_id
+
+
 class ExecutionBackend:
     """Map a function over items, preserving input order; the base class
     runs every item inline on the calling thread."""
@@ -146,37 +177,24 @@ class ExecutionBackend:
     _pool_death: tuple = ()
 
     def __init__(self, resilience: ResilienceConfig | None = None) -> None:
-        #: Per-phase IPC accounting (see :class:`repro.exec.shm.IpcStats`).
-        #: In-process backends keep it too — operators charge phases
-        #: uniformly, and the zero counts are themselves the measurement.
-        self.ipc = IpcStats()
+        #: What the backend's tasks are billed to; ``run_pipeline`` sets a
+        #: fresh one for each run on every backend the run uses.
+        self.bill = RunBill()
         #: Where shared arrays live (see :class:`repro.exec.shm.Plane`).
         self.plane = Plane(REFERENCE)
-        #: Per-task span capture (see :class:`repro.exec.spans.SpanRecorder`);
-        #: disarmed by default, armed by ``spans.begin_run()`` (which
-        #: ``run_pipeline(trace=True)`` does for you).
-        self.spans = SpanRecorder()
         #: Fault-tolerance policy (retries, deadlines, poison handling);
         #: the default config runs every task once and fails on its first
         #: error. Plain attribute — callers may replace it between phases.
         self.resilience = resilience if resilience is not None else ResilienceConfig()
-        #: Items isolated by ``on_poison="quarantine"`` across this
-        #: backend's lifetime; ``run_pipeline`` clears it per run.
-        self.quarantine = QuarantineReport()
         #: Optional :class:`repro.exec.faultinject.FaultPlan` — when set,
         #: tasks consult it (in-process backends inline, the process
         #: backend via a directive shipped in the task payload).
         self.fault_plan = None
-        # The one source of per-phase task ids, so fault plans, retries,
-        # and spans agree on numbering whether or not tracing is armed.
-        # ``run_pipeline`` restarts them with each run's bill.
-        self._task_counters: dict[str, int] = {}
         self._phase_started = time.monotonic()
 
     def begin_phase(self, name: str) -> None:
         """Charge subsequent tasks/IPC/spans to the named pipeline phase."""
-        self.ipc.set_phase(name)
-        self.spans.set_phase(name)
+        self.bill.ipc.set_phase(name)
         self._phase_started = time.monotonic()
 
     # -- the task lifecycle -------------------------------------------------------
@@ -185,11 +203,6 @@ class ExecutionBackend:
     # the task and phase deadlines, on failure ask the retry policy and
     # start it again, and when its attempts run out raise it or bisect
     # it into quarantined leaves. The hooks after it are what differs.
-
-    def _next_task_id(self, phase: str) -> int:
-        task_id = self._task_counters.get(phase, 0)
-        self._task_counters[phase] = task_id + 1
-        return task_id
 
     def _check_phase_deadline(self, phase: str) -> None:
         limit = self.resilience.phase_timeout_s
@@ -214,11 +227,12 @@ class ExecutionBackend:
     def _loop(self, fn, items: Iterable, bisect_items: bool) -> Iterator:
         """Start each item as the producer yields it (inline: only once
         the result before it is taken); gather in item order."""
-        phase = self.spans.phase
+        phase = self.bill.ipc.phase
         window: deque[_Task] = deque()  # started, not yet gathered
         try:
             for index, item in enumerate(items):
-                task = _Task(fn, item, index, self._next_task_id(phase), phase)
+                task_id = self.bill.next_task_id(phase)
+                task = _Task(fn, item, index, task_id, phase)
                 self._start(task)
                 window.append(task)
                 if not self.runs_ahead:
@@ -292,7 +306,7 @@ class ExecutionBackend:
         for the retry policy."""
         outcome = self._reclaim()
         self._check_phase_deadline(task.phase)
-        self.ipc.record_timeout()
+        self.bill.ipc.record_timeout()
         return TaskTimeoutError(
             f"task {task.key} exceeded its per-task deadline on backend "
             f"{self.name!r} (attempt {task.attempt}); {outcome}"
@@ -302,7 +316,7 @@ class ExecutionBackend:
         self, task: _Task, item_index: int, sub_start: int, n_units: int,
         exc: BaseException,
     ) -> None:
-        self.quarantine.add(
+        self.bill.quarantine.add(
             QuarantinedItem(
                 phase=task.phase,
                 task_key=task.key,
@@ -314,26 +328,27 @@ class ExecutionBackend:
                 error_type=type(exc).__name__,
             )
         )
-        self.ipc.record_quarantined(n_units)
+        self.bill.ipc.record_quarantined(n_units)
 
     def _bill(self, task: _Task, payload_bytes: int) -> None:
         """A task's first start is billed as a task; every later one —
         retry, replay, probe — as a retry."""
         if task.billed:
-            self.ipc.record_retry(payload_bytes)
+            self.bill.ipc.record_retry(payload_bytes)
         else:
             task.billed = True
-            self.ipc.record_task(payload_bytes)
+            self.bill.ipc.record_task(payload_bytes)
 
     def _run_body(self, task: _Task, attempt: int, t_submit: float):
         """An in-process task body: fire any planned fault, apply the
         function, record the span."""
         if self.fault_plan is not None:
             self.fault_plan.fire(task.phase, task.task_id)
-        t_start = self.spans.now()
+        spans = self.bill.spans
+        t_start = spans.now()
         result = task.fn(task.item)
-        self.spans.record(
-            t_start, self.spans.now(), task_id=task.task_id, phase=task.phase,
+        spans.record(
+            t_start, spans.now(), task_id=task.task_id, phase=task.phase,
             n_items=1, queue_s=t_start - t_submit, attempt=attempt,
         )
         return result
@@ -352,7 +367,7 @@ class ExecutionBackend:
     def _result(self, task: _Task, timeout: float | None):
         """Wait at most ``timeout`` for the started ``task``; return its
         result or raise its error (inline: run it now)."""
-        return self._run_body(task, task.attempt, self.spans.now())
+        return self._run_body(task, task.attempt, self.bill.spans.now())
 
     def _reclaim(self) -> str:
         """Walk away from whatever a deadline overrun left running; says
@@ -367,7 +382,7 @@ class ExecutionBackend:
     #
     # The channel calls of every backend. ``self.plane`` holds the one
     # transport decision (in-process: references); segments and
-    # broadcasts bill the backend's current ``ipc``.
+    # broadcasts bill ``self.bill.ipc``.
 
     def share_arrays(self, tag: str, arrays) -> Segment:
         """Place phase-constant arrays where every worker can see them.
@@ -378,7 +393,7 @@ class ExecutionBackend:
         copied.
         """
         return self.plane.track(Segment(
-            tag, arrays=arrays, shared=self.plane.shared, stats=self.ipc
+            tag, arrays=arrays, shared=self.plane.shared, stats=self.bill.ipc
         ))
 
     def open_broadcast(self, tag: str, template) -> Broadcast:
@@ -388,7 +403,7 @@ class ExecutionBackend:
         :meth:`broadcast` must match.
         """
         return self.plane.track(
-            Broadcast(tag, template, self.plane.transport, self.ipc)
+            Broadcast(tag, template, self.plane.transport, self.bill.ipc)
         )
 
     def open_gather(self, tag: str, slots) -> Gather:
@@ -402,7 +417,7 @@ class ExecutionBackend:
         later puts are checked against.
         """
         table = slots() if self.plane.shared else None
-        return self.plane.track(Gather(tag, table, self.plane.transport, self.ipc))
+        return self.plane.track(Gather(tag, table, self.plane.transport, self.bill.ipc))
 
     def allocate_arrays(self, tag: str, specs) -> Segment | None:
         """A zero-filled shared segment of ``(key, dtype, shape)`` arrays
@@ -411,7 +426,7 @@ class ExecutionBackend:
         where returning them copies nothing)."""
         if not self.plane.shared:
             return None
-        return self.plane.track(Segment(tag, specs, shared=True, stats=self.ipc))
+        return self.plane.track(Segment(tag, specs, shared=True, stats=self.bill.ipc))
 
     def broadcast(self, channel, arrays):
         """Publish this iteration's arrays; returns the token tasks carry.
@@ -421,7 +436,7 @@ class ExecutionBackend:
         value transport the arrays themselves.
         """
         token = channel.publish(arrays)
-        self.ipc.record_broadcast(channel.payload_bytes)
+        self.bill.ipc.record_broadcast(channel.payload_bytes)
         return token
 
     def phase_grain(self, n_items: int) -> int:
@@ -479,6 +494,36 @@ class ExecutionBackend:
         """Every result of :meth:`imap`, in item order."""
         return list(self.imap(fn, items, bisect_items=bisect_items))
 
+    def map_documents(
+        self, fn: Callable, chunks: Iterable, starts: Sequence[int],
+        doc_ids: Sequence[int] | None = None,
+    ) -> tuple[list, list[int]]:
+        """:meth:`map` over chunks of documents, bisected down to one
+        document in quarantine mode; returns the results and the
+        positions of the documents quarantined.
+
+        ``starts[i]`` is the position of chunk ``i``'s first document,
+        read after the map, so a lazy producer may fill it as it yields.
+        The bill's quarantine report notes each position as a document
+        id: ``doc_ids[position]``, or the position itself when
+        ``doc_ids`` is ``None``.
+        """
+        report = self.bill.quarantine
+        before = len(report.items)
+        parts = self.map(fn, chunks, bisect_items=True)
+        dropped = [
+            at
+            for item in report.items[before:]
+            for at in range(
+                starts[item.item_index] + item.sub_start,
+                starts[item.item_index] + item.sub_start + item.n_units,
+            )
+        ]
+        report.doc_ids.extend(
+            dropped if doc_ids is None else [doc_ids[at] for at in dropped]
+        )
+        return parts, dropped
+
     def close(self) -> None:
         """Release any pooled resources (idempotent)."""
 
@@ -519,7 +564,7 @@ class ThreadBackend(ExecutionBackend):
     def _start(self, task: _Task) -> None:
         super()._start(task)
         task.future = self._ensure_pool().submit(
-            self._run_body, task, task.attempt, self.spans.now()
+            self._run_body, task, task.attempt, self.bill.spans.now()
         )
 
     def _result(self, task: _Task, timeout: float | None):

@@ -35,7 +35,7 @@ Design points (see ``docs/backends.md`` for the cost model):
   the returns, through the same operator code. ``close()`` unlinks every
   segment, including after a worker crash.
 * **IPC accounting.** Tasks round-trip through an explicit
-  pickle-the-payload trampoline, so ``backend.ipc`` counts the *exact*
+  pickle-the-payload trampoline, so ``backend.bill.ipc`` counts the *exact*
   bytes serialized each way, per pipeline phase — on a 1-CPU host the
   wall clock cannot show the shm win, the byte counters can.
 * **Order preservation.** Results are collected in submission order, so
@@ -276,13 +276,13 @@ class ProcessBackend(ExecutionBackend):
         if self._pool is not None:
             self._install()
         elif self._start_method == "fork":
-            self.ipc.record_configure(0)
+            self.bill.ipc.record_configure(0)
         else:
             # spawn/forkserver serialize the boot state into every worker.
-            self.ipc.record_configure(len(pickle.dumps(initargs)) * self.workers)
+            self.bill.ipc.record_configure(len(pickle.dumps(initargs)) * self.workers)
 
     def _epoch(self) -> float | None:
-        return self.spans.epoch if self.spans.enabled else None
+        return self.bill.spans.epoch if self.bill.spans.enabled else None
 
     def _install(self) -> None:
         """Run one install task per live worker (see :func:`run_install`).
@@ -292,7 +292,7 @@ class ProcessBackend(ExecutionBackend):
         """
         epoch = self._epoch()
         payload = pickle.dumps((epoch, *(self._init or (None, ()))))
-        self.ipc.record_configure(len(payload) * self.workers)
+        self.bill.ipc.record_configure(len(payload) * self.workers)
         try:
             futures = [
                 self._pool.submit(run_install, payload)
@@ -324,7 +324,7 @@ class ProcessBackend(ExecutionBackend):
                 ),
             )
             self._pool_epoch = epoch
-        elif self.spans.enabled and self._pool_epoch != self.spans.epoch:
+        elif self.bill.spans.enabled and self._pool_epoch != self.bill.spans.epoch:
             # Arming (or re-arming) the recorder changes the epoch every
             # worker must re-base against: the same install ships it.
             self._install()
@@ -369,7 +369,7 @@ class ProcessBackend(ExecutionBackend):
         # phase and the last task handed to the pool, so a crash report
         # says *where* in the pipeline the worker died.
         self.close()
-        context = f"worker pool crashed during phase {self.ipc.phase!r}"
+        context = f"worker pool crashed during phase {self.bill.ipc.phase!r}"
         if self._last_task is not None:
             context += f" (last submitted task {self._last_task})"
         detail = str(cause).strip() if cause is not None else ""
@@ -388,9 +388,9 @@ class ProcessBackend(ExecutionBackend):
         """
         if isinstance(blob, tuple):
             blob, span_blob = blob
-            self.ipc.record_span_payload(len(span_blob))
-            self.spans.record_worker_span(pickle.loads(span_blob))
-        self.ipc.record_result(len(blob))
+            self.bill.ipc.record_span_payload(len(span_blob))
+            self.bill.spans.record_worker_span(pickle.loads(span_blob))
+        self.bill.ipc.record_result(len(blob))
         (result,) = pickle.loads(blob)
         return result
 
@@ -410,8 +410,8 @@ class ProcessBackend(ExecutionBackend):
                 fault = (spec, self.fault_plan.state_dir)
         extra = (fault, task.attempt) if (fault is not None or task.attempt > 1) else ()
         chunk = [task.item]
-        if self.spans.enabled:
-            base = (task.fn, chunk, task.task_id, task.phase, self.spans.now())
+        if self.bill.spans.enabled:
+            base = (task.fn, chunk, task.task_id, task.phase, self.bill.spans.now())
             return pickle.dumps(base + extra), run_pickled_chunk_traced
         return pickle.dumps((task.fn, chunk) + extra), run_pickled_chunk
 
@@ -457,7 +457,7 @@ class ProcessBackend(ExecutionBackend):
         self._pool_restarts_phase += 1
         if self._pool_restarts_phase > self.resilience.max_pool_restarts:
             raise self._broken(cause) from cause
-        self.ipc.record_pool_restart()
+        self.bill.ipc.record_pool_restart()
         self._close_pool()
         for task in tasks:
             future = task.future

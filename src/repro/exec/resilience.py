@@ -218,10 +218,11 @@ class QuarantinedItem:
 class QuarantineReport:
     """Every quarantined item of one run, in isolation order.
 
-    Lives on the backend (``backend.quarantine``) so all phases of a run
-    accumulate into one report; ``run_pipeline`` clears it at run start
-    and attaches it to the result. ``doc_ids`` holds the document ids the
-    operators resolved from the raw item coordinates.
+    Lives on the run's bill (``backend.bill.quarantine``) so all phases
+    of a run accumulate into one report, which ``run_pipeline`` attaches
+    to the result. ``doc_ids`` holds the document ids
+    :meth:`~repro.exec.inline.ExecutionBackend.map_documents` resolved
+    from the raw item coordinates.
     """
 
     def __init__(self) -> None:
@@ -234,16 +235,8 @@ class QuarantineReport:
     def __bool__(self) -> bool:
         return bool(self.items)
 
-    def clear(self) -> None:
-        self.items = []
-        self.doc_ids = []
-
     def add(self, item: QuarantinedItem) -> None:
         self.items.append(item)
-
-    def note_docs(self, doc_ids) -> None:
-        """Record resolved document ids (operator-side translation)."""
-        self.doc_ids.extend(int(doc) for doc in doc_ids)
 
     def phase_items(self, phase: str) -> list[QuarantinedItem]:
         return [item for item in self.items if item.phase == phase]

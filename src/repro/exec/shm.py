@@ -176,10 +176,12 @@ class PhaseIpc:
 
 
 class IpcStats:
-    """Per-phase IPC counters owned by one execution backend.
+    """Per-phase IPC counters of one run's bill, and the run's one phase
+    cursor (:class:`~repro.exec.inline.RunBill`).
 
-    Operators call :meth:`set_phase` when they start a backend run; every
-    subsequent task/configure/segment/broadcast is charged to that phase.
+    Operators start a phase with ``backend.begin_phase``, which calls
+    :meth:`set_phase`; every subsequent task/configure/segment/broadcast/
+    tile is charged to that phase.
     ``snapshot()`` returns a JSON-able dict that ``run_pipeline`` surfaces
     in :class:`~repro.core.pipeline.RealRunResult` (``result.ipc``), where
     ``perfbench/`` reads its ``exec.*`` rows.

@@ -9,8 +9,8 @@ box. This module gives real runs the same eyes:
 * :class:`TaskSpan` — one record per executed task: ``(phase, task_id,
   worker, t_start, t_end, n_items, in_bytes, out_bytes, queue_s)``,
   timestamps in seconds relative to the run's epoch.
-* :class:`SpanRecorder` — the per-backend capture buffer (``backend.spans``,
-  a sibling of ``backend.ipc``). In-process backends record directly;
+* :class:`SpanRecorder` — the run's capture buffer (``backend.bill.spans``,
+  a sibling of ``backend.bill.ipc``). In-process backends record directly;
   :class:`~repro.exec.process.ProcessBackend` workers record locally —
   monotonic clocks re-based against the epoch shipped to every worker at
   ``configure()`` time — and piggy-back the span on the existing
@@ -101,7 +101,8 @@ def worker_now() -> float:
 
 
 class SpanRecorder:
-    """Span capture buffer owned by one execution backend.
+    """Span capture buffer of one run's bill
+    (:class:`~repro.exec.inline.RunBill`).
 
     Disabled by default — ``record()`` is a no-op until ``begin_run()``
     arms it, so untraced runs pay a single boolean check per task.
@@ -115,8 +116,6 @@ class SpanRecorder:
         self._lock = threading.Lock()
         self._spans: list[TaskSpan] = []
         self._lanes: dict[tuple, int] = {}
-        self._phase = "misc"
-        self._task_ids: dict[str, int] = {}
         self.enabled = False
         self.epoch = 0.0
         self.epoch_wall = 0.0
@@ -136,8 +135,6 @@ class SpanRecorder:
         with self._lock:
             self._spans = []
             self._lanes = {}
-            self._task_ids = {}
-            self._phase = "misc"
             self.epoch_wall = time.time()
             self.epoch = time.perf_counter()
             self.enabled = True
@@ -147,24 +144,9 @@ class SpanRecorder:
         """Disarm; captured spans stay readable until the next begin_run."""
         self.enabled = False
 
-    def set_phase(self, name: str) -> None:
-        self._phase = name
-
-    @property
-    def phase(self) -> str:
-        return self._phase
-
     def now(self) -> float:
         """Seconds since this run's epoch, on the parent's clock."""
         return time.perf_counter() - self.epoch
-
-    def next_task_id(self, phase: str | None = None) -> int:
-        """Per-phase task counter (ids restart at 0 for every phase)."""
-        phase = phase if phase is not None else self._phase
-        with self._lock:
-            task_id = self._task_ids.get(phase, 0)
-            self._task_ids[phase] = task_id + 1
-        return task_id
 
     # -- recording ---------------------------------------------------------------
 
@@ -180,8 +162,8 @@ class SpanRecorder:
         t_end: float,
         *,
         worker_key: tuple | None = None,
-        task_id: int | None = None,
-        phase: str | None = None,
+        task_id: int = 0,
+        phase: str = "misc",
         n_items: int = 0,
         in_bytes: int = 0,
         out_bytes: int = 0,
@@ -197,11 +179,7 @@ class SpanRecorder:
             return
         if worker_key is None:
             worker_key = ("thread", threading.get_ident())
-        phase = phase if phase is not None else self._phase
         with self._lock:
-            if task_id is None:
-                task_id = self._task_ids.get(phase, 0)
-                self._task_ids[phase] = task_id + 1
             self._spans.append(
                 TaskSpan(
                     phase=phase,

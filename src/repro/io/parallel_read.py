@@ -40,8 +40,8 @@ from dataclasses import replace
 from typing import Iterable, Iterator
 
 from repro.errors import ConfigurationError, StorageError
+from repro.exec.inline import RunBill
 from repro.exec.resilience import RetryPolicy, run_attempts
-from repro.exec.spans import SpanRecorder
 from repro.exec.task import TaskCost
 from repro.io.corpus_io import corpus_paths
 from repro.io.storage import Storage
@@ -89,7 +89,7 @@ def read_paths(
     *,
     workers: int = 1,
     prefetch: int | None = None,
-    recorder: SpanRecorder | None = None,
+    bill: RunBill | None = None,
     retry: RetryPolicy | None = None,
 ) -> Iterator[tuple[str, str, TaskCost]]:
     """Yield ``(path, contents, cost)`` for every path, in input order.
@@ -98,9 +98,9 @@ def read_paths(
     no pool (the serial baseline). ``prefetch`` bounds the number of files
     in flight — submitted to the pool but not yet delivered — and defaults
     to :func:`default_prefetch`; the pool reads them in batches of
-    :func:`batch_files` contiguous files per task. When ``recorder`` is an
-    armed :class:`~repro.exec.spans.SpanRecorder`, each file read is
-    captured as a ``read``-phase span on the thread that performed it. A ``retry``
+    :func:`batch_files` contiguous files per task. When ``bill``'s spans
+    are armed, each file read is captured as a ``read``-phase span, with
+    a task id from the bill, on the thread that performed it. A ``retry``
     policy re-reads a file whose read failed with a *transient*
     :class:`OSError` (deterministic backoff, per the policy); a read that
     exhausts the budget raises :class:`~repro.errors.StorageError` naming
@@ -110,7 +110,7 @@ def read_paths(
     if workers < 1:
         raise ConfigurationError(f"read workers must be >= 1, got {workers}")
     paths = list(paths)
-    read = _reader(storage, recorder, retry)
+    read = _reader(storage, bill, retry)
     if workers == 1:
         for path in paths:
             text, cost = read(path)
@@ -125,7 +125,7 @@ def read_paths(
 
 def _reader(
     storage: Storage,
-    recorder: SpanRecorder | None,
+    bill: RunBill | None,
     retry: RetryPolicy | None = None,
 ):
     """Plain ``storage.read``, or a wrapper that records one span per file.
@@ -138,9 +138,10 @@ def _reader(
     :class:`StorageError` from the storage itself (missing file) is a
     *permanent* condition and stays eager.
     """
-    if recorder is None or not recorder.enabled:
+    if bill is None or not bill.spans.enabled:
         base = storage.read
     else:
+        recorder = bill.spans
 
         def traced_read(path: str) -> tuple[str, TaskCost]:
             t_start = recorder.now()
@@ -149,7 +150,7 @@ def _reader(
                 t_start,
                 recorder.now(),
                 phase=_READ_PHASE,
-                task_id=recorder.next_task_id(_READ_PHASE),
+                task_id=bill.next_task_id(_READ_PHASE),
                 n_items=1,
                 out_bytes=len(text),
             )
@@ -234,11 +235,11 @@ class DocumentStream:
     ``bytes_read`` / ``n_read``
         Text bytes and file count actually delivered.
 
-    Setting ``spans`` to an armed :class:`SpanRecorder` before iterating
-    captures one ``read``-phase span per file. :meth:`close` tears down the
-    reader pool early — safe to call at any point, including after normal
-    exhaustion — so a consumer that aborts mid-stream does not leak reader
-    threads.
+    Setting ``bill`` to a :class:`~repro.exec.inline.RunBill` with armed
+    spans before iterating captures one ``read``-phase span per file.
+    :meth:`close` tears down the reader pool early — safe to call at any
+    point, including after normal exhaustion — so a consumer that aborts
+    mid-stream does not leak reader threads.
     """
 
     def __init__(
@@ -267,7 +268,7 @@ class DocumentStream:
         self.wait_seconds = 0.0
         self.bytes_read = 0
         self.n_read = 0
-        self.spans: SpanRecorder | None = None
+        self.bill: RunBill | None = None
         self._consumed = False
         self._active: Iterator[Document] | None = None
 
@@ -301,7 +302,7 @@ class DocumentStream:
             self.paths,
             workers=self.workers,
             prefetch=self.prefetch,
-            recorder=self.spans,
+            bill=self.bill,
             retry=self.retry,
         )
         try:

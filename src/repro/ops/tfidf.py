@@ -21,7 +21,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -294,9 +294,11 @@ class TfIdfOperator:
                 (at, min(at + step, stop)) for at in range(start, stop, step)
             ]
             if rows_out is None:
-                return self._map_chunks(
-                    backend, [bound[a:b] for a, b in ranges], start
-                )
+                # A quarantined row is reported as its input document.
+                return backend.map_documents(
+                    kernels.transform_chunk, [bound[a:b] for a, b in ranges],
+                    [a for a, _ in ranges], wc.doc_ids,
+                )[0]
             # Written in place: no block comes back.
             backend.map(
                 partial(kernels.transform_into, rows_out.descriptor()),
@@ -320,33 +322,6 @@ class TfIdfOperator:
         kept = np.zeros(len(bound.ids) + 1, dtype=np.int64)
         np.cumsum(bound.gmap[bound.ids] >= 0, out=kept[1:])
         return kept[bound.indptr]
-
-    @staticmethod
-    def _map_chunks(
-        backend: ExecutionBackend, chunks: list[TermBlock], first_doc: int
-    ) -> list:
-        """Bound row ranges → one CSR block each, on the backend.
-
-        ``bisect_items`` lets quarantine mode isolate a single poisoned
-        document inside a chunk (its rows are then simply absent from the
-        blocks returned); what was isolated is reported as document
-        indices, counted from ``first_doc`` — the index of the first row
-        of ``chunks[0]``.
-        """
-        quarantined_before = len(backend.quarantine.items)
-        parts = backend.map(kernels.transform_chunk, chunks, bisect_items=True)
-        new_items = backend.quarantine.items[quarantined_before:]
-        if new_items:
-            starts = list(accumulate(map(len, chunks), initial=first_doc))
-            backend.quarantine.note_docs(
-                doc
-                for item in new_items
-                for doc in range(
-                    starts[item.item_index] + item.sub_start,
-                    starts[item.item_index] + item.sub_start + item.n_units,
-                )
-            )
-        return parts
 
     def transform_wordcount(
         self,

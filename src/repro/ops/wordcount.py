@@ -62,10 +62,14 @@ class WordCountResult:
     total_tokens: int = 0
     #: The corpus block; ``None`` on a simulated result.
     block: TermBlock | None = None
+    #: Each row's input document id once quarantine dropped documents;
+    #: ``None`` when row ``i`` is document ``i``.
+    doc_ids: list[int] | None = None
 
     @classmethod
     def from_block(
-        cls, block: TermBlock, paths: list[str], input_bytes: int
+        cls, block: TermBlock, paths: list[str], input_bytes: int,
+        doc_ids: list[int] | None = None,
     ) -> "WordCountResult":
         """The result a real run (or the cache) builds from the corpus
         block."""
@@ -76,6 +80,7 @@ class WordCountResult:
             input_bytes=input_bytes,
             total_tokens=sum(doc_tokens),
             block=block,
+            doc_ids=doc_ids,
         )
 
     @property
@@ -145,35 +150,28 @@ class WordCountStep:
                 chunk_starts.append(len(paths) - len(chunk))
                 yield chunk
 
-        # One chunk, one task. ``bisect_items`` lets quarantine mode split
-        # *inside* a chunk, so one poisoned document is isolated, not its
-        # whole chunk.
-        quarantined_before = len(backend.quarantine.items)
+        # One chunk, one task; quarantine mode isolates one poisoned
+        # document, not its whole chunk.
         try:
-            parts = backend.map(
+            parts, dropped = backend.map_documents(
                 partial(kernels.count_chunk, slot=slot), chunked(),
-                bisect_items=True,
+                chunk_starts,
             )
         finally:
             # The in-process install is this run's alone; pool workers
             # drop theirs at the next install.
             kernels.release_wordcount_worker(slot)
 
-        # Translate quarantine coordinates (chunk ordinal + offset inside
-        # the chunk) into document indices, and drop those documents from
-        # the path list so it stays aligned with the surviving rows.
-        new_items = backend.quarantine.items[quarantined_before:]
-        if new_items:
-            dropped: list[int] = []
-            for item in new_items:
-                base = chunk_starts[item.item_index] + item.sub_start
-                dropped.extend(range(base, base + item.n_units))
-            backend.quarantine.note_docs(dropped)
+        # Quarantined documents leave the path list, so it stays aligned
+        # with the surviving rows, whose document ids are kept.
+        doc_ids = None
+        if dropped:
             dropped_set = set(dropped)
-            paths = [p for i, p in enumerate(paths) if i not in dropped_set]
+            doc_ids = [i for i in range(len(paths)) if i not in dropped_set]
+            paths = [paths[i] for i in doc_ids]
 
         # The df merge: one corpus block over the union of the chunks'
         # terms (quarantine bisection may have split a chunk into several).
         return WordCountResult.from_block(
-            TermBlock.concat(parts), paths, input_bytes
+            TermBlock.concat(parts), paths, input_bytes, doc_ids
         )

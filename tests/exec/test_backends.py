@@ -259,7 +259,7 @@ class TestProcessBackend:
             pids = set(backend.map(_pid, range(8)))
             backend.configure(_install_offset, args)
             assert backend._pool is pool
-            assert backend.ipc.total().configures == 1  # same state: no-op
+            assert backend.bill.ipc.total().configures == 1  # same state: no-op
             backend.configure(_install_offset, (8,))
             # New state goes into the same workers — no second generation.
             assert backend._pool is pool
@@ -329,7 +329,7 @@ class TestProcessBackend:
     def test_map_accounts_pickled_bytes(self):
         with ProcessBackend(2) as backend:
             backend.map(_square, range(20))
-            total = backend.ipc.total()
+            total = backend.bill.ipc.total()
             assert total.tasks == 20  # one task per item
             assert total.task_pickle_bytes > 0
             assert total.result_pickle_bytes > 0

@@ -34,12 +34,12 @@ def _run(name, workers, max_attempts):
         retry=RetryPolicy(max_attempts=max_attempts), on_poison="quarantine"
     )
     with make_backend(name, workers, resilience=cfg) as backend:
-        backend.spans.begin_run()
+        backend.bill.spans.begin_run()
         backend.begin_phase("p")
         results = backend.map(_double_unless_13, ITEMS, bisect_items=True)
-        records = [item.as_dict() for item in backend.quarantine.items]
-        spans = backend.spans.spans
-        bill = backend.ipc.snapshot()["phases"]["p"]
+        records = [item.as_dict() for item in backend.bill.quarantine.items]
+        spans = backend.bill.spans.spans
+        bill = backend.bill.ipc.snapshot()["phases"]["p"]
     return results, records, spans, bill
 
 
@@ -86,7 +86,7 @@ def test_a_dying_producer_bills_the_items_it_yielded(name, workers):
         backend.begin_phase("p")
         with pytest.raises(_DiesAfterThree):
             backend.map(_double_unless_13, _producer())
-        assert backend.ipc.total().tasks == 3
+        assert backend.bill.ipc.total().tasks == 3
 
 
 def _times_out(x):
@@ -104,8 +104,8 @@ def test_a_task_raising_timeout_error_fails_but_does_not_overrun(name, workers):
     with make_backend(name, workers, resilience=cfg) as backend:
         backend.begin_phase("p")
         assert backend.map(_times_out, [1, 2]) == []
-        bill = backend.ipc.total()
+        bill = backend.bill.ipc.total()
         assert (bill.timeouts, bill.retries, bill.quarantined) == (0, 2, 2)
-        assert [item.error_type for item in backend.quarantine.items] == [
+        assert [item.error_type for item in backend.bill.quarantine.items] == [
             "TimeoutError", "TimeoutError"
         ]

@@ -137,7 +137,7 @@ def test_crash_replays_onto_a_pool_booted_with_the_latest_state(tmp_path):
             _tag_or_die, [(marker, index) for index in range(8)]
         )
         assert os.path.exists(marker)
-        assert backend.ipc.total().pool_restarts == 1
+        assert backend.bill.ipc.total().pool_restarts == 1
         # The respawned workers booted with the state installed last.
         assert {tag for tag, _ in results} == {"second"}
 

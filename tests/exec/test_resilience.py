@@ -403,7 +403,7 @@ class TestWorkerCrashRecovery:
             )
             assert os.path.exists(marker)
             assert results == [index * index for index in range(8)]
-            assert backend.ipc.total().pool_restarts == 1
+            assert backend.bill.ipc.total().pool_restarts == 1
         finally:
             backend.close()
 
@@ -422,7 +422,7 @@ class TestWorkerCrashRecovery:
             results = backend.map(_die_once, producer())
             assert os.path.exists(marker)
             assert results == [index * index for index in range(5)]
-            assert backend.ipc.total().pool_restarts == 1
+            assert backend.bill.ipc.total().pool_restarts == 1
         finally:
             backend.close()
 

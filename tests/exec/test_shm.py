@@ -384,7 +384,7 @@ class TestBackendPlane:
             channel = backend.open_broadcast("c", (a,))
             generation = backend.broadcast(channel, (a,))
             assert channel.read(generation)[0] is a
-            assert backend.ipc.total().segments == 0
+            assert backend.bill.ipc.total().segments == 0
 
     @needs_shm
     def test_process_backend_share_and_map(self):
@@ -394,7 +394,7 @@ class TestBackendPlane:
             )
             out = backend.map(_read_shared, [handle.descriptor()])
             assert out == [{"a": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}]
-            assert backend.ipc.total().segments == 1
+            assert backend.bill.ipc.total().segments == 1
         # close() unlinked the plane's segments
         assert handle.descriptor().segment not in _live_segments()
 
@@ -411,8 +411,8 @@ class TestBackendPlane:
             token = backend.broadcast(channel, (np.ones(2),))
             descriptor = pickle.loads(pickle.dumps(channel.descriptor()))
             assert descriptor.read(token)[0].tolist() == [1.0, 1.0]
-            assert backend.ipc.total().segments == 0
-            assert backend.ipc.total().broadcasts == 1
+            assert backend.bill.ipc.total().segments == 0
+            assert backend.bill.ipc.total().broadcasts == 1
 
     @needs_shm
     def test_configure_recycle_keeps_segments_alive(self):
@@ -464,7 +464,7 @@ class TestKMeansIpcIndependence:
         backend = ProcessBackend(2, shm=shm)
         try:
             result = operator.fit(matrix, backend=backend)
-            kmeans = backend.ipc.phase_stats("kmeans")
+            kmeans = backend.bill.ipc.phase_stats("kmeans")
             return kmeans.task_pickle_bytes / result.n_iters
         finally:
             backend.close()

@@ -58,26 +58,6 @@ class TestSpanRecorder:
         recorder.record(1.0, 2.0)  # post-run records are dropped
         assert len(recorder.spans) == 1
 
-    def test_phase_and_task_id_defaults(self):
-        recorder = SpanRecorder()
-        recorder.begin_run()
-        recorder.set_phase("alpha")
-        recorder.record(0.0, 0.1)
-        recorder.record(0.1, 0.2)
-        recorder.set_phase("beta")
-        recorder.record(0.2, 0.3)
-        spans = recorder.spans
-        assert [(s.phase, s.task_id) for s in spans] == [
-            ("alpha", 0), ("alpha", 1), ("beta", 0),
-        ]
-
-    def test_next_task_id_is_per_phase(self):
-        recorder = SpanRecorder()
-        recorder.begin_run()
-        assert recorder.next_task_id("a") == 0
-        assert recorder.next_task_id("a") == 1
-        assert recorder.next_task_id("b") == 0
-
     def test_lanes_are_dense_in_first_appearance_order(self):
         recorder = SpanRecorder()
         recorder.begin_run()
@@ -253,13 +233,13 @@ class TestProcessBackendTracing:
     def test_pool_records_worker_spans_with_rebased_clock(self):
         backend = ProcessBackend(2, shm=False)
         try:
-            backend.spans.begin_run()
+            backend.bill.spans.begin_run()
             backend.begin_phase("input+wc")
             out = backend.map(len, ["x" * i for i in range(50)])
             assert out == [i for i in range(50)]
-            spans = backend.spans.spans
+            spans = backend.bill.spans.spans
             assert len(spans) == 50  # one per item
-            now = backend.spans.now()
+            now = backend.bill.spans.now()
             for s in spans:
                 assert s.phase == "input+wc"
                 assert 0.0 <= s.t_start <= s.t_end <= now
@@ -271,15 +251,15 @@ class TestProcessBackendTracing:
     def test_span_bytes_billed_separately(self):
         backend = ProcessBackend(1, shm=False)
         try:
-            backend.spans.begin_run()
+            backend.bill.spans.begin_run()
             backend.begin_phase("input+wc")
             untraced_backend = ProcessBackend(1, shm=False)
             try:
                 untraced_backend.begin_phase("input+wc")
                 backend.map(len, list("abcdef"))
                 untraced_backend.map(len, list("abcdef"))
-                traced_ipc = backend.ipc.snapshot()["phases"]["input+wc"]
-                plain_ipc = untraced_backend.ipc.snapshot()["phases"]["input+wc"]
+                traced_ipc = backend.bill.ipc.snapshot()["phases"]["input+wc"]
+                plain_ipc = untraced_backend.bill.ipc.snapshot()["phases"]["input+wc"]
                 # Same result bytes; span payload on its own counter.
                 assert (
                     traced_ipc["result_pickle_bytes"]
@@ -358,7 +338,7 @@ class TestTracedPipeline:
         finally:
             backend.close()
         assert result.trace is None
-        assert backend.spans.enabled is False
+        assert backend.bill.spans.enabled is False
 
     @pytest.mark.parametrize("name,workers", [
         ("sequential", 1), ("threads", 2), ("processes", 2),

@@ -231,14 +231,15 @@ class TestDocumentStream:
         _assert_no_reader_threads()
 
     def test_records_read_spans_when_armed(self):
-        from repro.exec.spans import SpanRecorder
+        from repro.exec.inline import RunBill
 
         storage = MemStorage()
         paths = _populate(storage, n=6)
-        recorder = SpanRecorder()
+        bill = RunBill()
+        recorder = bill.spans
         recorder.begin_run()
         stream = DocumentStream(storage, paths, workers=2)
-        stream.spans = recorder
+        stream.bill = bill
         docs = list(stream)
         spans = recorder.spans
         assert len(spans) == 6
@@ -249,13 +250,13 @@ class TestDocumentStream:
         assert recorder.n_lanes >= 1
 
     def test_disarmed_recorder_records_nothing(self):
-        from repro.exec.spans import SpanRecorder
+        from repro.exec.inline import RunBill
 
         storage = MemStorage()
         stream = DocumentStream(storage, _populate(storage, n=3), workers=2)
-        stream.spans = SpanRecorder()  # never armed
+        stream.bill = RunBill()  # spans never armed
         list(stream)
-        assert stream.spans.spans == []
+        assert stream.bill.spans.spans == []
 
 
 def _reader_threads():

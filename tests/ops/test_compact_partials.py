@@ -307,7 +307,7 @@ def test_processes_ship_a_fraction_of_the_dense_partials():
         matrix = TfIdfOperator().fit_transform(corpus, backend=backend).matrix
         operator = KMeansOperator()
         result = operator.fit(matrix, backend=backend)
-        shipped = backend.ipc.snapshot()["phases"]["kmeans"]["result_pickle_bytes"]
+        shipped = backend.bill.ipc.snapshot()["phases"]["kmeans"]["result_pickle_bytes"]
     finally:
         backend.close()
     n_blocks = -(-matrix.n_rows // max(32, -(-matrix.n_rows // 64)))

@@ -163,7 +163,6 @@ class TestObserveRun:
         recorder.begin_run()
         n_docs = 200
         for phase in PHASES:
-            recorder.set_phase(phase)
             start = recorder.now()
             recorder.record_worker_span(
                 (phase, 0, 0, start, start + n_docs * 1e-3, n_docs, 0, 0, 0.0)
