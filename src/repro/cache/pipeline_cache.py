@@ -9,19 +9,19 @@ materialized corpus. The session fronts the three real phases:
   version). A warm run serves all three phases with zero operator
   recompute and bit-identical output.
 * **Incremental recompute** — the word count additionally stores
-  *per-shard* entries (contiguous document runs). On a changed corpus,
-  only shards whose content digest changed are recomputed — via the
-  caller-supplied ``compute_subset`` callback, which runs on whatever
-  backend the run configured — and composed with the cached shards; the
-  document-frequency merge is plain integer adds over per-shard tables.
-  The transform and k-means are cached whole: every transform row
-  multiplies a corpus-wide idf, so almost any edit changes all of them,
-  and k-means's blocking and merge order are part of the output
-  contract.
+  *per-shard* entries (contiguous document runs), and has one compute
+  route: the shards with no entry (all of them on a cold run) are
+  computed by one caller-supplied ``compute(docs, doc_ids)`` call, on
+  whatever backend the run configured, and composed with the served
+  shards by the document-frequency merge. The transform and k-means are
+  cached whole: every transform row multiplies a corpus-wide idf, so
+  almost any edit changes all of them, and k-means's blocking and merge
+  order are part of the output contract.
 * **Safety rails** — a run that quarantined documents no longer
   corresponds to the fingerprinted corpus, so the session disables
-  itself for stores. A corrupt entry is deleted and treated as a miss
-  by the store layer.
+  itself for stores. A poisoned document is computed and billed once,
+  under its corpus id, and the composed word count leaves it out. A
+  corrupt entry is deleted and treated as a miss by the store layer.
 
 Payloads are the phases' own columnar forms, each fact stored once: the
 word count is its :class:`~repro.sparse.blocks.TermBlock` alone (paths
@@ -39,7 +39,8 @@ check, a payload of an older schema) is deleted and counted as a miss.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,17 +84,13 @@ class PhaseCacheStats:
     #: Entries written by this run (full + shard).
     stored: int = 0
 
+    def add(self, other: "PhaseCacheStats") -> None:
+        for spec in fields(self):
+            name = spec.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
     def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "shard_hits": self.shard_hits,
-            "shard_misses": self.shard_misses,
-            "bytes_saved": self.bytes_saved,
-            "seconds_saved": self.seconds_saved,
-            "serve_s": self.serve_s,
-            "stored": self.stored,
-        }
+        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
 
 
 class PipelineCache:
@@ -145,8 +142,11 @@ class NullCacheSession:
     one code path whether or not a cache was given.
     """
 
-    def wordcount(self, compute_all, compute_subset):
-        return compute_all()
+    def __init__(self, docs) -> None:
+        self.docs = docs
+
+    def wordcount(self, compute):
+        return compute(self.docs, None)
 
     def transform(self, tfidf_op, wc, compute, tiles=None):
         return compute()
@@ -199,12 +199,18 @@ class RunCacheSession:
 
     # -- phase 1: word count -----------------------------------------------------------
 
-    def wordcount(self, compute_all, compute_subset) -> WordCountResult:
-        """Serve, incrementally compose, or fully compute phase 1.
+    def wordcount(self, compute) -> WordCountResult:
+        """Serve phase 1 whole, or compose it from its shards.
 
-        ``compute_all()`` runs the phase exactly as the uncached pipeline
-        would; ``compute_subset(sub_docs)`` runs the same step over a
-        document subset (changed shards only) on the same backend.
+        On a miss of the full entry, every shard with no stored entry
+        (all of them on a cold run) is computed by one ``compute(docs,
+        doc_ids)`` call: the word-count step over those documents, with
+        their corpus ids, on the run's backend. The result is the
+        shards' blocks concatenated in document order, the same df merge
+        a backend run applies to its chunks; when nothing was served it
+        is the computed result as it is. A document quarantined by that
+        call is noted once, under its corpus id, and left out of the
+        result; the run then stores nothing.
         """
         result = self._serve(PHASE_INPUT_WC, self.wc_key, self._serve_wordcount)
         if result is not None:
@@ -215,74 +221,65 @@ class RunCacheSession:
             cache_keys.shard_key("wc", self._wc_cfg, digest)
             for digest in self.fp.shard_digests
         ]
-        shard_payloads, n_hits, hit_seconds = self._get_shards(
-            shard_keys, stats
-        )
-        lookup_s = time.perf_counter() - t0
+        payloads, n_hits, hit_seconds = self._get_shards(shard_keys, stats)
+        blocks = [payload and payload["block"] for payload in payloads]
+        missing = [at for at, block in enumerate(blocks) if block is None]
+        stats.serve_s += time.perf_counter() - t0
 
-        if n_hits == 0:
-            # Nothing to compose with: run the uncached path verbatim.
-            t1 = time.perf_counter()
-            result = compute_all()
-            compute_s = time.perf_counter() - t1
-            self._store_wordcount(result, compute_s, shard_keys, stats)
-            return result
-
-        # Incremental path: recompute only the changed/added shards (one
-        # backend invocation over their concatenated documents), then
-        # concatenate the per-shard blocks in document order — the same
-        # df merge a backend run applies to its chunks.
-        missing = [
-            at for at, payload in enumerate(shard_payloads) if payload is None
-        ]
-        sub_docs = [
-            doc
-            for at in missing
-            for doc in self.docs[self.fp.shards[at][0]:self.fp.shards[at][1]]
-        ]
-        computed: dict[int, dict] = {}
+        dropped: set[int] = set()
         compute_s = 0.0
         if missing:
+            # With nothing served, the corpus goes as it came.
+            docs, doc_ids = self.docs, None
+            if n_hits:
+                doc_ids = [
+                    i for at in missing for i in range(*self.fp.shards[at])
+                ]
+                docs = [self.docs[i] for i in doc_ids]
             t1 = time.perf_counter()
-            sub_wc = compute_subset(sub_docs)
+            result = compute(docs, doc_ids)
             compute_s = time.perf_counter() - t1
-            if sub_wc.n_docs != len(sub_docs):
-                # Quarantine dropped documents mid-subset: alignment with
-                # the fingerprint is gone. Fall back to the plain path
-                # and stop storing for this run.
+            ids = range(len(docs)) if doc_ids is None else doc_ids
+            # Each surviving row's corpus id, ascending.
+            rows = ids if result.doc_ids is None else result.doc_ids
+            if len(rows) != len(ids):
+                # Quarantine dropped documents: the output no longer
+                # corresponds to the fingerprinted corpus.
+                dropped = set(ids).difference(rows)
                 self.disabled = True
-                return compute_all()
-            per_doc_s = compute_s / max(1, len(sub_docs))
-            sub_block = sub_wc.block
-            cursor = 0
+            per_doc_s = compute_s / len(docs)
             for at in missing:
                 start, stop = self.fp.shards[at]
-                count = stop - start
-                computed[at] = {
-                    "block": sub_block[cursor:cursor + count],
-                    "seconds": per_doc_s * count,
-                }
-                cursor += count
+                blocks[at] = result.block[
+                    bisect_left(rows, start):bisect_left(rows, stop)
+                ]
+                if not self.disabled:
+                    seconds = per_doc_s * (stop - start)
+                    self.store.put(
+                        shard_keys[at],
+                        {"block": blocks[at], "seconds": seconds},
+                        seconds=seconds,
+                    )
+                    stats.stored += 1
 
-        t2 = time.perf_counter()
-        result = WordCountResult.from_block(
-            TermBlock.concat(
-                (shard_payloads[at] or computed[at])["block"]
-                for at in range(len(shard_payloads))
-            ),
-            *self._paths_and_bytes(),
-        )
-        stats.serve_s += lookup_s + (time.perf_counter() - t2)
-        stats.seconds_saved += hit_seconds
-        # Persist the newly computed shards and the composed full result,
-        # so the next identical corpus is a single full-phase hit.
-        for at, payload in computed.items():
-            self.store.put(shard_keys[at], payload, seconds=payload["seconds"])
+        if n_hits:
+            t2 = time.perf_counter()
+            paths, input_bytes = self._paths_and_bytes()
+            kept = None
+            if dropped:
+                kept = [i for i in range(self.fp.n_docs) if i not in dropped]
+                paths = [paths[i] for i in kept]
+            result = WordCountResult.from_block(
+                TermBlock.concat(blocks), paths, input_bytes, kept
+            )
+            stats.serve_s += time.perf_counter() - t2
+            stats.seconds_saved += hit_seconds
+        if not self.disabled:
+            # The next run of this corpus is one full-phase hit.
+            self.store.put(
+                self.wc_key, result.block, seconds=hit_seconds + compute_s
+            )
             stats.stored += 1
-        self.store.put(
-            self.wc_key, result.block, seconds=hit_seconds + compute_s
-        )
-        stats.stored += 1
         return result
 
     def _paths_and_bytes(self) -> tuple[list[str], int]:
@@ -295,26 +292,6 @@ class RunCacheSession:
         if not isinstance(block, TermBlock) or len(block) != self.fp.n_docs:
             raise TypeError("not this corpus's word-count block")
         return WordCountResult.from_block(block, *self._paths_and_bytes())
-
-    def _store_wordcount(self, result, compute_s, shard_keys, stats) -> None:
-        """Store a fully computed phase-1 result: full entry + every shard."""
-        if self.disabled or result.n_docs != self.fp.n_docs:
-            self.disabled = True
-            return
-        self.store.put(self.wc_key, result.block, seconds=compute_s)
-        stats.stored += 1
-        per_doc_s = compute_s / max(1, self.fp.n_docs)
-        block = result.block
-        for at, (start, stop) in enumerate(self.fp.shards):
-            self.store.put(
-                shard_keys[at],
-                {
-                    "block": block[start:stop],
-                    "seconds": per_doc_s * (stop - start),
-                },
-                seconds=per_doc_s * (stop - start),
-            )
-            stats.stored += 1
 
     # -- phase 2: transform ------------------------------------------------------------
 
@@ -419,17 +396,6 @@ class RunCacheSession:
             **_vocabulary_payload(tfidf_op, wc, result),
             "n_cols": manifest.n_cols,
             "manifest_digest": digest,
-            "tiles": [
-                {
-                    "name": meta.name,
-                    "row_start": meta.row_start,
-                    "n_rows": meta.n_rows,
-                    "nnz": meta.nnz,
-                    "nbytes": meta.nbytes,
-                    "checksum": meta.checksum,
-                }
-                for meta in manifest.tiles
-            ],
             "tile_keys": tile_keys,
         }
 
@@ -533,14 +499,7 @@ class RunCacheSession:
         }
         totals = PhaseCacheStats()
         for stats in self.stats.values():
-            totals.hits += stats.hits
-            totals.misses += stats.misses
-            totals.shard_hits += stats.shard_hits
-            totals.shard_misses += stats.shard_misses
-            totals.bytes_saved += stats.bytes_saved
-            totals.seconds_saved += stats.seconds_saved
-            totals.serve_s += stats.serve_s
-            totals.stored += stats.stored
+            totals.add(stats)
         snapshot = totals.as_dict()
         snapshot["phases"] = phases
         snapshot["dir"] = self.store.root

@@ -324,7 +324,7 @@ def run_pipeline(
         corpus.close()
         streamed = False
     tfidf = tfidf or TfIdfOperator()
-    session = NullCacheSession()
+    session = NullCacheSession(source)
     if pipeline_cache is not None:
         session = pipeline_cache.begin_run(source, tfidf, kmeans) or session
 
@@ -404,17 +404,23 @@ def run_pipeline(
     try:
         t0 = _clock()
 
-        def count(texts):
-            return run_phase(
-                PHASE_INPUT_WC,
-                lambda backend: tfidf.wordcount.run(texts, backend=backend),
-                replayable=not streamed,
-            )
+        def count(texts, doc_ids):
+            def run(backend):
+                grain = None
+                if doc_ids is not None:
+                    # Changed shards are cut into no more items than the
+                    # whole corpus is, so composing never bills more
+                    # word-count tasks than an uncached run.
+                    n = len(source)
+                    n_items = -(-n // backend.phase_grain(n))
+                    grain = -(-len(texts) // n_items)
+                return tfidf.wordcount.run(
+                    texts, backend=backend, grain=grain, doc_ids=doc_ids
+                )
 
-        wc = session.wordcount(
-            compute_all=lambda: count(source),
-            compute_subset=count,
-        )
+            return run_phase(PHASE_INPUT_WC, run, replayable=not streamed)
+
+        wc = session.wordcount(count)
         t1 = _clock()
         if streamed:
             seconds[PHASE_READ] = corpus.wait_seconds
@@ -488,7 +494,7 @@ def run_pipeline(
         backend_name=backend_name(),
         ipc=bill.ipc.snapshot(),
         trace=run_trace,
-        quarantine=bill.quarantine or None,
+        quarantine=bill.quarantine.snapshot() if bill.quarantine else None,
         downgrades=downgrades,
         plan=plan,
         plan_seconds=plan_seconds,

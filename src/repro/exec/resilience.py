@@ -219,10 +219,10 @@ class QuarantineReport:
     """Every quarantined item of one run, in isolation order.
 
     Lives on the run's bill (``backend.bill.quarantine``) so all phases
-    of a run accumulate into one report, which ``run_pipeline`` attaches
-    to the result. ``doc_ids`` holds the document ids
-    :meth:`~repro.exec.inline.ExecutionBackend.map_documents` resolved
-    from the raw item coordinates.
+    of a run accumulate into one report, whose :meth:`snapshot`
+    ``run_pipeline`` attaches to the result. ``doc_ids`` holds the
+    document ids :meth:`~repro.exec.inline.ExecutionBackend.map_documents`
+    resolved from the raw item coordinates.
     """
 
     def __init__(self) -> None:
@@ -237,6 +237,14 @@ class QuarantineReport:
 
     def add(self, item: QuarantinedItem) -> None:
         self.items.append(item)
+
+    def snapshot(self) -> "QuarantineReport":
+        """A copy that later isolations on the bill leave as it is (the
+        items themselves are frozen)."""
+        copy = QuarantineReport()
+        copy.items = list(self.items)
+        copy.doc_ids = list(self.doc_ids)
+        return copy
 
     def phase_items(self, phase: str) -> list[QuarantinedItem]:
         return [item for item in self.items if item.phase == phase]

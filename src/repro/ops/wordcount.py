@@ -62,8 +62,9 @@ class WordCountResult:
     total_tokens: int = 0
     #: The corpus block; ``None`` on a simulated result.
     block: TermBlock | None = None
-    #: Each row's input document id once quarantine dropped documents;
-    #: ``None`` when row ``i`` is document ``i``.
+    #: Each row's input document id once quarantine dropped documents
+    #: or the run counted part of a corpus; ``None`` when row ``i`` is
+    #: document ``i``.
     doc_ids: list[int] | None = None
 
     @classmethod
@@ -99,6 +100,7 @@ class WordCountStep:
         texts,
         backend: ExecutionBackend | None = None,
         grain: int | None = None,
+        doc_ids: list[int] | None = None,
     ) -> WordCountResult:
         """Chunked word count on a real backend (phase-1 parallel loop;
         ``None`` runs it on a :class:`SequentialBackend`).
@@ -120,6 +122,12 @@ class WordCountStep:
         while later files are still in flight. The counts equal those of
         the simulator's dictionary reference
         (:func:`repro.sim.operators.run_wordcount`).
+
+        ``doc_ids`` are the corpus ids of ``texts`` when they are part of
+        a larger corpus (the changed shards the result cache recomputes):
+        a quarantined document is reported under its id, and the
+        result's ``doc_ids`` lists each row's. ``None`` numbers the texts
+        from 0.
         """
         backend = backend or SequentialBackend()
         backend.begin_phase(PHASE_INPUT_WC)
@@ -155,7 +163,7 @@ class WordCountStep:
         try:
             parts, dropped = backend.map_documents(
                 partial(kernels.count_chunk, slot=slot), chunked(),
-                chunk_starts,
+                chunk_starts, doc_ids,
             )
         finally:
             # The in-process install is this run's alone; pool workers
@@ -164,14 +172,16 @@ class WordCountStep:
 
         # Quarantined documents leave the path list, so it stays aligned
         # with the surviving rows, whose document ids are kept.
-        doc_ids = None
+        rows = None
         if dropped:
             dropped_set = set(dropped)
-            doc_ids = [i for i in range(len(paths)) if i not in dropped_set]
-            paths = [paths[i] for i in doc_ids]
+            rows = [i for i in range(len(paths)) if i not in dropped_set]
+            paths = [paths[i] for i in rows]
+        if doc_ids is not None:
+            rows = [doc_ids[i] for i in rows or range(len(paths))]
 
         # The df merge: one corpus block over the union of the chunks'
         # terms (quarantine bisection may have split a chunk into several).
         return WordCountResult.from_block(
-            TermBlock.concat(parts), paths, input_bytes, doc_ids
+            TermBlock.concat(parts), paths, input_bytes, rows
         )

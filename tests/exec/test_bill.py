@@ -87,11 +87,27 @@ def test_a_result_keeps_its_quarantine_when_the_backend_runs_again(corpus):
     with SequentialBackend(QUARANTINE) as backend:
         first = _run_poisoned(corpus, 5, backend)
         second = _run_poisoned(corpus, 9, backend)
-        assert backend.bill.quarantine is second.quarantine
+        assert backend.bill.quarantine.doc_ids == second.quarantine.doc_ids
     assert first.quarantine is not second.quarantine
     assert first.quarantine.doc_ids == [5]
     assert second.quarantine.doc_ids == [9]
     assert first.ipc["total"]["quarantined"] == 1
+
+
+def test_a_result_keeps_its_quarantine_when_an_operator_runs_again(corpus):
+    """The backend keeps the finished run's bill; the result holds a
+    copy of its report, as it holds a snapshot of its IPC counters."""
+    tfidf = TfIdfOperator(tokenizer=_PoisonTokenizer())
+    poisoned = _poisoned(corpus, 5)
+    with SequentialBackend(QUARANTINE) as backend:
+        result = run_pipeline(
+            poisoned, backend=backend, tfidf=tfidf,
+            kmeans=KMeansOperator(max_iters=2),
+        )
+        tfidf.wordcount.run(poisoned, backend=backend)
+        assert backend.bill.quarantine.doc_ids == [5, 5]
+    assert result.quarantine.doc_ids == [5]
+    assert len(result.quarantine) == 1
 
 
 def test_transform_quarantine_reports_document_ids(corpus, tmp_path):

@@ -327,7 +327,7 @@ class TestMidRunFailureCleanup:
     class _BoomWordcount:
         """Stands in for the wordcount step: consumes a little, then dies."""
 
-        def run(self, corpus, backend=None):
+        def run(self, corpus, backend=None, grain=None, doc_ids=None):
             for i, _ in enumerate(corpus):
                 if i >= 2:
                     raise RuntimeError("phase exploded mid-stream")
